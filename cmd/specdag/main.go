@@ -37,49 +37,292 @@ import (
 	"github.com/specdag/specdag/internal/graphx"
 	"github.com/specdag/specdag/internal/metrics"
 	"github.com/specdag/specdag/internal/profiling"
+	"github.com/specdag/specdag/internal/serve"
 	"github.com/specdag/specdag/internal/sim"
-	"github.com/specdag/specdag/internal/tipselect"
 	"github.com/specdag/specdag/internal/wire"
 	"github.com/specdag/specdag/internal/xrand"
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:])
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "specdag:", err)
 		os.Exit(1)
 	}
 }
 
-// atomicFile writes through a temp file and renames it over the target on
-// Close, so an interrupted write (crash, OOM kill) never truncates the
-// previous good checkpoint — the exact interruptions checkpoints exist to
-// survive.
-type atomicFile struct {
-	f    *os.File
-	path string
+// plan is what the command line resolves to: the run as named (the flag set
+// is the local form of specdagd's RunRequest, so it is parsed into one), the
+// dataset it names, the configuration of exactly one engine, and the
+// supervision options.
+type plan struct {
+	req  serve.RunRequest
+	spec sim.Spec
+	cfg  *core.Config      // round engine; nil with -async
+	acfg *core.AsyncConfig // event engine; nil without -async
+
+	every      int
+	eventsFile string
+	ckptFile   string
+	ckptEvery  int
+	resumeFile string
+	dotFile    string
+	saveFile   string
+	cpuProfile string
+	memProfile string
 }
 
-func newAtomicFile(path string) (*atomicFile, error) {
-	f, err := os.Create(path + ".tmp")
+// parseFlags is the one flag→config function.
+func parseFlags(args []string) (*plan, error) {
+	var (
+		p   plan
+		req = &p.req
+		fs  = flag.NewFlagSet("specdag", flag.ContinueOnError)
+	)
+	fs.StringVar(&req.Dataset, "dataset", "fmnist", "dataset: fmnist | fmnist-relaxed | fmnist-bywriter | poets | cifar100 | fedprox")
+	fs.Float64Var(&req.Alpha, "alpha", 10, "specialization parameter of the accuracy walk")
+	fs.StringVar(&req.Norm, "norm", "standard", "walk-weight normalization: standard | dynamic")
+	fs.StringVar(&req.Selector, "selector", "accuracy", "tip selector: accuracy | weighted | urts | uniform")
+	fs.IntVar(&req.Rounds, "rounds", 0, "training rounds (0 = preset default)")
+	fs.IntVar(&req.ClientsPerRound, "clients-per-round", 0, "active clients per round (0 = preset default)")
+	full := fs.Bool("full", false, "use paper-scale federation sizes")
+	fs.Int64Var(&req.Seed, "seed", 42, "root random seed")
+	poisonFraction := fs.Float64("poison-fraction", 0, "fraction of clients with flipped labels (3<->8)")
+	poisonStart := fs.Int("poison-start", 0, "round at which poisoning begins")
+	fs.IntVar(&req.Workers, "workers", 0, "worker goroutines for the round engine (0 = NumCPU); results are identical for any value")
+	fs.IntVar(&p.every, "progress-every", 5, "print progress every N rounds")
+	fs.StringVar(&p.dotFile, "dot", "", "write the final DAG in Graphviz format to this file")
+	fs.StringVar(&p.saveFile, "save", "", "write the final DAG as a binary snapshot (inspect with dagstat)")
+	fs.StringVar(&p.eventsFile, "events", "", "record the run's event stream to this SDE1 log file (inspect with dagstat)")
+	fs.StringVar(&p.ckptFile, "checkpoint", "", "write a full simulation checkpoint to this file every -checkpoint-every rounds/events and at exit (resume with -resume)")
+	fs.IntVar(&p.ckptEvery, "checkpoint-every", 10, "rounds (or events, with -async) between periodic checkpoints (with -checkpoint)")
+	fs.StringVar(&p.resumeFile, "resume", "", "resume from a checkpoint written by -checkpoint (requires the same dataset/config flags)")
+	fs.BoolVar(&req.Async, "async", false, "run the event-driven engine instead of synchronous rounds (§5.3.3)")
+	fs.Float64Var(&req.Duration, "duration", 120, "simulated time horizon in seconds (with -async)")
+	fs.Float64Var(&req.MinCycle, "min-cycle", 1, "fastest per-client training cycle time in simulated seconds (with -async)")
+	fs.Float64Var(&req.MaxCycle, "max-cycle", 8, "slowest per-client training cycle time in simulated seconds (with -async)")
+	fs.Float64Var(&req.NetDelay, "net-delay", 0.5, "broadcast propagation delay in simulated seconds (with -async)")
+	faultScenario := fs.String("fault-scenario", "", "named fault schedule replacing the uniform -net-delay with jittered lossy per-link delivery: partition-heal | straggler-3x | churn-25 (with -async)")
+	fs.IntVar(&req.DepthMin, "depth-min", 0, "shallowest walk entry depth for banded selectors (0 = start at genesis)")
+	fs.IntVar(&req.DepthMax, "depth-max", 0, "deepest walk entry depth for banded selectors (0 = start at genesis; required for -compact-width)")
+	fs.IntVar(&req.CompactWidth, "compact-width", 0, "epoch width in rounds for bounded-memory compaction (0 = keep everything; requires a depth-banded selector)")
+	fs.IntVar(&req.CompactLive, "compact-live", 0, "trailing epochs kept live before freezing (0 = default, with -compact-width)")
+	compactSpill := fs.String("compact-spill", "", "directory receiving frozen epochs' parameter spills (with -compact-width; empty = release without spilling)")
+	fs.StringVar(&p.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&p.memProfile, "memprofile", "", "write a heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+
+	if p.every < 1 {
+		return nil, fmt.Errorf("-progress-every must be at least 1, got %d", p.every)
+	}
+	req.Preset = sim.Quick.String()
+	if *full {
+		req.Preset = sim.Full.String()
+	}
+	if req.CompactWidth <= 0 && (req.CompactLive > 0 || *compactSpill != "") {
+		return nil, fmt.Errorf("-compact-live/-compact-spill require -compact-width")
+	}
+	if req.Async {
+		if *poisonFraction > 0 {
+			return nil, fmt.Errorf("-poison-fraction is not supported with -async (the event-driven engine has no attack scenario)")
+		}
+		if req.Rounds > 0 || req.ClientsPerRound > 0 {
+			return nil, fmt.Errorf("-rounds/-clients-per-round do not apply with -async; the horizon is -duration (simulated seconds)")
+		}
+	} else if *faultScenario != "" {
+		return nil, fmt.Errorf("-fault-scenario requires -async (the schedules are defined over the simulated-time horizon)")
+	}
+	if req.Workers == 0 {
+		// Only the explicit flag overrides the SPECDAG_WORKERS-derived
+		// default. Negative values flow through to config validation, which
+		// rejects them with a clear error.
+		req.Workers = sim.Workers
+	}
+
+	var err error
+	p.spec, p.cfg, p.acfg, err = req.Configs(sim.Pool())
 	if err != nil {
 		return nil, err
 	}
-	return &atomicFile{f: f, path: path}, nil
+	if p.acfg != nil {
+		p.acfg.Compaction.SpillDir = *compactSpill
+		if *faultScenario != "" {
+			// The scenario's base link delay is -net-delay; the uniform
+			// broadcast delay is replaced by the per-link delivery model.
+			p.acfg.Faults, err = sim.FaultScenario(*faultScenario, req.Duration, req.NetDelay)
+			if err != nil {
+				return nil, err
+			}
+			p.acfg.NetworkDelay = 0
+		}
+		return &p, nil
+	}
+	p.cfg.Compaction.SpillDir = *compactSpill
+	if *poisonFraction > 0 {
+		p.cfg.Poison = core.PoisonConfig{
+			Fraction:   *poisonFraction,
+			FlipA:      3,
+			FlipB:      8,
+			StartRound: *poisonStart,
+			Track:      true,
+		}
+	}
+	return &p, nil
 }
 
-func (a *atomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
+// simulation is what the supervision loop needs of either engine.
+type simulation interface {
+	engine.Engine
+	engine.Snapshotter
+	DAG() *dag.DAG
+}
 
-func (a *atomicFile) Close() error {
-	if err := a.f.Close(); err != nil {
+// open constructs the plan's engine: fresh, or resumed from -resume.
+func (p *plan) open() (simulation, error) {
+	var ckpt io.Reader
+	if p.resumeFile != "" {
+		f, err := os.Open(p.resumeFile)
+		if err != nil {
+			return nil, fmt.Errorf("opening checkpoint: %w", err)
+		}
+		defer f.Close()
+		ckpt = f
+	}
+	if p.acfg != nil {
+		if ckpt != nil {
+			return core.ResumeAsyncSimulation(p.spec.Fed, *p.acfg, ckpt)
+		}
+		return core.NewAsyncSimulation(p.spec.Fed, *p.acfg)
+	}
+	if ckpt != nil {
+		return core.ResumeSimulation(p.spec.Fed, *p.cfg, ckpt)
+	}
+	return core.NewSimulation(p.spec.Fed, *p.cfg)
+}
+
+// position names the unit boundary the engine stands at.
+func position(s simulation) string {
+	if a, ok := s.(*core.AsyncSimulation); ok {
+		return fmt.Sprintf("event %d", a.Events())
+	}
+	return fmt.Sprintf("round %d", s.(*core.Simulation).Round())
+}
+
+// progress prints every -progress-every'th unit (and the round engine's last).
+func (p *plan) progress(ev engine.RoundEvent) {
+	due := (ev.Round+1)%p.every == 0
+	switch d := ev.Detail.(type) {
+	case *core.AsyncEvent:
+		if due {
+			fmt.Printf("event %4d  t=%6.1fs  client %3d  acc %.3f  dag %d\n",
+				ev.Round+1, ev.Time, d.Client, ev.MeanAcc, ev.DAGSize)
+		}
+	case *core.RoundResult:
+		if !due && ev.Round != p.cfg.Rounds-1 {
+			return
+		}
+		line := fmt.Sprintf("round %3d  acc %.3f  loss %.3f  published %d/%d  dag %d",
+			ev.Round+1, ev.MeanAcc, ev.MeanLoss, ev.Published, p.cfg.ClientsPerRound, ev.DAGSize)
+		if p.cfg.Poison.Enabled() && ev.Round >= p.cfg.Poison.StartRound {
+			line += fmt.Sprintf("  flipped %.1f%%", 100*d.MeanFlippedFrac())
+		}
+		fmt.Println(line)
+	}
+}
+
+// run is the supervision loop of either engine: Ctrl-C cancels between
+// units, -checkpoint persists state periodically and at exit, -resume
+// continues bit-identically, -events records the stream.
+func run(args []string) error {
+	p, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-	return os.Rename(a.path+".tmp", a.path)
-}
+	if p.cpuProfile != "" {
+		stop, err := profiling.StartCPU(p.cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer stop()
+	}
+	if p.memProfile != "" {
+		defer func() {
+			if err := profiling.WriteHeap(p.memProfile); err != nil {
+				fmt.Fprintln(os.Stderr, "specdag:", err)
+			}
+		}()
+	}
 
-// abort discards the temp file without touching the target.
-func (a *atomicFile) abort() {
-	a.f.Close()
-	os.Remove(a.path + ".tmp")
+	if p.acfg != nil {
+		fmt.Printf("async: duration %.0fs, cycle [%.1fs, %.1fs], network delay %.1fs\n",
+			p.acfg.Duration, p.acfg.MinCycle, p.acfg.MaxCycle, p.acfg.NetworkDelay)
+	} else {
+		fmt.Printf("dataset=%s clients=%d clusters=%d selector=%s rounds=%d clients/round=%d seed=%d\n",
+			p.spec.Name, len(p.spec.Fed.Clients), p.spec.Fed.NumClusters, p.cfg.Selector.Name(), p.cfg.Rounds, p.cfg.ClientsPerRound, p.req.Seed)
+	}
+	s, err := p.open()
+	if err != nil {
+		return err
+	}
+	if p.resumeFile != "" {
+		fmt.Printf("resumed from %s at %s (%d transactions)\n", p.resumeFile, position(s), s.DAG().Size())
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	opts := []engine.Option{engine.WithHooks(engine.Hooks{OnRound: p.progress})}
+	if p.ckptFile != "" {
+		opts = append(opts, engine.WithCheckpoints(p.ckptEvery, func(int) (io.WriteCloser, error) {
+			return engine.CreateAtomic(p.ckptFile)
+		}))
+	}
+	var rec *eventRecorder
+	if p.eventsFile != "" {
+		rec, err = newEventRecorder(p.eventsFile, p.req.Info(s.Name()))
+		if err != nil {
+			return err
+		}
+		opts = append(opts, engine.WithHooks(rec.log.Hooks()))
+	}
+
+	rep, runErr := engine.Run(ctx, s, opts...)
+	if err := rec.finish(rep, runErr); err != nil {
+		return err
+	}
+	canceled := errors.Is(runErr, context.Canceled)
+	if runErr != nil && !canceled {
+		return runErr
+	}
+	if p.ckptFile != "" {
+		var n int64
+		err := engine.WriteAtomic(p.ckptFile, func(w io.Writer) (err error) {
+			n, err = s.WriteCheckpoint(w)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("writing checkpoint: %w", err)
+		}
+		fmt.Printf("wrote %d-byte checkpoint to %s (%s)\n", n, p.ckptFile, position(s))
+	}
+	if canceled {
+		fmt.Printf("\ninterrupted after %s — partial metrics below", position(s))
+		if p.ckptFile != "" {
+			fmt.Printf("; continue with -resume %s", p.ckptFile)
+		}
+		fmt.Println()
+	}
+
+	poisoned := 0
+	switch s := s.(type) {
+	case *core.AsyncSimulation:
+		fmt.Printf("\nprocessed %d events, %d transactions in the DAG\n", s.Events(), s.DAG().Size())
+	case *core.Simulation:
+		poisoned = len(s.PoisonedClients())
+	}
+	return reportDAG(s.DAG(), p.spec, p.req.Seed, poisoned, p.dotFile, p.saveFile)
 }
 
 // eventRecorder streams the run's events into an SDE1 log file (-events):
@@ -90,12 +333,12 @@ type eventRecorder struct {
 }
 
 // newEventRecorder opens the log file and writes its start frame.
-func newEventRecorder(path string, eng engine.Engine, seed int64, config map[string]string) (*eventRecorder, error) {
+func newEventRecorder(path string, info wire.RunInfo) (*eventRecorder, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("creating event log: %w", err)
 	}
-	l, err := wire.NewEventLog(f, 0, wire.RunInfo{Engine: eng.Name(), Seed: seed, Config: config})
+	l, err := wire.NewEventLog(f, 0, info)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("starting event log: %w", err)
@@ -118,371 +361,6 @@ func (r *eventRecorder) finish(rep *engine.Report, runErr error) error {
 		return fmt.Errorf("closing event log: %w", err)
 	}
 	fmt.Printf("wrote event log %s (%d frames)\n", r.f.Name(), r.log.NextIndex())
-	return nil
-}
-
-func run() error {
-	var (
-		datasetName    = flag.String("dataset", "fmnist", "dataset: fmnist | fmnist-relaxed | fmnist-bywriter | poets | cifar100 | fedprox")
-		alpha          = flag.Float64("alpha", 10, "specialization parameter of the accuracy walk")
-		norm           = flag.String("norm", "standard", "walk-weight normalization: standard | dynamic")
-		selector       = flag.String("selector", "accuracy", "tip selector: accuracy | weighted | urts | uniform")
-		rounds         = flag.Int("rounds", 0, "training rounds (0 = preset default)")
-		perRound       = flag.Int("clients-per-round", 0, "active clients per round (0 = preset default)")
-		full           = flag.Bool("full", false, "use paper-scale federation sizes")
-		seed           = flag.Int64("seed", 42, "root random seed")
-		poisonFraction = flag.Float64("poison-fraction", 0, "fraction of clients with flipped labels (3<->8)")
-		poisonStart    = flag.Int("poison-start", 0, "round at which poisoning begins")
-		workers        = flag.Int("workers", 0, "worker goroutines for the round engine (0 = NumCPU); results are identical for any value")
-		every          = flag.Int("progress-every", 5, "print progress every N rounds")
-		dotFile        = flag.String("dot", "", "write the final DAG in Graphviz format to this file")
-		saveFile       = flag.String("save", "", "write the final DAG as a binary snapshot (inspect with dagstat)")
-		eventsFile     = flag.String("events", "", "record the run's event stream to this SDE1 log file (inspect with dagstat)")
-		ckptFile       = flag.String("checkpoint", "", "write a full simulation checkpoint to this file every -checkpoint-every rounds/events and at exit (resume with -resume)")
-		ckptEvery      = flag.Int("checkpoint-every", 10, "rounds (or events, with -async) between periodic checkpoints (with -checkpoint)")
-		resumeFile     = flag.String("resume", "", "resume from a checkpoint written by -checkpoint (requires the same dataset/config flags)")
-		asyncMode      = flag.Bool("async", false, "run the event-driven engine instead of synchronous rounds (§5.3.3)")
-		duration       = flag.Float64("duration", 120, "simulated time horizon in seconds (with -async)")
-		minCycle       = flag.Float64("min-cycle", 1, "fastest per-client training cycle time in simulated seconds (with -async)")
-		maxCycle       = flag.Float64("max-cycle", 8, "slowest per-client training cycle time in simulated seconds (with -async)")
-		netDelay       = flag.Float64("net-delay", 0.5, "broadcast propagation delay in simulated seconds (with -async)")
-		faultScenario  = flag.String("fault-scenario", "", "named fault schedule replacing the uniform -net-delay with jittered lossy per-link delivery: partition-heal | straggler-3x | churn-25 (with -async)")
-		depthMin       = flag.Int("depth-min", 0, "shallowest walk entry depth for banded selectors (0 = start at genesis)")
-		depthMax       = flag.Int("depth-max", 0, "deepest walk entry depth for banded selectors (0 = start at genesis; required for -compact-width)")
-		compactWidth   = flag.Int("compact-width", 0, "epoch width in rounds for bounded-memory compaction (0 = keep everything; requires a depth-banded selector)")
-		compactLive    = flag.Int("compact-live", 0, "trailing epochs kept live before freezing (0 = default, with -compact-width)")
-		compactSpill   = flag.String("compact-spill", "", "directory receiving frozen epochs' parameter spills (with -compact-width; empty = release without spilling)")
-		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile     = flag.String("memprofile", "", "write a heap profile to this file at exit")
-	)
-	flag.Parse()
-
-	if *cpuProfile != "" {
-		stop, err := profiling.StartCPU(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := profiling.WriteHeap(*memProfile); err != nil {
-				fmt.Fprintln(os.Stderr, "specdag:", err)
-			}
-		}()
-	}
-
-	preset := sim.Quick
-	if *full {
-		preset = sim.Full
-	}
-
-	var spec sim.Spec
-	switch *datasetName {
-	case "fmnist":
-		spec = sim.FMNISTSpec(preset, *seed)
-	case "fmnist-relaxed":
-		spec = sim.RelaxedFMNISTSpec(preset, *seed)
-	case "fmnist-bywriter":
-		spec = sim.ByWriterFMNISTSpec(preset, *seed)
-	case "poets":
-		spec = sim.PoetsSpec(preset, *seed)
-	case "cifar100":
-		spec = sim.CIFARSpec(preset, *seed)
-	case "fedprox":
-		spec = sim.FedProxSpec(preset, *seed)
-	default:
-		return fmt.Errorf("unknown dataset %q", *datasetName)
-	}
-
-	var normalization tipselect.Normalization
-	switch *norm {
-	case "standard":
-		normalization = tipselect.NormStandard
-	case "dynamic":
-		normalization = tipselect.NormDynamic
-	default:
-		return fmt.Errorf("unknown normalization %q", *norm)
-	}
-
-	var sel tipselect.Selector
-	switch *selector {
-	case "accuracy":
-		sel = tipselect.AccuracyWalk{Alpha: *alpha, Norm: normalization, DepthMin: *depthMin, DepthMax: *depthMax}
-	case "weighted":
-		sel = tipselect.WeightedWalk{Alpha: *alpha, DepthMin: *depthMin, DepthMax: *depthMax}
-	case "urts":
-		sel = tipselect.URTS{}
-	case "uniform":
-		sel = tipselect.UniformWalk{DepthMin: *depthMin, DepthMax: *depthMax}
-	default:
-		return fmt.Errorf("unknown selector %q", *selector)
-	}
-
-	var compaction dag.Compaction
-	if *compactWidth > 0 {
-		live := *compactLive
-		if live == 0 {
-			live = 2
-		}
-		compaction = dag.Compaction{Width: *compactWidth, Live: live, SpillDir: *compactSpill}
-	} else if *compactLive > 0 || *compactSpill != "" {
-		return fmt.Errorf("-compact-live/-compact-spill require -compact-width")
-	}
-
-	if *asyncMode {
-		if *poisonFraction > 0 {
-			return fmt.Errorf("-poison-fraction is not supported with -async (the event-driven engine has no attack scenario)")
-		}
-		if *rounds > 0 || *perRound > 0 {
-			return fmt.Errorf("-rounds/-clients-per-round do not apply with -async; the horizon is -duration (simulated seconds)")
-		}
-		acfg := spec.AsyncDAGConfig(*duration, *minCycle, *maxCycle, *netDelay, sel, *seed)
-		if *workers != 0 {
-			acfg.Workers = *workers
-		}
-		acfg.Compaction = compaction
-		if *faultScenario != "" {
-			// The scenario's base link delay is -net-delay; the uniform
-			// broadcast delay is replaced by the per-link delivery model.
-			fc, err := sim.FaultScenario(*faultScenario, *duration, *netDelay)
-			if err != nil {
-				return err
-			}
-			acfg.NetworkDelay = 0
-			acfg.Faults = fc
-		}
-		return runAsync(spec, acfg, asyncOpts{
-			seed:       *seed,
-			every:      *every,
-			eventsFile: *eventsFile,
-			ckptFile:   *ckptFile,
-			ckptEvery:  *ckptEvery,
-			resumeFile: *resumeFile,
-			dotFile:    *dotFile,
-			saveFile:   *saveFile,
-		})
-	}
-
-	if *faultScenario != "" {
-		return fmt.Errorf("-fault-scenario requires -async (the schedules are defined over the simulated-time horizon)")
-	}
-
-	cfg := spec.DAGConfig(preset, sel, *seed)
-	cfg.Compaction = compaction
-	if *workers != 0 {
-		// Only the explicit flag overrides; DAGConfig already applied the
-		// SPECDAG_WORKERS-derived default. Negative values flow through to
-		// config validation, which rejects them with a clear error.
-		cfg.Workers = *workers
-	}
-	if *rounds > 0 {
-		cfg.Rounds = *rounds
-	}
-	if *perRound > 0 {
-		cfg.ClientsPerRound = *perRound
-	}
-	if *poisonFraction > 0 {
-		cfg.Poison = core.PoisonConfig{
-			Fraction:   *poisonFraction,
-			FlipA:      3,
-			FlipB:      8,
-			StartRound: *poisonStart,
-			Track:      true,
-		}
-	}
-
-	fmt.Printf("dataset=%s clients=%d clusters=%d selector=%s rounds=%d clients/round=%d seed=%d\n",
-		spec.Name, len(spec.Fed.Clients), spec.Fed.NumClusters, sel.Name(), cfg.Rounds, cfg.ClientsPerRound, *seed)
-
-	var s *core.Simulation
-	var err error
-	if *resumeFile != "" {
-		f, ferr := os.Open(*resumeFile)
-		if ferr != nil {
-			return fmt.Errorf("opening checkpoint: %w", ferr)
-		}
-		s, err = core.ResumeSimulation(spec.Fed, cfg, f)
-		f.Close()
-		if err == nil {
-			fmt.Printf("resumed from %s at round %d\n", *resumeFile, s.Round())
-		}
-	} else {
-		s, err = core.NewSimulation(spec.Fed, cfg)
-	}
-	if err != nil {
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	opts := []engine.Option{engine.WithHooks(engine.Hooks{
-		OnRound: func(ev engine.RoundEvent) {
-			if (ev.Round+1)%*every != 0 && ev.Round != cfg.Rounds-1 {
-				return
-			}
-			line := fmt.Sprintf("round %3d  acc %.3f  loss %.3f  published %d/%d  dag %d",
-				ev.Round+1, ev.MeanAcc, ev.MeanLoss, ev.Published, cfg.ClientsPerRound, ev.DAGSize)
-			if cfg.Poison.Enabled() && ev.Round >= cfg.Poison.StartRound {
-				rr := ev.Detail.(*core.RoundResult)
-				line += fmt.Sprintf("  flipped %.1f%%", 100*rr.MeanFlippedFrac())
-			}
-			fmt.Println(line)
-		},
-	})}
-	if *ckptFile != "" {
-		opts = append(opts, engine.WithCheckpoints(*ckptEvery, func(int) (io.WriteCloser, error) {
-			return newAtomicFile(*ckptFile)
-		}))
-	}
-	var rec *eventRecorder
-	if *eventsFile != "" {
-		rec, err = newEventRecorder(*eventsFile, s, *seed, map[string]string{
-			"dataset": *datasetName, "preset": preset.String(), "selector": sel.Name(),
-			"rounds": fmt.Sprint(cfg.Rounds), "clients_per_round": fmt.Sprint(cfg.ClientsPerRound),
-		})
-		if err != nil {
-			return err
-		}
-		opts = append(opts, engine.WithHooks(rec.log.Hooks()))
-	}
-
-	rep, runErr := engine.Run(ctx, s, opts...)
-	if err := rec.finish(rep, runErr); err != nil {
-		return err
-	}
-	canceled := errors.Is(runErr, context.Canceled)
-	if runErr != nil && !canceled {
-		return runErr
-	}
-	if *ckptFile != "" {
-		if err := writeFinalCheckpoint(*ckptFile, s, fmt.Sprintf("round %d", s.Round())); err != nil {
-			return err
-		}
-	}
-	if canceled {
-		fmt.Printf("\ninterrupted after round %d — partial metrics below", s.Round())
-		if *ckptFile != "" {
-			fmt.Printf("; continue with -resume %s", *ckptFile)
-		}
-		fmt.Println()
-	}
-
-	return reportDAG(s.DAG(), spec, *seed, len(s.PoisonedClients()), *dotFile, *saveFile)
-}
-
-// asyncOpts carries the flag subset the event-driven mode consumes.
-type asyncOpts struct {
-	seed       int64
-	every      int
-	eventsFile string
-	ckptFile   string
-	ckptEvery  int
-	resumeFile string
-	dotFile    string
-	saveFile   string
-}
-
-// runAsync drives the event-driven engine: same supervision loop as the
-// synchronous path (Ctrl-C cancels between events, -checkpoint persists
-// state periodically and at exit, -resume continues bit-identically), at
-// event granularity.
-func runAsync(spec sim.Spec, acfg core.AsyncConfig, o asyncOpts) error {
-	fmt.Printf("async: duration %.0fs, cycle [%.1fs, %.1fs], network delay %.1fs\n",
-		acfg.Duration, acfg.MinCycle, acfg.MaxCycle, acfg.NetworkDelay)
-
-	var a *core.AsyncSimulation
-	var err error
-	if o.resumeFile != "" {
-		f, ferr := os.Open(o.resumeFile)
-		if ferr != nil {
-			return fmt.Errorf("opening checkpoint: %w", ferr)
-		}
-		a, err = core.ResumeAsyncSimulation(spec.Fed, acfg, f)
-		f.Close()
-		if err == nil {
-			fmt.Printf("resumed from %s at event %d (%d transactions)\n", o.resumeFile, a.Events(), a.DAG().Size())
-		}
-	} else {
-		a, err = core.NewAsyncSimulation(spec.Fed, acfg)
-	}
-	if err != nil {
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	opts := []engine.Option{engine.WithHooks(engine.Hooks{
-		OnRound: func(ev engine.RoundEvent) {
-			if (ev.Round+1)%o.every != 0 {
-				return
-			}
-			fmt.Printf("event %4d  t=%6.1fs  client %3d  acc %.3f  dag %d\n",
-				ev.Round+1, ev.Time, ev.Detail.(*core.AsyncEvent).Client, ev.MeanAcc, ev.DAGSize)
-		},
-	})}
-	if o.ckptFile != "" {
-		opts = append(opts, engine.WithCheckpoints(o.ckptEvery, func(int) (io.WriteCloser, error) {
-			return newAtomicFile(o.ckptFile)
-		}))
-	}
-	var rec *eventRecorder
-	if o.eventsFile != "" {
-		rec, err = newEventRecorder(o.eventsFile, a, o.seed, map[string]string{
-			"dataset": spec.Name, "duration": fmt.Sprint(acfg.Duration),
-			"min_cycle": fmt.Sprint(acfg.MinCycle), "max_cycle": fmt.Sprint(acfg.MaxCycle),
-			"net_delay": fmt.Sprint(acfg.NetworkDelay),
-		})
-		if err != nil {
-			return err
-		}
-		opts = append(opts, engine.WithHooks(rec.log.Hooks()))
-	}
-
-	rep, runErr := engine.Run(ctx, a, opts...)
-	if err := rec.finish(rep, runErr); err != nil {
-		return err
-	}
-	canceled := errors.Is(runErr, context.Canceled)
-	if runErr != nil && !canceled {
-		return runErr
-	}
-	if o.ckptFile != "" {
-		if err := writeFinalCheckpoint(o.ckptFile, a, fmt.Sprintf("event %d", a.Events())); err != nil {
-			return err
-		}
-	}
-	if canceled {
-		fmt.Printf("\ninterrupted after event %d — partial metrics below", a.Events())
-		if o.ckptFile != "" {
-			fmt.Printf("; continue with -resume %s", o.ckptFile)
-		}
-		fmt.Println()
-	}
-
-	res := a.Result()
-	fmt.Printf("\nprocessed %d events, %d transactions in the DAG\n", a.Events(), res.Transactions)
-	return reportDAG(a.DAG(), spec, o.seed, 0, o.dotFile, o.saveFile)
-}
-
-// writeFinalCheckpoint persists a final snapshot of either engine kind
-// through the atomic-rename path.
-func writeFinalCheckpoint(path string, snap engine.Snapshotter, at string) error {
-	f, err := newAtomicFile(path)
-	if err != nil {
-		return fmt.Errorf("creating checkpoint: %w", err)
-	}
-	n, err := snap.WriteCheckpoint(f)
-	if err != nil {
-		f.abort()
-		return fmt.Errorf("writing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("writing checkpoint: %w", err)
-	}
-	fmt.Printf("wrote %d-byte checkpoint to %s (%s)\n", n, path, at)
 	return nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"github.com/specdag/specdag/internal/nn"
 	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/tipselect"
-	"github.com/specdag/specdag/internal/xrand"
 )
 
 // AsyncConfig parameterizes the event-driven simulation of the Specializing
@@ -66,6 +65,14 @@ type AsyncConfig struct {
 	Seed int64
 }
 
+// params extracts the parameters the shared engine body consumes.
+func (c AsyncConfig) params() params {
+	return params{
+		local: c.Local, arch: c.Arch, selector: c.Selector, referenceWalks: c.ReferenceWalks,
+		faults: c.Faults, compaction: c.Compaction, workers: c.Workers, pool: c.Pool, seed: c.Seed,
+	}
+}
+
 // Validate reports configuration errors.
 func (c AsyncConfig) Validate() error {
 	if c.Duration <= 0 {
@@ -77,30 +84,10 @@ func (c AsyncConfig) Validate() error {
 	if c.NetworkDelay < 0 {
 		return fmt.Errorf("core: NetworkDelay must be >= 0, got %v", c.NetworkDelay)
 	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
 	if c.Faults.Enabled() && c.NetworkDelay != 0 {
 		return fmt.Errorf("core: NetworkDelay %v conflicts with an enabled fault schedule — set Faults.Delay instead (faults.Scalar is the exact equivalent)", c.NetworkDelay)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: Workers must be >= 0, got %d", c.Workers)
-	}
-	if c.ReferenceWalks < 0 {
-		return fmt.Errorf("core: ReferenceWalks must be >= 0, got %d", c.ReferenceWalks)
-	}
-	if c.Compaction.Enabled() {
-		if err := c.Compaction.Validate(); err != nil {
-			return err
-		}
-		if c.Faults.Enabled() {
-			// The freeze guard relies on Round being monotone in insertion
-			// order and on clients approving only current tips, both of which
-			// per-link fault schedules break.
-			return fmt.Errorf("core: Compaction requires the uniform broadcast delay; disable Faults")
-		}
-	}
-	return c.Arch.Validate()
+	return c.params().validate()
 }
 
 // AsyncClientStats summarizes one client's activity in an async run.
@@ -185,21 +172,6 @@ func shrinkCap[T any](s []T) []T {
 	return s
 }
 
-// pendingTxAsync is a published transaction awaiting network propagation.
-// Under a fault model, visibleAt is the earliest delivery over all observers
-// (entry into the global tangle); pubSeq/pubTime key the model's per-link
-// delivery draws so each observer's view reveals the transaction at its own
-// link's delivery time.
-type pendingTxAsync struct {
-	visibleAt float64
-	issuer    int
-	parents   []dag.ID
-	params    []float64
-	meta      dag.Meta
-	pubSeq    int
-	pubTime   float64
-}
-
 // txDelivery is the per-transaction metadata the fault model needs to
 // recompute any link's delivery: the publish sequence number and time.
 type txDelivery struct {
@@ -207,9 +179,20 @@ type txDelivery struct {
 	pubTime float64
 }
 
-// asyncClient is the in-simulation state of one event-driven participant.
+// pendingTxAsync is a published transaction awaiting network propagation.
+// Under a fault model, visibleAt is the earliest delivery over all observers
+// (entry into the global tangle); the txDelivery keys the model's per-link
+// delivery draws so each observer's view reveals the transaction at its own
+// link's delivery time.
+type pendingTxAsync struct {
+	pendingTx
+	txDelivery
+	visibleAt float64
+}
+
+// asyncClient is what the event schedule adds to one participant; entry i
+// belongs to body.clients[i].
 type asyncClient struct {
-	*client
 	// evalModel is a second scratch model so the consensus-reference
 	// evaluation can run concurrently with the trained-model evaluation
 	// (client.model) within one event.
@@ -225,30 +208,21 @@ type asyncClient struct {
 // one, each client observes the transactions its own links have delivered by
 // t (per-link latency/jitter, re-gossip after drops, partition deferral).
 type AsyncSimulation struct {
-	cfg      AsyncConfig
-	root     *xrand.RNG
-	tangle   *dag.DAG
-	clients  []*asyncClient
-	queue    eventQueue
-	pending  []pendingTxAsync
-	trainCfg nn.SGDConfig
-	seq      int // next scheduling sequence number
-	events   int // processed events
-	done     bool
+	*body
+	cfg     AsyncConfig
+	async   []asyncClient
+	queue   eventQueue
+	pending []pendingTxAsync
+	seq     int // next scheduling sequence number
+	events  int // processed events
+	done    bool
 
-	// net is the instantiated fault model, nil when the schedule degenerates
-	// to the uniform broadcast delay (including Faults disabled entirely) —
-	// the nil path is bit-for-bit the historical engine.
-	net *faults.Model
 	// netDelay is the effective uniform broadcast delay: cfg.NetworkDelay, or
 	// the fault schedule's scalar delay when Faults is uniform.
 	netDelay float64
 	// pubSeq numbers publishes in event order; it keys the fault model's
 	// per-link delivery draws.
 	pubSeq int
-	// compFloor tracks the tangle's live floor so eval caches are rebased
-	// exactly once per floor advance.
-	compFloor dag.ID
 	// txInfo maps tangle transactions to their publish metadata so views can
 	// recompute per-observer delivery times. Only populated when net != nil.
 	txInfo map[dag.ID]txDelivery
@@ -266,91 +240,36 @@ func NewAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig) (*AsyncSimulat
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := fed.Validate(); err != nil {
+	b, err := newBody(fed, cfg.params(), cfg.Duration)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Selector == nil {
-		cfg.Selector = tipselect.AccuracyWalk{Alpha: 10}
-	}
-	if cfg.ReferenceWalks == 0 {
-		cfg.ReferenceWalks = 1
-	}
-	if cfg.Compaction.Enabled() {
-		// The freeze guard must cover every transaction a walk can reach;
-		// that bound is the selector's entry band, derived here so callers
-		// only choose Width/Live/SpillDir. DepthMin additionally lets the
-		// guard retire dead cones instead of blocking on them forever.
-		gmin, gmax, err := tipselect.CompactionGuardBand(cfg.Selector)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Compaction.GuardDepthMin, cfg.Compaction.GuardDepth = gmin, gmax
+	a := &AsyncSimulation{body: b, cfg: cfg, netDelay: cfg.NetworkDelay}
+	// Under a non-uniform schedule each client owns a partial view revealed
+	// at its own links' delivery times.
+	b.partialViews = b.net != nil
+	b.resetViews()
+	if b.net != nil {
+		a.txInfo = make(map[dag.ID]txDelivery)
+	} else if cfg.Faults.Enabled() {
+		// The schedule is exactly the historical uniform broadcast delay:
+		// keep the scalar code path (and its exact numerics).
+		a.netDelay = b.uniformDelay
 	}
 
-	root := xrand.New(cfg.Seed)
-	genesis := nn.New(cfg.Arch, root.Split("genesis"))
-	a := &AsyncSimulation{
-		cfg:      cfg,
-		root:     root,
-		tangle:   dag.New(genesis.ParamsCopy()),
-		trainCfg: cfg.Local,
-		netDelay: cfg.NetworkDelay,
-	}
-	a.trainCfg.Shuffle = true
-	a.tangle.SetParallelism(cfg.Pool, cfg.Workers)
-	if cfg.Compaction.Enabled() {
-		if err := a.tangle.SetCompaction(cfg.Compaction); err != nil {
-			return nil, err
-		}
-	}
-
-	if cfg.Faults.Enabled() {
-		ids := make([]int, len(fed.Clients))
-		for i, fc := range fed.Clients {
-			ids[i] = fc.ID
-		}
-		m, err := faults.New(cfg.Faults, root, ids, cfg.Duration)
-		if err != nil {
-			return nil, err
-		}
-		if d, uniform := m.Uniform(); uniform {
-			// The schedule is exactly the historical uniform broadcast delay:
-			// keep the scalar code path (and its exact numerics).
-			a.netDelay = d
-		} else {
-			a.net = m
-			a.txInfo = make(map[dag.ID]txDelivery)
-		}
-	}
-
-	for i, fc := range fed.Clients {
-		c := &asyncClient{client: &client{
-			id:      fc.ID,
-			cluster: fc.Cluster,
-			model:   genesis.Clone(),
-		}, evalModel: genesis.Clone()}
-		c.trainX, c.trainY = fc.Train.X, fc.Train.CopyLabels()
-		c.testX, c.testY = fc.Test.X, fc.Test.CopyLabels()
-		c.origTestY = append([]int(nil), c.testY...)
-		crng := root.SplitIndex("async-client", fc.ID)
-		c.eval = tipselect.NewEvalCache(
-			func(params []float64) float64 {
-				return c.model.AccuracyParams(params, c.testX, c.testY)
-			},
-			c.scoreParamsBatch,
-		)
-		c.cycleTime = cfg.MinCycle + crng.Float64()*(cfg.MaxCycle-cfg.MinCycle)
-		if a.net != nil {
+	a.async = make([]asyncClient, len(b.clients))
+	for i, c := range b.clients {
+		ac := &a.async[i]
+		ac.evalModel = c.model.Clone()
+		crng := b.root.SplitIndex("async-client", c.id)
+		ac.cycleTime = cfg.MinCycle + crng.Float64()*(cfg.MaxCycle-cfg.MinCycle)
+		if b.net != nil {
 			// Stragglers run every cycle slower by the configured factor (a
-			// factor of 1 is the exact identity for ordinary clients). Each
-			// client also owns a partial view revealed at its own links'
-			// delivery times.
-			c.cycleTime *= a.net.CycleFactor(fc.ID)
-			c.view = dag.NewView(a.tangle)
+			// factor of 1 is the exact identity for ordinary clients).
+			ac.cycleTime *= b.net.CycleFactor(c.id)
 		}
-		c.stats = AsyncClientStats{ID: fc.ID, CycleTime: c.cycleTime}
-		a.clients = append(a.clients, c)
-		heap.Push(&a.queue, event{at: crng.Float64() * c.cycleTime, seq: a.seq, client: i})
+		ac.stats = AsyncClientStats{ID: c.id, CycleTime: ac.cycleTime}
+		heap.Push(&a.queue, event{at: crng.Float64() * ac.cycleTime, seq: a.seq, client: i})
 		a.seq++
 	}
 	return a, nil
@@ -364,12 +283,9 @@ func (a *AsyncSimulation) flush(now float64) {
 	kept := a.pending[:0]
 	for _, p := range a.pending {
 		if p.visibleAt <= now {
-			tx, err := a.tangle.Add(p.issuer, int(p.visibleAt), p.parents, p.params, p.meta)
-			if err != nil {
-				panic(fmt.Sprintf("core: async publish failed: %v", err))
-			}
+			tx := a.deliver(p.pendingTx, int(p.visibleAt))
 			if a.net != nil {
-				a.txInfo[tx.ID] = txDelivery{pubSeq: p.pubSeq, pubTime: p.pubTime}
+				a.txInfo[tx.ID] = p.txDelivery
 			}
 		} else {
 			kept = append(kept, p)
@@ -384,27 +300,6 @@ func (a *AsyncSimulation) flush(now float64) {
 		tail[i] = pendingTxAsync{}
 	}
 	a.pending = shrinkCap(kept)
-}
-
-// compact freezes epochs that aged out of the live suffix as of the given
-// simulated time and, when the live floor advances, rebases every client's
-// eval cache onto the suffix. It runs in the sequential section of the
-// event loop (the quiescent point CompactTo requires) and is a no-op when
-// compaction is off.
-func (a *AsyncSimulation) compact(now float64) {
-	if !a.cfg.Compaction.Enabled() {
-		return
-	}
-	floor, err := a.tangle.CompactTo(int(now))
-	if err != nil {
-		panic(fmt.Sprintf("core: epoch compaction failed: %v", err))
-	}
-	if floor > a.compFloor {
-		a.compFloor = floor
-		for _, c := range a.clients {
-			c.eval.Advance(floor)
-		}
-	}
 }
 
 // finish applies all remaining pending transactions and marks the run done.
@@ -451,8 +346,8 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 		}
 	}
 	a.flush(ev.at)
-	a.compact(ev.at)
-	c := a.clients[ev.client]
+	a.compact(int(ev.at))
+	c, ac := a.clients[ev.client], &a.async[ev.client]
 	crng := a.root.SplitIndex("async-event", ev.seq)
 
 	// Under a fault model each client walks its own partial view, revealed at
@@ -471,12 +366,7 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 		graph = c.view
 	}
 
-	tips, _ := tipselect.SelectTips(a.cfg.Selector, graph, c.eval, crng, 2)
-	_, refParams, _ := consensusReference(graph, a.cfg.Selector, a.cfg.ReferenceWalks, c.eval, crng)
-
-	avg := nn.AverageParams(tips[0].Params, tips[1].Params)
-	c.model.SetParams(avg)
-	c.model.Train(c.trainX, c.trainY, a.trainCfg, crng.Split("train"))
+	act := a.walkAverageTrain(c, graph, crng)
 
 	// The two post-training evaluations are independent pure functions
 	// over the client's test split; run them on separate scratch models
@@ -485,24 +375,21 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 	// through c.model clobbered the trained params the publish below
 	// ships — see TestAsyncPublishesTrainedModel.)
 	var trainedLoss, trainedAcc, refLoss, refAcc float64
-	par.DoIn(a.cfg.Pool, a.cfg.Workers,
+	par.DoIn(a.pool, a.workers,
 		func() { trainedLoss, trainedAcc = c.model.Evaluate(c.testX, c.testY) },
 		func() {
-			refLoss, refAcc = c.evalModel.EvaluateParams(refParams, c.testX, c.testY)
+			refLoss, refAcc = ac.evalModel.EvaluateParams(act.refParams, c.testX, c.testY)
 		},
 	)
 
-	c.stats.Cycles++
-	c.stats.FinalAcc = trainedAcc
-	published := trainedAcc > refAcc || (trainedAcc == refAcc && trainedLoss <= refLoss)
+	ac.stats.Cycles++
+	ac.stats.FinalAcc = trainedAcc
+	published := a.publishes(trainedAcc, trainedLoss, refAcc, refLoss)
 	if published {
-		c.stats.Published++
+		ac.stats.Published++
 		p := pendingTxAsync{
+			pendingTx: c.publication(act, c.model.ParamsCopy(), trainedAcc),
 			visibleAt: ev.at + a.netDelay,
-			issuer:    c.id,
-			parents:   []dag.ID{tips[0].ID, tips[1].ID},
-			params:    c.model.ParamsCopy(),
-			meta:      dag.Meta{TestAcc: trainedAcc},
 		}
 		if a.net != nil {
 			// The transaction enters the global tangle at its earliest
@@ -531,7 +418,7 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 		a.pending = append(a.pending, p)
 	}
 
-	next := ev.at + c.cycleTime
+	next := ev.at + ac.cycleTime
 	if next <= a.cfg.Duration {
 		heap.Push(&a.queue, event{at: next, seq: a.seq, client: ev.client})
 		a.seq++
@@ -551,10 +438,6 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 	return detail
 }
 
-// DAG exposes the underlying tangle (read-only use intended). Before the run
-// finishes it reflects only transactions that have propagated so far.
-func (a *AsyncSimulation) DAG() *dag.DAG { return a.tangle }
-
 // Events returns the number of client activations processed so far.
 func (a *AsyncSimulation) Events() int { return a.events }
 
@@ -570,27 +453,9 @@ func (a *AsyncSimulation) Result() *AsyncResult {
 		DroppedDeliveries:    a.droppedDeliveries,
 		DuplicatedDeliveries: a.duplicatedDeliveries,
 	}
-	for _, c := range a.clients {
-		res.Clients = append(res.Clients, c.stats)
+	for _, ac := range a.async {
+		res.Clients = append(res.Clients, ac.stats)
 	}
 	sort.Slice(res.Clients, func(i, j int) bool { return res.Clients[i].ID < res.Clients[j].ID })
 	return res
-}
-
-// RunAsync executes the event-driven simulation to completion and returns
-// per-client statistics.
-//
-// Deprecated: RunAsync cannot be canceled or observed mid-flight. New code
-// should construct the engine with NewAsyncSimulation and drive it through
-// the unified run API — specdag.Run(ctx, asyncSim, opts...) — then read
-// Result; RunAsync is kept as a thin convenience wrapper.
-func RunAsync(fed *dataset.Federation, cfg AsyncConfig) (*AsyncResult, error) {
-	a, err := NewAsyncSimulation(fed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for !a.done {
-		a.step()
-	}
-	return a.Result(), nil
 }

@@ -50,7 +50,7 @@ func TestAsyncConfigValidate(t *testing.T) {
 
 func TestAsyncRunBasics(t *testing.T) {
 	fed := smallFed(30)
-	res, err := RunAsync(fed, asyncConfig())
+	res, err := runAsync(fed, asyncConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAsyncNoStragglers(t *testing.T) {
 	fed := smallFed(31)
 	cfg := asyncConfig()
 	cfg.Duration = 80
-	res, err := RunAsync(fed, cfg)
+	res, err := runAsync(fed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAsyncNoStragglers(t *testing.T) {
 
 func TestAsyncFastClientsDoMoreWork(t *testing.T) {
 	fed := smallFed(32)
-	res, err := RunAsync(fed, asyncConfig())
+	res, err := runAsync(fed, asyncConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAsyncLearns(t *testing.T) {
 	fed := smallFed(33)
 	cfg := asyncConfig()
 	cfg.Duration = 120
-	res, err := RunAsync(fed, cfg)
+	res, err := runAsync(fed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAsyncLearns(t *testing.T) {
 
 func TestAsyncDeterminism(t *testing.T) {
 	run := func() *AsyncResult {
-		res, err := RunAsync(smallFed(34), asyncConfig())
+		res, err := runAsync(smallFed(34), asyncConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestAsyncDeterminism(t *testing.T) {
 func TestAsyncPublishesTrainedModel(t *testing.T) {
 	fedSeed := int64(36)
 	cfg := asyncConfig()
-	res, err := RunAsync(smallFed(fedSeed), cfg)
+	res, err := runAsync(smallFed(fedSeed), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,12 +190,12 @@ func TestAsyncPublishesTrainedModel(t *testing.T) {
 }
 
 func TestAsyncRejectsBadInput(t *testing.T) {
-	if _, err := RunAsync(&dataset.Federation{}, asyncConfig()); err == nil {
+	if _, err := runAsync(&dataset.Federation{}, asyncConfig()); err == nil {
 		t.Error("empty federation should be rejected")
 	}
 	cfg := asyncConfig()
 	cfg.Duration = -1
-	if _, err := RunAsync(smallFed(35), cfg); err == nil {
+	if _, err := runAsync(smallFed(35), cfg); err == nil {
 		t.Error("bad config should be rejected")
 	}
 }
@@ -210,7 +210,7 @@ func TestAsyncReferenceWalksMatter(t *testing.T) {
 	run := func(walks int) *AsyncResult {
 		cfg := asyncConfig()
 		cfg.ReferenceWalks = walks
-		res, err := RunAsync(smallFed(37), cfg)
+		res, err := runAsync(smallFed(37), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,8 +24,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -33,20 +31,6 @@ import (
 	"github.com/specdag/specdag/internal/dataset"
 	"github.com/specdag/specdag/internal/faults"
 )
-
-// checkpointMagic identifies synchronous simulation checkpoints and fixes
-// the version. The event-driven engine's checkpoints are the async variant
-// of the same family (asyncCheckpointMagic, checkpoint_async.go).
-var checkpointMagic = [4]byte{'S', 'D', 'C', '1'}
-
-// codecMagicSDG1 mirrors the DAG codec's magic so the checkpoint readers can
-// tell a user who hands them a bare tangle snapshot what they actually have.
-var codecMagicSDG1 = [4]byte{'S', 'D', 'G', '1'}
-
-// eventStreamMagicSDE1 mirrors the event-stream codec's magic
-// (internal/wire) for the same reason: a user who points a resume at a
-// saved event log gets told what the file actually is.
-var eventStreamMagicSDE1 = [4]byte{'S', 'D', 'E', '1'}
 
 // clientCheckpoint is the per-client carried state.
 type clientCheckpoint struct {
@@ -83,30 +67,33 @@ type checkpointState struct {
 	Epochs            []dag.EpochSummary
 }
 
+func (st *checkpointState) sections() sections {
+	return sections{&st.Seed, &st.DAG, &st.FaultsVersion, &st.Faults, &st.CompactionVersion, &st.Compaction, &st.Epochs}
+}
+
+func (st *checkpointState) info() *CheckpointInfo {
+	return &CheckpointInfo{Kind: "sync", Seed: st.Seed, Round: st.Round, Rounds: st.Rounds, Clients: len(st.Clients)}
+}
+
+func (st *checkpointState) validate(*dag.DAG) error {
+	if st.Round < 0 {
+		return fmt.Errorf("core: checkpoint has negative round %d", st.Round)
+	}
+	if len(st.Results) != st.Round {
+		return fmt.Errorf("core: checkpoint records %d results for %d rounds", len(st.Results), st.Round)
+	}
+	return nil
+}
+
 // WriteCheckpoint serializes the simulation's full state to w and returns
 // the number of bytes written. The simulation can keep running afterwards;
 // the checkpoint captures the state between rounds.
 func (s *Simulation) WriteCheckpoint(w io.Writer) (int64, error) {
-	var dagBuf bytes.Buffer
-	if _, err := s.tangle.WriteTo(&dagBuf); err != nil {
-		return 0, fmt.Errorf("core: checkpointing DAG: %w", err)
-	}
 	st := checkpointState{
-		Seed:    s.cfg.Seed,
 		Poison:  s.cfg.Poison,
 		Round:   s.round,
 		Rounds:  s.cfg.Rounds,
 		Results: s.results,
-		DAG:     dagBuf.Bytes(),
-	}
-	if s.cfg.Faults.Enabled() {
-		st.FaultsVersion = 1
-		st.Faults = s.cfg.Faults
-	}
-	if s.cfg.Compaction.Enabled() {
-		st.CompactionVersion = 1
-		st.Compaction = s.cfg.Compaction
-		st.Epochs = s.tangle.FrozenEpochs()
 	}
 	for _, c := range s.clients {
 		st.Clients = append(st.Clients, clientCheckpoint{
@@ -115,94 +102,7 @@ func (s *Simulation) WriteCheckpoint(w io.Writer) (int64, error) {
 			LastParams: c.lastParams,
 		})
 	}
-	cw := &countingWriter{w: w}
-	if _, err := cw.Write(checkpointMagic[:]); err != nil {
-		return cw.n, err
-	}
-	if err := gob.NewEncoder(cw).Encode(st); err != nil {
-		return cw.n, fmt.Errorf("core: encoding checkpoint: %w", err)
-	}
-	return cw.n, nil
-}
-
-// countingWriter tracks bytes written for WriteCheckpoint's return value.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readCheckpointState decodes and structurally validates a checkpoint.
-func readCheckpointState(r io.Reader) (*checkpointState, *dag.DAG, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
-	}
-	switch magic {
-	case checkpointMagic:
-	case asyncCheckpointMagic:
-		return nil, nil, fmt.Errorf("core: this is an asynchronous event-simulation checkpoint (magic %q) — resume it with ResumeAsyncSimulation, not ResumeSimulation", magic)
-	case codecMagicSDG1:
-		return nil, nil, fmt.Errorf("core: bad magic %q — this is a bare DAG snapshot, not a simulation checkpoint (inspect it with dagstat or dag.ReadDAG)", magic)
-	case eventStreamMagicSDE1:
-		return nil, nil, fmt.Errorf("core: bad magic %q — this is an event-stream log, not a simulation checkpoint (inspect it with dagstat or wire.ReadAll)", magic)
-	default:
-		return nil, nil, fmt.Errorf("core: bad magic %q (not a SDC1 checkpoint)", magic)
-	}
-	var st checkpointState
-	if err := gob.NewDecoder(r).Decode(&st); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding checkpoint: %w", err)
-	}
-	if st.Round < 0 {
-		return nil, nil, fmt.Errorf("core: checkpoint has negative round %d", st.Round)
-	}
-	if len(st.Results) != st.Round {
-		return nil, nil, fmt.Errorf("core: checkpoint records %d results for %d rounds", len(st.Results), st.Round)
-	}
-	if st.FaultsVersion < 0 || st.FaultsVersion > 1 {
-		return nil, nil, fmt.Errorf("core: checkpoint fault section has version %d, this build understands 0 and 1 — written by a newer version?", st.FaultsVersion)
-	}
-	if st.FaultsVersion == 1 {
-		if err := st.Faults.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("core: checkpoint fault schedule: %w", err)
-		}
-	}
-	if st.CompactionVersion < 0 || st.CompactionVersion > 1 {
-		return nil, nil, fmt.Errorf("core: checkpoint epoch section has version %d, this build understands 0 and 1 — written by a newer version?", st.CompactionVersion)
-	}
-	if st.CompactionVersion == 1 {
-		if !st.Compaction.Enabled() {
-			return nil, nil, fmt.Errorf("core: checkpoint epoch section is versioned but its compaction config is disabled")
-		}
-		if err := st.Compaction.Validate(); err != nil {
-			return nil, nil, fmt.Errorf("core: checkpoint compaction config: %w", err)
-		}
-	}
-	d, err := dag.ReadDAG(bytes.NewReader(st.DAG))
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: checkpoint DAG: %w", err)
-	}
-	if st.CompactionVersion == 1 {
-		if err := d.RestoreCompaction(st.Compaction, st.Epochs); err != nil {
-			return nil, nil, fmt.Errorf("core: checkpoint epoch state: %w", err)
-		}
-	}
-	return &st, d, nil
-}
-
-// compactionMatches verifies that a checkpoint's compaction config equals
-// the resume config. The guard band is excluded: engines derive it from the
-// selector on both sides, and the checkpointed copy carries the derived
-// values while a fresh config usually leaves them zero.
-func compactionMatches(st, cfg dag.Compaction) bool {
-	st.GuardDepth, cfg.GuardDepth = 0, 0
-	st.GuardDepthMin, cfg.GuardDepthMin = 0, 0
-	return st == cfg
+	return s.writeSnapshot(w, checkpointMagic, &st)
 }
 
 // ResumeSimulation reconstructs a simulation from a checkpoint written by
@@ -212,13 +112,10 @@ func compactionMatches(st, cfg dag.Compaction) bool {
 // never interrupted. cfg.Rounds may exceed the original horizon to extend
 // the run.
 func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simulation, error) {
-	st, d, err := readCheckpointState(r)
+	var st checkpointState
+	d, err := readSnapshot(r, checkpointMagic, &st)
 	if err != nil {
 		return nil, err
-	}
-	if st.Seed != cfg.Seed {
-		return nil, fmt.Errorf("core: checkpoint was taken with Seed %d, config has %d — resuming under a different seed would diverge",
-			st.Seed, cfg.Seed)
 	}
 	if st.Poison != cfg.Poison {
 		// The label flips applied before the checkpoint are a function of
@@ -226,14 +123,6 @@ func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simula
 		// client data inconsistent with the poisoned flags.
 		return nil, fmt.Errorf("core: checkpoint was taken with Poison %+v, config has %+v — resuming under a different attack would diverge",
 			st.Poison, cfg.Poison)
-	}
-	if !st.Faults.Equal(cfg.Faults) {
-		return nil, fmt.Errorf("core: checkpoint was taken with fault schedule %+v, config has %+v — resuming under a different schedule would diverge",
-			st.Faults, cfg.Faults)
-	}
-	if !compactionMatches(st.Compaction, cfg.Compaction) {
-		return nil, fmt.Errorf("core: checkpoint was taken with compaction %+v, config has %+v — resuming under a different epoch config would diverge",
-			st.Compaction, cfg.Compaction)
 	}
 	if cfg.Faults.Enabled() && st.Rounds != cfg.Rounds {
 		// The instantiated fault model draws churn windows within [0, Rounds)
@@ -246,35 +135,8 @@ func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simula
 	if err != nil {
 		return nil, err
 	}
-	if len(st.Clients) != len(s.clients) {
-		return nil, fmt.Errorf("core: checkpoint has %d clients, federation has %d", len(st.Clients), len(s.clients))
-	}
-	// The checkpointed genesis must match the one the seed regenerates:
-	// a mismatch means the checkpoint belongs to a different architecture
-	// or a tampered snapshot.
-	want, got := s.tangle.Genesis().Params, d.Genesis().Params
-	if len(want) != len(got) {
-		return nil, fmt.Errorf("core: checkpoint genesis has %d params, config architecture needs %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			return nil, fmt.Errorf("core: checkpoint genesis diverges from the seeded genesis at param %d", i)
-		}
-	}
-
-	s.tangle = d
-	// The restored tangle replaces the one NewSimulation configured: re-wire
-	// its cumulative-weight sweep to the configured budget, as NewSimulation
-	// did for the original.
-	s.tangle.SetParallelism(cfg.Pool, cfg.Workers)
-	if st.CompactionVersion == 1 {
-		// readCheckpointState restored the frozen-epoch state on d; rebase
-		// the (cold) eval caches so their dense indexing starts at the live
-		// floor, exactly as the uninterrupted run's caches did.
-		s.compFloor = s.tangle.LiveFloor()
-		for _, c := range s.clients {
-			c.eval.Advance(s.compFloor)
-		}
+	if err := s.restore(st.sections(), d, len(st.Clients)); err != nil {
+		return nil, err
 	}
 	s.round = st.Round
 	s.results = st.Results
@@ -292,13 +154,6 @@ func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simula
 			flipLabels(c.trainY, cfg.Poison.FlipA, cfg.Poison.FlipB)
 			flipLabels(c.testY, cfg.Poison.FlipA, cfg.Poison.FlipB)
 			c.eval = s.newEvalFor(c)
-		}
-		if s.needsViews() {
-			// Partial views must read the restored tangle. Reveal state is
-			// reconstructed lazily at the client's next walk: the reveal
-			// predicate is monotone in the round counter, so the fresh view
-			// reveals exactly the set the uninterrupted run had accumulated.
-			c.view = dag.NewView(s.tangle)
 		}
 	}
 	return s, nil
@@ -327,15 +182,6 @@ type CheckpointInfo struct {
 	SpillBytes   int64 // total size of the epoch spill files
 }
 
-// fillCompaction populates the epoch-compaction summary fields.
-func (info *CheckpointInfo) fillCompaction(epochs []dag.EpochSummary) {
-	info.FrozenEpochs = len(epochs)
-	for _, e := range epochs {
-		info.FrozenTxs += e.Txs
-		info.SpillBytes += e.SpillBytes
-	}
-}
-
 // InspectCheckpoint reads a checkpoint of either kind — synchronous (SDC1)
 // or asynchronous (SDA1) — and returns its summary along with the embedded
 // tangle.
@@ -345,34 +191,21 @@ func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *dag.DAG, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
 	}
+	var st snapshotState = &checkpointState{}
+	want := checkpointMagic
 	if [4]byte(magic) == asyncCheckpointMagic {
-		st, d, err := readAsyncCheckpointState(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		info := &CheckpointInfo{
-			Kind:     "async",
-			Seed:     st.Seed,
-			Clients:  len(st.Clients),
-			Events:   st.Events,
-			Duration: st.Duration,
-			Pending:  len(st.Pending),
-			Done:     st.Done,
-		}
-		info.fillCompaction(st.Epochs)
-		return info, d, nil
+		st, want = &asyncCheckpointState{}, asyncCheckpointMagic
 	}
-	st, d, err := readCheckpointState(br)
+	d, err := readSnapshot(br, want, st)
 	if err != nil {
 		return nil, nil, err
 	}
-	info := &CheckpointInfo{
-		Kind:    "sync",
-		Seed:    st.Seed,
-		Round:   st.Round,
-		Rounds:  st.Rounds,
-		Clients: len(st.Clients),
+	info := st.info()
+	epochs := *st.sections().epochs
+	info.FrozenEpochs = len(epochs)
+	for _, e := range epochs {
+		info.FrozenTxs += e.Txs
+		info.SpillBytes += e.SpillBytes
 	}
-	info.fillCompaction(st.Epochs)
 	return info, d, nil
 }

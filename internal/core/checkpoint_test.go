@@ -71,7 +71,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refHist := ref.Run()
+			refHist := runAll(ref)
 
 			// Interrupted run: cut, checkpoint, resume, finish.
 			cut, err := NewSimulation(smallFed(fedSeed), cfg)
@@ -90,7 +90,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if resumed.Round() != tc.cutAt {
 				t.Fatalf("resumed at round %d, want %d", resumed.Round(), tc.cutAt)
 			}
-			resHist := resumed.Run()
+			resHist := runAll(resumed)
 
 			assertHistoriesIdentical(t, refHist, resHist)
 			assertDAGsIdentical(t, ref, resumed)
@@ -248,7 +248,7 @@ func TestResumeBeyondHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
+	runAll(sim)
 	var snap bytes.Buffer
 	if _, err := sim.WriteCheckpoint(&snap); err != nil {
 		t.Fatal(err)
@@ -259,13 +259,13 @@ func TestResumeBeyondHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumedHist := resumed.Run()
+	resumedHist := runAll(resumed)
 
 	ref, err := NewSimulation(smallFed(123), longCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refHist := ref.Run()
+	refHist := runAll(ref)
 	assertHistoriesIdentical(t, refHist, resumedHist)
 }
 

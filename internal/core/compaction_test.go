@@ -80,7 +80,7 @@ func TestCompactionEquivalenceSync(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refHist := ref.Run()
+			refHist := runAll(ref)
 
 			ccfg := cfg
 			ccfg.Compaction = dag.Compaction{Width: 3, Live: 2, SpillDir: t.TempDir()}
@@ -88,7 +88,7 @@ func TestCompactionEquivalenceSync(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compHist := comp.Run()
+			compHist := runAll(comp)
 
 			if comp.DAG().LiveFloor() == 0 {
 				t.Fatal("compaction never froze an epoch; the equivalence run is vacuous")
@@ -238,7 +238,7 @@ func TestCompactionCrashAnywhereResumeSync(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resume at round %d: %v", k, err)
 		}
-		resHist := resumed.Run()
+		resHist := runAll(resumed)
 		assertHistoriesIdentical(t, refHist, resHist)
 		if !bytes.Equal(refDAG, dagBytes(t, resumed)) {
 			t.Fatalf("resume at round %d: serialized DAGs differ byte-for-byte", k)

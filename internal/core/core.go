@@ -11,11 +11,40 @@
 //  4. publish the result as a new transaction approving the two tips — but
 //     only if it beats the client's current consensus reference model.
 //
-// The simulation proceeds in discrete rounds like the paper's prototype
-// (§5.3): every round a subset of clients is activated, all of them observe
-// the DAG state from the start of the round (so their publishes are
-// concurrent, which is what gives the tangle its width), and their new
-// transactions are appended at the end of the round.
+// # Body, schedule, delivery
+//
+// Two engines run that loop, and they share one body (body.go): parameter
+// defaults and validation, the genesis tangle and its parallelism and
+// compaction wiring, the instantiated fault model, the clients, epoch
+// compaction, phases 1–3 (walkAverageTrain) and the publish-gate predicate.
+// Checkpoints share one envelope the same way (snapshot.go). What each
+// engine file keeps is what is genuinely its own:
+//
+//   - the schedule — who activates when. Simulation (this file) proceeds in
+//     discrete rounds like the paper's prototype (§5.3): every round a
+//     sampled subset of clients is activated behind a barrier, all of them
+//     observe the DAG state from the start of the round (so their publishes
+//     are concurrent, which is what gives the tangle its width), and their
+//     transactions are appended at round end. AsyncSimulation (async.go)
+//     pops client activations off an event heap ordered by simulated time,
+//     each client cycling at its own pace (§5.3.3).
+//   - delivery — when a publish becomes visible to whom. Rounds: RevealDelay
+//     and partition windows filter per-client views at round granularity.
+//     Events: a pending queue holds publishes until their propagation delay
+//     (uniform, or drawn per link by the fault model) has elapsed.
+//   - where the two post-training evaluations run: sequentially on the
+//     client's one scratch model inside the round's client fan-out, or as a
+//     parallel pair on two scratch models inside the sequential event loop.
+//
+// Decision, recorded so it is not re-litigated by accident: the round engine
+// is NOT the event engine under a barrier schedule. The two derive their
+// per-activation randomness from different split keys ("client-round",
+// round*100003+client vs. "async-event", scheduling sequence number) and
+// reveal transactions under different rules (round horizon vs. simulated
+// delivery time, stamped into Transaction.Round), so expressing one through
+// the other would move every golden trajectory — the benchgate metrics, the
+// SDC1/SDA1 fixtures, the worker-invariance and resume batteries — for no
+// behavioural gain. They share code, not a schedule.
 package core
 
 import (
@@ -25,12 +54,9 @@ import (
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
 	"github.com/specdag/specdag/internal/faults"
-	"github.com/specdag/specdag/internal/mathx"
 	"github.com/specdag/specdag/internal/nn"
 	"github.com/specdag/specdag/internal/par"
-	"github.com/specdag/specdag/internal/profiling"
 	"github.com/specdag/specdag/internal/tipselect"
-	"github.com/specdag/specdag/internal/xrand"
 )
 
 // PoisonConfig describes the flipped-label attack scenario of §4.4/§5.3.4:
@@ -126,13 +152,6 @@ type Config struct {
 	// the EvalScope constants). The default, EvalScopeRun, caches for the
 	// whole run. Results are identical for every scope.
 	EvalScope EvalScope
-	// DisableEvalMemo turns off per-client accuracy caching so every walk
-	// re-evaluates children, matching the cost profile of the paper's
-	// prototype (used by the Fig. 15 scalability experiment).
-	//
-	// Deprecated: set EvalScope to EvalScopeNone instead; DisableEvalMemo
-	// is kept as an alias and forces that scope.
-	DisableEvalMemo bool
 	// MeasureWalkTime records wall-clock durations of each client's walks.
 	MeasureWalkTime bool
 	// RevealDelay, when positive, models non-ideal transaction
@@ -178,6 +197,15 @@ type Config struct {
 	Seed int64
 }
 
+// params extracts the parameters the shared engine body consumes.
+func (c Config) params() params {
+	return params{
+		local: c.Local, arch: c.Arch, selector: c.Selector, referenceWalks: c.ReferenceWalks,
+		sharedLayers: c.SharedLayers, gateOff: c.DisablePublishGate, evalOff: c.EvalScope == EvalScopeNone,
+		faults: c.Faults, compaction: c.Compaction, workers: c.Workers, pool: c.Pool, seed: c.Seed,
+	}
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Rounds <= 0 {
@@ -186,11 +214,8 @@ func (c Config) Validate() error {
 	if c.ClientsPerRound <= 0 {
 		return fmt.Errorf("core: ClientsPerRound must be positive, got %d", c.ClientsPerRound)
 	}
-	if err := c.Arch.Validate(); err != nil {
+	if err := c.params().validate(); err != nil {
 		return err
-	}
-	if c.ReferenceWalks < 0 {
-		return fmt.Errorf("core: ReferenceWalks must be >= 0, got %d", c.ReferenceWalks)
 	}
 	if c.SharedLayers < 0 || c.SharedLayers > c.Arch.NumLayers() {
 		return fmt.Errorf("core: SharedLayers %d outside [0, %d]", c.SharedLayers, c.Arch.NumLayers())
@@ -198,82 +223,18 @@ func (c Config) Validate() error {
 	if c.RevealDelay < 0 {
 		return fmt.Errorf("core: RevealDelay must be >= 0, got %d", c.RevealDelay)
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: Workers must be >= 0, got %d", c.Workers)
-	}
 	if c.EvalScope < EvalScopeRun || c.EvalScope > EvalScopeNone {
 		return fmt.Errorf("core: unknown EvalScope %d", c.EvalScope)
 	}
 	if p := c.Poison; p.Fraction < 0 || p.Fraction > 1 {
 		return fmt.Errorf("core: poison fraction %v outside [0,1]", p.Fraction)
 	}
-	if c.Compaction.Enabled() {
-		if err := c.Compaction.Validate(); err != nil {
-			return err
-		}
-		if c.RevealDelay > 0 || c.Faults.Enabled() {
-			// Partial views and fault schedules let clients approve non-tip
-			// transactions, breaking the depth monotonicity the freeze guard
-			// relies on.
-			return fmt.Errorf("core: Compaction requires ideal broadcast; disable RevealDelay and Faults")
-		}
+	if c.Compaction.Enabled() && c.RevealDelay > 0 {
+		// Partial views let clients approve non-tip transactions, breaking
+		// the depth monotonicity the freeze guard relies on.
+		return fmt.Errorf("core: Compaction requires ideal broadcast; disable RevealDelay")
 	}
-	return c.Faults.Validate()
-}
-
-func (c Config) withDefaults() Config {
-	if c.Selector == nil {
-		c.Selector = tipselect.AccuracyWalk{Alpha: 10}
-	}
-	if c.ReferenceWalks == 0 {
-		c.ReferenceWalks = 1
-	}
-	if c.DisableEvalMemo {
-		c.EvalScope = EvalScopeNone
-	}
-	return c
-}
-
-// client is the in-simulation state of one participant. Feature matrices
-// are zero-copy views of the federation's flat storage (training never
-// mutates inputs); labels are private copies because the poisoning attack
-// flips them per client.
-type client struct {
-	id      int
-	cluster int
-
-	trainX mathx.Matrix
-	trainY []int
-	testX  mathx.Matrix
-	testY  []int
-	// origTestY preserves pre-poisoning test labels for the
-	// flipped-prediction metric (Fig. 12 counts true 3s predicted as 8s).
-	origTestY []int
-
-	model    *nn.MLP // scratch model reused for training and evaluation
-	eval     *tipselect.EvalCache
-	poisoned bool
-	// lastParams is the client's most recently trained model, used as the
-	// source of the personal head under partial-layer sharing.
-	lastParams []float64
-	// view is the client's partial-visibility view of the tangle; nil when
-	// RevealDelay is 0 (ideal broadcast).
-	view *dag.View
-}
-
-// scoreParams evaluates arbitrary parameters on the client's test split,
-// using the scratch model's buffers without copying the parameters in (the
-// model's own weights are untouched).
-func (c *client) scoreParams(params []float64) (loss, acc float64) {
-	return c.model.EvaluateParams(params, c.testX, c.testY)
-}
-
-// scoreParamsBatch evaluates several parameter vectors on the client's test
-// split in one pass — the batched walk-evaluation path. The walk only
-// consumes accuracies, so the loss reduction is skipped (accuracy values
-// are bit-identical to EvaluateMany's).
-func (c *client) scoreParamsBatch(params [][]float64) []float64 {
-	return c.model.AccuracyManyInto(nil, params, c.testX, c.testY)
+	return nil
 }
 
 // RoundResult records everything the evaluation needs about one round.
@@ -373,22 +334,11 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Simulation is a running Specializing DAG experiment.
+// Simulation is a running Specializing DAG experiment on the round schedule.
 type Simulation struct {
+	*body
 	cfg     Config
-	fed     *dataset.Federation
-	tangle  *dag.DAG
-	clients []*client
-	rng     *xrand.RNG
 	round   int
-	// compFloor tracks the tangle's live floor so eval caches are rebased
-	// exactly once per floor advance (epoch compaction).
-	compFloor dag.ID
-
-	// net is the instantiated fault model (nil when cfg.Faults degenerates
-	// to a uniform delay, which the round grid already ignores).
-	net *faults.Model
-
 	results []RoundResult
 }
 
@@ -398,92 +348,20 @@ func NewSimulation(fed *dataset.Federation, cfg Config) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := fed.Validate(); err != nil {
+	b, err := newBody(fed, cfg.params(), float64(cfg.Rounds))
+	if err != nil {
 		return nil, err
 	}
 	if cfg.ClientsPerRound > len(fed.Clients) {
 		return nil, fmt.Errorf("core: ClientsPerRound %d exceeds the federation's %d clients — a round samples without replacement, so reduce ClientsPerRound or enlarge the federation",
 			cfg.ClientsPerRound, len(fed.Clients))
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Compaction.Enabled() {
-		gmin, gmax, err := tipselect.CompactionGuardBand(cfg.Selector)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Compaction.GuardDepthMin, cfg.Compaction.GuardDepth = gmin, gmax
-	}
-	root := xrand.New(cfg.Seed)
-
-	genesis := nn.New(cfg.Arch, root.Split("genesis"))
-	s := &Simulation{
-		cfg:    cfg,
-		fed:    fed,
-		tangle: dag.New(genesis.ParamsCopy()),
-		rng:    root,
-	}
-	// The tangle's cumulative-weight sweep (WeightedWalk's bias) fans out
-	// over the same budget as the round engine; results are worker-count
-	// invariant, so this only affects wall clock.
-	s.tangle.SetParallelism(cfg.Pool, cfg.Workers)
-	if cfg.Compaction.Enabled() {
-		if err := s.tangle.SetCompaction(cfg.Compaction); err != nil {
-			return nil, err
-		}
-	}
-
-	if cfg.Faults.Enabled() {
-		ids := make([]int, len(fed.Clients))
-		for i, fc := range fed.Clients {
-			ids[i] = fc.ID
-		}
-		m, err := faults.New(cfg.Faults, root, ids, float64(cfg.Rounds))
-		if err != nil {
-			return nil, err
-		}
-		if _, uniform := m.Uniform(); !uniform {
-			s.net = m
-		}
-	}
-
-	for _, fc := range fed.Clients {
-		c := &client{
-			id:      fc.ID,
-			cluster: fc.Cluster,
-			model:   genesis.Clone(),
-		}
-		c.trainX, c.trainY = fc.Train.X, fc.Train.CopyLabels()
-		c.testX, c.testY = fc.Test.X, fc.Test.CopyLabels()
-		c.origTestY = append([]int(nil), c.testY...)
-		c.eval = s.newEvalFor(c)
-		if s.needsViews() {
-			c.view = dag.NewView(s.tangle)
-		}
-		s.clients = append(s.clients, c)
-	}
-	return s, nil
+	// RevealDelay delays every reveal, and scheduled partitions withhold
+	// cross-group transactions; churn alone does not restrict visibility.
+	b.partialViews = cfg.RevealDelay > 0 || (b.net != nil && len(cfg.Faults.Partitions) > 0)
+	b.resetViews()
+	return &Simulation{body: b, cfg: cfg}, nil
 }
-
-// needsViews reports whether clients require partial-visibility views:
-// RevealDelay delays every reveal, and scheduled partitions withhold
-// cross-group transactions. Churn alone does not restrict visibility.
-func (s *Simulation) needsViews() bool {
-	return s.cfg.RevealDelay > 0 || (s.net != nil && len(s.cfg.Faults.Partitions) > 0)
-}
-
-func (s *Simulation) newEvalFor(c *client) *tipselect.EvalCache {
-	e := tipselect.NewEvalCache(
-		func(params []float64) float64 {
-			return c.model.AccuracyParams(params, c.testX, c.testY)
-		},
-		c.scoreParamsBatch,
-	)
-	e.Disable = s.cfg.EvalScope == EvalScopeNone
-	return e
-}
-
-// DAG exposes the underlying tangle (read-only use intended).
-func (s *Simulation) DAG() *dag.DAG { return s.tangle }
 
 // Results returns the per-round results recorded so far.
 func (s *Simulation) Results() []RoundResult { return s.results }
@@ -505,39 +383,13 @@ func (s *Simulation) PoisonedClients() map[int]bool {
 // ClusterOf returns the ground-truth cluster lookup of the federation.
 func (s *Simulation) ClusterOf() map[int]int { return s.fed.ClusterOf() }
 
-// Run executes all remaining configured rounds and returns the recorded
-// results.
-//
-// Deprecated: Run cannot be canceled, observed mid-flight or checkpointed.
-// New code should drive the simulation through the unified run API —
-// specdag.Run(ctx, sim, opts...) — and read Results afterwards; Run is kept
-// as a thin convenience wrapper for fire-and-forget uses.
-func (s *Simulation) Run() []RoundResult {
-	for s.round < s.cfg.Rounds {
-		s.RunRound()
-	}
-	return s.results
-}
-
-// pendingTx is a publish decision accumulated during a round and applied to
-// the tangle at round end (concurrent semantics).
-type pendingTx struct {
-	issuer  int
-	parents []dag.ID
-	params  []float64
-	meta    dag.Meta
-}
-
 // clientOutcome is everything one activated client produces during a round.
 // Outcomes are computed concurrently (one per worker) and reduced into the
 // RoundResult sequentially, in sampled-client order.
 type clientOutcome struct {
+	activation              // reference transaction, walk stats and timing
 	trainedAcc, trainedLoss float64
 	refAcc, refLoss         float64
-	publish                 bool
-	refTx                   dag.ID
-	stats                   tipselect.WalkStats
-	walkDur                 time.Duration
 	flippedFrac             float64
 	poisoned                bool
 	refPoisonedApprovals    int
@@ -546,12 +398,12 @@ type clientOutcome struct {
 
 // runClient executes the four-phase loop of Fig. 1 for one activated client.
 // It only reads shared simulation state (the DAG is not mutated until round
-// end) and only writes state owned by this client (its scratch model, memo
-// evaluator, partial view, and lastParams), so distinct clients can run on
+// end) and only writes state owned by this client (its scratch model, eval
+// cache, partial view, and lastParams), so distinct clients can run on
 // distinct goroutines. All randomness comes from the client-and-round
 // specific split stream, making the outcome independent of scheduling.
 func (s *Simulation) runClient(c *client, round int) clientOutcome {
-	crng := s.rng.SplitIndex("client-round", round*100003+c.id)
+	crng := s.root.SplitIndex("client-round", round*100003+c.id)
 	graph := s.graphFor(c, round)
 	if s.cfg.EvalScope == EvalScopeRound {
 		// Per-(client, round) cache: this activation's walks share every
@@ -559,71 +411,29 @@ func (s *Simulation) runClient(c *client, round int) clientOutcome {
 		c.eval.Reset()
 	}
 
-	// Walk timing is advisory output (never fed back into results), and the
-	// clock read is routed through profiling so this package stays
-	// wall-clock-free under the detrand contract.
-	watch := profiling.StartStopwatch()
-	// (1) Biased random walk, twice, to select two tips.
-	tips, stats := tipselect.SelectTips(s.cfg.Selector, graph, c.eval, crng, 2)
-	// Consensus reference via additional walk(s).
-	refTx, refParams, refStats := s.reference(graph, c, crng)
-	stats.Add(refStats)
-	var walkDur time.Duration
-	if s.cfg.MeasureWalkTime {
-		walkDur = watch.Elapsed()
-	}
-
-	// (2) Average the two tip models. Under partial-layer sharing only
-	// the first SharedLayers layers come from the DAG; the head stays
-	// the client's own.
-	avg := nn.AverageParams(tips[0].Params, tips[1].Params)
-	if k := s.cfg.SharedLayers; k > 0 && k < s.cfg.Arch.NumLayers() && c.lastParams != nil {
-		split := s.cfg.Arch.PrefixParams(k)
-		copy(avg[split:], c.lastParams[split:])
-	}
-
-	// (3) Train the averaged model on local data.
-	c.model.SetParams(avg)
-	c.model.Train(c.trainX, c.trainY, s.trainConfig(), crng.Split("train"))
+	act := s.walkAverageTrain(c, graph, crng)
 	trainedParams := c.model.ParamsCopy()
 	c.lastParams = trainedParams
 	trainedLoss, trainedAcc := c.model.Evaluate(c.testX, c.testY)
-
-	refLoss, refAcc := c.scoreParams(refParams)
-
-	// (4) Publish if the trained model beats the consensus reference on
-	// local test data (ties broken by loss so saturated clients keep
-	// publishing).
-	publish := trainedAcc > refAcc || (trainedAcc == refAcc && trainedLoss <= refLoss)
-	if s.cfg.DisablePublishGate {
-		publish = true
-	}
+	// The reference is scored through the scratch model's buffers without
+	// copying its parameters in, so the trained weights stay untouched.
+	refLoss, refAcc := c.model.EvaluateParams(act.refParams, c.testX, c.testY)
 
 	out := clientOutcome{
+		activation:  act,
 		trainedAcc:  trainedAcc,
 		trainedLoss: trainedLoss,
 		refAcc:      refAcc,
 		refLoss:     refLoss,
-		publish:     publish,
-		refTx:       refTx,
-		stats:       stats,
-		walkDur:     walkDur,
 	}
-	if publish {
-		out.tx = &pendingTx{
-			issuer:  c.id,
-			parents: []dag.ID{tips[0].ID, tips[1].ID},
-			params:  trainedParams,
-			meta: dag.Meta{
-				TestAcc:  trainedAcc,
-				Poisoned: c.poisoned,
-			},
-		}
+	if s.publishes(trainedAcc, trainedLoss, refAcc, refLoss) {
+		tx := c.publication(act, trainedParams, trainedAcc)
+		out.tx = &tx
 	}
 	if s.cfg.Poison.Enabled() {
-		out.flippedFrac = c.flippedFraction(refParams, s.cfg.Poison)
+		out.flippedFrac = c.flippedFraction(act.refParams, s.cfg.Poison)
 		out.poisoned = c.poisoned
-		out.refPoisonedApprovals = s.poisonedApprovalsOf(refTx)
+		out.refPoisonedApprovals = s.poisonedApprovalsOf(act.refTx)
 	}
 	return out
 }
@@ -640,7 +450,7 @@ func (s *Simulation) RunRound() RoundResult {
 	round := s.round
 	s.maybeActivatePoisoning(round)
 
-	sampler := s.rng.SplitIndex("round-sample", round)
+	sampler := s.root.SplitIndex("round-sample", round)
 	idxs := sampler.SampleWithoutReplacement(len(s.clients), s.cfg.ClientsPerRound)
 
 	// Clients inside a churn crash window skip their sampled activation (the
@@ -659,7 +469,7 @@ func (s *Simulation) RunRound() RoundResult {
 	// Fan out: one outcome slot per sampled client. SampleWithoutReplacement
 	// yields distinct clients, so no client state is shared between workers.
 	outs := make([]clientOutcome, len(idxs))
-	par.ForEachIn(s.cfg.Pool, s.cfg.Workers, len(idxs), func(i int) {
+	par.ForEachIn(s.pool, s.workers, len(idxs), func(i int) {
 		outs[i] = s.runClient(s.clients[idxs[i]], round)
 	})
 
@@ -678,7 +488,7 @@ func (s *Simulation) RunRound() RoundResult {
 		res.TrainedLoss = append(res.TrainedLoss, out.trainedLoss)
 		res.RefAcc = append(res.RefAcc, out.refAcc)
 		res.RefLoss = append(res.RefLoss, out.refLoss)
-		res.Published = append(res.Published, out.publish)
+		res.Published = append(res.Published, out.tx != nil)
 		res.RefTx = append(res.RefTx, out.refTx)
 		res.Walk.Add(out.stats)
 		if s.cfg.MeasureWalkTime {
@@ -694,10 +504,10 @@ func (s *Simulation) RunRound() RoundResult {
 	// Random-weight attackers publish after honest clients selected tips but
 	// their transactions land in the same round.
 	if n := s.cfg.Poison.RandomAttackers; n > 0 && round >= s.cfg.Poison.StartRound {
-		arng := s.rng.SplitIndex("attacker", round)
+		arng := s.root.SplitIndex("attacker", round)
 		tipIDs := s.tangle.Tips()
 		for a := 0; a < n; a++ {
-			params := arng.NormalVec(s.cfg.Arch.NumParams(), 0, 1)
+			params := arng.NormalVec(s.arch.NumParams(), 0, 1)
 			p1 := tipIDs[arng.Intn(len(tipIDs))]
 			p2 := tipIDs[arng.Intn(len(tipIDs))]
 			pending = append(pending, pendingTx{
@@ -711,11 +521,7 @@ func (s *Simulation) RunRound() RoundResult {
 
 	// Apply all publishes at the end of the round (concurrent semantics).
 	for _, p := range pending {
-		if _, err := s.tangle.Add(p.issuer, round, p.parents, p.params, p.meta); err != nil {
-			// Parents came from this DAG and are never removed; failure here
-			// is a programming error.
-			panic(fmt.Sprintf("core: publishing failed: %v", err))
-		}
+		s.deliver(p, round)
 	}
 
 	s.compact(round)
@@ -723,32 +529,6 @@ func (s *Simulation) RunRound() RoundResult {
 	s.results = append(s.results, res)
 	s.round++
 	return res
-}
-
-// compact freezes epochs that aged out of the live suffix at the end of a
-// round and, when the live floor advances, rebases every client's eval
-// cache onto the suffix. Runs in the sequential round-end section (the
-// quiescent point CompactTo requires); no-op when compaction is off.
-func (s *Simulation) compact(round int) {
-	if !s.cfg.Compaction.Enabled() {
-		return
-	}
-	floor, err := s.tangle.CompactTo(round)
-	if err != nil {
-		panic(fmt.Sprintf("core: epoch compaction failed: %v", err))
-	}
-	if floor > s.compFloor {
-		s.compFloor = floor
-		for _, c := range s.clients {
-			c.eval.Advance(floor)
-		}
-	}
-}
-
-func (s *Simulation) trainConfig() nn.SGDConfig {
-	cfg := s.cfg.Local
-	cfg.Shuffle = true
-	return cfg
 }
 
 // graphFor returns the tangle view the client walks over this round: the
@@ -774,36 +554,6 @@ func (s *Simulation) graphFor(c *client, round int) tipselect.Graph {
 		return s.net == nil || !s.net.PartitionDeferred(float64(tx.Round), tx.Issuer, c.id, float64(round))
 	})
 	return c.view
-}
-
-// reference obtains the client's consensus reference transaction and model
-// parameters via cfg.ReferenceWalks tip selections (averaged when > 1).
-func (s *Simulation) reference(graph tipselect.Graph, c *client, rng *xrand.RNG) (dag.ID, []float64, tipselect.WalkStats) {
-	return consensusReference(graph, s.cfg.Selector, s.cfg.ReferenceWalks, c.eval, rng)
-}
-
-// consensusReference runs `walks` tip selections and returns the consensus
-// reference: the first selected transaction's ID and, when walks > 1, the
-// element-wise average of all selected models. It is the single reference
-// implementation shared by the synchronous and asynchronous engines (the
-// async engine used to ignore walks > 1 and always take exactly one walk).
-func consensusReference(graph tipselect.Graph, sel tipselect.Selector, walks int, eval tipselect.Evaluator, rng *xrand.RNG) (dag.ID, []float64, tipselect.WalkStats) {
-	var stats tipselect.WalkStats
-	if walks <= 1 {
-		tx, st := sel.SelectTip(graph, eval, rng)
-		return tx.ID, tx.Params, st
-	}
-	params := make([][]float64, 0, walks)
-	var first dag.ID
-	for i := 0; i < walks; i++ {
-		tx, st := sel.SelectTip(graph, eval, rng)
-		stats.Add(st)
-		params = append(params, tx.Params)
-		if i == 0 {
-			first = tx.ID
-		}
-	}
-	return first, nn.AverageParams(params...), stats
 }
 
 // flippedFraction measures the fraction of the client's test samples whose
@@ -850,7 +600,7 @@ func (s *Simulation) maybeActivatePoisoning(round int) {
 	if p.Fraction <= 0 || round != p.StartRound {
 		return
 	}
-	prng := s.rng.Split("poison")
+	prng := s.root.Split("poison")
 	n := int(p.Fraction * float64(len(s.clients)))
 	for _, ci := range prng.SampleWithoutReplacement(len(s.clients), n) {
 		c := s.clients[ci]

@@ -71,7 +71,7 @@ func TestSimulationRunsAndGrowsDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	if len(results) != 12 {
 		t.Fatalf("got %d rounds, want 12", len(results))
 	}
@@ -100,7 +100,7 @@ func TestAccuracyImprovesOverRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	early := results[0].MeanTrainedAcc()
 	lateSum := 0.0
 	for _, rr := range results[len(results)-5:] {
@@ -125,7 +125,7 @@ func TestSpecializationEmerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
+	runAll(sim)
 	pureness := metrics.ApprovalPureness(sim.DAG(), sim.ClusterOf())
 	if pureness < 0.5 {
 		t.Fatalf("approval pureness %v, want > 0.5 (base 0.33)", pureness)
@@ -138,7 +138,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sim.Run()
+		return runAll(sim)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -161,7 +161,7 @@ func TestPublishGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	want := 1 // genesis
 	for _, rr := range results {
 		for _, p := range rr.Published {
@@ -183,7 +183,7 @@ func TestReferenceWalksAveraging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	if len(results) != cfg.Rounds {
 		t.Fatal("run incomplete")
 	}
@@ -207,7 +207,7 @@ func TestPoisoningActivation(t *testing.T) {
 	if n := len(sim.PoisonedClients()); n != 3 { // 25% of 12
 		t.Fatalf("poisoned clients = %d, want 3", n)
 	}
-	rest := sim.Run()
+	rest := runAll(sim)
 	// Tracking fields must be populated once poisoning is configured.
 	last := rest[len(rest)-1]
 	if len(last.FlippedFrac) != len(last.Active) {
@@ -225,7 +225,7 @@ func TestPoisonTrackingWithoutAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	if len(sim.PoisonedClients()) != 0 {
 		t.Fatal("no clients should be poisoned")
 	}
@@ -244,7 +244,7 @@ func TestRandomAttackersInjectPoisonedTxs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
+	runAll(sim)
 	poisonedTxs := 0
 	for _, tx := range sim.DAG().All() {
 		if tx.Meta.Poisoned {
@@ -264,7 +264,7 @@ func TestWalkTimeMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	for _, rr := range results {
 		if len(rr.WalkDurations) != len(rr.Active) {
 			t.Fatal("walk durations not recorded")
@@ -282,7 +282,7 @@ func TestWalkStatsAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	// After a few rounds the DAG has interior nodes, so walks must step and
 	// evaluate.
 	last := results[len(results)-1]
@@ -298,7 +298,7 @@ func TestURTSSelectorWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	if len(results) != cfg.Rounds {
 		t.Fatal("URTS run incomplete")
 	}
@@ -311,7 +311,7 @@ func TestClientGraphBuildable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
+	runAll(sim)
 	g := metrics.BuildClientGraph(sim.DAG())
 	if g.NumNodes() == 0 {
 		t.Fatal("client graph empty")
@@ -334,7 +334,7 @@ func TestSingleClientFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	if len(results) != 5 {
 		t.Fatal("single-client run incomplete")
 	}
@@ -367,7 +367,7 @@ func TestPartialSharingPersonalizesHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	last := results[len(results)-1]
 	if last.MeanTrainedAcc() < 0.5 {
 		t.Fatalf("partial sharing broke training: acc %v", last.MeanTrainedAcc())
@@ -385,7 +385,7 @@ func TestPartialSharingSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := sim.Run()
+		results := runAll(sim)
 		return results[len(results)-1].MeanTrainedAcc()
 	}
 	full := run(0)
@@ -414,7 +414,7 @@ func TestRevealDelayRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	results := runAll(sim)
 	last := results[len(results)-1]
 	if last.MeanTrainedAcc() < 0.5 {
 		t.Fatalf("delayed visibility broke training: acc %v", last.MeanTrainedAcc())
@@ -436,7 +436,7 @@ func TestRevealDelayKeepsDAGConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
+	runAll(sim)
 	for _, tx := range sim.DAG().All() {
 		for _, p := range tx.Parents {
 			if p >= tx.ID {
@@ -455,7 +455,7 @@ func TestRevealDelayZeroMatchesDefault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := sim.Run()
+		results := runAll(sim)
 		return results[len(results)-1].MeanTrainedAcc()
 	}
 	if run(0) != run(0) {
@@ -468,12 +468,14 @@ func TestMemoDisabledMatchesEnabled(t *testing.T) {
 	run := func(disable bool) float64 {
 		cfg := smallConfig()
 		cfg.Rounds = 8
-		cfg.DisableEvalMemo = disable
+		if disable {
+			cfg.EvalScope = EvalScopeNone
+		}
 		sim, err := NewSimulation(smallFed(15), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results := sim.Run()
+		results := runAll(sim)
 		return results[len(results)-1].MeanTrainedAcc()
 	}
 	if a, b := run(false), run(true); a != b {

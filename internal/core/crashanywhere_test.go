@@ -88,7 +88,7 @@ func TestCrashAnywhereResumeEquivalenceSync(t *testing.T) {
 				if resumed.Round() != k {
 					t.Fatalf("checkpoint %d resumed at round %d", k, resumed.Round())
 				}
-				resHist := resumed.Run()
+				resHist := runAll(resumed)
 				assertHistoriesIdentical(t, refHist, resHist)
 				if !bytes.Equal(refDAG, dagBytes(t, resumed)) {
 					t.Fatalf("resume at round %d: serialized DAGs differ byte-for-byte", k)

@@ -10,7 +10,6 @@ import (
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/engine"
-	"github.com/specdag/specdag/internal/par"
 )
 
 var (
@@ -24,13 +23,6 @@ var (
 
 // Name implements engine.Engine.
 func (s *Simulation) Name() string { return "specdag" }
-
-// SetPool implements engine.PoolUser: the round fan-out and the tangle's
-// cumulative-weight sweep draw helper goroutines from b (see Config.Pool).
-func (s *Simulation) SetPool(b *par.Budget) {
-	s.cfg.Pool = b
-	s.tangle.SetParallelism(b, s.cfg.Workers)
-}
 
 // Step implements engine.Engine: it runs one round and reports it, with one
 // PublishEvent per transaction that entered the tangle (honest clients and
@@ -69,12 +61,6 @@ func (s *Simulation) Step(ctx context.Context) (*engine.StepResult, bool, error)
 
 // Name implements engine.Engine.
 func (a *AsyncSimulation) Name() string { return "specdag-async" }
-
-// SetPool implements engine.PoolUser (see AsyncConfig.Pool).
-func (a *AsyncSimulation) SetPool(b *par.Budget) {
-	a.cfg.Pool = b
-	a.tangle.SetParallelism(b, a.cfg.Workers)
-}
 
 // Step implements engine.Engine at event granularity: one Step is one client
 // activation, so cancellation takes effect between events. The RoundEvent's

@@ -188,7 +188,7 @@ func TestSyncFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertHistoriesIdentical(t, refHist, again.Run())
+	assertHistoriesIdentical(t, refHist, runAll(again))
 
 	// The schedule must matter: the fault-free baseline diverges.
 	baseCfg := smallConfig()
@@ -196,7 +196,7 @@ func TestSyncFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseHist := base.Run()
+	baseHist := runAll(base)
 	same := len(baseHist) == len(refHist)
 	if same {
 		for i := range refHist {
@@ -217,7 +217,7 @@ func TestSyncFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resume at round %d: %v", k, err)
 		}
-		assertHistoriesIdentical(t, refHist, resumed.Run())
+		assertHistoriesIdentical(t, refHist, runAll(resumed))
 		if !bytes.Equal(refDAG, dagBytes(t, resumed)) {
 			t.Fatalf("resume at round %d: serialized DAGs differ byte-for-byte", k)
 		}

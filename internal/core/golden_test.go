@@ -132,13 +132,13 @@ func TestGoldenCheckpointFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("golden sync checkpoint no longer resumes: %v", err)
 		}
-		resHist := resumed.Run()
+		resHist := runAll(resumed)
 
 		ref, err := NewSimulation(goldenFed(), goldenSyncConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		refHist := ref.Run()
+		refHist := runAll(ref)
 		assertHistoriesIdentical(t, refHist, resHist)
 		if !bytes.Equal(dagBytes(t, ref), dagBytes(t, resumed)) {
 			t.Fatal("golden sync resume diverged: serialized DAGs differ")

@@ -17,7 +17,7 @@ func runWithWorkers(t *testing.T, cfg Config, fedSeed int64, workers int) ([]Rou
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.Run(), sim
+	return runAll(sim), sim
 }
 
 // assertHistoriesIdentical compares two RoundResult histories field by field.
@@ -140,7 +140,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{"reveal-delay", func(c *Config) { c.RevealDelay = 2 }},
 		{"gate-off-measure-time", func(c *Config) { c.DisablePublishGate = true; c.MeasureWalkTime = true }},
 		{"weighted-walk", func(c *Config) { c.Selector = tipselect.WeightedWalk{Alpha: 0.1} }},
-		{"memo-disabled", func(c *Config) { c.DisableEvalMemo = true }},
+		// Uncached scoring with a multi-walk reference: every one of the five
+		// selections per activation re-evaluates from scratch.
+		{"memo-disabled", func(c *Config) { c.EvalScope = EvalScopeNone; c.ReferenceWalks = 3 }},
 		{"eval-scope-round", func(c *Config) { c.EvalScope = EvalScopeRound }},
 		{"eval-scope-none", func(c *Config) { c.EvalScope = EvalScopeNone }},
 		// Grow the tangle past the parallel cumulative-weight threshold with
@@ -174,7 +176,7 @@ func TestAsyncWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) *AsyncResult {
 		cfg := asyncConfig()
 		cfg.Workers = workers
-		res, err := RunAsync(smallFed(70), cfg)
+		res, err := runAsync(smallFed(70), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,218 @@
+package core
+
+// The snapshot envelope shared by both checkpoint kinds. SDC1 (round engine,
+// checkpoint.go) and SDA1 (event engine, checkpoint_async.go) are sibling
+// formats: four magic bytes, then one gob value whose DAG field holds the
+// tangle in the SDG1 codec (internal/dag). The gob structs differ — each
+// engine saves exactly what its own schedule and delivery state cannot
+// reconstruct — but both carry the same sections (seed, tangle, versioned
+// fault schedule, versioned epoch compaction), and everything that touches
+// only those lives here once: the magic diagnosis, the write path, the
+// section validation with DAG decode and epoch restore, and the resume tail.
+// The gob structs stay flat and field-for-field stable (embedding a shared
+// struct would change the encoding), so the envelope reaches their common
+// fields through the pointers sections() hands out.
+
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+	"io"
+
+	"github.com/specdag/specdag/internal/dag"
+	"github.com/specdag/specdag/internal/faults"
+)
+
+var (
+	// checkpointMagic identifies round-simulation checkpoints and fixes the
+	// version; asyncCheckpointMagic is the event-driven sibling.
+	checkpointMagic      = [4]byte{'S', 'D', 'C', '1'}
+	asyncCheckpointMagic = [4]byte{'S', 'D', 'A', '1'}
+	// The DAG codec's (internal/dag) and event-stream codec's (internal/wire)
+	// magics are mirrored so a user who points a resume at a bare tangle
+	// snapshot or a saved event log is told what the file actually is.
+	codecMagicSDG1       = [4]byte{'S', 'D', 'G', '1'}
+	eventStreamMagicSDE1 = [4]byte{'S', 'D', 'E', '1'}
+)
+
+// wrongMagic explains a magic other than the wanted one: what the sibling
+// format is, and what to do with one instead.
+func wrongMagic(got, want [4]byte) error {
+	var what string
+	switch got {
+	case checkpointMagic:
+		what = "a synchronous round-simulation checkpoint (resume it with ResumeSimulation)"
+	case asyncCheckpointMagic:
+		what = "an asynchronous event-simulation checkpoint (resume it with ResumeAsyncSimulation)"
+	case codecMagicSDG1:
+		what = "a bare DAG snapshot, not a simulation checkpoint (inspect it with dagstat or dag.ReadDAG)"
+	case eventStreamMagicSDE1:
+		what = "an event-stream log, not a simulation checkpoint (inspect it with dagstat or wire.ReadAll)"
+	default:
+		return fmt.Errorf("core: bad magic %q (not a %q checkpoint)", got, want)
+	}
+	return fmt.Errorf("core: bad magic %q, want %q — this is %s", got, want, what)
+}
+
+// sections points at the fields every checkpoint kind carries, wherever its
+// gob struct declares them (checkpointState documents what each section
+// holds and how its version field evolves).
+type sections struct {
+	seed              *int64
+	dag               *[]byte // SDG1 snapshot (dag.WriteTo)
+	faultsVersion     *int
+	faults            *faults.Config
+	compactionVersion *int
+	compaction        *dag.Compaction
+	epochs            *[]dag.EpochSummary
+}
+
+// snapshotState is a checkpoint kind's gob struct.
+type snapshotState interface {
+	sections() sections
+	info() *CheckpointInfo // the kind's own summary fields (InspectCheckpoint)
+	// validate checks the kind's own fields against the decoded tangle, so a
+	// corrupted or adversarial snapshot fails with an actionable error —
+	// never a panic and never a silently wrong run.
+	validate(d *dag.DAG) error
+}
+
+// writeSnapshot fills st's shared sections from the body and writes the
+// envelope — magic, then st as one gob value — returning the bytes written.
+func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int64, error) {
+	var dagBuf bytes.Buffer
+	if _, err := b.tangle.WriteTo(&dagBuf); err != nil {
+		return 0, fmt.Errorf("core: checkpointing DAG: %w", err)
+	}
+	sec := st.sections()
+	*sec.seed = b.seed
+	*sec.dag = dagBuf.Bytes()
+	if b.faults.Enabled() {
+		*sec.faultsVersion = 1
+		*sec.faults = b.faults
+	}
+	if b.compaction.Enabled() {
+		*sec.compactionVersion = 1
+		*sec.compaction = b.tangle.CompactionConfig()
+		*sec.epochs = b.tangle.FrozenEpochs()
+	}
+	cw := &countingWriter{w: w}
+	if _, err := cw.Write(magic[:]); err != nil {
+		return cw.n, err
+	}
+	if err := gob.NewEncoder(cw).Encode(st); err != nil {
+		return cw.n, fmt.Errorf("core: encoding checkpoint: %w", err)
+	}
+	return cw.n, nil
+}
+
+// countingWriter tracks bytes written for WriteCheckpoint's return value.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// readSnapshot reads an envelope of the wanted kind into st, validates the
+// shared sections and the kind's own fields, and returns the decoded tangle
+// with its frozen-epoch state restored.
+func readSnapshot(r io.Reader, want [4]byte, st snapshotState) (*dag.DAG, error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
+	}
+	if magic != want {
+		return nil, wrongMagic(magic, want)
+	}
+	if err := gob.NewDecoder(r).Decode(st); err != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
+	}
+	sec := st.sections()
+	if v := *sec.faultsVersion; v < 0 || v > 1 {
+		return nil, fmt.Errorf("core: checkpoint fault section has version %d, this build understands 0 and 1 — written by a newer version?", v)
+	}
+	if *sec.faultsVersion == 1 {
+		if err := sec.faults.Validate(); err != nil {
+			return nil, fmt.Errorf("core: checkpoint fault schedule: %w", err)
+		}
+	}
+	if v := *sec.compactionVersion; v < 0 || v > 1 {
+		return nil, fmt.Errorf("core: checkpoint epoch section has version %d, this build understands 0 and 1 — written by a newer version?", v)
+	}
+	if *sec.compactionVersion == 1 {
+		if !sec.compaction.Enabled() {
+			return nil, fmt.Errorf("core: checkpoint epoch section is versioned but its compaction config is disabled")
+		}
+		if err := sec.compaction.Validate(); err != nil {
+			return nil, fmt.Errorf("core: checkpoint compaction config: %w", err)
+		}
+	}
+	d, err := dag.ReadDAG(bytes.NewReader(*sec.dag))
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint DAG: %w", err)
+	}
+	if *sec.compactionVersion == 1 {
+		if err := d.RestoreCompaction(*sec.compaction, *sec.epochs); err != nil {
+			return nil, fmt.Errorf("core: checkpoint epoch state: %w", err)
+		}
+	}
+	if err := st.validate(d); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// restore is the resume tail: it verifies that a decoded snapshot belongs to
+// this freshly constructed body — same seed, fault schedule, compaction
+// config, federation size and seeded genesis — and then adopts its tangle.
+// Everything else a checkpoint omits (RNG streams, fault model, partial
+// views, eval caches) is a pure function of the configuration, which is what
+// these checks pin.
+func (b *body) restore(sec sections, d *dag.DAG, clients int) error {
+	if *sec.seed != b.seed {
+		return fmt.Errorf("core: checkpoint was taken with Seed %d, config has %d — resuming under a different seed would diverge",
+			*sec.seed, b.seed)
+	}
+	if !sec.faults.Equal(b.faults) {
+		return fmt.Errorf("core: checkpoint was taken with fault schedule %+v, config has %+v — resuming under a different schedule would diverge",
+			*sec.faults, b.faults)
+	}
+	// The guard band is excluded from the comparison: it is derived from the
+	// selector, not chosen by the caller.
+	was, now := *sec.compaction, b.compaction
+	was.GuardDepth, was.GuardDepthMin, now.GuardDepth, now.GuardDepthMin = 0, 0, 0, 0
+	if was != now {
+		return fmt.Errorf("core: checkpoint was taken with compaction %+v, config has %+v — resuming under a different epoch config would diverge",
+			*sec.compaction, b.compaction)
+	}
+	if clients != len(b.clients) {
+		return fmt.Errorf("core: checkpoint has %d clients, federation has %d", clients, len(b.clients))
+	}
+	// The checkpointed genesis must match the one the seed regenerates: a
+	// mismatch means a different architecture or a tampered snapshot.
+	want, got := b.tangle.Genesis().Params, d.Genesis().Params
+	if len(want) != len(got) {
+		return fmt.Errorf("core: checkpoint genesis has %d params, config architecture needs %d", len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			return fmt.Errorf("core: checkpoint genesis diverges from the seeded genesis at param %d", i)
+		}
+	}
+
+	// The restored tangle replaces the one the constructor configured:
+	// re-wire its cumulative-weight sweep to the configured budget, rebase the
+	// (cold) eval caches so their dense indexing starts at the live floor,
+	// exactly as the uninterrupted run's caches did, and point partial views
+	// at it.
+	b.tangle = d
+	b.tangle.SetParallelism(b.pool, b.workers)
+	b.rebaseCaches(b.tangle.LiveFloor())
+	b.resetViews()
+	return nil
+}

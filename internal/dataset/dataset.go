@@ -66,20 +66,6 @@ func (d Dataset) CopyLabels() []int {
 	return append([]int(nil), d.Y...)
 }
 
-// XY unzips the dataset into per-sample feature slices and labels. The
-// feature slices are zero-copy views of the flat storage; labels are copied.
-//
-// Deprecated: XY re-materializes a [][]float64 header per sample. New code
-// should use the X matrix and Y labels directly (nn.Train/Evaluate consume
-// mathx.Matrix); XY is kept as an adapter for per-sample consumers.
-func (d Dataset) XY() (xs [][]float64, ys []int) {
-	xs = make([][]float64, d.Len())
-	for i := range xs {
-		xs[i] = d.X.Row(i)
-	}
-	return xs, d.CopyLabels()
-}
-
 // Clone returns a deep copy of the dataset (features and labels copied).
 func (d Dataset) Clone() Dataset {
 	return Dataset{X: d.X.Clone(), Y: d.CopyLabels()}

@@ -8,26 +8,6 @@ import (
 	"github.com/specdag/specdag/internal/xrand"
 )
 
-func TestXY(t *testing.T) {
-	d := FromSamples(Sample{X: []float64{1, 2}, Y: 0}, Sample{X: []float64{3, 4}, Y: 1})
-	xs, ys := d.XY()
-	if len(xs) != 2 || len(ys) != 2 {
-		t.Fatal("XY lengths wrong")
-	}
-	if xs[1][0] != 3 || ys[1] != 1 {
-		t.Fatal("XY content wrong")
-	}
-	// Feature slices view the flat storage; labels are copied.
-	xs[0][0] = 42
-	if d.Row(0)[0] != 42 {
-		t.Fatal("XY feature slices should alias the flat storage")
-	}
-	ys[0] = 9
-	if d.Y[0] != 0 {
-		t.Fatal("XY labels should be copies")
-	}
-}
-
 func TestFlatStorageIsContiguous(t *testing.T) {
 	d := FromSamples(Sample{X: []float64{1, 2}, Y: 0}, Sample{X: []float64{3, 4}, Y: 1})
 	if d.X.Rows != 2 || d.X.Cols != 2 || len(d.X.Data) != 4 {

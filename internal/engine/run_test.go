@@ -114,11 +114,9 @@ func TestCancellationReturnsPartialResults(t *testing.T) {
 		t.Fatalf("partial results: steps=%d results=%d, want 3", rep.Steps, len(sim.Results()))
 	}
 	// The partial prefix matches an uninterrupted run's.
-	ref, err := core.NewSimulation(testFed(3), testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refHist := ref.Run()
+	refHist := stepToEnd(t, func() (*core.Simulation, error) {
+		return core.NewSimulation(testFed(3), testConfig())
+	}).Results()
 	for i, rr := range sim.Results() {
 		if rr.MeanTrainedAcc() != refHist[i].MeanTrainedAcc() {
 			t.Fatalf("partial round %d diverges from uninterrupted run", i)
@@ -213,9 +211,26 @@ func TestCheckpointsRequireSnapshotter(t *testing.T) {
 	}
 }
 
+// stepToEnd builds an engine and drives it with a bare Step loop — no Run,
+// no options — the reference the unified API must agree with.
+func stepToEnd[E engine.Engine](t *testing.T, mk func() (E, error)) E {
+	t.Helper()
+	e, err := mk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, done, err := e.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		} else if done {
+			return e
+		}
+	}
+}
+
 // TestEveryEngineRunsThroughUnifiedAPI: one Run call drives all four engine
-// families to completion, and each wrapper-based legacy entry point agrees
-// with the engine it wraps.
+// families to completion, and each agrees with a bare Step loop over a fresh
+// engine of the same configuration.
 func TestEveryEngineRunsThroughUnifiedAPI(t *testing.T) {
 	fedSeed := int64(8)
 	local := nn.SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10}
@@ -248,17 +263,11 @@ func TestEveryEngineRunsThroughUnifiedAPI(t *testing.T) {
 		if events != eng.Events() || events == 0 {
 			t.Fatalf("observer saw %d events, engine processed %d", events, eng.Events())
 		}
-		// The wrapper produces identical results.
-		legacy, err := core.RunAsync(testFed(fedSeed), core.AsyncConfig{
-			Duration: 30, MinCycle: 1, MaxCycle: 8, NetworkDelay: 0.5,
-			Local: local, Arch: arch, Selector: tipselect.AccuracyWalk{Alpha: 10}, Seed: 1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// A bare Step loop — no Run, no hooks — produces identical results.
+		legacy := stepToEnd(t, func() (*core.AsyncSimulation, error) { return mk(), nil }).Result()
 		got := eng.Result()
 		if got.Transactions != legacy.Transactions || len(got.Clients) != len(legacy.Clients) {
-			t.Fatal("engine result diverges from deprecated RunAsync")
+			t.Fatal("engine.Run result diverges from a bare Step loop")
 		}
 		for i := range got.Clients {
 			if got.Clients[i] != legacy.Clients[i] {
@@ -280,14 +289,11 @@ func TestEveryEngineRunsThroughUnifiedAPI(t *testing.T) {
 		if err != nil || !rep.Completed || rounds != cfg.Rounds {
 			t.Fatalf("federated run: %v %+v rounds=%d", err, rep, rounds)
 		}
-		legacy, err := fl.Run(testFed(fedSeed), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		legacy := stepToEnd(t, func() (*fl.Federated, error) { return fl.NewFederated(testFed(fedSeed), cfg) }).Result()
 		got := eng.Result()
 		for i := range got.Rounds {
 			if got.Rounds[i].MeanAcc != legacy.Rounds[i].MeanAcc {
-				t.Fatalf("round %d diverges from deprecated fl.Run", i)
+				t.Fatalf("round %d diverges from a bare Step loop", i)
 			}
 		}
 	})
@@ -302,14 +308,11 @@ func TestEveryEngineRunsThroughUnifiedAPI(t *testing.T) {
 		if err != nil || !rep.Completed || rep.Steps != cfg.Rounds {
 			t.Fatalf("gossip run: %v %+v", err, rep)
 		}
-		legacy, err := fl.RunGossip(testFed(fedSeed), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		legacy := stepToEnd(t, func() (*fl.Gossip, error) { return fl.NewGossip(testFed(fedSeed), cfg) }).Result()
 		got := eng.Result()
 		for i := range got.Rounds {
 			if got.Rounds[i].MeanAcc != legacy.Rounds[i].MeanAcc {
-				t.Fatalf("round %d diverges from deprecated fl.RunGossip", i)
+				t.Fatalf("round %d diverges from a bare Step loop", i)
 			}
 		}
 	})

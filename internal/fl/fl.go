@@ -256,28 +256,6 @@ func (f *Federated) Step(ctx context.Context) (*engine.StepResult, bool, error) 
 	}}, false, nil
 }
 
-// Run executes FedAvg (or FedProx when cfg.ProxMu > 0) to completion.
-//
-// Deprecated: Run cannot be canceled or observed mid-flight. New code
-// should construct the engine with NewFederated and drive it through the
-// unified run API — specdag.Run(ctx, fedEngine, opts...) — then read
-// Result; Run is kept as a thin convenience wrapper.
-func Run(fed *dataset.Federation, cfg Config) (*Result, error) {
-	f, err := NewFederated(fed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		_, done, err := f.Step(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return f.Result(), nil
-		}
-	}
-}
-
 // MeanAccs returns the per-round mean accuracy curve.
 func (r *Result) MeanAccs() []float64 {
 	out := make([]float64, len(r.Rounds))

@@ -50,18 +50,18 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestRunRejectsBadInput(t *testing.T) {
-	if _, err := Run(&dataset.Federation{}, smallConfig()); err == nil {
+	if _, err := runFed(&dataset.Federation{}, smallConfig()); err == nil {
 		t.Error("empty federation should be rejected")
 	}
 	cfg := smallConfig()
 	cfg.Rounds = 0
-	if _, err := Run(smallFed(1), cfg); err == nil {
+	if _, err := runFed(smallFed(1), cfg); err == nil {
 		t.Error("bad config should be rejected")
 	}
 }
 
 func TestFedAvgLearns(t *testing.T) {
-	res, err := Run(smallFed(1), smallConfig())
+	res, err := runFed(smallFed(1), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFedAvgLearns(t *testing.T) {
 func TestFedProxLabelAndConvergence(t *testing.T) {
 	cfg := smallConfig()
 	cfg.ProxMu = 0.1
-	res, err := Run(smallFed(2), cfg)
+	res, err := runFed(smallFed(2), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFedProxLabelAndConvergence(t *testing.T) {
 }
 
 func TestRoundResultShape(t *testing.T) {
-	res, err := Run(smallFed(3), smallConfig())
+	res, err := runFed(smallFed(3), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestRoundResultShape(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	a, err := Run(smallFed(4), smallConfig())
+	a, err := runFed(smallFed(4), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(smallFed(4), smallConfig())
+	b, err := runFed(smallFed(4), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestMeanCurvesLengths(t *testing.T) {
-	res, err := Run(smallFed(5), smallConfig())
+	res, err := runFed(smallFed(5), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,13 @@ func TestFedProxStaysCloserToGlobal(t *testing.T) {
 		Arch:            nn.Arch{In: 60, Out: 10},
 		Seed:            8,
 	}
-	avg, err := Run(fed, base)
+	avg, err := runFed(fed, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	proxCfg := base
 	proxCfg.ProxMu = 0.5
-	prox, err := Run(fed, proxCfg)
+	prox, err := runFed(fed, proxCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func BenchmarkFedAvgRound(b *testing.B) {
 	cfg.Rounds = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(fed, cfg); err != nil {
+		if _, err := runFed(fed, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestFedAvgWorkerInvariance(t *testing.T) {
 		cfg := smallConfig()
 		cfg.Workers = workers
 		cfg.ProxMu = 0.1 // exercise the proximal path too
-		res, err := Run(smallFed(11), cfg)
+		res, err := runFed(smallFed(11), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,25 +175,3 @@ func (g *Gossip) Step(ctx context.Context) (*engine.StepResult, bool, error) {
 		Detail:   &g.res.Rounds[len(g.res.Rounds)-1],
 	}}, false, nil
 }
-
-// RunGossip executes the gossip-learning baseline to completion.
-//
-// Deprecated: RunGossip cannot be canceled or observed mid-flight. New code
-// should construct the engine with NewGossip and drive it through the
-// unified run API — specdag.Run(ctx, gossipEngine, opts...) — then read
-// Result; RunGossip is kept as a thin convenience wrapper.
-func RunGossip(fed *dataset.Federation, cfg GossipConfig) (*Result, error) {
-	g, err := NewGossip(fed, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		_, done, err := g.Step(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return g.Result(), nil
-		}
-	}
-}

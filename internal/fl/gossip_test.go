@@ -40,19 +40,19 @@ func TestGossipConfigValidate(t *testing.T) {
 }
 
 func TestGossipRejectsBadInput(t *testing.T) {
-	if _, err := RunGossip(&dataset.Federation{}, gossipConfig()); err == nil {
+	if _, err := runGossip(&dataset.Federation{}, gossipConfig()); err == nil {
 		t.Error("empty federation rejected")
 	}
 	single := dataset.FMNISTClustered(dataset.FMNISTConfig{
 		Clients: 1, TrainPerClient: 20, TestPerClient: 10, Seed: 1,
 	})
-	if _, err := RunGossip(single, gossipConfig()); err == nil {
+	if _, err := runGossip(single, gossipConfig()); err == nil {
 		t.Error("gossip with a single client should be rejected (no peers)")
 	}
 }
 
 func TestGossipLearns(t *testing.T) {
-	res, err := RunGossip(smallFed(1), gossipConfig())
+	res, err := runGossip(smallFed(1), gossipConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestGossipLearns(t *testing.T) {
 }
 
 func TestGossipDeterminism(t *testing.T) {
-	a, err := RunGossip(smallFed(2), gossipConfig())
+	a, err := runGossip(smallFed(2), gossipConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunGossip(smallFed(2), gossipConfig())
+	b, err := runGossip(smallFed(2), gossipConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestGossipDeterminism(t *testing.T) {
 }
 
 func TestGossipRoundShape(t *testing.T) {
-	res, err := RunGossip(smallFed(3), gossipConfig())
+	res, err := runGossip(smallFed(3), gossipConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,12 @@
 // the invariance and resume-equivalence suites, which a new code path can
 // silently bypass.
 //
-// The five analyzers (see All):
+// The four analyzers (see All):
 //
 //	detrand     — no ambient randomness or wall clock in deterministic packages
 //	maporder    — no order-sensitive iteration over maps in deterministic packages
 //	budget      — no naked go statements outside internal/par
 //	kernelorder — no math.FMA or float32 arithmetic in the default mathx backend
-//	deprecated  — no internal callers of deprecated pre-engine entry points
 //
 // The suite runs as a vettool (cmd/speclint) under "go vet -vettool=", using
 // a small local reimplementation of the golang.org/x/tools/go/analysis
@@ -88,18 +87,9 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.TypesInfo.TypeOf(e)
 }
 
-// ObjectOf returns the object denoted by the identifier, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.TypesInfo.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
-}
-
 // IsTestFile reports whether the file containing pos is a _test.go file.
 // Test files may violate the runtime contracts on purpose (stress tests
-// spawn raw goroutines; equivalence tests call deprecated entry points to
-// pin their numerics), so most analyzers skip them.
+// spawn raw goroutines), so most analyzers skip them.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
@@ -162,7 +152,7 @@ func IsDeterministicPkg(path string) bool {
 
 // All returns the full speclint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, MapOrder, Budget, KernelOrder, Deprecated}
+	return []*Analyzer{Detrand, MapOrder, Budget, KernelOrder}
 }
 
 // directivePrefix introduces a speclint control comment. gofmt preserves

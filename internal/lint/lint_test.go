@@ -33,11 +33,6 @@ func TestKernelOrder(t *testing.T) {
 		"kernelorder/internal/mathx")
 }
 
-func TestDeprecated(t *testing.T) {
-	linttest.Run(t, linttest.TestData(), lint.Deprecated,
-		"deprecated/app", "deprecated/internal/core")
-}
-
 // TestDirectiveAudit pins the directive diagnostics: malformed verbs,
 // unknown analyzers, missing reasons, and stale suppressions are findings.
 func TestDirectiveAudit(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -377,8 +377,18 @@ func TestShutdownRestore(t *testing.T) {
 	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "runs.json")); err != nil {
-		t.Fatalf("manifest not persisted: %v", err)
+	// Persistence goes temp file → sync → rename: what is left is exactly the
+	// manifest and the paused run's checkpoint, never a partial file.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"run-1.sdc", "runs.json"}; !slices.Equal(names, want) {
+		t.Fatalf("persisted files %v, want %v", names, want)
 	}
 
 	s2 := NewServer(Config{Workers: 4, CheckpointEvery: 3, Dir: dir})

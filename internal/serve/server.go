@@ -20,7 +20,6 @@ import (
 	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/sim"
-	"github.com/specdag/specdag/internal/tipselect"
 	"github.com/specdag/specdag/internal/wire"
 )
 
@@ -266,71 +265,65 @@ func (r *RunRequest) normalize() {
 	}
 }
 
-// buildSpec resolves the request's dataset, preset and selector.
-func buildSpec(req *RunRequest) (sim.Spec, sim.Preset, tipselect.Selector, error) {
-	preset := sim.Quick
-	switch req.Preset {
-	case "quick":
-	case "full":
-		preset = sim.Full
-	default:
-		return sim.Spec{}, preset, nil, fmt.Errorf("unknown preset %q (quick | full)", req.Preset)
-	}
-	var spec sim.Spec
-	switch req.Dataset {
-	case "fmnist":
-		spec = sim.FMNISTSpec(preset, req.Seed)
-	case "fmnist-relaxed":
-		spec = sim.RelaxedFMNISTSpec(preset, req.Seed)
-	case "fmnist-bywriter":
-		spec = sim.ByWriterFMNISTSpec(preset, req.Seed)
-	case "poets":
-		spec = sim.PoetsSpec(preset, req.Seed)
-	case "cifar100":
-		spec = sim.CIFARSpec(preset, req.Seed)
-	case "fedprox":
-		spec = sim.FedProxSpec(preset, req.Seed)
-	default:
-		return sim.Spec{}, preset, nil, fmt.Errorf("unknown dataset %q (fmnist | fmnist-relaxed | fmnist-bywriter | poets | cifar100 | fedprox)", req.Dataset)
-	}
-	var norm tipselect.Normalization
-	switch req.Norm {
-	case "standard":
-		norm = tipselect.NormStandard
-	case "dynamic":
-		norm = tipselect.NormDynamic
-	default:
-		return sim.Spec{}, preset, nil, fmt.Errorf("unknown normalization %q (standard | dynamic)", req.Norm)
-	}
-	var sel tipselect.Selector
-	switch req.Selector {
-	case "accuracy":
-		sel = tipselect.AccuracyWalk{Alpha: req.Alpha, Norm: norm, DepthMin: req.DepthMin, DepthMax: req.DepthMax}
-	case "weighted":
-		sel = tipselect.WeightedWalk{Alpha: req.Alpha, DepthMin: req.DepthMin, DepthMax: req.DepthMax}
-	case "urts":
-		sel = tipselect.URTS{}
-	case "uniform":
-		sel = tipselect.UniformWalk{DepthMin: req.DepthMin, DepthMax: req.DepthMax}
-	default:
-		return sim.Spec{}, preset, nil, fmt.Errorf("unknown selector %q (accuracy | weighted | urts | uniform)", req.Selector)
-	}
-	return spec, preset, sel, nil
-}
-
-// compactionFor maps the request's compaction fields to the engine config.
+// compaction maps the request's compaction fields to the engine config.
 // SpillDir stays empty by design: requests must not name server filesystem
 // paths, and the live suffix plus epoch summaries are what a served run's
 // stream and checkpoints expose anyway.
-func compactionFor(req *RunRequest) dag.Compaction {
-	if req.CompactWidth <= 0 {
-		return dag.Compaction{}
+func (r *RunRequest) compaction() dag.Compaction {
+	return sim.CompactionByWidth(r.CompactWidth, r.CompactLive)
+}
+
+// Configs resolves the request's names (the tables live in internal/sim) and
+// assembles the configuration of the engine it asks for — exactly one of the
+// returned configs is non-nil — drawing workers from pool. cmd/specdag turns
+// its flags into a RunRequest and comes through here too, so the command
+// line and the daemon cannot drift apart.
+func (r *RunRequest) Configs(pool *par.Budget) (sim.Spec, *core.Config, *core.AsyncConfig, error) {
+	preset, err := sim.PresetByName(r.Preset)
+	if err != nil {
+		return sim.Spec{}, nil, nil, err
 	}
-	live := req.CompactLive
-	if live == 0 {
-		live = 2
+	sel, err := sim.SelectorByName(r.Selector, r.Norm, r.Alpha, r.DepthMin, r.DepthMax)
+	if err != nil {
+		return sim.Spec{}, nil, nil, err
 	}
-	return dag.Compaction{Width: req.CompactWidth, Live: live}
+	spec, err := sim.SpecByName(r.Dataset, preset, r.Seed)
+	if err != nil {
+		return sim.Spec{}, nil, nil, err
+	}
+	if r.Async {
+		return spec, nil, &core.AsyncConfig{
+			Duration:     r.Duration,
+			MinCycle:     r.MinCycle,
+			MaxCycle:     r.MaxCycle,
+			NetworkDelay: r.NetDelay,
+			Local:        spec.Local,
+			Arch:         spec.Arch,
+			Selector:     sel,
+			Workers:      r.Workers,
+			Pool:         pool,
+			Seed:         r.Seed,
+			Compaction:   r.compaction(),
+		}, nil
+	}
+	cfg := &core.Config{
+		Rounds:          preset.Rounds(),
+		ClientsPerRound: preset.ClientsPerRound(),
+		Local:           spec.Local,
+		Arch:            spec.Arch,
+		Selector:        sel,
+		Workers:         r.Workers,
+		Pool:            pool,
+		Seed:            r.Seed,
+		Compaction:      r.compaction(),
+	}
+	if r.Rounds > 0 {
+		cfg.Rounds = r.Rounds
+	}
+	if r.ClientsPerRound > 0 {
+		cfg.ClientsPerRound = r.ClientsPerRound
+	}
+	return spec, cfg, nil, nil
 }
 
 // buildEngine constructs the run's engine — fresh when ckpt is nil, resumed
@@ -338,83 +331,53 @@ func compactionFor(req *RunRequest) dag.Compaction {
 // request (and the server's shared budget), which is what makes pause,
 // resume and daemon restarts bit-identical to an uninterrupted run.
 func (s *Server) buildEngine(req *RunRequest, ckpt []byte) (engine.Engine, error) {
-	spec, preset, sel, err := buildSpec(req)
-	if err != nil {
+	spec, cfg, acfg, err := req.Configs(s.pool)
+	switch {
+	case err != nil:
 		return nil, err
+	case acfg != nil && ckpt != nil:
+		return core.ResumeAsyncSimulation(spec.Fed, *acfg, bytes.NewReader(ckpt))
+	case acfg != nil:
+		return core.NewAsyncSimulation(spec.Fed, *acfg)
+	case ckpt != nil:
+		return core.ResumeSimulation(spec.Fed, *cfg, bytes.NewReader(ckpt))
 	}
-	if req.Async {
-		acfg := core.AsyncConfig{
-			Duration:     req.Duration,
-			MinCycle:     req.MinCycle,
-			MaxCycle:     req.MaxCycle,
-			NetworkDelay: req.NetDelay,
-			Local:        spec.Local,
-			Arch:         spec.Arch,
-			Selector:     sel,
-			Workers:      req.Workers,
-			Pool:         s.pool,
-			Seed:         req.Seed,
-			Compaction:   compactionFor(req),
-		}
-		if ckpt != nil {
-			return core.ResumeAsyncSimulation(spec.Fed, acfg, bytes.NewReader(ckpt))
-		}
-		return core.NewAsyncSimulation(spec.Fed, acfg)
-	}
-	cfg := core.Config{
-		Rounds:          preset.Rounds(),
-		ClientsPerRound: preset.ClientsPerRound(),
-		Local:           spec.Local,
-		Arch:            spec.Arch,
-		Selector:        sel,
-		Workers:         req.Workers,
-		Pool:            s.pool,
-		Seed:            req.Seed,
-		Compaction:      compactionFor(req),
-	}
-	if req.Rounds > 0 {
-		cfg.Rounds = req.Rounds
-	}
-	if req.ClientsPerRound > 0 {
-		cfg.ClientsPerRound = req.ClientsPerRound
-	}
-	if ckpt != nil {
-		return core.ResumeSimulation(spec.Fed, cfg, bytes.NewReader(ckpt))
-	}
-	return core.NewSimulation(spec.Fed, cfg)
+	return core.NewSimulation(spec.Fed, *cfg)
 }
 
-// runInfo summarizes the request for the event log's start frame.
-func runInfo(eng engine.Engine, req *RunRequest) wire.RunInfo {
+// Info summarizes the request for an event log's start frame — the one key
+// set every producer of SDE1 logs records (the daemon and cmd/specdag
+// -events), with the request's own spellings as values.
+func (r *RunRequest) Info(engine string) wire.RunInfo {
 	cfg := map[string]string{
-		"dataset":  req.Dataset,
-		"preset":   req.Preset,
-		"selector": req.Selector,
-		"alpha":    strconv.FormatFloat(req.Alpha, 'g', -1, 64),
-		"norm":     req.Norm,
+		"dataset":  r.Dataset,
+		"preset":   r.Preset,
+		"selector": r.Selector,
+		"alpha":    strconv.FormatFloat(r.Alpha, 'g', -1, 64),
+		"norm":     r.Norm,
 	}
-	if req.DepthMax > 0 {
-		cfg["depth_min"] = strconv.Itoa(req.DepthMin)
-		cfg["depth_max"] = strconv.Itoa(req.DepthMax)
+	if r.DepthMax > 0 {
+		cfg["depth_min"] = strconv.Itoa(r.DepthMin)
+		cfg["depth_max"] = strconv.Itoa(r.DepthMax)
 	}
-	if c := compactionFor(req); c.Enabled() {
+	if c := r.compaction(); c.Enabled() {
 		cfg["compact_width"] = strconv.Itoa(c.Width)
 		cfg["compact_live"] = strconv.Itoa(c.Live)
 	}
-	if req.Async {
-		cfg["duration"] = strconv.FormatFloat(req.Duration, 'g', -1, 64)
-		cfg["min_cycle"] = strconv.FormatFloat(req.MinCycle, 'g', -1, 64)
-		cfg["max_cycle"] = strconv.FormatFloat(req.MaxCycle, 'g', -1, 64)
-		cfg["net_delay"] = strconv.FormatFloat(req.NetDelay, 'g', -1, 64)
+	if r.Async {
+		cfg["duration"] = strconv.FormatFloat(r.Duration, 'g', -1, 64)
+		cfg["min_cycle"] = strconv.FormatFloat(r.MinCycle, 'g', -1, 64)
+		cfg["max_cycle"] = strconv.FormatFloat(r.MaxCycle, 'g', -1, 64)
+		cfg["net_delay"] = strconv.FormatFloat(r.NetDelay, 'g', -1, 64)
 	} else {
-		if req.Rounds > 0 {
-			cfg["rounds"] = strconv.Itoa(req.Rounds)
+		if r.Rounds > 0 {
+			cfg["rounds"] = strconv.Itoa(r.Rounds)
 		}
-		if req.ClientsPerRound > 0 {
-			cfg["clients_per_round"] = strconv.Itoa(req.ClientsPerRound)
+		if r.ClientsPerRound > 0 {
+			cfg["clients_per_round"] = strconv.Itoa(r.ClientsPerRound)
 		}
 	}
-	return wire.RunInfo{Engine: eng.Name(), Label: req.Label, Seed: req.Seed, Config: cfg}
+	return wire.RunInfo{Engine: engine, Label: r.Label, Seed: r.Seed, Config: cfg}
 }
 
 // Submit registers and starts a run, returning its ID. It is the
@@ -447,7 +410,7 @@ func (s *Server) Submit(req RunRequest) (int, error) {
 			r.b.EnableSpill(filepath.Join(s.cfg.SpillDir, fmt.Sprintf("run-%d.sde", id)))
 		}
 	}
-	info := runInfo(eng, &req)
+	info := req.Info(eng.Name())
 	r.b.Append(wire.Frame{Kind: wire.KindStart, Start: &info})
 	if err := s.launch(r, eng); err != nil {
 		return 0, err
@@ -912,7 +875,7 @@ func (s *Server) persist() error {
 				ext = ".sda"
 			}
 			e.CheckpointFile = fmt.Sprintf("run-%d%s", e.ID, ext)
-			if err := os.WriteFile(filepath.Join(s.cfg.Dir, e.CheckpointFile), ckpt, 0o644); err != nil {
+			if err := writeFileAtomic(filepath.Join(s.cfg.Dir, e.CheckpointFile), ckpt); err != nil {
 				return fmt.Errorf("serve: persisting run %d: %w", e.ID, err)
 			}
 		}
@@ -922,7 +885,20 @@ func (s *Server) persist() error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(s.cfg.Dir, "runs.json"), blob, 0o644)
+	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, "runs.json"), blob); err != nil {
+		return fmt.Errorf("serve: persisting manifest: %w", err)
+	}
+	return nil
+}
+
+// writeFileAtomic replaces path with data via temp file, sync and rename: a
+// crash mid-shutdown leaves the previous manifest (or checkpoint) intact
+// instead of a truncated one that Restore would refuse.
+func writeFileAtomic(path string, data []byte) error {
+	return engine.WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // Restore re-registers the runs a previous daemon persisted on shutdown.
@@ -982,7 +958,7 @@ func (s *Server) Restore() (int, error) {
 			if err != nil {
 				return restored, fmt.Errorf("serve: restoring run %d: %w", e.ID, err)
 			}
-			info := runInfo(eng, &e.Request)
+			info := e.Request.Info(eng.Name())
 			r.b.Append(wire.Frame{Kind: wire.KindStart, Start: &info})
 			r.ckptIndex = r.b.NextIndex()
 		case StateRunning:

@@ -206,20 +206,15 @@ func buildCell(c *Cell, dir string, every int) (engine.Engine, []engine.Option, 
 
 func withCellCheckpoints(opts []engine.Option, dir, name string, every int) []engine.Option {
 	return append(opts, engine.WithCheckpoints(every, func(int) (io.WriteCloser, error) {
-		return newAtomicFile(cellCheckpointPath(dir, name))
+		return engine.CreateAtomic(cellCheckpointPath(dir, name))
 	}))
 }
 
 func writeCellCheckpoint(dir, name string, snap engine.Snapshotter) error {
-	w, err := newAtomicFile(cellCheckpointPath(dir, name))
-	if err != nil {
+	return engine.WriteAtomic(cellCheckpointPath(dir, name), func(w io.Writer) error {
+		_, err := snap.WriteCheckpoint(w)
 		return err
-	}
-	if _, err := snap.WriteCheckpoint(w); err != nil {
-		w.abort()
-		return err
-	}
-	return w.Close()
+	})
 }
 
 // cellCheckpointPath maps a cell name to its checkpoint file, sanitizing
@@ -234,35 +229,4 @@ func cellCheckpointPath(dir, name string) string {
 		return '_'
 	}, name)
 	return filepath.Join(dir, sanitized+".sdc")
-}
-
-// atomicFile writes through a temp file renamed into place on Close, so a
-// crash mid-write never leaves a truncated checkpoint where a valid one
-// (or nothing) should be.
-type atomicFile struct {
-	f    *os.File
-	path string
-}
-
-func newAtomicFile(path string) (*atomicFile, error) {
-	f, err := os.Create(path + ".tmp")
-	if err != nil {
-		return nil, err
-	}
-	return &atomicFile{f: f, path: path}, nil
-}
-
-func (a *atomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
-
-func (a *atomicFile) Close() error {
-	if err := a.f.Close(); err != nil {
-		os.Remove(a.f.Name())
-		return err
-	}
-	return os.Rename(a.f.Name(), a.path)
-}
-
-func (a *atomicFile) abort() {
-	a.f.Close()
-	os.Remove(a.f.Name())
 }

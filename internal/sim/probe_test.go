@@ -25,7 +25,9 @@ func TestProbeCIFARSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run()
+	for sim.Round() < cfg.Rounds {
+		sim.RunRound()
+	}
 
 	truth := spec.Fed.ClusterOf()
 	model := nn.New(spec.Arch, xrand.New(3))

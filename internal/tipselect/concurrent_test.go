@@ -74,33 +74,3 @@ func TestConcurrentWalksOverSharedDAG(t *testing.T) {
 		}
 	}
 }
-
-// TestConcurrentMemoEvaluatorsDistinctClients mirrors the engine's
-// ownership rule: distinct clients' MemoEvaluators may run concurrently
-// (they share nothing), even though a single MemoEvaluator is not
-// goroutine-safe.
-func TestConcurrentMemoEvaluatorsDistinctClients(t *testing.T) {
-	d := buildWideDAG(t)
-	const clients = 8
-	var wg sync.WaitGroup
-	wg.Add(clients)
-	for c := 0; c < clients; c++ {
-		go func(c int) {
-			defer wg.Done()
-			m := NewMemoEvaluator(func(params []float64) float64 {
-				if len(params) == 0 {
-					return 0
-				}
-				return params[0]
-			})
-			rng := xrand.New(int64(c))
-			for i := 0; i < 5; i++ {
-				AccuracyWalk{Alpha: 10}.SelectTip(d, m, rng)
-			}
-			if m.Misses == 0 {
-				t.Errorf("client %d: memo never consulted", c)
-			}
-		}(c)
-	}
-	wg.Wait()
-}

@@ -46,11 +46,10 @@ type BatchIntoEvaluator interface {
 // EvalCache is the shared evaluation cache of the walk hot path: one cache
 // per (client, scope) holds the accuracies of every transaction the client's
 // walkers have scored, so the tip-walk/ReferenceWalks fan-out of a round
-// never evaluates the same transaction twice. It replaces MemoEvaluator in
-// the engines (which keep MemoEvaluator's semantics available through the
-// Scope knob on core.Config).
+// never evaluates the same transaction twice (core.Config.EvalScope chooses
+// the scope).
 //
-// Unlike MemoEvaluator, an EvalCache is safe for concurrent use: lookups
+// An EvalCache is safe for concurrent use: lookups
 // take a read lock, misses are inserted under the write lock, and the
 // hit/miss counters are atomic. Scoring itself is serialized — at most one
 // goroutine runs Score/ScoreBatch at a time, with a cache re-check after

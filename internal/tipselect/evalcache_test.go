@@ -138,9 +138,9 @@ func TestEvalCacheConcurrent(t *testing.T) {
 }
 
 // TestAccuracyWalkSameTipsWithAnyEvaluator: the walk must select identical
-// tips with identical stats whether the evaluator is the legacy
-// MemoEvaluator, a shared EvalCache, a disabled cache, or a bare
-// EvaluatorFunc — caching and batching are invisible to the protocol.
+// tips with identical stats whether the evaluator is a shared EvalCache, a
+// disabled cache, or a bare EvaluatorFunc (the uncached reference) — caching
+// and batching are invisible to the protocol.
 func TestAccuracyWalkSameTipsWithAnyEvaluator(t *testing.T) {
 	d := cacheTestDAG(t, 120, 4)
 	sel := AccuracyWalk{Alpha: 5}
@@ -156,7 +156,6 @@ func TestAccuracyWalkSameTipsWithAnyEvaluator(t *testing.T) {
 		return last, total
 	}
 
-	memo := NewMemoEvaluator(scoreByFirstParam)
 	cache := NewEvalCache(scoreByFirstParam, func(ps [][]float64) []float64 {
 		out := make([]float64, len(ps))
 		for i, p := range ps {
@@ -168,7 +167,7 @@ func TestAccuracyWalkSameTipsWithAnyEvaluator(t *testing.T) {
 	disabled.Disable = true
 
 	wantTip, wantStats := run(EvaluatorFunc(func(tx *dag.Transaction) float64 { return scoreByFirstParam(tx.Params) }))
-	for name, eval := range map[string]Evaluator{"memo": memo, "cache": cache, "disabled-cache": disabled} {
+	for name, eval := range map[string]Evaluator{"cache": cache, "disabled-cache": disabled} {
 		tip, stats := run(eval)
 		if tip != wantTip || stats != wantStats {
 			t.Fatalf("%s: walk diverged: tip %d stats %+v, want tip %d stats %+v", name, tip, stats, wantTip, wantStats)

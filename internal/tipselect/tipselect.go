@@ -67,57 +67,6 @@ type EvaluatorFunc func(tx *dag.Transaction) float64
 // Accuracy implements Evaluator.
 func (f EvaluatorFunc) Accuracy(tx *dag.Transaction) float64 { return f(tx) }
 
-// MemoEvaluator wraps a parameter-scoring function with a memo keyed by
-// transaction ID. Hits and Misses expose cache effectiveness; the paper's
-// prototype re-evaluates children on every walk, so the scalability
-// experiment (Fig. 15) disables memoization to reproduce its cost profile.
-//
-// MemoEvaluator is NOT safe for concurrent use (unsynchronized map and
-// counters): all of one evaluator's walks must run on a single goroutine,
-// and only distinct evaluators may run concurrently. The engines have moved
-// to the concurrency-safe, batch-aware EvalCache; MemoEvaluator remains for
-// single-goroutine callers that want zero synchronization overhead.
-type MemoEvaluator struct {
-	Score func(params []float64) float64
-	// Disable turns the memo off (every call is a miss).
-	Disable bool
-
-	cache  map[dag.ID]float64
-	Hits   int
-	Misses int
-}
-
-// NewMemoEvaluator returns a MemoEvaluator around score.
-func NewMemoEvaluator(score func(params []float64) float64) *MemoEvaluator {
-	return &MemoEvaluator{Score: score, cache: make(map[dag.ID]float64)}
-}
-
-// Accuracy implements Evaluator.
-func (m *MemoEvaluator) Accuracy(tx *dag.Transaction) float64 {
-	if !m.Disable {
-		if acc, ok := m.cache[tx.ID]; ok {
-			m.Hits++
-			return acc
-		}
-	}
-	m.Misses++
-	acc := m.Score(tx.Params)
-	if !m.Disable {
-		m.cache[tx.ID] = acc
-	}
-	return acc
-}
-
-// AccuracyMany implements BatchEvaluator (a per-transaction loop; the
-// batched fast path lives in EvalCache).
-func (m *MemoEvaluator) AccuracyMany(txs []*dag.Transaction) []float64 {
-	accs := make([]float64, len(txs))
-	for i, tx := range txs {
-		accs[i] = m.Accuracy(tx)
-	}
-	return accs
-}
-
 // stepScratch is per-walk reusable memory: one SelectTip call allocates at
 // most one scratch set and reuses it across every step of the walk instead
 // of allocating fresh slices per step.

@@ -294,30 +294,6 @@ func TestWalkDepthStart(t *testing.T) {
 	}
 }
 
-func TestMemoEvaluator(t *testing.T) {
-	calls := 0
-	m := NewMemoEvaluator(func(params []float64) float64 {
-		calls++
-		return params[0]
-	})
-	tx := &dag.Transaction{ID: 5, Params: []float64{0.7}}
-	if got := m.Accuracy(tx); got != 0.7 {
-		t.Fatalf("Accuracy = %v", got)
-	}
-	if got := m.Accuracy(tx); got != 0.7 {
-		t.Fatalf("Accuracy (cached) = %v", got)
-	}
-	if calls != 1 || m.Hits != 1 || m.Misses != 1 {
-		t.Fatalf("memo ineffective: calls=%d hits=%d misses=%d", calls, m.Hits, m.Misses)
-	}
-
-	m.Disable = true
-	m.Accuracy(tx)
-	if calls != 2 {
-		t.Fatal("Disable should bypass the memo")
-	}
-}
-
 func TestSelectorNames(t *testing.T) {
 	tests := []struct {
 		sel  Selector

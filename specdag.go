@@ -72,9 +72,7 @@
 //	specdag.Run(ctx, resumed)  // event stream, stats and DAG identical
 //
 // The same [Run] call drives every other engine ([NewAsyncSimulation],
-// [NewFederated], [NewGossip]). The previous fire-and-forget entry points
-// (Simulation.Run, [RunAsync], [RunFederated]) remain as thin deprecated
-// wrappers around the engines.
+// [NewFederated], [NewGossip]); it is the only way to run one.
 //
 // # Serving
 //
@@ -157,17 +155,6 @@ type AsyncResult = core.AsyncResult
 
 // AsyncClientStats summarizes one client's activity in an async run.
 type AsyncClientStats = core.AsyncClientStats
-
-// RunAsync executes the event-driven Specializing DAG simulation to
-// completion.
-//
-// Deprecated: RunAsync cannot be canceled or observed mid-flight. Construct
-// the engine with [NewAsyncSimulation], drive it with [Run], and read
-// Result afterwards.
-func RunAsync(fed *Federation, cfg AsyncConfig) (*AsyncResult, error) {
-	//speclint:allow deprecated this deprecated public wrapper delegates to its deprecated internal counterpart to keep numerics pinned
-	return core.RunAsync(fed, cfg)
-}
 
 // ---- Fault injection (internal/faults) ----
 
@@ -326,17 +313,6 @@ type FedConfig = fl.Config
 
 // FedResult is a full FedAvg/FedProx run.
 type FedResult = fl.Result
-
-// RunFederated executes FedAvg (or FedProx when cfg.ProxMu > 0) to
-// completion.
-//
-// Deprecated: RunFederated cannot be canceled or observed mid-flight.
-// Construct the engine with [NewFederated], drive it with [Run], and read
-// Result afterwards.
-func RunFederated(fed *Federation, cfg FedConfig) (*FedResult, error) {
-	//speclint:allow deprecated this deprecated public wrapper delegates to its deprecated internal counterpart to keep numerics pinned
-	return fl.Run(fed, cfg)
-}
 
 // ---- Metrics (internal/metrics, internal/graphx) ----
 

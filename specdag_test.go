@@ -34,7 +34,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := sim.Run()
+	if _, err := specdag.Run(context.Background(), sim); err != nil {
+		t.Fatal(err)
+	}
+	results := sim.Results()
 	if len(results) != 15 {
 		t.Fatalf("rounds = %d", len(results))
 	}
@@ -57,7 +60,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("misclassification out of range: %v", mis)
 	}
 
-	flRes, err := specdag.RunFederated(fed, specdag.FedConfig{
+	fedEng, err := specdag.NewFederated(fed, specdag.FedConfig{
 		Rounds:          10,
 		ClientsPerRound: 4,
 		Local:           specdag.SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10},
@@ -67,7 +70,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(flRes.MeanAccs()) != 10 {
+	if _, err := specdag.Run(context.Background(), fedEng); err != nil {
+		t.Fatal(err)
+	}
+	if len(fedEng.Result().MeanAccs()) != 10 {
 		t.Fatal("FedAvg curve wrong length")
 	}
 }
