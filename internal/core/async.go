@@ -318,21 +318,22 @@ func (a *AsyncSimulation) finish() {
 }
 
 // step processes the next scheduled client activation. It returns the event
-// detail, or nil when the simulated time horizon is exhausted.
-func (a *AsyncSimulation) step() *AsyncEvent {
+// detail, or nil when the simulated time horizon is exhausted; an error (a
+// failed epoch freeze) leaves the activation scheduled and nothing changed.
+func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 	if a.done {
-		return nil
+		return nil, nil
 	}
 	var ev event
 	for {
 		if a.queue.Len() == 0 {
 			a.finish()
-			return nil
+			return nil, nil
 		}
 		ev = heap.Pop(&a.queue).(event)
 		if ev.at > a.cfg.Duration {
 			a.finish()
-			return nil
+			return nil, nil
 		}
 		if a.net == nil || !a.net.Crashed(a.clients[ev.client].id, ev.at) {
 			break
@@ -346,7 +347,12 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 		}
 	}
 	a.flush(ev.at)
-	a.compact(int(ev.at))
+	if err := a.compact(int(ev.at)); err != nil {
+		// Nothing of the activation has run yet: put it back, so the state is
+		// the one before this step and a retry repeats it.
+		heap.Push(&a.queue, ev)
+		return nil, err
+	}
 	c, ac := a.clients[ev.client], &a.async[ev.client]
 	crng := a.root.SplitIndex("async-event", ev.seq)
 
@@ -435,7 +441,7 @@ func (a *AsyncSimulation) step() *AsyncEvent {
 		Published:   published,
 	}
 	a.events++
-	return detail
+	return detail, nil
 }
 
 // Events returns the number of client activations processed so far.

@@ -229,16 +229,19 @@ func (b *body) SetPool(p *par.Budget) {
 // time bucket (round index, or whole simulated seconds) and, when the live
 // floor advances, rebases every client's eval cache onto the suffix. Engines
 // call it from their sequential section (the quiescent point CompactTo
-// requires); it is a no-op when compaction is off.
-func (b *body) compact(bucket int) {
+// requires); it is a no-op when compaction is off. An error means an epoch
+// could not be spilled (directory gone, disk full): that epoch and everything
+// after it stay live, the tangle is as it was, and the next call retries.
+func (b *body) compact(bucket int) error {
 	if !b.compaction.Enabled() {
-		return
+		return nil
 	}
 	floor, err := b.tangle.CompactTo(bucket)
+	b.rebaseCaches(floor) // epochs frozen before the failing one stay frozen
 	if err != nil {
-		panic(fmt.Sprintf("core: epoch compaction failed: %v", err))
+		return fmt.Errorf("core: epoch compaction failed: %w", err)
 	}
-	b.rebaseCaches(floor)
+	return nil
 }
 
 func (b *body) rebaseCaches(floor dag.ID) {

@@ -18,7 +18,7 @@ import (
 func drainAsync(a *AsyncSimulation) []AsyncEvent {
 	var evs []AsyncEvent
 	for !a.done {
-		if ev := a.step(); ev != nil {
+		if ev, _ := a.step(); ev != nil {
 			evs = append(evs, *ev)
 		}
 	}
@@ -131,7 +131,7 @@ func TestAsyncCheckpointResumeBitIdentical(t *testing.T) {
 			}
 			var prefix []AsyncEvent
 			for len(prefix) < tc.cutAt {
-				if ev := cut.step(); ev != nil {
+				if ev, _ := cut.step(); ev != nil {
 					prefix = append(prefix, *ev)
 				}
 			}

@@ -10,10 +10,15 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io/fs"
+	"os"
 	"strings"
 	"testing"
 
 	"github.com/specdag/specdag/internal/dag"
+	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/faults"
 	"github.com/specdag/specdag/internal/tipselect"
 )
@@ -289,6 +294,80 @@ func TestCompactionCheckpointSizeTracksLiveSuffix(t *testing.T) {
 	if got, want := float64(compSnap.Len())/float64(refSnap.Len()), 1-frozenFrac/2; got > want {
 		t.Fatalf("compacted checkpoint is %.2fx the reference (floor %d/%d txs); want <= %.2fx",
 			got, floor, comp.DAG().Size(), want)
+	}
+}
+
+// TestCompactionSpillFailureIsAnError: a spill directory that disappears
+// mid-run (or fills up) fails the first freeze. Both engines must hand that
+// to engine.Run's caller as an error that still matches the filesystem's —
+// not panic — with every epoch unfrozen and every parameter vector in place,
+// and carry on once the directory is back.
+func TestCompactionSpillFailureIsAnError(t *testing.T) {
+	type sim interface {
+		engine.Engine
+		DAG() *dag.DAG
+	}
+	engines := []struct {
+		name  string
+		build func(t *testing.T, spill string) sim
+	}{
+		{"sync", func(t *testing.T, spill string) sim {
+			cfg := smallConfig()
+			cfg.Rounds = 36 // seed 31 first freezes at round 24; leave rounds to rerun
+			cfg.Selector = bandedSelector()
+			cfg.Compaction = dag.Compaction{Width: 3, Live: 2, SpillDir: spill}
+			s, err := NewSimulation(smallFed(31), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"async", func(t *testing.T, spill string) sim {
+			cfg := asyncConfig()
+			cfg.Duration = 45
+			cfg.Selector = bandedSelector()
+			cfg.Compaction = dag.Compaction{Width: 5, Live: 2, SpillDir: spill}
+			a, err := NewAsyncSimulation(smallFed(32), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			spill := t.TempDir() + "/spill"
+			s := e.build(t, spill)
+			if err := os.Remove(spill); err != nil { // created by SetCompaction
+				t.Fatal(err)
+			}
+			rep, err := engine.Run(context.Background(), s)
+			if err == nil {
+				t.Fatalf("run completed (%+v) although no epoch could be spilled", rep)
+			}
+			if !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("error does not wrap the filesystem's: %v", err)
+			}
+			d := s.DAG()
+			if d.LiveFloor() != 0 || len(d.FrozenEpochs()) != 0 {
+				t.Fatalf("failed freeze left floor %d and %d frozen epochs", d.LiveFloor(), len(d.FrozenEpochs()))
+			}
+			for _, tx := range d.All() {
+				if len(tx.Params) == 0 {
+					t.Fatalf("failed freeze released the params of tx %d", tx.ID)
+				}
+			}
+			// With the directory restored, the same engine finishes and freezes.
+			if err := os.Mkdir(spill, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := engine.Run(context.Background(), s); err != nil || !rep.Completed {
+				t.Fatalf("rerun after restoring the spill directory: %+v, %v", rep, err)
+			}
+			if d.LiveFloor() == 0 {
+				t.Fatal("nothing froze after the spill directory came back")
+			}
+		})
 	}
 }
 

@@ -89,18 +89,15 @@ func (p PoisonConfig) Enabled() bool {
 // EvalScope selects the lifetime of the per-client shared evaluation cache
 // that the tip-walk/ReferenceWalks fan-out scores transactions through.
 // Accuracies are pure per-transaction values, so the scope never changes
-// results — it trades evaluation work against memory.
+// results — it trades evaluation work against memory. (Bounding that memory
+// over a long run is compaction's job: EvalCache.Advance drops the entries
+// of frozen epochs.)
 type EvalScope int
 
 const (
 	// EvalScopeRun (the default) keeps cached accuracies for the whole run:
 	// a transaction is scored at most once per client, ever.
 	EvalScopeRun EvalScope = iota
-	// EvalScopeRound drops the cache at the start of each of the client's
-	// activations — the per-(client, round) cache. Within a round the
-	// tip walks and reference walks still share every score; across rounds
-	// memory stays bounded by the DAG's working set instead of its history.
-	EvalScopeRound
 	// EvalScopeNone disables caching entirely: every lookup re-evaluates,
 	// matching the cost profile of the paper's prototype (the Fig. 15
 	// scalability experiment uses this).
@@ -112,8 +109,6 @@ func (e EvalScope) String() string {
 	switch e {
 	case EvalScopeRun:
 		return "run"
-	case EvalScopeRound:
-		return "round"
 	case EvalScopeNone:
 		return "none"
 	default:
@@ -340,6 +335,9 @@ type Simulation struct {
 	cfg     Config
 	round   int
 	results []RoundResult
+	// compactErr is the last round's compaction failure: RunRound cannot
+	// return it, so the next Step does, once, before running anything.
+	compactErr error
 }
 
 // NewSimulation validates inputs and prepares a simulation. The DAG starts
@@ -405,12 +403,6 @@ type clientOutcome struct {
 func (s *Simulation) runClient(c *client, round int) clientOutcome {
 	crng := s.root.SplitIndex("client-round", round*100003+c.id)
 	graph := s.graphFor(c, round)
-	if s.cfg.EvalScope == EvalScopeRound {
-		// Per-(client, round) cache: this activation's walks share every
-		// score, earlier rounds' entries are dropped.
-		c.eval.Reset()
-	}
-
 	act := s.walkAverageTrain(c, graph, crng)
 	trainedParams := c.model.ParamsCopy()
 	c.lastParams = trainedParams
@@ -524,7 +516,7 @@ func (s *Simulation) RunRound() RoundResult {
 		s.deliver(p, round)
 	}
 
-	s.compact(round)
+	s.compactErr = s.compact(round)
 
 	s.results = append(s.results, res)
 	s.round++

@@ -59,7 +59,7 @@ func TestCrashAnywhereResumeEquivalenceSync(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"baseline-workers-1", func(c *Config) { c.Workers = 1 }},
-		{"workers-4-eval-scope-round", func(c *Config) { c.Workers = 4; c.EvalScope = EvalScopeRound }},
+		{"workers-4-eval-scope-run", func(c *Config) { c.Workers = 4; c.EvalScope = EvalScopeRun }},
 		{"poisoned", func(c *Config) {
 			c.Workers = 2
 			c.Poison = PoisonConfig{Fraction: 0.25, FlipA: 3, FlipB: 8, StartRound: 4, RandomAttackers: 1}
@@ -126,7 +126,7 @@ func asyncCheckpointsAtEveryEvent(t *testing.T, cfg AsyncConfig, fedSeed int64) 
 			t.Fatal(err)
 		}
 		ckpts = append(ckpts, asyncCkptAt{k: a.Events(), blob: buf.Bytes()})
-		if ev := a.step(); ev != nil {
+		if ev, _ := a.step(); ev != nil {
 			events = append(events, *ev)
 		}
 	}

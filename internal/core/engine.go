@@ -28,6 +28,12 @@ func (s *Simulation) Name() string { return "specdag" }
 // PublishEvent per transaction that entered the tangle (honest clients and
 // attackers alike). The run is done once all configured rounds completed.
 func (s *Simulation) Step(ctx context.Context) (*engine.StepResult, bool, error) {
+	if err := s.compactErr; err != nil {
+		// The round itself completed and was reported; only its freeze
+		// failed. Another Step carries on and the next round retries it.
+		s.compactErr = nil
+		return nil, false, err
+	}
 	if s.round >= s.cfg.Rounds {
 		return nil, true, nil
 	}
@@ -72,7 +78,10 @@ func (a *AsyncSimulation) Step(ctx context.Context) (*engine.StepResult, bool, e
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	ev := a.step()
+	ev, err := a.step()
+	if err != nil {
+		return nil, false, err
+	}
 	if ev == nil {
 		return nil, true, nil
 	}

@@ -143,7 +143,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 		// Uncached scoring with a multi-walk reference: every one of the five
 		// selections per activation re-evaluates from scratch.
 		{"memo-disabled", func(c *Config) { c.EvalScope = EvalScopeNone; c.ReferenceWalks = 3 }},
-		{"eval-scope-round", func(c *Config) { c.EvalScope = EvalScopeRound }},
 		{"eval-scope-none", func(c *Config) { c.EvalScope = EvalScopeNone }},
 		// Grow the tangle past the parallel cumulative-weight threshold with
 		// a shared budget, so the Workers=8 run exercises the level-parallel

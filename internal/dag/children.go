@@ -3,21 +3,15 @@ package dag
 import "sync/atomic"
 
 // childIndex is the DAG's approval index: for every transaction, the IDs of
-// the transactions that approve it directly. It replaces the old
-// RWMutex-guarded map[ID][]ID with a sharded, append-mostly structure whose
-// readers are lock-free — the tip-selection hot path calls Children and
-// NumChildren on every walk step from many walker goroutines at once, and
-// under the old design every one of those calls serialized on the same
-// RWMutex cache line.
+// the transactions that approve it directly. Its readers are lock-free — the
+// tip-selection hot path calls Children and NumChildren on every walk step
+// from many walker goroutines at once, and behind an RWMutex every one of
+// those calls serialized on the same cache line.
 //
-// Layout: IDs are dense sequential integers, so the index is an array, not a
-// map. It is split into childShards stripes by the low bits of the ID
-// (shard = id mod childShards); stripe s stores the rows of IDs s,
-// s+childShards, s+2·childShards, … in a dense slice indexed by id /
-// childShards. Sharding keeps each stripe's row slice — the only thing that
-// has to be copied when the index grows — 1/childShards of the total, and
-// spreads consecutive IDs (which the round engine appends together) across
-// stripes.
+// Layout: IDs are dense sequential integers, so the index is one array of
+// rows indexed by ID, not a map. The array grows by amortised doubling
+// (O(1) per append; the whole-array copy happens log n times over a run),
+// and each row's child list does the same.
 //
 // Concurrency contract (single writer, lock-free readers):
 //
@@ -33,19 +27,8 @@ import "sync/atomic"
 //     never rewritten. Readers may therefore retain and iterate a returned
 //     snapshot without copying, indefinitely.
 type childIndex struct {
-	shards [childShards]childShard
-}
-
-const (
-	childShardBits = 5
-	childShards    = 1 << childShardBits
-)
-
-// childShard holds the child rows of one ID stripe.
-type childShard struct {
-	// rows[slot] is the row of ID slot·childShards + shardIndex. Grown
-	// copy-on-write by the single writer; every published element is non-nil
-	// and never replaced.
+	// rows[id] is the row of transaction id. Grown copy-on-write by the
+	// single writer; every published element is non-nil and never replaced.
 	rows atomic.Pointer[[]*childRow]
 }
 
@@ -56,26 +39,20 @@ type childRow struct {
 	snap atomic.Pointer[[]ID]
 }
 
-func childShardOf(id ID) (shard, slot int) {
-	return int(id) & (childShards - 1), int(id) >> childShardBits
-}
-
 // appendChild records child as a direct approver of parent. Caller must hold
 // the DAG's write lock (single-writer contract).
 func (x *childIndex) appendChild(parent, child ID) {
-	shard, slot := childShardOf(parent)
-	x.shards[shard].ensure(slot).append(child)
+	x.ensure(int(parent)).append(child)
 }
 
 // children returns the immutable child snapshot of id (nil when id has no
 // children yet). Lock-free; safe to call concurrently with appendChild.
 func (x *childIndex) children(id ID) []ID {
-	shard, slot := childShardOf(id)
-	rows := x.shards[shard].rows.Load()
-	if rows == nil || slot >= len(*rows) {
+	rows := x.rows.Load()
+	if rows == nil || int(id) >= len(*rows) {
 		return nil
 	}
-	snap := (*rows)[slot].snap.Load()
+	snap := (*rows)[id].snap.Load()
 	if snap == nil {
 		return nil
 	}
@@ -87,10 +64,10 @@ func (x *childIndex) numChildren(id ID) int {
 	return len(x.children(id))
 }
 
-// ensure returns the row for slot, growing the stripe as needed. Writer-only.
-func (s *childShard) ensure(slot int) *childRow {
+// ensure returns the row for slot, growing the array as needed. Writer-only.
+func (x *childIndex) ensure(slot int) *childRow {
 	var rs []*childRow
-	if cur := s.rows.Load(); cur != nil {
+	if cur := x.rows.Load(); cur != nil {
 		rs = *cur
 	}
 	if slot < len(rs) {
@@ -103,7 +80,7 @@ func (s *childShard) ensure(slot int) *childRow {
 		for i := len(rs); i <= slot; i++ {
 			ext[i] = &childRow{}
 		}
-		s.rows.Store(&ext)
+		x.rows.Store(&ext)
 		return ext[slot]
 	}
 	newCap := 2 * cap(rs)
@@ -115,7 +92,7 @@ func (s *childShard) ensure(slot int) *childRow {
 	for i := len(rs); i <= slot; i++ {
 		grown[i] = &childRow{}
 	}
-	s.rows.Store(&grown)
+	x.rows.Store(&grown)
 	return grown[slot]
 }
 

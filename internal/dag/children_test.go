@@ -36,7 +36,7 @@ func TestCumulativeWeightsParallelMatchesSequential(t *testing.T) {
 		d := buildRandomDAG(t, n, int64(n))
 		d.SetParallelism(par.NewBudget(4), 8)
 		txs := d.snapshot()
-		seq := d.cumulativeWeightsSeq(txs)
+		seq := weightMap(0, sweepWeights(txs, 0, ID(len(txs)), nil))
 		pll := d.cumulativeWeightsParallel(txs)
 		if len(seq) != len(pll) {
 			t.Fatalf("n=%d: weight map sizes differ: %d vs %d", n, len(seq), len(pll))
@@ -56,7 +56,7 @@ func TestCumulativeWeightsIgnoresConcurrentGrowth(t *testing.T) {
 	d := buildRandomDAG(t, 300, 1)
 	d.SetParallelism(nil, 4)
 	txs := d.snapshot()
-	want := d.cumulativeWeightsSeq(txs)
+	want := weightMap(0, sweepWeights(txs, 0, ID(len(txs)), nil))
 	// Grow the DAG: the index now holds children beyond the old snapshot.
 	for i := 0; i < 50; i++ {
 		tips := d.Tips()
@@ -138,7 +138,7 @@ func TestConcurrentAddAndRead(t *testing.T) {
 					// the snapshot's Parents, never the (possibly trailing)
 					// live child index.
 					txs := d.snapshot()
-					seq := d.cumulativeWeightsSeq(txs)
+					seq := weightMap(0, sweepWeights(txs, 0, ID(len(txs)), nil))
 					pll := d.cumulativeWeightsParallel(txs)
 					for id, w := range seq {
 						if pll[id] != w {

@@ -24,9 +24,10 @@ import (
 // children), so a corrupted or adversarial snapshot cannot produce a cyclic
 // or dangling DAG.
 //
-// The per-transaction record codec (txRecordWriter / readTxRecord) is shared
-// with the "SDS1" epoch spill files written by compaction (see epoch.go),
-// which carry the same records under their own header.
+// The "SDS1" epoch spill files written by compaction (see epoch.go) are the
+// same stream under their own magic — a run of consecutive records that need
+// not start at genesis — so both formats go through one writer
+// (writeRecords) and one header and record reader (readHeader, readTxRecord).
 
 // codecMagic identifies snapshot files and fixes the version.
 var codecMagic = [4]byte{'S', 'D', 'G', '1'}
@@ -153,12 +154,17 @@ func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
 	if nParams > 1<<28 {
 		return nil, fmt.Errorf("tx %d: implausible param count %d", want, nParams)
 	}
-	params := make([]float64, nParams)
-	for i := range params {
+	// The vector grows with the input, by doubling up to exactly nParams, so
+	// a forged count allocates at most twice what the stream really backs.
+	params := make([]float64, 0, min(nParams, 1<<12))
+	for i := uint64(0); i < nParams; i++ {
 		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
 			return nil, fmt.Errorf("tx %d: param %d: %w", want, i, err)
 		}
-		params[i] = math.Float64frombits(bits)
+		if len(params) == cap(params) {
+			params = append(make([]float64, 0, min(nParams, 2*uint64(cap(params)))), params...)
+		}
+		params = append(params, math.Float64frombits(bits))
 	}
 	return &Transaction{
 		ID:      ID(id),
@@ -170,6 +176,46 @@ func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
 	}, nil
 }
 
+// writeRecords writes one record stream — magic, count, then txs in order —
+// through a buffer to w and returns the number of bytes written.
+func writeRecords(w io.Writer, magic [4]byte, txs []*Transaction) (int64, error) {
+	bw := bufio.NewWriter(w)
+	cw := &countingWriter{w: bw}
+	if _, err := cw.Write(magic[:]); err != nil {
+		return cw.n, err
+	}
+	if err := binary.Write(cw, binary.LittleEndian, uint32(len(txs))); err != nil {
+		return cw.n, err
+	}
+	enc := txRecordWriter{cw: cw}
+	for _, t := range txs {
+		if err := enc.write(t); err != nil {
+			return cw.n, err
+		}
+	}
+	return cw.n, bw.Flush()
+}
+
+// readHeader reads a record stream's magic and count; what names the
+// expected format ("a SDG1 snapshot") for the wrong-magic error.
+func readHeader(br *bufio.Reader, want [4]byte, what string) (uint32, error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return 0, fmt.Errorf("dag: reading magic: %w", err)
+	}
+	if magic != want {
+		return 0, fmt.Errorf("dag: bad magic %q (not %s)", magic, what)
+	}
+	var count uint32
+	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+		return 0, fmt.Errorf("dag: reading count: %w", err)
+	}
+	if count > maxSnapshotTxs {
+		return 0, fmt.Errorf("dag: header claims %d transactions (limit %d)", count, maxSnapshotTxs)
+	}
+	return count, nil
+}
+
 // WriteTo serializes the DAG to w and returns the number of bytes written.
 // Frozen transactions (below the compaction floor) serialize with their
 // released, empty parameter vectors — checkpoint size stays proportional to
@@ -177,43 +223,19 @@ func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
 func (d *DAG) WriteTo(w io.Writer) (int64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	if _, err := cw.Write(codecMagic[:]); err != nil {
-		return cw.n, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(d.txs))); err != nil {
-		return cw.n, err
-	}
-	enc := txRecordWriter{cw: cw}
-	for _, t := range d.txs {
-		if err := enc.write(t); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, cw.w.(*bufio.Writer).Flush()
+	return writeRecords(w, codecMagic, d.txs)
 }
 
 // ReadDAG deserializes a snapshot previously written with WriteTo,
 // re-validating every structural invariant.
 func ReadDAG(r io.Reader) (*DAG, error) {
 	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("dag: reading magic: %w", err)
-	}
-	if magic != codecMagic {
-		return nil, fmt.Errorf("dag: bad magic %q (not a SDG1 snapshot)", magic)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("dag: reading count: %w", err)
+	count, err := readHeader(br, codecMagic, "a SDG1 snapshot")
+	if err != nil {
+		return nil, err
 	}
 	if count == 0 {
 		return nil, fmt.Errorf("dag: snapshot has no transactions (missing genesis)")
-	}
-	if count > maxSnapshotTxs {
-		return nil, fmt.Errorf("dag: snapshot claims %d transactions (limit %d)", count, maxSnapshotTxs)
 	}
 
 	genesis, err := readTxRecord(br, 0)
@@ -242,7 +264,7 @@ func ReadDAG(r io.Reader) (*DAG, error) {
 	return d, nil
 }
 
-// countingWriter tracks bytes written for WriteTo's return value.
+// countingWriter tracks bytes written for writeRecords' return value.
 type countingWriter struct {
 	w io.Writer
 	n int64

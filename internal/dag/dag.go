@@ -18,10 +18,29 @@
 // reads under an RLock, off the per-step hot path. Transactions are
 // immutable after insertion and returned by pointer, so reads of a
 // Transaction's fields need no lock at all.
+//
+// Each notion of the tangle has one implementation, parameterised by data
+// and shared by the full DAG, the live suffix above the compaction floor,
+// a frozen epoch and a partial-visibility View:
+//
+//   - tips are one ascending idSet (DAG.tips, View.tips): a new
+//     transaction's ID is the largest, so insertion is an append and
+//     readers copy instead of sorting;
+//   - depth is one bounded breadth-first search along approval edges from a
+//     root set (depthsFrom), and the walk entry of §5.3.5 one candidate draw
+//     over it (sampleAtDepth);
+//   - cumulative weight is one reverse-topological bitset sweep over an ID
+//     range with an optional visibility mask (sweepWeights), beside the
+//     level-parallel variant large uncompacted DAGs fan out to;
+//   - the approval index is one append-mostly array with lock-free readers
+//     (childIndex);
+//   - the SDG1 snapshot and the SDS1 epoch spill are one record stream under
+//     two magics (writeRecords, readHeader, readTxRecord).
 package dag
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"strings"
@@ -72,7 +91,7 @@ type DAG struct {
 	txs  []*Transaction // writer's working slice (index = ID; insertion order is topological)
 	snap atomic.Pointer[[]*Transaction]
 	kids childIndex
-	tips map[ID]struct{}
+	tips idSet
 
 	// cwPool/cwWorkers parameterize CumulativeWeights' parallel sweep (see
 	// SetParallelism). Written before the DAG is shared; read-only afterwards.
@@ -105,14 +124,11 @@ type cwCacheEntry struct {
 // New creates a DAG containing only a genesis transaction that carries the
 // given initial model parameters.
 func New(genesisParams []float64) *DAG {
-	d := &DAG{
-		tips:            make(map[ID]struct{}),
-		lastFrozenEpoch: -1,
-	}
+	d := &DAG{lastFrozenEpoch: -1}
 	g := &Transaction{ID: 0, Issuer: GenesisIssuer, Round: -1, Params: genesisParams}
 	d.txs = append(d.txs, g)
 	d.publish()
-	d.tips[0] = struct{}{}
+	d.tips.add(0)
 	return d
 }
 
@@ -172,16 +188,14 @@ func (d *DAG) Add(issuer, round int, parents []ID, params []float64, meta Meta) 
 	}
 	d.txs = append(d.txs, t)
 	d.publish()
-	seen := map[ID]bool{}
-	for _, p := range parents {
-		if seen[p] {
+	for i, p := range parents {
+		if i > 0 && p == parents[0] {
 			continue // approving the same parent twice adds one child edge
 		}
-		seen[p] = true
 		d.kids.appendChild(p, t.ID)
-		delete(d.tips, p)
+		d.tips.remove(p)
 	}
-	d.tips[t.ID] = struct{}{}
+	d.tips.add(t.ID)
 	return t, nil
 }
 
@@ -225,20 +239,22 @@ func (d *DAG) NumChildren(id ID) int {
 func (d *DAG) IsTip(id ID) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	_, ok := d.tips[id]
-	return ok
+	return d.tips.has(id)
 }
 
 // Tips returns the current tip IDs in ascending order.
 func (d *DAG) Tips() []ID {
 	d.mu.RLock()
-	out := make([]ID, 0, len(d.tips))
-	for id := range d.tips {
-		out = append(out, id)
-	}
-	d.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	defer d.mu.RUnlock()
+	return d.tips.ids()
+}
+
+// frontier returns the transaction list and the tip set of one instant: Add
+// updates both under the write lock, so every tip ID is covered by txs.
+func (d *DAG) frontier() ([]*Transaction, idSet) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.snapshot(), d.tips.ids()
 }
 
 // All returns all transactions in insertion (topological) order.
@@ -291,70 +307,63 @@ func (d *DAG) CumulativeWeights() map[ID]int {
 		return e.weights
 	}
 	var weights map[ID]int
-	switch {
-	case floor > 0:
-		weights = cumulativeWeightsSuffix(txs, floor)
-	case n >= cumWeightsParallelMin && par.Workers(d.cwWorkers) > 1:
+	if floor == 0 && n >= cumWeightsParallelMin && par.Workers(d.cwWorkers) > 1 {
 		weights = d.cumulativeWeightsParallel(txs)
-	default:
-		weights = d.cumulativeWeightsSeq(txs)
+	} else {
+		weights = weightMap(floor, sweepWeights(txs, floor, ID(n), nil))
 	}
 	// Concurrent fillers compute identical maps; last store wins.
 	d.cwCache.Store(&cwCacheEntry{n: n, floor: floor, weights: weights})
 	return weights
 }
 
-// cumulativeWeightsSuffix sweeps the live suffix [floor, n) only. Children
-// always carry larger IDs than their parents and the frozen region is an ID
-// prefix, so every approver of a live transaction is itself live: the
-// weights computed over the suffix alone equal the full-DAG weights of
-// those transactions exactly. The returned map holds live IDs only — frozen
-// weights live in the EpochSummary aggregates.
-func cumulativeWeightsSuffix(txs []*Transaction, floor ID) map[ID]int {
-	n := len(txs)
-	m := n - int(floor)
+// sweepWeights is the approver sweep behind every cumulative weight in the
+// package: for the transactions txs[lo:hi] it returns, at index id-lo, one
+// plus the number of transactions of that range approving id directly or
+// indirectly. With a non-nil visible mask only visible transactions count
+// and are counted (the mask must be parent-closed, as a View's is);
+// invisible ones report 0.
+//
+// It walks the range in reverse insertion order — children before parents —
+// OR-ing each transaction's approver bitset into its parents', O(V·E/64).
+// Children always carry larger IDs than their parents, so restricting the
+// sweep to an ID range loses nothing above it: over the live suffix
+// [floor, n) the result equals the full-DAG weights of those transactions
+// exactly (every approver of a live transaction is itself live), and over a
+// frozen epoch's [first, last] it is the weight confirmed by frozen history.
+func sweepWeights(txs []*Transaction, lo, hi ID, visible map[ID]bool) []int {
+	m := int(hi - lo)
 	approvers := newBitsets(m)
-	for i := n - 1; i >= int(floor); i-- {
-		t := txs[i]
-		j := i - int(floor)
+	counts := make([]int, m)
+	for i := m - 1; i >= 0; i-- {
+		t := txs[int(lo)+i]
+		if visible != nil && !visible[t.ID] {
+			continue
+		}
+		src := approvers[i]
+		counts[i] = 1 + popcountSet(src)
 		for _, p := range t.Parents {
-			if p < floor {
+			if p < lo {
 				continue
 			}
-			dst := approvers[p-floor]
-			src := approvers[j]
+			dst := approvers[p-lo]
 			for w := range dst {
 				dst[w] |= src[w]
 			}
-			dst[j/64] |= 1 << (uint(j) % 64)
+			dst[i/64] |= 1 << (uint(i) % 64)
 		}
 	}
-	weights := make(map[ID]int, m)
-	for i := 0; i < m; i++ {
-		weights[floor+ID(i)] = 1 + popcountSet(approvers[i])
-	}
-	return weights
+	return counts
 }
 
-// cumulativeWeightsSeq is the single-goroutine reverse-topological sweep.
-func (d *DAG) cumulativeWeightsSeq(txs []*Transaction) map[ID]int {
-	n := len(txs)
-	approvers := newBitsets(n)
-	// Iterate in reverse topological (insertion) order: children first.
-	for i := n - 1; i >= 0; i-- {
-		t := txs[i]
-		for _, p := range t.Parents {
-			dst := approvers[p]
-			src := approvers[t.ID]
-			for w := range dst {
-				dst[w] |= src[w]
-			}
-			dst[t.ID/64] |= 1 << (uint(t.ID) % 64)
+// weightMap keys sweepWeights' counts by ID, leaving out invisible (zero)
+// entries.
+func weightMap(lo ID, counts []int) map[ID]int {
+	weights := make(map[ID]int, len(counts))
+	for i, c := range counts {
+		if c > 0 {
+			weights[lo+ID(i)] = c
 		}
-	}
-	weights := make(map[ID]int, n)
-	for i := 0; i < n; i++ {
-		weights[ID(i)] = 1 + popcountSet(approvers[i])
 	}
 	return weights
 }
@@ -494,43 +503,29 @@ func popcountSet(set []uint64) int {
 // Depths returns, for every transaction, its shortest distance (in approval
 // hops) to any tip, following child edges. Tips have depth 0.
 func (d *DAG) Depths() map[ID]int {
-	// Snapshot under the same RLock that reads the tip set: Add updates
-	// both under the write lock, so every tip ID is covered by txs.
-	d.mu.RLock()
-	txs := d.snapshot()
-	queue := make([]ID, 0, len(d.tips))
-	for id := range d.tips {
-		queue = append(queue, id)
-	}
-	d.mu.RUnlock()
-	sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-	depths := make(map[ID]int, len(txs))
-	for _, id := range queue {
-		depths[id] = 0
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, p := range txs[cur].Parents {
-			if _, seen := depths[p]; !seen {
-				depths[p] = depths[cur] + 1
-				queue = append(queue, p)
-			}
-		}
-	}
-	return depths
+	txs, tips := d.frontier()
+	return depthsFrom(txs, tips, unbounded)
 }
 
-// depthsUpTo computes shortest distances to the given tips, following child
-// edges, for every transaction within maxDepth hops — a depth-bounded
-// variant of Depths. BFS visits nodes in nondecreasing depth order and every
-// shortest path to an in-bound node stays in bound, so the result agrees
-// exactly with Depths restricted to [0, maxDepth] while the sweep cost
-// tracks the tip band, not the DAG.
-func (d *DAG) depthsUpTo(txs []*Transaction, tips []ID, maxDepth int) map[ID]int {
-	depths := make(map[ID]int, len(tips))
-	queue := append([]ID(nil), tips...)
-	for _, id := range tips {
+// unbounded is depthsFrom's maxDepth for a search of the whole ancestry.
+const unbounded = math.MaxInt
+
+// depthsFrom is the one depth search of the package: shortest distances, in
+// approval hops, from the given roots to every transaction within maxDepth
+// hops of one of them. Breadth-first search visits nodes in nondecreasing
+// depth order and every shortest path to an in-bound node stays in bound, so
+// the bounded result agrees exactly with the unbounded one restricted to
+// [0, maxDepth] while the cost tracks the band around the roots, not the
+// DAG. Approval edges never leave a parent-closed set, so a View's search
+// from its visible tips needs no visibility check.
+func depthsFrom(txs []*Transaction, roots []ID, maxDepth int) map[ID]int {
+	size := len(roots)
+	if maxDepth == unbounded {
+		size = len(txs)
+	}
+	depths := make(map[ID]int, size)
+	queue := append([]ID(nil), roots...)
+	for _, id := range roots {
 		depths[id] = 0
 	}
 	for len(queue) > 0 {
@@ -556,17 +551,15 @@ func (d *DAG) depthsUpTo(txs []*Transaction, tips []ID, maxDepth int) map[ID]int
 // entry-point sampling of §5.3.5 ("sampled at a depth of 15-25 transactions
 // from the tips, as proposed by Popov").
 func (d *DAG) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transaction {
-	d.mu.RLock()
-	txs := d.snapshot()
-	tips := make([]ID, 0, len(d.tips))
-	for id := range d.tips {
-		tips = append(tips, id)
-	}
-	d.mu.RUnlock()
-	sort.Slice(tips, func(i, j int) bool { return tips[i] < tips[j] })
-	depths := d.depthsUpTo(txs, tips, maxDepth)
+	txs, tips := d.frontier()
+	return sampleAtDepth(rng, txs, tips, minDepth, maxDepth)
+}
+
+// sampleAtDepth draws uniformly, in ID order, among the transactions whose
+// distance to the given tips lies in [minDepth, maxDepth]; genesis if none.
+func sampleAtDepth(rng *xrand.RNG, txs []*Transaction, tips []ID, minDepth, maxDepth int) *Transaction {
 	var candidates []ID
-	for id, depth := range depths {
+	for id, depth := range depthsFrom(txs, tips, maxDepth) {
 		if depth >= minDepth && depth <= maxDepth {
 			candidates = append(candidates, id)
 		}
@@ -581,18 +574,12 @@ func (d *DAG) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transaction
 // DOT renders the DAG in Graphviz format, coloring tips gray and poisoned
 // transactions red. Intended for debugging and small visual checks.
 func (d *DAG) DOT() string {
-	d.mu.RLock()
-	txs := d.snapshot()
-	tips := make(map[ID]bool, len(d.tips))
-	for id := range d.tips {
-		tips[id] = true
-	}
-	d.mu.RUnlock()
+	txs, tips := d.frontier()
 	var b strings.Builder
 	b.WriteString("digraph tangle {\n  rankdir=RL;\n")
 	for _, t := range txs {
 		attrs := fmt.Sprintf("label=\"%d\\nc%d r%d\"", t.ID, t.Issuer, t.Round)
-		if tips[t.ID] {
+		if tips.has(t.ID) {
 			attrs += ", style=filled, fillcolor=gray"
 		}
 		if t.Meta.Poisoned {
@@ -618,18 +605,50 @@ type Stats struct {
 
 // Stats returns summary statistics.
 func (d *DAG) Stats() Stats {
-	depths := d.Depths()
-	// Transaction and tip counts from one instant: both under the RLock
-	// that Add's updates are atomic against.
-	d.mu.RLock()
-	txs := len(d.snapshot())
-	tips := len(d.tips)
-	d.mu.RUnlock()
+	txs, tips := d.frontier()
 	maxDepth := 0
-	for _, dep := range depths {
+	for _, dep := range depthsFrom(txs, tips, unbounded) {
 		if dep > maxDepth {
 			maxDepth = dep
 		}
 	}
-	return Stats{Transactions: txs, Tips: tips, MaxDepth: maxDepth}
+	return Stats{Transactions: len(txs), Tips: len(tips), MaxDepth: maxDepth}
+}
+
+// idSet is a set of transaction IDs kept as an ascending slice — the tip set
+// of a DAG or a View. A new transaction's ID is the largest, so add is an
+// append; remove is a binary search and a copy of the (few) younger tips;
+// readers copy the slice instead of collecting and sorting a map. Not
+// synchronized; the owner's lock (DAG) or goroutine (View) guards it.
+type idSet []ID
+
+// find returns the position of id, or of the first larger ID.
+func (s idSet) find(id ID) int {
+	return sort.Search(len(s), func(i int) bool { return s[i] >= id })
+}
+
+func (s idSet) has(id ID) bool {
+	i := s.find(id)
+	return i < len(s) && s[i] == id
+}
+
+// ids returns a copy of the set in ascending order.
+func (s idSet) ids() idSet { return append(idSet(nil), s...) }
+
+func (s *idSet) add(id ID) {
+	i := len(*s)
+	if i > 0 && (*s)[i-1] >= id { // out of order: only a View's Reveal
+		if i = s.find(id); (*s)[i] == id {
+			return
+		}
+	}
+	*s = append(*s, 0)
+	copy((*s)[i+1:], (*s)[i:])
+	(*s)[i] = id
+}
+
+func (s *idSet) remove(id ID) {
+	if i := s.find(id); i < len(*s) && (*s)[i] == id {
+		*s = append((*s)[:i], (*s)[i+1:]...)
+	}
 }

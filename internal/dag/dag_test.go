@@ -342,6 +342,6 @@ func BenchmarkCumulativeWeights1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Measure the sequential sweep itself, not the per-size memo.
-		d.cumulativeWeightsSeq(txs)
+		weightMap(0, sweepWeights(txs, 0, ID(len(txs)), nil))
 	}
 }

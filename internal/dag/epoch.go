@@ -53,7 +53,6 @@ package dag
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -237,8 +236,8 @@ func (d *DAG) CompactTo(round int) (ID, error) {
 // holds d.mu.
 func (d *DAG) guardRoundLocked() int {
 	const blocked = -1 << 30 // below any Round: freezes nothing
-	tips := d.tipsSortedLocked()
-	depths := d.depthsUpTo(d.txs, tips, d.comp.GuardDepth)
+	tips := d.tips.ids()
+	depths := depthsFrom(d.txs, tips, d.comp.GuardDepth)
 	if d.comp.GuardDepthMin > 0 {
 		dead, bandEmpty := d.deadTipsLocked(tips, depths)
 		if bandEmpty {
@@ -256,7 +255,7 @@ func (d *DAG) guardRoundLocked() int {
 			if len(live) == 0 {
 				return blocked
 			}
-			depths = d.depthsUpTo(d.txs, live, d.comp.GuardDepth)
+			depths = depthsFrom(d.txs, live, d.comp.GuardDepth)
 		}
 	}
 	min := int(^uint(0) >> 1)
@@ -353,54 +352,33 @@ func (d *DAG) deadTipsLocked(tips []ID, depths map[ID]int) (dead map[ID]bool, ba
 	}
 }
 
-// anchoredLocked returns the set of transactions within GuardDepthMin-1
-// approval hops of a dead tip — the region whose depth is pinned strictly
-// below the walk entry band for as long as those tips stay dead. Caller
-// holds d.mu.
-func (d *DAG) anchoredLocked(tips []ID, dead map[ID]bool) map[ID]bool {
+// anchoredLocked returns the transactions within GuardDepthMin-1 approval
+// hops of a dead tip — the region whose depth is pinned strictly below the
+// walk entry band for as long as those tips stay dead — keyed to that
+// distance. Caller holds d.mu.
+func (d *DAG) anchoredLocked(tips []ID, dead map[ID]bool) map[ID]int {
 	roots := make([]ID, 0, len(dead))
 	for _, t := range tips {
 		if dead[t] {
 			roots = append(roots, t)
 		}
 	}
-	dist := make(map[ID]int, len(roots))
-	queue := append([]ID(nil), roots...)
-	for _, id := range roots {
-		dist[id] = 0
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if dist[cur] >= d.comp.GuardDepthMin-1 {
-			continue
-		}
-		for _, p := range d.txs[cur].Parents {
-			if _, seen := dist[p]; !seen {
-				dist[p] = dist[cur] + 1
-				queue = append(queue, p)
-			}
-		}
-	}
-	anchored := make(map[ID]bool, len(dist))
-	for id := range dist {
-		anchored[id] = true
-	}
-	return anchored
+	return depthsFrom(d.txs, roots, d.comp.GuardDepthMin-1)
 }
 
 // deadConsistentLocked reports whether every ancestor of tip t is either
 // anchored below the entry band or permanently beyond GuardDepth (absent
 // from the bounded depth map). Closures larger than deadConeBudget bail out
 // as "alive" — conservative, never unsound. Caller holds d.mu.
-func (d *DAG) deadConsistentLocked(t ID, anchored map[ID]bool, depths map[ID]int) bool {
+func (d *DAG) deadConsistentLocked(t ID, anchored, depths map[ID]int) bool {
 	seen := map[ID]bool{t: true}
 	queue := []ID{t}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
+		_, isAnchored := anchored[cur]
 		_, inBound := depths[cur]
-		if !anchored[cur] && inBound {
+		if !isAnchored && inBound {
 			return false
 		}
 		if len(seen) > deadConeBudget {
@@ -414,17 +392,6 @@ func (d *DAG) deadConsistentLocked(t ID, anchored map[ID]bool, depths map[ID]int
 		}
 	}
 	return true
-}
-
-// tipsSortedLocked returns the tip IDs in ascending order. Caller holds
-// d.mu (read or write).
-func (d *DAG) tipsSortedLocked() []ID {
-	out := make([]ID, 0, len(d.tips))
-	for id := range d.tips {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // freezeEpochLocked freezes epoch e if the guard permits, summarizing it,
@@ -481,7 +448,15 @@ func (d *DAG) freezeEpochLocked(e, guard int) (bool, error) {
 	if accN > 0 {
 		sum.MeanTestAcc /= float64(accN)
 	}
-	sum.WeightSum, sum.WeightMax = d.confirmedWeightsLocked(first, last)
+	// Confirmed weights: all of a frozen transaction's frozen approvers lie
+	// in its own epoch's range, because approvers have larger IDs and the
+	// frozen prefix ends at last.
+	for _, w := range sweepWeights(d.txs, first, last+1, nil) {
+		sum.WeightSum += w
+		if w > sum.WeightMax {
+			sum.WeightMax = w
+		}
+	}
 
 	if d.comp.SpillDir != "" {
 		name := fmt.Sprintf("epoch-%06d.sds", e)
@@ -509,39 +484,6 @@ func (d *DAG) freezeEpochLocked(e, guard int) (bool, error) {
 	return true, nil
 }
 
-// confirmedWeightsLocked computes the sum and maximum of the cumulative
-// weights of [first, last] restricted to that ID range — the weight each
-// transaction has confirmed from frozen history (all of a frozen
-// transaction's frozen approvers lie in its own epoch's range, because
-// approvers have larger IDs and the frozen prefix ends at last). Caller
-// holds d.mu.
-func (d *DAG) confirmedWeightsLocked(first, last ID) (sum, max int) {
-	m := int(last - first + 1)
-	approvers := newBitsets(m)
-	for i := last; i >= first; i-- {
-		t := d.txs[i]
-		for _, p := range t.Parents {
-			if p < first {
-				continue
-			}
-			dst := approvers[p-first]
-			src := approvers[i-first]
-			for w := range dst {
-				dst[w] |= src[w]
-			}
-			dst[int(i-first)/64] |= 1 << (uint(i-first) % 64)
-		}
-	}
-	for i := 0; i < m; i++ {
-		w := 1 + popcountSet(approvers[i])
-		sum += w
-		if w > max {
-			max = w
-		}
-	}
-	return sum, max
-}
-
 // writeSpillLocked writes the transactions of [first, last] to an epoch
 // spill file (atomically: temp file + rename) and returns its size. Caller
 // holds d.mu.
@@ -551,33 +493,18 @@ func (d *DAG) writeSpillLocked(path string, first, last ID) (int64, error) {
 		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	cw := &countingWriter{w: bufio.NewWriter(tmp)}
-	if _, err := cw.Write(spillMagic[:]); err != nil {
+	n, err := writeRecords(tmp, spillMagic, d.txs[first:last+1])
+	if err != nil {
 		tmp.Close()
-		return 0, err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(last-first+1)); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	enc := txRecordWriter{cw: cw}
-	for i := first; i <= last; i++ {
-		if err := enc.write(d.txs[i]); err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("dag: spilling tx %d: %w", i, err)
-		}
-	}
-	if err := cw.w.(*bufio.Writer).Flush(); err != nil {
-		tmp.Close()
-		return 0, err
+		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
 	}
-	return cw.n, nil
+	return n, nil
 }
 
 // ReadSpill decodes an epoch spill file: the transactions of one frozen
@@ -585,21 +512,11 @@ func (d *DAG) writeSpillLocked(path string, first, last ID) (int64, error) {
 // expected FirstID (records are validated to be sequential from it).
 func ReadSpill(r io.Reader, first ID) ([]*Transaction, error) {
 	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("dag: reading spill magic: %w", err)
+	count, err := readHeader(br, spillMagic, "an SDS1 epoch spill")
+	if err != nil {
+		return nil, err
 	}
-	if magic != spillMagic {
-		return nil, fmt.Errorf("dag: bad magic %q (not an SDS1 epoch spill)", magic)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, fmt.Errorf("dag: reading spill count: %w", err)
-	}
-	if count > maxSnapshotTxs {
-		return nil, fmt.Errorf("dag: spill claims %d transactions (limit %d)", count, maxSnapshotTxs)
-	}
-	txs := make([]*Transaction, 0, count)
+	var txs []*Transaction // grown as records arrive: count is not trusted
 	for i := uint32(0); i < count; i++ {
 		tx, err := readTxRecord(br, uint64(int64(first)+int64(i)))
 		if err != nil {

@@ -2,7 +2,6 @@ package dag
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/specdag/specdag/internal/xrand"
 )
@@ -19,19 +18,18 @@ import (
 // the visible set parent-closed (a transaction only after its parents),
 // which holds automatically when revealing in insertion order.
 //
-// Concurrency: a View is NOT safe for concurrent use — its visibility maps
-// are unsynchronized — so each simulated client owns one and all of that
-// client's reveals and walks happen on a single goroutine. Distinct clients'
-// views may be used concurrently with each other: the only state a View
-// shares is the underlying *DAG, whose accessors take its RWMutex, and the
+// Concurrency: a View is NOT safe for concurrent use — its visibility map
+// and tip set are unsynchronized — so each simulated client owns one and all
+// of that client's reveals and walks happen on a single goroutine. Distinct
+// clients' views may be used concurrently with each other: the only state a
+// View shares is the underlying *DAG, whose reads are lock-free, and the
 // round engine never adds transactions while views are being read.
 type View struct {
 	d *DAG
 	// visible marks revealed transactions.
 	visible map[ID]bool
-	// visibleKids counts visible children per visible transaction, for O(1)
-	// tip maintenance.
-	visibleKids map[ID]int
+	// tips holds the visible transactions without visible children.
+	tips idSet
 	// cursor is the next global insertion index not yet considered by
 	// RevealThrough.
 	cursor ID
@@ -39,13 +37,7 @@ type View struct {
 
 // NewView creates a view of d in which only genesis is visible.
 func NewView(d *DAG) *View {
-	v := &View{
-		d:           d,
-		visible:     map[ID]bool{0: true},
-		visibleKids: map[ID]int{0: 0},
-		cursor:      1,
-	}
-	return v
+	return &View{d: d, visible: map[ID]bool{0: true}, tips: idSet{0}, cursor: 1}
 }
 
 // Reveal makes the transaction with the given id visible. It returns an
@@ -64,15 +56,12 @@ func (v *View) Reveal(id ID) error {
 			return fmt.Errorf("dag: view reveal of %d before its parent %d", id, p)
 		}
 	}
+	// The visible set is parent-closed, so nothing visible approves id yet:
+	// it enters as a tip and its parents stop being tips.
 	v.visible[id] = true
-	v.visibleKids[id] = 0
-	seen := map[ID]bool{}
+	v.tips.add(id)
 	for _, p := range tx.Parents {
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		v.visibleKids[p]++
+		v.tips.remove(p)
 	}
 	return nil
 }
@@ -136,94 +125,23 @@ func (v *View) Children(id ID) []ID {
 
 // Tips returns the visible transactions without visible children, in
 // ascending order.
-func (v *View) Tips() []ID {
-	out := make([]ID, 0)
-	for id, kids := range v.visibleKids {
-		if kids == 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (v *View) Tips() []ID { return v.tips.ids() }
 
 // Depths returns, per visible transaction, the shortest distance to a
 // visible tip following visible child edges.
 func (v *View) Depths() map[ID]int {
-	depths := make(map[ID]int, len(v.visible))
-	queue := v.Tips()
-	for _, id := range queue {
-		depths[id] = 0
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, p := range v.d.MustGet(cur).Parents {
-			if !v.visible[p] {
-				continue
-			}
-			if _, seen := depths[p]; !seen {
-				depths[p] = depths[cur] + 1
-				queue = append(queue, p)
-			}
-		}
-	}
-	return depths
+	return depthsFrom(v.d.snapshot(), v.tips, unbounded)
 }
 
 // SampleAtDepth returns a uniformly random visible transaction at depth
 // [minDepth, maxDepth] from the visible tips, or genesis if none qualifies.
 func (v *View) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transaction {
-	depths := v.Depths()
-	var candidates []ID
-	for id, depth := range depths {
-		if depth >= minDepth && depth <= maxDepth {
-			candidates = append(candidates, id)
-		}
-	}
-	if len(candidates) == 0 {
-		return v.d.Genesis()
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	return v.d.MustGet(candidates[rng.Intn(len(candidates))])
+	return sampleAtDepth(rng, v.d.snapshot(), v.tips, minDepth, maxDepth)
 }
 
 // CumulativeWeights returns, per visible transaction, the number of visible
 // transactions approving it directly or indirectly, plus one for itself.
 func (v *View) CumulativeWeights() map[ID]int {
-	ids := make([]ID, 0, len(v.visible))
-	for id := range v.visible {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	index := make(map[ID]int, len(ids))
-	for i, id := range ids {
-		index[id] = i
-	}
-
-	n := len(ids)
-	words := (n + 63) / 64
-	approvers := make([][]uint64, n)
-	for i := range approvers {
-		approvers[i] = make([]uint64, words)
-	}
-	for i := n - 1; i >= 0; i-- {
-		tx := v.d.MustGet(ids[i])
-		for _, p := range tx.Parents {
-			pi, ok := index[p]
-			if !ok {
-				continue
-			}
-			dst, src := approvers[pi], approvers[i]
-			for w := range dst {
-				dst[w] |= src[w]
-			}
-			dst[i/64] |= 1 << (uint(i) % 64)
-		}
-	}
-	weights := make(map[ID]int, n)
-	for i, id := range ids {
-		weights[id] = 1 + popcountSet(approvers[i])
-	}
-	return weights
+	txs := v.d.snapshot()
+	return weightMap(0, sweepWeights(txs, 0, ID(len(txs)), v.visible))
 }

@@ -2,8 +2,8 @@
 // a single Run loop that drives any Engine — the synchronous round
 // simulation, the event-driven asynchronous simulation, the FedAvg/FedProx
 // baselines and the gossip baseline — with context cancellation at round or
-// event granularity, typed progress events delivered through Hooks or an
-// Observer, periodic mid-run metric probes, periodic checkpoints for engines
+// event granularity, typed progress events delivered through Hooks,
+// periodic mid-run metric probes, periodic checkpoints for engines
 // that support them, and a shared worker budget handed down to the engine's
 // internal fan-out.
 //
@@ -85,13 +85,6 @@ type Hooks struct {
 	OnProbe   func(ProbeEvent)
 }
 
-// Observer is the interface form of Hooks, for stateful observers.
-type Observer interface {
-	OnRound(RoundEvent)
-	OnPublish(PublishEvent)
-	OnProbe(ProbeEvent)
-}
-
 // StepResult is what an Engine reports for one completed unit of work.
 type StepResult struct {
 	Round     RoundEvent
@@ -153,19 +146,10 @@ type options struct {
 	checkOpen  func(step int) (io.WriteCloser, error)
 }
 
-// WithHooks registers progress hooks. Multiple WithHooks/WithObserver
-// options compose; each event is delivered to all of them in option order.
+// WithHooks registers progress hooks. Multiple WithHooks options compose;
+// each event is delivered to all of them in option order.
 func WithHooks(h Hooks) Option {
 	return func(o *options) { o.hooks = append(o.hooks, h) }
-}
-
-// WithObserver registers an Observer (the interface form of WithHooks).
-func WithObserver(obs Observer) Option {
-	return WithHooks(Hooks{
-		OnRound:   obs.OnRound,
-		OnPublish: obs.OnPublish,
-		OnProbe:   obs.OnProbe,
-	})
 }
 
 // WithPool hands the engine a shared worker budget: its internal per-client

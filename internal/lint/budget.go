@@ -14,7 +14,7 @@ import (
 var Budget = &Analyzer{
 	Name: "budget",
 	Doc: "forbid naked go statements outside internal/par; spawn through the shared " +
-		"par.Budget (ForEachIn/ForEachErrIn/DoIn) so goroutine fan-out stays bounded",
+		"par.Budget (ForEachIn/DoIn) so goroutine fan-out stays bounded",
 	Run: runBudget,
 }
 
@@ -29,7 +29,7 @@ func runBudget(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
-					"naked go statement outside internal/par: spawn through the shared par.Budget (par.ForEachIn/ForEachErrIn/DoIn) so goroutine fan-out stays within the accounting bound")
+					"naked go statement outside internal/par: spawn through the shared par.Budget (par.ForEachIn/DoIn) so goroutine fan-out stays within the accounting bound")
 			}
 			return true
 		})

@@ -3,16 +3,13 @@
 // per-event evaluations of the asynchronous simulator, and the sweep cells
 // (preset, seed, variant) of the experiment harness.
 //
-// Two concurrency regimes are offered:
-//
-//   - ForEach/ForEachErr/Do bound each call site independently by a worker
-//     count — two nested fan-outs may together run workers² goroutines.
-//   - A *Budget is one shared pool handed down through nested fan-outs
-//     (sweep cell → round engine): ForEachIn/ForEachErrIn/DoIn draw extra
-//     workers from the budget and fall back to inline execution when it is
-//     exhausted, so the whole tree never exceeds the budget — and never
-//     deadlocks, because a caller runs items on its own goroutine without
-//     waiting for a slot.
+// A *Budget is one shared pool handed down through nested fan-outs (sweep
+// cell → round engine): ForEachIn/DoIn draw extra workers from the budget and
+// fall back to inline execution when it is exhausted, so the whole tree never
+// exceeds the budget — and never deadlocks, because a caller runs items on
+// its own goroutine without waiting for a slot. With a nil budget each call
+// site is bounded by its worker count alone — two nested fan-outs may then
+// together run workers² goroutines.
 //
 // The helpers deliberately know nothing about determinism; they only bound
 // concurrency. Callers obtain reproducible results by writing each item's
@@ -27,7 +24,6 @@ package par
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -150,7 +146,7 @@ func goid() int64 {
 // family, and the speclint budget analyzer forbids naked go statements
 // outside this package.
 //
-// Callers must tolerate false — the usual pattern mirrors forEach's: the
+// Callers must tolerate false — the usual pattern mirrors ForEachIn's: the
 // caller keeps making progress on its own goroutine and retries Spawn when
 // more work arrives.
 func (b *Budget) Spawn(fn func()) bool {
@@ -166,59 +162,18 @@ func (b *Budget) Spawn(fn func()) bool {
 	return true
 }
 
-// ForEach invokes fn(i) for every i in [0, n), using at most workers
-// goroutines (workers <= 0 selects runtime.NumCPU()). It returns when all
-// invocations have finished. Items are claimed dynamically, so long items do
-// not serialize behind short ones. A panic inside fn is re-raised on the
-// calling goroutine after the remaining workers drain.
-func ForEach(workers, n int, fn func(i int)) {
-	_ = forEach(nil, workers, n, func(i int) error {
-		fn(i)
-		return nil
-	})
-}
-
-// ForEachErr is ForEach for item functions that can fail. Once any item
-// errors, unclaimed items are abandoned (in-flight ones finish), and the
-// lowest-indexed error observed is returned, which keeps the reported error
-// stable when several concurrent items fail.
-func ForEachErr(workers, n int, fn func(i int) error) error {
-	return forEach(nil, workers, n, fn)
-}
-
-// ForEachIn is ForEach drawing helper workers from the shared budget b
-// instead of spawning freely: the caller processes items inline, and up to
-// min(workers, n) - 1 helpers join while b has free slots. A nil budget
-// falls back to ForEach. workers retains its meaning as a per-call cap
-// (and workers == 1 stays strictly sequential regardless of the budget).
+// ForEachIn invokes fn(i) for every i in [0, n), using at most workers
+// goroutines (workers <= 0 selects runtime.NumCPU(); workers == 1 stays
+// strictly sequential regardless of the budget), and returns when all
+// invocations have finished. The caller processes items inline, and up to
+// min(workers, n) - 1 helpers join while b has free slots; a nil budget
+// spawns them freely. Items are claimed dynamically, so long items do not
+// serialize behind short ones. A panic inside fn is re-raised on the calling
+// goroutine after the remaining workers drain (unclaimed items are
+// abandoned).
 func ForEachIn(b *Budget, workers, n int, fn func(i int)) {
-	_ = forEach(b, workers, n, func(i int) error {
-		fn(i)
-		return nil
-	})
-}
-
-// ForEachErrIn is ForEachErr drawing helper workers from the shared budget.
-func ForEachErrIn(b *Budget, workers, n int, fn func(i int) error) error {
-	return forEach(b, workers, n, fn)
-}
-
-// Do runs the given functions concurrently, bounded by workers, and waits
-// for all of them. It is shorthand for ForEach over a fixed function list.
-func Do(workers int, fns ...func()) {
-	ForEach(workers, len(fns), func(i int) { fns[i]() })
-}
-
-// DoIn is Do drawing helper workers from the shared budget.
-func DoIn(b *Budget, workers int, fns ...func()) {
-	ForEachIn(b, workers, len(fns), func(i int) { fns[i]() })
-}
-
-// forEach is the shared implementation: the calling goroutine always works,
-// helpers are spawned up to workers-1 — gated by the budget when non-nil.
-func forEach(b *Budget, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
-		return nil
+		return
 	}
 	workers = Workers(workers)
 	if workers > n {
@@ -237,63 +192,38 @@ func forEach(b *Budget, workers, n int, fn func(i int) error) error {
 	}
 
 	if workers == 1 {
-		var err error
 		runLoop(func() {
 			for i := 0; i < n; i++ {
-				if err = fn(i); err != nil {
-					return
-				}
+				fn(i)
 			}
 		})
-		return err
+		return
 	}
 
 	var (
 		next     atomic.Int64
 		abort    atomic.Bool
 		mu       sync.Mutex
-		firstIdx = n
-		firstErr error
 		panicked any
 		wg       sync.WaitGroup
 	)
-	record := func(i int, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if i < firstIdx {
-			firstIdx, firstErr = i, err
-		}
-		abort.Store(true)
-	}
 	worker := func() {
-		for {
-			// Check abort before claiming: an index, once claimed, always
-			// runs, so the first claimed index (0) is always observed.
-			if abort.Load() {
-				return
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if panicked == nil {
+					panicked = r
+				}
+				mu.Unlock()
+				abort.Store(true)
 			}
+		}()
+		for !abort.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			err := func() (err error) {
-				defer func() {
-					if r := recover(); r != nil {
-						mu.Lock()
-						if panicked == nil {
-							panicked = r
-						}
-						mu.Unlock()
-						abort.Store(true)
-						err = fmt.Errorf("par: item %d panicked", i)
-					}
-				}()
-				return fn(i)
-			}()
-			if err != nil {
-				record(i, err)
-				return
-			}
+			fn(i)
 		}
 	}
 	for w := 1; w < workers; w++ {
@@ -314,5 +244,11 @@ func forEach(b *Budget, workers, n int, fn func(i int) error) error {
 	if panicked != nil {
 		panic(panicked)
 	}
-	return firstErr
+}
+
+// DoIn runs the given functions concurrently, bounded by workers and the
+// shared budget, and waits for all of them. It is shorthand for ForEachIn
+// over a fixed function list.
+func DoIn(b *Budget, workers int, fns ...func()) {
+	ForEachIn(b, workers, len(fns), func(i int) { fns[i]() })
 }

@@ -1,8 +1,6 @@
 package par
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -25,7 +23,7 @@ func TestForEachVisitsEveryItemOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		n := 250
 		counts := make([]atomic.Int64, n)
-		ForEach(workers, n, func(i int) { counts[i].Add(1) })
+		ForEachIn(nil, workers, n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: item %d ran %d times", workers, i, c)
@@ -35,15 +33,15 @@ func TestForEachVisitsEveryItemOnce(t *testing.T) {
 }
 
 func TestForEachZeroItems(t *testing.T) {
-	ForEach(4, 0, func(int) { t.Fatal("should not run") })
-	ForEach(4, -1, func(int) { t.Fatal("should not run") })
+	ForEachIn(nil, 4, 0, func(int) { t.Fatal("should not run") })
+	ForEachIn(nil, 4, -1, func(int) { t.Fatal("should not run") })
 }
 
 func TestForEachOutputByIndexIsDeterministic(t *testing.T) {
 	n := 100
 	run := func(workers int) []int {
 		out := make([]int, n)
-		ForEach(workers, n, func(i int) { out[i] = i * i })
+		ForEachIn(nil, workers, n, func(i int) { out[i] = i * i })
 		return out
 	}
 	a, b := run(1), run(8)
@@ -54,46 +52,13 @@ func TestForEachOutputByIndexIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestForEachErrReturnsLowestObservedError(t *testing.T) {
-	// Every item fails; the sequential path must report item 0, and the
-	// parallel path must report a deterministic (lowest-observed) index —
-	// with every item failing, the lowest observed is always 0 because item
-	// 0 is claimed first.
-	for _, workers := range []int{1, 4} {
-		err := ForEachErr(workers, 50, func(i int) error {
-			return fmt.Errorf("item %d", i)
-		})
-		if err == nil || err.Error() != "item 0" {
-			t.Fatalf("workers=%d: err = %v, want item 0", workers, err)
-		}
-	}
-}
-
-func TestForEachErrAbandonsAfterError(t *testing.T) {
-	boom := errors.New("boom")
-	var ran atomic.Int64
-	err := ForEachErr(2, 10_000, func(i int) error {
-		ran.Add(1)
-		if i == 0 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	if ran.Load() == 10_000 {
-		t.Fatal("no early abandon after error")
-	}
-}
-
 func TestForEachPropagatesPanic(t *testing.T) {
 	defer func() {
 		if r := recover(); r != "kaboom" {
 			t.Fatalf("recovered %v, want kaboom", r)
 		}
 	}()
-	ForEach(4, 8, func(i int) {
+	ForEachIn(nil, 4, 8, func(i int) {
 		if i == 3 {
 			panic("kaboom")
 		}
@@ -103,13 +68,13 @@ func TestForEachPropagatesPanic(t *testing.T) {
 
 func TestDoRunsAll(t *testing.T) {
 	var a, b, c atomic.Bool
-	Do(2,
+	DoIn(nil, 2,
 		func() { a.Store(true) },
 		func() { b.Store(true) },
 		func() { c.Store(true) },
 	)
 	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("Do skipped a function")
+		t.Fatal("DoIn skipped a function without a budget")
 	}
 }
 
@@ -190,22 +155,6 @@ func TestBudgetNestedAccountingCountsGoroutinesOnce(t *testing.T) {
 	}
 }
 
-func TestForEachErrInPropagatesError(t *testing.T) {
-	b := NewBudget(4)
-	err := ForEachErrIn(b, 4, 100, func(i int) error {
-		if i == 7 {
-			return errSeven
-		}
-		return nil
-	})
-	if err != errSeven {
-		t.Fatalf("err = %v, want errSeven", err)
-	}
-	if b.InUse() != 0 {
-		t.Fatal("slots leaked after error")
-	}
-}
-
 func TestDoInRunsAll(t *testing.T) {
 	b := NewBudget(2)
 	var a, c atomic.Bool
@@ -218,8 +167,8 @@ func TestDoInRunsAll(t *testing.T) {
 	}
 }
 
-// TestNilBudgetFallsBack: a nil budget behaves exactly like the unbudgeted
-// helpers.
+// TestNilBudgetFallsBack: a nil budget bounds the call by its worker count
+// alone.
 func TestNilBudgetFallsBack(t *testing.T) {
 	var n atomic.Int64
 	ForEachIn(nil, 4, 10, func(i int) { n.Add(1) })
@@ -227,5 +176,3 @@ func TestNilBudgetFallsBack(t *testing.T) {
 		t.Fatalf("ran %d items, want 10", n.Load())
 	}
 }
-
-var errSeven = errors.New("seven")

@@ -7,42 +7,6 @@ import (
 	"github.com/specdag/specdag/internal/dag"
 )
 
-// BatchEvaluator is an Evaluator that can score several transactions in one
-// call. The walk engines prefer this interface when the evaluator provides
-// it: at every step of an accuracy walk all children of the current
-// transaction are scored together, so a batch-aware evaluator can resolve
-// cache hits in one lookup pass and amortize the misses through a single
-// batched model-evaluation call (nn.EvaluateMany) instead of per-child
-// SetParams+Evaluate round trips.
-type BatchEvaluator interface {
-	Evaluator
-	// AccuracyMany returns the accuracy of each transaction, aligned with
-	// txs. It must be equivalent to calling Accuracy per transaction.
-	AccuracyMany(txs []*dag.Transaction) []float64
-}
-
-// WeightsMemo is an optional evaluator capability the accuracy walk uses:
-// memoizing each transaction's selection-weight vector keyed by its child
-// count and the walk's weight parameters (alpha, normalization), so
-// revisits skip child gathering, accuracy lookups and weight
-// exponentiation entirely. Implementations must return weight vectors
-// identical to what the compute callback produces.
-type WeightsMemo interface {
-	StepWeights(id dag.ID, nChildren int, alpha float64, norm Normalization, compute func() []float64) []float64
-}
-
-// BatchIntoEvaluator is an optional extension of BatchEvaluator for
-// evaluators that can append their results to a caller-provided buffer: the
-// walk loop reuses one slice across all steps of a walk instead of
-// allocating per step.
-type BatchIntoEvaluator interface {
-	BatchEvaluator
-	// AccuracyManyInto appends the accuracy of each transaction to dst
-	// (which may be nil) and returns it, with values identical to
-	// AccuracyMany's.
-	AccuracyManyInto(dst []float64, txs []*dag.Transaction) []float64
-}
-
 // EvalCache is the shared evaluation cache of the walk hot path: one cache
 // per (client, scope) holds the accuracies of every transaction the client's
 // walkers have scored, so the tip-walk/ReferenceWalks fan-out of a round
@@ -60,8 +24,8 @@ type BatchIntoEvaluator interface {
 //
 // Accuracies are pure per-transaction values (published parameters are
 // immutable, local test data fixed), so a cache may live as long as the test
-// split it scores against; Reset drops all entries when the owner shortens
-// that lifetime (per-round scope, poisoned test data).
+// split it scores against; an owner whose data changes (label poisoning)
+// swaps in a fresh cache.
 type EvalCache struct {
 	// Score evaluates one parameter vector. Required.
 	Score func(params []float64) float64
@@ -93,7 +57,7 @@ type EvalCache struct {
 	misses atomic.Int64
 }
 
-var _ BatchIntoEvaluator = (*EvalCache)(nil)
+var _ Evaluator = (*EvalCache)(nil)
 
 // NewEvalCache returns an EvalCache around the given scorers. scoreBatch may
 // be nil.
@@ -146,8 +110,8 @@ type weightsEntry struct {
 // miss and caching the result. A transaction's weights are a pure function
 // of its ordered child set (append-only, so a given count always denotes
 // the same set), the walker's cached child accuracies, and (alpha, norm) —
-// all part of the key — so a hit returns exactly what compute would; Reset
-// drops this memo together with the accuracies. When Disable is set every
+// all part of the key — so a hit returns exactly what compute would. When
+// Disable is set every
 // call computes afresh, preserving the no-caching cost profile. compute
 // must return a slice the cache may retain.
 func (e *EvalCache) StepWeights(id dag.ID, nChildren int, alpha float64, norm Normalization, compute func() []float64) []float64 {
@@ -217,30 +181,6 @@ func (e *EvalCache) Hits() int { return int(e.hits.Load()) }
 // Misses returns the number of scoring calls (cache misses) so far.
 func (e *EvalCache) Misses() int { return int(e.misses.Load()) }
 
-// Reset drops all cached accuracies (counters are kept). Call it when the
-// data the scores depend on changes (label poisoning) or when the owner
-// scopes the cache to a shorter lifetime than the run (per-round caching).
-// Without compaction, storage is retained so scoped caches do not
-// reallocate every round; once Advance has raised the floor, the high-water
-// capacity reflects frozen history, so storage is released and regrows to
-// the live-suffix size on the next put.
-func (e *EvalCache) Reset() {
-	e.mu.Lock()
-	if e.floor > 0 {
-		e.have, e.vals, e.stepWeights = nil, nil, nil
-		e.mu.Unlock()
-		return
-	}
-	for i := range e.have {
-		e.have[i] = false
-	}
-	// The weight memo derives from the accuracies; it must fall with them.
-	for i := range e.stepWeights {
-		e.stepWeights[i] = weightsEntry{}
-	}
-	e.mu.Unlock()
-}
-
 // Accuracy implements Evaluator.
 func (e *EvalCache) Accuracy(tx *dag.Transaction) float64 {
 	if e.Disable {
@@ -274,15 +214,13 @@ func (e *EvalCache) Accuracy(tx *dag.Transaction) float64 {
 	return acc
 }
 
-// AccuracyMany implements BatchEvaluator: one lookup pass under a single
-// read lock, then one batched scoring call for the misses (serialized, with
-// a re-check, like Accuracy).
-func (e *EvalCache) AccuracyMany(txs []*dag.Transaction) []float64 {
-	return e.AccuracyManyInto(nil, txs)
-}
-
-// AccuracyManyInto implements BatchIntoEvaluator: AccuracyMany appending
-// into a caller-provided buffer.
+// AccuracyManyInto appends the accuracy of each transaction to dst (which
+// may be nil) and returns it; the values equal Accuracy's per transaction.
+// At every step of an accuracy walk all children of the current transaction
+// are scored together: one lookup pass under a single read lock, then one
+// batched scoring call (nn.EvaluateMany behind ScoreBatch) for the misses —
+// serialized, with a re-check, like Accuracy — instead of per-child
+// SetParams+Evaluate round trips, into a buffer the walk reuses across steps.
 func (e *EvalCache) AccuracyManyInto(dst []float64, txs []*dag.Transaction) []float64 {
 	start := len(dst)
 	for range txs {

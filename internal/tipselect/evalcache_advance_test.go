@@ -1,8 +1,7 @@
 package tipselect
 
 // Tests for the compaction-facing surface of EvalCache: Advance rebasing the
-// dense index to the live floor, frozen IDs becoming permanent misses, and
-// Reset releasing high-water storage once a floor is set.
+// dense index to the live floor and frozen IDs becoming permanent misses.
 
 import (
 	"testing"
@@ -75,45 +74,5 @@ func TestEvalCacheAdvanceRebasesStepWeights(t *testing.T) {
 	e.StepWeights(8, 2, 10, NormStandard, compute)
 	if computes != 4 {
 		t.Fatalf("frozen memo entries must recompute: %d computes, want 4", computes)
-	}
-}
-
-func TestEvalCacheResetReleasesStorageAfterAdvance(t *testing.T) {
-	d := cacheTestDAG(t, 40, 4)
-	e := NewEvalCache(scoreByFirstParam, nil)
-	for i := 1; i < 40; i++ {
-		e.Accuracy(d.MustGet(dag.ID(i)))
-	}
-
-	// Without a floor, Reset keeps storage (scoped caches reuse it) but
-	// drops every entry.
-	e.Reset()
-	if cap(e.vals) == 0 {
-		t.Fatal("floor-0 Reset should retain storage")
-	}
-	m0 := e.Misses()
-	e.Accuracy(d.MustGet(30))
-	if e.Misses() != m0+1 {
-		t.Fatal("Reset retained an entry")
-	}
-
-	// With a floor, Reset releases the high-water arrays; the cache regrows
-	// at live size and stays correct.
-	e.Advance(35)
-	e.Reset()
-	if e.vals != nil || e.have != nil || e.stepWeights != nil {
-		t.Fatal("post-Advance Reset should release storage")
-	}
-	acc := e.Accuracy(d.MustGet(36))
-	if want := scoreByFirstParam(d.MustGet(36).Params); acc != want {
-		t.Fatalf("post-release accuracy %v, want %v", acc, want)
-	}
-	if len(e.vals) > 5 {
-		t.Fatalf("regrown storage holds %d slots, want live-sized (<=5)", len(e.vals))
-	}
-	h0 := e.Hits()
-	e.Accuracy(d.MustGet(36))
-	if e.Hits() != h0+1 {
-		t.Fatal("regrown cache does not hit")
 	}
 }

@@ -76,37 +76,6 @@ type stepScratch struct {
 	weights []float64
 }
 
-// childAccuracies scores all children of one walk step, preferring the
-// batched evaluator path. It accounts one evaluation per child in stats —
-// the walk-cost quantity of Fig. 15 counts accuracy lookups, not cache
-// misses, so the count is identical whether or not the evaluator caches or
-// batches. buf, when non-nil, provides the reusable backing storage; the
-// returned slice is valid until the next call with the same buf.
-func childAccuracies(d Graph, eval Evaluator, children []dag.ID, stats *WalkStats, buf *stepScratch) []float64 {
-	stats.Evaluations += len(children)
-	if buf == nil {
-		buf = &stepScratch{}
-	}
-	if be, ok := eval.(BatchEvaluator); ok && len(children) > 1 {
-		txs := buf.txs[:0]
-		for _, id := range children {
-			txs = append(txs, d.MustGet(id))
-		}
-		buf.txs = txs
-		if bi, ok := eval.(BatchIntoEvaluator); ok {
-			buf.accs = bi.AccuracyManyInto(buf.accs[:0], txs)
-			return buf.accs
-		}
-		return be.AccuracyMany(txs)
-	}
-	accs := buf.accs[:0]
-	for _, id := range children {
-		accs = append(accs, eval.Accuracy(d.MustGet(id)))
-	}
-	buf.accs = accs
-	return accs
-}
-
 // WalkStats accounts for the cost of one tip selection, the quantity behind
 // the scalability experiment (Fig. 15): the number of steps taken and the
 // number of child-model evaluations performed.
@@ -231,29 +200,38 @@ func (w AccuracyWalk) SelectTip(d Graph, eval Evaluator, rng *xrand.RNG) (*dag.T
 	cur := walkStart(d, rng, w.DepthMin, w.DepthMax)
 	var stats WalkStats
 	var buf stepScratch
-	memo, hasMemo := eval.(WeightsMemo)
+	// The engines' evaluator is an *EvalCache, which scores a step's children
+	// in one batch and memoizes the step's weight vector; any other Evaluator
+	// (a bare function) is asked child by child — same values, same tips.
+	cache, _ := eval.(*EvalCache)
 	for {
 		children := d.Children(cur.ID)
 		if len(children) == 0 {
 			return cur, stats
 		}
 		stats.Steps++
+		// One evaluation per child either way: Fig. 15's walk-cost metric
+		// counts accuracy lookups, not what the caches short-circuit.
+		stats.Evaluations += len(children)
 		var weights []float64
-		if hasMemo {
+		if cache != nil {
 			// A transaction's weights are pure in its child set and the
 			// walker's cached accuracies, so repeat visits skip the whole
-			// scoring step. The evaluation count stays the per-step child
-			// count either way — Fig. 15's walk-cost metric counts accuracy
-			// lookups, not what the caches short-circuit.
-			stats.Evaluations += len(children)
-			weights = memo.StepWeights(cur.ID, len(children), w.Alpha, w.Norm, func() []float64 {
-				var scored WalkStats // already accounted above
-				accs := childAccuracies(d, eval, children, &scored, &buf)
-				return WeightsInto(nil, accs, w.Alpha, w.Norm)
+			// scoring step.
+			weights = cache.StepWeights(cur.ID, len(children), w.Alpha, w.Norm, func() []float64 {
+				buf.txs = buf.txs[:0]
+				for _, id := range children {
+					buf.txs = append(buf.txs, d.MustGet(id))
+				}
+				buf.accs = cache.AccuracyManyInto(buf.accs[:0], buf.txs)
+				return WeightsInto(nil, buf.accs, w.Alpha, w.Norm)
 			})
 		} else {
-			accs := childAccuracies(d, eval, children, &stats, &buf)
-			buf.weights = WeightsInto(buf.weights[:0], accs, w.Alpha, w.Norm)
+			buf.accs = buf.accs[:0]
+			for _, id := range children {
+				buf.accs = append(buf.accs, eval.Accuracy(d.MustGet(id)))
+			}
+			buf.weights = WeightsInto(buf.weights[:0], buf.accs, w.Alpha, w.Norm)
 			weights = buf.weights
 		}
 		next := children[rng.WeightedChoice(weights)]

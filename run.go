@@ -44,9 +44,6 @@ type ProbeEvent = engine.ProbeEvent
 // regardless of the engine's internal worker count.
 type Hooks = engine.Hooks
 
-// Observer is the interface form of Hooks, for stateful observers.
-type Observer = engine.Observer
-
 // Snapshotter is implemented by engines whose full state can be
 // checkpointed mid-run and resumed bit-identically (*Simulation and
 // *AsyncSimulation).
@@ -86,12 +83,9 @@ func Run(ctx context.Context, e Engine, opts ...RunOption) (*RunReport, error) {
 	return engine.Run(ctx, e, opts...)
 }
 
-// WithHooks registers progress hooks. Multiple WithHooks/WithObserver
-// options compose; each event is delivered to all of them in option order.
+// WithHooks registers progress hooks. Multiple WithHooks options compose;
+// each event is delivered to all of them in option order.
 func WithHooks(h Hooks) RunOption { return engine.WithHooks(h) }
-
-// WithObserver registers an Observer (the interface form of WithHooks).
-func WithObserver(o Observer) RunOption { return engine.WithObserver(o) }
 
 // WithPool hands the engine a shared worker budget for its internal
 // fan-out (see WorkerPool).
