@@ -152,6 +152,10 @@ func TestParseFlagsRejections(t *testing.T) {
 		"-dataset mnist":                        "unknown dataset",
 		"-selector greedy":                      "unknown selector",
 		"-norm l2":                              "unknown normalization",
+		"-async -depth-min 20 -depth-max 10":    "depth-min 20 exceeds depth-max 10",
+		"-depth-min 5":                          "depth-min 5 needs a depth-max",
+		"-depth-min -1 -depth-max 4":            "must not be negative",
+		"-selector uniform -depth-max -3":       "must not be negative",
 		"-progress-every 0":                     "-progress-every",
 		"-progress-every -3":                    "-progress-every",
 		"-async -duration 10 -progress-every 0": "-progress-every",

@@ -27,8 +27,16 @@
 //     transaction's ID is the largest, so insertion is an append and
 //     readers copy instead of sorting;
 //   - depth is one bounded breadth-first search along approval edges from a
-//     root set (depthsFrom), and the walk entry of §5.3.5 one candidate draw
-//     over it (sampleAtDepth);
+//     root set (denseSearch.run), on dense arrays: depth by ID in a
+//     generation-stamped array that is reused and never cleared, the queue
+//     doubling as the visit order — no map, except the one Depths builds for
+//     its callers. The walk entry of §5.3.5 is one candidate draw over it
+//     (drawAtDepth), and DAG.SampleAtDepth memoizes the band it draws from
+//     per tangle state beside the cumulative-weights memo it mirrors: Add
+//     only appends and moves the tip set under the same lock, so the
+//     snapshot length determines the tips, hence the depths, hence the
+//     band. The compaction freeze guard starts from that same search and
+//     memoizes its verdict on the transaction count (guardRoundLocked);
 //   - cumulative weight is one reverse-topological bitset sweep over an ID
 //     range with an optional visibility mask (sweepWeights), beside the
 //     level-parallel variant large uncompacted DAGs fan out to;
@@ -42,6 +50,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -102,6 +111,15 @@ type DAG struct {
 	// within a simulation round (tangle frozen) every walker reuses one
 	// sweep instead of recomputing an identical map per walk.
 	cwCache atomic.Pointer[cwCacheEntry]
+	// bandMemo memoizes the last SampleAtDepth entry band the same way (see
+	// SampleAtDepth). depthMu serializes its fillers and, for holders of
+	// mu's read side, guards tipSearch: the depth search from all tips that
+	// tipSearchN/tipSearchMax (snapshot size, bound) say it still holds.
+	bandMemo     atomic.Pointer[depthBand]
+	depthMu      sync.Mutex
+	tipSearch    denseSearch
+	tipSearchN   int
+	tipSearchMax int
 
 	// Epoch compaction state (see epoch.go). comp, frozen and
 	// lastFrozenEpoch are guarded by mu; floor mirrors the first live ID
@@ -110,6 +128,12 @@ type DAG struct {
 	frozen          []EpochSummary
 	lastFrozenEpoch int
 	floor           atomic.Int64
+	// guardRound memoizes the freeze guard's verdict for a tangle of guardN
+	// transactions (0: none); guardAux is the dead-tip analysis' scratch.
+	// All guarded by mu's write side.
+	guardN     int
+	guardRound int
+	guardAux   [2]denseSearch
 }
 
 // cwCacheEntry pairs a weights map with the snapshot size and compaction
@@ -504,45 +528,130 @@ func popcountSet(set []uint64) int {
 // hops) to any tip, following child edges. Tips have depth 0.
 func (d *DAG) Depths() map[ID]int {
 	txs, tips := d.frontier()
-	return depthsFrom(txs, tips, unbounded)
+	return depthMap(txs, tips)
 }
 
-// unbounded is depthsFrom's maxDepth for a search of the whole ancestry.
+// depthMap is the exported form of an unbounded depth search: one map entry
+// per transaction reachable from roots. The map exists only at this edge;
+// nothing inside the package reads depths through one.
+func depthMap(txs []*Transaction, roots []ID) map[ID]int {
+	var s denseSearch
+	nodes := s.run(txs, roots, unbounded)
+	depths := make(map[ID]int, len(nodes))
+	for _, id := range nodes {
+		depths[id] = s.depth(id)
+	}
+	return depths
+}
+
+// unbounded is denseSearch.run's maxDepth for a search of the whole ancestry.
 const unbounded = math.MaxInt
 
-// depthsFrom is the one depth search of the package: shortest distances, in
+// denseSearch is the storage of one breadth-first search over transaction
+// IDs, reusable across searches without clearing: IDs are dense (index =
+// ID), so "reached, and at which depth" is an array cell stamped with the
+// generation of the search that wrote it, and starting a search is bumping
+// the generation. The array is sized by the snapshot, not by the ID span
+// between the oldest and newest root — orphaned tips stay tips forever, so
+// that span is the whole run — and only ever grows (8 bytes per transaction,
+// doubling). Not synchronized; see DAG.tipDepthsLocked and View for who owns
+// which instance.
+type denseSearch struct {
+	gen   uint32
+	marks []depthMark // by ID; current iff marks[id].gen == gen
+	nodes []ID        // the reached transactions in visit order (nondecreasing depth)
+}
+
+type depthMark struct {
+	gen   uint32
+	depth int32
+}
+
+// reset starts a new, empty search over a snapshot of n transactions.
+func (s *denseSearch) reset(n int) {
+	if n > len(s.marks) {
+		s.marks = make([]depthMark, max(n, 2*len(s.marks)))
+	}
+	s.gen++
+	if s.gen == 0 { // wrapped: stamps of 2^32 searches ago would read as current
+		clear(s.marks)
+		s.gen = 1
+	}
+	s.nodes = s.nodes[:0]
+}
+
+// visit records id as reached at the given depth unless the search reached
+// it before.
+func (s *denseSearch) visit(id ID, depth int) {
+	if !s.has(id) {
+		s.marks[id] = depthMark{gen: s.gen, depth: int32(depth)}
+		s.nodes = append(s.nodes, id)
+	}
+}
+
+// has reports whether the current search reached id.
+func (s *denseSearch) has(id ID) bool { return s.marks[id].gen == s.gen }
+
+// depth returns the depth at which the current search reached id.
+func (s *denseSearch) depth(id ID) int { return int(s.marks[id].depth) }
+
+// run is the one depth search of the package: shortest distances, in
 // approval hops, from the given roots to every transaction within maxDepth
-// hops of one of them. Breadth-first search visits nodes in nondecreasing
+// hops of one of them, returned as the reached IDs in visit order (valid
+// until s is reset). Breadth-first search visits nodes in nondecreasing
 // depth order and every shortest path to an in-bound node stays in bound, so
 // the bounded result agrees exactly with the unbounded one restricted to
 // [0, maxDepth] while the cost tracks the band around the roots, not the
 // DAG. Approval edges never leave a parent-closed set, so a View's search
 // from its visible tips needs no visibility check.
-func depthsFrom(txs []*Transaction, roots []ID, maxDepth int) map[ID]int {
-	size := len(roots)
-	if maxDepth == unbounded {
-		size = len(txs)
+func (s *denseSearch) run(txs []*Transaction, roots []ID, maxDepth int) []ID {
+	s.reset(len(txs))
+	if maxDepth < 0 {
+		return s.nodes
 	}
-	depths := make(map[ID]int, size)
-	queue := append([]ID(nil), roots...)
 	for _, id := range roots {
-		depths[id] = 0
+		s.visit(id, 0)
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		dep := depths[cur]
+	for head := 0; head < len(s.nodes); head++ {
+		cur := s.nodes[head]
+		dep := s.depth(cur)
 		if dep >= maxDepth {
-			continue
+			break // everything behind cur is at least as deep
 		}
 		for _, p := range txs[cur].Parents {
-			if _, seen := depths[p]; !seen {
-				depths[p] = dep + 1
-				queue = append(queue, p)
-			}
+			s.visit(p, dep+1)
 		}
 	}
-	return depths
+	return s.nodes
+}
+
+// band returns, in ascending ID order, the transactions the current search
+// reached at depth minDepth or more — a suffix of the visit order, copied so
+// the search's own order survives.
+func (s *denseSearch) band(minDepth int) []ID {
+	ids := slices.Clone(s.nodes[s.bandStart(minDepth):])
+	slices.Sort(ids)
+	return ids
+}
+
+// bandStart returns the position in s.nodes of the first transaction at
+// depth minDepth or more.
+func (s *denseSearch) bandStart(minDepth int) int {
+	return sort.Search(len(s.nodes), func(i int) bool { return s.depth(s.nodes[i]) >= minDepth })
+}
+
+// depthBand is the walk entry band of one tangle state: the transactions
+// whose depth lies in [minDepth, maxDepth], ascending, for the snapshot of n
+// transactions. Shared by all readers and never modified.
+type depthBand struct {
+	n, minDepth, maxDepth int
+	ids                   []ID
+}
+
+// holds reports whether b is the band [minDepth, maxDepth] of a snapshot of n
+// transactions; a nil band holds nothing.
+func (b *depthBand) holds(n, minDepth, maxDepth int) bool {
+	return b != nil && b.n == n && b.minDepth == minDepth && b.maxDepth == maxDepth
 }
 
 // SampleAtDepth returns a uniformly random transaction whose depth (shortest
@@ -550,25 +659,57 @@ func depthsFrom(txs []*Transaction, roots []ID, maxDepth int) map[ID]int {
 // qualifies, it returns the genesis transaction. This implements the walk
 // entry-point sampling of §5.3.5 ("sampled at a depth of 15-25 transactions
 // from the tips, as proposed by Popov").
+//
+// The band is memoized per (snapshot size, minDepth, maxDepth), like the
+// cumulative weights and for the same reason: the DAG is append-only and Add
+// changes the transaction list and the tip set under one lock, so the size
+// determines both. Every walk of one tangle state after the first takes no
+// lock and allocates nothing; walkers that miss together wait for one fill.
 func (d *DAG) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transaction {
-	txs, tips := d.frontier()
-	return sampleAtDepth(rng, txs, tips, minDepth, maxDepth)
+	txs := d.snapshot()
+	b := d.bandMemo.Load()
+	if !b.holds(len(txs), minDepth, maxDepth) {
+		txs, b = d.fillBand(minDepth, maxDepth)
+	}
+	return drawAtDepth(rng, txs, b.ids)
 }
 
-// sampleAtDepth draws uniformly, in ID order, among the transactions whose
-// distance to the given tips lies in [minDepth, maxDepth]; genesis if none.
-func sampleAtDepth(rng *xrand.RNG, txs []*Transaction, tips []ID, minDepth, maxDepth int) *Transaction {
-	var candidates []ID
-	for id, depth := range depthsFrom(txs, tips, maxDepth) {
-		if depth >= minDepth && depth <= maxDepth {
-			candidates = append(candidates, id)
-		}
+// fillBand computes, publishes and returns the entry band of the current
+// tangle state together with the transaction list it indexes.
+func (d *DAG) fillBand(minDepth, maxDepth int) ([]*Transaction, *depthBand) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	d.depthMu.Lock()
+	defer d.depthMu.Unlock()
+	if b := d.bandMemo.Load(); b.holds(len(d.txs), minDepth, maxDepth) {
+		return d.txs, b // a concurrent walker filled it while this one waited
 	}
-	if len(candidates) == 0 {
+	b := &depthBand{n: len(d.txs), minDepth: minDepth, maxDepth: maxDepth, ids: d.tipDepthsLocked(maxDepth).band(minDepth)}
+	d.bandMemo.Store(b)
+	return d.txs, b
+}
+
+// tipDepthsLocked returns the depth search from every current tip, bounded
+// by maxDepth — the frontier both the walk entry band and the compaction
+// freeze guard are defined over — running it only if the tangle grew or the
+// bound changed since the search d.tipSearch still holds. The caller holds
+// d.mu; a caller on its read side holds d.depthMu too.
+func (d *DAG) tipDepthsLocked(maxDepth int) *denseSearch {
+	if d.tipSearchN != len(d.txs) || d.tipSearchMax != maxDepth {
+		d.tipSearch.run(d.txs, d.tips, maxDepth)
+		d.tipSearchN, d.tipSearchMax = len(d.txs), maxDepth
+	}
+	return &d.tipSearch
+}
+
+// drawAtDepth is the one candidate draw of §5.3.5 for DAG and View: uniform
+// over an entry band given in ascending ID order; genesis, without touching
+// rng, when the band is empty.
+func drawAtDepth(rng *xrand.RNG, txs []*Transaction, band []ID) *Transaction {
+	if len(band) == 0 {
 		return txs[0]
 	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	return txs[candidates[rng.Intn(len(candidates))]]
+	return txs[band[rng.Intn(len(band))]]
 }
 
 // DOT renders the DAG in Graphviz format, coloring tips gray and poisoned
@@ -606,13 +747,10 @@ type Stats struct {
 // Stats returns summary statistics.
 func (d *DAG) Stats() Stats {
 	txs, tips := d.frontier()
-	maxDepth := 0
-	for _, dep := range depthsFrom(txs, tips, unbounded) {
-		if dep > maxDepth {
-			maxDepth = dep
-		}
-	}
-	return Stats{Transactions: len(txs), Tips: len(tips), MaxDepth: maxDepth}
+	var s denseSearch
+	nodes := s.run(txs, tips, unbounded)
+	// The visit order is nondecreasing in depth: the last node is a deepest.
+	return Stats{Transactions: len(txs), Tips: len(tips), MaxDepth: s.depth(nodes[len(nodes)-1])}
 }
 
 // idSet is a set of transaction IDs kept as an ascending slice — the tip set

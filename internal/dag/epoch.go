@@ -55,9 +55,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Compaction configures epoch-based freezing of old DAG history. The zero
@@ -168,6 +168,7 @@ func (d *DAG) SetCompaction(c Compaction) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.comp = c
+	d.guardN = 0 // the verdict was the old configuration's
 	return nil
 }
 
@@ -230,42 +231,60 @@ func (d *DAG) CompactTo(round int) (ID, error) {
 }
 
 // guardRoundLocked returns the minimum Round among transactions within
-// GuardDepth approval hops of the walk-reachable tips, via a depth-bounded
-// BFS. Tips whose cones are provably dead (see deadTipsLocked) are excluded:
-// no future walk can read them, so they must not pin the guard. Caller
-// holds d.mu.
+// GuardDepth approval hops of the walk-reachable tips. Tips whose cones are
+// provably dead (see deadTipsLocked) are excluded: no future walk can read
+// them, so they must not pin the guard. The verdict reads only the
+// transaction list, the tip set, the approval index and the (fixed)
+// configuration — it is pure in the tangle — so it is memoized on the
+// transaction count: a guard-blocked run recomputes it once per added
+// transaction, not once per CompactTo. Caller holds d.mu.
 func (d *DAG) guardRoundLocked() int {
+	if d.guardN != len(d.txs) {
+		d.guardN, d.guardRound = len(d.txs), d.computeGuardLocked()
+	}
+	return d.guardRound
+}
+
+// computeGuardLocked evaluates the guard on the current tangle: the depth
+// search from all tips is the walk entry draw's own (tipDepthsLocked), and
+// the dead-tip analysis runs on the two further dense searches of
+// d.guardAux. Caller holds d.mu.
+func (d *DAG) computeGuardLocked() int {
 	const blocked = -1 << 30 // below any Round: freezes nothing
-	tips := d.tips.ids()
-	depths := depthsFrom(d.txs, tips, d.comp.GuardDepth)
+	depths := d.tipDepthsLocked(d.comp.GuardDepth)
+	reached := depths.nodes
 	if d.comp.GuardDepthMin > 0 {
-		dead, bandEmpty := d.deadTipsLocked(tips, depths)
+		dead, numDead, bandEmpty := d.deadTipsLocked(depths)
 		if bandEmpty {
 			// No transaction sits in the walk entry band yet, so walks fall
 			// back to genesis entries and can read the whole DAG.
 			return blocked
 		}
-		if len(dead) > 0 {
-			live := tips[:0]
-			for _, t := range tips {
-				if !dead[t] {
-					live = append(live, t)
-				}
-			}
-			if len(live) == 0 {
-				return blocked
-			}
-			depths = depthsFrom(d.txs, live, d.comp.GuardDepth)
+		if numDead == len(d.tips) {
+			return blocked
+		}
+		if numDead > 0 {
+			reached = d.guardAux[0].run(d.txs, tipsWhere(d.tips, dead, false), d.comp.GuardDepth)
 		}
 	}
-	min := int(^uint(0) >> 1)
-	//speclint:allow maporder min update over an unordered set; visit order cannot affect the minimum
-	for id := range depths {
+	min := math.MaxInt
+	for _, id := range reached {
 		if r := d.txs[id].Round; r < min {
 			min = r
 		}
 	}
 	return min
+}
+
+// tipsWhere returns the tips whose dead flag equals want.
+func tipsWhere(tips []ID, dead []bool, want bool) []ID {
+	var out []ID
+	for i, t := range tips {
+		if dead[i] == want {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // deadConeBudget caps the per-tip ancestor-closure walk in deadTipsLocked.
@@ -275,9 +294,11 @@ func (d *DAG) guardRoundLocked() int {
 const deadConeBudget = 1 << 16
 
 // deadTipsLocked identifies tips that no walk can ever reach again, so the
-// guard may ignore them. It reports bandEmpty when no transaction currently
-// sits in the walk entry band [GuardDepthMin, GuardDepth] — then entry
-// sampling falls back to genesis and nothing at all is safe to freeze.
+// guard may ignore them: dead[i] says so of d.tips[i], numDead counts them.
+// depths is the GuardDepth-bounded search from all tips. It reports
+// bandEmpty when no transaction currently sits in the walk entry band
+// [GuardDepthMin, GuardDepth] — then entry sampling falls back to genesis
+// and nothing at all is safe to freeze.
 //
 // Reachability argument. A walk enters at a transaction whose depth lies in
 // the entry band and descends along child edges, so everything it visits,
@@ -296,99 +317,70 @@ const deadConeBudget = 1 << 16
 // fixpoint — assuming every currently-unreachable tip dead, then discarding
 // tips whose ancestor closure escapes both conditions until the remaining
 // set is self-consistent. Caller holds d.mu.
-func (d *DAG) deadTipsLocked(tips []ID, depths map[ID]int) (dead map[ID]bool, bandEmpty bool) {
-	band := make([]ID, 0, len(depths))
-	for id, dep := range depths {
-		if dep >= d.comp.GuardDepthMin {
-			band = append(band, id)
-		}
-	}
+func (d *DAG) deadTipsLocked(depths *denseSearch) (dead []bool, numDead int, bandEmpty bool) {
+	band := depths.nodes[depths.bandStart(d.comp.GuardDepthMin):]
 	if len(band) == 0 {
-		return nil, true
+		return nil, 0, true
 	}
-	sort.Slice(band, func(i, j int) bool { return band[i] < band[j] })
 
 	// Tips reachable from the entry band: forward BFS along child edges.
-	reach := make(map[ID]bool, len(band))
-	queue := append([]ID(nil), band...)
+	reach := &d.guardAux[0]
+	reach.reset(len(d.txs))
 	for _, id := range band {
-		reach[id] = true
+		reach.visit(id, 0)
 	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, c := range d.kids.children(cur) {
-			if !reach[c] {
-				reach[c] = true
-				queue = append(queue, c)
-			}
+	for head := 0; head < len(reach.nodes); head++ {
+		for _, c := range d.kids.children(reach.nodes[head]) {
+			reach.visit(c, 0)
 		}
 	}
-	dead = make(map[ID]bool)
-	for _, t := range tips {
-		if !reach[t] {
-			dead[t] = true
+	dead = make([]bool, len(d.tips))
+	for i, t := range d.tips {
+		if !reach.has(t) {
+			dead[i] = true
+			numDead++
 		}
-	}
-	if len(dead) == 0 {
-		return nil, false
 	}
 
 	// Shrink to a self-consistent set: every ancestor of a dead tip must be
 	// anchored strictly below the band by some (still-)dead tip, or already
-	// be permanently below GuardDepth reach.
-	for {
-		anchored := d.anchoredLocked(tips, dead)
-		removed := false
-		for _, t := range tips {
-			if dead[t] && !d.deadConsistentLocked(t, anchored, depths) {
-				delete(dead, t)
+	// be permanently below GuardDepth reach. anchored holds the transactions
+	// within GuardDepthMin-1 approval hops of a dead tip — the region whose
+	// depth is pinned strictly below the walk entry band for as long as
+	// those tips stay dead (reach has served; its storage is reused).
+	anchored := &d.guardAux[0]
+	for removed := true; removed && numDead > 0; {
+		anchored.run(d.txs, tipsWhere(d.tips, dead, true), d.comp.GuardDepthMin-1)
+		removed = false
+		for i, t := range d.tips {
+			if dead[i] && !d.deadConsistentLocked(t, anchored, depths) {
+				dead[i] = false
+				numDead--
 				removed = true
 			}
 		}
-		if !removed || len(dead) == 0 {
-			return dead, false
-		}
 	}
-}
-
-// anchoredLocked returns the transactions within GuardDepthMin-1 approval
-// hops of a dead tip — the region whose depth is pinned strictly below the
-// walk entry band for as long as those tips stay dead — keyed to that
-// distance. Caller holds d.mu.
-func (d *DAG) anchoredLocked(tips []ID, dead map[ID]bool) map[ID]int {
-	roots := make([]ID, 0, len(dead))
-	for _, t := range tips {
-		if dead[t] {
-			roots = append(roots, t)
-		}
-	}
-	return depthsFrom(d.txs, roots, d.comp.GuardDepthMin-1)
+	return dead, numDead, false
 }
 
 // deadConsistentLocked reports whether every ancestor of tip t is either
-// anchored below the entry band or permanently beyond GuardDepth (absent
-// from the bounded depth map). Closures larger than deadConeBudget bail out
-// as "alive" — conservative, never unsound. Caller holds d.mu.
-func (d *DAG) deadConsistentLocked(t ID, anchored, depths map[ID]int) bool {
-	seen := map[ID]bool{t: true}
-	queue := []ID{t}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		_, isAnchored := anchored[cur]
-		_, inBound := depths[cur]
-		if !isAnchored && inBound {
+// anchored below the entry band or permanently beyond GuardDepth (not
+// reached by the bounded depth search). Closures larger than deadConeBudget
+// bail out as "alive" — conservative, never unsound. Caller holds d.mu.
+func (d *DAG) deadConsistentLocked(t ID, anchored, depths *denseSearch) bool {
+	seen := &d.guardAux[1]
+	seen.reset(len(d.txs))
+	seen.visit(t, 0)
+	for head := 0; head < len(seen.nodes); head++ {
+		cur := seen.nodes[head]
+		if !anchored.has(cur) && depths.has(cur) {
 			return false
 		}
-		if len(seen) > deadConeBudget {
+		if len(seen.nodes) > deadConeBudget {
 			return false
 		}
 		for _, p := range d.txs[cur].Parents {
-			if !seen[p] {
-				seen[p] = true
-				queue = append(queue, p)
-			}
+			seen.visit(p, 0)
 		}
 	}
 	return true
@@ -604,5 +596,6 @@ func (d *DAG) RestoreCompaction(c Compaction, epochs []EpochSummary) error {
 	d.lastFrozenEpoch = len(epochs) - 1
 	d.floor.Store(int64(floor))
 	d.cwCache.Store(nil)
+	d.guardN = 0
 	return nil
 }

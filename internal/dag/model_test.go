@@ -250,12 +250,25 @@ func (r *modelRun) step(op int) {
 			}
 		}
 	case p < 92:
+		// The entry band is memoized per tangle state and freezing releases
+		// parameters, never structure: what was drawn before the floor moves
+		// is drawn after (check then compares the memo with the model again).
+		before := r.d.SampleAtDepth(xrand.New(int64(op)), 1, 3).ID
 		floor, err := r.d.CompactTo(r.round)
 		if err != nil {
 			t.Fatalf("op %d: CompactTo(%d): %v", op, r.round, err)
 		}
 		if !r.comp.Enabled() && floor != 0 {
 			t.Fatalf("op %d: floor %d without compaction", op, floor)
+		}
+		// The guard's verdict is memoized on the tangle too: asking again
+		// freezes nothing more and nothing less.
+		epochs := r.d.FrozenEpochs()
+		if again, err := r.d.CompactTo(r.round); err != nil || again != floor || !slices.Equal(r.d.FrozenEpochs(), epochs) {
+			t.Fatalf("op %d: second CompactTo(%d) = %d, %v with %d epochs; first %d with %d", op, r.round, again, err, len(r.d.FrozenEpochs()), floor, len(epochs))
+		}
+		if after := r.d.SampleAtDepth(xrand.New(int64(op)), 1, 3).ID; after != before {
+			t.Fatalf("op %d: SampleAtDepth(1, 3) = %d before CompactTo, %d after", op, before, after)
 		}
 	default:
 		r.reload(op)
@@ -298,8 +311,10 @@ func (r *modelRun) reload(op int) {
 }
 
 // sampleBands are the depth bands every check samples: the tips themselves,
-// shallow bands, the paper's 15–25 and a band that is usually empty.
-var sampleBands = [][2]int{{0, 0}, {1, 3}, {2, 5}, {0, 2}, {15, 25}, {60, 70}}
+// shallow bands (neighbours share a bound, so a memo keyed on one of them
+// alone answers the next from the wrong entry), the paper's 15–25, a band
+// that is usually empty and an inverted one that always is.
+var sampleBands = [][2]int{{0, 0}, {0, 2}, {1, 3}, {2, 5}, {1, 5}, {15, 25}, {60, 70}, {5, 2}}
 
 // check compares every exported read of the DAG and its views with the model.
 func (r *modelRun) check(op int) {
@@ -349,12 +364,20 @@ func (r *modelRun) check(op int) {
 	if got, want := d.CumulativeWeights(), m.weights(nil, floor, ID(n-1)); !maps.Equal(got, want) {
 		t.Fatalf("op %d (floor %d): CumulativeWeights %v, model %v", op, floor, got, want)
 	}
-	for b, band := range sampleBands {
-		seed := int64(op*len(sampleBands) + b)
+	sample := func(b int, call string) {
+		band, seed := sampleBands[b], int64(op*len(sampleBands)+b)
 		got := d.SampleAtDepth(xrand.New(seed), band[0], band[1]).ID
 		if want := sampleModel(xrand.New(seed), depths, band[0], band[1]); got != want {
-			t.Fatalf("op %d: SampleAtDepth(%v) = %d, model %d", op, band, got, want)
+			t.Fatalf("op %d: SampleAtDepth(%v) = %d (%s), model %d", op, band, got, call, want)
 		}
+	}
+	for b := range sampleBands {
+		// The previous band holds the memo: a miss, a hit, then the next band
+		// and back again.
+		sample(b, "memo miss")
+		sample(b, "memo hit")
+		sample((b+1)%len(sampleBands), "next band")
+		sample(b, "back from the next band")
 	}
 
 	// The same notions over each partial view.

@@ -33,6 +33,9 @@ type View struct {
 	// cursor is the next global insertion index not yet considered by
 	// RevealThrough.
 	cursor ID
+	// search is SampleAtDepth's reusable depth search. The visible set
+	// changes without the DAG growing, so a View memoizes nothing.
+	search denseSearch
 }
 
 // NewView creates a view of d in which only genesis is visible.
@@ -130,13 +133,15 @@ func (v *View) Tips() []ID { return v.tips.ids() }
 // Depths returns, per visible transaction, the shortest distance to a
 // visible tip following visible child edges.
 func (v *View) Depths() map[ID]int {
-	return depthsFrom(v.d.snapshot(), v.tips, unbounded)
+	return depthMap(v.d.snapshot(), v.tips)
 }
 
 // SampleAtDepth returns a uniformly random visible transaction at depth
 // [minDepth, maxDepth] from the visible tips, or genesis if none qualifies.
 func (v *View) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transaction {
-	return sampleAtDepth(rng, v.d.snapshot(), v.tips, minDepth, maxDepth)
+	txs := v.d.snapshot()
+	v.search.run(txs, v.tips, maxDepth)
+	return drawAtDepth(rng, txs, v.search.band(minDepth))
 }
 
 // CumulativeWeights returns, per visible transaction, the number of visible

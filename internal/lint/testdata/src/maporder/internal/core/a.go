@@ -45,8 +45,8 @@ func collectThenSort(m map[int]struct{}) []int {
 	return out
 }
 
-// guardedCollectThenSort mirrors dag.SampleAtDepth: a pure guard around the
-// append keeps the loop order-insensitive.
+// guardedCollectThenSort filters while collecting (a depth band out of a depth
+// map): a pure guard around the append keeps the loop order-insensitive.
 func guardedCollectThenSort(m map[int]int, lo, hi int) []int {
 	var out []int
 	for id, depth := range m {

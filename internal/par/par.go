@@ -92,29 +92,30 @@ func (b *Budget) tryAcquire() bool {
 // release returns a helper slot.
 func (b *Budget) release() { <-b.tokens }
 
-// enterLoop registers the calling goroutine as an active worker. A goroutine
+// enterLoop registers the calling goroutine as an active worker and returns
+// its id for exitLoop, so the id is parsed once per worker loop. A goroutine
 // already registered (a nested ForEachIn on the same budget) is not counted
-// again; exitLoop must be passed the returned flag.
-func (b *Budget) enterLoop() (fresh bool) {
-	id := goid()
+// again; exitLoop must be passed both results.
+func (b *Budget) enterLoop() (id int64, fresh bool) {
+	id = goid()
 	if _, loaded := b.active.LoadOrStore(id, struct{}{}); loaded {
-		return false
+		return id, false
 	}
 	n := b.inUse.Add(1)
 	for {
 		p := b.peak.Load()
 		if n <= p || b.peak.CompareAndSwap(p, n) {
-			return true
+			return id, true
 		}
 	}
 }
 
 // exitLoop undoes enterLoop.
-func (b *Budget) exitLoop(fresh bool) {
+func (b *Budget) exitLoop(id int64, fresh bool) {
 	if !fresh {
 		return
 	}
-	b.active.Delete(goid())
+	b.active.Delete(id)
 	b.inUse.Add(-1)
 }
 
@@ -155,8 +156,8 @@ func (b *Budget) Spawn(fn func()) bool {
 	}
 	go func() {
 		defer b.release()
-		fresh := b.enterLoop()
-		defer b.exitLoop(fresh)
+		id, fresh := b.enterLoop()
+		defer b.exitLoop(id, fresh)
 		fn()
 	}()
 	return true
@@ -186,8 +187,8 @@ func ForEachIn(b *Budget, workers, n int, fn func(i int)) {
 			loop()
 			return
 		}
-		fresh := b.enterLoop()
-		defer b.exitLoop(fresh)
+		id, fresh := b.enterLoop()
+		defer b.exitLoop(id, fresh)
 		loop()
 	}
 

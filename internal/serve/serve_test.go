@@ -268,6 +268,17 @@ func TestHTTPLifecycle(t *testing.T) {
 	if resp, _ := post("/runs", `{"dataset":"fmnist","seed":1,"bogus":true}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %s", resp.Status)
 	}
+	// A depth band no walk can enter would run as a genesis-anchored
+	// experiment nobody asked for: refused like any other bad name or value.
+	for body, want := range map[string]string{
+		`{"dataset":"fmnist","seed":1,"async":true,"depth_min":20,"depth_max":10}`: "depth-min 20 exceeds depth-max 10",
+		`{"dataset":"fmnist","seed":1,"depth_min":5}`:                              "depth-min 5 needs a depth-max",
+		`{"dataset":"fmnist","seed":1,"depth_max":-2}`:                             "must not be negative",
+	} {
+		if resp, msg := post("/runs", body); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Fatalf("depth band %s: %s %s, want 400 mentioning %q", body, resp.Status, msg, want)
+		}
+	}
 	if resp, _ := get("/runs/7"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown run: %s", resp.Status)
 	}

@@ -59,8 +59,18 @@ func SpecByName(name string, p Preset, seed int64) (Spec, error) {
 
 // SelectorByName builds the named tip selector. alpha and norm parameterize
 // the walks that have them; depthMin/depthMax, when positive, band the walk
-// entry depth (required for compaction).
+// entry depth (required for compaction). A band no walk can enter — negative,
+// inverted, or a depth-min without its depth-max — is an error rather than
+// the genesis-anchored run it would silently become.
 func SelectorByName(name, norm string, alpha float64, depthMin, depthMax int) (tipselect.Selector, error) {
+	switch {
+	case depthMin < 0 || depthMax < 0:
+		return nil, fmt.Errorf("depth-min %d and depth-max %d must not be negative", depthMin, depthMax)
+	case depthMin > 0 && depthMax == 0:
+		return nil, fmt.Errorf("depth-min %d needs a depth-max (0 starts walks at genesis)", depthMin)
+	case depthMin > depthMax:
+		return nil, fmt.Errorf("depth-min %d exceeds depth-max %d", depthMin, depthMax)
+	}
 	var normalization tipselect.Normalization
 	switch norm {
 	case "standard":
