@@ -42,6 +42,18 @@ const benchSeed int64 = 42
 // benchPreset is the scale for all experiment benchmarks.
 const benchPreset = sim.Quick
 
+// benchEnv is the worker budget (SPECDAG_WORKERS) and grid checkpoint
+// directory (SPECDAG_GRID_DIR) the environment asks for. A malformed value
+// fails the benchmark: a typo'd sequential baseline must not run parallel.
+func benchEnv(b *testing.B) sim.Env {
+	b.Helper()
+	env, err := sim.EnvFromOS()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env
+}
+
 // printOnce guards experiment output so repeated benchmark iterations print
 // a series only once.
 func printOnce(once *sync.Once, render func() string) {
@@ -54,7 +66,7 @@ var table2Once sync.Once
 // FMNIST-clustered, Poets and CIFAR-100 after training with α=10.
 func BenchmarkTable2ApprovalPureness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := sim.Table2(context.Background(), benchPreset, benchSeed)
+		rows, err := sim.Table2(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +85,7 @@ var fig5Once sync.Once
 // count and misclassification of G_clients for α ∈ {1, 10, 100}.
 func BenchmarkFigure5AlphaMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Figure5(context.Background(), benchPreset, benchSeed)
+		res, err := sim.Figure5(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +104,7 @@ var fig6Once sync.Once
 // FMNIST-clustered for α ∈ {0.1, 1, 10, 100}, standard normalization.
 func BenchmarkFigure6AccuracyByAlpha(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, err := sim.Figure6(context.Background(), benchPreset, benchSeed)
+		curves, err := sim.Figure6(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +125,7 @@ var fig7Once sync.Once
 // sweep with Eq. 3 normalization plus the α=1 pureness comparison.
 func BenchmarkFigure7DynamicNormalization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Figure7(context.Background(), benchPreset, benchSeed)
+		res, err := sim.Figure7(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +143,7 @@ var fig8Once sync.Once
 // relaxed dataset (15–20 % foreign-cluster data).
 func BenchmarkFigure8RelaxedClusters(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, err := sim.Figure8(context.Background(), benchPreset, benchSeed)
+		curves, err := sim.Figure8(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +164,7 @@ var fig9Once sync.Once
 // distributions, FedAvg vs Specializing DAG, on all three datasets.
 func BenchmarkFigure9FedAvgComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Figure9(context.Background(), benchPreset, benchSeed)
+		res, err := sim.Figure9(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,7 +185,7 @@ var fig1011Once sync.Once
 func runFig1011(b *testing.B, metric string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		curves, err := sim.Figure10And11(context.Background(), benchPreset, benchSeed)
+		curves, err := sim.Figure10And11(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +211,7 @@ var fig1213Once sync.Once
 func runFig1213(b *testing.B, metric string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		curves, err := sim.Figure12And13(context.Background(), benchPreset, benchSeed)
+		curves, err := sim.Figure12And13(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +239,7 @@ var fig14Once sync.Once
 // distribution of poisoned clients over Louvain-inferred communities.
 func BenchmarkFigure14PoisonClusterHistogram(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Figure14(context.Background(), benchPreset, benchSeed)
+		res, err := sim.Figure14(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -246,7 +258,7 @@ var fig15Once sync.Once
 // active clients.
 func BenchmarkFigure15WalkScalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, err := sim.Figure15(context.Background(), benchPreset, benchSeed)
+		curves, err := sim.Figure15(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -263,10 +275,10 @@ func BenchmarkFigure15WalkScalability(b *testing.B) {
 // ---- Ablation benches (DESIGN.md §5) ----
 
 func runAblation(b *testing.B, once *sync.Once, title string,
-	run func(context.Context, sim.Preset, int64) ([]sim.AblationRow, error)) {
+	run func(context.Context, sim.Env, sim.Preset, int64) ([]sim.AblationRow, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := run(context.Background(), benchPreset, benchSeed)
+		rows, err := run(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,15 +342,15 @@ func BenchmarkExtensionVisibility(b *testing.B) {
 }
 
 // BenchmarkSchedulerGridThroughput measures the sweep scheduler itself: 32
-// tiny DAG cells with mixed priorities submitted as work-stealing jobs on
-// the shared pool, small enough that dispatch, steal and settle overhead —
+// tiny DAG cells with mixed priorities submitted as scheduler jobs on the
+// shared pool, small enough that dispatch, requeue and settle overhead —
 // not training time — dominates. The reported accuracies are gated
 // byte-for-byte across worker counts (cmd/benchgate): scheduling decides
 // only when a cell's units run, never its results.
 func BenchmarkSchedulerGridThroughput(b *testing.B) {
 	const cells = 32
 	for i := 0; i < b.N; i++ {
-		accs, err := sim.ThroughputGrid(context.Background(), benchPreset, benchSeed, cells)
+		accs, err := sim.ThroughputGrid(context.Background(), benchEnv(b), benchPreset, benchSeed, cells)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -365,7 +377,7 @@ var faultsOnce sync.Once
 // under it — is a pure function of the configuration and seed.
 func BenchmarkFaultScenarios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := sim.FaultSweep(context.Background(), benchPreset, benchSeed)
+		rows, err := sim.FaultSweep(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -386,7 +398,7 @@ var gossipOnce sync.Once
 // baseline (related work §3.2) and FedAvg on the clustered dataset.
 func BenchmarkGossipComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		curves, err := sim.GossipComparison(context.Background(), benchPreset, benchSeed)
+		curves, err := sim.GossipComparison(context.Background(), benchEnv(b), benchPreset, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}

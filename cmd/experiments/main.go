@@ -25,23 +25,31 @@ import (
 	"strings"
 	"time"
 
+	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/profiling"
 	"github.com/specdag/specdag/internal/sim"
 )
 
 func main() {
-	if err := run(); err != nil {
+	// SPECDAG_WORKERS and SPECDAG_GRID_DIR are the defaults of -workers and
+	// -grid-dir; a malformed value is a usage error like a malformed flag.
+	env, err := sim.EnvFromOS()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
+	if err := run(env); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(env sim.Env) error {
 	var (
 		exp        = flag.String("exp", "all", "experiment id (table1, table2, fig5..fig15, ablations, gossip, visibility, faults, all)")
 		full       = flag.Bool("full", false, "paper-scale runs (100 rounds, full federations)")
 		seed       = flag.Int64("seed", 42, "root random seed")
-		workers    = flag.Int("workers", 0, "total worker budget shared by sweep cells and round engines (0 = NumCPU); results are identical for any value")
+		workers    = flag.Int("workers", 0, "total worker budget shared by sweep cells and round engines (default $SPECDAG_WORKERS; 0 = NumCPU); results are identical for any value")
 		gridDir    = flag.String("grid-dir", "", "per-cell checkpoint directory for sweep grids: a crashed sweep rerun resumes its cells instead of recomputing them (default $SPECDAG_GRID_DIR; empty disables)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -64,10 +72,10 @@ func run() error {
 	}
 
 	if *workers > 0 {
-		sim.SetWorkers(*workers)
+		env.Pool = par.NewBudget(*workers)
 	}
 	if *gridDir != "" {
-		sim.SetGridDir(*gridDir)
+		env.GridDir = *gridDir
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -87,7 +95,7 @@ func run() error {
 
 	for _, id := range ids {
 		start := time.Now()
-		out, err := runOne(ctx, strings.TrimSpace(id), preset, *seed)
+		out, err := runOne(ctx, env, strings.TrimSpace(id), preset, *seed)
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "experiments: interrupted — partial sweep discarded")
 			return nil
@@ -101,78 +109,78 @@ func run() error {
 	return nil
 }
 
-func runOne(ctx context.Context, id string, preset sim.Preset, seed int64) (string, error) {
+func runOne(ctx context.Context, env sim.Env, id string, preset sim.Preset, seed int64) (string, error) {
 	switch id {
 	case "table1":
 		return sim.Table1(), nil
 	case "table2":
-		rows, err := sim.Table2(ctx, preset, seed)
+		rows, err := sim.Table2(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderTable2(rows), nil
 	case "fig5":
-		res, err := sim.Figure5(ctx, preset, seed)
+		res, err := sim.Figure5(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderFig5(res), nil
 	case "fig6":
-		curves, err := sim.Figure6(ctx, preset, seed)
+		curves, err := sim.Figure6(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderCurves("Figure 6: accuracy by alpha (standard normalization)", curves), nil
 	case "fig7":
-		res, err := sim.Figure7(ctx, preset, seed)
+		res, err := sim.Figure7(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderFig7(res), nil
 	case "fig8":
-		curves, err := sim.Figure8(ctx, preset, seed)
+		curves, err := sim.Figure8(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderCurves("Figure 8: accuracy by alpha (relaxed clusters)", curves), nil
 	case "fig9":
-		res, err := sim.Figure9(ctx, preset, seed)
+		res, err := sim.Figure9(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderFig9(res), nil
 	case "fig10", "fig11":
-		curves, err := sim.Figure10And11(ctx, preset, seed)
+		curves, err := sim.Figure10And11(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderFig1011(curves), nil
 	case "fig12", "fig13":
-		curves, err := sim.Figure12And13(ctx, preset, seed)
+		curves, err := sim.Figure12And13(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderPoison(curves), nil
 	case "fig14":
-		res, err := sim.Figure14(ctx, preset, seed)
+		res, err := sim.Figure14(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderFig14(res), nil
 	case "fig15":
-		curves, err := sim.Figure15(ctx, preset, seed)
+		curves, err := sim.Figure15(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderFig15(curves), nil
 	case "visibility":
-		rows, err := sim.VisibilitySweep(ctx, preset, seed)
+		rows, err := sim.VisibilitySweep(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderAblation("reveal delay (non-ideal broadcast)", rows), nil
 	case "faults":
-		rows, err := sim.FaultSweep(ctx, preset, seed)
+		rows, err := sim.FaultSweep(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
@@ -186,13 +194,13 @@ func runOne(ctx context.Context, id string, preset sim.Preset, seed int64) (stri
 			return "", err
 		}
 		defer os.RemoveAll(dir)
-		rep, err := sim.LongHaul(ctx, preset, dir, seed)
+		rep, err := sim.LongHaul(ctx, env, preset, dir, seed)
 		if err != nil {
 			return "", err
 		}
 		return sim.RenderLongHaul(rep), nil
 	case "gossip":
-		curves, err := sim.GossipComparison(ctx, preset, seed)
+		curves, err := sim.GossipComparison(ctx, env, preset, seed)
 		if err != nil {
 			return "", err
 		}
@@ -202,7 +210,7 @@ func runOne(ctx context.Context, id string, preset sim.Preset, seed int64) (stri
 		var b strings.Builder
 		type abl struct {
 			name string
-			run  func(context.Context, sim.Preset, int64) ([]sim.AblationRow, error)
+			run  func(context.Context, sim.Env, sim.Preset, int64) ([]sim.AblationRow, error)
 		}
 		for _, a := range []abl{
 			{"normalization (alpha=1)", sim.AblationNormalization},
@@ -212,7 +220,7 @@ func runOne(ctx context.Context, id string, preset sim.Preset, seed int64) (stri
 			{"selector family", sim.AblationSelectors},
 			{"partial layer sharing", sim.AblationPartialSharing},
 		} {
-			rows, err := a.run(ctx, preset, seed)
+			rows, err := a.run(ctx, env, preset, seed)
 			if err != nil {
 				return "", err
 			}

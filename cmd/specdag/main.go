@@ -47,9 +47,15 @@ func main() {
 	err := run(os.Args[1:])
 	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "specdag:", err)
+		if errors.As(err, new(environError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// environError is a malformed SPECDAG_* variable: a usage error (exit 2).
+type environError struct{ error }
 
 // plan is what the command line resolves to: the run as named (the flag set
 // is the local form of specdagd's RunRequest, so it is parsed into one), the
@@ -134,15 +140,18 @@ func parseFlags(args []string) (*plan, error) {
 	} else if *faultScenario != "" {
 		return nil, fmt.Errorf("-fault-scenario requires -async (the schedules are defined over the simulated-time horizon)")
 	}
+	// SPECDAG_WORKERS sizes the run's budget and is -workers' default: only
+	// the explicit flag overrides it. Negative values flow through to config
+	// validation, which rejects them with a clear error.
+	env, err := sim.EnvFromOS()
+	if err != nil {
+		return nil, environError{err}
+	}
 	if req.Workers == 0 {
-		// Only the explicit flag overrides the SPECDAG_WORKERS-derived
-		// default. Negative values flow through to config validation, which
-		// rejects them with a clear error.
-		req.Workers = sim.Workers
+		req.Workers = env.Pool.Size()
 	}
 
-	var err error
-	p.spec, p.cfg, p.acfg, err = req.Configs(sim.Pool())
+	p.spec, p.cfg, p.acfg, err = req.Configs(env.Pool)
 	if err != nil {
 		return nil, err
 	}

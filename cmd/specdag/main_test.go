@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -165,6 +167,28 @@ func TestParseFlagsRejections(t *testing.T) {
 		if _, err := parseFlags(fields(args)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("specdag %s: %v, want an error mentioning %q", args, err, want)
 		}
+	}
+	// The environment is input too: a malformed variable is a usage error
+	// naming it, not a panic (cmd/experiments reads it through the same
+	// sim.EnvFromOS).
+	for _, bad := range []string{"abc", "-1", "2.5"} {
+		t.Setenv("SPECDAG_WORKERS", bad)
+		_, err := parseFlags(nil)
+		if !errors.As(err, new(environError)) || !strings.Contains(err.Error(), "SPECDAG_WORKERS="+strconv.Quote(bad)) {
+			t.Errorf("SPECDAG_WORKERS=%s specdag: %v, want a usage error naming the variable and the value", bad, err)
+		}
+	}
+}
+
+// TestWorkersDefaultFromEnvironment: SPECDAG_WORKERS sizes the budget and is
+// the default of -workers; the explicit flag wins.
+func TestWorkersDefaultFromEnvironment(t *testing.T) {
+	t.Setenv("SPECDAG_WORKERS", "3")
+	if p, err := parseFlags(nil); err != nil || p.cfg.Workers != 3 || p.cfg.Pool.Size() != 3 {
+		t.Errorf("SPECDAG_WORKERS=3 specdag: %v, want a three-slot budget", err)
+	}
+	if p, err := parseFlags(fields("-workers 2")); err != nil || p.cfg.Workers != 2 {
+		t.Errorf("SPECDAG_WORKERS=3 specdag -workers 2: %v, want the flag to win", err)
 	}
 }
 

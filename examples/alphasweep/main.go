@@ -55,12 +55,13 @@ func runOnce(alpha float64, rounds int, pool *specdag.WorkerPool) (pureness, mod
 		Local:           specdag.SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10},
 		Arch:            specdag.Arch{In: fed.InputDim, Hidden: []int{32}, Out: fed.NumClasses},
 		Selector:        specdag.AccuracyWalk{Alpha: alpha},
+		Pool:            pool,
 		Seed:            8,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := specdag.Run(context.Background(), sim, specdag.WithPool(pool)); err != nil {
+	if _, err := specdag.Run(context.Background(), sim); err != nil {
 		log.Fatal(err)
 	}
 	results := sim.Results()

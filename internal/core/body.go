@@ -218,13 +218,6 @@ func (b *body) resetViews() {
 // enter it once their propagation delay elapses.
 func (b *body) DAG() *dag.DAG { return b.tangle }
 
-// SetPool implements engine.PoolUser: the engine's fan-out and the tangle's
-// cumulative-weight sweep draw helper goroutines from p (see Config.Pool).
-func (b *body) SetPool(p *par.Budget) {
-	b.pool = p
-	b.tangle.SetParallelism(p, b.workers)
-}
-
 // compact freezes epochs that aged out of the live suffix as of the given
 // time bucket (round index, or whole simulated seconds) and, when the live
 // floor advances, rebases every client's eval cache onto the suffix. Engines

@@ -15,10 +15,8 @@ import (
 var (
 	_ engine.Engine      = (*Simulation)(nil)
 	_ engine.Snapshotter = (*Simulation)(nil)
-	_ engine.PoolUser    = (*Simulation)(nil)
 	_ engine.Engine      = (*AsyncSimulation)(nil)
 	_ engine.Snapshotter = (*AsyncSimulation)(nil)
-	_ engine.PoolUser    = (*AsyncSimulation)(nil)
 )
 
 // Name implements engine.Engine.

@@ -53,6 +53,12 @@ func (e *txRecordWriter) putVarint(v int64) error {
 	return err
 }
 
+func (e *txRecordWriter) putFloat(f float64) error {
+	binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(f))
+	_, err := e.cw.Write(e.buf[:8])
+	return err
+}
+
 // write encodes one transaction record.
 func (e *txRecordWriter) write(t *Transaction) error {
 	cw := e.cw
@@ -77,7 +83,7 @@ func (e *txRecordWriter) write(t *Transaction) error {
 		}
 	}
 	for _, f := range []float64{t.Meta.TrainAcc, t.Meta.TestAcc} {
-		if err := binary.Write(cw, binary.LittleEndian, math.Float64bits(f)); err != nil {
+		if err := e.putFloat(f); err != nil {
 			return err
 		}
 	}
@@ -92,11 +98,19 @@ func (e *txRecordWriter) write(t *Transaction) error {
 		return err
 	}
 	for _, f := range t.Params {
-		if err := binary.Write(cw, binary.LittleEndian, math.Float64bits(f)); err != nil {
+		if err := e.putFloat(f); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// readFloat decodes one f64 through the caller's scratch.
+func readFloat(br *bufio.Reader, buf *[8]byte) (float64, error) {
+	if _, err := io.ReadFull(br, buf[:]); err != nil {
+		return 0, err
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
 // readTxRecord decodes one transaction record, validating that its ID equals
@@ -133,15 +147,13 @@ func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
 		parents = append(parents, ID(p))
 	}
 	var meta Meta
-	var bits uint64
-	if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
+	var f64 [8]byte
+	if meta.TrainAcc, err = readFloat(br, &f64); err != nil {
 		return nil, fmt.Errorf("tx %d: trainAcc: %w", want, err)
 	}
-	meta.TrainAcc = math.Float64frombits(bits)
-	if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
+	if meta.TestAcc, err = readFloat(br, &f64); err != nil {
 		return nil, fmt.Errorf("tx %d: testAcc: %w", want, err)
 	}
-	meta.TestAcc = math.Float64frombits(bits)
 	var pb [1]byte
 	if _, err := io.ReadFull(br, pb[:]); err != nil {
 		return nil, fmt.Errorf("tx %d: poisoned flag: %w", want, err)
@@ -158,13 +170,14 @@ func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
 	// a forged count allocates at most twice what the stream really backs.
 	params := make([]float64, 0, min(nParams, 1<<12))
 	for i := uint64(0); i < nParams; i++ {
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
+		f, err := readFloat(br, &f64)
+		if err != nil {
 			return nil, fmt.Errorf("tx %d: param %d: %w", want, i, err)
 		}
 		if len(params) == cap(params) {
 			params = append(make([]float64, 0, min(nParams, 2*uint64(cap(params)))), params...)
 		}
-		params = append(params, math.Float64frombits(bits))
+		params = append(params, f)
 	}
 	return &Transaction{
 		ID:      ID(id),

@@ -3,15 +3,14 @@
 // simulation, the event-driven asynchronous simulation, the FedAvg/FedProx
 // baselines and the gossip baseline — with context cancellation at round or
 // event granularity, typed progress events delivered through Hooks,
-// periodic mid-run metric probes, periodic checkpoints for engines
-// that support them, and a shared worker budget handed down to the engine's
-// internal fan-out.
+// periodic mid-run metric probes, and periodic checkpoints for engines
+// that support them. (The worker budget is the engine's own Config.Pool.)
 //
 // The paper's deployment model (§5.3.3: each client "continuously runs the
 // training process … independent from all other clients") treats a runner as
 // a long-lived, monitorable process rather than a batch call; Run is that
 // process's control loop. Engines remain plain steppers — all policy
-// (cancel, observe, checkpoint, budget) lives here, so every engine gains
+// (cancel, observe, checkpoint) lives here, so every engine gains
 // every capability at once.
 package engine
 
@@ -19,8 +18,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-
-	"github.com/specdag/specdag/internal/par"
 )
 
 // RoundEvent reports one completed unit of work: a training round for the
@@ -113,12 +110,6 @@ type Snapshotter interface {
 	WriteCheckpoint(w io.Writer) (int64, error)
 }
 
-// PoolUser is implemented by engines whose internal fan-out can draw from a
-// shared worker budget instead of spawning freely.
-type PoolUser interface {
-	SetPool(*par.Budget)
-}
-
 // Report summarizes a Run.
 type Report struct {
 	Engine string
@@ -141,7 +132,6 @@ type probe struct {
 type options struct {
 	hooks      []Hooks
 	probes     []probe
-	pool       *par.Budget
 	checkEvery int
 	checkOpen  func(step int) (io.WriteCloser, error)
 }
@@ -150,14 +140,6 @@ type options struct {
 // each event is delivered to all of them in option order.
 func WithHooks(h Hooks) Option {
 	return func(o *options) { o.hooks = append(o.hooks, h) }
-}
-
-// WithPool hands the engine a shared worker budget: its internal per-client
-// or per-event fan-out draws helpers from the pool instead of spawning
-// freely, so nested fan-outs (sweep cell → round engine) never exceed the
-// pool size in total. Engines that are not PoolUsers ignore the option.
-func WithPool(b *par.Budget) Option {
-	return func(o *options) { o.pool = b }
 }
 
 // WithProbe evaluates fn after every `every` completed units and delivers
@@ -208,11 +190,6 @@ func newLoop(e Engine, opts ...Option) (*loop, error) {
 	l.snap, isSnap = e.(Snapshotter)
 	if l.o.checkOpen != nil && !isSnap {
 		return l, fmt.Errorf("engine: %s does not support checkpoints", e.Name())
-	}
-	if l.o.pool != nil {
-		if pu, ok := e.(PoolUser); ok {
-			pu.SetPool(l.o.pool)
-		}
 	}
 	return l, nil
 }

@@ -12,14 +12,14 @@
 //   - Each job is driven a quantum at a time (Quantum engine units per
 //     dispatch) by the exact per-unit loop body Run uses, so hooks, probes
 //     and checkpoints behave identically on both paths.
-//   - Work-stealing deques: every worker slot has a queue; a job requeues to
-//     the slot it last ran on (locality), and an idle worker takes the best
-//     job from any slot — taking from a foreign slot is a steal. Among
-//     runnable jobs the pick is the highest effective priority, preferring
-//     the worker's own deque on ties, then submission order, which makes
-//     single-worker dispatch a strict priority queue.
+//   - One run queue under one lock: an idle worker takes the runnable job
+//     with the highest effective priority, on ties one that did not last
+//     run on a different worker (locality; a job that never ran is local to
+//     everyone), then submission order — which makes single-worker dispatch
+//     a strict priority queue. A dispatch on another worker than the job's
+//     previous one is counted as a steal.
 //   - Starvation-freedom by aging: a job's effective priority grows by one
-//     for every AgingQuanta dispatches it waits, so low-priority jobs are
+//     for every agingQuanta dispatches it waits, so low-priority jobs are
 //     eventually picked even under a steady stream of high-priority work.
 //   - Worker loops respect the budget: the goroutine calling Drain or Serve
 //     is the root worker, and helper workers are spawned through
@@ -29,21 +29,17 @@
 //   - Determinism: scheduling decides only *when* a job's units run, never
 //     what they compute — every engine's results are a pure function of
 //     (config, seed) — so grid results are bit-identical for every worker
-//     count and priority order. Deadlines are the one wall-clock input:
-//     they decide whether a job completes, not what a completed job
-//     computes, and are measured through profiling.Stopwatch (the audited
-//     wall-clock choke point; see the detrand contract).
+//     count and priority order. The scheduler reads no clock.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"github.com/specdag/specdag/internal/par"
-	"github.com/specdag/specdag/internal/profiling"
 )
 
 // JobState is the lifecycle state of a scheduled job.
@@ -60,7 +56,7 @@ const (
 	JobDone
 	// JobCanceled: canceled via Handle.Cancel.
 	JobCanceled
-	// JobFailed: the engine (or its build, or its deadline) failed.
+	// JobFailed: the engine (or its build) failed.
 	JobFailed
 )
 
@@ -98,23 +94,6 @@ var ErrJobSettled = errors.New("engine: job already settled")
 // active: a Scheduler has exactly one root worker at a time.
 var ErrSchedulerBusy = errors.New("engine: scheduler is already being driven")
 
-// DeadlineError is the typed settle error of a job that exceeded its
-// wall-clock deadline. It matches errors.Is(err, ErrJobDeadline).
-type DeadlineError struct {
-	Job      string
-	Deadline time.Duration
-	Elapsed  time.Duration
-}
-
-// ErrJobDeadline is the sentinel DeadlineError unwraps to.
-var ErrJobDeadline = errors.New("engine: job deadline exceeded")
-
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("engine: job %s exceeded its %v deadline after %v", e.Job, e.Deadline, e.Elapsed)
-}
-
-func (e *DeadlineError) Unwrap() error { return ErrJobDeadline }
-
 // Job describes one engine submitted to the Scheduler.
 //
 // Exactly one of Engine and Build must be set. Build defers engine
@@ -132,20 +111,15 @@ type Job struct {
 	// (or "job-<seq>" for Build jobs).
 	Name string
 	// Priority orders dispatch: larger runs first. Ties run in submission
-	// order. Subject to aging (SchedulerConfig.AgingQuanta).
+	// order. Subject to aging (agingQuanta).
 	Priority int
-	// Deadline, when positive, bounds the job's wall-clock time measured
-	// from Submit. An exceeded deadline settles the job as JobFailed with a
-	// *DeadlineError at the next unit boundary (or at dispatch, for a job
-	// still queued).
-	Deadline time.Duration
 	// Opts are the Run options applied to the job's loop — hooks, probes,
-	// checkpoints, pool — exactly as they would be passed to Run.
+	// checkpoints — exactly as they would be passed to Run.
 	Opts []Option
 	// OnSettle, when non-nil, is called exactly once when the job reaches a
 	// terminal state, with nil for JobDone, ErrJobCanceled for JobCanceled,
-	// and the failure (possibly a *DeadlineError) for JobFailed. It runs on
-	// the settling goroutine before Handle.Wait unblocks.
+	// and the failure for JobFailed. It runs on the settling goroutine
+	// before Handle.Wait unblocks.
 	OnSettle func(err error)
 }
 
@@ -163,50 +137,52 @@ type SchedulerConfig struct {
 	// Smaller quanta interleave jobs more finely (lower priority latency),
 	// larger quanta amortize dispatch overhead.
 	Quantum int
-	// AgingQuanta is the number of dispatches a waiting job needs to gain
-	// one effective priority; <= 0 selects 64.
-	AgingQuanta int
 }
+
+// agingQuanta is the number of dispatches a waiting job needs to gain one
+// effective priority.
+const agingQuanta = 64
 
 // Stats are cumulative scheduler counters.
 type Stats struct {
 	// Dispatches counts quanta handed to workers.
 	Dispatches int64
-	// Steals counts dispatches that took a job from a foreign deque.
+	// Steals counts dispatches of a job on another worker than the one that
+	// ran its previous quantum.
 	Steals int64
 	// Settled counts jobs that reached a terminal state.
 	Settled int64
 }
 
 // Scheduler multiplexes many engine run loops onto one shared par.Budget
-// with priority/deadline ordering, work stealing, aging, per-job
-// pause/resume/cancel and per-job checkpoints (via WithCheckpoints in
-// Job.Opts). Construct with NewScheduler, submit with Submit, and drive with
-// Drain (until the backlog settles) or Serve (until the context ends).
+// with priority ordering, aging, per-job pause/resume/cancel and per-job
+// checkpoints (via WithCheckpoints in Job.Opts). Construct with NewScheduler,
+// submit with Submit, and drive with Drain (until the backlog settles) or
+// Serve (until the context ends).
 //
 // All methods are safe for concurrent use.
 type Scheduler struct {
 	pool    *par.Budget
 	workers int
 	quantum int
-	aging   int64
 
 	// wake is the root worker's doorbell: capacity 1, non-blocking sends.
 	// Every enqueue, settle, park and helper exit rings it.
 	wake chan struct{}
 
-	mu        sync.Mutex
-	deques    [][]*job // per-worker-slot runnable queues
-	freeSlots []int    // helper slot indices not currently driven
-	nextSeq   int64
-	nextRR    int   // next deque for round-robin placement of submissions
-	clock     int64 // dispatch counter: the aging clock
-	queued    int
-	running   int
-	helpers   int
-	driveCtx  context.Context // non-nil while a drive loop is active
-	stats     Stats
+	mu         sync.Mutex
+	queue      []*job // runnable jobs, in the order they became runnable
+	nextSeq    int64
+	lastWorker int   // id of the newest helper; the root worker is 0
+	clock      int64 // dispatch counter: the aging clock
+	running    int
+	helpers    int
+	driveCtx   context.Context // non-nil while a drive loop is active
+	stats      Stats
 }
+
+// noWorker is job.last before the job's first dispatch.
+const noWorker = -1
 
 type job struct {
 	s    *Scheduler
@@ -214,8 +190,7 @@ type job struct {
 	name string
 	seq  int64
 
-	watch  profiling.Stopwatch // deadline clock, started at Submit
-	ctx    context.Context     // job context: canceled by Handle.Cancel
+	ctx    context.Context // job context: canceled by Handle.Cancel
 	cancel context.CancelFunc
 
 	done chan struct{} // closed after settle (and after OnSettle returns)
@@ -223,7 +198,7 @@ type job struct {
 	// Guarded by s.mu.
 	state     JobState
 	stateCh   chan struct{} // closed+replaced on every state change
-	home      int           // deque index the job queues on
+	last      int           // worker that ran the previous quantum, or noWorker
 	enq       int64         // clock value at the last enqueue (aging)
 	pauseReq  bool
 	cancelReq bool
@@ -246,26 +221,13 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if quantum <= 0 {
 		quantum = 8
 	}
-	aging := cfg.AgingQuanta
-	if aging <= 0 {
-		aging = 64
-	}
-	s := &Scheduler{
+	return &Scheduler{
 		pool:    pool,
 		workers: workers,
 		quantum: quantum,
-		aging:   int64(aging),
 		wake:    make(chan struct{}, 1),
-		deques:  make([][]*job, workers),
 	}
-	for w := workers - 1; w >= 1; w-- {
-		s.freeSlots = append(s.freeSlots, w)
-	}
-	return s
 }
-
-// Pool returns the shared budget the scheduler draws workers from.
-func (s *Scheduler) Pool() *par.Budget { return s.pool }
 
 // Stats returns a snapshot of the cumulative counters.
 func (s *Scheduler) Stats() Stats {
@@ -284,12 +246,12 @@ func (s *Scheduler) Submit(spec Job) (*Handle, error) {
 	j := &job{
 		s:       s,
 		spec:    spec,
-		watch:   profiling.StartStopwatch(),
 		ctx:     jctx,
 		cancel:  cancel,
 		done:    make(chan struct{}),
 		state:   JobQueued,
 		stateCh: make(chan struct{}),
+		last:    noWorker,
 	}
 	s.mu.Lock()
 	j.seq = s.nextSeq
@@ -302,17 +264,7 @@ func (s *Scheduler) Submit(spec Job) (*Handle, error) {
 			j.name = fmt.Sprintf("job-%d", j.seq)
 		}
 	}
-	j.home = s.nextRR % s.workers
-	s.nextRR++
-	j.enq = s.clock
-	s.deques[j.home] = append(s.deques[j.home], j)
-	s.queued++
-	driving := s.driveCtx != nil
-	s.mu.Unlock()
-	if driving {
-		s.ring()
-		s.addHelpers()
-	}
+	s.enqueue(j)
 	return &Handle{j: j}, nil
 }
 
@@ -336,7 +288,7 @@ func (s *Scheduler) drive(ctx context.Context, persistent bool) error {
 	s.driveCtx = ctx
 	s.mu.Unlock()
 	s.addHelpers() // pick up any backlog submitted before the drive started
-	s.work(ctx, 0, true, persistent)
+	s.work(ctx, 0, persistent)
 	// Root loop done: wait for the helpers to park their slots. Each helper
 	// exit rings the doorbell, so this loop always observes helpers == 0.
 	for {
@@ -360,42 +312,54 @@ func (s *Scheduler) ring() {
 	}
 }
 
+// enqueue makes a job runnable (caller holds s.mu, which enqueue releases)
+// and, when a drive loop is active, wakes the root and recruits helpers.
+func (s *Scheduler) enqueue(j *job) {
+	j.enq = s.clock
+	s.queue = append(s.queue, j)
+	driving := s.driveCtx != nil
+	s.mu.Unlock()
+	if driving {
+		s.ring()
+		s.addHelpers()
+	}
+}
+
 // addHelpers spawns helper workers through the budget while there is more
 // runnable work than workers to run it. Helpers exit on their own when the
-// runnable queue is empty, returning both their slot and their budget token.
+// run queue is empty, returning their budget token.
 func (s *Scheduler) addHelpers() {
 	for {
 		s.mu.Lock()
 		ctx := s.driveCtx
 		need := ctx != nil && ctx.Err() == nil &&
-			len(s.freeSlots) > 0 && s.queued > s.helpers
+			s.helpers < s.workers-1 && len(s.queue) > s.helpers
 		if !need {
 			s.mu.Unlock()
 			return
 		}
-		slot := s.freeSlots[len(s.freeSlots)-1]
-		s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
+		s.lastWorker++
+		w := s.lastWorker
 		s.helpers++
 		s.mu.Unlock()
-		if !s.pool.Spawn(func() { s.work(ctx, slot, false, false) }) {
+		if !s.pool.Spawn(func() { s.work(ctx, w, false) }) {
 			s.mu.Lock()
 			s.helpers--
-			s.freeSlots = append(s.freeSlots, slot)
 			s.mu.Unlock()
 			return
 		}
 	}
 }
 
-// work is a worker loop on deque slot w. The root worker (Drain/Serve
-// caller) parks on the doorbell when idle; helpers exit instead, freeing
-// their budget token for the engines' fan-outs.
-func (s *Scheduler) work(ctx context.Context, w int, root, persistent bool) {
+// work is the loop of worker w. The root worker (Drain/Serve caller, w == 0)
+// parks on the doorbell when idle; helpers exit instead, freeing their
+// budget token for the engines' fan-outs.
+func (s *Scheduler) work(ctx context.Context, w int, persistent bool) {
+	root := w == 0
 	if !root {
 		defer func() {
 			s.mu.Lock()
 			s.helpers--
-			s.freeSlots = append(s.freeSlots, w)
 			s.mu.Unlock()
 			s.ring()
 		}()
@@ -412,9 +376,9 @@ func (s *Scheduler) work(ctx context.Context, w int, root, persistent bool) {
 		if j == nil {
 			if !root {
 				s.mu.Unlock()
-				return // helper: park the slot, free the budget token
+				return // helper: free the budget token
 			}
-			idle := s.queued == 0 && s.running == 0
+			idle := len(s.queue) == 0 && s.running == 0
 			s.mu.Unlock()
 			if !persistent && idle {
 				return
@@ -426,7 +390,6 @@ func (s *Scheduler) work(ctx context.Context, w int, root, persistent bool) {
 			}
 			continue
 		}
-		s.queued--
 		s.running++
 		s.clock++
 		s.stats.Dispatches++
@@ -440,42 +403,38 @@ func (s *Scheduler) work(ctx context.Context, w int, root, persistent bool) {
 }
 
 // pick removes and returns the runnable job with the highest effective
-// priority across all deques (preferring deque w on ties, then submission
-// order), plus whether it came from a foreign deque. Caller holds s.mu.
+// priority (on ties one that did not last run on a worker other than w, then
+// submission order), plus whether its previous quantum ran on another
+// worker. Caller holds s.mu.
 func (s *Scheduler) pick(w int) (*job, bool) {
-	eff := func(j *job) int64 {
-		return int64(j.spec.Priority) + (s.clock-j.enq)/s.aging
-	}
-	bestD, bestI := -1, -1
+	local := func(j *job) bool { return j.last == w || j.last == noWorker }
+	bestI := -1
 	var best *job
 	var bestEff int64
-	for d := range s.deques {
-		for i, j := range s.deques[d] {
-			e := eff(j)
-			better := best == nil || e > bestEff
-			if !better && e == bestEff {
-				if (d == w) != (bestD == w) {
-					better = d == w
-				} else {
-					better = j.seq < best.seq
-				}
+	for i, j := range s.queue {
+		e := int64(j.spec.Priority) + (s.clock-j.enq)/agingQuanta
+		better := best == nil || e > bestEff
+		if !better && e == bestEff {
+			if local(j) != local(best) {
+				better = local(j)
+			} else {
+				better = j.seq < best.seq
 			}
-			if better {
-				best, bestD, bestI, bestEff = j, d, i, e
-			}
+		}
+		if better {
+			best, bestI, bestEff = j, i, e
 		}
 	}
 	if best == nil {
 		return nil, false
 	}
-	dq := s.deques[bestD]
-	s.deques[bestD] = append(dq[:bestI:bestI], dq[bestI+1:]...)
-	return best, bestD != w
+	s.queue = slices.Delete(s.queue, bestI, bestI+1)
+	return best, !local(best)
 }
 
-// runQuantum drives one job for up to quantum units on worker slot w,
-// building the engine first if the job is lazy. It either settles the job,
-// parks it paused, or requeues it to this worker's deque.
+// runQuantum drives one job for up to quantum units on worker w, building
+// the engine first if the job is lazy. It either settles the job, parks it
+// paused, or requeues it.
 func (s *Scheduler) runQuantum(ctx context.Context, w int, j *job) {
 	defer func() {
 		// A panicking engine settles its job as failed instead of killing a
@@ -518,11 +477,6 @@ func (s *Scheduler) runQuantum(ctx context.Context, w int, j *job) {
 		if pause || ctx.Err() != nil {
 			break // park or requeue at the unit boundary
 		}
-		if d := j.spec.Deadline; d > 0 && j.watch.Elapsed() > d {
-			j.cancel()
-			s.settle(j, JobFailed, &DeadlineError{Job: j.name, Deadline: d, Elapsed: j.watch.Elapsed()})
-			return
-		}
 		done, err := j.l.step(j.ctx)
 		if err != nil {
 			s.mu.Lock()
@@ -548,6 +502,7 @@ func (s *Scheduler) runQuantum(ctx context.Context, w int, j *job) {
 		return
 	}
 	s.running--
+	j.last = w // locality: the engine's state is warm on this worker
 	if j.pauseReq {
 		j.pauseReq = false
 		j.toState(JobPaused)
@@ -555,11 +510,9 @@ func (s *Scheduler) runQuantum(ctx context.Context, w int, j *job) {
 		s.ring()
 		return
 	}
-	j.home = w // locality: requeue where the engine's state is warm
 	j.enq = s.clock
 	j.toState(JobQueued)
-	s.queued++
-	s.deques[w] = append(s.deques[w], j)
+	s.queue = append(s.queue, j)
 	s.mu.Unlock()
 	s.ring()
 }
@@ -597,13 +550,11 @@ func (j *job) toState(st JobState) {
 	j.stateCh = make(chan struct{})
 }
 
-// removeQueued takes a queued job off its deque. Caller holds s.mu.
+// removeQueued takes a queued job off the run queue. Caller holds s.mu.
 func (s *Scheduler) removeQueued(j *job) {
-	dq := s.deques[j.home]
-	for i, q := range dq {
+	for i, q := range s.queue {
 		if q == j {
-			s.deques[j.home] = append(dq[:i:i], dq[i+1:]...)
-			s.queued--
+			s.queue = slices.Delete(s.queue, i, i+1)
 			return
 		}
 	}
@@ -631,8 +582,7 @@ func (h *Handle) Steps() int {
 }
 
 // Err returns the settle error: nil while the job is live or after JobDone,
-// ErrJobCanceled after Cancel, the failure (possibly a *DeadlineError)
-// after JobFailed.
+// ErrJobCanceled after Cancel, the failure after JobFailed.
 func (h *Handle) Err() error {
 	h.j.s.mu.Lock()
 	defer h.j.s.mu.Unlock()
@@ -707,7 +657,7 @@ func (h *Handle) Pause(ctx context.Context) error {
 	}
 }
 
-// Resume requeues a paused job on its home deque. Resuming a queued or
+// Resume requeues a paused job. Resuming a queued or
 // running job is a no-op; resuming a settled job returns an error wrapping
 // ErrJobSettled.
 func (h *Handle) Resume() error {
@@ -722,16 +672,8 @@ func (h *Handle) Resume() error {
 		s.mu.Unlock()
 		return nil
 	}
-	j.enq = s.clock
 	j.toState(JobQueued)
-	s.queued++
-	s.deques[j.home] = append(s.deques[j.home], j)
-	driving := s.driveCtx != nil
-	s.mu.Unlock()
-	if driving {
-		s.ring()
-		s.addHelpers()
-	}
+	s.enqueue(j)
 	return nil
 }
 

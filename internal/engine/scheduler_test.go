@@ -136,89 +136,61 @@ func TestSchedulerPriorityOrderingUnderContention(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeadlineFailsWithTypedError: a job past its wall-clock
-// deadline settles as JobFailed with a *DeadlineError that unwraps to
-// ErrJobDeadline.
-func TestSchedulerDeadlineFailsWithTypedError(t *testing.T) {
-	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1)})
-	h, err := s.Submit(engine.Job{
-		Engine:   &fakeEngine{name: "doomed", total: 1 << 30},
-		Deadline: time.Nanosecond, // expired by the time a worker looks
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err := s.Submit(engine.Job{Engine: &fakeEngine{name: "fine", total: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.State(); st != engine.JobFailed {
-		t.Fatalf("state = %v, want failed", st)
-	}
-	if !errors.Is(h.Err(), engine.ErrJobDeadline) {
-		t.Fatalf("err = %v, want ErrJobDeadline", h.Err())
-	}
-	var de *engine.DeadlineError
-	if !errors.As(h.Err(), &de) || de.Job != "doomed" || de.Deadline != time.Nanosecond {
-		t.Fatalf("err = %#v, want *DeadlineError for job doomed", h.Err())
-	}
-	if ok.State() != engine.JobDone {
-		t.Fatalf("undeadlined job state = %v, want done", ok.State())
-	}
-}
-
 // TestSchedulerStarvationFreedomViaAging: a low-priority job under a
-// continuous stream of high-priority arrivals still runs, because waiting
-// raises its effective priority above later arrivals. The contrast case
-// (aging effectively off) pins that it is the aging doing it.
+// continuous stream of high-priority arrivals still runs, because every 64
+// dispatches it waits raise its effective priority by one until it ties the
+// stream and wins on submission order. The contrast — a job too far below
+// the stream to age across within the run — pins that it is the aging doing
+// it: that job only runs once the stream has dried up.
 func TestSchedulerStarvationFreedomViaAging(t *testing.T) {
 	// Two self-regenerating high-priority streams: each settle submits the
 	// next generation, so high-priority work never dries up until the
 	// generations are exhausted. Single worker keeps dispatch deterministic.
-	run := func(agingQuanta int) []string {
-		var log settleLog
-		s := engine.NewScheduler(engine.SchedulerConfig{
-			Pool: par.NewBudget(1), Workers: 1, Quantum: 1, AgingQuanta: agingQuanta,
-		})
+	const (
+		generations = 400 // 1600 stream dispatches: low ages across twice, lowest never
+		streamPrio  = 10
+	)
+	var log settleLog
+	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 1, Quantum: 1})
+	for _, j := range []struct {
+		name string
+		prio int
+	}{{"low", 0}, {"lowest", -100}} {
 		if _, err := s.Submit(engine.Job{
-			Engine:   &fakeEngine{name: "low", total: 1},
-			Name:     "low",
-			Priority: 0,
-			OnSettle: log.hook("low"),
+			Engine:   &fakeEngine{name: j.name, total: 1},
+			Name:     j.name,
+			Priority: j.prio,
+			OnSettle: log.hook(j.name),
 		}); err != nil {
 			t.Fatal(err)
 		}
-		const generations = 40
-		var submitGen func(stream string, gen int)
-		submitGen = func(stream string, gen int) {
-			name := fmt.Sprintf("%s-g%d", stream, gen)
-			_, err := s.Submit(engine.Job{
-				Engine:   &fakeEngine{name: name, total: 1},
-				Name:     name,
-				Priority: 10,
-				OnSettle: func(err error) {
-					if gen+1 < generations {
-						submitGen(stream, gen+1)
-					}
-					log.hook(name)(err)
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		submitGen("a", 0)
-		submitGen("b", 0)
-		if err := s.Drain(context.Background()); err != nil {
+	}
+	var submitGen func(stream string, gen int)
+	submitGen = func(stream string, gen int) {
+		name := fmt.Sprintf("%s-g%d", stream, gen)
+		_, err := s.Submit(engine.Job{
+			Engine:   &fakeEngine{name: name, total: 1},
+			Name:     name,
+			Priority: streamPrio,
+			OnSettle: func(err error) {
+				if gen+1 < generations {
+					submitGen(stream, gen+1)
+				}
+				log.hook(name)(err)
+			},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return log.snapshot()
+	}
+	submitGen("a", 0)
+	submitGen("b", 0)
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 
-	pos := func(order []string, name string) int {
+	order := log.snapshot()
+	pos := func(name string) int {
 		for i, n := range order {
 			if n == name {
 				return i
@@ -226,49 +198,185 @@ func TestSchedulerStarvationFreedomViaAging(t *testing.T) {
 		}
 		return -1
 	}
-
-	aged := run(1)
-	if len(aged) != 2*40+1 {
-		t.Fatalf("with aging: %d settles, want 81", len(aged))
+	if len(order) != 2*generations+2 {
+		t.Fatalf("%d settles, want %d", len(order), 2*generations+2)
 	}
-	if p := pos(aged, "low"); p < 0 || p == len(aged)-1 {
-		t.Fatalf("with aging: low settled at position %d of %d — starved", p, len(aged))
+	// After 64 dispatches per level the priority-0 job ties the stream and
+	// wins as the earliest submission. A one-unit job takes two dispatches
+	// (the second finds its engine done) and low waits 640 for each, so the
+	// 1280 dispatches before the one that settles it are the stream's: 640
+	// stream jobs settle first.
+	if p, want := pos("low"), 64*streamPrio; p != want {
+		t.Fatalf("low settled at position %d of %d, want %d — starved, or aging is not 64 dispatches a level",
+			p, len(order), want)
 	}
-
-	unaged := run(1 << 30)
-	if p := pos(unaged, "low"); p != len(unaged)-1 {
-		t.Fatalf("without aging: low settled at position %d, want last %d — contrast broken",
-			p, len(unaged)-1)
+	if p := pos("lowest"); p != len(order)-1 {
+		t.Fatalf("lowest settled at position %d, want last %d — contrast broken", p, len(order)-1)
 	}
 }
 
-// TestSchedulerStealsFromForeignDeque: submissions land round-robin on the
-// worker deques; a worker with an empty deque takes runnable jobs from a
-// foreign one, and the steal is counted.
-func TestSchedulerStealsFromForeignDeque(t *testing.T) {
-	// Two deques but a one-slot budget: the root worker (deque 0) is the
-	// only driver, so after finishing its own job it must steal job 1 from
-	// deque 1.
-	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 2, Quantum: 8})
-	var handles []*engine.Handle
-	for i := 0; i < 2; i++ {
-		h, err := s.Submit(engine.Job{Engine: &fakeEngine{name: fmt.Sprintf("j%d", i), total: 4}})
-		if err != nil {
+// dispatchTrace drives jobs (priority and units by index) on one worker and
+// returns the run-length encoded step trace: "j1x3 j0x2" is three units of
+// job 1, then two of job 0.
+func dispatchTrace(t *testing.T, quantum int, prios, units []int) string {
+	t.Helper()
+	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 1, Quantum: quantum})
+	var (
+		runs []string
+		last string
+		n    int
+	)
+	flush := func() {
+		if n > 0 {
+			runs = append(runs, fmt.Sprintf("%sx%d", last, n))
+		}
+	}
+	for i := range prios {
+		name := fmt.Sprintf("j%d", i)
+		if _, err := s.Submit(engine.Job{
+			Engine: &fakeEngine{name: name, total: units[i], trace: func(name string, _ int) {
+				if name != last {
+					flush()
+					last, n = name, 0
+				}
+				n++
+			}},
+			Priority: prios[i],
+		}); err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
 	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i, h := range handles {
-		if h.State() != engine.JobDone {
-			t.Fatalf("job %d: %v (%v)", i, h.State(), h.Err())
+	flush()
+	return strings.Join(runs, " ")
+}
+
+// TestSchedulerDispatchOrder pins single-worker dispatch: effective priority
+// (aging at 64 dispatches a level), then submission order. The traces were
+// recorded from the per-worker-deque scheduler this one replaced and must
+// not change.
+func TestSchedulerDispatchOrder(t *testing.T) {
+	for _, tc := range []struct {
+		quantum      int
+		prios, units []int
+		want         string
+	}{
+		{1, []int{0, 5, 3, 5}, []int{3, 3, 3, 3}, "j1x3 j3x3 j2x3 j0x3"},
+		{2, []int{1, 1, 1}, []int{5, 3, 4}, "j0x5 j1x3 j2x4"},
+		{8, []int{0, 2, 1, 2}, []int{20, 9, 17, 30}, "j1x9 j3x30 j2x17 j0x20"},
+		{1, []int{0, 1}, []int{2, 200}, "j1x64 j0x1 j1x64 j0x1 j1x72"},
+		{1, []int{1, 0}, []int{200, 2}, "j0x128 j1x1 j0x72 j1x1"},
+		{1, []int{2, 0, 1}, []int{300, 2, 100}, "j0x128 j2x1 j0x63 j1x1 j0x64 j2x1 j0x45 j1x1 j2x98"},
+		{4, []int{3, 0, 0, 1}, []int{600, 5, 9, 300}, "j0x600 j3x4 j1x4 j2x4 j3x252 j1x1 j2x4 j3x44 j2x1"},
+	} {
+		if got := dispatchTrace(t, tc.quantum, tc.prios, tc.units); got != tc.want {
+			t.Errorf("quantum %d, priorities %v, units %v:\n got %s\nwant %s", tc.quantum, tc.prios, tc.units, got, tc.want)
 		}
 	}
-	if st := s.Stats(); st.Steals != 1 || st.Dispatches != 2 {
-		t.Fatalf("stats %+v, want exactly 1 steal in 2 dispatches", st)
-	}
+}
+
+// TestSchedulerCountsMigrations: Steals counts dispatches of a job on
+// another worker than the one that ran its previous quantum — none when one
+// worker runs everything, at least one when a job provably changes workers.
+func TestSchedulerCountsMigrations(t *testing.T) {
+	t.Run("one-slot budget", func(t *testing.T) {
+		// Two workers' worth of jobs, but no slot for a helper: the root
+		// runs every quantum.
+		s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 2, Quantum: 3})
+		var handles []*engine.Handle
+		for i := 0; i < 4; i++ {
+			h, err := s.Submit(engine.Job{Engine: &fakeEngine{name: fmt.Sprintf("j%d", i), total: 7}, Priority: i % 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			handles = append(handles, h)
+		}
+		if err := s.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range handles {
+			if h.State() != engine.JobDone {
+				t.Fatalf("job %d: %v (%v)", i, h.State(), h.Err())
+			}
+		}
+		// 7 units at quantum 3: two full quanta and a third that takes the
+		// last unit and finds the engine done.
+		if st := s.Stats(); st.Steals != 0 || st.Dispatches != 4*3 {
+			t.Fatalf("stats %+v, want 12 dispatches and no steal", st)
+		}
+	})
+
+	t.Run("two workers", func(t *testing.T) {
+		pool := par.NewBudget(2)
+		s := engine.NewScheduler(engine.SchedulerConfig{Pool: pool, Workers: 2, Quantum: 1})
+		ctx, stop := context.WithCancel(context.Background())
+		defer stop()
+
+		// Hold the helper slot so that only the root can run the mover's
+		// first quantum.
+		release := make(chan struct{})
+		if !pool.Spawn(func() { <-release }) {
+			t.Fatal("Spawn refused a slot on an idle budget")
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(ctx) }()
+
+		stepped := make(chan struct{}, 1)
+		mover, err := s.Submit(engine.Job{
+			Engine: &fakeEngine{name: "mover", total: 1 << 30, trace: func(string, int) {
+				select {
+				case stepped <- struct{}{}:
+				default:
+				}
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-stepped
+		if err := mover.Pause(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Pin the root — the worker that ran the mover — inside a blocking
+		// engine, then free the helper slot and resume: the mover's next
+		// quantum can only run on a helper.
+		gate := make(chan struct{})
+		pin, err := s.Submit(engine.Job{Engine: &fakeEngine{name: "pin", total: 1, gate: gate}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pin.State() != engine.JobRunning {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		for pool.InUse() != 0 {
+			time.Sleep(time.Millisecond)
+		}
+		before := s.Stats().Steals
+		for len(stepped) > 0 {
+			<-stepped
+		}
+		if err := mover.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		<-stepped // running again while the root is still pinned
+		if got := s.Stats().Steals; got < before+1 {
+			t.Fatalf("steals %d -> %d across a provable change of worker", before, got)
+		}
+		if err := mover.Cancel(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		close(gate)
+		if err := pin.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		stop()
+		if err := <-served; !errors.Is(err, context.Canceled) {
+			t.Fatalf("Serve returned %v", err)
+		}
+	})
 }
 
 // TestSchedulerPauseResumeCancel: pause parks at a unit boundary and the
@@ -547,7 +655,7 @@ func TestSchedulerRejectsConcurrentDrives(t *testing.T) {
 }
 
 // BenchmarkScheduler measures pure scheduling overhead: many tiny jobs whose
-// steps do no work, so ns/op is dominated by dispatch, requeue and steal
+// steps do no work, so ns/op is dominated by dispatch and requeue
 // bookkeeping. Advisory timing only — no experiment metrics are reported.
 func BenchmarkScheduler(b *testing.B) {
 	for _, workers := range []int{1, 4} {

@@ -117,10 +117,7 @@ type Federated struct {
 	evalScratch []*nn.MLP
 }
 
-var (
-	_ engine.Engine   = (*Federated)(nil)
-	_ engine.PoolUser = (*Federated)(nil)
-)
+var _ engine.Engine = (*Federated)(nil)
 
 // NewFederated validates inputs and prepares a FedAvg/FedProx run.
 func NewFederated(fed *dataset.Federation, cfg Config) (*Federated, error) {
@@ -161,9 +158,6 @@ func NewFederated(fed *dataset.Federation, cfg Config) (*Federated, error) {
 
 // Name implements engine.Engine ("fedavg" or "fedprox(mu=…)").
 func (f *Federated) Name() string { return f.res.Algorithm }
-
-// SetPool implements engine.PoolUser (see Config.Pool).
-func (f *Federated) SetPool(b *par.Budget) { f.cfg.Pool = b }
 
 // Round returns the number of rounds executed so far.
 func (f *Federated) Round() int { return f.round }

@@ -7,7 +7,9 @@
 // cell → round engine): ForEachIn/DoIn draw extra workers from the budget and
 // fall back to inline execution when it is exhausted, so the whole tree never
 // exceeds the budget — and never deadlocks, because a caller runs items on
-// its own goroutine without waiting for a slot. With a nil budget each call
+// its own goroutine without waiting for a slot. The budget's accounting is
+// the slots themselves: what is in use is what has been handed out, so there
+// is no registry of goroutines beside them. With a nil budget each call
 // site is bounded by its worker count alone — two nested fan-outs may then
 // together run workers² goroutines.
 //
@@ -23,9 +25,7 @@
 package par
 
 import (
-	"bytes"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -46,10 +46,11 @@ func Workers(n int) int {
 // at most Size goroutines execute items concurrently, across every nesting
 // level, and no call can deadlock waiting for slots.
 //
-// Accounting: InUse reports the goroutines currently executing items under
-// this budget, Peak the maximum ever observed — the quantity tests assert to
-// prove that nested fan-outs respect the budget. Both count each goroutine
-// once regardless of nesting depth.
+// Accounting is the slots: every helper goroutine holds exactly one token
+// for its whole life, whatever it nests, and a caller running items inline
+// holds none. InUse is therefore the number of tokens out, and Peak the most
+// ever out plus one — the helpers and the root that spawned them — which is
+// the quantity tests assert to prove that nested fan-outs respect the budget.
 //
 // A Budget is safe for concurrent use. The accounting assumes the budget has
 // a single root: one goroutine (per budget) that enters ForEachIn from
@@ -58,9 +59,7 @@ func Workers(n int) int {
 type Budget struct {
 	size   int
 	tokens chan struct{} // capacity size-1: the root supplies the first slot
-	inUse  atomic.Int64
-	peak   atomic.Int64
-	active sync.Map // goroutine id -> struct{}: goroutines inside budgeted loops
+	peak   atomic.Int64  // most tokens ever held at once
 }
 
 // NewBudget creates a shared pool with the given number of slots
@@ -73,76 +72,40 @@ func NewBudget(size int) *Budget {
 // Size returns the number of concurrency slots.
 func (b *Budget) Size() int { return b.size }
 
-// InUse returns the number of goroutines currently executing budgeted items.
-func (b *Budget) InUse() int { return int(b.inUse.Load()) }
+// InUse returns the number of helper goroutines currently holding a slot.
+func (b *Budget) InUse() int { return len(b.tokens) }
 
-// Peak returns the maximum InUse ever observed.
-func (b *Budget) Peak() int { return int(b.peak.Load()) }
+// Peak returns the most goroutines that ever executed budgeted work at once:
+// the helper high-water mark plus the root.
+func (b *Budget) Peak() int { return int(b.peak.Load()) + 1 }
 
 // tryAcquire claims a helper slot without blocking.
 func (b *Budget) tryAcquire() bool {
 	select {
 	case b.tokens <- struct{}{}:
-		return true
 	default:
 		return false
+	}
+	// len includes this goroutine's own token. A release racing with the
+	// read can make the mark one low, never high: it cannot exceed Size-1.
+	n := int64(len(b.tokens))
+	for {
+		p := b.peak.Load()
+		if n <= p || b.peak.CompareAndSwap(p, n) {
+			return true
+		}
 	}
 }
 
 // release returns a helper slot.
 func (b *Budget) release() { <-b.tokens }
 
-// enterLoop registers the calling goroutine as an active worker and returns
-// its id for exitLoop, so the id is parsed once per worker loop. A goroutine
-// already registered (a nested ForEachIn on the same budget) is not counted
-// again; exitLoop must be passed both results.
-func (b *Budget) enterLoop() (id int64, fresh bool) {
-	id = goid()
-	if _, loaded := b.active.LoadOrStore(id, struct{}{}); loaded {
-		return id, false
-	}
-	n := b.inUse.Add(1)
-	for {
-		p := b.peak.Load()
-		if n <= p || b.peak.CompareAndSwap(p, n) {
-			return id, true
-		}
-	}
-}
-
-// exitLoop undoes enterLoop.
-func (b *Budget) exitLoop(id int64, fresh bool) {
-	if !fresh {
-		return
-	}
-	b.active.Delete(id)
-	b.inUse.Add(-1)
-}
-
-// goid returns the runtime id of the calling goroutine, parsed from the
-// stack header ("goroutine 123 [running]:"). It is the only way to detect
-// nested ForEachIn calls on one goroutine without threading context through
-// every item function; the parse runs once per worker loop, not per item.
-func goid() int64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	fields := bytes.Fields(buf[:n])
-	if len(fields) < 2 {
-		return -1
-	}
-	id, err := strconv.ParseInt(string(fields[1]), 10, 64)
-	if err != nil {
-		return -1
-	}
-	return id
-}
-
 // Spawn runs fn on a new helper goroutine if the budget has a free slot,
 // returning true; when the budget is exhausted it returns false without
-// blocking and fn does not run. The goroutine holds its slot and is counted
-// by InUse/Peak for fn's whole lifetime, so long-lived worker loops (the
-// engine scheduler's job drivers) occupy budget capacity exactly like the
-// fan-out helpers of ForEachIn do. Spawn is the one sanctioned way to start
+// blocking and fn does not run. The goroutine holds its slot (and so is
+// counted by InUse/Peak) for fn's whole lifetime, so long-lived worker loops
+// (the engine scheduler's job drivers) occupy budget capacity exactly like
+// the fan-out helpers of ForEachIn do. Spawn is the one sanctioned way to start
 // a budgeted background worker: everything else goes through the ForEach
 // family, and the speclint budget analyzer forbids naked go statements
 // outside this package.
@@ -156,8 +119,6 @@ func (b *Budget) Spawn(fn func()) bool {
 	}
 	go func() {
 		defer b.release()
-		id, fresh := b.enterLoop()
-		defer b.exitLoop(id, fresh)
 		fn()
 	}()
 	return true
@@ -180,24 +141,10 @@ func ForEachIn(b *Budget, workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	// Accounting wraps worker loops, not items: a goroutine is counted once
-	// for the whole time it processes items, no matter how deeply nested.
-	runLoop := func(loop func()) {
-		if b == nil {
-			loop()
-			return
-		}
-		id, fresh := b.enterLoop()
-		defer b.exitLoop(id, fresh)
-		loop()
-	}
-
 	if workers == 1 {
-		runLoop(func() {
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
-		})
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
 
@@ -237,10 +184,10 @@ func ForEachIn(b *Budget, workers, n int, fn func(i int)) {
 			if b != nil {
 				defer b.release()
 			}
-			runLoop(worker)
+			worker()
 		}()
 	}
-	runLoop(worker)
+	worker()
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)

@@ -89,19 +89,44 @@ func TestBudgetSizeDefaults(t *testing.T) {
 	}
 }
 
+// gauge measures concurrency from inside the items, independently of the
+// budget's own accounting (which holds by construction): enter/leave bracket
+// the innermost work and max is the most goroutines ever between them.
+type gauge struct{ cur, max atomic.Int64 }
+
+func (g *gauge) enter() {
+	n := g.cur.Add(1)
+	for {
+		m := g.max.Load()
+		if n <= m || g.max.CompareAndSwap(m, n) {
+			return
+		}
+	}
+}
+
+func (g *gauge) leave() { g.cur.Add(-1) }
+
 // TestBudgetBoundsNestedFanOut is the shared-pool guarantee behind the
 // unified run API: a sweep-shaped nested fan-out (outer cells, each running
 // an inner per-client fan-out) must never execute more goroutines than the
-// budget's size, measured by the pool's own accounting.
+// budget's size — measured inside the items, and read off the pool. The
+// second half is the scheduler's shape: a Spawned long-lived helper nesting
+// its own fan-out beside the root's.
 func TestBudgetBoundsNestedFanOut(t *testing.T) {
 	const size = 3
 	b := NewBudget(size)
-	var items atomic.Int64
+	var (
+		g     gauge
+		items atomic.Int64
+	)
+	item := func(int) {
+		g.enter()
+		items.Add(1)
+		time.Sleep(time.Millisecond)
+		g.leave()
+	}
 	ForEachIn(b, size, 5, func(outer int) {
-		ForEachIn(b, size, 8, func(inner int) {
-			items.Add(1)
-			time.Sleep(time.Millisecond)
-		})
+		ForEachIn(b, size, 8, item)
 	})
 	if items.Load() != 5*8 {
 		t.Fatalf("ran %d items, want 40", items.Load())
@@ -109,11 +134,38 @@ func TestBudgetBoundsNestedFanOut(t *testing.T) {
 	if b.InUse() != 0 {
 		t.Fatalf("in-use %d after completion, want 0", b.InUse())
 	}
-	if p := b.Peak(); p > size {
-		t.Fatalf("peak concurrency %d exceeds budget %d", p, size)
+	if m := g.max.Load(); m > size || m < 2 {
+		t.Fatalf("measured concurrency %d, want 2..%d", m, size)
 	}
-	if p := b.Peak(); p < 2 {
-		t.Fatalf("peak concurrency %d: the budget prevented all parallelism", p)
+	if p := b.Peak(); p > size || p < 2 {
+		t.Fatalf("peak %d, want 2..%d", p, size)
+	}
+
+	helperDone := make(chan struct{})
+	if !b.Spawn(func() {
+		defer close(helperDone)
+		ForEachIn(b, size, 12, item)
+	}) {
+		t.Fatal("Spawn refused a slot on an idle budget")
+	}
+	ForEachIn(b, size, 12, item)
+	<-helperDone
+	if items.Load() != 5*8+24 {
+		t.Fatalf("ran %d items, want 64", items.Load())
+	}
+	// The helper's token is returned after fn returns, just after the
+	// channel closes.
+	for i := 0; b.InUse() != 0; i++ {
+		if i > 1000 {
+			t.Fatalf("in-use %d after the helper exited, want 0", b.InUse())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if m := g.max.Load(); m > size {
+		t.Fatalf("measured concurrency %d with a spawned helper, budget %d", m, size)
+	}
+	if p := b.Peak(); p > size {
+		t.Fatalf("peak %d exceeds budget %d", p, size)
 	}
 }
 
@@ -121,18 +173,16 @@ func TestBudgetBoundsNestedFanOut(t *testing.T) {
 // to the plain sequential loop.
 func TestBudgetSizeOneIsSequential(t *testing.T) {
 	b := NewBudget(1)
-	var cur, peak atomic.Int64
+	var g gauge
 	ForEachIn(b, 8, 6, func(outer int) {
 		ForEachIn(b, 8, 6, func(inner int) {
-			if n := cur.Add(1); n > peak.Load() {
-				peak.Store(n)
-			}
+			g.enter()
 			time.Sleep(100 * time.Microsecond)
-			cur.Add(-1)
+			g.leave()
 		})
 	})
-	if peak.Load() != 1 {
-		t.Fatalf("observed concurrency %d under a 1-slot budget", peak.Load())
+	if g.max.Load() != 1 {
+		t.Fatalf("observed concurrency %d under a 1-slot budget", g.max.Load())
 	}
 	if b.Peak() > 1 {
 		t.Fatalf("accounting peak %d under a 1-slot budget", b.Peak())
@@ -140,18 +190,28 @@ func TestBudgetSizeOneIsSequential(t *testing.T) {
 }
 
 // TestBudgetNestedAccountingCountsGoroutinesOnce: a goroutine running an
-// outer item that internally fans out again must not be double-counted.
+// outer item that internally fans out again occupies one slot, not one per
+// nesting level.
 func TestBudgetNestedAccountingCountsGoroutinesOnce(t *testing.T) {
 	b := NewBudget(2)
+	var g gauge
 	ForEachIn(b, 2, 2, func(outer int) {
 		ForEachIn(b, 2, 2, func(inner int) {
 			ForEachIn(b, 2, 2, func(deep int) {
+				g.enter()
 				time.Sleep(time.Millisecond)
+				g.leave()
 			})
 		})
 	})
+	if m := g.max.Load(); m > 2 {
+		t.Fatalf("triple-nested fan-out ran %d goroutines at once on a 2-slot budget", m)
+	}
 	if p := b.Peak(); p > 2 {
 		t.Fatalf("triple-nested fan-out peaked at %d goroutines on a 2-slot budget", p)
+	}
+	if b.InUse() != 0 {
+		t.Fatalf("in-use %d after completion, want 0", b.InUse())
 	}
 }
 

@@ -76,7 +76,7 @@ func localReference(t *testing.T, s *Server, req RunRequest) *recorder {
 		t.Fatal(err)
 	}
 	rec := &recorder{}
-	if _, err := engine.Run(context.Background(), eng, engine.WithPool(s.Pool()), engine.WithHooks(rec.hooks())); err != nil {
+	if _, err := engine.Run(context.Background(), eng, engine.WithHooks(rec.hooks())); err != nil {
 		t.Fatal(err)
 	}
 	return rec

@@ -385,6 +385,15 @@ func (r *RunRequest) Info(engine string) wire.RunInfo {
 // in-process through it).
 func (s *Server) Submit(req RunRequest) (int, error) {
 	req.normalize()
+	// A server at its quota answers before paying for the dataset and the
+	// simulation; the check that counts is the one below, taken under the
+	// same lock as the registration, so racing submits cannot both pass.
+	s.mu.Lock()
+	err := s.checkQuotaLocked(req.Tenant)
+	s.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
 	eng, err := s.buildEngine(&req, nil)
 	if err != nil {
 		return 0, err
@@ -479,7 +488,6 @@ func (s *Server) launch(r *run, eng engine.Engine) error {
 		every = s.cfg.CheckpointEvery
 	}
 	opts := []engine.Option{
-		engine.WithPool(s.pool),
 		engine.WithHooks(r.b.Hooks()),
 		engine.WithHooks(engine.Hooks{OnRound: func(engine.RoundEvent) {
 			r.mu.Lock()

@@ -109,6 +109,17 @@ func TestQuotaTooManyRuns(t *testing.T) {
 		if resp.Header.Get("Retry-After") == "" {
 			t.Fatal("429 response carries no Retry-After")
 		}
+		// The quota answers before the request is built: a full server says
+		// 429 even to a request it would otherwise reject as malformed, and
+		// pays for no dataset on the way.
+		resp, err = http.Post(ts.URL+"/runs", "application/json", strings.NewReader(`{"dataset":"no-such-dataset"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("malformed submit over quota: %s, want 429 before validation", resp.Status)
+		}
 		// Settling the active run frees the slot.
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()

@@ -29,8 +29,8 @@ func variantCell(p Preset, seed int64, prefix, variant string, mutate func(*core
 	return Cell{
 		Name:     prefix + variant,
 		Snapshot: true,
-		Build: func(ckpt io.Reader) (engine.Engine, []engine.Option, error) {
-			cfg := spec.DAGConfig(p, tipselect.AccuracyWalk{Alpha: 10}, seed)
+		Build: func(env Env, ckpt io.Reader) (engine.Engine, []engine.Option, error) {
+			cfg := spec.DAGConfig(env, p, tipselect.AccuracyWalk{Alpha: 10}, seed)
 			mutate(&cfg)
 			sim, err := buildDAG(spec, cfg, ckpt)
 			if err != nil {
@@ -68,7 +68,7 @@ func variantCell(p Preset, seed int64, prefix, variant string, mutate func(*core
 
 // runVariants submits every variant as an independent grid cell on the
 // shared scheduler; rows come back in variant order.
-func runVariants(ctx context.Context, p Preset, seed int64, variants []struct {
+func runVariants(ctx context.Context, env Env, p Preset, seed int64, variants []struct {
 	name   string
 	mutate func(*core.Config)
 }) ([]AblationRow, error) {
@@ -77,7 +77,7 @@ func runVariants(ctx context.Context, p Preset, seed int64, variants []struct {
 	for i, v := range variants {
 		cells[i] = variantCell(p, seed, "ablation-", v.name, v.mutate, &rows[i])
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -85,8 +85,8 @@ func runVariants(ctx context.Context, p Preset, seed int64, variants []struct {
 
 // AblationNormalization compares Eq. 1 vs Eq. 3 at α = 1, where the paper
 // reports the dynamic normalization helps (pureness 0.51 vs 0.40).
-func AblationNormalization(ctx context.Context, p Preset, seed int64) ([]AblationRow, error) {
-	return runVariants(ctx, p, seed, []struct {
+func AblationNormalization(ctx context.Context, env Env, p Preset, seed int64) ([]AblationRow, error) {
+	return runVariants(ctx, env, p, seed, []struct {
 		name   string
 		mutate func(*core.Config)
 	}{
@@ -99,8 +99,8 @@ func AblationNormalization(ctx context.Context, p Preset, seed int64) ([]Ablatio
 
 // AblationPublishGate compares the publish-if-better gate (§4.1) against
 // unconditional publishing.
-func AblationPublishGate(ctx context.Context, p Preset, seed int64) ([]AblationRow, error) {
-	return runVariants(ctx, p, seed, []struct {
+func AblationPublishGate(ctx context.Context, env Env, p Preset, seed int64) ([]AblationRow, error) {
+	return runVariants(ctx, env, p, seed, []struct {
 		name   string
 		mutate func(*core.Config)
 	}{
@@ -111,8 +111,8 @@ func AblationPublishGate(ctx context.Context, p Preset, seed int64) ([]AblationR
 
 // AblationWalkDepth compares genesis-start walks against the depth-15–25
 // entry sampling proposed by Popov and used in §5.3.5.
-func AblationWalkDepth(ctx context.Context, p Preset, seed int64) ([]AblationRow, error) {
-	return runVariants(ctx, p, seed, []struct {
+func AblationWalkDepth(ctx context.Context, env Env, p Preset, seed int64) ([]AblationRow, error) {
+	return runVariants(ctx, env, p, seed, []struct {
 		name   string
 		mutate func(*core.Config)
 	}{
@@ -125,8 +125,8 @@ func AblationWalkDepth(ctx context.Context, p Preset, seed int64) ([]AblationRow
 
 // AblationReferenceWalks compares 1 vs 3 walks for the consensus reference
 // model.
-func AblationReferenceWalks(ctx context.Context, p Preset, seed int64) ([]AblationRow, error) {
-	return runVariants(ctx, p, seed, []struct {
+func AblationReferenceWalks(ctx context.Context, env Env, p Preset, seed int64) ([]AblationRow, error) {
+	return runVariants(ctx, env, p, seed, []struct {
 		name   string
 		mutate func(*core.Config)
 	}{
@@ -137,8 +137,8 @@ func AblationReferenceWalks(ctx context.Context, p Preset, seed int64) ([]Ablati
 
 // AblationPartialSharing compares full model sharing against the paper's
 // future-work extension of sharing only the first layer (personal heads).
-func AblationPartialSharing(ctx context.Context, p Preset, seed int64) ([]AblationRow, error) {
-	return runVariants(ctx, p, seed, []struct {
+func AblationPartialSharing(ctx context.Context, env Env, p Preset, seed int64) ([]AblationRow, error) {
+	return runVariants(ctx, env, p, seed, []struct {
 		name   string
 		mutate func(*core.Config)
 	}{
@@ -150,8 +150,8 @@ func AblationPartialSharing(ctx context.Context, p Preset, seed int64) ([]Ablati
 // AblationSelectors compares the three selector families: the paper's
 // accuracy walk, the classic cumulative-weight walk, and uniform random tip
 // selection.
-func AblationSelectors(ctx context.Context, p Preset, seed int64) ([]AblationRow, error) {
-	return runVariants(ctx, p, seed, []struct {
+func AblationSelectors(ctx context.Context, env Env, p Preset, seed int64) ([]AblationRow, error) {
+	return runVariants(ctx, env, p, seed, []struct {
 		name   string
 		mutate func(*core.Config)
 	}{

@@ -58,7 +58,7 @@ func runFL(ctx context.Context, eng interface {
 // over five consecutive rounds, FedAvg vs the Specializing DAG, for all
 // three datasets. The six underlying runs (three datasets × two algorithms)
 // are a flat grid of independent cells on the shared scheduler.
-func Figure9(ctx context.Context, p Preset, seed int64) ([]Fig9Result, error) {
+func Figure9(ctx context.Context, env Env, p Preset, seed int64) ([]Fig9Result, error) {
 	specs := []Spec{FMNISTSpec(p, seed), PoetsSpec(p, seed+1), CIFARSpec(p, seed+2)}
 	out := make([]Fig9Result, len(specs))
 	cells := make([]Cell, 0, 2*len(specs))
@@ -67,8 +67,8 @@ func Figure9(ctx context.Context, p Preset, seed int64) ([]Fig9Result, error) {
 		out[i].Dataset = spec.Name
 		cells = append(cells, Cell{
 			Name: "fig9-fedavg-" + spec.Name,
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
-				fedEng, err := fl.NewFederated(spec.Fed, spec.FLConfig(p, 0, seed+int64(20+i)))
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
+				fedEng, err := fl.NewFederated(spec.Fed, spec.FLConfig(env, p, 0, seed+int64(20+i)))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -86,8 +86,8 @@ func Figure9(ctx context.Context, p Preset, seed int64) ([]Fig9Result, error) {
 		}, Cell{
 			Name:     "fig9-dag-" + spec.Name,
 			Snapshot: true,
-			Build: func(ckpt io.Reader) (engine.Engine, []engine.Option, error) {
-				sim, err := buildDAG(spec, spec.DAGConfig(p, spec.Selector, seed+int64(30+i)), ckpt)
+			Build: func(env Env, ckpt io.Reader) (engine.Engine, []engine.Option, error) {
+				sim, err := buildDAG(spec, spec.DAGConfig(env, p, spec.Selector, seed+int64(30+i)), ckpt)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -104,7 +104,7 @@ func Figure9(ctx context.Context, p Preset, seed int64) ([]Fig9Result, error) {
 			},
 		})
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -125,8 +125,8 @@ func dagCurveCell(p Preset, spec Spec, seed int64, name string, out *Fig1011Curv
 	series := metrics.NewSeries("DAG", "round", "acc", "loss")
 	return Cell{
 		Name: name,
-		Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
-			sim, err := core.NewSimulation(spec.Fed, spec.DAGConfig(p, spec.Selector, seed))
+		Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
+			sim, err := core.NewSimulation(spec.Fed, spec.DAGConfig(env, p, spec.Selector, seed))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -147,7 +147,7 @@ func dagCurveCell(p Preset, spec Spec, seed int64, name string, out *Fig1011Curv
 // round for FedAvg, FedProx and the Specializing DAG on Synthetic(0.5, 0.5)
 // with 30 clients, 10 active per round. The three algorithm runs are
 // independent cells on the shared scheduler.
-func Figure10And11(ctx context.Context, p Preset, seed int64) ([]Fig1011Curve, error) {
+func Figure10And11(ctx context.Context, env Env, p Preset, seed int64) ([]Fig1011Curve, error) {
 	spec := FedProxSpec(p, seed)
 
 	algos := []struct {
@@ -166,8 +166,8 @@ func Figure10And11(ctx context.Context, p Preset, seed int64) ([]Fig1011Curve, e
 		series := metrics.NewSeries(algo.name, "round", "acc", "loss")
 		cells[i] = Cell{
 			Name: "fig10_11-" + algo.name,
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
-				fedEng, err := fl.NewFederated(spec.Fed, spec.FLConfig(p, algo.proxMu, seed+40))
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
+				fedEng, err := fl.NewFederated(spec.Fed, spec.FLConfig(env, p, algo.proxMu, seed+40))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -183,7 +183,7 @@ func Figure10And11(ctx context.Context, p Preset, seed int64) ([]Fig1011Curve, e
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return out, nil

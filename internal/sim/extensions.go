@@ -17,15 +17,15 @@ import (
 // performance-aware merge partner selection should beat gossip's random
 // partners on non-IID data. The three algorithm runs only read the shared
 // federation; they run as independent cells on the shared scheduler.
-func GossipComparison(ctx context.Context, p Preset, seed int64) ([]Fig1011Curve, error) {
+func GossipComparison(ctx context.Context, env Env, p Preset, seed int64) ([]Fig1011Curve, error) {
 	spec := FMNISTSpec(p, seed)
 	out := make([]Fig1011Curve, 3)
 
 	cells := []Cell{
 		{
 			Name: "gossipcmp-fedavg",
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
-				fedEng, err := fl.NewFederated(spec.Fed, spec.FLConfig(p, 0, seed+60))
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
+				fedEng, err := fl.NewFederated(spec.Fed, spec.FLConfig(env, p, 0, seed+60))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -38,7 +38,7 @@ func GossipComparison(ctx context.Context, p Preset, seed int64) ([]Fig1011Curve
 		},
 		{
 			Name: "gossipcmp-gossip",
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
+			Build: func(Env, io.Reader) (engine.Engine, []engine.Option, error) {
 				gossipEng, err := fl.NewGossip(spec.Fed, fl.GossipConfig{
 					Rounds:          p.Rounds(),
 					ClientsPerRound: p.ClientsPerRound(),
@@ -58,7 +58,7 @@ func GossipComparison(ctx context.Context, p Preset, seed int64) ([]Fig1011Curve
 		},
 		dagCurveCell(p, spec, seed+62, "gossipcmp-dag", &out[2]),
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -76,7 +76,7 @@ func curveFromFL(name string, res *fl.Result) Fig1011Curve {
 // assumption the paper makes in §5.3.5: transactions become visible to other
 // clients only RevealDelay rounds after publication. The sweep measures how
 // stale views affect specialization (pureness) and accuracy.
-func VisibilitySweep(ctx context.Context, p Preset, seed int64) ([]AblationRow, error) {
+func VisibilitySweep(ctx context.Context, env Env, p Preset, seed int64) ([]AblationRow, error) {
 	delays := []int{0, 1, 3, 5}
 	rows := make([]AblationRow, len(delays))
 	cells := make([]Cell, len(delays))
@@ -86,7 +86,7 @@ func VisibilitySweep(ctx context.Context, p Preset, seed int64) ([]AblationRow, 
 			c.RevealDelay = d
 		}, &rows[i])
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -70,7 +70,7 @@ type FaultRow struct {
 // count (the per-event fault draws are keyed on stable identifiers, not on
 // execution order), which is what lets the fault-* benchmark metrics be
 // gated byte-for-byte.
-func FaultSweep(ctx context.Context, p Preset, seed int64) ([]FaultRow, error) {
+func FaultSweep(ctx context.Context, env Env, p Preset, seed int64) ([]FaultRow, error) {
 	duration := 12.0
 	if p == Full {
 		duration = 120
@@ -86,13 +86,13 @@ func FaultSweep(ctx context.Context, p Preset, seed int64) ([]FaultRow, error) {
 			// which hooks cannot replay from a checkpoint. Cells recompute on
 			// grid resume, which is safe because every cell is deterministic.
 			Name: "faults-" + name,
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
 				spec := FMNISTSpec(p, seed)
 				fc, err := FaultScenario(name, duration, 0.5)
 				if err != nil {
 					return nil, nil, err
 				}
-				cfg := spec.AsyncDAGConfig(duration, 1, 8, 0, spec.Selector, seed+int64(i))
+				cfg := spec.AsyncDAGConfig(env, duration, 1, 8, 0, spec.Selector, seed+int64(i))
 				cfg.Faults = fc
 				a, err := core.NewAsyncSimulation(spec.Fed, cfg)
 				if err != nil {
@@ -128,7 +128,7 @@ func FaultSweep(ctx context.Context, p Preset, seed int64) ([]FaultRow, error) {
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return rows, nil

@@ -37,7 +37,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full fault sweeps")
 	}
-	a, err := FaultSweep(context.Background(), Quick, testSeed)
+	a, err := FaultSweep(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFaultSweepDeterminism(t *testing.T) {
 			t.Errorf("%s: the lossy base network priced no drops/duplicates (%+v)", r.Scenario, r)
 		}
 	}
-	b, err := FaultSweep(context.Background(), Quick, testSeed)
+	b, err := FaultSweep(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

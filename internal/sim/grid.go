@@ -25,12 +25,14 @@ type Cell struct {
 	// TestSchedulerWorkerInvariance.
 	Priority int
 	// Build constructs the cell's engine on a scheduler worker at first
-	// dispatch. ckpt is non-nil when the grid directory holds a checkpoint
-	// for this cell; Build should then resume from it (falling back is
-	// handled by the grid: if Build errors on a checkpoint, it is retried
-	// with ckpt == nil and the cell restarts from scratch). Any returned
-	// options (hooks, probes) are applied to the cell's run loop.
-	Build func(ckpt io.Reader) (engine.Engine, []engine.Option, error)
+	// dispatch. env is the grid's Env, budget filled in: the engine draws
+	// from the pool its scheduler runs on. ckpt is non-nil when the grid
+	// directory holds a checkpoint for this cell; Build should then resume
+	// from it (falling back is handled by the grid: if Build errors on a
+	// checkpoint, it is retried with ckpt == nil and the cell restarts from
+	// scratch). Any returned options (hooks, probes) are applied to the
+	// cell's run loop.
+	Build func(env Env, ckpt io.Reader) (engine.Engine, []engine.Option, error)
 	// Finish extracts the cell's results after its engine completed. Finish
 	// calls run sequentially in cell order on RunGrid's goroutine, so they
 	// may write shared state without locking.
@@ -48,15 +50,11 @@ type Cell struct {
 
 // GridConfig configures RunGrid.
 type GridConfig struct {
-	// Dir is the per-cell checkpoint directory; "" falls back to the
-	// harness-wide GridDir() (cmd/experiments -grid-dir, SPECDAG_GRID_DIR),
-	// and if that is empty too the grid runs without checkpoints.
-	Dir string
 	// Every is the checkpoint cadence in engine units; <= 0 selects 5.
 	Every int
-	// Workers caps concurrently running cells; <= 0 inherits the harness
-	// Workers setting (the shared pool's size). Workers == 1 runs cells
-	// strictly sequentially on the calling goroutine.
+	// Workers caps concurrently running cells; <= 0 selects the size of the
+	// Env's budget. Workers == 1 runs cells strictly sequentially on the
+	// calling goroutine.
 	Workers int
 	// Quantum is the scheduler dispatch quantum in engine units; <= 0
 	// selects the scheduler default. Figure15 sets it large enough that
@@ -64,32 +62,11 @@ type GridConfig struct {
 	Quantum int
 }
 
-var gridDirSetting = os.Getenv("SPECDAG_GRID_DIR")
-
-// GridDir returns the harness-wide default checkpoint directory for sweep
-// grids ("" disables grid checkpointing). It is read from the
-// SPECDAG_GRID_DIR environment variable at startup and can be overridden
-// via SetGridDir (cmd/experiments -grid-dir).
-func GridDir() string {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	return gridDirSetting
-}
-
-// SetGridDir overrides the harness-wide grid checkpoint directory. Call it
-// at flag-parsing time; grids already in flight keep the directory they
-// started with.
-func SetGridDir(dir string) {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	gridDirSetting = dir
-}
-
 // RunGrid runs every cell to completion on an engine.Scheduler drawing from
-// the shared harness pool, then runs the Finish callbacks sequentially in
-// cell order. It replaces the naive per-sweep fan-out: cells become
-// priority-ordered, work-stolen, pause-safe jobs, and with a checkpoint
-// directory a mid-grid crash resumes instead of restarting — completed
+// env's budget, then runs the Finish callbacks sequentially in cell order.
+// It replaces the naive per-sweep fan-out: cells become priority-ordered,
+// pause-safe jobs, and with a checkpoint directory (env.GridDir) a mid-grid
+// crash resumes instead of restarting — completed
 // cells reload their final checkpoint, in-flight ones continue from their
 // last unit boundary, and untouched ones build fresh.
 //
@@ -101,11 +78,9 @@ func SetGridDir(dir string) {
 // On context cancellation RunGrid returns ctx.Err() with unfinished cells
 // stopped at unit boundaries; otherwise the first error in cell order is
 // returned (wrapped with the cell name), after all cells have settled.
-func RunGrid(ctx context.Context, cells []Cell, cfg GridConfig) error {
-	dir := cfg.Dir
-	if dir == "" {
-		dir = GridDir()
-	}
+func RunGrid(ctx context.Context, env Env, cells []Cell, cfg GridConfig) error {
+	env = env.withPool()
+	dir := env.GridDir
 	every := cfg.Every
 	if every <= 0 {
 		every = 5
@@ -115,13 +90,9 @@ func RunGrid(ctx context.Context, cells []Cell, cfg GridConfig) error {
 			return fmt.Errorf("sim: creating grid checkpoint dir: %w", err)
 		}
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = Pool().Size()
-	}
 	sched := engine.NewScheduler(engine.SchedulerConfig{
-		Pool:    Pool(),
-		Workers: workers,
+		Pool:    env.Pool,
+		Workers: cfg.Workers,
 		Quantum: cfg.Quantum,
 	})
 	handles := make([]*engine.Handle, len(cells))
@@ -133,7 +104,7 @@ func RunGrid(ctx context.Context, cells []Cell, cfg GridConfig) error {
 			Name:     c.Name,
 			Priority: c.Priority,
 			Build: func(context.Context) (engine.Engine, []engine.Option, error) {
-				eng, opts, err := buildCell(c, dir, every)
+				eng, opts, err := buildCell(c, env, every)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -180,11 +151,12 @@ func RunGrid(ctx context.Context, cells []Cell, cfg GridConfig) error {
 // checkpoint life cycle: resume from an existing cell checkpoint when
 // possible (restarting from scratch if the checkpoint is unreadable or
 // stale), and install periodic checkpointing for the run ahead.
-func buildCell(c *Cell, dir string, every int) (engine.Engine, []engine.Option, error) {
+func buildCell(c *Cell, env Env, every int) (engine.Engine, []engine.Option, error) {
+	dir := env.GridDir
 	if c.Snapshot && dir != "" {
 		path := cellCheckpointPath(dir, c.Name)
 		if f, err := os.Open(path); err == nil {
-			eng, opts, berr := c.Build(f)
+			eng, opts, berr := c.Build(env, f)
 			f.Close()
 			if berr == nil {
 				return eng, withCellCheckpoints(opts, dir, c.Name, every), nil
@@ -194,7 +166,7 @@ func buildCell(c *Cell, dir string, every int) (engine.Engine, []engine.Option, 
 			// produce identical results.
 		}
 	}
-	eng, opts, err := c.Build(nil)
+	eng, opts, err := c.Build(env, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -14,13 +15,14 @@ import (
 	"github.com/specdag/specdag/internal/dataset"
 	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/nn"
+	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/tipselect"
 )
 
 // tinyGridConfig is a small, fast DAG simulation config for grid tests; the
 // same (config, seed) is used for scheduled and unscheduled runs so their
 // checkpoint bytes must match exactly.
-func tinyGridConfig(i int, seed int64) (*dataset.Federation, core.Config) {
+func tinyGridConfig(env Env, i int, seed int64) (*dataset.Federation, core.Config) {
 	fed := dataset.FMNISTClustered(dataset.FMNISTConfig{
 		Clients:        8,
 		TrainPerClient: 30,
@@ -34,8 +36,8 @@ func tinyGridConfig(i int, seed int64) (*dataset.Federation, core.Config) {
 		Arch:            nn.Arch{In: 64, Hidden: []int{16}, Out: 10},
 		Selector:        tipselect.AccuracyWalk{Alpha: 10},
 		Seed:            seed + int64(i),
-		Workers:         Workers,
-		Pool:            Pool(),
+		Workers:         env.Pool.Size(),
+		Pool:            env.Pool,
 	}
 	return fed, cfg
 }
@@ -55,8 +57,8 @@ func tinyGridCells(n int, seed int64, prios []int, sims []*core.Simulation, onRo
 			Name:     fmt.Sprintf("tiny-%02d", i),
 			Priority: prio,
 			Snapshot: true,
-			Build: func(ckpt io.Reader) (engine.Engine, []engine.Option, error) {
-				fed, cfg := tinyGridConfig(i, seed)
+			Build: func(env Env, ckpt io.Reader) (engine.Engine, []engine.Option, error) {
+				fed, cfg := tinyGridConfig(env, i, seed)
 				var sim *core.Simulation
 				var err error
 				if ckpt != nil {
@@ -99,26 +101,10 @@ func checkpointBytes(t *testing.T, sim *core.Simulation) []byte {
 // directly with engine.Run. Scheduling decides only when a cell's units
 // execute, never what they compute.
 func TestSchedulerWorkerInvariance(t *testing.T) {
-	oldWorkers := Workers
-	SetWorkers(2)
-	defer SetWorkers(oldWorkers)
-
+	t.Parallel()
 	const n = 4
 	seed := int64(77)
-
-	// Unscheduled reference: each cell's engine driven directly.
-	ref := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		fed, cfg := tinyGridConfig(i, seed)
-		sim, err := core.NewSimulation(fed, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := engine.Run(context.Background(), sim); err != nil {
-			t.Fatal(err)
-		}
-		ref[i] = checkpointBytes(t, sim)
-	}
+	ref := tinyGridReference(t, n, seed)
 
 	variants := []struct {
 		name  string
@@ -133,18 +119,88 @@ func TestSchedulerWorkerInvariance(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
+			env := Env{Pool: par.NewBudget(2)}
 			sims := make([]*core.Simulation, n)
 			cells := tinyGridCells(n, seed, v.prios, sims, nil)
-			if err := RunGrid(context.Background(), cells, v.cfg); err != nil {
+			if err := RunGrid(context.Background(), env, cells, v.cfg); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < n; i++ {
-				if got := checkpointBytes(t, sims[i]); !bytes.Equal(got, ref[i]) {
-					t.Errorf("cell %d: scheduled checkpoint differs from unscheduled run (%d vs %d bytes)",
-						i, len(got), len(ref[i]))
-				}
-			}
+			compareToReference(t, sims, ref)
 		})
+	}
+}
+
+// tinyGridReference is the unscheduled reference: each cell's engine driven
+// directly with engine.Run, sequentially, on a budget of its own.
+func tinyGridReference(t *testing.T, n int, seed int64) [][]byte {
+	t.Helper()
+	env := Env{Pool: par.NewBudget(2)}
+	ref := make([][]byte, n)
+	for i := 0; i < n; i++ {
+		fed, cfg := tinyGridConfig(env, i, seed)
+		sim, err := core.NewSimulation(fed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.Run(context.Background(), sim); err != nil {
+			t.Fatal(err)
+		}
+		ref[i] = checkpointBytes(t, sim)
+	}
+	return ref
+}
+
+func compareToReference(t *testing.T, sims []*core.Simulation, ref [][]byte) {
+	t.Helper()
+	for i := range ref {
+		if got := checkpointBytes(t, sims[i]); !bytes.Equal(got, ref[i]) {
+			t.Errorf("cell %d: scheduled checkpoint differs from unscheduled run (%d vs %d bytes)",
+				i, len(got), len(ref[i]))
+		}
+	}
+}
+
+// TestConcurrentGridsShareNothing: two grids with different Envs — budgets
+// of different sizes, one checkpointing — run at the same time (the race
+// detector watches), and each one's results equal its sequential run's.
+func TestConcurrentGridsShareNothing(t *testing.T) {
+	t.Parallel()
+	const n = 3
+	grids := []struct {
+		env  Env
+		seed int64
+	}{
+		{Env{Pool: par.NewBudget(1)}, 131},
+		{Env{Pool: par.NewBudget(3), GridDir: t.TempDir()}, 257},
+	}
+	sims := make([][]*core.Simulation, len(grids))
+	errs := make([]error, len(grids))
+	var wg sync.WaitGroup
+	for g, grid := range grids {
+		sims[g] = make([]*core.Simulation, n)
+		cells := tinyGridCells(n, grid.seed, nil, sims[g], nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = RunGrid(context.Background(), grid.env, cells, GridConfig{Every: 2})
+		}()
+	}
+	wg.Wait()
+	for g, grid := range grids {
+		if errs[g] != nil {
+			t.Fatalf("grid %d: %v", g, errs[g])
+		}
+		compareToReference(t, sims[g], tinyGridReference(t, n, grid.seed))
+		if grid.env.Pool.Peak() > grid.env.Pool.Size() || grid.env.Pool.InUse() != 0 {
+			t.Errorf("grid %d: budget peak %d of %d, %d still in use", g,
+				grid.env.Pool.Peak(), grid.env.Pool.Size(), grid.env.Pool.InUse())
+		}
+	}
+	if files, err := os.ReadDir(grids[1].env.GridDir); err != nil || len(files) != n {
+		t.Errorf("checkpointing grid left %d files (%v), want %d", len(files), err, n)
+	}
+	if grids[0].env.Pool.Peak() != 1 {
+		t.Errorf("the one-slot grid borrowed from its neighbour: peak %d", grids[0].env.Pool.Peak())
 	}
 }
 
@@ -153,6 +209,7 @@ func TestSchedulerWorkerInvariance(t *testing.T) {
 // strictly fewer rounds execute than a full grid — and (b) still produces
 // results byte-identical to an uninterrupted run.
 func TestGridCrashResume(t *testing.T) {
+	t.Parallel()
 	testGridCrashResume(t, 3, 7)
 }
 
@@ -169,7 +226,8 @@ func TestGridCrashResumeLarge(t *testing.T) {
 func testGridCrashResume(t *testing.T, n, cancelAfter int) {
 	seed := int64(99)
 	totalRounds := n * 6
-	dir := t.TempDir()
+	env := Env{Pool: par.NewBudget(2)}
+	ckpt := Env{Pool: env.Pool, GridDir: t.TempDir()}
 
 	// Crash run: cancel the grid after cancelAfter completed rounds; cells
 	// checkpoint every round.
@@ -182,7 +240,7 @@ func testGridCrashResume(t *testing.T, n, cancelAfter int) {
 			cancel()
 		}
 	})
-	err := RunGrid(ctx, cells, GridConfig{Dir: dir, Every: 1, Workers: 1})
+	err := RunGrid(ctx, ckpt, cells, GridConfig{Every: 1, Workers: 1})
 	if err == nil {
 		t.Fatal("canceled grid completed successfully")
 	}
@@ -195,7 +253,7 @@ func testGridCrashResume(t *testing.T, n, cancelAfter int) {
 	var resumed atomic.Int64
 	sims2 := make([]*core.Simulation, n)
 	cells2 := tinyGridCells(n, seed, nil, sims2, func() { resumed.Add(1) })
-	if err := RunGrid(context.Background(), cells2, GridConfig{Dir: dir, Every: 1, Workers: 1}); err != nil {
+	if err := RunGrid(context.Background(), ckpt, cells2, GridConfig{Every: 1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := resumed.Load(); got >= int64(totalRounds) {
@@ -206,7 +264,7 @@ func testGridCrashResume(t *testing.T, n, cancelAfter int) {
 	// run without any checkpoint directory.
 	sims3 := make([]*core.Simulation, n)
 	cells3 := tinyGridCells(n, seed, nil, sims3, nil)
-	if err := RunGrid(context.Background(), cells3, GridConfig{Workers: 1}); err != nil {
+	if err := RunGrid(context.Background(), env, cells3, GridConfig{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {

@@ -68,14 +68,15 @@ func longHaulScale(p Preset) (targetEvents, epochWidth int) {
 // delay, and epoch compaction spilling frozen parameters to spillDir (or
 // dropping them when spillDir is empty). The duration is derived from the
 // preset's event target via the expected activation rate — for cycle times
-// drawn uniformly from [a, b], E[1/c] = ln(b/a)/(b-a) per client.
+// drawn uniformly from [a, b], E[1/c] = ln(b/a)/(b-a) per client. The budget
+// is the zero Env's own; callers sharing one set Workers and Pool themselves.
 func LongHaulAsyncConfig(p Preset, spillDir string, seed int64) core.AsyncConfig {
 	spec := LongHaulSpec(seed)
 	const minCycle, maxCycle, netDelay = 0.5, 2.0, 0.5
 	target, width := longHaulScale(p)
 	ratePerClient := 0.9242 // ln(maxCycle/minCycle)/(maxCycle-minCycle)
 	duration := float64(target) / (float64(len(spec.Fed.Clients)) * ratePerClient)
-	acfg := spec.AsyncDAGConfig(duration, minCycle, maxCycle, netDelay, spec.Selector, seed)
+	acfg := spec.AsyncDAGConfig(Env{}, duration, minCycle, maxCycle, netDelay, spec.Selector, seed)
 	acfg.Compaction.Width = width
 	acfg.Compaction.Live = 2
 	acfg.Compaction.SpillDir = spillDir
@@ -103,9 +104,11 @@ type LongHaulReport struct {
 // the heap as it goes, and reports compaction effectiveness and resource
 // ceilings. spillDir receives one spill file per frozen epoch; the caller
 // owns cleanup (tests pass t.TempDir()).
-func LongHaul(ctx context.Context, p Preset, spillDir string, seed int64) (*LongHaulReport, error) {
+func LongHaul(ctx context.Context, env Env, p Preset, spillDir string, seed int64) (*LongHaulReport, error) {
 	spec := LongHaulSpec(seed)
 	acfg := LongHaulAsyncConfig(p, spillDir, seed)
+	env = env.withPool()
+	acfg.Workers, acfg.Pool = env.Pool.Size(), env.Pool
 	a, err := core.NewAsyncSimulation(spec.Fed, acfg)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 // never approved pins the freeze guard at round 0 forever — conservative and
 // correct, but it would make this test vacuous).
 func TestLongHaulQuickCompacts(t *testing.T) {
-	rep, err := LongHaul(context.Background(), Quick, t.TempDir(), 7)
+	rep, err := LongHaul(context.Background(), Env{}, Quick, t.TempDir(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestLongHaulBoundedRSS(t *testing.T) {
 	if os.Getenv("SPECDAG_LONG_HAUL") != "1" {
 		t.Skip("long-haul endurance run; set SPECDAG_LONG_HAUL=1 to enable")
 	}
-	rep, err := LongHaul(context.Background(), Full, t.TempDir(), 7)
+	rep, err := LongHaul(context.Background(), Env{}, Full, t.TempDir(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func poisonRounds(p Preset) (clean, attack int) {
 // p=0.2 and p=0.3 with the accuracy tip selector, and p=0.2 with the random
 // tip selector. The per-round attack metrics stream out of the run through
 // round events (Detail carries the full core.RoundResult).
-func Figure12And13(ctx context.Context, p Preset, seed int64) ([]PoisonCurve, error) {
+func Figure12And13(ctx context.Context, env Env, p Preset, seed int64) ([]PoisonCurve, error) {
 	clean, attack := poisonRounds(p)
 	scenarios := []poisonScenario{
 		{"p=0.0", 0, tipselect.AccuracyWalk{Alpha: 10}},
@@ -61,9 +61,9 @@ func Figure12And13(ctx context.Context, p Preset, seed int64) ([]PoisonCurve, er
 		series := metrics.NewSeries(sc.label, "round", "flippedPct", "flippedBenignPct", "poisonedApprovals")
 		cells[si] = Cell{
 			Name: "fig12_13-" + sc.label,
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
 				spec := ByWriterFMNISTSpec(p, seed)
-				cfg := spec.DAGConfig(p, sc.selector, seed+int64(si))
+				cfg := spec.DAGConfig(env, p, sc.selector, seed+int64(si))
 				cfg.Rounds = clean + attack
 				cfg.Poison = core.PoisonConfig{
 					Fraction:   sc.fraction,
@@ -95,7 +95,7 @@ func Figure12And13(ctx context.Context, p Preset, seed int64) ([]PoisonCurve, er
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -115,10 +115,10 @@ type Fig14Result struct {
 // Figure14 reproduces Fig. 14: run the p=0.3 flipped-label attack, then
 // cluster G_clients with Louvain and histogram benign vs poisoned clients
 // per inferred community.
-func Figure14(ctx context.Context, p Preset, seed int64) (*Fig14Result, error) {
+func Figure14(ctx context.Context, env Env, p Preset, seed int64) (*Fig14Result, error) {
 	clean, attack := poisonRounds(p)
 	spec := ByWriterFMNISTSpec(p, seed)
-	cfg := spec.DAGConfig(p, tipselect.AccuracyWalk{Alpha: 10}, seed)
+	cfg := spec.DAGConfig(env, p, tipselect.AccuracyWalk{Alpha: 10}, seed)
 	cfg.Rounds = clean + attack
 	cfg.Poison = core.PoisonConfig{Fraction: 0.3, FlipA: 3, FlipB: 8, StartRound: clean, Track: true}
 	sim, err := runDAG(ctx, spec, cfg)

@@ -3,13 +3,17 @@
 // configurations, and provides one runner per table and figure of the
 // paper's evaluation (§5). Each runner exists in two scales: Quick for
 // tests and benchmarks (seconds) and Full for paper-scale runs.
+//
+// The package keeps no process state: the worker budget and the grid
+// checkpoint directory arrive as an Env value, so sweeps with different Envs
+// can run side by side, and the environment variables that fill one are read
+// by the entry points that honour them (EnvFromOS), not at import.
 package sim
 
 import (
 	"fmt"
 	"os"
 	"strconv"
-	"sync"
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/dataset"
@@ -19,60 +23,47 @@ import (
 	"github.com/specdag/specdag/internal/tipselect"
 )
 
-// Workers bounds the harness's parallelism: the total size of the shared
-// worker budget that sweep cells (one figure line, ablation variant, or
-// scenario each) and the round engines inside them draw from, and the
-// Workers setting of every core.Config the harness assembles. 0 (the
-// default) uses runtime.NumCPU(). Every experiment is deterministic for any
-// value — cells write results by index and each DAG simulation is
-// worker-count invariant — so this knob only trades wall clock for CPU. It
-// is read once from the SPECDAG_WORKERS environment variable at startup
-// (how the benchmark snapshots pin a sequential baseline) and can be
-// overridden via SetWorkers (cmd/experiments -workers).
-var Workers = workersFromEnv()
-
-var (
-	poolMu sync.Mutex
-	pool   *par.Budget
-)
-
-// Pool returns the harness-wide shared worker budget, sized par.Workers
-// (Workers) and created on first use. Every sweep cell fan-out and every
-// round engine the harness assembles draws from this one pool, so nested
-// fan-outs (a sweep of simulations, each fanning over its round's clients)
-// never run more than the budget's goroutines in total — the resolution of
-// the ~NumCPU² oversubscription the per-call-site pools allowed.
-func Pool() *par.Budget {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if pool == nil {
-		pool = par.NewBudget(par.Workers(Workers))
-	}
-	return pool
+// Env is what a runner takes from its surroundings, handed down as a value.
+// The zero value is a fresh NumCPU-sized budget per runner call and no grid
+// checkpoints.
+type Env struct {
+	// Pool is the one worker budget that sweep cells (a figure line,
+	// ablation variant or scenario each) and the engines inside them draw
+	// from, so nested fan-outs never run more goroutines than its size in
+	// total; the Workers setting of every config the harness assembles is
+	// that size. Every experiment is deterministic for any size — cells
+	// write results by index and each simulation is worker-count invariant
+	// — so it only trades wall clock for CPU.
+	Pool *par.Budget
+	// GridDir is the per-cell checkpoint directory of RunGrid: a crashed
+	// sweep rerun resumes its cells instead of recomputing them. "" runs
+	// grids without checkpoints.
+	GridDir string
 }
 
-// SetWorkers overrides the harness worker budget and replaces the shared
-// pool. Call it before running experiments (flag parsing time); experiments
-// already in flight keep the pool they started with.
-func SetWorkers(n int) {
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	Workers = n
-	pool = par.NewBudget(par.Workers(n))
+// withPool fills in the zero value's budget.
+func (e Env) withPool() Env {
+	if e.Pool == nil {
+		e.Pool = par.NewBudget(0)
+	}
+	return e
 }
 
-func workersFromEnv() int {
-	v := os.Getenv("SPECDAG_WORKERS")
-	if v == "" {
-		return 0
+// EnvFromOS reads the Env the process environment asks for: SPECDAG_WORKERS
+// sizes the budget (0 or unset = NumCPU; how the benchmark snapshots pin a
+// sequential baseline), SPECDAG_GRID_DIR is GridDir. Only the entry points
+// that honour the variables call it (root benchmarks, cmd/experiments,
+// cmd/specdag), and a malformed value is their usage error: falling back to
+// full parallelism would turn a typo'd sequential baseline into a parallel run.
+func EnvFromOS() (Env, error) {
+	n := 0
+	if v := os.Getenv("SPECDAG_WORKERS"); v != "" {
+		var err error
+		if n, err = strconv.Atoi(v); err != nil || n < 0 {
+			return Env{}, fmt.Errorf("invalid SPECDAG_WORKERS=%q (want a non-negative integer)", v)
+		}
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		// Fail loudly: silently falling back to full parallelism would turn
-		// a typo'd "sequential baseline" benchmark into a parallel run.
-		panic(fmt.Sprintf("sim: invalid SPECDAG_WORKERS=%q (want a non-negative integer)", v))
-	}
-	return n
+	return Env{Pool: par.NewBudget(n), GridDir: os.Getenv("SPECDAG_GRID_DIR")}, nil
 }
 
 // Preset selects the experiment scale.
@@ -265,25 +256,26 @@ func FedProxSpec(p Preset, seed int64) Spec {
 }
 
 // DAGConfig assembles a core.Config for the spec with the given selector.
-// The simulation inherits the harness-wide Workers setting and draws its
-// round fan-out from the shared pool.
-func (s Spec) DAGConfig(p Preset, sel tipselect.Selector, seed int64) core.Config {
+// The simulation draws its round fan-out from env's budget.
+func (s Spec) DAGConfig(env Env, p Preset, sel tipselect.Selector, seed int64) core.Config {
+	env = env.withPool()
 	return core.Config{
 		Rounds:          p.Rounds(),
 		ClientsPerRound: p.ClientsPerRound(),
 		Local:           s.Local,
 		Arch:            s.Arch,
 		Selector:        sel,
-		Workers:         Workers,
-		Pool:            Pool(),
+		Workers:         env.Pool.Size(),
+		Pool:            env.Pool,
 		Seed:            seed,
 	}
 }
 
 // AsyncDAGConfig assembles a core.AsyncConfig for the spec — the
-// event-driven engine's counterpart of DAGConfig, sharing the harness
-// worker budget. Timing parameters are in simulated seconds.
-func (s Spec) AsyncDAGConfig(duration, minCycle, maxCycle, netDelay float64, sel tipselect.Selector, seed int64) core.AsyncConfig {
+// event-driven engine's counterpart of DAGConfig. Timing parameters are in
+// simulated seconds.
+func (s Spec) AsyncDAGConfig(env Env, duration, minCycle, maxCycle, netDelay float64, sel tipselect.Selector, seed int64) core.AsyncConfig {
+	env = env.withPool()
 	return core.AsyncConfig{
 		Duration:     duration,
 		MinCycle:     minCycle,
@@ -292,23 +284,24 @@ func (s Spec) AsyncDAGConfig(duration, minCycle, maxCycle, netDelay float64, sel
 		Local:        s.Local,
 		Arch:         s.Arch,
 		Selector:     sel,
-		Workers:      Workers,
-		Pool:         Pool(),
+		Workers:      env.Pool.Size(),
+		Pool:         env.Pool,
 		Seed:         seed,
 	}
 }
 
 // FLConfig assembles an fl.Config for the spec, mirroring the preset's
-// round structure and sharing the harness worker budget.
-func (s Spec) FLConfig(p Preset, proxMu float64, seed int64) fl.Config {
+// round structure.
+func (s Spec) FLConfig(env Env, p Preset, proxMu float64, seed int64) fl.Config {
+	env = env.withPool()
 	return fl.Config{
 		Rounds:          p.Rounds(),
 		ClientsPerRound: p.ClientsPerRound(),
 		Local:           s.Local,
 		ProxMu:          proxMu,
 		Arch:            s.Arch,
-		Workers:         Workers,
-		Pool:            Pool(),
+		Workers:         env.Pool.Size(),
+		Pool:            env.Pool,
 		Seed:            seed,
 	}
 }

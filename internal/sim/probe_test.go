@@ -19,7 +19,7 @@ func TestProbeCIFARSignal(t *testing.T) {
 		t.Skip("probe is a diagnostic, skipped in -short")
 	}
 	spec := CIFARSpec(Quick, 1)
-	cfg := spec.DAGConfig(Quick, tipselect.AccuracyWalk{Alpha: 10}, 2)
+	cfg := spec.DAGConfig(Env{}, Quick, tipselect.AccuracyWalk{Alpha: 10}, 2)
 	cfg.Rounds = 30
 	sim, err := core.NewSimulation(spec.Fed, cfg)
 	if err != nil {

@@ -27,7 +27,7 @@ type Fig15Curve struct {
 // Both wall-clock microseconds and the hardware-independent count of model
 // evaluations per client are reported; the paper's claim is that neither
 // grows with concurrency.
-func Figure15(ctx context.Context, p Preset, seed int64) ([]Fig15Curve, error) {
+func Figure15(ctx context.Context, env Env, p Preset, seed int64) ([]Fig15Curve, error) {
 	levels := []int{5, 10, 20, 40}
 	rounds := p.Rounds()
 	if p == Quick {
@@ -50,14 +50,14 @@ func Figure15(ctx context.Context, p Preset, seed int64) ([]Fig15Curve, error) {
 		var series *metrics.Series
 		cells[li] = Cell{
 			Name: fmt.Sprintf("fig15-active=%d", active),
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
 				spec := ByWriterFMNISTSpec(p, seed)
 				if active > len(spec.Fed.Clients) {
 					active = len(spec.Fed.Clients)
 				}
 				series = metrics.NewSeries(fmt.Sprintf("%d active clients", active),
 					"round", "walkMicros", "evalsPerClient")
-				cfg := spec.DAGConfig(p, tipselect.AccuracyWalk{Alpha: 10, DepthMin: 15, DepthMax: 25}, seed+int64(li))
+				cfg := spec.DAGConfig(env, p, tipselect.AccuracyWalk{Alpha: 10, DepthMin: 15, DepthMax: 25}, seed+int64(li))
 				cfg.Rounds = rounds
 				cfg.ClientsPerRound = active
 				cfg.EvalScope = core.EvalScopeNone // re-evaluate on every walk, like the prototype
@@ -83,7 +83,7 @@ func Figure15(ctx context.Context, p Preset, seed int64) ([]Fig15Curve, error) {
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{Workers: 1, Quantum: 1 << 30}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{Workers: 1, Quantum: 1 << 30}); err != nil {
 		return nil, err
 	}
 	return out, nil

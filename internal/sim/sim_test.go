@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"github.com/specdag/specdag/internal/par"
 )
 
 const testSeed = 42
@@ -53,7 +55,8 @@ func TestTable1Rendering(t *testing.T) {
 }
 
 func TestTable2QuickShape(t *testing.T) {
-	rows, err := Table2(context.Background(), Quick, testSeed)
+	t.Parallel()
+	rows, err := Table2(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,8 @@ func TestTable2QuickShape(t *testing.T) {
 }
 
 func TestFigure5Quick(t *testing.T) {
-	results, err := Figure5(context.Background(), Quick, testSeed)
+	t.Parallel()
+	results, err := Figure5(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +111,8 @@ func TestFigure5Quick(t *testing.T) {
 }
 
 func TestFigure6Quick(t *testing.T) {
-	curves, err := Figure6(context.Background(), Quick, testSeed)
+	t.Parallel()
+	curves, err := Figure6(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +137,8 @@ func TestFigure6Quick(t *testing.T) {
 }
 
 func TestFigure7Quick(t *testing.T) {
-	r, err := Figure7(context.Background(), Quick, testSeed)
+	t.Parallel()
+	r, err := Figure7(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,8 @@ func TestFigure7Quick(t *testing.T) {
 }
 
 func TestFigure8Quick(t *testing.T) {
-	curves, err := Figure8(context.Background(), Quick, testSeed)
+	t.Parallel()
+	curves, err := Figure8(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +168,8 @@ func TestFigure8Quick(t *testing.T) {
 }
 
 func TestFigure9Quick(t *testing.T) {
-	results, err := Figure9(context.Background(), Quick, testSeed)
+	t.Parallel()
+	results, err := Figure9(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +192,8 @@ func TestFigure9Quick(t *testing.T) {
 }
 
 func TestFigure10And11Quick(t *testing.T) {
-	curves, err := Figure10And11(context.Background(), Quick, testSeed)
+	t.Parallel()
+	curves, err := Figure10And11(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +218,8 @@ func TestFigure10And11Quick(t *testing.T) {
 }
 
 func TestFigure12And13Quick(t *testing.T) {
-	curves, err := Figure12And13(context.Background(), Quick, testSeed)
+	t.Parallel()
+	curves, err := Figure12And13(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +242,8 @@ func TestFigure12And13Quick(t *testing.T) {
 }
 
 func TestFigure14Quick(t *testing.T) {
-	r, err := Figure14(context.Background(), Quick, testSeed)
+	t.Parallel()
+	r, err := Figure14(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +266,8 @@ func TestFigure14Quick(t *testing.T) {
 }
 
 func TestFigure15Quick(t *testing.T) {
-	curves, err := Figure15(context.Background(), Quick, testSeed)
+	t.Parallel()
+	curves, err := Figure15(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,9 +285,10 @@ func TestFigure15Quick(t *testing.T) {
 }
 
 func TestAblationsQuick(t *testing.T) {
+	t.Parallel()
 	type ablation struct {
 		name string
-		run  func(context.Context, Preset, int64) ([]AblationRow, error)
+		run  func(context.Context, Env, Preset, int64) ([]AblationRow, error)
 		want int
 	}
 	ablations := []ablation{
@@ -287,7 +300,8 @@ func TestAblationsQuick(t *testing.T) {
 	}
 	for _, a := range ablations {
 		t.Run(a.name, func(t *testing.T) {
-			rows, err := a.run(context.Background(), Quick, testSeed)
+			t.Parallel()
+			rows, err := a.run(context.Background(), Env{}, Quick, testSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -310,7 +324,8 @@ func TestAblationsQuick(t *testing.T) {
 }
 
 func TestAblationPublishGateGrowsDAG(t *testing.T) {
-	rows, err := AblationPublishGate(context.Background(), Quick, testSeed)
+	t.Parallel()
+	rows, err := AblationPublishGate(context.Background(), Env{}, Quick, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,18 +343,16 @@ func TestAblationPublishGateGrowsDAG(t *testing.T) {
 // accounting. Before the shared pool, cells and round engines each used the
 // full worker count, multiplying to ~NumCPU² goroutines.
 func TestHarnessSharedPoolBoundsNestedFanOut(t *testing.T) {
-	oldWorkers := Workers
-	SetWorkers(2)
-	defer SetWorkers(oldWorkers)
-
-	if _, err := AblationPublishGate(context.Background(), Quick, testSeed); err != nil {
+	t.Parallel()
+	env := Env{Pool: par.NewBudget(2)}
+	if _, err := AblationPublishGate(context.Background(), env, Quick, testSeed); err != nil {
 		t.Fatal(err)
 	}
-	if peak := Pool().Peak(); peak > 2 {
+	if peak := env.Pool.Peak(); peak > 2 {
 		t.Fatalf("nested sweep+round fan-out peaked at %d goroutines on a 2-slot budget", peak)
 	}
-	if Pool().InUse() != 0 {
-		t.Fatalf("pool reports %d in use after the sweep", Pool().InUse())
+	if env.Pool.InUse() != 0 {
+		t.Fatalf("pool reports %d in use after the sweep", env.Pool.InUse())
 	}
 }
 
@@ -348,7 +361,7 @@ func TestHarnessSharedPoolBoundsNestedFanOut(t *testing.T) {
 func TestHarnessRunsAreCancelable(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: the sweep must abort before finishing
-	_, err := Table2(ctx, Quick, testSeed)
+	_, err := Table2(ctx, Env{}, Quick, testSeed)
 	if err == nil {
 		t.Fatal("canceled sweep completed successfully")
 	}

@@ -48,7 +48,7 @@ type Table2Row struct {
 
 // Table2 reproduces Table 2: approval pureness after training on all three
 // datasets, each with its spec's headline selector.
-func Table2(ctx context.Context, p Preset, seed int64) ([]Table2Row, error) {
+func Table2(ctx context.Context, env Env, p Preset, seed int64) ([]Table2Row, error) {
 	specs := []Spec{FMNISTSpec(p, seed), PoetsSpec(p, seed+1), CIFARSpec(p, seed+2)}
 	rows := make([]Table2Row, len(specs))
 	cells := make([]Cell, len(specs))
@@ -57,8 +57,8 @@ func Table2(ctx context.Context, p Preset, seed int64) ([]Table2Row, error) {
 		cells[i] = Cell{
 			Name:     "table2-" + spec.Name,
 			Snapshot: true,
-			Build: func(ckpt io.Reader) (engine.Engine, []engine.Option, error) {
-				sim, err := buildDAG(spec, spec.DAGConfig(p, spec.Selector, seed+int64(10+i)), ckpt)
+			Build: func(env Env, ckpt io.Reader) (engine.Engine, []engine.Option, error) {
+				sim, err := buildDAG(spec, spec.DAGConfig(env, p, spec.Selector, seed+int64(10+i)), ckpt)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -76,7 +76,7 @@ func Table2(ctx context.Context, p Preset, seed int64) ([]Table2Row, error) {
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return rows, nil
@@ -93,7 +93,7 @@ type Fig5Result struct {
 // training rounds, for α ∈ {1, 10, 100} on FMNIST-clustered. The periodic
 // G_clients analysis rides the run as an observer hook — a mid-run metric
 // probe over the live DAG.
-func Figure5(ctx context.Context, p Preset, seed int64) ([]Fig5Result, error) {
+func Figure5(ctx context.Context, env Env, p Preset, seed int64) ([]Fig5Result, error) {
 	alphas := []float64{1, 10, 100}
 	sampleEvery := 5
 	if p == Quick {
@@ -111,10 +111,10 @@ func Figure5(ctx context.Context, p Preset, seed int64) ([]Fig5Result, error) {
 			// (Snapshot off): a resumed run could not replay the G_clients
 			// snapshots of rounds before the checkpoint.
 			Name: fmt.Sprintf("fig5-alpha=%g", alpha),
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
 				spec := FMNISTSpec(p, seed)
 				sel := tipselect.AccuracyWalk{Alpha: alpha}
-				sim, err := core.NewSimulation(spec.Fed, spec.DAGConfig(p, sel, seed+int64(ai)))
+				sim, err := core.NewSimulation(spec.Fed, spec.DAGConfig(env, p, sel, seed+int64(ai)))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -142,7 +142,7 @@ func Figure5(ctx context.Context, p Preset, seed int64) ([]Fig5Result, error) {
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -156,7 +156,7 @@ type AccuracyCurve struct {
 
 // accuracySweep runs the DAG once per α and records the mean trained-model
 // accuracy per round, streamed through round events.
-func accuracySweep(ctx context.Context, p Preset, spec func(int) Spec, norm tipselect.Normalization, seed int64) ([]AccuracyCurve, error) {
+func accuracySweep(ctx context.Context, env Env, p Preset, spec func(int) Spec, norm tipselect.Normalization, seed int64) ([]AccuracyCurve, error) {
 	alphas := []float64{0.1, 1, 10, 100}
 	out := make([]AccuracyCurve, len(alphas))
 	cells := make([]Cell, len(alphas))
@@ -165,10 +165,10 @@ func accuracySweep(ctx context.Context, p Preset, spec func(int) Spec, norm tips
 		series := metrics.NewSeries(fmt.Sprintf("alpha=%g (%s)", alpha, norm), "round", "acc")
 		cells[ai] = Cell{
 			Name: fmt.Sprintf("accsweep-%s-%s-alpha=%g", spec(ai).Name, norm, alpha),
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
 				sp := spec(ai)
 				sel := tipselect.AccuracyWalk{Alpha: alpha, Norm: norm}
-				sim, err := core.NewSimulation(sp.Fed, sp.DAGConfig(p, sel, seed+int64(ai)))
+				sim, err := core.NewSimulation(sp.Fed, sp.DAGConfig(env, p, sel, seed+int64(ai)))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -184,7 +184,7 @@ func accuracySweep(ctx context.Context, p Preset, spec func(int) Spec, norm tips
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -192,8 +192,8 @@ func accuracySweep(ctx context.Context, p Preset, spec func(int) Spec, norm tips
 
 // Figure6 reproduces Fig. 6: accuracy per round on FMNIST-clustered for
 // α ∈ {0.1, 1, 10, 100} with the standard normalization (Eq. 1).
-func Figure6(ctx context.Context, p Preset, seed int64) ([]AccuracyCurve, error) {
-	return accuracySweep(ctx, p, func(int) Spec { return FMNISTSpec(p, seed) }, tipselect.NormStandard, seed)
+func Figure6(ctx context.Context, env Env, p Preset, seed int64) ([]AccuracyCurve, error) {
+	return accuracySweep(ctx, env, p, func(int) Spec { return FMNISTSpec(p, seed) }, tipselect.NormStandard, seed)
 }
 
 // Fig7Result extends the accuracy sweep with the approval pureness achieved
@@ -209,8 +209,8 @@ type Fig7Result struct {
 // Figure7 reproduces Fig. 7: the accuracy sweep with the dynamic
 // normalization (Eq. 3), plus the α=1 pureness comparison against the
 // standard normalization.
-func Figure7(ctx context.Context, p Preset, seed int64) (*Fig7Result, error) {
-	curves, err := accuracySweep(ctx, p, func(int) Spec { return FMNISTSpec(p, seed) }, tipselect.NormDynamic, seed)
+func Figure7(ctx context.Context, env Env, p Preset, seed int64) (*Fig7Result, error) {
+	curves, err := accuracySweep(ctx, env, p, func(int) Spec { return FMNISTSpec(p, seed) }, tipselect.NormDynamic, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -223,8 +223,8 @@ func Figure7(ctx context.Context, p Preset, seed int64) (*Fig7Result, error) {
 		cells[i] = Cell{
 			Name:     fmt.Sprintf("fig7-norm-%s", norm),
 			Snapshot: true,
-			Build: func(ckpt io.Reader) (engine.Engine, []engine.Option, error) {
-				sim, err := buildDAG(spec, spec.DAGConfig(p, tipselect.AccuracyWalk{Alpha: 1, Norm: norm}, seed+50), ckpt)
+			Build: func(env Env, ckpt io.Reader) (engine.Engine, []engine.Option, error) {
+				sim, err := buildDAG(spec, spec.DAGConfig(env, p, tipselect.AccuracyWalk{Alpha: 1, Norm: norm}, seed+50), ckpt)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -236,7 +236,7 @@ func Figure7(ctx context.Context, p Preset, seed int64) (*Fig7Result, error) {
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	pureness := make(map[string]float64, len(norms))
@@ -248,6 +248,6 @@ func Figure7(ctx context.Context, p Preset, seed int64) (*Fig7Result, error) {
 
 // Figure8 reproduces Fig. 8: the α accuracy sweep on the relaxed
 // FMNIST-clustered dataset (15–20 % foreign-cluster data per client).
-func Figure8(ctx context.Context, p Preset, seed int64) ([]AccuracyCurve, error) {
-	return accuracySweep(ctx, p, func(int) Spec { return RelaxedFMNISTSpec(p, seed) }, tipselect.NormStandard, seed)
+func Figure8(ctx context.Context, env Env, p Preset, seed int64) ([]AccuracyCurve, error) {
+	return accuracySweep(ctx, env, p, func(int) Spec { return RelaxedFMNISTSpec(p, seed) }, tipselect.NormStandard, seed)
 }

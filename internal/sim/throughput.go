@@ -15,7 +15,7 @@ import (
 // ThroughputGrid is the scheduler stress sweep behind the root
 // BenchmarkSchedulerGridThroughput: n tiny FMNIST-clustered cells with
 // mixed priorities submitted to the sweep scheduler, so job dispatch,
-// work-stealing and settling — not training time — dominate the wall
+// requeueing and settling — not training time — dominate the wall
 // clock. It returns each cell's final-round mean trained-model accuracy,
 // in cell order.
 //
@@ -23,7 +23,7 @@ import (
 // benchmark gates the returned values byte-for-byte across worker counts
 // (cmd/benchgate), turning "scheduling never changes results" into a CI
 // invariant measured on a real grid rather than a fake engine.
-func ThroughputGrid(ctx context.Context, p Preset, seed int64, n int) ([]float64, error) {
+func ThroughputGrid(ctx context.Context, env Env, p Preset, seed int64, n int) ([]float64, error) {
 	rounds := 6
 	if p == Full {
 		rounds = 12
@@ -38,9 +38,9 @@ func ThroughputGrid(ctx context.Context, p Preset, seed int64, n int) ([]float64
 			// are priority-invariant (TestSchedulerWorkerInvariance).
 			Priority: i % 3,
 			// Snapshot off: these cells exist to measure scheduler overhead,
-			// and checkpoint I/O (if SPECDAG_GRID_DIR happens to be set)
-			// would contaminate the timing. Cells are trivially recomputable.
-			Build: func(io.Reader) (engine.Engine, []engine.Option, error) {
+			// and checkpoint I/O (if the Env names a grid directory) would
+			// contaminate the timing. Cells are trivially recomputable.
+			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
 				fed := dataset.FMNISTClustered(dataset.FMNISTConfig{
 					Seed:           seed + int64(i),
 					Clients:        8,
@@ -53,8 +53,8 @@ func ThroughputGrid(ctx context.Context, p Preset, seed int64, n int) ([]float64
 					Local:           nn.SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10, MaxBatches: 3},
 					Arch:            nn.Arch{In: fed.InputDim, Hidden: []int{16}, Out: fed.NumClasses},
 					Selector:        tipselect.AccuracyWalk{Alpha: 10},
-					Workers:         Workers,
-					Pool:            Pool(),
+					Workers:         env.Pool.Size(),
+					Pool:            env.Pool,
 					Seed:            seed + int64(i),
 				})
 				if err != nil {
@@ -69,7 +69,7 @@ func ThroughputGrid(ctx context.Context, p Preset, seed int64, n int) ([]float64
 			},
 		}
 	}
-	if err := RunGrid(ctx, cells, GridConfig{}); err != nil {
+	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
 		return nil, err
 	}
 	return out, nil

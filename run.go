@@ -61,7 +61,7 @@ type RunReport = engine.Report
 // that nested fan-outs (an experiment sweep running several engines, each
 // fanning over its round's clients) draw from, so the whole tree never runs
 // more goroutines than the pool's size. Hand one pool to related runs via
-// WithPool or the Pool field of Config/AsyncConfig/FedConfig.
+// the Pool field of Config/AsyncConfig/FedConfig.
 type WorkerPool = par.Budget
 
 // NewWorkerPool creates a shared worker budget with the given number of
@@ -87,10 +87,6 @@ func Run(ctx context.Context, e Engine, opts ...RunOption) (*RunReport, error) {
 // each event is delivered to all of them in option order.
 func WithHooks(h Hooks) RunOption { return engine.WithHooks(h) }
 
-// WithPool hands the engine a shared worker budget for its internal
-// fan-out (see WorkerPool).
-func WithPool(p *WorkerPool) RunOption { return engine.WithPool(p) }
-
 // WithProbe evaluates fn after every `every` completed units and delivers
 // the value as a ProbeEvent — mid-run metric probes without stopping the
 // run, e.g. watching specialization emerge:
@@ -111,9 +107,9 @@ func WithCheckpoints(every int, open func(step int) (io.WriteCloser, error)) Run
 
 // ---- Multi-run scheduling ----
 
-// Scheduler multiplexes many engine runs onto one shared WorkerPool:
-// work-stealing workers drive each submitted Job's run loop a quantum of
-// units at a time, ordered by priority with aging (no starvation), with
+// Scheduler multiplexes many engine runs onto one shared WorkerPool: its
+// workers drive each submitted Job's run loop a quantum of units at a time
+// off one run queue, ordered by priority with aging (no starvation), with
 // pause/resume/cancel per job at unit boundaries. Results are bit-identical
 // to driving each engine directly with Run, for every worker count and
 // priority order.
@@ -123,8 +119,7 @@ type Scheduler = engine.Scheduler
 type SchedulerConfig = engine.SchedulerConfig
 
 // Job is one unit of scheduled work: an engine (or a lazy builder for one)
-// plus scheduling policy — priority, an optional compute-time deadline, run
-// options, and a settle callback.
+// plus scheduling policy — priority, run options, and a settle callback.
 type Job = engine.Job
 
 // JobHandle controls one submitted job: state, steps, report, Wait, Pause,
@@ -147,15 +142,10 @@ const (
 // SchedulerStats counts scheduler activity (dispatches, steals, settles).
 type SchedulerStats = engine.Stats
 
-// DeadlineError reports a job canceled because its compute-time deadline
-// expired; errors.Is(err, ErrJobDeadline) matches it.
-type DeadlineError = engine.DeadlineError
-
 // Scheduler sentinel errors.
 var (
 	ErrJobCanceled   = engine.ErrJobCanceled
 	ErrJobSettled    = engine.ErrJobSettled
-	ErrJobDeadline   = engine.ErrJobDeadline
 	ErrSchedulerBusy = engine.ErrSchedulerBusy
 )
 
