@@ -42,8 +42,8 @@
 // round*100003+client vs. "async-event", scheduling sequence number) and
 // reveal transactions under different rules (round horizon vs. simulated
 // delivery time, stamped into Transaction.Round), so expressing one through
-// the other would move every golden trajectory — the benchgate metrics, the
-// SDC1/SDA1 fixtures, the worker-invariance and resume batteries — for no
+// the other would move every golden trajectory — the experiment metrics
+// (sim.TestExperimentsGolden), the SDC1/SDA1 fixtures, the worker-invariance and resume batteries — for no
 // behavioural gain. They share code, not a schedule.
 package core
 

@@ -122,19 +122,6 @@ func (d Dataset) CountLabels(numClasses int) []int {
 	return counts
 }
 
-// FlipLabels swaps labels a and b in place. It implements the paper's
-// flipped-label poisoning attack (§4.4, §5.3.4: labels 3 and 8).
-func FlipLabels(d Dataset, a, b int) {
-	for i, y := range d.Y {
-		switch y {
-		case a:
-			d.Y[i] = b
-		case b:
-			d.Y[i] = a
-		}
-	}
-}
-
 // Builder accumulates samples into one contiguous backing store. Generators
 // pre-size it with the expected sample count and fill rows in place (Grow),
 // so building a federation performs one feature allocation per client

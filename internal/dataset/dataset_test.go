@@ -169,22 +169,6 @@ func TestCountLabels(t *testing.T) {
 	}
 }
 
-func TestFlipLabels(t *testing.T) {
-	d := FromSamples(Sample{Y: 3}, Sample{Y: 8}, Sample{Y: 5}, Sample{Y: 3})
-	FlipLabels(d, 3, 8)
-	want := []int{8, 3, 5, 8}
-	for i := range want {
-		if d.Y[i] != want[i] {
-			t.Fatalf("FlipLabels got %v at %d, want %v", d.Y[i], i, want[i])
-		}
-	}
-	// Flipping twice is the identity.
-	FlipLabels(d, 3, 8)
-	if d.Y[0] != 3 || d.Y[1] != 8 {
-		t.Fatal("double flip should restore labels")
-	}
-}
-
 func TestFMNISTClusteredStructure(t *testing.T) {
 	fed := FMNISTClustered(FMNISTConfig{Clients: 30, Seed: 1})
 	if err := fed.Validate(); err != nil {

@@ -143,12 +143,19 @@ func Modularity(g *Graph, partition map[int]int) float64 {
 		}
 	}
 
-	q := 0.0
-	for _, in := range intra {
-		q += in / m
+	// Reduce in ascending community order: the terms are not integers, so
+	// map order would move Q in its last bit from one call to the next.
+	comms := make([]int, 0, len(degSum))
+	for c := range degSum {
+		comms = append(comms, c)
 	}
-	for _, ds := range degSum {
-		q -= (ds / two) * (ds / two)
+	sort.Ints(comms)
+	q := 0.0
+	for _, c := range comms {
+		q += intra[c] / m
+	}
+	for _, c := range comms {
+		q -= (degSum[c] / two) * (degSum[c] / two)
 	}
 	return q
 }

@@ -115,6 +115,25 @@ func TestModularityKnownValue(t *testing.T) {
 	}
 }
 
+// TestModularityIsOneFloat: Q is reduced in community order, not map order,
+// so repeated calls return the same float64 to the last bit (the experiment
+// goldens compare fig5's modularity with == across worker counts).
+func TestModularityIsOneFloat(t *testing.T) {
+	g := NewGraph()
+	part := map[int]int{}
+	for u := 0; u < 60; u++ {
+		part[u] = u % 7
+		g.AddEdge(u, (u+7)%60, float64(1+u%3))
+		g.AddEdge(u, (u+1)%60, 1)
+	}
+	want := Modularity(g, part)
+	for i := 0; i < 200; i++ {
+		if got := Modularity(g, part); got != want {
+			t.Fatalf("call %d: Q = %v, first call %v", i, got, want)
+		}
+	}
+}
+
 func TestModularityEmptyGraph(t *testing.T) {
 	if got := Modularity(NewGraph(), nil); got != 0 {
 		t.Fatalf("empty graph modularity = %v, want 0", got)

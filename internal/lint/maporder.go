@@ -12,7 +12,7 @@ import (
 // packages. Go randomizes map range order per run, so a map-ordered loop in
 // an encode path (checkpoint codecs, history assembly, metric reduction) is
 // a latent byte-stability bug that no fixed-seed test reliably catches —
-// it may pass a thousand runs and fail the benchgate on the next.
+// it may pass a thousand runs and fail sim.TestExperimentsGolden on the next.
 //
 // A range over a map is accepted without annotation when the loop is
 // provably order-insensitive, meaning every statement in its body is one of:

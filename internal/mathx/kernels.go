@@ -15,8 +15,8 @@ import "fmt"
 // Blocking is only applied across independent output elements (e.g. four
 // samples sharing one weight-row sweep), never inside one element's sum, so
 // results are bit-identical to the scalar loops — the property the
-// simulation's worker-count invariance, checkpoint resume, and the CI
-// metric gate (cmd/benchgate) all rest on. Any change to these loop orders
+// simulation's worker-count invariance, checkpoint resume, and the metric
+// gate (sim.TestExperimentsGolden) all rest on. Any change to these loop orders
 // is a numerics change, even if it is algebraically neutral.
 
 // AffineRows computes the dense-layer pre-activations for a whole batch:

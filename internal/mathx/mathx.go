@@ -45,13 +45,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // AddTo computes dst += src in place. It panics if lengths differ.
 func AddTo(dst, src []float64) {
 	if len(dst) != len(src) {
@@ -87,20 +80,6 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Std returns the population standard deviation of x, or 0 if len(x) < 2.
-func Std(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(x)))
 }
 
 // MinMax returns the minimum and maximum of x.
@@ -160,23 +139,6 @@ func ArgMax(x []float64) int {
 	return best
 }
 
-// LogSumExp returns log(sum(exp(x_i))) computed stably.
-// It panics on an empty slice.
-func LogSumExp(x []float64) float64 {
-	if len(x) == 0 {
-		panic("mathx: LogSumExp of empty slice")
-	}
-	_, max := MinMax(x)
-	if math.IsInf(max, -1) {
-		return math.Inf(-1)
-	}
-	s := 0.0
-	for _, v := range x {
-		s += math.Exp(v - max)
-	}
-	return max + math.Log(s)
-}
-
 // SoftmaxInPlace converts logits x to a probability distribution in place,
 // using the stable shifted-exponent formulation.
 func SoftmaxInPlace(x []float64) {
@@ -197,17 +159,6 @@ func SoftmaxInPlace(x []float64) {
 	for i := range x {
 		x[i] /= s
 	}
-}
-
-// Clip bounds v into [lo, hi].
-func Clip(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // MeanVecs returns the element-wise mean of the given equal-length vectors.

@@ -68,8 +68,8 @@ type FaultRow struct {
 // FMNIST-clustered federation and reports accuracy and communication
 // outcomes. Like every sweep, the rows are bit-identical for any worker
 // count (the per-event fault draws are keyed on stable identifiers, not on
-// execution order), which is what lets the fault-* benchmark metrics be
-// gated byte-for-byte.
+// execution order), which is what lets TestExperimentsGolden pin the
+// faults/* metrics.
 func FaultSweep(ctx context.Context, env Env, p Preset, seed int64) ([]FaultRow, error) {
 	duration := 12.0
 	if p == Full {

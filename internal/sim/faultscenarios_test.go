@@ -31,8 +31,8 @@ func TestFaultScenarioResolution(t *testing.T) {
 // churn — are a pure function of (preset, seed): two runs on the shared
 // worker pool produce identical rows. Cross-worker-count invariance of the
 // underlying engine is pinned by TestAsyncFaultWorkerInvariance
-// (internal/core) and byte-for-byte across processes by the gated fault-*
-// benchmark metrics (cmd/benchgate).
+// (internal/core) and for this sweep by the faults/* lines of
+// TestExperimentsGolden.
 func TestFaultSweepDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full fault sweeps")

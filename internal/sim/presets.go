@@ -1,8 +1,9 @@
 // Package sim is the experiment harness: it binds datasets, model
 // architectures and Table-1 hyperparameters into ready-to-run
 // configurations, and provides one runner per table and figure of the
-// paper's evaluation (§5). Each runner exists in two scales: Quick for
-// tests and benchmarks (seconds) and Full for paper-scale runs.
+// paper's evaluation (§5), bound to its ID, rendering and metrics in one
+// table (Experiments). Each runner exists in two scales: Quick for tests and
+// benchmarks (seconds) and Full for paper-scale runs.
 //
 // The package keeps no process state: the worker budget and the grid
 // checkpoint directory arrive as an Env value, so sweeps with different Envs
@@ -50,9 +51,8 @@ func (e Env) withPool() Env {
 }
 
 // EnvFromOS reads the Env the process environment asks for: SPECDAG_WORKERS
-// sizes the budget (0 or unset = NumCPU; how the benchmark snapshots pin a
-// sequential baseline), SPECDAG_GRID_DIR is GridDir. Only the entry points
-// that honour the variables call it (root benchmarks, cmd/experiments,
+// sizes the budget (0 or unset = NumCPU), SPECDAG_GRID_DIR is GridDir. Only
+// the entry points that honour the variables call it (cmd/experiments,
 // cmd/specdag), and a malformed value is their usage error: falling back to
 // full parallelism would turn a typo'd sequential baseline into a parallel run.
 func EnvFromOS() (Env, error) {

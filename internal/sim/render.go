@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"strings"
+
+	"github.com/specdag/specdag/internal/mathx"
 )
 
 // RenderTable2 renders Table 2 rows as markdown.
@@ -91,10 +93,11 @@ func RenderFig9(results []Fig9Result) string {
 	return b.String()
 }
 
-// RenderFig1011 renders the FedAvg/FedProx/DAG accuracy and loss curves.
-func RenderFig1011(curves []Fig1011Curve) string {
+// RenderFig1011 renders per-algorithm accuracy and loss curves (Figs. 10 and
+// 11, and the gossip comparison).
+func RenderFig1011(title string, curves []Fig1011Curve) string {
 	var b strings.Builder
-	b.WriteString("### Figures 10 & 11: FedAvg vs DAG vs FedProx on Synthetic(0.5,0.5)\n\n")
+	fmt.Fprintf(&b, "### %s\n\n", title)
 	if len(curves) == 0 {
 		return b.String()
 	}
@@ -169,7 +172,7 @@ func RenderFig15(curves []Fig15Curve) string {
 		micros := c.Series.Col("walkMicros")
 		evals := c.Series.Col("evalsPerClient")
 		fmt.Fprintf(&b, "| %d | %.0f | %.1f | %.1f |\n",
-			c.ActiveClients, meanOf(micros), meanOf(evals), evals[len(evals)-1])
+			c.ActiveClients, mathx.Mean(micros), mathx.Mean(evals), evals[len(evals)-1])
 	}
 	return b.String()
 }
@@ -183,15 +186,4 @@ func RenderAblation(title string, rows []AblationRow) string {
 		fmt.Fprintf(&b, "| %s | %.3f | %.2f | %d | %d |\n", r.Variant, r.FinalAcc, r.Pureness, r.DAGSize, r.WalkEvals)
 	}
 	return b.String()
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
 }

@@ -212,7 +212,7 @@ func TestFigure10And11Quick(t *testing.T) {
 			t.Fatalf("missing curve %s", want)
 		}
 	}
-	if !strings.Contains(RenderFig1011(curves), "FedProx") {
+	if !strings.Contains(RenderFig1011("Figures 10 & 11", curves), "FedProx acc") {
 		t.Error("RenderFig1011 broken")
 	}
 }

@@ -8,22 +8,23 @@ import (
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/dataset"
 	"github.com/specdag/specdag/internal/engine"
+	"github.com/specdag/specdag/internal/mathx"
 	"github.com/specdag/specdag/internal/nn"
 	"github.com/specdag/specdag/internal/tipselect"
 )
 
-// ThroughputGrid is the scheduler stress sweep behind the root
-// BenchmarkSchedulerGridThroughput: n tiny FMNIST-clustered cells with
-// mixed priorities submitted to the sweep scheduler, so job dispatch,
-// requeueing and settling — not training time — dominate the wall
-// clock. It returns each cell's final-round mean trained-model accuracy,
-// in cell order.
+// ThroughputGrid is the scheduler stress sweep behind the sched-grid
+// experiment: 32 tiny FMNIST-clustered cells with mixed priorities submitted
+// to the sweep scheduler, so job dispatch, requeueing and settling — not
+// training time — dominate the wall clock. It returns each cell's
+// final-round mean trained-model accuracy, in cell order.
 //
-// Every accuracy is a pure function of (preset, seed, cell index): the
-// benchmark gates the returned values byte-for-byte across worker counts
-// (cmd/benchgate), turning "scheduling never changes results" into a CI
-// invariant measured on a real grid rather than a fake engine.
-func ThroughputGrid(ctx context.Context, env Env, p Preset, seed int64, n int) ([]float64, error) {
+// Every accuracy is a pure function of (preset, seed, cell index):
+// TestExperimentsGolden pins the returned values across worker counts,
+// turning "scheduling never changes results" into a tier-1 invariant
+// measured on a real grid rather than a fake engine.
+func ThroughputGrid(ctx context.Context, env Env, p Preset, seed int64) ([]float64, error) {
+	const n = 32
 	rounds := 6
 	if p == Full {
 		rounds = 12
@@ -73,4 +74,10 @@ func ThroughputGrid(ctx context.Context, env Env, p Preset, seed int64, n int) (
 		return nil, err
 	}
 	return out, nil
+}
+
+func renderThroughput(accs []float64) string {
+	return fmt.Sprintf("### Scheduler throughput grid: %d cells through the sweep scheduler\n\n"+
+		"| first acc | last acc | mean acc |\n|---|---|---|\n| %.3f | %.3f | %.3f |\n",
+		len(accs), accs[0], accs[len(accs)-1], mathx.Mean(accs))
 }

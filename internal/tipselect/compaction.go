@@ -34,10 +34,3 @@ func CompactionGuardBand(s Selector) (depthMin, depthMax int, err error) {
 		return 0, 0, fmt.Errorf("tipselect: no compaction guard known for selector %s", s.Name())
 	}
 }
-
-// CompactionGuardDepth returns only the GuardDepth half of
-// CompactionGuardBand, for callers that do not use dead-cone exclusion.
-func CompactionGuardDepth(s Selector) (int, error) {
-	_, max, err := CompactionGuardBand(s)
-	return max, err
-}

@@ -11,7 +11,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // RNG is a deterministic random source with helpers used across the
@@ -219,16 +218,4 @@ func (r *RNG) LogNormalInt(mu, sigma float64, lo, hi int) int {
 		n = hi
 	}
 	return n
-}
-
-// SortedWeightedIndices is a deterministic helper that returns index order by
-// descending weight, breaking ties by index. It is used by tests to assert
-// weighting behaviour.
-func SortedWeightedIndices(weights []float64) []int {
-	idx := make([]int, len(weights))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return weights[idx[a]] > weights[idx[b]] })
-	return idx
 }

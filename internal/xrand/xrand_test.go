@@ -262,13 +262,3 @@ func TestNormalVec(t *testing.T) {
 		t.Fatalf("NormalVec mean %v, want ≈2", mean)
 	}
 }
-
-func TestSortedWeightedIndices(t *testing.T) {
-	got := SortedWeightedIndices([]float64{0.1, 0.9, 0.5})
-	want := []int{1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
