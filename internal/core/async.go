@@ -44,15 +44,16 @@ type AsyncConfig struct {
 	Arch           nn.Arch
 	Selector       tipselect.Selector
 	ReferenceWalks int
-	// Workers bounds the goroutines used for the independent model
-	// evaluations inside one event (trained model vs. consensus reference).
-	// 0 (the default) uses runtime.NumCPU(). The event loop itself stays
-	// sequential: each event observes the DAG state its timestamp implies,
-	// so events are causally ordered, unlike the clients within one round of
-	// the discrete simulation. Results are identical for any worker count.
+	// Workers bounds the goroutines of the one fan-out inside an event: the
+	// tangle's level-parallel cumulative-weight sweep, which weighted
+	// selectors run on large uncompacted tangles. 0 (the default) uses
+	// runtime.NumCPU(). The event loop itself stays sequential: each event
+	// observes the DAG state its timestamp implies, so events are causally
+	// ordered, unlike the clients within one round of the discrete
+	// simulation. Results are identical for any worker count.
 	Workers int
-	// Pool, when set, is the shared worker budget the per-event evaluations
-	// draw from (see Config.Pool).
+	// Pool, when set, is the shared worker budget that sweep draws from (see
+	// Config.Pool).
 	Pool *par.Budget
 	// Compaction, when enabled, freezes epochs of old DAG history out of
 	// memory (summaries retained, params optionally spilled to disk) so
@@ -193,10 +194,6 @@ type pendingTxAsync struct {
 // asyncClient is what the event schedule adds to one participant; entry i
 // belongs to body.clients[i].
 type asyncClient struct {
-	// evalModel is a second scratch model so the consensus-reference
-	// evaluation can run concurrently with the trained-model evaluation
-	// (client.model) within one event.
-	evalModel *nn.MLP
 	cycleTime float64
 	stats     AsyncClientStats
 }
@@ -260,7 +257,6 @@ func NewAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig) (*AsyncSimulat
 	a.async = make([]asyncClient, len(b.clients))
 	for i, c := range b.clients {
 		ac := &a.async[i]
-		ac.evalModel = c.model.Clone()
 		crng := b.root.SplitIndex("async-client", c.id)
 		ac.cycleTime = cfg.MinCycle + crng.Float64()*(cfg.MaxCycle-cfg.MinCycle)
 		if b.net != nil {
@@ -374,19 +370,12 @@ func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 
 	act := a.walkAverageTrain(c, graph, crng)
 
-	// The two post-training evaluations are independent pure functions
-	// over the client's test split; run them on separate scratch models
-	// in parallel. Each closure writes only its own locals. (The separate
-	// evalModel also fixed a seed-era bug where evaluating the reference
-	// through c.model clobbered the trained params the publish below
-	// ships — see TestAsyncPublishesTrainedModel.)
-	var trainedLoss, trainedAcc, refLoss, refAcc float64
-	par.DoIn(a.pool, a.workers,
-		func() { trainedLoss, trainedAcc = c.model.Evaluate(c.testX, c.testY) },
-		func() {
-			refLoss, refAcc = ac.evalModel.EvaluateParams(act.refParams, c.testX, c.testY)
-		},
-	)
+	trainedLoss, trainedAcc := c.model.Evaluate(c.testX, c.testY)
+	// The reference is scored through the model's scratch buffers without
+	// copying its parameters in (as Simulation.runClient does), so the
+	// trained weights the publish below ships stay untouched — see
+	// TestAsyncPublishesTrainedModel.
+	refLoss, refAcc := c.model.EvaluateParams(act.refParams, c.testX, c.testY)
 
 	ac.stats.Cycles++
 	ac.stats.FinalAcc = trainedAcc

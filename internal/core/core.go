@@ -32,9 +32,10 @@
 //     and partition windows filter per-client views at round granularity.
 //     Events: a pending queue holds publishes until their propagation delay
 //     (uniform, or drawn per link by the fault model) has elapsed.
-//   - where the two post-training evaluations run: sequentially on the
-//     client's one scratch model inside the round's client fan-out, or as a
-//     parallel pair on two scratch models inside the sequential event loop.
+//
+// Both score the trained model and then the consensus reference on the
+// client's one scratch model (EvaluateParams aliases the reference in, so
+// the trained weights are what the publish ships).
 //
 // Decision, recorded so it is not re-litigated by accident: the round engine
 // is NOT the event engine under a barrier schedule. The two derive their

@@ -80,13 +80,13 @@ type snapshotState interface {
 // writeSnapshot fills st's shared sections from the body and writes the
 // envelope — magic, then st as one gob value — returning the bytes written.
 func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int64, error) {
-	var dagBuf bytes.Buffer
-	if _, err := b.tangle.WriteTo(&dagBuf); err != nil {
+	snap, err := b.tangle.AppendSnapshot(nil)
+	if err != nil {
 		return 0, fmt.Errorf("core: checkpointing DAG: %w", err)
 	}
 	sec := st.sections()
 	*sec.seed = b.seed
-	*sec.dag = dagBuf.Bytes()
+	*sec.dag = snap
 	if b.faults.Enabled() {
 		*sec.faultsVersion = 1
 		*sec.faults = b.faults

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary snapshot format for DAGs. A deployed tangle needs a wire format to
@@ -26,8 +27,9 @@ import (
 //
 // The "SDS1" epoch spill files written by compaction (see epoch.go) are the
 // same stream under their own magic — a run of consecutive records that need
-// not start at genesis — so both formats go through one writer
-// (writeRecords) and one header and record reader (readHeader, readTxRecord).
+// not start at genesis — so both formats go through one record encoder
+// (appendRecord, behind writeRecords and AppendSnapshot) and one header and
+// record reader (readHeader, readTxRecord).
 
 // codecMagic identifies snapshot files and fixes the version.
 var codecMagic = [4]byte{'S', 'D', 'G', '1'}
@@ -35,74 +37,45 @@ var codecMagic = [4]byte{'S', 'D', 'G', '1'}
 // maxSnapshotTxs bounds decoding work against adversarial headers.
 const maxSnapshotTxs = 1 << 24
 
-// txRecordWriter encodes transaction records in the SDG1 layout.
-type txRecordWriter struct {
-	cw  *countingWriter
-	buf [binary.MaxVarintLen64]byte
-}
-
-func (e *txRecordWriter) putUvarint(v uint64) error {
-	n := binary.PutUvarint(e.buf[:], v)
-	_, err := e.cw.Write(e.buf[:n])
-	return err
-}
-
-func (e *txRecordWriter) putVarint(v int64) error {
-	n := binary.PutVarint(e.buf[:], v)
-	_, err := e.cw.Write(e.buf[:n])
-	return err
-}
-
-func (e *txRecordWriter) putFloat(f float64) error {
-	binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(f))
-	_, err := e.cw.Write(e.buf[:8])
-	return err
-}
-
-// write encodes one transaction record.
-func (e *txRecordWriter) write(t *Transaction) error {
-	cw := e.cw
-	if err := e.putUvarint(uint64(t.ID)); err != nil {
-		return err
-	}
-	if err := e.putVarint(int64(t.Issuer)); err != nil {
-		return err
-	}
-	if err := e.putVarint(int64(t.Round)); err != nil {
-		return err
-	}
+// appendRecord appends one transaction record in the SDG1 layout to b. The
+// parameter vector, all but a few bytes of a record, is one span grown once
+// and filled in place.
+func appendRecord(b []byte, t *Transaction) ([]byte, error) {
 	if len(t.Parents) > 255 {
-		return fmt.Errorf("dag: transaction %d has %d parents", t.ID, len(t.Parents))
+		return b, fmt.Errorf("dag: transaction %d has %d parents", t.ID, len(t.Parents))
 	}
-	if _, err := cw.Write([]byte{byte(len(t.Parents))}); err != nil {
-		return err
-	}
+	b = binary.AppendUvarint(b, uint64(t.ID))
+	b = binary.AppendVarint(b, int64(t.Issuer))
+	b = binary.AppendVarint(b, int64(t.Round))
+	b = append(b, byte(len(t.Parents)))
 	for _, p := range t.Parents {
-		if err := e.putUvarint(uint64(p)); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(p))
 	}
-	for _, f := range []float64{t.Meta.TrainAcc, t.Meta.TestAcc} {
-		if err := e.putFloat(f); err != nil {
-			return err
-		}
-	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Meta.TrainAcc))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Meta.TestAcc))
 	poisoned := byte(0)
 	if t.Meta.Poisoned {
 		poisoned = 1
 	}
-	if _, err := cw.Write([]byte{poisoned}); err != nil {
-		return err
+	b = append(b, poisoned)
+	b = binary.AppendUvarint(b, uint64(len(t.Params)))
+	at := len(b)
+	b = slices.Grow(b, 8*len(t.Params))[:at+8*len(t.Params)]
+	for i, f := range t.Params {
+		binary.LittleEndian.PutUint64(b[at+8*i:], math.Float64bits(f))
 	}
-	if err := e.putUvarint(uint64(len(t.Params))); err != nil {
-		return err
-	}
-	for _, f := range t.Params {
-		if err := e.putFloat(f); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b, nil
+}
+
+// appendHeader appends a record stream's magic and count.
+func appendHeader(b []byte, magic [4]byte, count int) []byte {
+	return binary.LittleEndian.AppendUint32(append(b, magic[:]...), uint32(count))
+}
+
+// recordBound is an upper bound on the encoded size of t: every varint at
+// its widest.
+func recordBound(t *Transaction) int {
+	return (4+len(t.Parents))*binary.MaxVarintLen64 + 1 + 8 + 8 + 1 + 8*len(t.Params)
 }
 
 // readFloat decodes one f64 through the caller's scratch.
@@ -166,18 +139,30 @@ func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
 	if nParams > 1<<28 {
 		return nil, fmt.Errorf("tx %d: implausible param count %d", want, nParams)
 	}
-	// The vector grows with the input, by doubling up to exactly nParams, so
-	// a forged count allocates at most twice what the stream really backs.
-	params := make([]float64, 0, min(nParams, 1<<12))
-	for i := uint64(0); i < nParams; i++ {
-		f, err := readFloat(br, &f64)
+	// The vector is decoded straight out of the reader's buffer, as many whole
+	// floats as it holds at a time, and grows only once their bytes are there
+	// — by doubling, up to exactly total — so a forged count allocates at
+	// most twice what the stream really backs.
+	total := int(nParams)
+	params := make([]float64, 0, min(total, 1<<12))
+	for len(params) < total {
+		n := min(max(br.Buffered()/8, 1), total-len(params)) // nothing buffered: Peek refills
+		win, err := br.Peek(8 * n)
 		if err != nil {
-			return nil, fmt.Errorf("tx %d: param %d: %w", want, i, err)
+			// Name the first float the input does not back, with the error
+			// reading it alone would have met.
+			if err == io.EOF && len(win)%8 != 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("tx %d: param %d: %w", want, len(params)+len(win)/8, err)
 		}
-		if len(params) == cap(params) {
-			params = append(make([]float64, 0, min(nParams, 2*uint64(cap(params)))), params...)
+		if len(params)+n > cap(params) {
+			params = append(make([]float64, 0, min(total, 2*cap(params))), params...)
 		}
-		params = append(params, f)
+		for ; len(win) >= 8; win = win[8:] {
+			params = append(params, math.Float64frombits(binary.LittleEndian.Uint64(win)))
+		}
+		br.Discard(8 * n)
 	}
 	return &Transaction{
 		ID:      ID(id),
@@ -189,24 +174,34 @@ func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
 	}, nil
 }
 
-// writeRecords writes one record stream — magic, count, then txs in order —
-// through a buffer to w and returns the number of bytes written.
+// recordChunk is how much of a record stream writeRecords encodes before it
+// hands the bytes to the writer.
+const recordChunk = 64 << 10
+
+// writeRecords streams one record stream — magic, count, then txs in order —
+// to w in chunks of about recordChunk bytes and returns the number of bytes
+// written.
 func writeRecords(w io.Writer, magic [4]byte, txs []*Transaction) (int64, error) {
-	bw := bufio.NewWriter(w)
-	cw := &countingWriter{w: bw}
-	if _, err := cw.Write(magic[:]); err != nil {
-		return cw.n, err
+	var written int64
+	flush := func(b []byte) error {
+		n, err := w.Write(b)
+		written += int64(n)
+		return err
 	}
-	if err := binary.Write(cw, binary.LittleEndian, uint32(len(txs))); err != nil {
-		return cw.n, err
-	}
-	enc := txRecordWriter{cw: cw}
+	b := appendHeader(nil, magic, len(txs))
 	for _, t := range txs {
-		if err := enc.write(t); err != nil {
-			return cw.n, err
+		var err error
+		if b, err = appendRecord(b, t); err != nil {
+			return written, err
+		}
+		if len(b) >= recordChunk {
+			if err := flush(b); err != nil {
+				return written, err
+			}
+			b = b[:0]
 		}
 	}
-	return cw.n, bw.Flush()
+	return written, flush(b)
 }
 
 // readHeader reads a record stream's magic and count; what names the
@@ -237,6 +232,28 @@ func (d *DAG) WriteTo(w io.Writer) (int64, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return writeRecords(w, codecMagic, d.txs)
+}
+
+// AppendSnapshot appends the bytes WriteTo would write to b and returns the
+// extended slice: the buffer is sized from the transaction list and encoded
+// in one pass, so a b with enough capacity is filled without allocating —
+// the path of the checkpoints, which hold the whole snapshot in memory
+// anyway.
+func (d *DAG) AppendSnapshot(b []byte) ([]byte, error) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	size := len(codecMagic) + 4
+	for _, t := range d.txs {
+		size += recordBound(t)
+	}
+	b = appendHeader(slices.Grow(b, size), codecMagic, len(d.txs))
+	for _, t := range d.txs {
+		var err error
+		if b, err = appendRecord(b, t); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
 }
 
 // ReadDAG deserializes a snapshot previously written with WriteTo,
@@ -275,16 +292,4 @@ func ReadDAG(r io.Reader) (*DAG, error) {
 		}
 	}
 	return d, nil
-}
-
-// countingWriter tracks bytes written for writeRecords' return value.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -183,6 +183,79 @@ func TestWriteToPropagatesWriterErrors(t *testing.T) {
 	}
 }
 
+// chunkRecorder is a writer that remembers how the stream was cut up.
+type chunkRecorder struct {
+	bytes.Buffer
+	chunks []int
+}
+
+func (c *chunkRecorder) Write(p []byte) (int, error) {
+	c.chunks = append(c.chunks, len(p))
+	return c.Buffer.Write(p)
+}
+
+// TestWriteToStreamsInChunks: a snapshot much larger than recordChunk reaches
+// the writer in pieces of about that size — at least a chunk, less than a
+// chunk plus one record, the last one whatever is left — never as one buffer
+// of the whole stream, and the pieces add up to AppendSnapshot's bytes.
+func TestWriteToStreamsInChunks(t *testing.T) {
+	rng := xrand.New(9)
+	const dim = 3000 // a record is ~24 KB, so chunks end at different offsets within records
+	d := New(rng.NormalVec(dim, 0, 1))
+	for i := 1; i < 40; i++ {
+		if _, err := d.Add(i%7, i, []ID{ID(i - 1), ID(i / 3)}, rng.NormalVec(dim, 0, 1), Meta{TestAcc: rng.Float64()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var w chunkRecorder
+	n, err := d.WriteTo(&w)
+	if err != nil || n != int64(w.Len()) {
+		t.Fatalf("WriteTo = %d, %v; writer holds %d bytes", n, err, w.Len())
+	}
+	if len(w.chunks) < 10 {
+		t.Fatalf("%d bytes arrived in %d writes %v", w.Len(), len(w.chunks), w.chunks)
+	}
+	record := recordBound(d.MustGet(1))
+	for i, c := range w.chunks[:len(w.chunks)-1] {
+		if c < recordChunk || c >= recordChunk+record {
+			t.Fatalf("write %d carries %d bytes, want [%d, %d)", i, c, recordChunk, recordChunk+record)
+		}
+	}
+	snap, err := d.AppendSnapshot(nil)
+	if err != nil || !bytes.Equal(snap, w.Bytes()) {
+		t.Fatalf("AppendSnapshot = %d bytes, %v; WriteTo streamed %d other bytes", len(snap), err, w.Len())
+	}
+	back, err := ReadDAG(&w.Buffer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertEqualDAGs(t, d, back)
+}
+
+// A failing writer fails the stream at the first flush, with the bytes that
+// did arrive counted.
+func TestWriteToCountsBytesBeforeTheError(t *testing.T) {
+	d := New(make([]float64, 3*recordChunk/8))
+	w := &limitedWriter{room: 100}
+	n, err := d.WriteTo(w)
+	if err != io.ErrShortWrite || n != 100 {
+		t.Fatalf("WriteTo into a writer with room for 100 bytes = %d, %v", n, err)
+	}
+}
+
+// limitedWriter accepts room bytes, then fails short.
+type limitedWriter struct{ room int }
+
+func (l *limitedWriter) Write(p []byte) (int, error) {
+	if len(p) > l.room {
+		n := l.room
+		l.room = 0
+		return n, io.ErrShortWrite
+	}
+	l.room -= len(p)
+	return len(p), nil
+}
+
 type failingWriter struct{}
 
 func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
@@ -203,6 +276,32 @@ func BenchmarkCodecRead(b *testing.B) {
 	var buf bytes.Buffer
 	d.WriteTo(&buf)
 	data := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadDAG(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadDAG decodes what a hosted FMNIST run's checkpoint embeds: 200
+// live transactions of 2 410 parameters each (3.9 MB), where the parameter
+// vectors are all but a few bytes per record.
+func BenchmarkReadDAG(b *testing.B) {
+	rng := xrand.New(3)
+	d := New(rng.NormalVec(2410, 0, 1))
+	for i := 1; i < 200; i++ {
+		if _, err := d.Add(i%30, i, []ID{ID(i - 1), ID(i / 2)}, rng.NormalVec(2410, 0, 1), Meta{TrainAcc: 0.5, TestAcc: 0.4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := d.WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -18,6 +18,18 @@ import "fmt"
 // simulation's worker-count invariance, checkpoint resume, and the metric
 // gate (sim.TestExperimentsGolden) all rest on. Any change to these loop orders
 // is a numerics change, even if it is algebraically neutral.
+//
+// One kernel is skipped rather than reordered. A scorer that wants only the
+// predicted class (nn's Accuracy family, which is every evaluation inside a
+// tip-selection walk) stops at the logits and asks ArgMaxSoftmax (mathx.go),
+// which returns exactly what ArgMax after SoftmaxRows would: read off the
+// logits when all are finite and the largest leads by at least 1e-9 — the
+// softmax then turns it into exp(0) = 1 and everything else into at most
+// exp(-1e-9), a gap millions of ulps wider than the rounding of one exp and
+// one divide, so the probabilities can neither reorder nor tie — and by
+// running the softmax on the row otherwise (ties, leads inside the margin,
+// ±Inf, NaN). The shortcut therefore moves no result; whoever consumes
+// probabilities or losses (Evaluate, Train) still runs SoftmaxRows.
 
 // AffineRows computes the dense-layer pre-activations for a whole batch:
 //

@@ -161,6 +161,45 @@ func SoftmaxInPlace(x []float64) {
 	}
 }
 
+// argMaxMargin is the lead at which ArgMaxSoftmax trusts the logits.
+const argMaxMargin = 1e-9
+
+// ArgMaxSoftmax returns exactly the index ArgMax would return after
+// SoftmaxInPlace(x), without the exponentials whenever the logits already
+// decide it. x is scratch: it holds either the untouched logits or their
+// softmax afterwards. It panics on an empty slice.
+//
+// The logits decide when every one is finite and the largest leads the
+// runner-up by at least argMaxMargin in the softmax's own subtraction
+// (v - max, which is monotone in v, so the runner-up bounds all others).
+// SoftmaxInPlace then maps the largest to exp(0) = 1 exactly and every other
+// entry to exp(d) with d <= -1e-9, at most 1 - 1e-9 give or take an ulp:
+// millions of ulps below 1. The shared divisor lies in [1, len(x)], division
+// is monotone and rounds within half an ulp, so the quotients can neither
+// swap nor meet, and the winner is the unique largest logit. Anything else — a
+// tie, a lead inside the margin, an infinity or a NaN anywhere — runs the
+// softmax, so the answer is SoftmaxInPlace's by construction.
+func ArgMaxSoftmax(x []float64) int {
+	if len(x) == 0 {
+		panic("mathx: ArgMaxSoftmax of empty slice")
+	}
+	best, top, next := 0, x[0], math.Inf(-1)
+	nonFinite := x[0] - x[0] // 0 for a finite value, NaN for ±Inf and NaN
+	for i, v := range x[1:] {
+		nonFinite += v - v
+		if v > top {
+			best, top, next = i+1, v, top
+		} else if v > next {
+			next = v
+		}
+	}
+	if nonFinite == 0 && top-next >= argMaxMargin {
+		return best
+	}
+	SoftmaxInPlace(x)
+	return ArgMax(x)
+}
+
 // MeanVecs returns the element-wise mean of the given equal-length vectors.
 // It panics if vecs is empty or lengths differ.
 //

@@ -291,10 +291,12 @@ func (m *MLP) Predict(x []float64) int {
 	return mathx.ArgMax(m.Forward(x))
 }
 
-// forwardBatch runs the network over every row of x through the batched
-// kernels, returning the probability matrix (a view of model scratch, valid
-// until the next batched call). Bit-identical per row to Forward.
-func (m *MLP) forwardBatch(x mathx.Matrix) mathx.Matrix {
+// logitsBatch runs the network over every row of x through the batched
+// kernels up to the output layer's pre-activations, returning the logit
+// matrix (a view of model scratch, valid until the next batched call).
+// mathx.SoftmaxRows on it yields the probabilities, bit-identical per row to
+// Forward.
+func (m *MLP) logitsBatch(x mathx.Matrix) mathx.Matrix {
 	if x.Cols != m.arch.In {
 		panic(fmt.Sprintf("nn: Forward input length %d, want %d", x.Cols, m.arch.In))
 	}
@@ -306,7 +308,6 @@ func (m *MLP) forwardBatch(x mathx.Matrix) mathx.Matrix {
 		out := m.bs.acts[li].Top(x.Rows)
 		if li == last {
 			mathx.AffineRows(in, l.w, l.b, out)
-			mathx.SoftmaxRows(out)
 		} else {
 			mathx.AffineRowsReLU(in, l.w, l.b, out)
 		}
@@ -320,10 +321,12 @@ const lossEps = 1e-12
 
 // score is the shared body of Evaluate and Accuracy: one batched forward
 // pass, then a per-row reduction in ascending sample order (bit-identical
-// to the per-sample reference loop). The loss term is computed only when
-// withLoss is set — the walk engines' selection weights never consume
-// losses, so their scorers skip the log reduction; accuracy is identical
-// either way. name labels panics with the public entry point.
+// to the per-sample reference loop). The softmax and the loss term are
+// computed only when withLoss is set — the walk engines' selection weights
+// never consume losses, so their scorers stop at the logits and let
+// mathx.ArgMaxSoftmax name the class the softmax would have (it runs the
+// softmax itself on the rare row the logits do not decide); accuracy is
+// identical either way. name labels panics with the public entry point.
 func (m *MLP) score(name string, x mathx.Matrix, ys []int, withLoss bool) (loss, acc float64) {
 	if x.Rows != len(ys) {
 		panic("nn: " + name + " xs/ys length mismatch")
@@ -331,18 +334,25 @@ func (m *MLP) score(name string, x mathx.Matrix, ys []int, withLoss bool) (loss,
 	if len(ys) == 0 {
 		return 0, 0
 	}
-	probs := m.forwardBatch(x)
+	out := m.logitsBatch(x)
+	if withLoss {
+		mathx.SoftmaxRows(out)
+	}
 	correct := 0
-	for r := 0; r < probs.Rows; r++ {
-		pr := probs.Row(r)
+	for r := 0; r < out.Rows; r++ {
+		row := out.Row(r)
 		y := ys[r]
-		if y < 0 || y >= len(pr) {
-			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, len(pr)))
+		if y < 0 || y >= len(row) {
+			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, len(row)))
 		}
+		var pred int
 		if withLoss {
-			loss += -math.Log(math.Max(pr[y], lossEps))
+			loss += -math.Log(math.Max(row[y], lossEps))
+			pred = mathx.ArgMax(row)
+		} else {
+			pred = mathx.ArgMaxSoftmax(row)
 		}
-		if mathx.ArgMax(pr) == y {
+		if pred == y {
 			correct++
 		}
 	}
@@ -586,7 +596,8 @@ func (m *MLP) Train(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand.RNG) int
 // order with exact-zero deltas skipped — the accumulation order of the
 // per-sample backward, so the summed gradient is bit-identical to it.
 func (m *MLP) backwardBatch(x mathx.Matrix, ys []int, grads []float64) {
-	probs := m.forwardBatch(x)
+	probs := m.logitsBatch(x)
+	mathx.SoftmaxRows(probs)
 	for _, y := range ys {
 		if y < 0 || y >= probs.Cols {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, probs.Cols))

@@ -7,8 +7,8 @@ import (
 	"github.com/specdag/specdag/internal/xrand"
 )
 
-// Micro-benchmarks of the training/evaluation hot path, run with -benchmem
-// by the CI bench job. benchArch and the sample counts mirror the simulator
+// Micro-benchmarks of the training/evaluation hot path, plain `go test
+// -bench` with no CI job behind them. benchArch and the sample counts mirror the simulator
 // defaults (64-dim inputs, one 32-wide hidden layer, 10 classes, batch 10).
 var benchArch = Arch{In: 64, Hidden: []int{32}, Out: 10}
 
@@ -85,5 +85,41 @@ func BenchmarkBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mathx.Fill(grads, 0)
 		m.backwardBatch(batch, ys, grads)
+	}
+}
+
+// BenchmarkAccuracyManyInto measures what one tip-selection walk step pays on
+// a cold cache: eight candidate models scored for accuracy on one client's
+// test split, at the long-haul shape (226 parameters, 10 rows) and the FMNIST
+// shape (2 410 parameters, 20 rows). ns/op is per model.
+func BenchmarkAccuracyManyInto(b *testing.B) {
+	for _, s := range []struct {
+		name string
+		arch Arch
+		rows int
+	}{
+		{"longhaul", Arch{In: 16, Hidden: []int{8}, Out: 10}, 10},
+		{"fmnist", Arch{In: 64, Hidden: []int{32}, Out: 10}, 20},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			rng := xrand.New(1)
+			m := New(s.arch, rng)
+			x := mathx.NewMatrix(s.rows, s.arch.In)
+			ys := make([]int, s.rows)
+			for i := range ys {
+				copy(x.Row(i), rng.NormalVec(s.arch.In, 0, 1))
+				ys[i] = i % s.arch.Out
+			}
+			list := make([][]float64, 8)
+			for i := range list {
+				list[i] = New(s.arch, rng.SplitIndex("candidate", i)).ParamsCopy()
+			}
+			accs := m.AccuracyManyInto(nil, list, x, ys) // warm up scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(list) {
+				accs = m.AccuracyManyInto(accs[:0], list, x, ys)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/specdag/specdag/internal/mathx"
@@ -170,5 +171,72 @@ func TestTrainZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Train allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestAccuracyMatchesEvaluate: the accuracy-only scorers stop at the logits
+// and let mathx.ArgMaxSoftmax name the class, so on every row their verdict
+// must be the one Evaluate reads off the probabilities — also where the two
+// could part: output layers doctored to emit exact ties, leads the
+// exponential rounds away, leads inside ArgMaxSoftmax's margin, and
+// non-finite logits (from non-finite parameters, and from finite ones that
+// overflow). Accuracies are compared bitwise, against the per-sample
+// reference too.
+func TestAccuracyMatchesEvaluate(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	// Each doctor rewrites the output layer: w is [out][in] row-major, b the
+	// biases. Row 1 duplicating row 0 makes classes 0 and 1 tie on every
+	// sample; the bias then sets the lead.
+	dupRow := func(w []float64, in int) { copy(w[in:2*in], w[:in]) }
+	doctors := []struct {
+		name string
+		fix  func(w, b []float64, in int)
+	}{
+		{"random", func(w, b []float64, in int) {}},
+		{"exact tie", func(w, b []float64, in int) { dupRow(w, in); b[1] = b[0] }},
+		{"one-ulp lead", func(w, b []float64, in int) { dupRow(w, in); b[0] = 1; b[1] = math.Nextafter(1, 2) }},
+		{"one-ulp deficit", func(w, b []float64, in int) { dupRow(w, in); b[0] = 1; b[1] = math.Nextafter(1, 0) }},
+		{"lead the exponential rounds to a tie", func(w, b []float64, in int) { mathx.Fill(w, 0); mathx.Fill(b, 0); b[len(b)-1] = 1e-17 }},
+		{"lead inside the margin", func(w, b []float64, in int) { dupRow(w, in); b[0] = 0; b[1] = 5e-10 }},
+		{"lead just over the margin", func(w, b []float64, in int) { dupRow(w, in); b[0] = 0; b[1] = 2e-9 }},
+		{"all classes equal", func(w, b []float64, in int) { mathx.Fill(w, 0); mathx.Fill(b, 0.5) }},
+		{"+Inf bias", func(w, b []float64, in int) { b[len(b)-1] = inf }},
+		{"two +Inf biases", func(w, b []float64, in int) { b[0], b[len(b)-1] = inf, inf }},
+		{"-Inf bias", func(w, b []float64, in int) { b[0] = -inf }},
+		{"all -Inf biases", func(w, b []float64, in int) { mathx.Fill(b, -inf) }},
+		{"NaN bias first", func(w, b []float64, in int) { b[0] = nan }},
+		{"NaN bias last", func(w, b []float64, in int) { b[len(b)-1] = nan }},
+		{"overflowing weights", func(w, b []float64, in int) {
+			for i := range w {
+				w[i] *= 1e308 // finite parameters, ±Inf and NaN logits
+			}
+		}},
+	}
+	for ai, arch := range diffArchs {
+		for di, doc := range doctors {
+			rng := xrand.New(int64(300*ai + di))
+			m := New(arch, rng)
+			out := m.layers[len(m.layers)-1]
+			doc.fix(out.w, out.b, out.in)
+			x, ys := randomSamples(rng, 33, arch.In, arch.Out)
+			label := fmt.Sprintf("arch %d, %s", ai, doc.name)
+
+			_, want := m.Evaluate(x, ys)
+			if _, ref := m.evaluateReference(x, ys); ref != want {
+				t.Fatalf("%s: Evaluate accuracy %v, per-sample reference %v", label, want, ref)
+			}
+			if got := m.Accuracy(x, ys); got != want {
+				t.Fatalf("%s: Accuracy %v, Evaluate %v", label, got, want)
+			}
+			scratch := New(arch, rng.Split("scratch"))
+			if got := scratch.AccuracyParams(m.Params(), x, ys); got != want {
+				t.Fatalf("%s: AccuracyParams %v, Evaluate %v", label, got, want)
+			}
+			_, own := scratch.Evaluate(x, ys)
+			got := scratch.AccuracyManyInto(nil, [][]float64{m.Params(), scratch.Params(), m.Params()}, x, ys)
+			if len(got) != 3 || got[0] != want || got[1] != own || got[2] != want {
+				t.Fatalf("%s: AccuracyManyInto %v, Evaluate %v / %v / %v", label, got, want, own, want)
+			}
+		}
 	}
 }

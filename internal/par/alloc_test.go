@@ -18,35 +18,6 @@ func TestForEachInSequentialAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkDoInPair is the async engine's evaluation pair: two functions on
-// a two-slot budget, with the helper slot free or held by someone else (the
-// pair then runs inline on the caller).
-func BenchmarkDoInPair(b *testing.B) {
-	f := func() { sink++ }
-	g := func() {}
-	b.Run("free", func(b *testing.B) {
-		pool := NewBudget(2)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			DoIn(pool, 2, f, g)
-		}
-	})
-	b.Run("exhausted", func(b *testing.B) {
-		pool := NewBudget(2)
-		hold, held := make(chan struct{}), make(chan struct{})
-		if !pool.Spawn(func() { close(held); <-hold }) {
-			b.Fatal("Spawn refused a slot on an idle budget")
-		}
-		<-held
-		defer close(hold)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			DoIn(pool, 2, f, g)
-		}
-	})
-}
-
 // BenchmarkForEachInNested is the sweep shape: an outer fan-out whose items
 // each fan out again on the same budget.
 func BenchmarkForEachInNested(b *testing.B) {

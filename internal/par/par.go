@@ -1,13 +1,13 @@
 // Package par provides the bounded worker pools behind every parallel code
 // path of the simulator: the per-client fan-out of a simulation round, the
-// per-event evaluations of the asynchronous simulator, and the sweep cells
-// (preset, seed, variant) of the experiment harness.
+// tangle's level-parallel weight sweep, and the sweep cells (preset, seed,
+// variant) of the experiment harness.
 //
 // A *Budget is one shared pool handed down through nested fan-outs (sweep
-// cell → round engine): ForEachIn/DoIn draw extra workers from the budget and
-// fall back to inline execution when it is exhausted, so the whole tree never
-// exceeds the budget — and never deadlocks, because a caller runs items on
-// its own goroutine without waiting for a slot. The budget's accounting is
+// cell → round engine): ForEachIn draws extra workers from the budget and
+// falls back to inline execution when it is exhausted, so the whole tree
+// never exceeds the budget — and never deadlocks, because a caller runs items
+// on its own goroutine without waiting for a slot. The budget's accounting is
 // the slots themselves: what is in use is what has been handed out, so there
 // is no registry of goroutines beside them. With a nil budget each call
 // site is bounded by its worker count alone — two nested fan-outs may then
@@ -19,7 +19,7 @@
 // deriving all randomness from split RNG streams (xrand.Split*) rather than
 // from a shared stream whose consumption order would depend on scheduling.
 //
-// With workers == 1 all helpers degrade to a plain loop on the calling
+// With workers == 1 ForEachIn degrades to a plain loop on the calling
 // goroutine, so a single-worker run is not merely equivalent to the
 // sequential code — it is the sequential code.
 package par
@@ -192,11 +192,4 @@ func ForEachIn(b *Budget, workers, n int, fn func(i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
-}
-
-// DoIn runs the given functions concurrently, bounded by workers and the
-// shared budget, and waits for all of them. It is shorthand for ForEachIn
-// over a fixed function list.
-func DoIn(b *Budget, workers int, fns ...func()) {
-	ForEachIn(b, workers, len(fns), func(i int) { fns[i]() })
 }

@@ -66,18 +66,6 @@ func TestForEachPropagatesPanic(t *testing.T) {
 	t.Fatal("panic not propagated")
 }
 
-func TestDoRunsAll(t *testing.T) {
-	var a, b, c atomic.Bool
-	DoIn(nil, 2,
-		func() { a.Store(true) },
-		func() { b.Store(true) },
-		func() { c.Store(true) },
-	)
-	if !a.Load() || !b.Load() || !c.Load() {
-		t.Fatal("DoIn skipped a function without a budget")
-	}
-}
-
 // ---- Shared worker budget (Budget) ----
 
 func TestBudgetSizeDefaults(t *testing.T) {
@@ -212,18 +200,6 @@ func TestBudgetNestedAccountingCountsGoroutinesOnce(t *testing.T) {
 	}
 	if b.InUse() != 0 {
 		t.Fatalf("in-use %d after completion, want 0", b.InUse())
-	}
-}
-
-func TestDoInRunsAll(t *testing.T) {
-	b := NewBudget(2)
-	var a, c atomic.Bool
-	DoIn(b, 2,
-		func() { a.Store(true) },
-		func() { c.Store(true) },
-	)
-	if !a.Load() || !c.Load() {
-		t.Fatal("DoIn skipped a function")
 	}
 }
 

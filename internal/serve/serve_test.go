@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -511,5 +515,104 @@ func TestSchedulerPauseFreesWorkerForOtherRuns(t *testing.T) {
 	final := waitState(t, s, lid, func(st RunStatus) bool { return st.State != StateRunning })
 	if final.State != StateDone || final.Steps != long.Rounds {
 		t.Fatalf("resumed run settled as %+v, want %d done steps", final, long.Rounds)
+	}
+}
+
+// TestSettledRunReleasesEngine: once a run settles — one completes, one is
+// canceled — the server keeps its event log and its last checkpoint but no
+// way to its engine, so the federation, the client models and the tangle are
+// collected; the status, checkpoint and replay endpoints answer as before and
+// the lifecycle calls still conflict.
+func TestSettledRunReleasesEngine(t *testing.T) {
+	s := NewServer(Config{Workers: 1, CheckpointEvery: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	// One worker, and the long run outranks the short one: the short run
+	// cannot start, let alone settle, before its engine has been tagged.
+	long, err := s.Submit(RunRequest{Dataset: "fmnist", Seed: 4, Rounds: 5000, ClientsPerRound: 2, Priority: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := s.Submit(RunRequest{Dataset: "fmnist", Seed: 3, Rounds: 3, ClientsPerRound: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := map[int]chan struct{}{long: make(chan struct{}), short: make(chan struct{})}
+	for id, ch := range collected {
+		r, err := s.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.mu.Lock()
+		eng, ok := r.snap.(*core.Simulation)
+		r.mu.Unlock()
+		if !ok {
+			t.Fatalf("run %d has no round engine registered", id)
+		}
+		runtime.AddCleanup(eng, func(ch chan struct{}) { close(ch) }, ch)
+	}
+
+	waitState(t, s, long, func(st RunStatus) bool { return st.HasCheckpoint })
+	if err := s.Cancel(context.Background(), long); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, long, func(st RunStatus) bool { return st.State == StateCanceled })
+	waitState(t, s, short, func(st RunStatus) bool { return st.State == StateDone })
+
+	deadline := time.After(10 * time.Second)
+	for id, ch := range collected {
+		for done := false; !done; {
+			runtime.GC()
+			select {
+			case <-ch:
+				done = true
+			case <-deadline:
+				t.Fatalf("run %d settled but its engine is still reachable", id)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}
+
+	for id, want := range map[int]string{long: StateCanceled, short: StateDone} {
+		base := ts.URL + "/runs/" + strconv.Itoa(id)
+		resp, err := http.Get(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st RunStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || st.State != want || !st.HasCheckpoint {
+			t.Fatalf("status of settled run %d: %s %+v %v", id, resp.Status, st, err)
+		}
+		resp, err = http.Get(base + "/checkpoint")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("checkpoint of settled run %d: %s, %d bytes, %v", id, resp.Status, len(blob), err)
+		}
+		if info, _, err := core.InspectCheckpoint(bytes.NewReader(blob)); err != nil || info.Round != st.CheckpointStep {
+			t.Fatalf("checkpoint of settled run %d: %+v %v, want round %d", id, info, err, st.CheckpointStep)
+		}
+		frames := 0
+		end, err := Subscribe(context.Background(), ts.URL, id, SubscribeOptions{OnFrame: func(wire.Frame) { frames++ }})
+		if err != nil || end.Completed != (want == StateDone) || end.Steps != st.Steps || frames < st.Steps {
+			t.Fatalf("replay of settled run %d: %d frames, end %+v, %v", id, frames, end, err)
+		}
+		for _, verb := range []string{"pause", "resume", "cancel"} {
+			resp, err := http.Post(base+"/"+verb, "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("%s of settled run %d: %s, want 409", verb, id, resp.Status)
+			}
+		}
 	}
 }

@@ -524,6 +524,11 @@ func (s *Server) launch(r *run, eng engine.Engine) error {
 // methods themselves (e.g. a failed pause checkpoint) is not overwritten.
 func (s *Server) settle(r *run, err error) {
 	r.mu.Lock()
+	// The scheduler keeps no settled job and the lifecycle methods answer 409
+	// from the state alone, so the record drops its way to the engine: the
+	// federation, the client models and the tangle become collectable. What a
+	// settled run keeps is its event log and its last checkpoint.
+	r.snap, r.handle = nil, nil
 	switch r.state {
 	case StateDone, StateCanceled, StateFailed:
 		r.mu.Unlock()
@@ -560,39 +565,37 @@ func (s *Server) checkpointNow(r *run) error {
 	if snap == nil {
 		return fmt.Errorf("engine does not support checkpoints")
 	}
-	var buf bytes.Buffer
-	n, err := snap.WriteCheckpoint(&buf)
-	if err != nil {
+	m := &memCheckpoint{r: r, step: step}
+	if _, err := snap.WriteCheckpoint(m); err != nil {
 		return fmt.Errorf("checkpointing run %d: %w", r.id, err)
 	}
-	r.mu.Lock()
-	r.ckpt = buf.Bytes()
-	r.ckptIndex = r.b.NextIndex()
-	r.ckptStep = step
-	r.mu.Unlock()
-	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: step, Size: n}})
-	return nil
+	return m.Close()
 }
 
-// memCheckpoint collects a periodic checkpoint in memory and installs it on
-// Close — called by engine.Run between units, so NextIndex() at Close time
-// is exactly the index the checkpoint resumes from.
+// memCheckpoint collects a checkpoint in memory and installs it on Close,
+// handing its buffer over: nothing writes to it afterwards. The cadence path
+// closes it from engine.Run between units and Pause while the job is parked,
+// so NextIndex() at Close time is exactly the index the checkpoint resumes
+// from.
 type memCheckpoint struct {
 	r    *run
 	step int
-	buf  bytes.Buffer
+	buf  []byte
 }
 
-func (m *memCheckpoint) Write(p []byte) (int, error) { return m.buf.Write(p) }
+func (m *memCheckpoint) Write(p []byte) (int, error) {
+	m.buf = append(m.buf, p...)
+	return len(p), nil
+}
 
 func (m *memCheckpoint) Close() error {
 	r := m.r
 	r.mu.Lock()
-	r.ckpt = append([]byte(nil), m.buf.Bytes()...)
+	r.ckpt = m.buf
 	r.ckptIndex = r.b.NextIndex()
 	r.ckptStep = m.step
 	r.mu.Unlock()
-	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: m.step, Size: int64(m.buf.Len())}})
+	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: m.step, Size: int64(len(m.buf))}})
 	return nil
 }
 
@@ -703,8 +706,9 @@ func (s *Server) Resume(id int) error {
 		r.mu.Lock()
 		r.state = StateFailed
 		r.err = err.Error()
+		steps := r.steps
 		r.mu.Unlock()
-		r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: r.steps, Err: err.Error()}})
+		r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: steps, Err: err.Error()}})
 		r.b.Close()
 		return fmt.Errorf("serve: resuming run %d: %w", id, err)
 	}
