@@ -38,9 +38,15 @@ func main() {
 	}
 	if err := run(env, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// usageError is a flag value no run can honour: exit 2, like a malformed flag.
+type usageError struct{ error }
 
 func run(env sim.Env, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
@@ -54,6 +60,11 @@ func run(env sim.Env, args []string, stdout io.Writer) error {
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	_ = fs.Parse(args) // ExitOnError: a malformed flag exits 2 inside Parse
+	if *workers < 0 {
+		// Dropping it would run on NumCPU: the typo'd sequential baseline
+		// sim.EnvFromOS refuses in SPECDAG_WORKERS.
+		return usageError{fmt.Errorf("-workers must not be negative, got %d", *workers)}
+	}
 
 	// The whole list resolves before the first run: a typo in the last ID
 	// must not cost the minutes the earlier ones take at -full.

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -73,5 +74,10 @@ func TestRunQuick(t *testing.T) {
 	out.Reset()
 	if err := run(env, []string{"-exp", "table1,nope"}, &out); err == nil || out.Len() != 0 {
 		t.Errorf("run with an unknown ID: err = %v after printing %q", err, out.String())
+	}
+	// So does a negative budget, as a usage error: it must not fall back to
+	// NumCPU.
+	if err := run(env, []string{"-exp", "table1", "-workers", "-1"}, &out); !errors.As(err, new(usageError)) || out.Len() != 0 {
+		t.Errorf("run with -workers -1: err = %v after printing %q, want a usage error before the first run", err, out.String())
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -32,37 +33,66 @@ import (
 )
 
 func main() {
-	var (
-		addr    = flag.String("addr", "127.0.0.1:9477", "listen address")
-		workers = flag.Int("workers", 0, "shared worker budget for all hosted runs (0 = NumCPU)")
-		ring    = flag.Int("ring", 0, "per-run event ring capacity in frames (0 = default)")
-		every   = flag.Int("checkpoint-every", 25, "default checkpoint cadence in engine units")
-		quantum = flag.Int("quantum", 0, "scheduler dispatch quantum in engine units per run (0 = default)")
-		dir     = flag.String("dir", "", "state directory: persist paused runs on shutdown, restore them on boot")
-		grace   = flag.Duration("grace", 30*time.Second, "shutdown grace period for pausing runs")
-
-		spillDir  = flag.String("spill-dir", "", "event-log spill directory: mirror every run's SDE1 stream to disk so a lapped subscriber replays from file instead of seeing a gap (empty disables)")
-		maxRuns   = flag.Int("max-runs", 0, "cap on concurrently active (running or paused) runs; submits beyond it answer 429 (0 = unlimited)")
-		maxTenant = flag.Int("max-runs-per-tenant", 0, "per-tenant cap on concurrently active runs, keyed by the request's tenant field (0 = unlimited)")
-	)
-	flag.Parse()
-	cfg := serve.Config{
-		Workers:          *workers,
-		Ring:             *ring,
-		CheckpointEvery:  *every,
-		Quantum:          *quantum,
-		Dir:              *dir,
-		SpillDir:         *spillDir,
-		MaxRuns:          *maxRuns,
-		MaxRunsPerTenant: *maxTenant,
+	addr, cfg, grace, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
 	}
-	if err := run(*addr, cfg, *grace); err != nil {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "specdagd:", err)
+		os.Exit(2)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	ln, err := net.Listen("tcp", addr)
+	if err == nil {
+		err = run(ctx, ln, cfg, grace)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "specdagd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, cfg serve.Config, grace time.Duration) error {
+// parseFlags is the one flag→config function. Every error but flag.ErrHelp
+// is a usage error.
+func parseFlags(args []string) (addr string, cfg serve.Config, grace time.Duration, err error) {
+	fs := flag.NewFlagSet("specdagd", flag.ContinueOnError)
+	fs.StringVar(&addr, "addr", "127.0.0.1:9477", "listen address")
+	fs.IntVar(&cfg.Workers, "workers", 0, "shared worker budget for all hosted runs (0 = NumCPU)")
+	fs.IntVar(&cfg.Ring, "ring", 0, "per-run event ring capacity in frames (0 = default)")
+	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 25, "default checkpoint cadence in engine units")
+	fs.IntVar(&cfg.Quantum, "quantum", 0, "scheduler dispatch quantum in engine units per run (0 = default)")
+	fs.StringVar(&cfg.Dir, "dir", "", "state directory: persist paused runs on shutdown, restore them on boot")
+	fs.DurationVar(&grace, "grace", 30*time.Second, "shutdown grace period for pausing runs")
+	fs.StringVar(&cfg.SpillDir, "spill-dir", "", "event-log spill directory: mirror every run's SDE1 stream to disk so a lapped subscriber replays from file instead of seeing a gap (empty disables)")
+	fs.IntVar(&cfg.MaxRuns, "max-runs", 0, "cap on concurrently active (running or paused) runs; submits beyond it answer 429 (0 = unlimited)")
+	fs.IntVar(&cfg.MaxRunsPerTenant, "max-runs-per-tenant", 0, "per-tenant cap on concurrently active runs, keyed by the request's tenant field (0 = unlimited)")
+	if err := fs.Parse(args); err != nil {
+		return "", serve.Config{}, 0, err
+	}
+	// 0 is each of these flags' "default" spelling; a negative value is a
+	// typo, not a second one (-workers -3 must not mean NumCPU).
+	for _, f := range []struct {
+		name  string
+		value int
+	}{
+		{"workers", cfg.Workers},
+		{"ring", cfg.Ring},
+		{"quantum", cfg.Quantum},
+		{"max-runs", cfg.MaxRuns},
+		{"max-runs-per-tenant", cfg.MaxRunsPerTenant},
+	} {
+		if f.value < 0 {
+			return "", serve.Config{}, 0, fmt.Errorf("-%s must not be negative, got %d", f.name, f.value)
+		}
+	}
+	return addr, cfg, grace, nil
+}
+
+// run serves on ln until ctx ends, then pauses every run to a checkpoint
+// within the grace period and, with a state directory, persists them.
+func run(ctx context.Context, ln net.Listener, cfg serve.Config, grace time.Duration) error {
+	defer ln.Close() // for the paths that return before Serve, which closes it itself
 	s := serve.NewServer(cfg)
 	dir := cfg.Dir
 	if dir != "" {
@@ -75,23 +105,22 @@ func run(addr string, cfg serve.Config, grace time.Duration) error {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
+	httpSrv := &http.Server{Handler: s.Handler()}
 	errc := make(chan error, 1)
 	// The listener's accept loop; joined via errc before run returns.
-	//speclint:allow budget http.Server owns its goroutines; this one hands ListenAndServe's exit back to main
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("specdagd listening on %s (workers=%d)", addr, cfg.Workers)
+	//speclint:allow budget http.Server owns its goroutines; this one hands Serve's exit back to run
+	go func() { errc <- httpSrv.Serve(ln) }()
+	log.Printf("specdagd listening on %s (workers=%d)", ln.Addr(), cfg.Workers)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
-	case sig := <-sigc:
-		log.Printf("%s: pausing runs to checkpoints", sig)
+	case <-ctx.Done():
+		log.Printf("stopping: pausing runs to checkpoints")
 	case err := <-errc:
-		return fmt.Errorf("listening on %s: %w", addr, err)
+		return fmt.Errorf("serving on %s: %w", ln.Addr(), err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	// The grace period starts now; ctx is already over.
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), grace)
 	defer cancel()
 	// Stop accepting new work first, then quiesce the runs: open event
 	// streams end when their runs settle, so Shutdown order matters.

@@ -55,6 +55,7 @@ import (
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
 	"github.com/specdag/specdag/internal/faults"
+	"github.com/specdag/specdag/internal/metrics"
 	"github.com/specdag/specdag/internal/nn"
 	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/tipselect"
@@ -426,7 +427,7 @@ func (s *Simulation) runClient(c *client, round int) clientOutcome {
 	if s.cfg.Poison.Enabled() {
 		out.flippedFrac = c.flippedFraction(act.refParams, s.cfg.Poison)
 		out.poisoned = c.poisoned
-		out.refPoisonedApprovals = s.poisonedApprovalsOf(act.refTx)
+		out.refPoisonedApprovals = metrics.PoisonedApprovals(s.tangle, act.refTx)
 	}
 	return out
 }
@@ -573,17 +574,6 @@ func (c *client) flippedFraction(params []float64, p PoisonConfig) float64 {
 		return 0
 	}
 	return float64(flipped) / float64(total)
-}
-
-func (s *Simulation) poisonedApprovalsOf(id dag.ID) int {
-	n := 0
-	//speclint:allow maporder integer count over an unordered ancestor set; MustGet is a pure lock-free read, so the count is visit-order-independent
-	for anc := range s.tangle.Ancestors(id) {
-		if s.tangle.MustGet(anc).Meta.Poisoned {
-			n++
-		}
-	}
-	return n
 }
 
 // maybeActivatePoisoning flips labels for the configured fraction of clients

@@ -7,7 +7,7 @@
 // reproduction. Each generator here reproduces the property the paper's
 // evaluation actually depends on: cluster-structured non-IID client data in
 // which model updates from the same cluster help and updates from other
-// clusters hurt. See DESIGN.md §2 for the substitution table.
+// clusters hurt. Each generator's Config comment says what it stands in for.
 //
 // Storage is flat: a Dataset keeps all features in one contiguous row-major
 // mathx.Matrix plus a label slice, so the training and evaluation hot paths

@@ -26,7 +26,8 @@ type FMNISTConfig struct {
 	TestPerClient  int
 	// Dim is the feature dimensionality (default 64). The paper uses 28x28
 	// images with a CNN; a 64-dim prototype task preserves per-cluster
-	// learnability without a conv stack (see DESIGN.md §2).
+	// learnability without a conv stack (the package comment has the
+	// rationale for the substitution).
 	Dim int
 	// NoiseStd is the class-conditional noise (default 1.0).
 	NoiseStd float64

@@ -110,11 +110,6 @@ type Federated struct {
 	testY  [][]int
 	res    *Result
 	round  int
-	// evalScratch holds one lazily created scratch model per parallel
-	// evaluation slot, so the per-round fan-out evaluates the new global
-	// model via zero-copy parameter aliasing (nn.EvaluateParams) instead of
-	// cloning the model once per client per round.
-	evalScratch []*nn.MLP
 }
 
 var _ engine.Engine = (*Federated)(nil)
@@ -204,36 +199,17 @@ func (f *Federated) Step(ctx context.Context) (*engine.StepResult, bool, error) 
 	})
 	f.global.SetParams(nn.WeightedAverageParams(updates, weights))
 
-	// Evaluate the new global model on every selected client's test split.
-	// A sequential run evaluates on the global model in place; parallel
-	// workers alias the new parameters from per-slot scratch models
-	// (Evaluate reuses scratch buffers, so the shared model must not run
-	// concurrently) — no per-round model clones.
+	// Evaluate the new global model on every selected client's test split:
+	// a plain loop on the one model (ten small test splits are noise beside
+	// training ten clients, so this does not fan out).
 	rr := RoundResult{Round: round}
-	accs := make([]float64, len(idxs))
-	losses := make([]float64, len(idxs))
-	if par.Workers(f.cfg.Workers) == 1 {
-		for k, ci := range idxs {
-			losses[k], accs[k] = f.global.Evaluate(f.testX[ci], f.testY[ci])
-		}
-	} else {
-		if f.evalScratch == nil {
-			f.evalScratch = make([]*nn.MLP, len(idxs))
-		}
-		newParams := f.global.Params() // read-only during the fan-out
-		par.ForEachIn(f.cfg.Pool, f.cfg.Workers, len(idxs), func(k int) {
-			if f.evalScratch[k] == nil {
-				f.evalScratch[k] = f.global.Clone()
-			}
-			losses[k], accs[k] = f.evalScratch[k].EvaluateParams(newParams, f.testX[idxs[k]], f.testY[idxs[k]])
-		})
-	}
-	for k, ci := range idxs {
+	for _, ci := range idxs {
+		loss, acc := f.global.Evaluate(f.testX[ci], f.testY[ci])
 		rr.Selected = append(rr.Selected, f.fed.Clients[ci].ID)
-		rr.Accs = append(rr.Accs, accs[k])
-		rr.Losses = append(rr.Losses, losses[k])
-		rr.MeanAcc += accs[k]
-		rr.MeanLoss += losses[k]
+		rr.Accs = append(rr.Accs, acc)
+		rr.Losses = append(rr.Losses, loss)
+		rr.MeanAcc += acc
+		rr.MeanLoss += loss
 	}
 	n := float64(len(idxs))
 	rr.MeanAcc /= n

@@ -1,6 +1,12 @@
 // Package graphx provides the weighted-graph machinery used to measure
 // implicit specialization (paper §4.3): an undirected weighted graph of
 // clients, Newman modularity, and Louvain community detection.
+//
+// Edge weights are counts. Adjacency lives in maps, and the weight sums
+// below run in map order: that is exact, and so the same in every order,
+// because the weights are integer-valued (G_clients counts approvals, and
+// aggregation only adds them up). Whatever is not a sum of weights — the
+// modularity terms, the candidate gains — is reduced in sorted order.
 package graphx
 
 import (
@@ -75,6 +81,7 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // Degree returns the weighted degree of u; self-loops count twice.
 func (g *Graph) Degree(u int) float64 {
 	d := 0.0
+	//speclint:allow maporder sum of integer-valued edge weights, exact in any order (package doc); Louvain calls this per node per sweep, too often to sort
 	for v, w := range g.adj[u] {
 		if v == u {
 			d += 2 * w
@@ -89,7 +96,9 @@ func (g *Graph) Degree(u int) float64 {
 // counted once; self-loops once).
 func (g *Graph) TotalWeight() float64 {
 	m := 0.0
+	//speclint:allow maporder sum of integer-valued edge weights, exact in any order (package doc)
 	for u, nbrs := range g.adj {
+		//speclint:allow maporder same sum, inner half
 		for v, w := range nbrs {
 			if u < v {
 				m += w
@@ -130,6 +139,7 @@ func Modularity(g *Graph, partition map[int]int) float64 {
 	for _, u := range g.Nodes() {
 		cu := community(u)
 		degSum[cu] += g.Degree(u)
+		//speclint:allow maporder per-community sum of integer-valued edge weights, exact in any order (package doc)
 		for v, w := range g.adj[u] {
 			cv := community(v)
 			if cu != cv {
@@ -238,6 +248,7 @@ func localMove(g *Graph, rng *xrand.RNG) (map[int]int, bool) {
 
 			// Weight from u to each neighboring community.
 			wTo := make(map[int]float64)
+			//speclint:allow maporder per-community sum of integer-valued edge weights, exact in any order (package doc); the gains are compared in sorted order below
 			for v, w := range g.adj[u] {
 				if v == u {
 					continue
@@ -282,11 +293,14 @@ func localMove(g *Graph, rng *xrand.RNG) (map[int]int, bool) {
 // weights summed; intra-community weight becomes a self-loop.
 func aggregate(g *Graph, comm map[int]int) *Graph {
 	out := NewGraph()
+	//speclint:allow maporder inserts into a node set; the result is the same set in any order
 	for c := range invertValues(comm) {
 		out.AddNode(c)
 	}
+	//speclint:allow maporder AddEdge adds integer-valued weights onto per-pair totals, exact in any order (package doc)
 	for u, nbrs := range g.adj {
 		cu := comm[u]
+		//speclint:allow maporder same accumulation, inner half
 		for v, w := range nbrs {
 			cv := comm[v]
 			switch {
@@ -302,6 +316,7 @@ func aggregate(g *Graph, comm map[int]int) *Graph {
 
 func invertValues(m map[int]int) map[int]struct{} {
 	out := make(map[int]struct{}, len(m))
+	//speclint:allow maporder inserts into a set; the result is the same set in any order
 	for _, v := range m {
 		out[v] = struct{}{}
 	}
@@ -309,10 +324,4 @@ func invertValues(m map[int]int) map[int]struct{} {
 }
 
 // NumCommunities returns the number of distinct communities in a partition.
-func NumCommunities(partition map[int]int) int {
-	seen := make(map[int]struct{}, len(partition))
-	for _, c := range partition {
-		seen[c] = struct{}{}
-	}
-	return len(seen)
-}
+func NumCommunities(partition map[int]int) int { return len(invertValues(partition)) }

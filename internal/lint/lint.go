@@ -128,6 +128,8 @@ var deterministicPkgs = []string{
 	"internal/engine",
 	"internal/dataset",
 	"internal/sim",
+	"internal/graphx",
+	"internal/metrics",
 }
 
 // pathHasSuffix reports whether path ends with the given slash-separated

@@ -53,6 +53,8 @@ func TestDeterministicPkgSet(t *testing.T) {
 		"github.com/specdag/specdag/internal/engine",
 		"github.com/specdag/specdag/internal/dataset",
 		"github.com/specdag/specdag/internal/sim",
+		"github.com/specdag/specdag/internal/graphx",
+		"github.com/specdag/specdag/internal/metrics",
 	} {
 		if !lint.IsDeterministicPkg(path) {
 			t.Errorf("IsDeterministicPkg(%q) = false, want true", path)

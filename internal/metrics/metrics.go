@@ -84,6 +84,7 @@ func Misclassification(partition, truth map[int]int) float64 {
 	// Per community, count ground-truth clusters.
 	counts := make(map[int]map[int]int)
 	total := 0
+	//speclint:allow maporder integer counts per (community, cluster) and one total; the same in any order
 	for client, comm := range partition {
 		cluster, ok := truth[client]
 		if !ok {
@@ -102,13 +103,16 @@ func Misclassification(partition, truth map[int]int) float64 {
 	// for determinism; a tied client still counts as correctly classified
 	// only if it is in the chosen majority).
 	mis := 0
+	//speclint:allow maporder each community adds its own integer count to mis; the same in any order
 	for comm, clusterCounts := range counts {
 		best, bestN := -1, -1
+		//speclint:allow maporder maximum with ties broken to the lower cluster ID: one winner in any order
 		for cluster, n := range clusterCounts {
 			if n > bestN || (n == bestN && cluster < best) {
 				best, bestN = cluster, n
 			}
 		}
+		//speclint:allow maporder integer count of this community's clients outside its majority cluster
 		for client, c := range partition {
 			if c != comm {
 				continue
@@ -130,6 +134,7 @@ func Misclassification(partition, truth map[int]int) float64 {
 // plotted in Fig. 13 for the consensus reference transaction.
 func PoisonedApprovals(d *dag.DAG, id dag.ID) int {
 	n := 0
+	//speclint:allow maporder integer count over an unordered ancestor set; MustGet is a pure lock-free read, so the count is visit-order-independent
 	for anc := range d.Ancestors(id) {
 		if d.MustGet(anc).Meta.Poisoned {
 			n++

@@ -2,10 +2,8 @@ package sim
 
 import (
 	"context"
-	"io"
 
 	"github.com/specdag/specdag/internal/core"
-	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/fl"
 	"github.com/specdag/specdag/internal/metrics"
 )
@@ -42,149 +40,45 @@ func groupByFives(perRound [][]float64) []Fig9Group {
 	return groups
 }
 
-// runFL builds a FedAvg/FedProx/gossip-shaped engine and drives it through
-// the unified run API, returning the result.
-func runFL(ctx context.Context, eng interface {
-	engine.Engine
-	Result() *fl.Result
-}) (*fl.Result, error) {
-	if _, err := engine.Run(ctx, eng); err != nil {
-		return nil, err
-	}
-	return eng.Result(), nil
-}
-
 // Figure9 reproduces Fig. 9: per-client accuracy distributions, grouped
 // over five consecutive rounds, FedAvg vs the Specializing DAG, for all
 // three datasets. The six underlying runs (three datasets × two algorithms)
-// are a flat grid of independent cells on the shared scheduler.
+// are one flat sweep.
 func Figure9(ctx context.Context, env Env, p Preset, seed int64) ([]Fig9Result, error) {
 	specs := []Spec{FMNISTSpec(p, seed), PoetsSpec(p, seed+1), CIFARSpec(p, seed+2)}
+	lines := make([]line, 0, 2*len(specs))
+	for i, spec := range specs {
+		lines = append(lines,
+			fedLine("fig9-fedavg-"+spec.Name, spec, p, 0, seed+int64(20+i)),
+			dagLine("fig9-dag-"+spec.Name, spec, p, spec.Selector, seed+int64(30+i)))
+	}
+	engines, err := sweep(ctx, env, lines)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Fig9Result, len(specs))
-	cells := make([]Cell, 0, 2*len(specs))
-	for i := range specs {
-		i, spec := i, specs[i]
-		out[i].Dataset = spec.Name
-		cells = append(cells, Cell{
-			Name: "fig9-fedavg-" + spec.Name,
-			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
-				fedEng, err := fl.NewFederated(spec.Fed, spec.FLConfig(env, p, 0, seed+int64(20+i)))
-				if err != nil {
-					return nil, nil, err
-				}
-				return fedEng, nil, nil
-			},
-			Finish: func(eng engine.Engine) error {
-				flRes := eng.(*fl.Federated).Result()
-				perRound := make([][]float64, len(flRes.Rounds))
-				for r, rr := range flRes.Rounds {
-					perRound[r] = rr.Accs
-				}
-				out[i].FedAvg = groupByFives(perRound)
-				return nil
-			},
-		}, Cell{
-			Name:     "fig9-dag-" + spec.Name,
-			Snapshot: true,
-			Build: func(env Env, ckpt io.Reader) (engine.Engine, []engine.Option, error) {
-				sim, err := buildDAG(spec, spec.DAGConfig(env, p, spec.Selector, seed+int64(30+i)), ckpt)
-				if err != nil {
-					return nil, nil, err
-				}
-				return sim, nil, nil
-			},
-			Finish: func(eng engine.Engine) error {
-				dagRounds := eng.(*core.Simulation).Results()
-				perRound := make([][]float64, len(dagRounds))
-				for r, rr := range dagRounds {
-					perRound[r] = rr.TrainedAcc
-				}
-				out[i].DAG = groupByFives(perRound)
-				return nil
-			},
-		})
-	}
-	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
-		return nil, err
+	for i, spec := range specs {
+		var fedAccs, dagAccs [][]float64
+		for _, rr := range engines[2*i].(*fl.Federated).Result().Rounds {
+			fedAccs = append(fedAccs, rr.Accs)
+		}
+		for _, rr := range engines[2*i+1].(*core.Simulation).Results() {
+			dagAccs = append(dagAccs, rr.TrainedAcc)
+		}
+		out[i] = Fig9Result{Dataset: spec.Name, FedAvg: groupByFives(fedAccs), DAG: groupByFives(dagAccs)}
 	}
 	return out, nil
 }
 
-// Fig1011Curve is one algorithm's mean accuracy and loss trajectory on the
-// FedProx synthetic dataset (Figs. 10 and 11 share the same runs).
-type Fig1011Curve struct {
-	Algorithm string
-	Series    *metrics.Series // cols: round, acc, loss
-}
-
-// dagCurveCell builds the grid cell for the Specializing DAG half of an
-// algorithm comparison: it runs the DAG on spec and streams its per-round
-// mean accuracy/loss curve into *out. The curve rides live round events, so
-// the cell restarts rather than resumes after a crash (Snapshot off).
-func dagCurveCell(p Preset, spec Spec, seed int64, name string, out *Fig1011Curve) Cell {
-	series := metrics.NewSeries("DAG", "round", "acc", "loss")
-	return Cell{
-		Name: name,
-		Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
-			sim, err := core.NewSimulation(spec.Fed, spec.DAGConfig(env, p, spec.Selector, seed))
-			if err != nil {
-				return nil, nil, err
-			}
-			return sim, []engine.Option{engine.WithHooks(engine.Hooks{
-				OnRound: func(ev engine.RoundEvent) {
-					series.Add(float64(ev.Round+1), ev.MeanAcc, ev.MeanLoss)
-				},
-			})}, nil
-		},
-		Finish: func(engine.Engine) error {
-			*out = Fig1011Curve{Algorithm: "DAG", Series: series}
-			return nil
-		},
-	}
-}
-
-// Figure10And11 reproduces Figs. 10 and 11: average accuracy and loss per
-// round for FedAvg, FedProx and the Specializing DAG on Synthetic(0.5, 0.5)
-// with 30 clients, 10 active per round. The three algorithm runs are
-// independent cells on the shared scheduler.
-func Figure10And11(ctx context.Context, env Env, p Preset, seed int64) ([]Fig1011Curve, error) {
+// Figure10And11 reproduces Figs. 10 and 11 (two views of the same runs):
+// average accuracy and loss per round for FedAvg, FedProx and the
+// Specializing DAG on Synthetic(0.5, 0.5) with 30 clients, 10 active per
+// round.
+func Figure10And11(ctx context.Context, env Env, p Preset, seed int64) ([]Curve, error) {
 	spec := FedProxSpec(p, seed)
-
-	algos := []struct {
-		name   string
-		proxMu float64
-	}{{"FedAvg", 0}, {"FedProx", 1.0}, {"DAG", 0}}
-
-	out := make([]Fig1011Curve, len(algos))
-	cells := make([]Cell, len(algos))
-	for i := range algos {
-		i, algo := i, algos[i]
-		if algo.name == "DAG" {
-			cells[i] = dagCurveCell(p, spec, seed+41, "fig10_11-dag", &out[i])
-			continue
-		}
-		series := metrics.NewSeries(algo.name, "round", "acc", "loss")
-		cells[i] = Cell{
-			Name: "fig10_11-" + algo.name,
-			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
-				fedEng, err := fl.NewFederated(spec.Fed, spec.FLConfig(env, p, algo.proxMu, seed+40))
-				if err != nil {
-					return nil, nil, err
-				}
-				return fedEng, []engine.Option{engine.WithHooks(engine.Hooks{
-					OnRound: func(ev engine.RoundEvent) {
-						series.Add(float64(ev.Round+1), ev.MeanAcc, ev.MeanLoss)
-					},
-				})}, nil
-			},
-			Finish: func(engine.Engine) error {
-				out[i] = Fig1011Curve{Algorithm: algo.name, Series: series}
-				return nil
-			},
-		}
-	}
-	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return accLossCurves(ctx, env, []string{"FedAvg", "FedProx", "DAG"}, []line{
+		fedLine("fig10_11-FedAvg", spec, p, 0, seed+40),
+		fedLine("fig10_11-FedProx", spec, p, 1.0, seed+40),
+		dagLine("fig10_11-dag", spec, p, spec.Selector, seed+41),
+	})
 }

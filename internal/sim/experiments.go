@@ -73,8 +73,8 @@ func Experiments() []Experiment {
 		})},
 		{ID: "fig10", Alias: "fig11", Run: bind(Figure10And11,
 			titled("Figures 10 & 11: FedAvg vs DAG vs FedProx on Synthetic(0.5,0.5)", RenderFig1011),
-			func(curves []Fig1011Curve) []Metric { return finals(curves, "acc", "loss") })},
-		{ID: "fig12", Alias: "fig13", Run: bind(Figure12And13, RenderPoison, func(curves []PoisonCurve) (ms []Metric) {
+			func(curves []Curve) []Metric { return finals(curves, "acc", "loss") })},
+		{ID: "fig12", Alias: "fig13", Run: bind(Figure12And13, RenderPoison, func(curves []Curve) (ms []Metric) {
 			for _, col := range []string{"flippedPct", "poisonedApprovals"} {
 				for _, c := range curves {
 					ms = append(ms, Metric{metricName(c.Label, col), c.Series.Last(col)})
@@ -93,8 +93,7 @@ func Experiments() []Experiment {
 		})},
 		{ID: "ablations", Run: runAblations},
 		{ID: "gossip", Run: bind(GossipComparison,
-			titled("Extension: gossip learning vs FedAvg vs DAG (FMNIST-clustered)", RenderFig1011),
-			func(curves []Fig1011Curve) []Metric { return finals(curves, "acc") })},
+			titled("Extension: gossip learning vs FedAvg vs DAG (FMNIST-clustered)", RenderFig1011), finalAccs)},
 		{ID: "visibility", Run: bind(VisibilitySweep, titled("reveal delay (non-ideal broadcast)", RenderAblation), variantAccs)},
 		{ID: "faults", Run: bind(FaultSweep, RenderFaults, func(rows []FaultRow) (ms []Metric) {
 			for _, r := range rows {
@@ -152,19 +151,14 @@ func metricName(parts ...string) string {
 	return strings.ReplaceAll(strings.Join(parts, "-"), " ", "-")
 }
 
-func finalAccs(curves []AccuracyCurve) (ms []Metric) {
-	for _, c := range curves {
-		ms = append(ms, Metric{c.Label + "-final-acc", c.Series.Last("acc")})
-	}
-	return ms
-}
+func finalAccs(curves []Curve) []Metric { return finals(curves, "acc") }
 
-// finals reports every algorithm's last-round value of each column, column
-// by column.
-func finals(curves []Fig1011Curve, cols ...string) (ms []Metric) {
+// finals reports every curve's last-round value of each column, column by
+// column.
+func finals(curves []Curve, cols ...string) (ms []Metric) {
 	for _, col := range cols {
 		for _, c := range curves {
-			ms = append(ms, Metric{c.Algorithm + "-final-" + col, c.Series.Last(col)})
+			ms = append(ms, Metric{c.Label + "-final-" + col, c.Series.Last(col)})
 		}
 	}
 	return ms

@@ -9,6 +9,7 @@ import (
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/faults"
+	"github.com/specdag/specdag/internal/mathx"
 )
 
 // FaultScenarioNames lists the canned fault schedules, in sweep order.
@@ -75,61 +76,50 @@ func FaultSweep(ctx context.Context, env Env, p Preset, seed int64) ([]FaultRow,
 	if p == Full {
 		duration = 120
 	}
+	spec := FMNISTSpec(p, seed)
 	names := FaultScenarioNames()
-	rows := make([]FaultRow, len(names))
-	cells := make([]Cell, len(names))
-	for i := range names {
-		i, name := i, names[i]
-		var accs []float64
-		cells[i] = Cell{
-			// No Snapshot: the row needs the full per-event accuracy trace,
-			// which hooks cannot replay from a checkpoint. Cells recompute on
-			// grid resume, which is safe because every cell is deterministic.
-			Name: "faults-" + name,
-			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
-				spec := FMNISTSpec(p, seed)
+	// The row needs every event's accuracy, and the event engine keeps
+	// per-client statistics, not an event history: the lines watch.
+	accs := make([][]float64, len(names))
+	lines := make([]line, len(names))
+	for i, name := range names {
+		lines[i] = line{
+			name: "faults-" + name,
+			open: func(env Env, _ io.Reader) (engine.Engine, error) {
 				fc, err := FaultScenario(name, duration, 0.5)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				cfg := spec.AsyncDAGConfig(env, duration, 1, 8, 0, spec.Selector, seed+int64(i))
 				cfg.Faults = fc
-				a, err := core.NewAsyncSimulation(spec.Fed, cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				return a, []engine.Option{engine.WithHooks(engine.Hooks{
-					OnRound: func(ev engine.RoundEvent) {
-						accs = append(accs, ev.Detail.(*core.AsyncEvent).TrainedAcc)
-					},
-				})}, nil
+				return core.NewAsyncSimulation(spec.Fed, cfg)
 			},
-			Finish: func(eng engine.Engine) error {
-				if len(accs) == 0 {
-					return fmt.Errorf("fault scenario %q produced no events", name)
-				}
-				res := eng.(*core.AsyncSimulation).Result()
-				sum := 0.0
-				for _, v := range accs {
-					sum += v
-				}
-				rows[i] = FaultRow{
-					Scenario:     name,
-					Events:       len(accs),
-					FirstAcc:     accs[0],
-					LastAcc:      accs[len(accs)-1],
-					MeanAcc:      sum / float64(len(accs)),
-					Transactions: res.Transactions,
-					Deliveries:   res.Deliveries,
-					Dropped:      res.DroppedDeliveries,
-					Duplicated:   res.DuplicatedDeliveries,
-				}
-				return nil
+			watch: func(_ engine.Engine, ev engine.RoundEvent) {
+				accs[i] = append(accs[i], ev.Detail.(*core.AsyncEvent).TrainedAcc)
 			},
 		}
 	}
-	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
+	engines, err := sweep(ctx, env, lines)
+	if err != nil {
 		return nil, err
+	}
+	rows := make([]FaultRow, len(names))
+	for i, name := range names {
+		if len(accs[i]) == 0 {
+			return nil, fmt.Errorf("fault scenario %q produced no events", name)
+		}
+		res := engines[i].(*core.AsyncSimulation).Result()
+		rows[i] = FaultRow{
+			Scenario:     name,
+			Events:       len(accs[i]),
+			FirstAcc:     accs[i][0],
+			LastAcc:      accs[i][len(accs[i])-1],
+			MeanAcc:      mathx.Mean(accs[i]),
+			Transactions: res.Transactions,
+			Deliveries:   res.Deliveries,
+			Dropped:      res.DroppedDeliveries,
+			Duplicated:   res.DuplicatedDeliveries,
+		}
 	}
 	return rows, nil
 }

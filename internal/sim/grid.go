@@ -37,14 +37,16 @@ type Cell struct {
 	// calls run sequentially in cell order on RunGrid's goroutine, so they
 	// may write shared state without locking.
 	Finish func(eng engine.Engine) error
-	// Snapshot enables per-cell checkpointing: the engine must implement
-	// engine.Snapshotter, and when the grid has a checkpoint directory the
+	// Snapshot enables per-cell checkpointing: when the grid has a
+	// checkpoint directory and the engine is an engine.Snapshotter, the
 	// cell checkpoints every GridConfig.Every units plus once on
 	// completion, so a crashed grid rerun resumes finished and in-flight
-	// cells instead of recomputing them. Leave false for engines without
-	// checkpoint support (fl baselines) or measurement cells where mid-run
-	// I/O would contaminate timings — such cells simply recompute on
-	// resume, which is safe because every cell is deterministic.
+	// cells instead of recomputing them. On an engine without checkpoint
+	// support (the fl baselines) it is a no-op. Leave false where a resumed
+	// run would miss something — hooks that observed the units before the
+	// checkpoint, timings that mid-run I/O would contaminate — such cells
+	// simply recompute on resume, which is safe because every cell is
+	// deterministic.
 	Snapshot bool
 }
 
@@ -52,18 +54,15 @@ type Cell struct {
 type GridConfig struct {
 	// Every is the checkpoint cadence in engine units; <= 0 selects 5.
 	Every int
-	// Workers caps concurrently running cells; <= 0 selects the size of the
-	// Env's budget. Workers == 1 runs cells strictly sequentially on the
-	// calling goroutine.
-	Workers int
 	// Quantum is the scheduler dispatch quantum in engine units; <= 0
-	// selects the scheduler default. Figure15 sets it large enough that
-	// each timing cell runs start-to-finish in one dispatch.
+	// selects the scheduler default.
 	Quantum int
 }
 
 // RunGrid runs every cell to completion on an engine.Scheduler drawing from
-// env's budget, then runs the Finish callbacks sequentially in cell order.
+// env's budget — its size bounds the cells running at once, and a one-slot
+// budget runs them strictly sequentially on the calling goroutine — then
+// runs the Finish callbacks sequentially in cell order.
 // It replaces the naive per-sweep fan-out: cells become priority-ordered,
 // pause-safe jobs, and with a checkpoint directory (env.GridDir) a mid-grid
 // crash resumes instead of restarting — completed
@@ -92,13 +91,11 @@ func RunGrid(ctx context.Context, env Env, cells []Cell, cfg GridConfig) error {
 	}
 	sched := engine.NewScheduler(engine.SchedulerConfig{
 		Pool:    env.Pool,
-		Workers: cfg.Workers,
 		Quantum: cfg.Quantum,
 	})
 	handles := make([]*engine.Handle, len(cells))
 	engines := make([]engine.Engine, len(cells))
 	for i := range cells {
-		i := i
 		c := &cells[i]
 		h, err := sched.Submit(engine.Job{
 			Name:     c.Name,
@@ -127,13 +124,9 @@ func RunGrid(ctx context.Context, env Env, cells []Cell, cfg GridConfig) error {
 	}
 	for i := range cells {
 		c := &cells[i]
-		if c.Snapshot && dir != "" {
+		if snap, ok := engines[i].(engine.Snapshotter); ok && c.Snapshot && dir != "" {
 			// Final checkpoint: a rerun of the grid resumes this completed
 			// cell instantly (the checkpoint carries the full history).
-			snap, ok := engines[i].(engine.Snapshotter)
-			if !ok {
-				return fmt.Errorf("%s: Snapshot cell engine has no checkpoint support", c.Name)
-			}
 			if err := writeCellCheckpoint(dir, c.Name, snap); err != nil {
 				return fmt.Errorf("%s: %w", c.Name, err)
 			}
@@ -159,7 +152,7 @@ func buildCell(c *Cell, env Env, every int) (engine.Engine, []engine.Option, err
 			eng, opts, berr := c.Build(env, f)
 			f.Close()
 			if berr == nil {
-				return eng, withCellCheckpoints(opts, dir, c.Name, every), nil
+				return eng, withCellCheckpoints(eng, opts, dir, c.Name, every), nil
 			}
 			// A checkpoint the cell cannot resume from (corrupted file,
 			// changed config) is discarded; determinism makes the restart
@@ -171,12 +164,17 @@ func buildCell(c *Cell, env Env, every int) (engine.Engine, []engine.Option, err
 		return nil, nil, err
 	}
 	if c.Snapshot && dir != "" {
-		opts = withCellCheckpoints(opts, dir, c.Name, every)
+		opts = withCellCheckpoints(eng, opts, dir, c.Name, every)
 	}
 	return eng, opts, nil
 }
 
-func withCellCheckpoints(opts []engine.Option, dir, name string, every int) []engine.Option {
+// withCellCheckpoints adds the periodic checkpoint to a cell's options, for
+// an engine that has checkpoints to write.
+func withCellCheckpoints(eng engine.Engine, opts []engine.Option, dir, name string, every int) []engine.Option {
+	if _, ok := eng.(engine.Snapshotter); !ok {
+		return opts
+	}
 	return append(opts, engine.WithCheckpoints(every, func(int) (io.WriteCloser, error) {
 		return engine.CreateAtomic(cellCheckpointPath(dir, name))
 	}))

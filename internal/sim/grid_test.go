@@ -48,7 +48,6 @@ func tinyGridConfig(env Env, i int, seed int64) (*dataset.Federation, core.Confi
 func tinyGridCells(n int, seed int64, prios []int, sims []*core.Simulation, onRound func()) []Cell {
 	cells := make([]Cell, n)
 	for i := range cells {
-		i := i
 		prio := 0
 		if prios != nil {
 			prio = prios[i]
@@ -106,20 +105,23 @@ func TestSchedulerWorkerInvariance(t *testing.T) {
 	seed := int64(77)
 	ref := tinyGridReference(t, n, seed)
 
+	// The worker bound is the Env's budget: one slot runs the cells strictly
+	// sequentially on the calling goroutine.
 	variants := []struct {
 		name  string
+		slots int
 		cfg   GridConfig
 		prios []int
 	}{
-		{"workers=1", GridConfig{Workers: 1}, nil},
-		{"workers=pool", GridConfig{}, nil},
-		{"quantum=1", GridConfig{Quantum: 1}, nil},
-		{"priorities-reversed", GridConfig{Quantum: 1}, []int{0, 1, 2, 3}},
-		{"priorities-mixed", GridConfig{Quantum: 2}, []int{5, 0, 5, 3}},
+		{"workers=1", 1, GridConfig{}, nil},
+		{"workers=pool", 2, GridConfig{}, nil},
+		{"quantum=1", 2, GridConfig{Quantum: 1}, nil},
+		{"priorities-reversed", 2, GridConfig{Quantum: 1}, []int{0, 1, 2, 3}},
+		{"priorities-mixed", 2, GridConfig{Quantum: 2}, []int{5, 0, 5, 3}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			env := Env{Pool: par.NewBudget(2)}
+			env := Env{Pool: par.NewBudget(v.slots)}
 			sims := make([]*core.Simulation, n)
 			cells := tinyGridCells(n, seed, v.prios, sims, nil)
 			if err := RunGrid(context.Background(), env, cells, v.cfg); err != nil {
@@ -226,7 +228,9 @@ func TestGridCrashResumeLarge(t *testing.T) {
 func testGridCrashResume(t *testing.T, n, cancelAfter int) {
 	seed := int64(99)
 	totalRounds := n * 6
-	env := Env{Pool: par.NewBudget(2)}
+	// A one-slot budget: cells run one after the other, so the cancellation
+	// lands with whole cells finished and whole cells untouched.
+	env := Env{Pool: par.NewBudget(1)}
 	ckpt := Env{Pool: env.Pool, GridDir: t.TempDir()}
 
 	// Crash run: cancel the grid after cancelAfter completed rounds; cells
@@ -240,7 +244,7 @@ func testGridCrashResume(t *testing.T, n, cancelAfter int) {
 			cancel()
 		}
 	})
-	err := RunGrid(ctx, ckpt, cells, GridConfig{Every: 1, Workers: 1})
+	err := RunGrid(ctx, ckpt, cells, GridConfig{Every: 1})
 	if err == nil {
 		t.Fatal("canceled grid completed successfully")
 	}
@@ -253,7 +257,7 @@ func testGridCrashResume(t *testing.T, n, cancelAfter int) {
 	var resumed atomic.Int64
 	sims2 := make([]*core.Simulation, n)
 	cells2 := tinyGridCells(n, seed, nil, sims2, func() { resumed.Add(1) })
-	if err := RunGrid(context.Background(), ckpt, cells2, GridConfig{Every: 1, Workers: 1}); err != nil {
+	if err := RunGrid(context.Background(), ckpt, cells2, GridConfig{Every: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := resumed.Load(); got >= int64(totalRounds) {
@@ -264,7 +268,7 @@ func testGridCrashResume(t *testing.T, n, cancelAfter int) {
 	// run without any checkpoint directory.
 	sims3 := make([]*core.Simulation, n)
 	cells3 := tinyGridCells(n, seed, nil, sims3, nil)
-	if err := RunGrid(context.Background(), env, cells3, GridConfig{Workers: 1}); err != nil {
+	if err := RunGrid(context.Background(), env, cells3, GridConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {

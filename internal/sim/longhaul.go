@@ -17,6 +17,7 @@ import (
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/dataset"
+	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/nn"
 	"github.com/specdag/specdag/internal/tipselect"
 )
@@ -122,27 +123,19 @@ func LongHaul(ctx context.Context, env Env, p Preset, spillDir string, seed int6
 		ms   runtime.MemStats
 		peak uint64
 	)
-	events := 0
-	for {
-		_, done, err := a.Step(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			break
-		}
-		events++
-		if events%sampleEvery == 0 {
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > peak {
-				peak = ms.HeapAlloc
-			}
-		}
+	sample := func() {
+		runtime.ReadMemStats(&ms)
+		peak = max(peak, ms.HeapAlloc)
 	}
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > peak {
-		peak = ms.HeapAlloc
+	run, err := engine.Run(ctx, a, engine.WithHooks(engine.Hooks{OnRound: func(ev engine.RoundEvent) {
+		if (ev.Round+1)%sampleEvery == 0 {
+			sample()
+		}
+	}}))
+	if err != nil {
+		return nil, err
 	}
+	sample()
 
 	ckptBytes, err := a.WriteCheckpoint(io.Discard)
 	if err != nil {
@@ -152,7 +145,7 @@ func LongHaul(ctx context.Context, env Env, p Preset, spillDir string, seed int6
 	d := a.DAG()
 	rep := &LongHaulReport{
 		Preset:          p.String(),
-		Events:          events,
+		Events:          run.Steps,
 		SimulatedTime:   acfg.Duration,
 		Transactions:    d.Size(),
 		LiveFloor:       int(d.LiveFloor()),

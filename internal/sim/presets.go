@@ -5,6 +5,16 @@
 // table (Experiments). Each runner exists in two scales: Quick for tests and
 // benchmarks (seconds) and Full for paper-scale runs.
 //
+// Every runner has one shape (sweep.go): declare the runs as lines, sweep
+// them as one grid on the shared scheduler (RunGrid), read the measurement
+// off each finished engine's own history. That history travels in the
+// engine's checkpoint, so with a grid directory every DAG line — Fig. 14's
+// single run included — resumes after a crash. What recomputes instead: the
+// fl baselines (no checkpoints), the watched lines, whose measurement exists
+// only while the run executes (Fig. 5's periodic Louvain, the fault sweep's
+// per-event accuracies), and the timing runs (Fig. 15, sequential and off
+// the grid; the sched-grid cells).
+//
 // The package keeps no process state: the worker budget and the grid
 // checkpoint directory arrive as an Env value, so sweeps with different Envs
 // can run side by side, and the environment variables that fill one are read
@@ -31,8 +41,8 @@ type Env struct {
 	// Pool is the one worker budget that sweep cells (a figure line,
 	// ablation variant or scenario each) and the engines inside them draw
 	// from, so nested fan-outs never run more goroutines than its size in
-	// total; the Workers setting of every config the harness assembles is
-	// that size. Every experiment is deterministic for any size — cells
+	// total; it is the grid's one worker bound, and the Workers setting of
+	// every config the harness assembles is that size. Every experiment is deterministic for any size — cells
 	// write results by index and each simulation is worker-count invariant
 	// — so it only trades wall clock for CPU.
 	Pool *par.Budget

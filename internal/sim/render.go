@@ -29,36 +29,46 @@ func RenderFig5(results []Fig5Result) string {
 	return b.String()
 }
 
-// RenderCurves renders labeled accuracy curves (Figs. 6-8).
-func RenderCurves(title string, curves []AccuracyCurve) string {
+// wideCol is one column group of a wide table: a series column, how its
+// header reads after the curve's label, and its cell format.
+type wideCol struct {
+	col, suffix, format string
+}
+
+// renderWide merges curves into one round-keyed table: a column per curve
+// and wideCol, rows from the first curve's rounds.
+func renderWide(title string, curves []Curve, cols ...wideCol) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "### %s\n\n", title)
 	if len(curves) == 0 {
 		return b.String()
 	}
-	// Merge curves into a single table keyed by round.
+	type column struct {
+		values []float64
+		cell   string // format of one cell, separator included
+	}
+	var columns []column
 	b.WriteString("| round |")
 	for _, c := range curves {
-		fmt.Fprintf(&b, " %s |", c.Label)
+		for _, col := range cols {
+			fmt.Fprintf(&b, " %s%s |", c.Label, col.suffix)
+			columns = append(columns, column{c.Series.Col(col.col), " " + col.format + " |"})
+		}
 	}
-	b.WriteString("\n|---|")
-	for range curves {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
-	rounds := curves[0].Series.Col("round")
-	cols := make([][]float64, len(curves))
-	for i, c := range curves {
-		cols[i] = c.Series.Col("acc")
-	}
-	for r := range rounds {
-		fmt.Fprintf(&b, "| %.0f |", rounds[r])
-		for i := range curves {
-			fmt.Fprintf(&b, " %.3f |", cols[i][r])
+	b.WriteString("\n|---|" + strings.Repeat("---|", len(columns)) + "\n")
+	for r, round := range curves[0].Series.Col("round") {
+		fmt.Fprintf(&b, "| %.0f |", round)
+		for _, col := range columns {
+			fmt.Fprintf(&b, col.cell, col.values[r])
 		}
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// RenderCurves renders labeled accuracy curves (Figs. 6-8).
+func RenderCurves(title string, curves []Curve) string {
+	return renderWide(title, curves, wideCol{"acc", "", "%.3f"})
 }
 
 // RenderFig7 renders the dynamic-normalization comparison.
@@ -95,60 +105,16 @@ func RenderFig9(results []Fig9Result) string {
 
 // RenderFig1011 renders per-algorithm accuracy and loss curves (Figs. 10 and
 // 11, and the gossip comparison).
-func RenderFig1011(title string, curves []Fig1011Curve) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "### %s\n\n", title)
-	if len(curves) == 0 {
-		return b.String()
-	}
-	b.WriteString("| round |")
-	for _, c := range curves {
-		fmt.Fprintf(&b, " %s acc | %s loss |", c.Algorithm, c.Algorithm)
-	}
-	b.WriteString("\n|---|")
-	for range curves {
-		b.WriteString("---|---|")
-	}
-	b.WriteString("\n")
-	rounds := curves[0].Series.Col("round")
-	for r := range rounds {
-		fmt.Fprintf(&b, "| %.0f |", rounds[r])
-		for _, c := range curves {
-			fmt.Fprintf(&b, " %.3f | %.3f |", c.Series.Col("acc")[r], c.Series.Col("loss")[r])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
+func RenderFig1011(title string, curves []Curve) string {
+	return renderWide(title, curves, wideCol{"acc", " acc", "%.3f"}, wideCol{"loss", " loss", "%.3f"})
 }
 
 // RenderPoison renders the Fig. 12/13 poisoning curves.
-func RenderPoison(curves []PoisonCurve) string {
-	var b strings.Builder
-	b.WriteString("### Figures 12 & 13: flipped predictions and poisoned approvals\n\n")
-	if len(curves) == 0 {
-		return b.String()
-	}
-	b.WriteString("| round |")
-	for _, c := range curves {
-		fmt.Fprintf(&b, " %s flipped%% | %s benign%% | %s approvals |", c.Label, c.Label, c.Label)
-	}
-	b.WriteString("\n|---|")
-	for range curves {
-		b.WriteString("---|---|---|")
-	}
-	b.WriteString("\n")
-	rounds := curves[0].Series.Col("round")
-	for r := range rounds {
-		fmt.Fprintf(&b, "| %.0f |", rounds[r])
-		for _, c := range curves {
-			fmt.Fprintf(&b, " %.1f | %.1f | %.1f |",
-				c.Series.Col("flippedPct")[r],
-				c.Series.Col("flippedBenignPct")[r],
-				c.Series.Col("poisonedApprovals")[r])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
+func RenderPoison(curves []Curve) string {
+	return renderWide("Figures 12 & 13: flipped predictions and poisoned approvals", curves,
+		wideCol{"flippedPct", " flipped%", "%.1f"},
+		wideCol{"flippedBenignPct", " benign%", "%.1f"},
+		wideCol{"poisonedApprovals", " approvals", "%.1f"})
 }
 
 // RenderFig14 renders the poisoned-client community histogram.

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/engine"
@@ -36,55 +35,37 @@ func Figure15(ctx context.Context, env Env, p Preset, seed int64) ([]Fig15Curve,
 
 	// This is a *measurement* experiment: walkMicros is per-walk wall
 	// clock, which oversubscribed cores would contaminate with scheduler
-	// contention. So the grid runs with Workers: 1 (strictly sequential
-	// cells) and a quantum large enough that each timing cell runs
-	// start-to-finish in one dispatch; each simulation runs its clients on
-	// a single worker, off the shared pool — timing fidelity over
-	// throughput. Snapshot stays off so no mid-run checkpoint I/O lands
-	// inside the timed region. (The harness's other sweeps stay parallel;
-	// their metrics are hardware-independent.)
+	// contention. So the levels run one after the other, off the grid, and
+	// each simulation runs its clients on a single worker, off the shared
+	// pool — timing fidelity over throughput, and no checkpoint I/O inside
+	// the timed region. (The harness's sweeps stay parallel; their metrics
+	// are hardware-independent.)
+	spec := ByWriterFMNISTSpec(p, seed)
 	out := make([]Fig15Curve, len(levels))
-	cells := make([]Cell, len(levels))
-	for li := range levels {
-		li, active := li, levels[li]
-		var series *metrics.Series
-		cells[li] = Cell{
-			Name: fmt.Sprintf("fig15-active=%d", active),
-			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
-				spec := ByWriterFMNISTSpec(p, seed)
-				if active > len(spec.Fed.Clients) {
-					active = len(spec.Fed.Clients)
-				}
-				series = metrics.NewSeries(fmt.Sprintf("%d active clients", active),
-					"round", "walkMicros", "evalsPerClient")
-				cfg := spec.DAGConfig(env, p, tipselect.AccuracyWalk{Alpha: 10, DepthMin: 15, DepthMax: 25}, seed+int64(li))
-				cfg.Rounds = rounds
-				cfg.ClientsPerRound = active
-				cfg.EvalScope = core.EvalScopeNone // re-evaluate on every walk, like the prototype
-				cfg.MeasureWalkTime = true
-				cfg.Workers = 1 // uncontended walks: see the fidelity note above
-				cfg.Pool = nil
-				sim, err := core.NewSimulation(spec.Fed, cfg)
-				if err != nil {
-					return nil, nil, err
-				}
-				return sim, []engine.Option{engine.WithHooks(engine.Hooks{
-					OnRound: func(ev engine.RoundEvent) {
-						rr := ev.Detail.(*core.RoundResult)
-						series.Add(float64(ev.Round+1),
-							float64(rr.MeanWalkDuration().Microseconds()),
-							float64(rr.Walk.Evaluations)/float64(len(rr.Active)))
-					},
-				})}, nil
-			},
-			Finish: func(engine.Engine) error {
-				out[li] = Fig15Curve{ActiveClients: active, Series: series}
-				return nil
-			},
+	for li, active := range levels {
+		active = min(active, len(spec.Fed.Clients))
+		cfg := spec.DAGConfig(env, p, tipselect.AccuracyWalk{Alpha: 10, DepthMin: 15, DepthMax: 25}, seed+int64(li))
+		cfg.Rounds = rounds
+		cfg.ClientsPerRound = active
+		cfg.EvalScope = core.EvalScopeNone // re-evaluate on every walk, like the prototype
+		cfg.MeasureWalkTime = true
+		cfg.Workers = 1 // uncontended walks: see the fidelity note above
+		cfg.Pool = nil
+		sim, err := core.NewSimulation(spec.Fed, cfg)
+		if err == nil {
+			_, err = engine.Run(ctx, sim)
 		}
-	}
-	if err := RunGrid(ctx, env, cells, GridConfig{Workers: 1, Quantum: 1 << 30}); err != nil {
-		return nil, err
+		if err != nil {
+			return nil, fmt.Errorf("fig15-active=%d: %w", active, err)
+		}
+		series := metrics.NewSeries(fmt.Sprintf("%d active clients", active),
+			"round", "walkMicros", "evalsPerClient")
+		for _, rr := range sim.Results() {
+			series.Add(float64(rr.Round+1),
+				float64(rr.MeanWalkDuration().Microseconds()),
+				float64(rr.Walk.Evaluations)/float64(len(rr.Active)))
+		}
+		out[li] = Fig15Curve{ActiveClients: active, Series: series}
 	}
 	return out, nil
 }

@@ -202,9 +202,9 @@ func TestFigure10And11Quick(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, c := range curves {
-		names[c.Algorithm] = true
+		names[c.Label] = true
 		if len(c.Series.Rows) != Quick.Rounds() {
-			t.Fatalf("%s: wrong round count", c.Algorithm)
+			t.Fatalf("%s: wrong round count", c.Label)
 		}
 	}
 	for _, want := range []string{"FedAvg", "FedProx", "DAG"} {

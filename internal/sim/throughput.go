@@ -32,7 +32,6 @@ func ThroughputGrid(ctx context.Context, env Env, p Preset, seed int64) ([]float
 	out := make([]float64, n)
 	cells := make([]Cell, n)
 	for i := range cells {
-		i := i
 		cells[i] = Cell{
 			Name: fmt.Sprintf("throughput-%04d", i),
 			// Mixed priorities exercise the aging-ordered pick path; results
