@@ -39,7 +39,7 @@ func TestEventLogStats(t *testing.T) {
 		DepthMax: 4, CompactWidth: 5, Async: true, Duration: 20, MinCycle: 1, MaxCycle: 8, NetDelay: 0.5,
 	}
 	var buf bytes.Buffer
-	log, err := wire.NewEventLog(&buf, 0, req.Info("specdag-async"))
+	log, err := wire.NewEventLog(&buf, 0, req.Info())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -290,7 +290,7 @@ func run(args []string) error {
 	}
 	var rec *eventRecorder
 	if p.eventsFile != "" {
-		rec, err = newEventRecorder(p.eventsFile, p.req.Info(s.Name()))
+		rec, err = newEventRecorder(p.eventsFile, p.req.Info())
 		if err != nil {
 			return err
 		}

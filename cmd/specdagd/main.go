@@ -10,10 +10,13 @@
 //	curl -o demo.sde 'localhost:9477/runs/1/events?from=0'   # blocks until done
 //	dagstat -in demo.sde
 //
-// On SIGTERM/SIGINT the daemon pauses every running run to a checkpoint,
-// and — when -dir is set — persists the checkpoints and a manifest so the
-// next boot resumes where this one stopped (paused runs come back paused;
-// POST /runs/{id}/resume continues them bit-identically).
+// A paused run is a checkpoint, not a parked engine: POST /runs/{id}/pause
+// stops the run at its next unit boundary, keeps the checkpoint and frees the
+// engine's memory; POST /runs/{id}/resume rebuilds the engine from it and
+// continues bit-identically. On SIGTERM/SIGINT the daemon pauses every
+// running run the same way, and — when -dir is set — persists the checkpoints
+// and a manifest, so the next boot finds the runs as this one left them:
+// paused, and resumed by the same call.
 package main
 
 import (

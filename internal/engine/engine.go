@@ -93,10 +93,15 @@ type StepResult struct {
 // the centralized baselines (fl.Federated) and gossip learning (fl.Gossip).
 //
 // Step advances by one unit (round or event) and reports it; done is true —
-// with a nil result — once the run is complete. Step must honor ctx: a
-// canceled context aborts the unit's fan-out as soon as practical and
-// returns ctx.Err(). Engines keep their accumulated results internally, so
-// a canceled run's partial results remain accessible.
+// with a nil result — once the run is complete. Step must honor ctx by
+// returning ctx.Err() as soon as practical, and a Step that returns ctx.Err()
+// must leave the engine at a unit boundary, as if it had not been called:
+// that state is what gets checkpointed, twice over — cmd/specdag writes its
+// final checkpoint after Ctrl-C, and the serving daemon pauses a run by
+// canceling its job and checkpointing the engine the job leaves behind. (The
+// engines here look at ctx only before they start a unit.) Engines keep their
+// accumulated results internally, so a canceled run's partial results remain
+// accessible.
 type Engine interface {
 	// Name identifies the engine in events and logs.
 	Name() string

@@ -50,8 +50,6 @@ const (
 	JobQueued JobState = iota
 	// JobRunning: a worker is inside the job's quantum.
 	JobRunning
-	// JobPaused: parked at a unit boundary; Resume requeues it.
-	JobPaused
 	// JobDone: the engine reached its natural end.
 	JobDone
 	// JobCanceled: canceled via Handle.Cancel.
@@ -66,8 +64,6 @@ func (s JobState) String() string {
 		return "queued"
 	case JobRunning:
 		return "running"
-	case JobPaused:
-		return "paused"
 	case JobDone:
 		return "done"
 	case JobCanceled:
@@ -86,8 +82,8 @@ func (s JobState) terminal() bool {
 // ErrJobCanceled is the settle error of a job canceled via Handle.Cancel.
 var ErrJobCanceled = errors.New("engine: job canceled")
 
-// ErrJobSettled is wrapped by Pause/Resume/Cancel when the job already
-// reached a terminal state.
+// ErrJobSettled is wrapped by Cancel when the job already reached a terminal
+// state.
 var ErrJobSettled = errors.New("engine: job already settled")
 
 // ErrSchedulerBusy is returned by Drain/Serve when a drive loop is already
@@ -127,12 +123,10 @@ type Job struct {
 type SchedulerConfig struct {
 	// Pool is the shared worker budget. Worker loops and the engines'
 	// internal fan-outs draw from the same pool, so total concurrency stays
-	// bounded by its size. Nil selects par.NewBudget(0).
+	// bounded by its size: at most Pool.Size() jobs are driven at once, and a
+	// one-slot pool is strictly sequential — the root worker drives jobs one
+	// quantum at a time in priority order. Nil selects par.NewBudget(0).
 	Pool *par.Budget
-	// Workers caps concurrently driven jobs; <= 0 selects Pool.Size().
-	// Workers == 1 is strictly sequential: the root worker drives jobs one
-	// quantum at a time in priority order.
-	Workers int
 	// Quantum is the number of engine units per dispatch; <= 0 selects 8.
 	// Smaller quanta interleave jobs more finely (lower priority latency),
 	// larger quanta amortize dispatch overhead.
@@ -155,19 +149,18 @@ type Stats struct {
 }
 
 // Scheduler multiplexes many engine run loops onto one shared par.Budget
-// with priority ordering, aging, per-job pause/resume/cancel and per-job
-// checkpoints (via WithCheckpoints in Job.Opts). Construct with NewScheduler,
+// with priority ordering, aging, per-job cancel and per-job checkpoints (via
+// WithCheckpoints in Job.Opts). Construct with NewScheduler,
 // submit with Submit, and drive with Drain (until the backlog settles) or
 // Serve (until the context ends).
 //
 // All methods are safe for concurrent use.
 type Scheduler struct {
 	pool    *par.Budget
-	workers int
 	quantum int
 
 	// wake is the root worker's doorbell: capacity 1, non-blocking sends.
-	// Every enqueue, settle, park and helper exit rings it.
+	// Every enqueue, settle and helper exit rings it.
 	wake chan struct{}
 
 	mu         sync.Mutex
@@ -197,10 +190,8 @@ type job struct {
 
 	// Guarded by s.mu.
 	state     JobState
-	stateCh   chan struct{} // closed+replaced on every state change
-	last      int           // worker that ran the previous quantum, or noWorker
-	enq       int64         // clock value at the last enqueue (aging)
-	pauseReq  bool
+	last      int   // worker that ran the previous quantum, or noWorker
+	enq       int64 // clock value at the last enqueue (aging)
 	cancelReq bool
 	steps     int
 	err       error
@@ -213,17 +204,12 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if pool == nil {
 		pool = par.NewBudget(0)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = pool.Size()
-	}
 	quantum := cfg.Quantum
 	if quantum <= 0 {
 		quantum = 8
 	}
 	return &Scheduler{
 		pool:    pool,
-		workers: workers,
 		quantum: quantum,
 		wake:    make(chan struct{}, 1),
 	}
@@ -244,14 +230,13 @@ func (s *Scheduler) Submit(spec Job) (*Handle, error) {
 	}
 	jctx, cancel := context.WithCancel(context.Background())
 	j := &job{
-		s:       s,
-		spec:    spec,
-		ctx:     jctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		state:   JobQueued,
-		stateCh: make(chan struct{}),
-		last:    noWorker,
+		s:      s,
+		spec:   spec,
+		ctx:    jctx,
+		cancel: cancel,
+		done:   make(chan struct{}),
+		state:  JobQueued,
+		last:   noWorker,
 	}
 	s.mu.Lock()
 	j.seq = s.nextSeq
@@ -268,8 +253,8 @@ func (s *Scheduler) Submit(spec Job) (*Handle, error) {
 	return &Handle{j: j}, nil
 }
 
-// Drain drives submitted jobs until every job has settled or parked (paused)
-// — the grid-runner mode. The calling goroutine is the root worker; helpers
+// Drain drives submitted jobs until every job has settled — the grid-runner
+// mode. The calling goroutine is the root worker; helpers
 // join through the budget while runnable jobs remain. Drain returns ctx.Err()
 // if the context ends first, leaving unfinished jobs queued at unit
 // boundaries (their engines retain partial results and checkpoints).
@@ -333,7 +318,7 @@ func (s *Scheduler) addHelpers() {
 		s.mu.Lock()
 		ctx := s.driveCtx
 		need := ctx != nil && ctx.Err() == nil &&
-			s.helpers < s.workers-1 && len(s.queue) > s.helpers
+			s.helpers < s.pool.Size()-1 && len(s.queue) > s.helpers
 		if !need {
 			s.mu.Unlock()
 			return
@@ -396,7 +381,7 @@ func (s *Scheduler) work(ctx context.Context, w int, persistent bool) {
 		if stolen {
 			s.stats.Steals++
 		}
-		j.toState(JobRunning)
+		j.state = JobRunning
 		s.mu.Unlock()
 		s.runQuantum(ctx, w, j)
 	}
@@ -433,8 +418,8 @@ func (s *Scheduler) pick(w int) (*job, bool) {
 }
 
 // runQuantum drives one job for up to quantum units on worker w, building
-// the engine first if the job is lazy. It either settles the job, parks it
-// paused, or requeues it.
+// the engine first if the job is lazy. It either settles the job or requeues
+// it.
 func (s *Scheduler) runQuantum(ctx context.Context, w int, j *job) {
 	defer func() {
 		// A panicking engine settles its job as failed instead of killing a
@@ -468,14 +453,14 @@ func (s *Scheduler) runQuantum(ctx context.Context, w int, j *job) {
 	}
 	for n := 0; n < s.quantum; n++ {
 		s.mu.Lock()
-		pause, canceled := j.pauseReq, j.cancelReq
+		canceled := j.cancelReq
 		s.mu.Unlock()
 		if canceled {
 			s.settle(j, JobCanceled, ErrJobCanceled)
 			return
 		}
-		if pause || ctx.Err() != nil {
-			break // park or requeue at the unit boundary
+		if ctx.Err() != nil {
+			break // requeue at the unit boundary
 		}
 		done, err := j.l.step(j.ctx)
 		if err != nil {
@@ -503,15 +488,8 @@ func (s *Scheduler) runQuantum(ctx context.Context, w int, j *job) {
 	}
 	s.running--
 	j.last = w // locality: the engine's state is warm on this worker
-	if j.pauseReq {
-		j.pauseReq = false
-		j.toState(JobPaused)
-		s.mu.Unlock()
-		s.ring()
-		return
-	}
 	j.enq = s.clock
-	j.toState(JobQueued)
+	j.state = JobQueued
 	s.queue = append(s.queue, j)
 	s.mu.Unlock()
 	s.ring()
@@ -532,7 +510,7 @@ func (s *Scheduler) settle(j *job, st JobState, err error) {
 		j.steps = j.l.rep.Steps
 	}
 	j.err = err
-	j.toState(st)
+	j.state = st
 	s.stats.Settled++
 	s.mu.Unlock()
 	j.cancel()
@@ -541,13 +519,6 @@ func (s *Scheduler) settle(j *job, st JobState, err error) {
 	}
 	close(j.done)
 	s.ring()
-}
-
-// toState transitions the job and signals state waiters. Caller holds s.mu.
-func (j *job) toState(st JobState) {
-	j.state = st
-	close(j.stateCh)
-	j.stateCh = make(chan struct{})
 }
 
 // removeQueued takes a queued job off the run queue. Caller holds s.mu.
@@ -610,101 +581,34 @@ func (h *Handle) Wait(ctx context.Context) error {
 	}
 }
 
-// Pause parks the job at its next unit boundary and returns once it is
-// parked: a queued job parks immediately, a running one finishes the current
-// unit first. The engine retains its full state; Resume continues it without
-// rebuilding. Pausing a paused job is a no-op; pausing a settled job returns
-// an error wrapping ErrJobSettled. If ctx ends first the request is
-// withdrawn.
-func (h *Handle) Pause(ctx context.Context) error {
-	j := h.j
-	s := j.s
-	s.mu.Lock()
-	switch {
-	case j.state.terminal():
-		s.mu.Unlock()
-		return fmt.Errorf("engine: pausing %s job %s: %w", j.state, j.name, ErrJobSettled)
-	case j.state == JobPaused:
-		s.mu.Unlock()
-		return nil
-	case j.state == JobQueued:
-		s.removeQueued(j)
-		j.toState(JobPaused)
-		s.mu.Unlock()
-		s.ring()
-		return nil
-	}
-	j.pauseReq = true
-	for {
-		st := j.state
-		ch := j.stateCh
-		s.mu.Unlock()
-		switch {
-		case st == JobPaused:
-			return nil
-		case st.terminal():
-			return fmt.Errorf("engine: pausing %s job %s: %w", st, j.name, ErrJobSettled)
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			s.mu.Lock()
-			j.pauseReq = false
-			s.mu.Unlock()
-			return ctx.Err()
-		}
-		s.mu.Lock()
-	}
-}
-
-// Resume requeues a paused job. Resuming a queued or
-// running job is a no-op; resuming a settled job returns an error wrapping
-// ErrJobSettled.
-func (h *Handle) Resume() error {
-	j := h.j
-	s := j.s
-	s.mu.Lock()
-	switch {
-	case j.state.terminal():
-		s.mu.Unlock()
-		return fmt.Errorf("engine: resuming %s job %s: %w", j.state, j.name, ErrJobSettled)
-	case j.state != JobPaused:
-		s.mu.Unlock()
-		return nil
-	}
-	j.toState(JobQueued)
-	s.enqueue(j)
-	return nil
-}
-
-// Cancel settles the job as JobCanceled: a queued or paused job immediately,
-// a running one by canceling the job context (aborting the unit's fan-out as
-// soon as practical) and waiting for it to settle. Canceling a settled job
-// returns an error wrapping ErrJobSettled.
+// Cancel settles the job as JobCanceled: a queued job immediately, a running
+// one by canceling the job context and waiting for it to settle — which it
+// does at a unit boundary (see Engine.Step), so OnSettle finds the engine as
+// a checkpoint needs it. Canceling a settled job returns an error wrapping
+// ErrJobSettled. Either way the job's OnSettle has returned when Cancel
+// does, unless ctx ended first: Cancel then returns ctx.Err() and the job
+// still settles at its boundary.
 func (h *Handle) Cancel(ctx context.Context) error {
 	j := h.j
 	s := j.s
 	s.mu.Lock()
+	var settled error
 	switch {
 	case j.state.terminal():
-		s.mu.Unlock()
-		return fmt.Errorf("engine: canceling %s job %s: %w", j.state, j.name, ErrJobSettled)
+		settled = fmt.Errorf("engine: canceling %s job %s: %w", j.state, j.name, ErrJobSettled)
 	case j.state == JobQueued:
 		s.removeQueued(j)
 		s.mu.Unlock()
 		s.settle(j, JobCanceled, ErrJobCanceled)
 		return nil
-	case j.state == JobPaused:
-		s.mu.Unlock()
-		s.settle(j, JobCanceled, ErrJobCanceled)
-		return nil
+	default:
+		j.cancelReq = true
 	}
-	j.cancelReq = true
 	s.mu.Unlock()
 	j.cancel()
 	select {
 	case <-j.done:
-		return nil
+		return settled
 	case <-ctx.Done():
 		return ctx.Err()
 	}

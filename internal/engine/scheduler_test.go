@@ -105,7 +105,7 @@ func TestSchedulerRunsAllJobsToCompletion(t *testing.T) {
 func TestSchedulerPriorityOrderingUnderContention(t *testing.T) {
 	var mu sync.Mutex
 	var trace []string
-	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 1, Quantum: 1})
+	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Quantum: 1})
 	prios := []int{0, 5, 3, 5}
 	for i, p := range prios {
 		name := fmt.Sprintf("p%d-j%d", p, i)
@@ -151,7 +151,7 @@ func TestSchedulerStarvationFreedomViaAging(t *testing.T) {
 		streamPrio  = 10
 	)
 	var log settleLog
-	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 1, Quantum: 1})
+	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Quantum: 1})
 	for _, j := range []struct {
 		name string
 		prio int
@@ -220,7 +220,7 @@ func TestSchedulerStarvationFreedomViaAging(t *testing.T) {
 // job 1, then two of job 0.
 func dispatchTrace(t *testing.T, quantum int, prios, units []int) string {
 	t.Helper()
-	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 1, Quantum: quantum})
+	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Quantum: quantum})
 	var (
 		runs []string
 		last string
@@ -282,9 +282,15 @@ func TestSchedulerDispatchOrder(t *testing.T) {
 // worker runs everything, at least one when a job provably changes workers.
 func TestSchedulerCountsMigrations(t *testing.T) {
 	t.Run("one-slot budget", func(t *testing.T) {
-		// Two workers' worth of jobs, but no slot for a helper: the root
-		// runs every quantum.
-		s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 2, Quantum: 3})
+		// A two-slot budget has room for a helper, but the slot is taken:
+		// Spawn refuses, and the root runs every quantum.
+		pool := par.NewBudget(2)
+		release := make(chan struct{})
+		defer close(release)
+		if !pool.Spawn(func() { <-release }) {
+			t.Fatal("Spawn refused a slot on an idle budget")
+		}
+		s := engine.NewScheduler(engine.SchedulerConfig{Pool: pool, Quantum: 3})
 		var handles []*engine.Handle
 		for i := 0; i < 4; i++ {
 			h, err := s.Submit(engine.Job{Engine: &fakeEngine{name: fmt.Sprintf("j%d", i), total: 7}, Priority: i % 2})
@@ -310,12 +316,12 @@ func TestSchedulerCountsMigrations(t *testing.T) {
 
 	t.Run("two workers", func(t *testing.T) {
 		pool := par.NewBudget(2)
-		s := engine.NewScheduler(engine.SchedulerConfig{Pool: pool, Workers: 2, Quantum: 1})
+		s := engine.NewScheduler(engine.SchedulerConfig{Pool: pool, Quantum: 1})
 		ctx, stop := context.WithCancel(context.Background())
 		defer stop()
 
 		// Hold the helper slot so that only the root can run the mover's
-		// first quantum.
+		// first quanta.
 		release := make(chan struct{})
 		if !pool.Spawn(func() { <-release }) {
 			t.Fatal("Spawn refused a slot on an idle budget")
@@ -336,14 +342,13 @@ func TestSchedulerCountsMigrations(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-stepped
-		if err := mover.Pause(context.Background()); err != nil {
-			t.Fatal(err)
-		}
 		// Pin the root — the worker that ran the mover — inside a blocking
-		// engine, then free the helper slot and resume: the mover's next
-		// quantum can only run on a helper.
+		// engine that outranks it, so the mover waits in the queue; then free
+		// the helper slot. Helpers are recruited when a job is enqueued, so one
+		// more job rings for one: the helper runs that job (never run, so local
+		// to it) and then the mover, whose next quantum can only run there.
 		gate := make(chan struct{})
-		pin, err := s.Submit(engine.Job{Engine: &fakeEngine{name: "pin", total: 1, gate: gate}})
+		pin, err := s.Submit(engine.Job{Engine: &fakeEngine{name: "pin", total: 1, gate: gate}, Priority: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +363,7 @@ func TestSchedulerCountsMigrations(t *testing.T) {
 		for len(stepped) > 0 {
 			<-stepped
 		}
-		if err := mover.Resume(); err != nil {
+		if _, err := s.Submit(engine.Job{Engine: &fakeEngine{name: "bell", total: 1}}); err != nil {
 			t.Fatal(err)
 		}
 		<-stepped // running again while the root is still pinned
@@ -379,11 +384,11 @@ func TestSchedulerCountsMigrations(t *testing.T) {
 	})
 }
 
-// TestSchedulerPauseResumeCancel: pause parks at a unit boundary and the
-// job makes no further progress while other jobs run; resume continues the
-// same engine; cancel settles with ErrJobCanceled.
-func TestSchedulerPauseResumeCancel(t *testing.T) {
-	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 1, Quantum: 2})
+// TestSchedulerCancelRunningJob: canceling a running job stops it at its next
+// unit boundary and settles it with ErrJobCanceled; a settled job refuses a
+// second cancel with ErrJobSettled.
+func TestSchedulerCancelRunningJob(t *testing.T) {
+	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Quantum: 2})
 	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
 	served := make(chan error, 1)
@@ -402,37 +407,6 @@ func TestSchedulerPauseResumeCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-stepped // the job is running
-	if err := h.Pause(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := h.State(); st != engine.JobPaused {
-		t.Fatalf("state after pause = %v", st)
-	}
-	for len(stepped) > 0 {
-		<-stepped
-	}
-	frozen := h.Steps()
-
-	// The worker is free while the job is parked: another job runs to
-	// completion, and the paused job gains no steps.
-	other, err := s.Submit(engine.Job{Engine: &fakeEngine{name: "other", total: 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Steps(); got != frozen {
-		t.Fatalf("paused job advanced from %d to %d steps", frozen, got)
-	}
-	if err := h.Pause(context.Background()); err != nil {
-		t.Fatal("pausing a paused job should be a no-op, got", err)
-	}
-
-	if err := h.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	<-stepped // progressing again, same engine
 	if err := h.Cancel(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -444,9 +418,6 @@ func TestSchedulerPauseResumeCancel(t *testing.T) {
 	}
 	if err := h.Cancel(context.Background()); !errors.Is(err, engine.ErrJobSettled) {
 		t.Fatalf("double cancel err = %v, want ErrJobSettled", err)
-	}
-	if err := h.Resume(); !errors.Is(err, engine.ErrJobSettled) {
-		t.Fatalf("resume after cancel err = %v, want ErrJobSettled", err)
 	}
 
 	stop()
@@ -491,7 +462,7 @@ func TestSchedulerCancelBeforeDrive(t *testing.T) {
 // stops jobs at unit boundaries without settling them; a fresh Drain picks
 // them back up and completes the identical work.
 func TestSchedulerDrainStopsAtBoundariesAndResumes(t *testing.T) {
-	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Workers: 1, Quantum: 1})
+	s := engine.NewScheduler(engine.SchedulerConfig{Pool: par.NewBudget(1), Quantum: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var total int
@@ -663,7 +634,7 @@ func BenchmarkScheduler(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := engine.NewScheduler(engine.SchedulerConfig{
-					Pool: par.NewBudget(workers), Workers: workers, Quantum: 8,
+					Pool: par.NewBudget(workers), Quantum: 8,
 				})
 				for j := 0; j < 64; j++ {
 					if _, err := s.Submit(engine.Job{

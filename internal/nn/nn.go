@@ -134,12 +134,11 @@ type MLP struct {
 	deltas [][]float64 // error terms per layer
 
 	// bs is the batched-path scratch (forward/backward over whole
-	// minibatches); grads/velocity/order persist across Train calls so
-	// steady-state training allocates nothing.
-	bs       batchScratch
-	grads    []float64
-	velocity []float64
-	order    []int
+	// minibatches); grads/order persist across Train calls so steady-state
+	// training allocates nothing.
+	bs    batchScratch
+	grads []float64
+	order []int
 }
 
 // New constructs an MLP with Glorot-uniform initial weights drawn from rng.
@@ -366,13 +365,6 @@ func (m *MLP) Evaluate(x mathx.Matrix, ys []int) (loss, acc float64) {
 	return m.score("Evaluate", x, ys, true)
 }
 
-// Accuracy returns just the accuracy on the given samples: Evaluate with
-// the loss reduction skipped, bit-identical in its accuracy.
-func (m *MLP) Accuracy(x mathx.Matrix, ys []int) float64 {
-	_, acc := m.score("Accuracy", x, ys, false)
-	return acc
-}
-
 // AccuracyParams is the accuracy-only EvaluateParams: zero-copy parameter
 // aliasing, loss reduction skipped, result bit-identical to EvaluateParams'
 // accuracy.
@@ -387,11 +379,13 @@ func (m *MLP) AccuracyParams(p []float64, x mathx.Matrix, ys []int) float64 {
 	return acc
 }
 
-// AccuracyManyInto is the accuracy-only EvaluateMany: it scores every
-// parameter vector on one (x, ys) set via aliasing, appending to dst (which
-// may be nil) and returning it — the walk engines reuse one buffer across
-// steps. Each appended value is bit-identical to the corresponding
-// EvaluateMany accuracy.
+// AccuracyManyInto is the batched evaluation path of the walk engine: it
+// scores every parameter vector on one (x, ys) set, reusing the receiver's
+// scratch buffers across the whole batch and aliasing each vector in turn (no
+// per-vector parameter copies), appending to dst (which may be nil) and
+// returning it — the walk engines reuse one buffer across steps. Each
+// appended value is bit-identical to AccuracyParams of that vector; the
+// model's own weights are untouched.
 func (m *MLP) AccuracyManyInto(dst []float64, paramsList [][]float64, x mathx.Matrix, ys []int) []float64 {
 	saved := m.params
 	defer m.alias(saved)
@@ -438,27 +432,6 @@ func (m *MLP) EvaluateParams(p []float64, x mathx.Matrix, ys []int) (loss, acc f
 	return m.Evaluate(x, ys)
 }
 
-// EvaluateMany is the batched evaluation path of the walk engine: it scores
-// every parameter vector in paramsList on one (x, ys) set, reusing the
-// receiver's scratch buffers across the whole batch and aliasing each vector
-// in turn (no per-vector parameter copies). Each (losses[i], accs[i]) is
-// bit-identical to SetParams(paramsList[i]) followed by Evaluate; the
-// model's own weights are untouched.
-func (m *MLP) EvaluateMany(paramsList [][]float64, x mathx.Matrix, ys []int) (losses, accs []float64) {
-	losses = make([]float64, len(paramsList))
-	accs = make([]float64, len(paramsList))
-	saved := m.params
-	defer m.alias(saved)
-	for i, p := range paramsList {
-		if len(p) != len(saved) {
-			panic(fmt.Sprintf("nn: EvaluateMany params[%d] length %d, want %d", i, len(p), len(saved)))
-		}
-		m.alias(p)
-		losses[i], accs[i] = m.Evaluate(x, ys)
-	}
-	return losses, accs
-}
-
 // SGDConfig controls local training.
 type SGDConfig struct {
 	// LR is the learning rate.
@@ -477,12 +450,6 @@ type SGDConfig struct {
 	// ProxCenter is the global model the proximal term anchors to. Required
 	// when ProxMu > 0.
 	ProxCenter []float64
-	// Momentum, when positive, applies classical momentum: the update uses
-	// a velocity v = Momentum*v + grad instead of the raw gradient.
-	Momentum float64
-	// WeightDecay, when positive, adds L2 regularization: the gradient is
-	// augmented with WeightDecay * w.
-	WeightDecay float64
 	// Shuffle, when true, visits samples in a random order each epoch using
 	// the provided RNG.
 	Shuffle bool
@@ -493,9 +460,9 @@ type SGDConfig struct {
 // number of batches processed.
 //
 // Each minibatch is gathered from the contiguous sample matrix into reusable
-// scratch and runs through the batched forward/backward kernels; gradients,
-// momentum state and the visit order also persist on the model, so
-// steady-state training performs zero allocations per batch. Updates are
+// scratch and runs through the batched forward/backward kernels; gradients
+// and the visit order also persist on the model, so steady-state training
+// performs zero allocations per batch. Updates are
 // bit-identical to the retained per-sample reference (reference.go).
 func (m *MLP) Train(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand.RNG) int {
 	if x.Rows != len(ys) {
@@ -516,14 +483,6 @@ func (m *MLP) Train(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand.RNG) int
 		m.grads = make([]float64, len(m.params))
 	}
 	grads := m.grads
-	var velocity []float64
-	if cfg.Momentum > 0 {
-		if m.velocity == nil {
-			m.velocity = make([]float64, len(m.params))
-		}
-		velocity = m.velocity
-		mathx.Fill(velocity, 0)
-	}
 	if cap(m.order) < n {
 		m.order = make([]int, n)
 	}
@@ -563,19 +522,7 @@ func (m *MLP) Train(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand.RNG) int
 			m.backwardBatch(batch, bys, grads)
 
 			invBatch := 1 / float64(rows)
-			if cfg.WeightDecay > 0 {
-				// L2 term on the mean-gradient scale.
-				k := cfg.WeightDecay / invBatch
-				mathx.Axpy(k, m.params, grads)
-			}
-			if cfg.Momentum > 0 {
-				for i, g := range grads {
-					velocity[i] = cfg.Momentum*velocity[i] + g
-				}
-				mathx.Axpy(-cfg.LR*invBatch, velocity, m.params)
-			} else {
-				mathx.Axpy(-cfg.LR*invBatch, grads, m.params)
-			}
+			mathx.Axpy(-cfg.LR*invBatch, grads, m.params)
 			if cfg.ProxMu > 0 {
 				// w -= lr * mu * (w - w0)
 				k := cfg.LR * cfg.ProxMu

@@ -9,7 +9,7 @@ import (
 	"github.com/specdag/specdag/internal/xrand"
 )
 
-// Differential suite: the batched Train/Evaluate/EvaluateMany paths must be
+// Differential suite: the batched Train/Evaluate/AccuracyManyInto paths must be
 // bit-identical to the retained per-sample reference (reference.go) across
 // architectures, batch sizes and every SGD option. This is the executable
 // form of the float-determinism contract — a failure here means the batched
@@ -54,8 +54,8 @@ func TestEvaluateMatchesReference(t *testing.T) {
 }
 
 // TestTrainMatchesReference sweeps batch sizes (1, smaller than n, exactly
-// n, larger than n), MaxBatches, shuffle, and the momentum / weight-decay /
-// proximal options, checking bit-identical parameters and batch counts.
+// n, larger than n), MaxBatches, shuffle and the proximal option, alone and
+// together, checking bit-identical parameters and batch counts.
 func TestTrainMatchesReference(t *testing.T) {
 	const n = 23
 	configs := []SGDConfig{
@@ -66,10 +66,10 @@ func TestTrainMatchesReference(t *testing.T) {
 		{LR: 0.1, Epochs: 2, BatchSize: n + 9}, // batch larger than the data
 		{LR: 0.1, Epochs: 3, BatchSize: 4, MaxBatches: 2},
 		{LR: 0.1, Epochs: 2, BatchSize: 5, Shuffle: true},
-		{LR: 0.05, Epochs: 2, BatchSize: 4, Momentum: 0.9},
-		{LR: 0.1, Epochs: 2, BatchSize: 4, WeightDecay: 0.05},
+		{LR: 0.05, Epochs: 3, BatchSize: 4, MaxBatches: 3, Shuffle: true},
+		{LR: 0.1, Epochs: 2, BatchSize: 10, ProxMu: 0.5, MaxBatches: 2},
 		{LR: 0.1, Epochs: 2, BatchSize: 4, ProxMu: 1.5},
-		{LR: 0.05, Epochs: 2, BatchSize: 7, Momentum: 0.9, WeightDecay: 0.01, ProxMu: 0.5, Shuffle: true},
+		{LR: 0.05, Epochs: 2, BatchSize: 7, ProxMu: 0.5, Shuffle: true},
 	}
 	for ai, arch := range diffArchs {
 		for ci, cfg := range configs {
@@ -102,28 +102,6 @@ func TestTrainMatchesReference(t *testing.T) {
 				}
 				sameParams(t, "second-call params", batched.Params(), ref.Params())
 			})
-		}
-	}
-}
-
-// TestEvaluateManyMatchesReference: the parameter-aliasing batch evaluator
-// equals per-vector reference evaluation bit for bit.
-func TestEvaluateManyMatchesReference(t *testing.T) {
-	arch := Arch{In: 6, Hidden: []int{9}, Out: 4}
-	rng := xrand.New(77)
-	m := New(arch, rng)
-	x, ys := randomSamples(rng, 19, arch.In, arch.Out)
-	var list [][]float64
-	for i := 0; i < 5; i++ {
-		list = append(list, New(arch, rng.SplitIndex("p", i)).ParamsCopy())
-	}
-	losses, accs := m.EvaluateMany(list, x, ys)
-	scratch := m.Clone()
-	for i, p := range list {
-		scratch.SetParams(p)
-		wantLoss, wantAcc := scratch.evaluateReference(x, ys)
-		if losses[i] != wantLoss || accs[i] != wantAcc {
-			t.Fatalf("vector %d: batched (%v, %v) vs reference (%v, %v)", i, losses[i], accs[i], wantLoss, wantAcc)
 		}
 	}
 }
@@ -162,7 +140,7 @@ func TestTrainZeroAllocSteadyState(t *testing.T) {
 	arch := Arch{In: 12, Hidden: []int{16}, Out: 5}
 	m := New(arch, rng)
 	x, ys := randomSamples(rng, 40, arch.In, arch.Out)
-	cfg := SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10, Shuffle: true, Momentum: 0.9}
+	cfg := SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10, Shuffle: true}
 	trainRNG := xrand.New(3)
 	m.Train(x, ys, cfg, trainRNG) // warm up scratch
 
@@ -225,8 +203,8 @@ func TestAccuracyMatchesEvaluate(t *testing.T) {
 			if _, ref := m.evaluateReference(x, ys); ref != want {
 				t.Fatalf("%s: Evaluate accuracy %v, per-sample reference %v", label, want, ref)
 			}
-			if got := m.Accuracy(x, ys); got != want {
-				t.Fatalf("%s: Accuracy %v, Evaluate %v", label, got, want)
+			if got := m.AccuracyParams(m.Params(), x, ys); got != want {
+				t.Fatalf("%s: AccuracyParams of the model's own vector %v, Evaluate %v", label, got, want)
 			}
 			scratch := New(arch, rng.Split("scratch"))
 			if got := scratch.AccuracyParams(m.Params(), x, ys); got != want {

@@ -221,7 +221,7 @@ func TestSoftmaxRegressionLearns(t *testing.T) {
 	xs, ys := makeBlobs(rng, 300)
 	m := New(Arch{In: 2, Out: 3}, rng) // no hidden layers
 	m.Train(xs, ys, SGDConfig{LR: 0.5, Epochs: 15, BatchSize: 10, Shuffle: true}, rng)
-	if acc := m.Accuracy(xs, ys); acc < 0.95 {
+	if _, acc := m.Evaluate(xs, ys); acc < 0.95 {
 		t.Fatalf("softmax regression accuracy %v, want >= 0.95", acc)
 	}
 }
@@ -283,45 +283,6 @@ func TestProxPanicsWithoutCenter(t *testing.T) {
 		}
 	}()
 	m.Train(xs, ys, SGDConfig{LR: 0.1, Epochs: 1, ProxMu: 1}, rng)
-}
-
-func TestMomentumAccelerates(t *testing.T) {
-	rng := xrand.New(14)
-	xs, ys := makeBlobs(rng, 200)
-	base := New(Arch{In: 2, Hidden: []int{16}, Out: 3}, rng)
-
-	plain := base.Clone()
-	plain.Train(xs, ys, SGDConfig{LR: 0.05, Epochs: 3, BatchSize: 10}, rng)
-	lossPlain, _ := plain.Evaluate(xs, ys)
-
-	mom := base.Clone()
-	mom.Train(xs, ys, SGDConfig{LR: 0.05, Epochs: 3, BatchSize: 10, Momentum: 0.9}, rng)
-	lossMom, _ := mom.Evaluate(xs, ys)
-
-	if lossMom >= lossPlain {
-		t.Fatalf("momentum should speed up early convergence: loss %v vs plain %v", lossMom, lossPlain)
-	}
-}
-
-func TestWeightDecayShrinksNorm(t *testing.T) {
-	rng := xrand.New(15)
-	xs, ys := makeBlobs(rng, 200)
-	base := New(Arch{In: 2, Out: 3}, rng)
-
-	plain := base.Clone()
-	plain.Train(xs, ys, SGDConfig{LR: 0.1, Epochs: 20, BatchSize: 10}, rng)
-
-	decayed := base.Clone()
-	decayed.Train(xs, ys, SGDConfig{LR: 0.1, Epochs: 20, BatchSize: 10, WeightDecay: 0.05}, rng)
-
-	if mathx.L2Norm(decayed.Params()) >= mathx.L2Norm(plain.Params()) {
-		t.Fatalf("weight decay should shrink the parameter norm: %v vs %v",
-			mathx.L2Norm(decayed.Params()), mathx.L2Norm(plain.Params()))
-	}
-	// It must still learn.
-	if acc := decayed.Accuracy(xs, ys); acc < 0.9 {
-		t.Fatalf("weight decay destroyed learning: acc %v", acc)
-	}
 }
 
 func TestEvaluateEmpty(t *testing.T) {
@@ -438,32 +399,6 @@ func TestEvaluateParamsMatchesSetParams(t *testing.T) {
 	cLoss, cAcc := c.Evaluate(xs, ys)
 	if selfLoss != cLoss || selfAcc != cAcc {
 		t.Fatalf("model state corrupted after EvaluateParams: (%v, %v) vs (%v, %v)", selfLoss, selfAcc, cLoss, cAcc)
-	}
-}
-
-// TestEvaluateManyMatchesLoop: the batched path must equal per-vector
-// SetParams+Evaluate bit for bit, in order.
-func TestEvaluateManyMatchesLoop(t *testing.T) {
-	rng := xrand.New(9)
-	arch := Arch{In: 5, Hidden: []int{7}, Out: 4}
-	m := New(arch, rng)
-	xs, ys := randomSamples(rng, 30, arch.In, arch.Out)
-
-	var batch [][]float64
-	for i := 0; i < 6; i++ {
-		batch = append(batch, New(arch, rng.SplitIndex("b", i)).ParamsCopy())
-	}
-	losses, accs := m.EvaluateMany(batch, xs, ys)
-	if len(losses) != len(batch) || len(accs) != len(batch) {
-		t.Fatalf("EvaluateMany returned %d/%d results for %d vectors", len(losses), len(accs), len(batch))
-	}
-	scratch := m.Clone()
-	for i, p := range batch {
-		scratch.SetParams(p)
-		wantLoss, wantAcc := scratch.Evaluate(xs, ys)
-		if losses[i] != wantLoss || accs[i] != wantAcc {
-			t.Fatalf("vector %d: batched (%v, %v) vs sequential (%v, %v)", i, losses[i], accs[i], wantLoss, wantAcc)
-		}
 	}
 }
 

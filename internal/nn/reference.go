@@ -11,8 +11,8 @@ import (
 // This file retains the per-sample training and evaluation loops the batched
 // kernels replaced. They are the executable specification of the
 // float-determinism contract: the differential tests (nn_diff_test.go) pin
-// Train/Evaluate/EvaluateMany bit-identical to these references across
-// architectures, batch sizes and every SGD option. Production code never
+// Train/Evaluate and the accuracy-only scorers bit-identical to these
+// references across architectures, batch sizes and every SGD option. Production code never
 // calls them — change them only together with the batched paths, and only
 // for a deliberate, gate-refreshing numerics change.
 
@@ -121,10 +121,6 @@ func (m *MLP) trainReference(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand
 	}
 
 	grads := make([]float64, len(m.params))
-	var velocity []float64
-	if cfg.Momentum > 0 {
-		velocity = make([]float64, len(m.params))
-	}
 	order := make([]int, x.Rows)
 	for i := range order {
 		order[i] = i
@@ -149,19 +145,7 @@ func (m *MLP) trainReference(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand
 				m.backward(x.Row(idx), ys[idx], grads)
 			}
 			invBatch := 1 / float64(end-start)
-			if cfg.WeightDecay > 0 {
-				// L2 term on the mean-gradient scale.
-				k := cfg.WeightDecay / invBatch
-				mathx.Axpy(k, m.params, grads)
-			}
-			if cfg.Momentum > 0 {
-				for i, g := range grads {
-					velocity[i] = cfg.Momentum*velocity[i] + g
-				}
-				mathx.Axpy(-cfg.LR*invBatch, velocity, m.params)
-			} else {
-				mathx.Axpy(-cfg.LR*invBatch, grads, m.params)
-			}
+			mathx.Axpy(-cfg.LR*invBatch, grads, m.params)
 			if cfg.ProxMu > 0 {
 				// w -= lr * mu * (w - w0)
 				k := cfg.LR * cfg.ProxMu

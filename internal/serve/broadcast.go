@@ -8,10 +8,12 @@
 //
 // The package sits at the transport boundary and is deliberately NOT one of
 // the deterministic packages (see internal/lint): it reads the wall clock
-// for status reporting and reconnect backoff, and it supervises run
-// goroutines. The engines it hosts remain fully deterministic — serving a
-// run changes none of its numerics, which is what the round-trip
-// equivalence tests pin.
+// for reconnect backoff, and it supervises run goroutines. The engines it
+// hosts remain fully deterministic — serving a run changes none of its
+// numerics, which is what the round-trip equivalence tests pin — and a
+// paused run is nothing but its request, its event log and a checkpoint:
+// pausing stops the run's scheduler job at a unit boundary and lets the
+// engine go, resuming rebuilds it, in the same process or the next.
 //
 // # Backpressure
 //

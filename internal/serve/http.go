@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -44,14 +45,20 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
-// pathID parses the {id} path segment, answering 404 itself on garbage.
-func pathID(w http.ResponseWriter, r *http.Request) (int, bool) {
+// pathRun resolves the {id} path segment to its run, answering 404 itself
+// on garbage and on unknown IDs.
+func (s *Server) pathRun(w http.ResponseWriter, r *http.Request) (*run, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil || id <= 0 {
 		writeJSON(w, http.StatusNotFound, apiError{Error: "run IDs are positive integers"})
-		return 0, false
+		return nil, false
 	}
-	return id, true
+	run, err := s.lookup(id)
+	if err != nil {
+		writeError(w, err)
+		return nil, false
+	}
+	return run, true
 }
 
 // handleSubmit implements POST /runs: decode the RunRequest, start the run,
@@ -78,75 +85,30 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Statuses())
 }
 
-// handleStatus implements GET /runs/{id}.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
+// lifecycle is the handler behind GET /runs/{id} and the POST verbs under it
+// — pause (stop at the next unit boundary and checkpoint; the answer's
+// CheckpointIndex is the event index a subscriber resumes from), resume and
+// cancel: apply act to the run, answer with its status.
+func (s *Server) lifecycle(act func(ctx context.Context, id int) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		run, ok := s.pathRun(w, r)
+		if !ok {
+			return
+		}
+		if err := act(r.Context(), run.id); err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, run.status())
 	}
-	run, err := s.lookup(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, run.status())
-}
-
-// handlePause implements POST /runs/{id}/pause: stop at the next unit
-// boundary, checkpoint, answer with the status (whose CheckpointIndex is
-// the event index a subscriber resumes from).
-func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	if _, err := s.Pause(r.Context(), id); err != nil {
-		writeError(w, err)
-		return
-	}
-	run, _ := s.lookup(id)
-	writeJSON(w, http.StatusOK, run.status())
-}
-
-// handleResume implements POST /runs/{id}/resume.
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	if err := s.Resume(id); err != nil {
-		writeError(w, err)
-		return
-	}
-	run, _ := s.lookup(id)
-	writeJSON(w, http.StatusOK, run.status())
-}
-
-// handleCancel implements POST /runs/{id}/cancel.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
-	if !ok {
-		return
-	}
-	if err := s.Cancel(r.Context(), id); err != nil {
-		writeError(w, err)
-		return
-	}
-	run, _ := s.lookup(id)
-	writeJSON(w, http.StatusOK, run.status())
 }
 
 // handleCheckpoint implements GET /runs/{id}/checkpoint: the latest
 // checkpoint blob (SDC1/SDA1, exactly what cmd/specdag -resume accepts),
 // with CheckpointIndexHeader carrying the event index it resumes from.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
+	run, ok := s.pathRun(w, r)
 	if !ok {
-		return
-	}
-	run, err := s.lookup(id)
-	if err != nil {
-		writeError(w, err)
 		return
 	}
 	run.mu.Lock()
@@ -172,17 +134,13 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 // (a client asking for events that do not exist yet is confused, not early:
 // reconnecting clients resume from indices they have already seen).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id, ok := pathID(w, r)
+	run, ok := s.pathRun(w, r)
 	if !ok {
-		return
-	}
-	run, err := s.lookup(id)
-	if err != nil {
-		writeError(w, err)
 		return
 	}
 	from := uint64(0)
 	if q := r.URL.Query().Get("from"); q != "" {
+		var err error
 		from, err = strconv.ParseUint(q, 10, 64)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, apiError{Error: "from must be a non-negative integer"})
@@ -269,22 +227,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // Statuses returns every run's status ordered by ID (the list endpoint's
 // body, also used by the daemon's shutdown log).
 func (s *Server) Statuses() []RunStatus {
-	s.mu.Lock()
-	ids := make([]int, 0, len(s.runs))
-	for id := range s.runs {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	statuses := make([]RunStatus, 0, len(ids))
-	for _, id := range ids {
-		if r, err := s.lookup(id); err == nil {
-			statuses = append(statuses, r.status())
-		}
-	}
-	for i := 1; i < len(statuses); i++ {
-		for j := i; j > 0 && statuses[j-1].ID > statuses[j].ID; j-- {
-			statuses[j-1], statuses[j] = statuses[j], statuses[j-1]
-		}
+	runs := s.sorted()
+	statuses := make([]RunStatus, len(runs))
+	for i, r := range runs {
+		statuses[i] = r.status()
 	}
 	return statuses
 }

@@ -1,10 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"io"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -189,48 +188,136 @@ func TestSubscribeEquivalenceAsync(t *testing.T) {
 	}
 }
 
+// checkpointSteps walks a stretch of a run's event log, given the number of
+// Round frames before it, and checks that every Checkpoint frame is stamped
+// with the number of Round frames before it in the run's whole log — units
+// the run has completed, not units since its engine was last rebuilt. It
+// returns the Round frame count at the end of the stretch.
+func checkpointSteps(t *testing.T, frames []wire.Frame, rounds int) int {
+	t.Helper()
+	for _, f := range frames {
+		switch f.Kind {
+		case wire.KindRound:
+			rounds++
+		case wire.KindCheckpoint:
+			if f.Checkpoint.Step != rounds {
+				t.Fatalf("checkpoint frame %d is stamped step %d after %d completed units", f.Index, f.Checkpoint.Step, rounds)
+			}
+		}
+	}
+	return rounds
+}
+
+// checkpointUnits downloads a run's latest checkpoint and returns the number
+// of units the blob itself says it holds.
+func checkpointUnits(t *testing.T, baseURL string, id int) (*core.CheckpointInfo, int) {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/runs/" + strconv.Itoa(id) + "/checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint of run %d: %s", id, resp.Status)
+	}
+	info, _, err := core.InspectCheckpoint(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Kind == "async" {
+		return info, info.Events
+	}
+	return info, info.Round
+}
+
 // TestPauseResumeEquivalence pins that pause-to-checkpoint + resume leaves
 // the served event stream identical to an uninterrupted run's: same events,
-// each exactly once, across the pause point.
+// each exactly once, across the pause point — for the round engine and for
+// the event engine in the shape the daemon is benchmarked hosting (a
+// depth-banded walk over a compacting tangle), paused after epochs froze.
+// Resume rebuilds the engine from the checkpoint, so this is also the
+// restart path's equivalence.
 func TestPauseResumeEquivalence(t *testing.T) {
-	req := RunRequest{Dataset: "fmnist", Seed: 23, Rounds: 10, ClientsPerRound: 2, Workers: 2, CheckpointEvery: 3, Label: "pr"}
-	s := NewServer(Config{Workers: 4})
-	want := localReference(t, s, req)
+	for _, tc := range []struct {
+		name    string
+		req     RunRequest
+		pauseAt int // pause once this many units completed
+		units   int // units of the whole run
+		frozen  bool
+	}{
+		{name: "rounds", pauseAt: 2, units: 10,
+			req: RunRequest{Dataset: "fmnist", Seed: 23, Rounds: 10, ClientsPerRound: 2, Workers: 2, CheckpointEvery: 3, Label: "pr"}},
+		{name: "async compacting", pauseAt: 200, frozen: true,
+			req: RunRequest{Dataset: "fmnist", Seed: 29, Async: true, Duration: 12, MinCycle: 0.5, MaxCycle: 2, NetDelay: 0.1,
+				DepthMin: 3, DepthMax: 6, CompactWidth: 2, CompactLive: 2, Workers: 2, CheckpointEvery: 32, Label: "pr-async"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer(Config{Workers: 4})
+			want := localReference(t, s, tc.req)
+			if tc.units == 0 {
+				tc.units = len(want.rounds)
+			}
 
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	id, err := s.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, id, func(st RunStatus) bool { return st.Steps >= 2 || st.State != StateRunning })
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			id, err := s.Submit(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, s, id, func(st RunStatus) bool { return st.Steps >= tc.pauseAt || st.State != StateRunning })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	ckptIndex, err := s.Pause(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitState(t, s, id, func(st RunStatus) bool { return st.State == StatePaused })
-	if !st.HasCheckpoint || st.CheckpointIndex != ckptIndex {
-		t.Fatalf("paused status %+v does not carry checkpoint index %d", st, ckptIndex)
-	}
-	if st.Steps >= 10 {
-		t.Fatalf("run finished (%d steps) before pause — widen the window", st.Steps)
-	}
-	if err := s.Resume(id); err != nil {
-		t.Fatal(err)
-	}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			ckptIndex, err := s.Pause(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := waitState(t, s, id, func(st RunStatus) bool { return st.State == StatePaused })
+			if !st.HasCheckpoint || st.CheckpointIndex != ckptIndex {
+				t.Fatalf("paused status %+v does not carry checkpoint index %d", st, ckptIndex)
+			}
+			if st.Steps >= tc.units {
+				t.Fatalf("run finished (%d steps) before pause — widen the window", st.Steps)
+			}
+			info, units := checkpointUnits(t, ts.URL, id)
+			if units != st.Steps || st.CheckpointStep != st.Steps {
+				t.Fatalf("pause checkpoint holds %d units, status %+v", units, st)
+			}
+			if tc.frozen && info.FrozenEpochs == 0 {
+				t.Fatalf("paused at %d units before any epoch froze — pause later", st.Steps)
+			}
+			if err := s.Resume(id); err != nil {
+				t.Fatal(err)
+			}
 
-	got := &recorder{}
-	end, err := Subscribe(context.Background(), ts.URL, id, SubscribeOptions{Hooks: got.hooks()})
-	if err != nil {
-		t.Fatal(err)
+			got := &recorder{}
+			var frames []wire.Frame
+			end, err := Subscribe(context.Background(), ts.URL, id, SubscribeOptions{
+				Hooks:   got.hooks(),
+				OnFrame: func(f wire.Frame) { frames = append(frames, f) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !end.Completed || end.Steps != tc.units {
+				t.Fatalf("end frame %+v, want %d completed steps", end, tc.units)
+			}
+			mustEqualEvents(t, got, want)
+
+			// The cadence checkpoints of the rebuilt engine count the run's
+			// units, and the blob the run ends with is the one its status names.
+			if n := checkpointSteps(t, frames, 0); n != tc.units {
+				t.Fatalf("log holds %d round frames, want %d", n, tc.units)
+			}
+			final := waitState(t, s, id, func(st RunStatus) bool { return st.State == StateDone })
+			if tc.units-st.Steps >= tc.req.CheckpointEvery && final.CheckpointStep <= st.Steps {
+				t.Fatalf("no cadence checkpoint after the resume at %d units: %+v", st.Steps, final)
+			}
+			if _, units := checkpointUnits(t, ts.URL, id); units != final.CheckpointStep {
+				t.Fatalf("final checkpoint holds %d units, status says %d", units, final.CheckpointStep)
+			}
+		})
 	}
-	if !end.Completed || end.Steps != 10 {
-		t.Fatalf("end frame %+v, want 10 completed steps", end)
-	}
-	mustEqualEvents(t, got, want)
 }
 
 // TestHTTPLifecycle walks the HTTP surface end to end: submit, status,
@@ -405,6 +492,24 @@ func TestShutdownRestore(t *testing.T) {
 	if want := []string{"run-1.sdc", "runs.json"}; !slices.Equal(names, want) {
 		t.Fatalf("persisted files %v, want %v", names, want)
 	}
+	// The first process's stretch of the log, up to the pause checkpoint: the
+	// second process carries the unit count on from here.
+	r1, err := s1.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before []wire.Frame
+	for sub := r1.b.Subscribe(0); sub.Cursor() < r1.b.NextIndex(); {
+		f, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = append(before, f)
+	}
+	paused := checkpointSteps(t, before, 0)
+	if st := r1.status(); st.State != StatePaused || st.Steps != paused || st.CheckpointStep != paused {
+		t.Fatalf("shut-down run %+v, its log holds %d round frames", st, paused)
+	}
 
 	s2 := NewServer(Config{Workers: 4, CheckpointEvery: 3, Dir: dir})
 	n, err := s2.Restore()
@@ -423,7 +528,11 @@ func TestShutdownRestore(t *testing.T) {
 	}
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()
-	end, err := Subscribe(context.Background(), ts.URL, id, SubscribeOptions{From: st.CheckpointIndex})
+	var after []wire.Frame
+	end, err := Subscribe(context.Background(), ts.URL, id, SubscribeOptions{
+		From:    st.CheckpointIndex,
+		OnFrame: func(f wire.Frame) { after = append(after, f) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,6 +542,17 @@ func TestShutdownRestore(t *testing.T) {
 	final := waitState(t, s2, id, func(st RunStatus) bool { return st.State == StateDone })
 	if final.Steps != req.Rounds {
 		t.Fatalf("restored run finished at %d steps, want %d", final.Steps, req.Rounds)
+	}
+	// The rebuilt run's cadence checkpoints count the run's units, not the
+	// second process's, and the blob it ends with is the one its status names.
+	if n := checkpointSteps(t, after, paused); n != req.Rounds {
+		t.Fatalf("the two processes logged %d round frames, want %d", n, req.Rounds)
+	}
+	if final.CheckpointStep <= paused {
+		t.Fatalf("no cadence checkpoint after the restore at %d units: %+v", paused, final)
+	}
+	if _, units := checkpointUnits(t, ts.URL, id); units != final.CheckpointStep {
+		t.Fatalf("final checkpoint holds %d units, status says %d", units, final.CheckpointStep)
 	}
 }
 
@@ -518,11 +638,12 @@ func TestSchedulerPauseFreesWorkerForOtherRuns(t *testing.T) {
 	}
 }
 
-// TestSettledRunReleasesEngine: once a run settles — one completes, one is
-// canceled — the server keeps its event log and its last checkpoint but no
-// way to its engine, so the federation, the client models and the tangle are
-// collected; the status, checkpoint and replay endpoints answer as before and
-// the lifecycle calls still conflict.
+// TestSettledRunReleasesEngine: once a run's job settles — one completes, one
+// is canceled, one is paused — the server keeps its event log and its last
+// checkpoint but no way to its engine, so the federation, the client models
+// and the tangle are collected; the status, checkpoint and replay endpoints
+// answer as before, the lifecycle calls conflict on the two runs that ended,
+// and the paused one resumes from its checkpoint and completes.
 func TestSettledRunReleasesEngine(t *testing.T) {
 	s := NewServer(Config{Workers: 1, CheckpointEvery: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -530,7 +651,8 @@ func TestSettledRunReleasesEngine(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	// One worker, and the long run outranks the short one: the short run
-	// cannot start, let alone settle, before its engine has been tagged.
+	// cannot start, let alone settle, before its engine has been tagged. The
+	// run to be paused outranks both and is too long to finish first.
 	long, err := s.Submit(RunRequest{Dataset: "fmnist", Seed: 4, Rounds: 5000, ClientsPerRound: 2, Priority: 1000})
 	if err != nil {
 		t.Fatal(err)
@@ -539,14 +661,19 @@ func TestSettledRunReleasesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collected := map[int]chan struct{}{long: make(chan struct{}), short: make(chan struct{})}
+	const parkedRounds = 40
+	parked, err := s.Submit(RunRequest{Dataset: "fmnist", Seed: 5, Rounds: parkedRounds, ClientsPerRound: 2, Priority: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := map[int]chan struct{}{long: make(chan struct{}), short: make(chan struct{}), parked: make(chan struct{})}
 	for id, ch := range collected {
 		r, err := s.lookup(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.mu.Lock()
-		eng, ok := r.snap.(*core.Simulation)
+		eng, ok := r.eng.(*core.Simulation)
 		r.mu.Unlock()
 		if !ok {
 			t.Fatalf("run %d has no round engine registered", id)
@@ -554,6 +681,10 @@ func TestSettledRunReleasesEngine(t *testing.T) {
 		runtime.AddCleanup(eng, func(ch chan struct{}) { close(ch) }, ch)
 	}
 
+	waitState(t, s, parked, func(st RunStatus) bool { return st.Steps >= 1 })
+	if _, err := s.Pause(context.Background(), parked); err != nil {
+		t.Fatal(err)
+	}
 	waitState(t, s, long, func(st RunStatus) bool { return st.HasCheckpoint })
 	if err := s.Cancel(context.Background(), long); err != nil {
 		t.Fatal(err)
@@ -569,7 +700,7 @@ func TestSettledRunReleasesEngine(t *testing.T) {
 			case <-ch:
 				done = true
 			case <-deadline:
-				t.Fatalf("run %d settled but its engine is still reachable", id)
+				t.Fatalf("the job of run %d settled but its engine is still reachable", id)
 			case <-time.After(10 * time.Millisecond):
 			}
 		}
@@ -587,17 +718,8 @@ func TestSettledRunReleasesEngine(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK || st.State != want || !st.HasCheckpoint {
 			t.Fatalf("status of settled run %d: %s %+v %v", id, resp.Status, st, err)
 		}
-		resp, err = http.Get(base + "/checkpoint")
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("checkpoint of settled run %d: %s, %d bytes, %v", id, resp.Status, len(blob), err)
-		}
-		if info, _, err := core.InspectCheckpoint(bytes.NewReader(blob)); err != nil || info.Round != st.CheckpointStep {
-			t.Fatalf("checkpoint of settled run %d: %+v %v, want round %d", id, info, err, st.CheckpointStep)
+		if info, units := checkpointUnits(t, ts.URL, id); units != st.CheckpointStep {
+			t.Fatalf("checkpoint of settled run %d: %+v, want round %d", id, info, st.CheckpointStep)
 		}
 		frames := 0
 		end, err := Subscribe(context.Background(), ts.URL, id, SubscribeOptions{OnFrame: func(wire.Frame) { frames++ }})
@@ -615,4 +737,154 @@ func TestSettledRunReleasesEngine(t *testing.T) {
 			}
 		}
 	}
+
+	// The paused run answers from its record too, and that record is all a
+	// resume needs.
+	st := waitState(t, s, parked, func(RunStatus) bool { return true })
+	if st.State != StatePaused || st.Steps >= parkedRounds || st.CheckpointStep != st.Steps {
+		t.Fatalf("paused run %+v", st)
+	}
+	if _, units := checkpointUnits(t, ts.URL, parked); units != st.Steps {
+		t.Fatalf("pause checkpoint holds %d units, status %+v", units, st)
+	}
+	if err := s.Resume(parked); err != nil {
+		t.Fatal(err)
+	}
+	rounds := 0
+	end, err := Subscribe(context.Background(), ts.URL, parked, SubscribeOptions{
+		Hooks: engine.Hooks{OnRound: func(engine.RoundEvent) { rounds++ }},
+	})
+	if err != nil || !end.Completed || end.Steps != parkedRounds || rounds != parkedRounds {
+		t.Fatalf("resumed run: %d round events, end %+v, %v", rounds, end, err)
+	}
+}
+
+// gatedEngine is a hosted engine whose Step calls wait for the test: each
+// announces itself on entered, then proceeds once it receives from gate —
+// deaf to ctx meanwhile, as a unit in flight is.
+type gatedEngine struct {
+	hosted
+	entered, gate chan struct{}
+}
+
+func (g *gatedEngine) Step(ctx context.Context) (*engine.StepResult, bool, error) {
+	g.entered <- struct{}{}
+	<-g.gate
+	return g.hosted.Step(ctx)
+}
+
+// submitGated is Submit with the run's engine behind a gate.
+func submitGated(t *testing.T, s *Server, req RunRequest) (*run, *gatedEngine) {
+	t.Helper()
+	req.normalize()
+	eng, err := s.buildEngine(&req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &gatedEngine{hosted: eng, entered: make(chan struct{}), gate: make(chan struct{})}
+	id, err := s.register(req, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, g
+}
+
+// TestPauseRaces pins what a pause does when it is not alone: against the
+// run's natural end, against a cancel, and after its own caller gave up.
+func TestPauseRaces(t *testing.T) {
+	req := RunRequest{Dataset: "fmnist", Seed: 41, Rounds: 2, ClientsPerRound: 2}
+	pausing := func(r *run) bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.pausing
+	}
+	// inFlight starts a Pause and returns once it has asked the job to stop.
+	inFlight := func(ctx context.Context, s *Server, r *run) chan error {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := s.Pause(ctx, r.id)
+			errc <- err
+		}()
+		for !pausing(r) {
+			time.Sleep(time.Millisecond)
+		}
+		return errc
+	}
+
+	t.Run("natural end", func(t *testing.T) {
+		s := NewServer(Config{Workers: 1})
+		defer s.Shutdown(context.Background())
+		r, g := submitGated(t, s, req)
+		for range req.Rounds {
+			<-g.entered
+			g.gate <- struct{}{}
+		}
+		<-g.entered // the Step that will find the run complete
+		errc := inFlight(context.Background(), s, r)
+		g.gate <- struct{}{}
+		if err := <-errc; err == nil || !strings.Contains(err.Error(), "settled as done instead of pausing") {
+			t.Fatalf("pause of a run that completed under it: %v", err)
+		}
+		if st := r.status(); st.State != StateDone || st.Steps != req.Rounds || !r.b.Closed() {
+			t.Fatalf("run %+v, log closed %v", st, r.b.Closed())
+		}
+	})
+
+	t.Run("cancel", func(t *testing.T) {
+		s := NewServer(Config{Workers: 1})
+		defer s.Shutdown(context.Background())
+		r, g := submitGated(t, s, req)
+		<-g.entered
+		paused := inFlight(context.Background(), s, r)
+		canceled := make(chan error, 1)
+		go func() { canceled <- s.Cancel(context.Background(), r.id) }()
+		g.gate <- struct{}{}
+		if err := <-canceled; err != nil {
+			t.Fatal(err)
+		}
+		// The pause may have seen its checkpoint taken or the cancel's outcome;
+		// the run never stays paused.
+		if err := <-paused; err != nil && !strings.Contains(err.Error(), "settled as canceled instead of pausing") {
+			t.Fatal(err)
+		}
+		if st := r.status(); st.State != StateCanceled || st.Err != "canceled" || !r.b.Closed() {
+			t.Fatalf("run %+v, log closed %v", st, r.b.Closed())
+		}
+		if err := s.Resume(r.id); err == nil {
+			t.Fatal("resumed a canceled run")
+		}
+	})
+
+	t.Run("caller gone", func(t *testing.T) {
+		s := NewServer(Config{Workers: 1})
+		defer s.Shutdown(context.Background())
+		r, g := submitGated(t, s, req)
+		<-g.entered
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := inFlight(ctx, s, r)
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("pause whose context ended: %v", err)
+		}
+		if st := r.status(); st.State != StateRunning {
+			t.Fatalf("run %+v before its unit boundary", st)
+		}
+		// The request stands: the job is stopping, and the run pauses at its
+		// boundary — here before the unit in flight even started.
+		g.gate <- struct{}{}
+		st := waitState(t, s, r.id, func(st RunStatus) bool { return st.State != StateRunning })
+		if st.State != StatePaused || !st.HasCheckpoint || st.CheckpointStep != st.Steps {
+			t.Fatalf("run %+v, want paused at its checkpoint", st)
+		}
+		if err := s.Resume(r.id); err != nil {
+			t.Fatal(err)
+		}
+		if st := waitState(t, s, r.id, func(st RunStatus) bool { return st.State != StateRunning }); st.State != StateDone || st.Steps != req.Rounds {
+			t.Fatalf("resumed run %+v", st)
+		}
+	})
 }

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/dag"
@@ -70,9 +69,11 @@ const CheckpointIndexHeader = "X-Specdag-Checkpoint-Index"
 // httptest), and stop with Shutdown.
 //
 // Underneath Submit/Pause/Resume/Cancel sits one engine.Scheduler: every
-// hosted run is a scheduler job, multiplexed with the others onto the shared
+// running run is a scheduler job, multiplexed with the others onto the shared
 // budget by priority a quantum of units at a time, instead of each run
-// claiming its own goroutine for its whole lifetime.
+// claiming its own goroutine for its whole lifetime. A paused run is no job:
+// it is a record holding a checkpoint, the same thing before and after a
+// daemon restart.
 type Server struct {
 	cfg       Config
 	pool      *par.Budget
@@ -95,7 +96,16 @@ const (
 	StateFailed   = "failed"
 )
 
-// run is one hosted experiment.
+// hosted is an engine the server can host: one it can checkpoint. buildEngine
+// returns nothing else, so every run can be paused.
+type hosted interface {
+	engine.Engine
+	engine.Snapshotter
+}
+
+// run is one hosted experiment. Only a running run has a scheduler job and an
+// engine; paused or ended, it is its request, its event log and its latest
+// checkpoint.
 type run struct {
 	id  int
 	req RunRequest
@@ -105,12 +115,12 @@ type run struct {
 	state     string
 	steps     int // completed engine units
 	err       string
-	started   time.Time
-	handle    *engine.Handle // the run's scheduler job; nil for restored runs until resumed
-	snap      engine.Snapshotter
-	ckpt      []byte // latest checkpoint, nil if none yet
-	ckptIndex uint64 // event-log index the checkpoint resumes from
-	ckptStep  int    // engine units completed at the checkpoint
+	handle    *engine.Handle // the run's scheduler job while running, else nil
+	eng       hosted         // the job's engine while running, else nil
+	pausing   bool           // Pause is stopping the job: settle checkpoints it instead of ending the run
+	ckpt      []byte         // latest checkpoint, nil if none yet
+	ckptIndex uint64         // event-log index the checkpoint resumes from
+	ckptStep  int            // engine units completed at the checkpoint
 }
 
 // NewServer creates a server with its shared worker budget and routes.
@@ -147,10 +157,13 @@ func NewServer(cfg Config) *Server {
 	})
 	s.mux.HandleFunc("POST /runs", s.handleSubmit)
 	s.mux.HandleFunc("GET /runs", s.handleList)
-	s.mux.HandleFunc("GET /runs/{id}", s.handleStatus)
-	s.mux.HandleFunc("POST /runs/{id}/pause", s.handlePause)
-	s.mux.HandleFunc("POST /runs/{id}/resume", s.handleResume)
-	s.mux.HandleFunc("POST /runs/{id}/cancel", s.handleCancel)
+	s.mux.HandleFunc("GET /runs/{id}", s.lifecycle(func(context.Context, int) error { return nil }))
+	s.mux.HandleFunc("POST /runs/{id}/pause", s.lifecycle(func(ctx context.Context, id int) error {
+		_, err := s.Pause(ctx, id)
+		return err
+	}))
+	s.mux.HandleFunc("POST /runs/{id}/resume", s.lifecycle(func(_ context.Context, id int) error { return s.Resume(id) }))
+	s.mux.HandleFunc("POST /runs/{id}/cancel", s.lifecycle(s.Cancel))
 	s.mux.HandleFunc("GET /runs/{id}/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("GET /runs/{id}/events", s.handleEvents)
 	return s
@@ -330,7 +343,7 @@ func (r *RunRequest) Configs(pool *par.Budget) (sim.Spec, *core.Config, *core.As
 // from the checkpoint otherwise. Construction is a pure function of the
 // request (and the server's shared budget), which is what makes pause,
 // resume and daemon restarts bit-identical to an uninterrupted run.
-func (s *Server) buildEngine(req *RunRequest, ckpt []byte) (engine.Engine, error) {
+func (s *Server) buildEngine(req *RunRequest, ckpt []byte) (hosted, error) {
 	spec, cfg, acfg, err := req.Configs(s.pool)
 	switch {
 	case err != nil:
@@ -348,7 +361,7 @@ func (s *Server) buildEngine(req *RunRequest, ckpt []byte) (engine.Engine, error
 // Info summarizes the request for an event log's start frame — the one key
 // set every producer of SDE1 logs records (the daemon and cmd/specdag
 // -events), with the request's own spellings as values.
-func (r *RunRequest) Info(engine string) wire.RunInfo {
+func (r *RunRequest) Info() wire.RunInfo {
 	cfg := map[string]string{
 		"dataset":  r.Dataset,
 		"preset":   r.Preset,
@@ -377,7 +390,7 @@ func (r *RunRequest) Info(engine string) wire.RunInfo {
 			cfg["clients_per_round"] = strconv.Itoa(r.ClientsPerRound)
 		}
 	}
-	return wire.RunInfo{Engine: engine, Label: r.Label, Seed: r.Seed, Config: cfg}
+	return wire.RunInfo{Engine: engineName(r), Label: r.Label, Seed: r.Seed, Config: cfg}
 }
 
 // Submit registers and starts a run, returning its ID. It is the
@@ -398,6 +411,13 @@ func (s *Server) Submit(req RunRequest) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return s.register(req, eng)
+}
+
+// register is the second half of Submit: it enters a normalized request in
+// the registry under the next ID, quota permitting, opens its event log and
+// launches eng as its engine.
+func (s *Server) register(req RunRequest, eng hosted) (int, error) {
 	s.mu.Lock()
 	if err := s.checkQuotaLocked(req.Tenant); err != nil {
 		s.mu.Unlock()
@@ -405,26 +425,34 @@ func (s *Server) Submit(req RunRequest) (int, error) {
 	}
 	id := s.nextID
 	s.nextID++
-	r := &run{
-		id:    id,
-		req:   req,
-		b:     NewBroadcaster(s.cfg.Ring, 0),
-		state: StateRunning,
-	}
+	// The log exists before the run is visible — handlers read r.b without a
+	// lock — and its spill file is named after the ID taken here.
+	r := &run{id: id, req: req, b: s.newLog(id, 0)}
+	// Held until the job is submitted: a lifecycle call that finds the run in
+	// the registry waits here and then finds it running, with its job.
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s.runs[id] = r
 	s.mu.Unlock()
-	if s.cfg.SpillDir != "" {
-		// Spill failure degrades to drop semantics, it never blocks a run.
-		if err := os.MkdirAll(s.cfg.SpillDir, 0o755); err == nil {
-			r.b.EnableSpill(filepath.Join(s.cfg.SpillDir, fmt.Sprintf("run-%d.sde", id)))
-		}
-	}
-	info := req.Info(eng.Name())
+	info := req.Info()
 	r.b.Append(wire.Frame{Kind: wire.KindStart, Start: &info})
 	if err := s.launch(r, eng); err != nil {
 		return 0, err
 	}
 	return id, nil
+}
+
+// newLog creates the event log of run id, starting at the given index: the
+// ring, mirrored to a fresh spill file when the server has a spill directory.
+func (s *Server) newLog(id int, start uint64) *Broadcaster {
+	b := NewBroadcaster(s.cfg.Ring, start)
+	if s.cfg.SpillDir != "" {
+		// Spill failure degrades to drop semantics, it never blocks a run.
+		if err := os.MkdirAll(s.cfg.SpillDir, 0o755); err == nil {
+			b.EnableSpill(filepath.Join(s.cfg.SpillDir, fmt.Sprintf("run-%d.sde", id)))
+		}
+	}
+	return b
 }
 
 // checkQuotaLocked enforces Config.MaxRuns and MaxRunsPerTenant against the
@@ -472,115 +500,97 @@ func (e *quotaError) Error() string {
 	return fmt.Sprintf("serve: server is at its active-run quota (%d) — retry after a run settles", e.limit)
 }
 
-// launch submits (or resubmits, after restore) the run to the scheduler.
-// Callers hold no locks; the run must be in StateRunning.
-func (s *Server) launch(r *run, eng engine.Engine) error {
-	r.mu.Lock()
-	r.snap, _ = eng.(engine.Snapshotter)
-	if r.started.IsZero() {
-		r.started = time.Now()
-	}
-	hasSnap := r.snap != nil
-	r.mu.Unlock()
-
+// launch submits the run's engine to the scheduler as a job and marks the run
+// running — for a new run and for every resumed one. Callers hold r.mu, so
+// nobody sees a running run without its job.
+func (s *Server) launch(r *run, eng hosted) error {
 	every := r.req.CheckpointEvery
 	if every <= 0 {
 		every = s.cfg.CheckpointEvery
 	}
-	opts := []engine.Option{
-		engine.WithHooks(r.b.Hooks()),
-		engine.WithHooks(engine.Hooks{OnRound: func(engine.RoundEvent) {
-			r.mu.Lock()
-			r.steps++
-			r.mu.Unlock()
-		}}),
-	}
-	if hasSnap {
-		opts = append(opts, engine.WithCheckpoints(every, func(step int) (io.WriteCloser, error) {
-			return &memCheckpoint{r: r, step: step}, nil
-		}))
-	}
-
 	h, err := s.sched.Submit(engine.Job{
 		Engine:   eng,
 		Name:     fmt.Sprintf("run-%d", r.id),
 		Priority: r.req.Priority,
-		Opts:     opts,
+		Opts: []engine.Option{
+			engine.WithHooks(r.b.Hooks()),
+			engine.WithHooks(engine.Hooks{OnRound: func(engine.RoundEvent) {
+				r.mu.Lock()
+				r.steps++
+				r.mu.Unlock()
+			}}),
+			engine.WithCheckpoints(every, func(int) (io.WriteCloser, error) {
+				return &memCheckpoint{r: r}, nil
+			}),
+		},
 		OnSettle: func(err error) { s.settle(r, err) },
 	})
 	if err != nil {
-		return fmt.Errorf("serve: submitting run %d: %w", r.id, err)
+		err = fmt.Errorf("serve: submitting run %d: %w", r.id, err)
+		r.end(StateFailed, err.Error())
+		return err
 	}
-	r.mu.Lock()
-	r.handle = h
-	r.mu.Unlock()
+	r.state, r.handle, r.eng = StateRunning, h, eng
 	return nil
 }
 
-// settle records the outcome of a settled scheduler job: completion,
-// cancellation, or failure. (Pause does not settle the job — a paused run's
-// engine stays parked in the scheduler.) Invoked from the job's OnSettle on
-// a scheduler worker; guarded so an outcome recorded by the lifecycle
-// methods themselves (e.g. a failed pause checkpoint) is not overwritten.
+// settle records how the run's job ended; it is the job's OnSettle. The
+// scheduler has let go of the job and the engine sits at a unit boundary. A
+// job that Pause stopped has not ended the run: its engine is checkpointed
+// and the run is paused, with its log left open — subscribers block until
+// Resume or Cancel. Every other outcome ends the run. Either way the record
+// drops its way to the engine, so the federation, the client models and the
+// tangle become collectable: what a run that is not running keeps is its
+// request, its event log and its last checkpoint.
 func (s *Server) settle(r *run, err error) {
 	r.mu.Lock()
-	// The scheduler keeps no settled job and the lifecycle methods answer 409
-	// from the state alone, so the record drops its way to the engine: the
-	// federation, the client models and the tangle become collectable. What a
-	// settled run keeps is its event log and its last checkpoint.
-	r.snap, r.handle = nil, nil
-	switch r.state {
-	case StateDone, StateCanceled, StateFailed:
-		r.mu.Unlock()
-		return
-	}
-	steps := r.steps
-	if err == nil {
-		r.state = StateDone
-		r.mu.Unlock()
-		r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: steps, Completed: true}})
-		r.b.Close()
-		return
-	}
-	state, msg := StateFailed, err.Error()
-	if errors.Is(err, engine.ErrJobCanceled) {
-		state, msg = StateCanceled, "canceled"
-	}
-	r.state = state
-	r.err = msg
+	eng, pausing := r.eng, r.pausing
 	r.mu.Unlock()
-	r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: steps, Err: msg}})
-	r.b.Close()
+	state, msg := StateDone, ""
+	switch {
+	case err == nil:
+	case !errors.Is(err, engine.ErrJobCanceled):
+		state, msg = StateFailed, err.Error()
+	case !pausing:
+		state, msg = StateCanceled, "canceled"
+	default:
+		// No lock while the engine encodes itself: the job is gone, so nothing
+		// else appends to the log or touches the engine.
+		state = StatePaused
+		m := &memCheckpoint{r: r}
+		if _, err := eng.WriteCheckpoint(m); err != nil {
+			state, msg = StateFailed, fmt.Sprintf("checkpointing run %d: %v", r.id, err)
+		} else {
+			m.Close()
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.handle, r.eng, r.pausing = nil, nil, false
+	if state == StatePaused {
+		r.state = StatePaused
+		return
+	}
+	r.end(state, msg)
 }
 
-// checkpointNow snapshots an engine's state into the run record and logs the
-// checkpoint frame. Only called while the run's job is parked (paused at a
-// unit boundary), so the engine and the event log cannot advance
-// concurrently.
-func (s *Server) checkpointNow(r *run) error {
-	r.mu.Lock()
-	snap := r.snap
-	step := r.steps
-	r.mu.Unlock()
-	if snap == nil {
-		return fmt.Errorf("engine does not support checkpoints")
-	}
-	m := &memCheckpoint{r: r, step: step}
-	if _, err := snap.WriteCheckpoint(m); err != nil {
-		return fmt.Errorf("checkpointing run %d: %w", r.id, err)
-	}
-	return m.Close()
+// end is the one terminal transition of a run: the state and the error, the
+// End frame, the closed log. Callers hold r.mu and know the run has not ended
+// yet.
+func (r *run) end(state, msg string) {
+	r.state, r.err = state, msg
+	r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: r.steps, Completed: msg == "", Err: msg}})
+	r.b.Close()
 }
 
 // memCheckpoint collects a checkpoint in memory and installs it on Close,
 // handing its buffer over: nothing writes to it afterwards. The cadence path
-// closes it from engine.Run between units and Pause while the job is parked,
-// so NextIndex() at Close time is exactly the index the checkpoint resumes
-// from.
+// closes it from the engine loop between units and settle after the job has
+// stopped, so at Close time the run's step count is the checkpoint's and
+// NextIndex() is exactly the index the checkpoint resumes from.
 type memCheckpoint struct {
-	r    *run
-	step int
-	buf  []byte
+	r   *run
+	buf []byte
 }
 
 func (m *memCheckpoint) Write(p []byte) (int, error) {
@@ -591,11 +601,10 @@ func (m *memCheckpoint) Write(p []byte) (int, error) {
 func (m *memCheckpoint) Close() error {
 	r := m.r
 	r.mu.Lock()
-	r.ckpt = m.buf
-	r.ckptIndex = r.b.NextIndex()
-	r.ckptStep = m.step
+	r.ckpt, r.ckptIndex, r.ckptStep = m.buf, r.b.NextIndex(), r.steps
+	step := r.steps
 	r.mu.Unlock()
-	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: m.step, Size: int64(len(m.buf))}})
+	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: step, Size: int64(len(m.buf))}})
 	return nil
 }
 
@@ -627,11 +636,13 @@ func engineName(req *RunRequest) string {
 	return "specdag"
 }
 
-// Pause parks the run's scheduler job at its next unit boundary and
-// checkpoints it; the programmatic form of POST /runs/{id}/pause. It blocks
-// until the engine has parked (bounded by ctx) and returns the checkpoint's
-// event index. The paused engine stays resident in the scheduler, so Resume
-// continues it in place.
+// Pause stops the run at its next unit boundary and checkpoints it; the
+// programmatic form of POST /runs/{id}/pause. It cancels the run's scheduler
+// job and returns once settle has taken the checkpoint, with the
+// checkpoint's event index. A paused run keeps no engine: Resume rebuilds it
+// from the checkpoint. If ctx ends first Pause returns ctx.Err(), but the
+// request stands — the job is already stopping, and the run turns paused at
+// its unit boundary.
 func (s *Server) Pause(ctx context.Context, id int) (uint64, error) {
 	r, err := s.lookup(id)
 	if err != nil {
@@ -640,46 +651,28 @@ func (s *Server) Pause(ctx context.Context, id int) (uint64, error) {
 	r.mu.Lock()
 	if r.state != StateRunning {
 		defer r.mu.Unlock()
-		return 0, &stateError{id: id, state: r.state, want: "pause"}
-	}
-	if r.snap == nil {
-		r.mu.Unlock()
-		return 0, &stateError{id: id, state: "unsupported", want: "pause"}
+		return 0, r.conflict("pause")
 	}
 	h := r.handle
+	r.pausing = true
 	r.mu.Unlock()
-	if err := h.Pause(ctx); err != nil {
-		if errors.Is(err, engine.ErrJobSettled) {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return 0, fmt.Errorf("serve: run %d settled as %s instead of pausing: %s", id, r.state, r.err)
-		}
+	if err := h.Cancel(ctx); err != nil && !errors.Is(err, engine.ErrJobSettled) {
 		return 0, err
-	}
-	// The job is parked at a unit boundary with its engine state intact;
-	// snapshot it as the resume point. The log stays open — subscribers
-	// block until resume (or cancel).
-	if cerr := s.checkpointNow(r); cerr != nil {
-		r.mu.Lock()
-		r.state = StateFailed
-		r.err = cerr.Error()
-		steps := r.steps
-		r.mu.Unlock()
-		r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: steps, Err: cerr.Error()}})
-		r.b.Close()
-		return 0, cerr
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.state = StatePaused
+	if r.state != StatePaused {
+		// The job stopped for another reason before it could stop for this one.
+		return 0, fmt.Errorf("serve: run %d settled as %s instead of pausing: %s", id, r.state, r.err)
+	}
 	return r.ckptIndex, nil
 }
 
 // Resume restarts a paused run; the programmatic form of
-// POST /runs/{id}/resume. A live job resumes in place in the scheduler; a
-// restored run (daemon restart) is rebuilt from its checkpoint and
-// resubmitted. Either way the resumed run's remaining event stream is
-// bit-identical to an uninterrupted run's.
+// POST /runs/{id}/resume. The engine is rebuilt from the request and the
+// checkpoint and submitted as a new job — whether the run was paused a moment
+// ago or by a daemon that has since restarted — and the resumed run's
+// remaining event stream is bit-identical to an uninterrupted run's.
 func (s *Server) Resume(id int) error {
 	r, err := s.lookup(id)
 	if err != nil {
@@ -688,71 +681,54 @@ func (s *Server) Resume(id int) error {
 	r.mu.Lock()
 	if r.state != StatePaused {
 		defer r.mu.Unlock()
-		return &stateError{id: id, state: r.state, want: "resume"}
+		return r.conflict("resume")
 	}
-	h, ckpt := r.handle, r.ckpt
-	r.state = StateRunning
+	ckpt := r.ckpt
 	r.mu.Unlock()
-	if h != nil {
-		if err := h.Resume(); err != nil {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return &stateError{id: id, state: r.state, want: "resume"}
-		}
-		return nil
-	}
 	eng, err := s.buildEngine(&r.req, ckpt)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.state != StatePaused {
+		// Canceled, or resumed by someone else, during the rebuild.
+		return r.conflict("resume")
+	}
 	if err != nil {
-		r.mu.Lock()
-		r.state = StateFailed
-		r.err = err.Error()
-		steps := r.steps
-		r.mu.Unlock()
-		r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: steps, Err: err.Error()}})
-		r.b.Close()
+		r.end(StateFailed, err.Error())
 		return fmt.Errorf("serve: resuming run %d: %w", id, err)
 	}
 	return s.launch(r, eng)
 }
 
 // Cancel stops a run for good; the programmatic form of
-// POST /runs/{id}/cancel. Canceling a paused run closes its event log.
+// POST /runs/{id}/cancel. A running run's job is canceled and settle ends the
+// run; a paused run has no job, and ends here.
 func (s *Server) Cancel(ctx context.Context, id int) error {
 	r, err := s.lookup(id)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
-	switch r.state {
-	case StateRunning, StatePaused:
+	defer r.mu.Unlock()
+	if r.state == StateRunning {
 		h := r.handle
-		if h == nil {
-			// A restored paused run with no live job: terminal bookkeeping
-			// happens here.
-			r.state = StateCanceled
-			r.err = "canceled"
-			steps := r.steps
-			r.mu.Unlock()
-			r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: steps, Err: "canceled"}})
-			r.b.Close()
-			return nil
-		}
 		r.mu.Unlock()
-		// Canceling the job settles it; the OnSettle callback records the
-		// outcome and closes the log before Cancel returns.
-		if err := h.Cancel(ctx); err != nil {
-			if errors.Is(err, engine.ErrJobSettled) {
-				r.mu.Lock()
-				defer r.mu.Unlock()
-				return &stateError{id: id, state: r.state, want: "cancel"}
-			}
+		// settle has recorded the outcome and closed the log when this returns.
+		err := h.Cancel(ctx)
+		r.mu.Lock()
+		if err != nil && !errors.Is(err, engine.ErrJobSettled) {
 			return err
 		}
-		return nil
-	default:
-		defer r.mu.Unlock()
-		return &stateError{id: id, state: r.state, want: "cancel"}
+		if err == nil && r.state != StatePaused {
+			return nil
+		}
+		// The job had stopped already, or stopped for a Pause in flight: a run
+		// that came out of that paused is still to be canceled.
 	}
+	if r.state != StatePaused {
+		return r.conflict("cancel")
+	}
+	r.end(StateCanceled, "canceled")
+	return nil
 }
 
 // stateError is a lifecycle conflict (HTTP 409).
@@ -763,10 +739,13 @@ type stateError struct {
 }
 
 func (e *stateError) Error() string {
-	if e.state == "unsupported" {
-		return fmt.Sprintf("serve: run %d's engine does not support checkpoints", e.id)
-	}
 	return fmt.Sprintf("serve: cannot %s run %d in state %s", e.want, e.id, e.state)
+}
+
+// conflict is the error of a lifecycle call the run's state refuses. Callers
+// hold r.mu.
+func (r *run) conflict(want string) error {
+	return &stateError{id: r.id, state: r.state, want: want}
 }
 
 // notFoundError is an unknown run ID (HTTP 404).
@@ -784,12 +763,8 @@ func (s *Server) lookup(id int) (*run, error) {
 	return r, nil
 }
 
-// Shutdown stops the server's runs: running ones are paused to a
-// checkpoint (engines without checkpoint support are canceled), and — when
-// Config.Dir is set — the checkpoints and a manifest are persisted so
-// Restore can re-host everything after a restart. HTTP listeners are the
-// caller's to close (the daemon shuts its http.Server down around this).
-func (s *Server) Shutdown(ctx context.Context) error {
+// sorted returns the registered runs ordered by ID.
+func (s *Server) sorted() []*run {
 	s.mu.Lock()
 	runs := make([]*run, 0, len(s.runs))
 	for _, r := range s.runs {
@@ -797,26 +772,28 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	sort.Slice(runs, func(i, j int) bool { return runs[i].id < runs[j].id })
+	return runs
+}
 
+// Shutdown stops the server's runs: running ones are paused to a
+// checkpoint, and — when Config.Dir is set — the checkpoints and a manifest
+// are persisted so Restore can re-host everything after a restart. HTTP
+// listeners are the caller's to close (the daemon shuts its http.Server down
+// around this).
+func (s *Server) Shutdown(ctx context.Context) error {
 	var firstErr error
-	for _, r := range runs {
+	for _, r := range s.sorted() {
 		r.mu.Lock()
-		state, hasSnap := r.state, r.snap != nil
+		running := r.state == StateRunning
 		r.mu.Unlock()
-		if state != StateRunning {
+		if !running {
 			continue
 		}
-		var err error
-		if hasSnap {
-			_, err = s.Pause(ctx, r.id)
-		} else {
-			err = s.Cancel(ctx, r.id)
-		}
-		if err != nil && firstErr == nil {
+		if _, err := s.Pause(ctx, r.id); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	// Every run is now parked or settled; stop the scheduler's serve loop.
+	// No run has a job any more; stop the scheduler's serve loop.
 	s.stopSched()
 	done := make(chan struct{})
 	// Joiner for the scheduler supervisor; WaitGroup has no context-aware wait.
@@ -856,20 +833,13 @@ type manifestEntry struct {
 
 // persist writes every paused run's checkpoint and the manifest to Dir.
 func (s *Server) persist() error {
-	s.mu.Lock()
-	runs := make([]*run, 0, len(s.runs))
-	for _, r := range s.runs {
-		runs = append(runs, r)
-	}
-	nextID := s.nextID
-	s.mu.Unlock()
-	sort.Slice(runs, func(i, j int) bool { return runs[i].id < runs[j].id })
-
 	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("serve: creating checkpoint dir: %w", err)
 	}
-	m := manifest{NextID: nextID}
-	for _, r := range runs {
+	s.mu.Lock()
+	m := manifest{NextID: s.nextID}
+	s.mu.Unlock()
+	for _, r := range s.sorted() {
 		r.mu.Lock()
 		e := manifestEntry{
 			ID:              r.id,
@@ -955,22 +925,12 @@ func (s *Server) Restore() (int, error) {
 				return restored, fmt.Errorf("serve: reading run %d checkpoint: %w", e.ID, err)
 			}
 			r.ckpt = ckpt
-			r.ckptIndex = e.CheckpointIndex
-			r.b = NewBroadcaster(s.cfg.Ring, e.CheckpointIndex)
-			if s.cfg.SpillDir != "" {
-				// The old process's spill is stale (its frames predate the
-				// checkpoint); the reborn log spills to a fresh file.
-				if err := os.MkdirAll(s.cfg.SpillDir, 0o755); err == nil {
-					r.b.EnableSpill(filepath.Join(s.cfg.SpillDir, fmt.Sprintf("run-%d.sde", e.ID)))
-				}
-			}
+			// The old process's spill is stale (its frames predate the
+			// checkpoint); the reborn log spills to a fresh file.
+			r.b = s.newLog(e.ID, e.CheckpointIndex)
 			// A fresh start frame anchors the reborn log at the resume
 			// index, so late subscribers still learn the run identity.
-			eng, err := s.buildEngine(&e.Request, nil)
-			if err != nil {
-				return restored, fmt.Errorf("serve: restoring run %d: %w", e.ID, err)
-			}
-			info := e.Request.Info(eng.Name())
+			info := e.Request.Info()
 			r.b.Append(wire.Frame{Kind: wire.KindStart, Start: &info})
 			r.ckptIndex = r.b.NextIndex()
 		case StateRunning:
@@ -978,9 +938,7 @@ func (s *Server) Restore() (int, error) {
 			continue
 		default:
 			r.b = NewBroadcaster(s.cfg.Ring, 0)
-			r.err = "terminated before daemon restart"
-			r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: e.Steps, Err: r.err}})
-			r.b.Close()
+			r.end(e.State, "terminated before daemon restart")
 		}
 		s.mu.Lock()
 		s.runs[r.id] = r

@@ -218,7 +218,7 @@ func (e *EvalCache) Accuracy(tx *dag.Transaction) float64 {
 // may be nil) and returns it; the values equal Accuracy's per transaction.
 // At every step of an accuracy walk all children of the current transaction
 // are scored together: one lookup pass under a single read lock, then one
-// batched scoring call (nn.EvaluateMany behind ScoreBatch) for the misses —
+// batched scoring call (nn.AccuracyManyInto behind ScoreBatch) for the misses —
 // serialized, with a re-check, like Accuracy — instead of per-child
 // SetParams+Evaluate round trips, into a buffer the walk reuses across steps.
 func (e *EvalCache) AccuracyManyInto(dst []float64, txs []*dag.Transaction) []float64 {

@@ -110,9 +110,10 @@ func WithCheckpoints(every int, open func(step int) (io.WriteCloser, error)) Run
 // Scheduler multiplexes many engine runs onto one shared WorkerPool: its
 // workers drive each submitted Job's run loop a quantum of units at a time
 // off one run queue, ordered by priority with aging (no starvation), with
-// pause/resume/cancel per job at unit boundaries. Results are bit-identical
-// to driving each engine directly with Run, for every worker count and
-// priority order.
+// cancel per job at a unit boundary — where the engine can be checkpointed,
+// and a later job can resume it from the checkpoint. Results are
+// bit-identical to driving each engine directly with Run, for every worker
+// count and priority order.
 type Scheduler = engine.Scheduler
 
 // SchedulerConfig parameterizes NewScheduler.
@@ -122,8 +123,7 @@ type SchedulerConfig = engine.SchedulerConfig
 // plus scheduling policy — priority, run options, and a settle callback.
 type Job = engine.Job
 
-// JobHandle controls one submitted job: state, steps, report, Wait, Pause,
-// Resume, Cancel.
+// JobHandle controls one submitted job: state, steps, report, Wait, Cancel.
 type JobHandle = engine.Handle
 
 // JobState is a job's lifecycle state (JobQueued through JobFailed).
@@ -133,7 +133,6 @@ type JobState = engine.JobState
 const (
 	JobQueued   = engine.JobQueued
 	JobRunning  = engine.JobRunning
-	JobPaused   = engine.JobPaused
 	JobDone     = engine.JobDone
 	JobCanceled = engine.JobCanceled
 	JobFailed   = engine.JobFailed
