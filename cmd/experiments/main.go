@@ -29,14 +29,7 @@ import (
 )
 
 func main() {
-	// SPECDAG_WORKERS and SPECDAG_GRID_DIR are the defaults of -workers and
-	// -grid-dir; a malformed value is a usage error like a malformed flag.
-	env, err := sim.EnvFromOS()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	if err := run(env, os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		if errors.As(err, new(usageError)) {
 			os.Exit(2)
@@ -48,21 +41,21 @@ func main() {
 // usageError is a flag value no run can honour: exit 2, like a malformed flag.
 type usageError struct{ error }
 
-func run(env sim.Env, args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
 	var (
 		exp        = fs.String("exp", "all", "comma-separated experiment ids: "+known(sim.Experiments()))
 		full       = fs.Bool("full", false, "paper-scale runs (100 rounds, full federations)")
 		seed       = fs.Int64("seed", 42, "root random seed")
-		workers    = fs.Int("workers", 0, "total worker budget shared by sweep cells and round engines (default $SPECDAG_WORKERS; 0 = NumCPU); results are identical for any value")
-		gridDir    = fs.String("grid-dir", "", "per-cell checkpoint directory for sweep grids: a crashed sweep rerun resumes its cells instead of recomputing them (default $SPECDAG_GRID_DIR; empty disables)")
+		workers    = fs.Int("workers", 0, "total worker budget shared by sweep cells and round engines (0 = NumCPU); results are identical for any value")
+		gridDir    = fs.String("grid-dir", "", "per-cell checkpoint directory for sweep grids: a crashed sweep rerun resumes its cells instead of recomputing them (empty disables)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	_ = fs.Parse(args) // ExitOnError: a malformed flag exits 2 inside Parse
 	if *workers < 0 {
-		// Dropping it would run on NumCPU: the typo'd sequential baseline
-		// sim.EnvFromOS refuses in SPECDAG_WORKERS.
+		// Dropping it would run on NumCPU: a typo'd sequential baseline must
+		// not silently become a parallel run.
 		return usageError{fmt.Errorf("-workers must not be negative, got %d", *workers)}
 	}
 
@@ -88,12 +81,7 @@ func run(env sim.Env, args []string, stdout io.Writer) error {
 		}()
 	}
 
-	if *workers > 0 {
-		env.Pool = par.NewBudget(*workers)
-	}
-	if *gridDir != "" {
-		env.GridDir = *gridDir
-	}
+	env := sim.Env{Pool: par.NewBudget(*workers), GridDir: *gridDir}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"github.com/specdag/specdag/internal/par"
-	"github.com/specdag/specdag/internal/sim"
 )
 
 func TestResolve(t *testing.T) {
@@ -53,9 +50,8 @@ func TestResolve(t *testing.T) {
 }
 
 func TestRunQuick(t *testing.T) {
-	env := sim.Env{Pool: par.NewBudget(2)}
 	var out bytes.Buffer
-	if err := run(env, []string{"-exp", "table1,fig11,fig10", "-seed", "42"}, &out); err != nil {
+	if err := run([]string{"-exp", "table1,fig11,fig10", "-seed", "42", "-workers", "2"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for want, n := range map[string]int{
@@ -72,12 +68,12 @@ func TestRunQuick(t *testing.T) {
 
 	// A typo anywhere in the list fails before the first experiment runs.
 	out.Reset()
-	if err := run(env, []string{"-exp", "table1,nope"}, &out); err == nil || out.Len() != 0 {
+	if err := run([]string{"-exp", "table1,nope"}, &out); err == nil || out.Len() != 0 {
 		t.Errorf("run with an unknown ID: err = %v after printing %q", err, out.String())
 	}
 	// So does a negative budget, as a usage error: it must not fall back to
 	// NumCPU.
-	if err := run(env, []string{"-exp", "table1", "-workers", "-1"}, &out); !errors.As(err, new(usageError)) || out.Len() != 0 {
+	if err := run([]string{"-exp", "table1", "-workers", "-1"}, &out); !errors.As(err, new(usageError)) || out.Len() != 0 {
 		t.Errorf("run with -workers -1: err = %v after printing %q, want a usage error before the first run", err, out.String())
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/graphx"
 	"github.com/specdag/specdag/internal/metrics"
+	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/profiling"
 	"github.com/specdag/specdag/internal/serve"
 	"github.com/specdag/specdag/internal/sim"
@@ -47,15 +48,9 @@ func main() {
 	err := run(os.Args[1:])
 	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "specdag:", err)
-		if errors.As(err, new(environError)) {
-			os.Exit(2)
-		}
 		os.Exit(1)
 	}
 }
-
-// environError is a malformed SPECDAG_* variable: a usage error (exit 2).
-type environError struct{ error }
 
 // plan is what the command line resolves to: the run as named (the flag set
 // is the local form of specdagd's RunRequest, so it is parsed into one), the
@@ -95,7 +90,7 @@ func parseFlags(args []string) (*plan, error) {
 	fs.Int64Var(&req.Seed, "seed", 42, "root random seed")
 	poisonFraction := fs.Float64("poison-fraction", 0, "fraction of clients with flipped labels (3<->8)")
 	poisonStart := fs.Int("poison-start", 0, "round at which poisoning begins")
-	fs.IntVar(&req.Workers, "workers", 0, "worker goroutines for the round engine (0 = NumCPU); results are identical for any value")
+	fs.IntVar(&req.Workers, "workers", 0, "size of the run's worker budget (0 = NumCPU); results are identical for any value")
 	fs.IntVar(&p.every, "progress-every", 5, "print progress every N rounds")
 	fs.StringVar(&p.dotFile, "dot", "", "write the final DAG in Graphviz format to this file")
 	fs.StringVar(&p.saveFile, "save", "", "write the final DAG as a binary snapshot (inspect with dagstat)")
@@ -140,18 +135,15 @@ func parseFlags(args []string) (*plan, error) {
 	} else if *faultScenario != "" {
 		return nil, fmt.Errorf("-fault-scenario requires -async (the schedules are defined over the simulated-time horizon)")
 	}
-	// SPECDAG_WORKERS sizes the run's budget and is -workers' default: only
-	// the explicit flag overrides it. Negative values flow through to config
-	// validation, which rejects them with a clear error.
-	env, err := sim.EnvFromOS()
-	if err != nil {
-		return nil, environError{err}
-	}
+	// -workers sizes the run's one budget (0 = NumCPU). A negative value
+	// flows through to config validation, which rejects it with a clear error.
+	pool := par.NewBudget(req.Workers)
 	if req.Workers == 0 {
-		req.Workers = env.Pool.Size()
+		req.Workers = pool.Size()
 	}
 
-	p.spec, p.cfg, p.acfg, err = req.Configs(env.Pool)
+	var err error
+	p.spec, p.cfg, p.acfg, err = req.Configs(pool)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -112,9 +110,16 @@ func TestParseFlags(t *testing.T) {
 				t.Errorf("poison %+v, want %+v", got, want)
 			}
 		}},
+		{"workers", "-workers 3", func(t *testing.T, p *plan) {
+			// The flag sizes the run's one budget, not a cap inside a
+			// NumCPU-sized one.
+			if cfg := syncOf(t, p); cfg.Pool.Size() != 3 || cfg.Workers != 3 {
+				t.Errorf("-workers 3: a %d-slot budget with Workers %d", cfg.Pool.Size(), cfg.Workers)
+			}
+		}},
 		{"async", "-async -duration 30 -min-cycle 2 -max-cycle 5 -net-delay 0 -workers 3", func(t *testing.T, p *plan) {
 			a := asyncOf(t, p)
-			if a.Duration != 30 || a.MinCycle != 2 || a.MaxCycle != 5 || a.NetworkDelay != 0 || a.Workers != 3 || a.Faults.Enabled() {
+			if a.Duration != 30 || a.MinCycle != 2 || a.MaxCycle != 5 || a.NetworkDelay != 0 || a.Workers != 3 || a.Pool.Size() != 3 || a.Faults.Enabled() {
 				t.Errorf("async config: %+v", a)
 			}
 		}},
@@ -167,28 +172,6 @@ func TestParseFlagsRejections(t *testing.T) {
 		if _, err := parseFlags(fields(args)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("specdag %s: %v, want an error mentioning %q", args, err, want)
 		}
-	}
-	// The environment is input too: a malformed variable is a usage error
-	// naming it, not a panic (cmd/experiments reads it through the same
-	// sim.EnvFromOS).
-	for _, bad := range []string{"abc", "-1", "2.5"} {
-		t.Setenv("SPECDAG_WORKERS", bad)
-		_, err := parseFlags(nil)
-		if !errors.As(err, new(environError)) || !strings.Contains(err.Error(), "SPECDAG_WORKERS="+strconv.Quote(bad)) {
-			t.Errorf("SPECDAG_WORKERS=%s specdag: %v, want a usage error naming the variable and the value", bad, err)
-		}
-	}
-}
-
-// TestWorkersDefaultFromEnvironment: SPECDAG_WORKERS sizes the budget and is
-// the default of -workers; the explicit flag wins.
-func TestWorkersDefaultFromEnvironment(t *testing.T) {
-	t.Setenv("SPECDAG_WORKERS", "3")
-	if p, err := parseFlags(nil); err != nil || p.cfg.Workers != 3 || p.cfg.Pool.Size() != 3 {
-		t.Errorf("SPECDAG_WORKERS=3 specdag: %v, want a three-slot budget", err)
-	}
-	if p, err := parseFlags(fields("-workers 2")); err != nil || p.cfg.Workers != 2 {
-		t.Errorf("SPECDAG_WORKERS=3 specdag -workers 2: %v, want the flag to win", err)
 	}
 }
 

@@ -255,12 +255,3 @@ func L2Dist(a, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// L2Norm returns the Euclidean norm of x.
-func L2Norm(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}

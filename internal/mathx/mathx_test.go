@@ -193,9 +193,6 @@ func TestL2(t *testing.T) {
 	if got := L2Dist([]float64{0, 0}, []float64{3, 4}); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("L2Dist = %v, want 5", got)
 	}
-	if got := L2Norm([]float64{3, 4}); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("L2Norm = %v, want 5", got)
-	}
 }
 
 func TestCloneVecIndependent(t *testing.T) {

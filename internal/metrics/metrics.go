@@ -192,7 +192,7 @@ func (b BoxStats) String() string {
 }
 
 // Series is a per-round record of named metric columns, used to regenerate
-// the paper's figures as printable tables and CSV.
+// the paper's figures as printable tables.
 type Series struct {
 	Name string
 	Cols []string
@@ -248,20 +248,6 @@ func (s *Series) Table() string {
 			parts[i] = formatCell(v)
 		}
 		b.WriteString("| " + strings.Join(parts, " | ") + " |\n")
-	}
-	return b.String()
-}
-
-// CSV renders the series as comma-separated values with a header row.
-func (s *Series) CSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(s.Cols, ",") + "\n")
-	for _, row := range s.Rows {
-		parts := make([]string, len(row))
-		for i, v := range row {
-			parts[i] = formatCell(v)
-		}
-		b.WriteString(strings.Join(parts, ",") + "\n")
 	}
 	return b.String()
 }

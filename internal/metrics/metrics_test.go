@@ -172,10 +172,6 @@ func TestSeries(t *testing.T) {
 			t.Fatalf("Table missing %q:\n%s", want, tbl)
 		}
 	}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "round,acc\n0,0.5000\n") {
-		t.Fatalf("CSV = %q", csv)
-	}
 }
 
 func TestSeriesPanics(t *testing.T) {

@@ -148,14 +148,6 @@ func (b *Broadcaster) EnableSpill(path string) error {
 	return nil
 }
 
-// SpillPath returns the spill file's path, empty when spilling never
-// started. The file remains readable after Close.
-func (b *Broadcaster) SpillPath() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.spillPath
-}
-
 // ReplayGap streams the spilled frames in [from, to) to emit, in order. It
 // reports false when the range cannot be served from disk — spilling never
 // started, failed, or began after `from` — in which case the caller falls

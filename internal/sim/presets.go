@@ -17,14 +17,12 @@
 //
 // The package keeps no process state: the worker budget and the grid
 // checkpoint directory arrive as an Env value, so sweeps with different Envs
-// can run side by side, and the environment variables that fill one are read
-// by the entry points that honour them (EnvFromOS), not at import.
+// can run side by side. The commands fill one from their flags; nothing here
+// reads the process environment.
 package sim
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/dataset"
@@ -58,22 +56,6 @@ func (e Env) withPool() Env {
 		e.Pool = par.NewBudget(0)
 	}
 	return e
-}
-
-// EnvFromOS reads the Env the process environment asks for: SPECDAG_WORKERS
-// sizes the budget (0 or unset = NumCPU), SPECDAG_GRID_DIR is GridDir. Only
-// the entry points that honour the variables call it (cmd/experiments,
-// cmd/specdag), and a malformed value is their usage error: falling back to
-// full parallelism would turn a typo'd sequential baseline into a parallel run.
-func EnvFromOS() (Env, error) {
-	n := 0
-	if v := os.Getenv("SPECDAG_WORKERS"); v != "" {
-		var err error
-		if n, err = strconv.Atoi(v); err != nil || n < 0 {
-			return Env{}, fmt.Errorf("invalid SPECDAG_WORKERS=%q (want a non-negative integer)", v)
-		}
-	}
-	return Env{Pool: par.NewBudget(n), GridDir: os.Getenv("SPECDAG_GRID_DIR")}, nil
 }
 
 // Preset selects the experiment scale.

@@ -105,9 +105,6 @@ func (r *RNG) IntRange(lo, hi int) int {
 	return lo + r.src.Intn(hi-lo+1)
 }
 
-// Choice returns a uniformly random index in [0, n).
-func (r *RNG) Choice(n int) int { return r.src.Intn(n) }
-
 // WeightedChoice returns an index sampled proportionally to weights.
 // Non-positive weights are treated as zero. If all weights are zero (or the
 // slice is empty after filtering) it falls back to a uniform choice.

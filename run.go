@@ -1,8 +1,7 @@
 package specdag
 
 // The unified streaming run API: one cancelable, observable, resumable
-// engine loop behind every experiment. See the package documentation in
-// specdag.go for the quickstart.
+// engine loop behind every experiment.
 
 import (
 	"context"
@@ -20,14 +19,10 @@ import (
 //   - *Simulation (NewSimulation): the synchronous Specializing DAG
 //   - *AsyncSimulation (NewAsyncSimulation): the event-driven DAG
 //   - *Federated (NewFederated): FedAvg / FedProx
-//   - *Gossip (NewGossip): gossip learning
 //
 // Any type with the same Step/Name methods plugs into Run, so downstream
 // code can drive custom engines with the same machinery.
 type Engine = engine.Engine
-
-// StepResult is what an Engine reports for one completed unit of work.
-type StepResult = engine.StepResult
 
 // RoundEvent reports one completed round (or, for the asynchronous engine,
 // one client activation).
@@ -43,11 +38,6 @@ type ProbeEvent = engine.ProbeEvent
 // Hooks run synchronously on Run's goroutine in strict unit order,
 // regardless of the engine's internal worker count.
 type Hooks = engine.Hooks
-
-// Snapshotter is implemented by engines whose full state can be
-// checkpointed mid-run and resumed bit-identically (*Simulation and
-// *AsyncSimulation).
-type Snapshotter = engine.Snapshotter
 
 // RunOption configures Run.
 type RunOption = engine.Option
@@ -73,12 +63,6 @@ func NewWorkerPool(size int) *WorkerPool { return par.NewBudget(size) }
 // deadline) takes effect at round/event granularity: Run returns ctx.Err()
 // and the engine retains the partial results of the units completed so far
 // (read them from the engine, e.g. sim.Results() or fedEngine.Result()).
-//
-//	sim, err := specdag.NewSimulation(fed, cfg)
-//	...
-//	rep, err := specdag.Run(ctx, sim, specdag.WithHooks(specdag.Hooks{
-//		OnRound: func(ev specdag.RoundEvent) { fmt.Println(ev.Round, ev.MeanAcc) },
-//	}))
 func Run(ctx context.Context, e Engine, opts ...RunOption) (*RunReport, error) {
 	return engine.Run(ctx, e, opts...)
 }
@@ -89,18 +73,15 @@ func WithHooks(h Hooks) RunOption { return engine.WithHooks(h) }
 
 // WithProbe evaluates fn after every `every` completed units and delivers
 // the value as a ProbeEvent — mid-run metric probes without stopping the
-// run, e.g. watching specialization emerge:
-//
-//	specdag.WithProbe("pureness", 10, func() float64 {
-//		return specdag.ApprovalPureness(sim.DAG(), fed.ClusterOf())
-//	})
+// run, e.g. watching specialization emerge (Example_quickstart).
 func WithProbe(name string, every int, fn func() float64) RunOption {
 	return engine.WithProbe(name, every, fn)
 }
 
 // WithCheckpoints writes a full-state checkpoint every `every` completed
 // units; open receives the step count and returns the destination, which
-// Run closes after writing. The engine must implement Snapshotter.
+// Run closes after writing. The engine must be a *Simulation or an
+// *AsyncSimulation.
 func WithCheckpoints(every int, open func(step int) (io.WriteCloser, error)) RunOption {
 	return engine.WithCheckpoints(every, open)
 }
@@ -123,31 +104,6 @@ type SchedulerConfig = engine.SchedulerConfig
 // plus scheduling policy — priority, run options, and a settle callback.
 type Job = engine.Job
 
-// JobHandle controls one submitted job: state, steps, report, Wait, Cancel.
-type JobHandle = engine.Handle
-
-// JobState is a job's lifecycle state (JobQueued through JobFailed).
-type JobState = engine.JobState
-
-// Job lifecycle states.
-const (
-	JobQueued   = engine.JobQueued
-	JobRunning  = engine.JobRunning
-	JobDone     = engine.JobDone
-	JobCanceled = engine.JobCanceled
-	JobFailed   = engine.JobFailed
-)
-
-// SchedulerStats counts scheduler activity (dispatches, steals, settles).
-type SchedulerStats = engine.Stats
-
-// Scheduler sentinel errors.
-var (
-	ErrJobCanceled   = engine.ErrJobCanceled
-	ErrJobSettled    = engine.ErrJobSettled
-	ErrSchedulerBusy = engine.ErrSchedulerBusy
-)
-
 // NewScheduler creates a scheduler drawing from cfg.Pool (nil selects a
 // fresh NumCPU-sized pool).
 func NewScheduler(cfg SchedulerConfig) *Scheduler { return engine.NewScheduler(cfg) }
@@ -156,10 +112,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler { return engine.NewScheduler(c
 
 // AsyncSimulation is the event-driven Specializing DAG engine.
 type AsyncSimulation = core.AsyncSimulation
-
-// AsyncEvent describes one processed client activation — the Detail payload
-// of the asynchronous engine's RoundEvents.
-type AsyncEvent = core.AsyncEvent
 
 // NewAsyncSimulation prepares the event-driven simulation as an Engine for
 // Run. Cancellation applies per client activation; Result reports partial
@@ -175,17 +127,6 @@ type Federated = fl.Federated
 // Engine for Run.
 func NewFederated(fed *Federation, cfg FedConfig) (*Federated, error) {
 	return fl.NewFederated(fed, cfg)
-}
-
-// GossipConfig parameterizes the gossip-learning baseline.
-type GossipConfig = fl.GossipConfig
-
-// Gossip is the gossip-learning engine.
-type Gossip = fl.Gossip
-
-// NewGossip prepares a gossip-learning run as an Engine for Run.
-func NewGossip(fed *Federation, cfg GossipConfig) (*Gossip, error) {
-	return fl.NewGossip(fed, cfg)
 }
 
 // ResumeSimulation reconstructs a Specializing DAG simulation from a
@@ -207,23 +148,3 @@ func ResumeSimulation(fed *Federation, cfg Config, r io.Reader) (*Simulation, er
 func ResumeAsyncSimulation(fed *Federation, cfg AsyncConfig, r io.Reader) (*AsyncSimulation, error) {
 	return core.ResumeAsyncSimulation(fed, cfg, r)
 }
-
-// InspectCheckpoint summarizes a checkpoint of either kind — synchronous
-// (SDC1) or asynchronous (SDA1) — and returns the embedded tangle without
-// reconstructing the simulation.
-func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *DAG, error) {
-	return core.InspectCheckpoint(r)
-}
-
-// CheckpointInfo summarizes a simulation checkpoint.
-type CheckpointInfo = core.CheckpointInfo
-
-// compile-time guarantees that every engine satisfies the run API.
-var (
-	_ Engine      = (*Simulation)(nil)
-	_ Snapshotter = (*Simulation)(nil)
-	_ Engine      = (*AsyncSimulation)(nil)
-	_ Snapshotter = (*AsyncSimulation)(nil)
-	_ Engine      = (*Federated)(nil)
-	_ Engine      = (*Gossip)(nil)
-)

@@ -1,13 +1,12 @@
 package specdag
 
 // The serving surface: a network daemon API for hosting runs and streaming
-// their live event logs to many subscribers (internal/serve), plus the SDE1
-// event-stream codec those logs travel in (internal/wire). See the
-// "Serving" section of the package documentation in specdag.go.
+// their live event logs to many subscribers (internal/serve), in the SDE1
+// event-stream codec (internal/wire). Example_liveView runs the whole stack
+// in-process.
 
 import (
 	"context"
-	"io"
 
 	"github.com/specdag/specdag/internal/serve"
 	"github.com/specdag/specdag/internal/wire"
@@ -30,8 +29,7 @@ type ServeConfig = serve.Config
 //	GET  /runs/{id}/checkpoint   latest checkpoint blob (SDC1/SDA1)
 //	GET  /runs/{id}/events?from=N   SDE1 event stream from index N
 //
-// cmd/specdagd wraps a Server in a standalone daemon; examples/liveview
-// runs one in-process.
+// cmd/specdagd wraps a Server in a standalone daemon.
 type Server = serve.Server
 
 // NewServer creates a serving Server (mount its Handler on any
@@ -50,69 +48,19 @@ type SubscribeOptions = serve.SubscribeOptions
 
 // Subscribe follows a hosted run's event stream and replays it into Hooks,
 // reconnecting and resuming from the last delivered index when the
-// connection drops — a remote observer sees exactly what a local
-// engine.Hooks observer would, field for field.
+// connection drops — a remote observer sees exactly what a local Hooks
+// observer would, field for field.
 func Subscribe(ctx context.Context, baseURL string, id int, opt SubscribeOptions) (*EventEnd, error) {
 	return serve.Subscribe(ctx, baseURL, id, opt)
 }
-
-// Backoff is the capped exponential backoff with deterministic jitter that
-// Subscribe sleeps between reconnect attempts (SubscribeOptions.Backoff);
-// the zero value selects the documented defaults.
-type Backoff = serve.Backoff
-
-// Broadcaster fans one run's event stream out to any number of subscribers
-// through a bounded ring: the appending side never blocks on a slow
-// subscriber (drop-or-snapshot semantics; see the internal/serve package
-// documentation).
-type Broadcaster = serve.Broadcaster
-
-// NewBroadcaster creates a standalone broadcaster (capacity <= 0 selects
-// the default ring size) whose event log starts at the given index.
-func NewBroadcaster(capacity int, start uint64) *Broadcaster {
-	return serve.NewBroadcaster(capacity, start)
-}
-
-// GapError reports that a subscriber fell behind its broadcaster's ring and
-// names exactly which index range it missed.
-type GapError = serve.GapError
-
-// ---- SDE1 event-stream codec (internal/wire) ----
 
 // EventFrame is one frame of an SDE1 event stream: an index, a kind, and
 // exactly one payload (a run event or a lifecycle record).
 type EventFrame = wire.Frame
 
-// EventKind discriminates an EventFrame's payload.
-type EventKind = wire.Kind
-
-// Event-frame kinds.
-const (
-	EventKindStart      = wire.KindStart
-	EventKindRound      = wire.KindRound
-	EventKindPublish    = wire.KindPublish
-	EventKindProbe      = wire.KindProbe
-	EventKindCheckpoint = wire.KindCheckpoint
-	EventKindGap        = wire.KindGap
-	EventKindEnd        = wire.KindEnd
-)
-
-// EventRunInfo identifies the run at the head of an event stream.
-type EventRunInfo = wire.RunInfo
+// EventKindGap is the kind of the frame that tells a subscriber which index
+// range it missed (EventFrame.Gap) after falling more than a ring behind.
+const EventKindGap = wire.KindGap
 
 // EventEnd is the final frame's payload: how the run ended.
 type EventEnd = wire.End
-
-// EventLog writes an SDE1 event-log file from engine hooks (cmd/specdag
-// -events uses one to record a run while it executes).
-type EventLog = wire.EventLog
-
-// NewEventLog starts an SDE1 event log on w, beginning at the given index
-// with a start frame identifying the run.
-func NewEventLog(w io.Writer, start uint64, info EventRunInfo) (*EventLog, error) {
-	return wire.NewEventLog(w, start, info)
-}
-
-// ReadEventLog decodes a complete SDE1 stream (e.g. a file written by
-// EventLog or a saved events download).
-func ReadEventLog(r io.Reader) ([]EventFrame, error) { return wire.ReadAll(r) }

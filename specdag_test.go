@@ -78,41 +78,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPublicDAGAndWeights(t *testing.T) {
-	model := specdag.NewModel(specdag.Arch{In: 4, Out: 2}, 1)
-	d := specdag.NewDAG(model.ParamsCopy())
-	if d.Size() != 1 {
-		t.Fatal("genesis missing")
-	}
-	w := specdag.WalkWeights([]float64{0.9, 0.5}, 10, specdag.NormStandard)
-	if w[0] != 1 {
-		t.Fatal("best-child weight must be 1")
-	}
-	avg := specdag.AverageParams([]float64{0, 2}, []float64{2, 0})
-	if avg[0] != 1 || avg[1] != 1 {
-		t.Fatal("AverageParams broken")
-	}
-	if n := specdag.NumCommunities(map[int]int{1: 0, 2: 1}); n != 2 {
-		t.Fatal("NumCommunities broken")
-	}
-	if s := specdag.NewBoxStats([]float64{1, 2, 3}); s.Median != 2 {
-		t.Fatal("NewBoxStats broken")
-	}
-}
-
-func TestPublicDatasets(t *testing.T) {
-	feds := []*specdag.Federation{
-		specdag.Poets(specdag.PoetsConfig{ClientsPerLanguage: 2, CharsPerClient: 150, Seed: 1}),
-		specdag.CIFAR100PAM(specdag.CIFARConfig{Clients: 4, TrainPerClient: 30, TestPerClient: 10, Seed: 2}),
-		specdag.FedProxSynthetic(specdag.FedProxConfig{Clients: 4, MaxSamples: 120, Seed: 3}),
-	}
-	for _, fed := range feds {
-		if err := fed.Validate(); err != nil {
-			t.Errorf("%s: %v", fed.Name, err)
-		}
-	}
-}
-
 // TestRunCancelCheckpointResumeByteIdentical is the acceptance test of the
 // unified run API, exercised end to end through the public surface: a run
 // started via specdag.Run, canceled partway via its context, checkpointed,
@@ -181,14 +146,14 @@ func TestRunCancelCheckpointResumeByteIdentical(t *testing.T) {
 	}
 
 	// Byte-identical history: identical gob serializations.
-	encode := func(rs []specdag.RoundResult) []byte {
+	history := func(s *specdag.Simulation) []byte {
 		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rs); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(s.Results()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
-	if !bytes.Equal(encode(ref.Results()), encode(resumed.Results())) {
+	if !bytes.Equal(history(ref), history(resumed)) {
 		t.Fatal("RoundResult histories are not byte-identical")
 	}
 
