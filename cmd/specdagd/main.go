@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/specdag/specdag/internal/mathx"
 	"github.com/specdag/specdag/internal/serve"
 )
 
@@ -113,7 +114,7 @@ func run(ctx context.Context, ln net.Listener, cfg serve.Config, grace time.Dura
 	// The listener's accept loop; joined via errc before run returns.
 	//speclint:allow budget http.Server owns its goroutines; this one hands Serve's exit back to run
 	go func() { errc <- httpSrv.Serve(ln) }()
-	log.Printf("specdagd listening on %s (workers=%d)", ln.Addr(), cfg.Workers)
+	log.Print(startupLine(ln.Addr(), cfg.Workers))
 
 	select {
 	case <-ctx.Done():
@@ -143,4 +144,11 @@ func run(ctx context.Context, ln net.Listener, cfg serve.Config, grace time.Dura
 		log.Printf("state persisted to %s", dir)
 	}
 	return nil
+}
+
+// startupLine is the daemon's first log line. It names the kernels the
+// process runs because timings from a host without AVX2 are timings of a
+// different program (results are the same bits either way).
+func startupLine(addr net.Addr, workers int) string {
+	return fmt.Sprintf("specdagd listening on %s (workers=%d, kernels=%s)", addr, workers, mathx.Backend())
 }

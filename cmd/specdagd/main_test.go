@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/specdag/specdag/internal/mathx"
 	"github.com/specdag/specdag/internal/serve"
 )
 
@@ -142,4 +143,18 @@ func TestRunPersistsAndRestores(t *testing.T) {
 		t.Errorf("restored run: %+v, want it paused with its checkpoint", st)
 	}
 	second.status(t, "POST", "/runs/1/cancel", "")
+}
+
+// TestStartupLine pins the format operators and log scrapers read: address,
+// budget, and which kernels the process runs.
+func TestStartupLine(t *testing.T) {
+	addr := &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 8080}
+	got := startupLine(addr, 2)
+	want := "specdagd listening on 127.0.0.1:8080 (workers=2, kernels=" + mathx.Backend() + ")"
+	if got != want {
+		t.Errorf("startup line %q, want %q", got, want)
+	}
+	if b := mathx.Backend(); b != "avx2" && b != "generic" {
+		t.Errorf("mathx.Backend() = %q, want avx2 or generic", b)
+	}
 }

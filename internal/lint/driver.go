@@ -25,6 +25,7 @@ type unitConfig struct {
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
+	NonGoFiles                []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
 	VetxOnly                  bool
@@ -100,7 +101,7 @@ func RunUnitFile(cfgFile string, analyzers []*Analyzer, w io.Writer) int {
 		return 1
 	}
 
-	diags, err := Check(fset, files, pkg, info, analyzers)
+	diags, err := Check(fset, files, cfg.NonGoFiles, pkg, info, analyzers)
 	if err != nil {
 		fmt.Fprintf(w, "%v\n", err)
 		return 1

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"regexp"
 	"strings"
 )
 
@@ -13,12 +15,15 @@ import (
 // and releases. math.FMA contracts a multiply-add into one rounding step and
 // float32 arithmetic rounds to a different lattice entirely — either one in
 // a default-backend kernel silently changes every golden metric. The
-// deliberate-numerics fast tier planned by the roadmap relaxes this under a
-// fastmath build tag, which this analyzer exempts.
+// package's assembly is held to the same rule where it is easiest to break:
+// fused multiply-add mnemonics and single-precision arithmetic in a .s file
+// are findings too. The deliberate-numerics fast tier planned by the roadmap
+// relaxes this under a fastmath build tag, which this analyzer exempts.
 var KernelOrder = &Analyzer{
 	Name: "kernelorder",
 	Doc: "forbid math.FMA and float32 arithmetic in the default mathx backend, " +
-		"whose accumulation order is documented API; relaxed kernels belong behind " +
+		"in Go and (fused or single-precision instructions) in its assembly: the " +
+		"accumulation order is documented API; relaxed kernels belong behind " +
 		"the fastmath build tag",
 	Run: runKernelOrder,
 }
@@ -65,7 +70,55 @@ func runKernelOrder(pass *Pass) error {
 			return true
 		})
 	}
+	for _, name := range pass.OtherFiles {
+		if !strings.HasSuffix(name, ".s") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		checkKernelAsm(pass, name, src)
+	}
 	return nil
+}
+
+// Mnemonics the default backend's assembly may not contain. The fused forms
+// round a·b+c once where the contract rounds twice; the single-precision
+// forms (and the narrowing conversion that feeds them) leave float64.
+var (
+	asmFused  = regexp.MustCompile(`^VFN?M(ADD|SUB)`)
+	asmNarrow = regexp.MustCompile(`^(V?(ADD|SUB|MUL|DIV)[PS]S|V?CVT[PS]D2[PS]S[XY]?)$`)
+	asmIdent  = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+)
+
+// checkKernelAsm reports every forbidden mnemonic of one assembly source. It
+// looks at each identifier outside comments rather than at statement heads,
+// so a mnemonic inside a macro body or after a label is seen as well. Assembly
+// takes no //speclint:allow: there is no audited exception to an instruction.
+func checkKernelAsm(pass *Pass, name string, src []byte) {
+	// Registered with the file set, the source's lines have positions, so its
+	// findings print and sort like findings in Go.
+	file := pass.Fset.AddFile(name, -1, len(src))
+	file.SetLinesForContent(src)
+	for i, text := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(text, "//go:build") && strings.Contains(text, "fastmath") {
+			return
+		}
+		if c := strings.Index(text, "//"); c >= 0 {
+			text = text[:c]
+		}
+		for _, id := range asmIdent.FindAllString(text, -1) {
+			switch id = strings.ToUpper(id); {
+			case asmFused.MatchString(id):
+				pass.Reportf(file.LineStart(i+1),
+					"%s in the default mathx backend's assembly: a fused multiply-add rounds once where the documented order rounds the product first; use VMULPD then VADDPD", id)
+			case asmNarrow.MatchString(id):
+				pass.Reportf(file.LineStart(i+1),
+					"%s in the default mathx backend's assembly: single-precision arithmetic; kernels accumulate in float64 as documented API", id)
+			}
+		}
+	}
 }
 
 func isFloat32(t types.Type) bool {

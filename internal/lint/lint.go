@@ -12,7 +12,8 @@
 //	detrand     — no ambient randomness or wall clock in deterministic packages
 //	maporder    — no order-sensitive iteration over maps in deterministic packages
 //	budget      — no naked go statements outside internal/par
-//	kernelorder — no math.FMA or float32 arithmetic in the default mathx backend
+//	kernelorder — no math.FMA or float32 arithmetic in the default mathx backend,
+//	              Go or assembly
 //
 // The suite runs as a vettool (cmd/speclint) under "go vet -vettool=", using
 // a small local reimplementation of the golang.org/x/tools/go/analysis
@@ -68,6 +69,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// OtherFiles are the paths of the package's non-Go sources (assembly).
+	OtherFiles []string
 
 	report func(Diagnostic)
 }
@@ -213,11 +216,12 @@ func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]bool) []
 	return out
 }
 
-// Check runs every analyzer over one type-checked package, applies the
+// Check runs every analyzer over one type-checked package (otherFiles are
+// its non-Go sources, which kernelorder reads), applies the
 // //speclint:allow directives, audits them, and returns the surviving
 // diagnostics sorted by position. It is the single entry point shared by
 // the vettool driver and the analysistest-style harness.
-func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+func Check(fset *token.FileSet, files []*ast.File, otherFiles []string, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -243,11 +247,12 @@ func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *typ
 	var kept []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
+			Analyzer:   a,
+			Fset:       fset,
+			Files:      files,
+			Pkg:        pkg,
+			TypesInfo:  info,
+			OtherFiles: otherFiles,
 			report: func(diag Diagnostic) {
 				posn := fset.Position(diag.Pos)
 				if m := byLine[posn.Filename]; m != nil {

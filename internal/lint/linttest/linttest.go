@@ -58,18 +58,19 @@ func Run(t *testing.T, dir string, a *lint.Analyzer, pkgPaths ...string) {
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
-		diags, err := lint.Check(l.fset, p.files, p.pkg, p.info, []*lint.Analyzer{a})
+		diags, err := lint.Check(l.fset, p.files, p.otherFiles, p.pkg, p.info, []*lint.Analyzer{a})
 		if err != nil {
 			t.Fatalf("checking fixture %s: %v", path, err)
 		}
-		checkExpectations(t, l.fset, p.files, diags)
+		checkExpectations(t, l.fset, p.files, p.otherFiles, diags)
 	}
 }
 
 type loadedPkg struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
+	pkg        *types.Package
+	files      []*ast.File
+	otherFiles []string // assembly sources, as go vet's NonGoFiles lists them
+	info       *types.Info
 }
 
 type loader struct {
@@ -93,7 +94,11 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 		return nil, err
 	}
 	var files []*ast.File
+	var otherFiles []string
 	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".s") {
+			otherFiles = append(otherFiles, filepath.Join(dir, e.Name()))
+		}
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
@@ -121,7 +126,7 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &loadedPkg{pkg: pkg, files: files, info: info}
+	p := &loadedPkg{pkg: pkg, files: files, otherFiles: otherFiles, info: info}
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -189,31 +194,46 @@ type expectation struct {
 
 var wantRe = regexp.MustCompile(`//\s*want\s+(.*)$`)
 
-func collectExpectations(t *testing.T, fset *token.FileSet, files []*ast.File) []*expectation {
+func collectExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, otherFiles []string) []*expectation {
 	t.Helper()
 	var out []*expectation
+	// want parses one comment's markers, if it has any.
+	want := func(text, file string, line int) {
+		m := wantRe.FindStringSubmatch(text)
+		if m == nil {
+			return
+		}
+		for _, lit := range splitLiterals(m[1]) {
+			pattern, err := strconv.Unquote(lit)
+			if err != nil {
+				t.Errorf("%s:%d: bad want literal %s: %v", file, line, lit, err)
+				continue
+			}
+			re, err := regexp.Compile(pattern)
+			if err != nil {
+				t.Errorf("%s:%d: bad want regexp %q: %v", file, line, pattern, err)
+				continue
+			}
+			out = append(out, &expectation{file: file, line: line, re: re, text: pattern})
+		}
+	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				m := wantRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
 				posn := fset.Position(c.Pos())
-				for _, lit := range splitLiterals(m[1]) {
-					pattern, err := strconv.Unquote(lit)
-					if err != nil {
-						t.Errorf("%s: bad want literal %s: %v", posn, lit, err)
-						continue
-					}
-					re, err := regexp.Compile(pattern)
-					if err != nil {
-						t.Errorf("%s: bad want regexp %q: %v", posn, pattern, err)
-						continue
-					}
-					out = append(out, &expectation{file: posn.Filename, line: posn.Line, re: re, text: pattern})
-				}
+				want(c.Text, posn.Filename, posn.Line)
 			}
+		}
+	}
+	// Assembly has no AST: its markers are read off the lines.
+	for _, name := range otherFiles {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Errorf("reading fixture: %v", err)
+			continue
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			want(line, name, i+1)
 		}
 	}
 	return out
@@ -252,9 +272,9 @@ func splitLiterals(s string) []string {
 	}
 }
 
-func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lint.Diagnostic) {
+func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, otherFiles []string, diags []lint.Diagnostic) {
 	t.Helper()
-	wants := collectExpectations(t, fset, files)
+	wants := collectExpectations(t, fset, files, otherFiles)
 	for _, d := range diags {
 		posn := fset.Position(d.Pos)
 		matched := false

@@ -19,6 +19,23 @@ import "fmt"
 // gate (sim.TestExperimentsGolden) all rest on. Any change to these loop orders
 // is a numerics change, even if it is algebraically neutral.
 //
+// On amd64 with AVX2, AffineRows, AccumGrads and BackpropReLUDelta run
+// assembly bodies (kernels_amd64.s) under the same contract, and the loops in
+// this file are the portable path and the oracle those bodies are diffed
+// against (kernels_amd64_test.go, and nn's differential suite once per path).
+// Vector lanes are independent output elements — four outputs of one sample,
+// or four weight columns of one output — never four terms of one sum; each
+// lane is still one accumulator taking its products in ascending index order;
+// multiply and add stay separate instructions, each rounding on its own (no
+// fused multiply-add: speclint's kernelorder reads the assembly for one); the
+// bias is added after the sum and exact-zero deltas are skipped where they
+// are skipped here. Every output word is therefore the same on both paths,
+// and which one a process runs (Backend) is a matter of speed only. What is
+// not promised, on either path: which NaN comes out. A NaN result is a NaN on
+// both, but its sign and payload bits follow the hardware's operand-order
+// rules, which differ between scalar and vector code; nothing downstream
+// reads them.
+//
 // One kernel is skipped rather than reordered. A scorer that wants only the
 // predicted class (nn's Accuracy family, which is every evaluation inside a
 // tip-selection walk) stops at the logits and asks ArgMaxSoftmax (mathx.go),
@@ -59,6 +76,10 @@ func affineRows(x Matrix, w, b []float64, out Matrix, relu bool) {
 	}
 	if out.Rows != x.Rows || out.Cols != outDim {
 		panic(fmt.Sprintf("mathx: AffineRows out %dx%d, want %dx%d", out.Rows, out.Cols, x.Rows, outDim))
+	}
+	if useAVX2 {
+		affineRowsAVX2(x, w, b, out, relu)
+		return
 	}
 	r := 0
 	// Eight samples per weight-row sweep: each output element keeps its own
@@ -221,6 +242,10 @@ func AccumGrads(delta, act Matrix, wg, bg []float64) {
 	if len(wg) != in*outDim || len(bg) != outDim {
 		panic(fmt.Sprintf("mathx: AccumGrads wg %d, bg %d, want %dx%d and %d", len(wg), len(bg), outDim, in, outDim))
 	}
+	if useAVX2 && in > 0 && delta.Rows > 0 {
+		accumGradsAVX2(delta, act, wg, bg)
+		return
+	}
 	rows := delta.Rows
 	dd := delta.Data
 	for o := 0; o < outDim; o++ {
@@ -294,6 +319,10 @@ func BackpropReLUDelta(delta Matrix, w []float64, act, prev Matrix) {
 	if act.Rows != delta.Rows || prev.Rows != delta.Rows || act.Cols != in {
 		panic(fmt.Sprintf("mathx: BackpropReLUDelta delta %dx%d, act %dx%d, prev %dx%d",
 			delta.Rows, delta.Cols, act.Rows, act.Cols, prev.Rows, prev.Cols))
+	}
+	if useAVX2 && in > 0 && outDim > 0 {
+		backpropReLUDeltaAVX2(delta, w, act, prev)
+		return
 	}
 	for r := 0; r < delta.Rows; r++ {
 		pr := prev.Row(r)[:in]

@@ -1,0 +1,12 @@
+//go:build !amd64
+
+package mathx
+
+// No assembly off amd64: the Go kernels of kernels.go are the only path, and
+// the dispatch branches on this constant fold away.
+const useAVX2 = false
+
+func affineRowsAVX2(x Matrix, w, b []float64, out Matrix, relu bool) {}
+func accumGradsAVX2(delta, act Matrix, wg, bg []float64)             {}
+func backpropReLUDeltaAVX2(delta Matrix, w []float64, act, prev Matrix) {
+}

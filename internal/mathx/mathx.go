@@ -255,3 +255,14 @@ func L2Dist(a, b []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
+
+// Backend names the kernels this process runs: "avx2" where the assembly
+// bodies of AffineRows, AccumGrads and BackpropReLUDelta were selected at
+// start-up, "generic" for the Go loops. The two produce the same bits
+// (kernels.go); the name is for whoever reads timings.
+func Backend() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "generic"
+}
