@@ -1,8 +1,8 @@
 // Command dagstat inspects Specializing DAG artifacts: plain tangle
 // snapshots (cmd/specdag -save, format SDG1), full simulation checkpoints
-// of both engine kinds — synchronous rounds (format SDC1) and the
-// event-driven engine (format SDA1), the resumable state behind
-// specdag.Run — and SDE1 event logs (cmd/specdag -events, or a saved
+// of both engine kinds — synchronous rounds (format SDC2, reads SDC1) and
+// the event-driven engine (format SDA2, reads SDA1), the resumable state
+// behind specdag.Run — and SDE1 event logs (cmd/specdag -events, or a saved
 // specdagd events download). For tangle-bearing artifacts it reports
 // structural statistics, per-issuer activity, heaviest transactions by
 // cumulative weight, and optional Graphviz export; for checkpoints it
@@ -62,7 +62,8 @@ func run() error {
 	defer f.Close()
 
 	// Sniff the magic: plain DAG snapshot (SDG1), full simulation
-	// checkpoint (sync SDC1 / async SDA1) — all carrying a tangle to
+	// checkpoint (sync SDC2 / async SDA2, or their SDC1 / SDA1
+	// predecessors; core tells them apart) — all carrying a tangle to
 	// analyze — or an SDE1 event log, which gets its own report.
 	br := bufio.NewReader(f)
 	magic, err := br.Peek(4)
@@ -73,7 +74,7 @@ func run() error {
 	switch string(magic) {
 	case "SDE1":
 		return eventLogStats(*in, br)
-	case "SDC1", "SDA1":
+	case "SDC2", "SDA2", "SDC1", "SDA1":
 		info, ckptDAG, err := core.InspectCheckpoint(br)
 		if err != nil {
 			return err

@@ -7,8 +7,9 @@
 // persists the full simulation state periodically and at exit, and -resume
 // continues a checkpointed run bit-identically to one that was never
 // interrupted. -async switches to the event-driven engine (§5.3.3: every
-// client trains at its own pace, no rounds); its checkpoints (format SDA1)
-// resume the same way, at event granularity.
+// client trains at its own pace, no rounds); its checkpoints (format SDA2)
+// resume the same way, at event granularity. -resume also takes the
+// SDC1/SDA1 files of older builds.
 //
 // Examples:
 //

@@ -19,8 +19,10 @@ package core
 //     caches pure per-transaction accuracies (a cold cache re-computes the
 //     same values; walk stats count accuracy lookups, not cache misses).
 //
-// Format: magic "SDC1", then a single gob-encoded checkpointState whose DAG
-// field holds the tangle in the SDG1 codec.
+// Format: magic "SDC2", then the tangle as an SDG1 record stream, then a
+// single gob-encoded checkpointState (snapshot.go has the envelope). "SDC1"
+// files, whose checkpointState carried the tangle in its DAG field, are still
+// read.
 
 import (
 	"bufio"
@@ -47,7 +49,7 @@ type checkpointState struct {
 	Rounds  int // configured horizon at checkpoint time (informational)
 	Clients []clientCheckpoint
 	Results []RoundResult
-	DAG     []byte // SDG1 snapshot (dag.WriteTo)
+	DAG     []byte // SDC1 files only: the tangle; SDC2 streams it before this value
 
 	// Versioned fault-state section. FaultsVersion is 0 for pre-fault
 	// snapshots and fault-free runs (gob leaves absent fields zero, so old
@@ -59,7 +61,7 @@ type checkpointState struct {
 
 	// Versioned epoch-compaction section (0 = compaction off or pre-epoch
 	// snapshot; old snapshots decode cleanly). When 1, Compaction holds the
-	// active config and Epochs the frozen epoch summaries; the embedded DAG
+	// active config and Epochs the frozen epoch summaries; the tangle section
 	// carries frozen transactions with released (empty) parameter vectors,
 	// so checkpoint size stays proportional to the live suffix.
 	CompactionVersion int
@@ -113,7 +115,7 @@ func (s *Simulation) WriteCheckpoint(w io.Writer) (int64, error) {
 // the run.
 func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simulation, error) {
 	var st checkpointState
-	d, err := readSnapshot(r, checkpointMagic, &st)
+	d, err := readSnapshot(bufio.NewReader(r), checkpointMagic, &st)
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +163,8 @@ func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simula
 
 // CheckpointInfo summarizes a checkpoint without reconstructing the
 // simulation (cmd/dagstat uses it to inspect snapshots of either kind).
-// Kind is "sync" (SDC1) or "async" (SDA1); Round/Rounds describe the sync
-// resume point, Events/Duration/Pending/Done the async one.
+// Kind is "sync" (SDC2, SDC1) or "async" (SDA2, SDA1); Round/Rounds describe
+// the sync resume point, Events/Duration/Pending/Done the async one.
 type CheckpointInfo struct {
 	Kind    string
 	Seed    int64
@@ -182,9 +184,9 @@ type CheckpointInfo struct {
 	SpillBytes   int64 // total size of the epoch spill files
 }
 
-// InspectCheckpoint reads a checkpoint of either kind — synchronous (SDC1)
-// or asynchronous (SDA1) — and returns its summary along with the embedded
-// tangle.
+// InspectCheckpoint reads a checkpoint of either kind — synchronous (SDC2,
+// or SDC1 from an older build) or asynchronous (SDA2, SDA1) — and returns its
+// summary along with the embedded tangle.
 func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *dag.DAG, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(4)
@@ -193,7 +195,7 @@ func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *dag.DAG, error) {
 	}
 	var st snapshotState = &checkpointState{}
 	want := checkpointMagic
-	if [4]byte(magic) == asyncCheckpointMagic {
+	if m := [4]byte(magic); m == asyncCheckpointMagic || m == v1Magic(asyncCheckpointMagic) {
 		st, want = &asyncCheckpointState{}, asyncCheckpointMagic
 	}
 	d, err := readSnapshot(br, want, st)

@@ -1,7 +1,8 @@
 package core
 
 // Checkpoint/resume for the event-driven simulation — the async variant of
-// the SDC1 checkpoint family (magic "SDA1"). The synchronous codec
+// the SDC2 checkpoint family (magic "SDA2"; "SDA1" files, with the tangle
+// inside the gob value, are still read). The synchronous codec
 // (checkpoint.go) snapshots state between rounds; this one snapshots state
 // between events, which is where the asynchronous engine's Step boundary
 // lies, so engine.Run's WithCheckpoints option works unchanged.
@@ -16,7 +17,8 @@ package core
 //     network propagation delay has not elapsed — they exist nowhere else.
 //   - per-client statistics (cycles, publishes, final accuracy), which feed
 //     the partial Result history.
-//   - the tangle itself, embedded as an SDG1 snapshot like the sync codec.
+//   - the tangle itself, streamed as an SDG1 snapshot ahead of the gob value,
+//     like the sync codec.
 //   - the processed-event and scheduling counters and the done flag.
 //
 // What is deliberately NOT saved, because it is a pure function of the
@@ -39,6 +41,7 @@ package core
 // other timing parameters) are therefore stored and must match exactly.
 
 import (
+	"bufio"
 	"container/heap"
 	"fmt"
 	"io"
@@ -99,7 +102,7 @@ type asyncCheckpointState struct {
 	Queue        []asyncEventCheckpoint
 	Pending      []asyncPendingCheckpoint
 	Clients      []asyncClientCheckpoint
-	DAG          []byte // SDG1 snapshot (dag.WriteTo)
+	DAG          []byte // SDA1 files only: the tangle; SDA2 streams it before this value
 
 	// Versioned fault-state section (0 = fault-free or pre-fault snapshot;
 	// gob decodes absent fields to zero, so old snapshots stay readable).
@@ -116,7 +119,7 @@ type asyncCheckpointState struct {
 	Duplicated    int
 
 	// Versioned epoch-compaction section (0 = compaction off or pre-compaction
-	// snapshot). The DAG snapshot above holds the live suffix with frozen
+	// snapshot). The tangle section holds the live suffix with frozen
 	// parameter vectors elided; Epochs carries the per-epoch summaries that
 	// make the restored tangle resume-equivalent (spill files are referenced
 	// by path, not embedded, so checkpoint size tracks the live suffix).
@@ -254,7 +257,7 @@ func (a *AsyncSimulation) WriteCheckpoint(w io.Writer) (int64, error) {
 // regenerated schedule) must match the checkpoint exactly.
 func ResumeAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig, r io.Reader) (*AsyncSimulation, error) {
 	var st asyncCheckpointState
-	d, err := readSnapshot(r, asyncCheckpointMagic, &st)
+	d, err := readSnapshot(bufio.NewReader(r), asyncCheckpointMagic, &st)
 	if err != nil {
 		return nil, err
 	}

@@ -454,50 +454,3 @@ func TestInspectAsyncCheckpoint(t *testing.T) {
 		t.Fatalf("bad sync checkpoint info: %+v", sinfo)
 	}
 }
-
-// sliceSink is a writer that owns what it is given, like the daemon's
-// in-memory checkpoint: the bytes are kept, not dropped.
-type sliceSink struct{ buf []byte }
-
-func (s *sliceSink) Write(p []byte) (int, error) {
-	s.buf = append(s.buf, p...)
-	return len(p), nil
-}
-
-// BenchmarkWriteCheckpoint is one cadence checkpoint of a hosted FMNIST run:
-// an async engine whose tangle holds 200 live transactions of 2 410
-// parameters (a 3.9 MB snapshot), written to a writer that drops the bytes
-// and to one that keeps them.
-func BenchmarkWriteCheckpoint(b *testing.B) {
-	cfg := asyncConfig()
-	cfg.Duration = 1e6
-	a, err := NewAsyncSimulation(smallFed(30), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for a.tangle.Size() < 200 {
-		if _, err := a.step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("discard", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n, err := a.WriteCheckpoint(io.Discard)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(n)
-		}
-	})
-	b.Run("owning sink", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n, err := a.WriteCheckpoint(&sliceSink{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(n)
-		}
-	})
-}

@@ -44,7 +44,7 @@
 // reveal transactions under different rules (round horizon vs. simulated
 // delivery time, stamped into Transaction.Round), so expressing one through
 // the other would move every golden trajectory — the experiment metrics
-// (sim.TestExperimentsGolden), the SDC1/SDA1 fixtures, the worker-invariance and resume batteries — for no
+// (sim.TestExperimentsGolden), the checkpoint fixtures, the worker-invariance and resume batteries — for no
 // behavioural gain. They share code, not a schedule.
 package core
 

@@ -52,7 +52,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 	// …the committed golden fixtures (ignore errors: the corpus is best
 	// effort if the fixtures are absent)…
-	for _, p := range []string{goldenSyncPath, goldenAsyncPath} {
+	for _, p := range []string{goldenSyncPath, goldenAsyncPath, goldenSyncPathV2, goldenAsyncPathV2} {
 		if blob, err := os.ReadFile(p); err == nil {
 			f.Add(blob)
 		}
@@ -63,12 +63,19 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(syncSnap.Bytes()[:4])
 	f.Add(asyncSnap.Bytes()[:syncSnap.Len()/2])
 	f.Add([]byte{})
-	f.Add([]byte("SDC1"))
-	f.Add([]byte("SDA1garbage"))
-	swapped := append([]byte("SDA1"), syncSnap.Bytes()[4:]...)
+	f.Add([]byte("SDC2"))
+	f.Add([]byte("SDA2garbage"))
+	swapped := append([]byte("SDA2"), syncSnap.Bytes()[4:]...)
 	f.Add(swapped)
-	swapped2 := append([]byte("SDC1"), asyncSnap.Bytes()[4:]...)
+	swapped2 := append([]byte("SDC2"), asyncSnap.Bytes()[4:]...)
 	f.Add(swapped2)
+	// The tangle section of syncSnap is dagSnap's bytes behind the magic.
+	boundary := 4 + dagSnap.Len()
+	f.Add(syncSnap.Bytes()[:boundary/2])                          // inside a record
+	f.Add(syncSnap.Bytes()[:boundary])                            // the gob value is missing
+	f.Add(syncSnap.Bytes()[:(boundary+syncSnap.Len())/2])         // inside the gob tail
+	f.Add(append([]byte("SDC1"), syncSnap.Bytes()[4:]...))        // v2 body behind the v1 magic
+	f.Add(append([]byte("SDC1"), syncSnap.Bytes()[boundary:]...)) // a v1 file with an empty DAG field
 	flipped := append([]byte(nil), asyncSnap.Bytes()...)
 	flipped[7] ^= 0xff
 	f.Add(flipped)

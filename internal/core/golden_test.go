@@ -1,21 +1,25 @@
 package core
 
-// Golden-checkpoint fixtures: one sync (SDC1) and one async (SDA1)
-// checkpoint, generated once and committed under testdata/. Every test run
-// decodes and fully resumes them, so a codec change that silently breaks
-// previously written checkpoints fails CI here instead of corrupting a
-// user's resume. The generating configuration is pinned below — it must
-// never change, or the fixtures stop being "old files" and start being
-// "files this very commit wrote".
+// Golden-checkpoint fixtures, committed under testdata/: one sync and one
+// async checkpoint of each generation. golden_{sync,async}.sdc are SDC1/SDA1
+// files an older build wrote (the tangle inside the gob value) and stay byte
+// for byte as committed — nothing can write them any more; they keep the
+// reader's v1 branch honest. golden_{sync,async}_v2.sdc are SDC2/SDA2, what
+// this build writes. Every test run decodes and fully resumes all four, so a
+// codec change that silently breaks previously written checkpoints fails CI
+// here instead of corrupting a user's resume, and re-writes the v2 pair from
+// the pinned configuration: checkpoint bytes are a function of the state, so
+// they must come out as committed. The generating configuration is pinned
+// below — it must never change, or the fixtures stop being "old files" and
+// start being "files this very commit wrote".
 //
-// Regenerate (only after a deliberate, versioned format change):
+// Regenerate the v2 pair (only after a deliberate, versioned format change):
 //
 //	SPECDAG_REGEN_GOLDEN=1 go test ./internal/core/ -run TestGoldenCheckpoint
 
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/specdag/specdag/internal/dataset"
@@ -60,19 +64,18 @@ func goldenAsyncConfig() AsyncConfig {
 }
 
 const (
-	goldenSyncPath  = "testdata/golden_sync.sdc"
-	goldenAsyncPath = "testdata/golden_async.sdc"
-	goldenSyncCut   = 2 // rounds completed when the fixture was written
-	goldenAsyncCut  = 3 // events processed when the fixture was written
+	goldenSyncPath    = "testdata/golden_sync.sdc" // SDC1, from an older build
+	goldenAsyncPath   = "testdata/golden_async.sdc"
+	goldenSyncPathV2  = "testdata/golden_sync_v2.sdc" // SDC2, what this build writes
+	goldenAsyncPathV2 = "testdata/golden_async_v2.sdc"
+	goldenSyncCut     = 2 // rounds completed when the fixtures were written
+	goldenAsyncCut    = 3 // events processed when the fixtures were written
 )
 
-// writeGoldenFixtures regenerates both fixture files from the pinned
-// configuration.
-func writeGoldenFixtures(t *testing.T) {
+// goldenSyncCheckpoint runs the pinned sync configuration to the cut and
+// returns its checkpoint; goldenAsyncCheckpoint is the event-driven sibling.
+func goldenSyncCheckpoint(t *testing.T) []byte {
 	t.Helper()
-	if err := os.MkdirAll(filepath.Dir(goldenSyncPath), 0o755); err != nil {
-		t.Fatal(err)
-	}
 	sim, err := NewSimulation(goldenFed(), goldenSyncConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -80,14 +83,15 @@ func writeGoldenFixtures(t *testing.T) {
 	for i := 0; i < goldenSyncCut; i++ {
 		sim.RunRound()
 	}
-	var syncBuf bytes.Buffer
-	if _, err := sim.WriteCheckpoint(&syncBuf); err != nil {
+	var buf bytes.Buffer
+	if _, err := sim.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenSyncPath, syncBuf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return buf.Bytes()
+}
 
+func goldenAsyncCheckpoint(t *testing.T) []byte {
+	t.Helper()
 	async, err := NewAsyncSimulation(goldenFed(), goldenAsyncConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -95,83 +99,98 @@ func writeGoldenFixtures(t *testing.T) {
 	for async.Events() < goldenAsyncCut {
 		async.step()
 	}
-	var asyncBuf bytes.Buffer
-	if _, err := async.WriteCheckpoint(&asyncBuf); err != nil {
+	var buf bytes.Buffer
+	if _, err := async.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(goldenAsyncPath, asyncBuf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("regenerated %s (%d bytes) and %s (%d bytes)",
-		goldenSyncPath, syncBuf.Len(), goldenAsyncPath, asyncBuf.Len())
+	return buf.Bytes()
 }
 
-// TestGoldenCheckpointFixtures decodes the committed fixtures and resumes
-// them to completion: the resumed history and DAG must match a
-// never-interrupted run of the pinned configuration bit for bit. A decoder
-// or codec change that cannot read yesterday's files fails here.
+// TestGoldenCheckpointFixtures decodes the committed fixtures of both
+// generations and resumes them to completion: the resumed history and DAG
+// must match a never-interrupted run of the pinned configuration bit for bit.
+// A decoder or codec change that cannot read yesterday's files fails here;
+// so does a writer whose bytes for the pinned state are not the v2 fixtures.
 func TestGoldenCheckpointFixtures(t *testing.T) {
-	if os.Getenv("SPECDAG_REGEN_GOLDEN") != "" {
-		writeGoldenFixtures(t)
+	regen := os.Getenv("SPECDAG_REGEN_GOLDEN") != ""
+	// checkWritten holds what this build writes against the committed v2
+	// fixture (or replaces the fixture when regenerating).
+	checkWritten := func(t *testing.T, path string, written []byte) {
+		if regen {
+			if err := os.WriteFile(path, written, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("regenerated %s (%d bytes)", path, len(written))
+		}
+		if blob, err := os.ReadFile(path); err != nil || !bytes.Equal(blob, written) {
+			t.Fatalf("writing the pinned configuration gives %d bytes that are not the %d of %s (%v)", len(written), len(blob), path, err)
+		}
+	}
+	readFixture := func(t *testing.T, path, magic string) []byte {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing fixture: %v", err)
+		}
+		if string(blob[:4]) != magic {
+			t.Fatalf("%s starts %q, want %q", path, blob[:4], magic)
+		}
+		return blob
 	}
 
 	t.Run("sync", func(t *testing.T) {
-		blob, err := os.ReadFile(goldenSyncPath)
-		if err != nil {
-			t.Fatalf("missing fixture (regenerate with SPECDAG_REGEN_GOLDEN=1): %v", err)
-		}
-		info, _, err := InspectCheckpoint(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("golden sync checkpoint no longer decodes: %v", err)
-		}
-		if info.Kind != "sync" || info.Round != goldenSyncCut || info.Seed != goldenSyncConfig().Seed {
-			t.Fatalf("golden sync checkpoint summary drifted: %+v", info)
-		}
-
-		resumed, err := ResumeSimulation(goldenFed(), goldenSyncConfig(), bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("golden sync checkpoint no longer resumes: %v", err)
-		}
-		resHist := runAll(resumed)
-
+		checkWritten(t, goldenSyncPathV2, goldenSyncCheckpoint(t))
 		ref, err := NewSimulation(goldenFed(), goldenSyncConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		refHist := runAll(ref)
-		assertHistoriesIdentical(t, refHist, resHist)
-		if !bytes.Equal(dagBytes(t, ref), dagBytes(t, resumed)) {
-			t.Fatal("golden sync resume diverged: serialized DAGs differ")
+		for _, f := range [][2]string{{goldenSyncPath, "SDC1"}, {goldenSyncPathV2, "SDC2"}} {
+			path := f[0]
+			blob := readFixture(t, path, f[1])
+			info, _, err := InspectCheckpoint(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("%s no longer decodes: %v", path, err)
+			}
+			if info.Kind != "sync" || info.Round != goldenSyncCut || info.Seed != goldenSyncConfig().Seed {
+				t.Fatalf("%s: summary drifted: %+v", path, info)
+			}
+			resumed, err := ResumeSimulation(goldenFed(), goldenSyncConfig(), bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("%s no longer resumes: %v", path, err)
+			}
+			assertHistoriesIdentical(t, refHist, runAll(resumed))
+			if !bytes.Equal(dagBytes(t, ref), dagBytes(t, resumed)) {
+				t.Fatalf("%s: resume diverged: serialized DAGs differ", path)
+			}
 		}
 	})
 
 	t.Run("async", func(t *testing.T) {
-		blob, err := os.ReadFile(goldenAsyncPath)
-		if err != nil {
-			t.Fatalf("missing fixture (regenerate with SPECDAG_REGEN_GOLDEN=1): %v", err)
-		}
-		info, _, err := InspectCheckpoint(bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("golden async checkpoint no longer decodes: %v", err)
-		}
-		if info.Kind != "async" || info.Events != goldenAsyncCut || info.Seed != goldenAsyncConfig().Seed {
-			t.Fatalf("golden async checkpoint summary drifted: %+v", info)
-		}
-
-		resumed, err := ResumeAsyncSimulation(goldenFed(), goldenAsyncConfig(), bytes.NewReader(blob))
-		if err != nil {
-			t.Fatalf("golden async checkpoint no longer resumes: %v", err)
-		}
-		drainAsync(resumed)
-
+		checkWritten(t, goldenAsyncPathV2, goldenAsyncCheckpoint(t))
 		ref, err := NewAsyncSimulation(goldenFed(), goldenAsyncConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		drainAsync(ref)
-		assertAsyncResultsIdentical(t, ref.Result(), resumed.Result())
-		if !bytes.Equal(asyncDAGBytes(t, ref), asyncDAGBytes(t, resumed)) {
-			t.Fatal("golden async resume diverged: serialized DAGs differ")
+		for _, f := range [][2]string{{goldenAsyncPath, "SDA1"}, {goldenAsyncPathV2, "SDA2"}} {
+			path := f[0]
+			blob := readFixture(t, path, f[1])
+			info, _, err := InspectCheckpoint(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("%s no longer decodes: %v", path, err)
+			}
+			if info.Kind != "async" || info.Events != goldenAsyncCut || info.Seed != goldenAsyncConfig().Seed {
+				t.Fatalf("%s: summary drifted: %+v", path, info)
+			}
+			resumed, err := ResumeAsyncSimulation(goldenFed(), goldenAsyncConfig(), bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("%s no longer resumes: %v", path, err)
+			}
+			drainAsync(resumed)
+			assertAsyncResultsIdentical(t, ref.Result(), resumed.Result())
+			if !bytes.Equal(asyncDAGBytes(t, ref), asyncDAGBytes(t, resumed)) {
+				t.Fatalf("%s: resume diverged: serialized DAGs differ", path)
+			}
 		}
 	})
 }

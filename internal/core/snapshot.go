@@ -1,19 +1,28 @@
 package core
 
-// The snapshot envelope shared by both checkpoint kinds. SDC1 (round engine,
-// checkpoint.go) and SDA1 (event engine, checkpoint_async.go) are sibling
-// formats: four magic bytes, then one gob value whose DAG field holds the
-// tangle in the SDG1 codec (internal/dag). The gob structs differ — each
-// engine saves exactly what its own schedule and delivery state cannot
-// reconstruct — but both carry the same sections (seed, tangle, versioned
-// fault schedule, versioned epoch compaction), and everything that touches
-// only those lives here once: the magic diagnosis, the write path, the
-// section validation with DAG decode and epoch restore, and the resume tail.
-// The gob structs stay flat and field-for-field stable (embedding a shared
-// struct would change the encoding), so the envelope reaches their common
-// fields through the pointers sections() hands out.
+// The snapshot envelope shared by both checkpoint kinds. SDC2 (round engine,
+// checkpoint.go) and SDA2 (event engine, checkpoint_async.go) are sibling
+// formats: four magic bytes, the tangle as an SDG1 record stream
+// (internal/dag), then one gob value. The tangle is nearly all of a
+// checkpoint, so it is never held as a blob — dag.WriteTo streams it into the
+// sink, dag.ReadDAG parses it off the reader — and it goes first: the record
+// count sits at a fixed offset, the engine's state is a tail. The gob
+// structs differ — each engine saves exactly what its own schedule and
+// delivery state cannot reconstruct — but both carry the same sections (seed,
+// versioned fault schedule, versioned epoch compaction), and everything that
+// touches only those lives here once: the magic diagnosis, the write path,
+// the section validation with DAG decode and epoch restore, and the resume
+// tail. The gob structs stay flat and field-for-field stable (embedding a
+// shared struct would change the encoding), so the envelope reaches their
+// common fields through the pointers sections() hands out.
+//
+// SDC1/SDA1, the previous generation, nested the SDG1 stream in the gob
+// value's DAG field. Nothing writes them any more; readSnapshot reads them
+// (serve.Restore re-hosts what an older daemon persisted) through the same
+// gob structs and one branch on the magic.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -26,8 +35,8 @@ import (
 var (
 	// checkpointMagic identifies round-simulation checkpoints and fixes the
 	// version; asyncCheckpointMagic is the event-driven sibling.
-	checkpointMagic      = [4]byte{'S', 'D', 'C', '1'}
-	asyncCheckpointMagic = [4]byte{'S', 'D', 'A', '1'}
+	checkpointMagic      = [4]byte{'S', 'D', 'C', '2'}
+	asyncCheckpointMagic = [4]byte{'S', 'D', 'A', '2'}
 	// The DAG codec's (internal/dag) and event-stream codec's (internal/wire)
 	// magics are mirrored so a user who points a resume at a bare tangle
 	// snapshot or a saved event log is told what the file actually is.
@@ -35,14 +44,34 @@ var (
 	eventStreamMagicSDE1 = [4]byte{'S', 'D', 'E', '1'}
 )
 
+// v1Magic is the magic the previous generation of m's kind was written under.
+func v1Magic(m [4]byte) [4]byte {
+	m[3] = '1'
+	return m
+}
+
+// gob hands out type ids process-wide in order of first use and writes them
+// into every stream. Encoding both roots here — core is the module's first
+// package to initialise that uses gob — assigns the ids of every type a
+// checkpoint names: its bytes are a function of the state, not of what else
+// met gob earlier in the process.
+func init() {
+	enc := gob.NewEncoder(io.Discard)
+	for _, root := range []snapshotState{&checkpointState{}, &asyncCheckpointState{}} {
+		if err := enc.Encode(root); err != nil {
+			panic(err)
+		}
+	}
+}
+
 // wrongMagic explains a magic other than the wanted one: what the sibling
 // format is, and what to do with one instead.
 func wrongMagic(got, want [4]byte) error {
 	var what string
 	switch got {
-	case checkpointMagic:
+	case checkpointMagic, v1Magic(checkpointMagic):
 		what = "a synchronous round-simulation checkpoint (resume it with ResumeSimulation)"
-	case asyncCheckpointMagic:
+	case asyncCheckpointMagic, v1Magic(asyncCheckpointMagic):
 		what = "an asynchronous event-simulation checkpoint (resume it with ResumeAsyncSimulation)"
 	case codecMagicSDG1:
 		what = "a bare DAG snapshot, not a simulation checkpoint (inspect it with dagstat or dag.ReadDAG)"
@@ -59,7 +88,7 @@ func wrongMagic(got, want [4]byte) error {
 // holds and how its version field evolves).
 type sections struct {
 	seed              *int64
-	dag               *[]byte // SDG1 snapshot (dag.WriteTo)
+	dag               *[]byte // v1 files only: the tangle, nested in the gob value
 	faultsVersion     *int
 	faults            *faults.Config
 	compactionVersion *int
@@ -78,15 +107,12 @@ type snapshotState interface {
 }
 
 // writeSnapshot fills st's shared sections from the body and writes the
-// envelope — magic, then st as one gob value — returning the bytes written.
+// envelope — magic, the tangle, then st as one gob value — returning the
+// bytes written. The state is encoded first, so a sink that collects the
+// checkpoint in memory is told its size up front and never regrows.
 func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int64, error) {
-	snap, err := b.tangle.AppendSnapshot(nil)
-	if err != nil {
-		return 0, fmt.Errorf("core: checkpointing DAG: %w", err)
-	}
 	sec := st.sections()
 	*sec.seed = b.seed
-	*sec.dag = snap
 	if b.faults.Enabled() {
 		*sec.faultsVersion = 1
 		*sec.faults = b.faults
@@ -96,14 +122,22 @@ func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int6
 		*sec.compaction = b.tangle.CompactionConfig()
 		*sec.epochs = b.tangle.FrozenEpochs()
 	}
+	var state bytes.Buffer
+	if err := gob.NewEncoder(&state).Encode(st); err != nil {
+		return 0, fmt.Errorf("core: encoding checkpoint: %w", err)
+	}
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(len(magic) + b.tangle.SnapshotSize() + state.Len())
+	}
 	cw := &countingWriter{w: w}
 	if _, err := cw.Write(magic[:]); err != nil {
 		return cw.n, err
 	}
-	if err := gob.NewEncoder(cw).Encode(st); err != nil {
-		return cw.n, fmt.Errorf("core: encoding checkpoint: %w", err)
+	if _, err := b.tangle.WriteTo(cw); err != nil {
+		return cw.n, fmt.Errorf("core: checkpointing DAG: %w", err)
 	}
-	return cw.n, nil
+	_, err := cw.Write(state.Bytes())
+	return cw.n, err
 }
 
 // countingWriter tracks bytes written for WriteCheckpoint's return value.
@@ -118,18 +152,29 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// readSnapshot reads an envelope of the wanted kind into st, validates the
-// shared sections and the kind's own fields, and returns the decoded tangle
-// with its frozen-epoch state restored.
-func readSnapshot(r io.Reader, want [4]byte, st snapshotState) (*dag.DAG, error) {
+// readSnapshot reads an envelope of the wanted kind, of either generation,
+// into st, validates the shared sections and the kind's own fields, and
+// returns the decoded tangle with its frozen-epoch state restored. Both
+// section decoders stop on their last byte (dag.ReadDAG by contract, gob
+// because a *bufio.Reader is an io.ByteReader), so the second starts where
+// the first ended.
+func readSnapshot(br *bufio.Reader, want [4]byte, st snapshotState) (*dag.DAG, error) {
 	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
 	}
-	if magic != want {
+	v1 := magic == v1Magic(want)
+	if magic != want && !v1 {
 		return nil, wrongMagic(magic, want)
 	}
-	if err := gob.NewDecoder(r).Decode(st); err != nil {
+	var d *dag.DAG
+	var err error
+	if !v1 {
+		if d, err = dag.ReadDAG(br); err != nil {
+			return nil, fmt.Errorf("core: checkpoint DAG: %w", err)
+		}
+	}
+	if err := gob.NewDecoder(br).Decode(st); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
 	sec := st.sections()
@@ -152,9 +197,10 @@ func readSnapshot(r io.Reader, want [4]byte, st snapshotState) (*dag.DAG, error)
 			return nil, fmt.Errorf("core: checkpoint compaction config: %w", err)
 		}
 	}
-	d, err := dag.ReadDAG(bytes.NewReader(*sec.dag))
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint DAG: %w", err)
+	if v1 {
+		if d, err = dag.ReadDAG(bytes.NewReader(*sec.dag)); err != nil {
+			return nil, fmt.Errorf("core: checkpoint DAG: %w", err)
+		}
 	}
 	if *sec.compactionVersion == 1 {
 		if err := d.RestoreCompaction(*sec.compaction, *sec.epochs); err != nil {

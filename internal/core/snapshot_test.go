@@ -19,6 +19,14 @@ func TestMagicDiagnosis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	syncV2, err := os.ReadFile(goldenSyncPathV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asyncV2, err := os.ReadFile(goldenAsyncPathV2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sim, err := ResumeSimulation(goldenFed(), goldenSyncConfig(), bytes.NewReader(syncCkpt))
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +65,14 @@ func TestMagicDiagnosis(t *testing.T) {
 			"ResumeAsyncSimulation": "", "InspectCheckpoint": "",
 			"ResumeSimulation": "asynchronous event-simulation checkpoint (resume it with ResumeAsyncSimulation)",
 		}},
+		{"SDC2", syncV2, map[string]string{
+			"ResumeSimulation": "", "InspectCheckpoint": "",
+			"ResumeAsyncSimulation": "synchronous round-simulation checkpoint (resume it with ResumeSimulation)",
+		}},
+		{"SDA2", asyncV2, map[string]string{
+			"ResumeAsyncSimulation": "", "InspectCheckpoint": "",
+			"ResumeSimulation": "asynchronous event-simulation checkpoint (resume it with ResumeAsyncSimulation)",
+		}},
 		{"SDG1", bareDAG.Bytes(), map[string]string{
 			"ResumeSimulation":      "bare DAG snapshot",
 			"ResumeAsyncSimulation": "bare DAG snapshot",
@@ -68,8 +84,8 @@ func TestMagicDiagnosis(t *testing.T) {
 			"InspectCheckpoint":     "event-stream log",
 		}},
 		{"garbage", append([]byte("NOPE"), syncCkpt[4:]...), map[string]string{
-			"ResumeSimulation":      `bad magic "NOPE" (not a "SDC1" checkpoint)`,
-			"ResumeAsyncSimulation": `bad magic "NOPE" (not a "SDA1" checkpoint)`,
+			"ResumeSimulation":      `bad magic "NOPE" (not a "SDC2" checkpoint)`,
+			"ResumeAsyncSimulation": `bad magic "NOPE" (not a "SDA2" checkpoint)`,
 			"InspectCheckpoint":     `bad magic "NOPE"`,
 		}},
 		{"short read", []byte("SD"), map[string]string{

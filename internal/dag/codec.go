@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -28,8 +29,9 @@ import (
 // The "SDS1" epoch spill files written by compaction (see epoch.go) are the
 // same stream under their own magic — a run of consecutive records that need
 // not start at genesis — so both formats go through one record encoder
-// (appendRecord, behind writeRecords and AppendSnapshot) and one header and
-// record reader (readHeader, readTxRecord).
+// (appendRecord, behind writeRecords) and one header and record reader
+// (readHeader, readTxRecord). A simulation checkpoint (SDC2/SDA2,
+// internal/core) carries a whole SDG1 stream as its first section.
 
 // codecMagic identifies snapshot files and fixes the version.
 var codecMagic = [4]byte{'S', 'D', 'G', '1'}
@@ -72,10 +74,19 @@ func appendHeader(b []byte, magic [4]byte, count int) []byte {
 	return binary.LittleEndian.AppendUint32(append(b, magic[:]...), uint32(count))
 }
 
-// recordBound is an upper bound on the encoded size of t: every varint at
-// its widest.
-func recordBound(t *Transaction) int {
-	return (4+len(t.Parents))*binary.MaxVarintLen64 + 1 + 8 + 8 + 1 + 8*len(t.Params)
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the number of bytes binary.AppendVarint writes for x.
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+// recordSize is the number of bytes appendRecord appends for t.
+func recordSize(t *Transaction) int {
+	n := uvarintLen(uint64(t.ID)) + varintLen(int64(t.Issuer)) + varintLen(int64(t.Round)) + 1
+	for _, p := range t.Parents {
+		n += uvarintLen(uint64(p))
+	}
+	return n + 8 + 8 + 1 + uvarintLen(uint64(len(t.Params))) + 8*len(t.Params)
 }
 
 // readFloat decodes one f64 through the caller's scratch.
@@ -234,32 +245,33 @@ func (d *DAG) WriteTo(w io.Writer) (int64, error) {
 	return writeRecords(w, codecMagic, d.txs)
 }
 
-// AppendSnapshot appends the bytes WriteTo would write to b and returns the
-// extended slice: the buffer is sized from the transaction list and encoded
-// in one pass, so a b with enough capacity is filled without allocating —
-// the path of the checkpoints, which hold the whole snapshot in memory
-// anyway.
-func (d *DAG) AppendSnapshot(b []byte) ([]byte, error) {
+// SnapshotSize is the number of bytes WriteTo writes, computed from the
+// transaction list without encoding anything: what a caller that collects
+// the stream in memory reserves up front.
+func (d *DAG) SnapshotSize() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	size := len(codecMagic) + 4
 	for _, t := range d.txs {
-		size += recordBound(t)
+		size += recordSize(t)
 	}
-	b = appendHeader(slices.Grow(b, size), codecMagic, len(d.txs))
-	for _, t := range d.txs {
-		var err error
-		if b, err = appendRecord(b, t); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
+	return size
 }
 
 // ReadDAG deserializes a snapshot previously written with WriteTo,
-// re-validating every structural invariant.
+// re-validating every structural invariant. The snapshot may be a section of
+// a longer stream: a *bufio.Reader is left at the first byte after the last
+// record; any other reader is buffered here and may be read past that.
 func ReadDAG(r io.Reader) (*DAG, error) {
-	br := bufio.NewReader(r)
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	return readDAG(br)
+}
+
+// readDAG decodes one snapshot off br, consuming exactly its bytes.
+func readDAG(br *bufio.Reader) (*DAG, error) {
 	count, err := readHeader(br, codecMagic, "a SDG1 snapshot")
 	if err != nil {
 		return nil, err

@@ -1,11 +1,14 @@
 package dag
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"github.com/specdag/specdag/internal/xrand"
@@ -197,7 +200,7 @@ func (c *chunkRecorder) Write(p []byte) (int, error) {
 // TestWriteToStreamsInChunks: a snapshot much larger than recordChunk reaches
 // the writer in pieces of about that size — at least a chunk, less than a
 // chunk plus one record, the last one whatever is left — never as one buffer
-// of the whole stream, and the pieces add up to AppendSnapshot's bytes.
+// of the whole stream, and the pieces add up to SnapshotSize.
 func TestWriteToStreamsInChunks(t *testing.T) {
 	rng := xrand.New(9)
 	const dim = 3000 // a record is ~24 KB, so chunks end at different offsets within records
@@ -215,21 +218,60 @@ func TestWriteToStreamsInChunks(t *testing.T) {
 	if len(w.chunks) < 10 {
 		t.Fatalf("%d bytes arrived in %d writes %v", w.Len(), len(w.chunks), w.chunks)
 	}
-	record := recordBound(d.MustGet(1))
+	record := recordSize(d.MustGet(1))
 	for i, c := range w.chunks[:len(w.chunks)-1] {
 		if c < recordChunk || c >= recordChunk+record {
 			t.Fatalf("write %d carries %d bytes, want [%d, %d)", i, c, recordChunk, recordChunk+record)
 		}
 	}
-	snap, err := d.AppendSnapshot(nil)
-	if err != nil || !bytes.Equal(snap, w.Bytes()) {
-		t.Fatalf("AppendSnapshot = %d bytes, %v; WriteTo streamed %d other bytes", len(snap), err, w.Len())
+	if size := d.SnapshotSize(); w.Len() != size {
+		t.Fatalf("WriteTo streamed %d bytes, SnapshotSize is %d", w.Len(), size)
 	}
 	back, err := ReadDAG(&w.Buffer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertEqualDAGs(t, d, back)
+}
+
+// The size arithmetic behind SnapshotSize against the encoders it predicts,
+// at every length boundary of both varint kinds.
+func TestVarintLen(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := uvarintLen(u), len(binary.AppendUvarint(nil, u)); got != want {
+				t.Errorf("uvarintLen(%d) = %d, AppendUvarint writes %d", u, got, want)
+			}
+			for _, x := range []int64{int64(u), -int64(u)} {
+				if got, want := varintLen(x), len(binary.AppendVarint(nil, x)); got != want {
+					t.Errorf("varintLen(%d) = %d, AppendVarint writes %d", x, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A snapshot that is one section of a longer stream: ReadDAG reads a
+// *bufio.Reader through — however small its buffer — and leaves it on the
+// first byte after the last record.
+func TestReadDAGLeavesBufferedReaderAtTheEnd(t *testing.T) {
+	d := buildRandom(xrand.New(5), 60)
+	var stream bytes.Buffer
+	if _, err := d.WriteTo(&stream); err != nil {
+		t.Fatal(err)
+	}
+	stream.WriteString("the next section")
+	for _, size := range []int{16, 100, 4096, 1 << 20} {
+		br := bufio.NewReaderSize(iotest.HalfReader(bytes.NewReader(stream.Bytes())), size)
+		back, err := ReadDAG(br)
+		if err != nil {
+			t.Fatalf("buffer of %d: %v", size, err)
+		}
+		assertEqualDAGs(t, d, back)
+		if rest, err := io.ReadAll(br); err != nil || string(rest) != "the next section" {
+			t.Fatalf("buffer of %d: %q, %v is left behind the snapshot", size, rest, err)
+		}
+	}
 }
 
 // A failing writer fails the stream at the first flush, with the bytes that

@@ -415,17 +415,14 @@ func (r *modelRun) check(op int) {
 		}
 	}
 
-	// The two encoders over the one record layout: what WriteTo streams is
-	// what AppendSnapshot appends, behind whatever the buffer already held.
+	// What a checkpoint sink reserves for the tangle is what WriteTo streams,
+	// frozen (empty) records included.
 	var streamed bytes.Buffer
 	if _, err := d.WriteTo(&streamed); err != nil {
 		t.Fatalf("op %d: WriteTo: %v", op, err)
 	}
-	if got, err := d.AppendSnapshot(nil); err != nil || !bytes.Equal(got, streamed.Bytes()) {
-		t.Fatalf("op %d: AppendSnapshot(nil) = %d bytes, %v; WriteTo wrote %d other bytes", op, len(got), err, streamed.Len())
-	}
-	if got, err := d.AppendSnapshot([]byte("head")); err != nil || !bytes.Equal(got[4:], streamed.Bytes()) || string(got[:4]) != "head" {
-		t.Fatalf("op %d: AppendSnapshot behind a prefix = %d bytes, %v; WriteTo wrote %d", op, len(got), err, streamed.Len())
+	if size := d.SnapshotSize(); streamed.Len() != size {
+		t.Fatalf("op %d: WriteTo wrote %d bytes, SnapshotSize is %d", op, streamed.Len(), size)
 	}
 
 	r.checkFrozen(op, floor)
@@ -553,14 +550,6 @@ func TestDAGModel(t *testing.T) {
 			t.Logf("%d txs, floor %d, %d frozen epochs", r.d.Size(), floor, epochs)
 			if floor != tc.floor || epochs != tc.epochs {
 				t.Fatalf("sequence ended at floor %d with %d frozen epochs, recorded %d and %d", floor, epochs, tc.floor, tc.epochs)
-			}
-			// A buffer that held one snapshot holds the next without growing.
-			buf, err := r.d.AppendSnapshot(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a := testing.AllocsPerRun(10, func() { buf, _ = r.d.AppendSnapshot(buf[:0]) }); a != 0 {
-				t.Fatalf("AppendSnapshot into sufficient capacity allocates %.0f objects per call, want 0", a)
 			}
 		})
 	}

@@ -40,7 +40,7 @@ type Partition struct {
 }
 
 // Config declares a fault schedule. It is pure data: gob-serializable,
-// comparable via Equal, and embedded verbatim in the SDA1/SDC1 checkpoint
+// comparable via Equal, and embedded verbatim in the SDA2/SDC2 checkpoint
 // fault sections so a resume under a different schedule is rejected instead
 // of silently diverging.
 //

@@ -104,7 +104,7 @@ func (s *Server) lifecycle(act func(ctx context.Context, id int) error) http.Han
 }
 
 // handleCheckpoint implements GET /runs/{id}/checkpoint: the latest
-// checkpoint blob (SDC1/SDA1, exactly what cmd/specdag -resume accepts),
+// checkpoint blob (SDC2/SDA2, exactly what cmd/specdag -resume accepts),
 // with CheckpointIndexHeader carrying the event index it resumes from.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.pathRun(w, r)

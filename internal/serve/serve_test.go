@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -245,8 +246,8 @@ func TestPauseResumeEquivalence(t *testing.T) {
 		units   int // units of the whole run
 		frozen  bool
 	}{
-		{name: "rounds", pauseAt: 2, units: 10,
-			req: RunRequest{Dataset: "fmnist", Seed: 23, Rounds: 10, ClientsPerRound: 2, Workers: 2, CheckpointEvery: 3, Label: "pr"}},
+		{name: "rounds", pauseAt: 2, units: 40, // long enough that a starved poller still finds it running
+			req: RunRequest{Dataset: "fmnist", Seed: 23, Rounds: 40, ClientsPerRound: 2, Workers: 2, CheckpointEvery: 3, Label: "pr"}},
 		{name: "async compacting", pauseAt: 200, frozen: true,
 			req: RunRequest{Dataset: "fmnist", Seed: 29, Async: true, Duration: 12, MinCycle: 0.5, MaxCycle: 2, NetDelay: 0.1,
 				DepthMin: 3, DepthMax: 6, CompactWidth: 2, CompactLive: 2, Workers: 2, CheckpointEvery: 32, Label: "pr-async"}},
@@ -887,4 +888,59 @@ func TestPauseRaces(t *testing.T) {
 			t.Fatalf("resumed run %+v", st)
 		}
 	})
+}
+
+// allocOnceSink is the daemon's checkpoint sink under observation: Close
+// checks what the engine's size announcement made of the buffer instead of
+// installing it on a run.
+type allocOnceSink struct {
+	t *testing.T
+	n int // which checkpoint of the run
+	memCheckpoint
+	base *byte // the buffer's first byte as Grow allocated it
+}
+
+func (s *allocOnceSink) Grow(n int) {
+	s.memCheckpoint.Grow(n)
+	s.base = &s.buf[:1][0]
+}
+
+func (s *allocOnceSink) Close() error {
+	switch {
+	case s.base == nil:
+		s.t.Errorf("checkpoint %d: the engine never announced its size", s.n)
+	case &s.buf[0] != s.base:
+		s.t.Errorf("checkpoint %d: the buffer was regrown after the announcement", s.n)
+	case float64(cap(s.buf)) > 1.05*float64(len(s.buf))+8<<10: // the allocator rounds a large object up to whole 8 KiB pages
+		s.t.Errorf("checkpoint %d: %d bytes sit in a buffer of %d, want ≤ 5 %% slack", s.n, len(s.buf), cap(s.buf))
+	}
+	return nil
+}
+
+// TestCadenceCheckpointAllocatedOnce: every cadence checkpoint of a hosted
+// run — a round engine, and an event engine whose tangle is mostly frozen
+// records — is collected in one allocation about the size of what it holds,
+// because the engine announces the size before it streams the first byte.
+func TestCadenceCheckpointAllocatedOnce(t *testing.T) {
+	for name, req := range map[string]RunRequest{
+		"rounds": {Dataset: "fmnist", Seed: 23, Rounds: 10, ClientsPerRound: 2, Workers: 2},
+		"async compacting": {Dataset: "fmnist", Seed: 29, Async: true, Duration: 12, MinCycle: 0.5, MaxCycle: 2, NetDelay: 0.1,
+			DepthMin: 3, DepthMax: 6, CompactWidth: 2, CompactLive: 2, Workers: 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			req.normalize()
+			eng, err := NewServer(Config{Workers: 2}).buildEngine(&req, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := 0
+			_, err = engine.Run(context.Background(), eng, engine.WithCheckpoints(4, func(int) (io.WriteCloser, error) {
+				count++
+				return &allocOnceSink{t: t, n: count}, nil
+			}))
+			if err != nil || count < 2 {
+				t.Fatalf("run: %v after %d checkpoints", err, count)
+			}
+		})
+	}
 }

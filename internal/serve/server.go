@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -584,7 +585,8 @@ func (r *run) end(state, msg string) {
 }
 
 // memCheckpoint collects a checkpoint in memory and installs it on Close,
-// handing its buffer over: nothing writes to it afterwards. The cadence path
+// handing its buffer over: nothing writes to it afterwards. The engine calls
+// Grow with the checkpoint's size first, so it is allocated once. The cadence path
 // closes it from the engine loop between units and settle after the job has
 // stopped, so at Close time the run's step count is the checkpoint's and
 // NextIndex() is exactly the index the checkpoint resumes from.
@@ -592,6 +594,8 @@ type memCheckpoint struct {
 	r   *run
 	buf []byte
 }
+
+func (m *memCheckpoint) Grow(n int) { m.buf = slices.Grow(m.buf, n) }
 
 func (m *memCheckpoint) Write(p []byte) (int, error) {
 	m.buf = append(m.buf, p...)

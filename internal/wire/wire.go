@@ -2,7 +2,7 @@
 // event streams: the typed engine events (engine.RoundEvent, PublishEvent,
 // ProbeEvent) plus run-lifecycle frames, serialized onto any io.Writer and
 // decoded back from any io.Reader. It is the network-facing sibling of the
-// checkpoint codecs (SDC1/SDA1, internal/core) and the DAG codec (SDG1,
+// checkpoint codecs (SDC2/SDA2, internal/core) and the DAG codec (SDG1,
 // internal/dag): those snapshot state, SDE1 streams the events between
 // snapshots, so a remote consumer replaying an SDE1 stream into
 // engine.Hooks observes exactly what a local observer would.
@@ -32,8 +32,8 @@
 // semantic changes to Index) must bump the magic to "SDE2" and teach
 // NewReader to name the mismatch; additive, gob-compatible field additions
 // (new optional fields, new Kind values) may keep the version. Decoders
-// reject the checkpoint-family magics (SDC1/SDA1/SDG1) with an error that
-// names what the bytes actually are, and vice versa.
+// reject the checkpoint-family magics (SDC2/SDA2, SDC1/SDA1 before them,
+// SDG1) with an error that names what the bytes actually are, and vice versa.
 package wire
 
 import (
@@ -53,18 +53,27 @@ var Magic = [4]byte{'S', 'D', 'E', '1'}
 // The sibling formats NewReader recognizes to produce actionable
 // confusion errors.
 var (
-	magicSDC1 = [4]byte{'S', 'D', 'C', '1'}
+	magicSDC2 = [4]byte{'S', 'D', 'C', '2'}
+	magicSDA2 = [4]byte{'S', 'D', 'A', '2'}
+	magicSDC1 = [4]byte{'S', 'D', 'C', '1'} // what SDC2/SDA2 replaced; still read by core
 	magicSDA1 = [4]byte{'S', 'D', 'A', '1'}
 	magicSDG1 = [4]byte{'S', 'D', 'G', '1'}
 )
 
 // The concrete Detail payloads engines attach to RoundEvents must be
 // registered so gob can carry them through the interface field: remote
-// observers get the full per-unit result, not just the summary.
+// observers get the full per-unit result, not just the summary. One frame
+// per payload is then encoded and dropped, so that gob's process-wide type
+// ids (handed out in order of first use, written into every stream) are
+// assigned here: a stream's bytes are a function of its frames.
 func init() {
-	gob.Register(&core.RoundResult{})
-	gob.Register(&core.AsyncEvent{})
-	gob.Register(&fl.RoundResult{})
+	enc := gob.NewEncoder(io.Discard)
+	for _, detail := range []any{&core.RoundResult{}, &core.AsyncEvent{}, &fl.RoundResult{}} {
+		gob.Register(detail)
+		if err := enc.Encode(&Frame{Round: &engine.RoundEvent{Detail: detail}}); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // Kind discriminates the frame types of a stream.
@@ -267,9 +276,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	}
 	switch magic {
 	case Magic:
-	case magicSDC1:
+	case magicSDC2, magicSDC1:
 		return nil, fmt.Errorf("wire: this is a synchronous simulation checkpoint (magic %q), not an event stream — resume it with ResumeSimulation or inspect it with dagstat", magic)
-	case magicSDA1:
+	case magicSDA2, magicSDA1:
 		return nil, fmt.Errorf("wire: this is an asynchronous simulation checkpoint (magic %q), not an event stream — resume it with ResumeAsyncSimulation or inspect it with dagstat", magic)
 	case magicSDG1:
 		return nil, fmt.Errorf("wire: this is a bare DAG snapshot (magic %q), not an event stream — inspect it with dagstat or dag.ReadDAG", magic)

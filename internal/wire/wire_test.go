@@ -97,8 +97,10 @@ func TestMagicConfusion(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"sync checkpoint", []byte("SDC1rest"), "synchronous simulation checkpoint"},
-		{"async checkpoint", []byte("SDA1rest"), "asynchronous simulation checkpoint"},
+		{"sync checkpoint", []byte("SDC2rest"), "synchronous simulation checkpoint"},
+		{"async checkpoint", []byte("SDA2rest"), "asynchronous simulation checkpoint"},
+		{"sync checkpoint v1", []byte("SDC1rest"), "synchronous simulation checkpoint"},
+		{"async checkpoint v1", []byte("SDA1rest"), "asynchronous simulation checkpoint"},
 		{"dag snapshot", []byte("SDG1rest"), "bare DAG snapshot"},
 		{"garbage", []byte("NOPE"), "not an SDE1 event stream"},
 		{"empty", nil, "reading stream header"},

@@ -38,8 +38,10 @@
 //
 // # Formats
 //
-// A checkpoint is SDC1 (round engine) or SDA1 (event engine): four magic
-// bytes, then one gob value embedding the tangle in the SDG1 record codec.
+// A checkpoint is SDC2 (round engine) or SDA2 (event engine): four magic
+// bytes, the tangle in the SDG1 record codec, then one gob value of engine
+// state — written and read as a stream. The readers also take SDC1/SDA1, the
+// previous generation, which nested the tangle inside the gob value.
 // Resuming needs the same federation and configuration as the original run;
 // a resumed run's history and DAG are bit-identical to an uninterrupted
 // run's.
