@@ -488,39 +488,58 @@ func Example_asyncDAG() {
 }
 
 // Boot the specdagd serving stack in-process, submit an asynchronous DAG-FL
-// run over its HTTP API, and watch the experiment live from two subscribers
-// with very different appetites.
+// run over its HTTP API, and watch the experiment from subscribers with very
+// different appetites.
 //
 // The serving subsystem's core guarantee: a slow consumer never stalls the
-// engine. The "live" subscriber follows the run as it happens and sees every
-// event. The "late" subscriber connects after the run's bounded event ring
-// has already wrapped, so the server cannot replay the whole history —
-// instead of blocking the engine (or buffering without bound) it tells the
-// subscriber exactly which frames were dropped and where the latest
-// checkpoint is, and continues from the oldest retained frame. The
-// subscriber picks its own recovery: accept the gap (drop semantics) or
-// fetch /runs/{id}/checkpoint and rebuild state (snapshot semantics).
+// engine. What a consumer that fell more than a ring behind gets instead is
+// the daemon's choice. With a spill directory the overwritten frames are
+// replayed from disk, and every subscriber — the "live" one that follows the
+// run as it happens, however the scheduler treats it, or one that asks for
+// the whole history afterwards — sees every event. Without one the server
+// cannot replay what its bounded ring has dropped: instead of blocking the
+// engine (or buffering without bound) it tells the "late" subscriber exactly
+// which frames are gone and where the latest checkpoint is, and continues
+// from the oldest retained frame. The subscriber picks its own recovery:
+// accept the gap (drop semantics) or fetch /runs/{id}/checkpoint and rebuild
+// state (snapshot semantics). Two daemons host the same request here, one of
+// each kind: a run is a function of its request, so theirs is one stream.
 func Example_liveView() {
 	const duration = 120.0 // simulated seconds
+	const ring = 64        // deliberately tiny, so the run laps it many times over
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	// --- Boot the daemon in-process: the same serving stack cmd/specdagd
-	// wraps, mounted on an ephemeral localhost port. Ring is deliberately
-	// tiny so the demo can show what happens when a subscriber falls more
-	// than a ring behind.
-	srv := specdag.NewServer(specdag.ServeConfig{Ring: 64, CheckpointEvery: 10})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// --- Boot two daemons in-process: the same serving stack cmd/specdagd
+	// wraps, each mounted on an ephemeral localhost port. They differ in one
+	// setting: the first mirrors every event log to a spill directory.
+	spill, err := os.MkdirTemp("", "specdag-liveview-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
+	defer os.RemoveAll(spill)
+	boot := func(cfg specdag.ServeConfig) (base string, stop func()) {
+		srv := specdag.NewServer(cfg)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			log.Fatal(err)
+		}
+		httpSrv := &http.Server{Handler: srv.Handler()}
+		go httpSrv.Serve(ln)
+		return "http://" + ln.Addr().String(), func() {
+			if err := srv.Shutdown(ctx); err != nil {
+				log.Fatal(err)
+			}
+			httpSrv.Close()
+		}
+	}
+	base, stop := boot(specdag.ServeConfig{Ring: ring, CheckpointEvery: 10, SpillDir: spill})
+	defer stop()
+	lossy, stopLossy := boot(specdag.ServeConfig{Ring: ring, CheckpointEvery: 10})
+	defer stopLossy()
 
 	// --- Submit an asynchronous run over the HTTP API, exactly as a remote
-	// client (or curl) would.
+	// client (or curl) would — the same request to both daemons.
 	body, _ := json.Marshal(specdag.RunRequest{
 		Dataset:  "fmnist",
 		Seed:     42,
@@ -528,15 +547,19 @@ func Example_liveView() {
 		Duration: duration,
 		Label:    "liveview",
 	})
-	resp, err := http.Post(base+"/runs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
+	submit := func(base string) specdag.RunStatus {
+		resp, err := http.Post(base+"/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st specdag.RunStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			log.Fatal(err)
+		}
+		return st
 	}
-	var st specdag.RunStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		log.Fatal(err)
-	}
-	resp.Body.Close()
+	st, lossySt := submit(base), submit(lossy)
 	fmt.Printf("daemon: accepted run %d (%s engine, %.0fs horizon)\n\n", st.ID, st.Engine, duration)
 
 	// --- Subscriber 1, "live": follows from the first frame and replays the
@@ -547,17 +570,16 @@ func Example_liveView() {
 		lastAcc           float64
 		end               *specdag.EventEnd
 	}
-	liveDone := make(chan tally, 1)
-	go func() {
-		var tl tally
-		end, err := specdag.Subscribe(ctx, base, st.ID, specdag.SubscribeOptions{
+	follow := func(base string, id int, tl *tally, onRound func(specdag.RoundEvent), onFrame func(specdag.EventFrame)) {
+		var err error
+		tl.end, err = specdag.Subscribe(ctx, base, id, specdag.SubscribeOptions{
+			OnFrame: onFrame,
 			Hooks: specdag.Hooks{
 				OnRound: func(ev specdag.RoundEvent) {
 					tl.rounds++
 					tl.lastAcc = ev.MeanAcc
-					if tl.rounds%50 == 0 {
-						fmt.Printf("live   : t≈%5.1fs  %4d activations  mean acc %.3f\n",
-							ev.Time, tl.rounds, ev.MeanAcc)
+					if onRound != nil {
+						onRound(ev)
 					}
 				},
 				OnPublish: func(specdag.PublishEvent) { tl.publishes++ },
@@ -566,87 +588,98 @@ func Example_liveView() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tl.end = end
+	}
+	liveDone := make(chan tally, 1)
+	go func() {
+		var tl tally
+		follow(base, st.ID, &tl, func(ev specdag.RoundEvent) {
+			if tl.rounds%50 == 0 {
+				fmt.Printf("live   : t≈%5.1fs  %4d activations  mean acc %.3f\n",
+					ev.Time, tl.rounds, ev.MeanAcc)
+			}
+		}, nil)
 		liveDone <- tl
 	}()
 
-	// --- Wait for the engine to finish. The live subscriber is streaming
+	// --- Wait for the engines to finish. The live subscriber is streaming
 	// the whole time; the engine never waits for it (appends to the event
-	// ring are O(1) and non-blocking).
-	for {
-		r, err := http.Get(fmt.Sprintf("%s/runs/%d", base, st.ID))
-		if err != nil {
-			log.Fatal(err)
+	// ring are O(1) and non-blocking), and when it does fall a ring behind —
+	// on a busy machine it will — the daemon serves it the difference from the
+	// spill file.
+	wait := func(base string, st *specdag.RunStatus) {
+		for st.State == "running" {
+			time.Sleep(50 * time.Millisecond)
+			r, err := http.Get(fmt.Sprintf("%s/runs/%d", base, st.ID))
+			if err != nil {
+				log.Fatal(err)
+			}
+			err = json.NewDecoder(r.Body).Decode(st)
+			r.Body.Close()
+			if err != nil {
+				log.Fatal(err)
+			}
 		}
-		if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
-			log.Fatal(err)
-		}
-		r.Body.Close()
-		if st.State != "running" {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
+	wait(base, &st)
+	wait(lossy, &lossySt)
 	live := <-liveDone
 	fmt.Printf("\nlive   : run %s after %d activations, %d publishes, final mean acc %.3f\n",
 		st.State, live.rounds, live.publishes, live.lastAcc)
 
-	// --- Subscriber 2, "late": asks for the stream from index 0 after the
-	// 64-frame ring has long since wrapped. The server does not block or
-	// buffer for it — it reports the dropped range and carries on from the
-	// oldest retained frame.
+	// --- Subscriber 2, "late": asks the daemon without a spill directory for
+	// the stream from index 0 after the 64-frame ring has long since wrapped.
+	// The server does not block or buffer for it — it reports the dropped
+	// range and carries on from the oldest retained frame.
 	var lateTl tally
 	var gap *specdag.EventFrame
-	lateTl.end, err = specdag.Subscribe(ctx, base, st.ID, specdag.SubscribeOptions{
-		From: 0,
-		OnFrame: func(f specdag.EventFrame) {
-			if f.Kind == specdag.EventKindGap {
-				gap = &f
-			}
-		},
-		Hooks: specdag.Hooks{
-			OnRound: func(ev specdag.RoundEvent) {
-				lateTl.rounds++
-				lateTl.lastAcc = ev.MeanAcc
-			},
-			OnPublish: func(specdag.PublishEvent) { lateTl.publishes++ },
-		},
+	follow(lossy, lossySt.ID, &lateTl, nil, func(f specdag.EventFrame) {
+		if f.Kind == specdag.EventKindGap {
+			gap = &f
+		}
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	if gap == nil {
 		log.Fatal("late subscriber saw no gap: the run fit a 64-frame ring")
 	}
 	fmt.Printf("late   : server dropped frames [%d, %d) — too slow for a %d-frame ring\n",
-		gap.Gap.From, gap.Gap.To, 64)
+		gap.Gap.From, gap.Gap.To, ring)
 	fmt.Printf("late   : saw only %d of %d activations (drop semantics), same final acc %.3f\n",
 		lateTl.rounds, live.rounds, lateTl.lastAcc)
 
 	// Snapshot semantics, the other recovery: instead of accepting the gap,
 	// fetch the run's checkpoint and rebuild state from it.
-	cr, err := http.Get(fmt.Sprintf("%s/runs/%d/checkpoint", base, st.ID))
+	cr, err := http.Get(fmt.Sprintf("%s/runs/%d/checkpoint", lossy, lossySt.ID))
 	if err != nil {
 		log.Fatal(err)
 	}
-	ckpt, _ := io.ReadAll(cr.Body)
+	ckpt, err := io.ReadAll(cr.Body)
 	cr.Body.Close()
-	if len(ckpt) == 0 {
-		log.Fatal("empty checkpoint download")
+	if err != nil || len(ckpt) == 0 || int64(len(ckpt)) != cr.ContentLength {
+		log.Fatalf("checkpoint download: %d of %d bytes, %v", len(ckpt), cr.ContentLength, err)
 	}
 	fmt.Printf("late   : (or snapshot semantics: the checkpoint at index %s, resume the stream from there)\n",
 		cr.Header.Get("X-Specdag-Checkpoint-Index"))
 
-	if live.end.Steps != lateTl.end.Steps || live.lastAcc != lateTl.lastAcc {
-		log.Fatalf("subscribers diverged: %+v vs %+v", live.end, lateTl.end)
-	}
-	fmt.Printf("\nboth subscribers agree: %d engine steps, final mean acc %.3f\n",
-		live.end.Steps, live.lastAcc)
-	fmt.Println("— and neither ever slowed the engine down: slow consumers drop, they don't stall.")
+	// The same late request to the daemon that spills: nothing is gone.
+	var replayTl tally
+	follow(base, st.ID, &replayTl, nil, func(f specdag.EventFrame) {
+		if f.Kind == specdag.EventKindGap {
+			log.Fatalf("a spilling daemon dropped frames [%d, %d)", f.Gap.From, f.Gap.To)
+		}
+	})
+	fmt.Printf("late   : (or a daemon with a spill directory: all %d of %d activations, replayed from disk)\n",
+		replayTl.rounds, live.rounds)
 
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Fatal(err)
+	// One request, one stream: the ends agree whoever hosted the run, and the
+	// replayed history is the live one.
+	if *lateTl.end != *live.end || lateTl.lastAcc != live.lastAcc {
+		log.Fatalf("the two daemons' runs diverged: %+v vs %+v", lateTl, live)
 	}
+	if *replayTl.end != *live.end || replayTl.rounds != live.rounds || replayTl.publishes != live.publishes || replayTl.lastAcc != live.lastAcc {
+		log.Fatalf("the replayed stream is not the live one: %+v vs %+v", replayTl, live)
+	}
+	fmt.Printf("\nall subscribers agree: %d engine steps, final mean acc %.3f\n",
+		live.end.Steps, live.lastAcc)
+	fmt.Println("— and none ever slowed an engine down: slow consumers drop or replay, they don't stall.")
 
 	// Output:
 	// daemon: accepted run 1 (specdag-async engine, 120s horizon)
@@ -678,7 +711,8 @@ func Example_liveView() {
 	// late   : server dropped frames [0, 1707) — too slow for a 64-frame ring
 	// late   : saw only 43 of 1100 activations (drop semantics), same final acc 1.000
 	// late   : (or snapshot semantics: the checkpoint at index 1769, resume the stream from there)
+	// late   : (or a daemon with a spill directory: all 1100 of 1100 activations, replayed from disk)
 	//
-	// both subscribers agree: 1100 engine steps, final mean acc 1.000
-	// — and neither ever slowed the engine down: slow consumers drop, they don't stall.
+	// all subscribers agree: 1100 engine steps, final mean acc 1.000
+	// — and none ever slowed an engine down: slow consumers drop or replay, they don't stall.
 }

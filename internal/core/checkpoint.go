@@ -89,7 +89,8 @@ func (st *checkpointState) validate(*dag.DAG) error {
 
 // WriteCheckpoint serializes the simulation's full state to w and returns
 // the number of bytes written. The simulation can keep running afterwards;
-// the checkpoint captures the state between rounds.
+// the checkpoint captures the state between rounds. A sink with a
+// KeepCheckpoint method is handed the Checkpoint itself, nothing written.
 func (s *Simulation) WriteCheckpoint(w io.Writer) (int64, error) {
 	st := checkpointState{
 		Poison:  s.cfg.Poison,

@@ -195,7 +195,8 @@ func (st *asyncCheckpointState) validate(d *dag.DAG) error {
 // and returns the number of bytes written. The simulation can keep running
 // afterwards; the checkpoint captures the state between events, which is the
 // asynchronous engine's Step boundary (so engine.Run's WithCheckpoints
-// writes consistent snapshots).
+// writes consistent snapshots). A sink with a KeepCheckpoint method is handed
+// the Checkpoint itself, nothing written.
 func (a *AsyncSimulation) WriteCheckpoint(w io.Writer) (int64, error) {
 	st := asyncCheckpointState{
 		Duration:     a.cfg.Duration,

@@ -5,6 +5,8 @@ package core
 // checkout it times the envelope there:
 //
 //	go test -run '^$' -bench 'WriteCheckpoint|Resume' -benchmem ./internal/core
+//
+// (BenchmarkCaptureCheckpoint is PR 24's and goes when the file is copied.)
 
 import (
 	"bytes"
@@ -82,6 +84,26 @@ func BenchmarkWriteCheckpoint(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkCaptureCheckpoint is one checkpoint of each engine into a sink that
+// keeps the value: what a cadence checkpoint costs a hosted run, beside what
+// encoding it costs whoever reads it (BenchmarkWriteCheckpoint).
+func BenchmarkCaptureCheckpoint(b *testing.B) {
+	sim, async := benchEngines(b, benchTxs)
+	for _, eng := range []struct {
+		name  string
+		write func(io.Writer) (int64, error)
+	}{{"sync", sim.WriteCheckpoint}, {"async", async.WriteCheckpoint}} {
+		b.Run(eng.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.write(new(keptCheckpoint)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,9 +4,14 @@ package core
 // checkpoint.go) and SDA2 (event engine, checkpoint_async.go) are sibling
 // formats: four magic bytes, the tangle as an SDG1 record stream
 // (internal/dag), then one gob value. The tangle is nearly all of a
-// checkpoint, so it is never held as a blob — dag.WriteTo streams it into the
-// sink, dag.ReadDAG parses it off the reader — and it goes first: the record
-// count sits at a fixed offset, the engine's state is a tail. The gob
+// checkpoint, so it is never held as a blob: taking a checkpoint captures it
+// (dag.Capture: the append-only transaction list pinned where it stands, no
+// byte encoded), Checkpoint.WriteTo streams the capture into whoever reads,
+// dag.ReadDAG parses it off the reader — and it goes first: the record count
+// sits at a fixed offset, the engine's state is a tail, encoded when the
+// checkpoint is taken. What is left of the cost of a checkpoint nobody reads
+// is that tail, and most of it is the parameter vectors of the async engine's
+// in-flight pending publications, which gob encodes float by float. The gob
 // structs differ — each engine saves exactly what its own schedule and
 // delivery state cannot reconstruct — but both carry the same sections (seed,
 // versioned fault schedule, versioned epoch compaction), and everything that
@@ -106,10 +111,45 @@ type snapshotState interface {
 	validate(d *dag.DAG) error
 }
 
-// writeSnapshot fills st's shared sections from the body and writes the
-// envelope — magic, the tangle, then st as one gob value — returning the
-// bytes written. The state is encoded first, so a sink that collects the
-// checkpoint in memory is told its size up front and never regrows.
+// A Checkpoint is a checkpoint as a value: the magic, a capture of the tangle
+// and the encoded state, taken at a unit boundary. Its bytes are produced when
+// someone asks — WriteTo is the one encoder of the envelope, for a checkpoint
+// written on the spot and for one kept and read later (or never): the capture
+// holds no lock and does not follow the run, so any goroutine may encode it at
+// any time, any number of times, and gets the bytes of the boundary.
+type Checkpoint struct {
+	magic  [4]byte
+	tangle *dag.Capture
+	state  []byte
+}
+
+// Size is the number of bytes WriteTo writes.
+func (c *Checkpoint) Size() int64 { return int64(len(c.magic) + c.tangle.Size() + len(c.state)) }
+
+// WriteTo writes the envelope — magic, the tangle, then the state — and
+// returns the bytes written. A sink that collects the checkpoint in memory
+// (one with a Grow method) is told its size first and never regrows.
+func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(int(c.Size()))
+	}
+	n, err := w.Write(c.magic[:])
+	if err != nil {
+		return int64(n), err
+	}
+	tn, err := c.tangle.WriteTo(w)
+	if err != nil {
+		return int64(n) + tn, fmt.Errorf("core: checkpointing DAG: %w", err)
+	}
+	sn, err := w.Write(c.state)
+	return int64(n) + tn + int64(sn), err
+}
+
+// writeSnapshot fills st's shared sections from the body and takes the
+// checkpoint: the state is encoded here (the capture cannot pin it, and Size
+// needs its length), the tangle is captured. A sink that keeps checkpoints
+// rather than bytes says so with a KeepCheckpoint method and is handed the
+// value, nothing written; any other gets the bytes, and their count back.
 func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int64, error) {
 	sec := st.sections()
 	*sec.seed = b.seed
@@ -126,30 +166,12 @@ func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int6
 	if err := gob.NewEncoder(&state).Encode(st); err != nil {
 		return 0, fmt.Errorf("core: encoding checkpoint: %w", err)
 	}
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		g.Grow(len(magic) + b.tangle.SnapshotSize() + state.Len())
+	c := &Checkpoint{magic: magic, tangle: b.tangle.Capture(), state: state.Bytes()}
+	if k, ok := w.(interface{ KeepCheckpoint(*Checkpoint) }); ok {
+		k.KeepCheckpoint(c)
+		return 0, nil
 	}
-	cw := &countingWriter{w: w}
-	if _, err := cw.Write(magic[:]); err != nil {
-		return cw.n, err
-	}
-	if _, err := b.tangle.WriteTo(cw); err != nil {
-		return cw.n, fmt.Errorf("core: checkpointing DAG: %w", err)
-	}
-	_, err := cw.Write(state.Bytes())
-	return cw.n, err
-}
-
-// countingWriter tracks bytes written for WriteCheckpoint's return value.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+	return c.WriteTo(w)
 }
 
 // readSnapshot reads an envelope of the wanted kind, of either generation,

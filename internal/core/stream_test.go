@@ -21,10 +21,21 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// keptCheckpoint is a sink that asks for the checkpoint as a value, as the
+// daemon's does.
+type keptCheckpoint struct{ c *Checkpoint }
+
+func (k *keptCheckpoint) KeepCheckpoint(c *Checkpoint) { k.c = c }
+
+func (k *keptCheckpoint) Write([]byte) (int, error) {
+	panic("bytes written into a sink that keeps the value")
+}
+
 // TestCheckpointStreams pins what the envelope's shape buys: the tangle —
 // here 5 MB of a checkpoint whose state section is under 100 KB — passes through
-// a checkpoint write in chunks and through a resume record by record, and no
-// buffer of its size exists on either side.
+// a checkpoint write in chunks and through a resume record by record, no
+// buffer of its size exists on either side, and a sink that keeps the
+// checkpoint as a value is not charged for the tangle at all.
 func TestCheckpointStreams(t *testing.T) {
 	sim, async := benchEngines(t, 260)
 	fed := smallFed(30)
@@ -73,6 +84,20 @@ func TestCheckpointStreams(t *testing.T) {
 			if wrote >= 1<<20 {
 				t.Errorf("writing a %d-byte checkpoint allocates %d bytes, want < 1 MiB", blob.Len(), wrote)
 			}
+			var kept keptCheckpoint
+			took := allocated(func() {
+				if n, err := eng.write(&kept); err != nil || n != 0 {
+					t.Fatalf("handing the checkpoint over wrote %d bytes, %v", n, err)
+				}
+			})
+			if took >= 1<<20 {
+				t.Errorf("taking a %d-byte checkpoint as a value allocates %d bytes, want < 1 MiB", blob.Len(), took)
+			}
+			var later bytes.Buffer
+			if n, err := kept.c.WriteTo(&later); err != nil || n != kept.c.Size() || !bytes.Equal(later.Bytes(), blob.Bytes()) {
+				t.Errorf("the kept checkpoint, Size %d, encodes to %d bytes (%d, %v), not the %d written on the spot",
+					kept.c.Size(), later.Len(), n, err, blob.Len())
+			}
 			read := allocated(func() {
 				if err := eng.resume(bytes.NewReader(blob.Bytes())); err != nil {
 					t.Fatal(err)
@@ -81,7 +106,7 @@ func TestCheckpointStreams(t *testing.T) {
 			if read >= 2*uint64(paramBytes) {
 				t.Errorf("resuming allocates %d bytes for %d bytes of decoded parameters, want < 2×", read, paramBytes)
 			}
-			t.Logf("%d-byte checkpoint: write allocates %d bytes, resume %d", blob.Len(), wrote, read)
+			t.Logf("%d-byte checkpoint: write allocates %d bytes, taking it as a value %d, resume %d", blob.Len(), wrote, took, read)
 		})
 	}
 }

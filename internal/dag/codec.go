@@ -39,10 +39,11 @@ var codecMagic = [4]byte{'S', 'D', 'G', '1'}
 // maxSnapshotTxs bounds decoding work against adversarial headers.
 const maxSnapshotTxs = 1 << 24
 
-// appendRecord appends one transaction record in the SDG1 layout to b. The
-// parameter vector, all but a few bytes of a record, is one span grown once
-// and filled in place.
-func appendRecord(b []byte, t *Transaction) ([]byte, error) {
+// appendRecord appends one transaction record in the SDG1 layout to b, with
+// params as its parameter vector — t.Params, or what a Capture pinned of it;
+// the field itself is not read here. The vector, all but a few bytes of a
+// record, is one span grown once and filled in place.
+func appendRecord(b []byte, t *Transaction, params []float64) ([]byte, error) {
 	if len(t.Parents) > 255 {
 		return b, fmt.Errorf("dag: transaction %d has %d parents", t.ID, len(t.Parents))
 	}
@@ -60,10 +61,10 @@ func appendRecord(b []byte, t *Transaction) ([]byte, error) {
 		poisoned = 1
 	}
 	b = append(b, poisoned)
-	b = binary.AppendUvarint(b, uint64(len(t.Params)))
+	b = binary.AppendUvarint(b, uint64(len(params)))
 	at := len(b)
-	b = slices.Grow(b, 8*len(t.Params))[:at+8*len(t.Params)]
-	for i, f := range t.Params {
+	b = slices.Grow(b, 8*len(params))[:at+8*len(params)]
+	for i, f := range params {
 		binary.LittleEndian.PutUint64(b[at+8*i:], math.Float64bits(f))
 	}
 	return b, nil
@@ -80,13 +81,13 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // varintLen is the number of bytes binary.AppendVarint writes for x.
 func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
-// recordSize is the number of bytes appendRecord appends for t.
-func recordSize(t *Transaction) int {
+// recordSize is the number of bytes appendRecord appends for t and params.
+func recordSize(t *Transaction, params []float64) int {
 	n := uvarintLen(uint64(t.ID)) + varintLen(int64(t.Issuer)) + varintLen(int64(t.Round)) + 1
 	for _, p := range t.Parents {
 		n += uvarintLen(uint64(p))
 	}
-	return n + 8 + 8 + 1 + uvarintLen(uint64(len(t.Params))) + 8*len(t.Params)
+	return n + 8 + 8 + 1 + uvarintLen(uint64(len(params))) + 8*len(params)
 }
 
 // readFloat decodes one f64 through the caller's scratch.
@@ -191,8 +192,9 @@ const recordChunk = 64 << 10
 
 // writeRecords streams one record stream — magic, count, then txs in order —
 // to w in chunks of about recordChunk bytes and returns the number of bytes
-// written.
-func writeRecords(w io.Writer, magic [4]byte, txs []*Transaction) (int64, error) {
+// written. The last len(live) transactions take their parameter vectors from
+// live, the others from their own field.
+func writeRecords(w io.Writer, magic [4]byte, txs []*Transaction, live [][]float64) (int64, error) {
 	var written int64
 	flush := func(b []byte) error {
 		n, err := w.Write(b)
@@ -200,9 +202,16 @@ func writeRecords(w io.Writer, magic [4]byte, txs []*Transaction) (int64, error)
 		return err
 	}
 	b := appendHeader(nil, magic, len(txs))
-	for _, t := range txs {
+	floor := len(txs) - len(live)
+	for i, t := range txs {
+		var params []float64
+		if i >= floor {
+			params = live[i-floor] // and t.Params, which a freeze may be releasing, is not read
+		} else {
+			params = t.Params
+		}
 		var err error
-		if b, err = appendRecord(b, t); err != nil {
+		if b, err = appendRecord(b, t, params); err != nil {
 			return written, err
 		}
 		if len(b) >= recordChunk {
@@ -235,27 +244,54 @@ func readHeader(br *bufio.Reader, want [4]byte, what string) (uint32, error) {
 	return count, nil
 }
 
+// A Capture is the tangle as it stood at one moment, for the price of the
+// live suffix's slice headers: Size and WriteTo answer for that moment however
+// far the DAG has grown, compacted or spilled since, and WriteTo takes no lock.
+// It rests on the ledger being append-only: the transaction list's prefix,
+// clipped to its length, stays what it was, and the one write a published
+// transaction ever sees is freezeEpochLocked releasing its parameter vector
+// (Params = nil). So the capture pins the vectors of [floor, n) itself and the
+// encoder never reads that field there — it neither races with a later freeze
+// nor sees it; below the captured floor the field was released before the
+// capture and is not written again (genesis keeps its vector for good).
+type Capture struct {
+	txs  []*Transaction
+	live [][]float64 // parameter vectors of txs[len(txs)-len(live):]
+	size int
+}
+
+// Capture pins the DAG's current state: O(live suffix) words, nothing encoded.
+func (d *DAG) Capture() *Capture {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := len(d.txs)
+	floor := int(d.floor.Load())
+	c := &Capture{txs: d.txs[:n:n], live: make([][]float64, n-floor), size: len(codecMagic) + 4}
+	for i, t := range c.txs {
+		if i >= floor {
+			c.live[i-floor] = t.Params
+		}
+		c.size += recordSize(t, t.Params)
+	}
+	return c
+}
+
+// Size is the number of bytes WriteTo writes: what a caller that collects the
+// stream in memory reserves up front.
+func (c *Capture) Size() int { return c.size }
+
+// WriteTo serializes the captured tangle to w as an SDG1 stream and returns
+// the number of bytes written.
+func (c *Capture) WriteTo(w io.Writer) (int64, error) {
+	return writeRecords(w, codecMagic, c.txs, c.live)
+}
+
 // WriteTo serializes the DAG to w and returns the number of bytes written.
 // Frozen transactions (below the compaction floor) serialize with their
 // released, empty parameter vectors — checkpoint size stays proportional to
 // the live suffix.
 func (d *DAG) WriteTo(w io.Writer) (int64, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return writeRecords(w, codecMagic, d.txs)
-}
-
-// SnapshotSize is the number of bytes WriteTo writes, computed from the
-// transaction list without encoding anything: what a caller that collects
-// the stream in memory reserves up front.
-func (d *DAG) SnapshotSize() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	size := len(codecMagic) + 4
-	for _, t := range d.txs {
-		size += recordSize(t)
-	}
-	return size
+	return d.Capture().WriteTo(w)
 }
 
 // ReadDAG deserializes a snapshot previously written with WriteTo,

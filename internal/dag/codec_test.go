@@ -200,7 +200,7 @@ func (c *chunkRecorder) Write(p []byte) (int, error) {
 // TestWriteToStreamsInChunks: a snapshot much larger than recordChunk reaches
 // the writer in pieces of about that size — at least a chunk, less than a
 // chunk plus one record, the last one whatever is left — never as one buffer
-// of the whole stream, and the pieces add up to SnapshotSize.
+// of the whole stream, and the pieces add up to the capture's Size.
 func TestWriteToStreamsInChunks(t *testing.T) {
 	rng := xrand.New(9)
 	const dim = 3000 // a record is ~24 KB, so chunks end at different offsets within records
@@ -218,14 +218,14 @@ func TestWriteToStreamsInChunks(t *testing.T) {
 	if len(w.chunks) < 10 {
 		t.Fatalf("%d bytes arrived in %d writes %v", w.Len(), len(w.chunks), w.chunks)
 	}
-	record := recordSize(d.MustGet(1))
+	record := recordSize(d.MustGet(1), d.MustGet(1).Params)
 	for i, c := range w.chunks[:len(w.chunks)-1] {
 		if c < recordChunk || c >= recordChunk+record {
 			t.Fatalf("write %d carries %d bytes, want [%d, %d)", i, c, recordChunk, recordChunk+record)
 		}
 	}
-	if size := d.SnapshotSize(); w.Len() != size {
-		t.Fatalf("WriteTo streamed %d bytes, SnapshotSize is %d", w.Len(), size)
+	if size := d.Capture().Size(); w.Len() != size {
+		t.Fatalf("WriteTo streamed %d bytes, the capture's Size is %d", w.Len(), size)
 	}
 	back, err := ReadDAG(&w.Buffer)
 	if err != nil {
@@ -234,7 +234,7 @@ func TestWriteToStreamsInChunks(t *testing.T) {
 	assertEqualDAGs(t, d, back)
 }
 
-// The size arithmetic behind SnapshotSize against the encoders it predicts,
+// The size arithmetic behind Capture.Size against the encoders it predicts,
 // at every length boundary of both varint kinds.
 func TestVarintLen(t *testing.T) {
 	for shift := 0; shift < 64; shift++ {

@@ -485,7 +485,7 @@ func (d *DAG) writeSpillLocked(path string, first, last ID) (int64, error) {
 		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	n, err := writeRecords(tmp, spillMagic, d.txs[first:last+1])
+	n, err := writeRecords(tmp, spillMagic, d.txs[first:last+1], nil)
 	if err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("dag: spilling epoch: %w", err)

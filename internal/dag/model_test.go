@@ -421,8 +421,8 @@ func (r *modelRun) check(op int) {
 	if _, err := d.WriteTo(&streamed); err != nil {
 		t.Fatalf("op %d: WriteTo: %v", op, err)
 	}
-	if size := d.SnapshotSize(); streamed.Len() != size {
-		t.Fatalf("op %d: WriteTo wrote %d bytes, SnapshotSize is %d", op, streamed.Len(), size)
+	if size := d.Capture().Size(); streamed.Len() != size {
+		t.Fatalf("op %d: WriteTo wrote %d bytes, the capture's Size is %d", op, streamed.Len(), size)
 	}
 
 	r.checkFrozen(op, floor)

@@ -14,6 +14,7 @@ import (
 type AtomicFile struct {
 	f    *os.File
 	path string
+	err  error // the first failed Write, or what WriteAtomic's fill returned
 }
 
 // CreateAtomic starts an atomic write of path.
@@ -25,12 +26,23 @@ func CreateAtomic(path string) (*AtomicFile, error) {
 	return &AtomicFile{f: f, path: path}, nil
 }
 
-func (a *AtomicFile) Write(p []byte) (int, error) { return a.f.Write(p) }
+func (a *AtomicFile) Write(p []byte) (int, error) {
+	n, err := a.f.Write(p)
+	if err != nil && a.err == nil {
+		a.err = err
+	}
+	return n, err
+}
 
-// Close commits the write. On any error the temp file is removed and the
-// target is untouched.
+// Close commits the write — unless a Write failed: whoever closes a
+// destination after a short write (Run does, on its error path) must not
+// thereby install it. On any error, that one included, the temp file is
+// removed, the target is untouched and the error is returned.
 func (a *AtomicFile) Close() error {
-	err := a.f.Sync()
+	err := a.err
+	if err == nil {
+		err = a.f.Sync()
+	}
 	if cerr := a.f.Close(); err == nil {
 		err = cerr
 	}
@@ -51,9 +63,7 @@ func WriteAtomic(path string, fill func(io.Writer) error) error {
 		return err
 	}
 	if err := fill(a); err != nil {
-		a.f.Close()
-		os.Remove(a.f.Name())
-		return err
+		a.err = err
 	}
 	return a.Close()
 }

@@ -15,6 +15,18 @@
 // pausing stops the run's scheduler job at a unit boundary and lets the
 // engine go, resuming rebuilds it, in the same process or the next.
 //
+// # Checkpoints
+//
+// A run's checkpoint is a capture, not a blob. At the cadence (and at a
+// pause) the engine hands its sink a core.Checkpoint: the state section,
+// encoded on the spot, and the tangle pinned where it stands — the ledger is
+// append-only, so that costs a few words per live transaction. The bytes are
+// produced when someone reads: GET /runs/{id}/checkpoint encodes into the
+// response, Resume into the decoder, Shutdown into the state directory, each
+// without a lock and without reading anything the run still writes; a
+// checkpoint nobody reads is never encoded. The Checkpoint frame's Size is
+// computed from the capture.
+//
 // # Backpressure
 //
 // Each run's events flow through a Broadcaster: a bounded ring buffer the

@@ -104,8 +104,11 @@ func (s *Server) lifecycle(act func(ctx context.Context, id int) error) http.Han
 }
 
 // handleCheckpoint implements GET /runs/{id}/checkpoint: the latest
-// checkpoint blob (SDC2/SDA2, exactly what cmd/specdag -resume accepts),
-// with CheckpointIndexHeader carrying the event index it resumes from.
+// checkpoint (SDC2/SDA2, exactly what cmd/specdag -resume accepts), with
+// CheckpointIndexHeader carrying the event index it resumes from. The bytes
+// are encoded from the run's capture into the response a chunk at a time —
+// the daemon never holds them — under a Content-Length stated up front, so a
+// download cut short is one the client can tell from a whole one.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.pathRun(w, r)
 	if !ok {
@@ -119,9 +122,13 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.FormatInt(ckpt.Size(), 10))
 	w.Header().Set(CheckpointIndexHeader, strconv.FormatUint(index, 10))
 	w.WriteHeader(http.StatusOK)
-	w.Write(ckpt)
+	if _, err := ckpt.WriteTo(w); err != nil {
+		// The status is sent; what is left to say is that the body is not whole.
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // handleEvents implements GET /runs/{id}/events?from=N: an SDE1 stream of

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"github.com/specdag/specdag/internal/core"
+	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/wire"
 )
@@ -890,57 +892,186 @@ func TestPauseRaces(t *testing.T) {
 	})
 }
 
-// allocOnceSink is the daemon's checkpoint sink under observation: Close
-// checks what the engine's size announcement made of the buffer instead of
-// installing it on a run.
-type allocOnceSink struct {
-	t *testing.T
-	n int // which checkpoint of the run
+// cadenceRequests are the two shapes of hosted run the checkpoint tests
+// drive: a round engine, and an event engine over a compacting tangle, whose
+// epochs freeze — and release their parameter vectors — between checkpoints.
+var cadenceRequests = map[string]RunRequest{
+	"rounds": {Dataset: "fmnist", Seed: 23, Rounds: 10, ClientsPerRound: 2, Workers: 2},
+	"async compacting": {Dataset: "fmnist", Seed: 29, Async: true, Duration: 12, MinCycle: 0.5, MaxCycle: 2, NetDelay: 0.1,
+		DepthMin: 3, DepthMax: 6, CompactWidth: 2, CompactLive: 2, Workers: 2},
+}
+
+// keptCheckpoints is the daemon's sink under observation: it takes the value
+// the way memCheckpoint does and, instead of installing it on a run, keeps
+// every one — with what the process allocated between open and Close, which
+// is one cadence checkpoint and nothing else.
+type keptCheckpoints struct {
 	memCheckpoint
-	base *byte // the buffer's first byte as Grow allocated it
+	all    []*core.Checkpoint
+	allocs []uint64
+	before uint64
 }
 
-func (s *allocOnceSink) Grow(n int) {
-	s.memCheckpoint.Grow(n)
-	s.base = &s.buf[:1][0]
+func totalAlloc() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
 }
 
-func (s *allocOnceSink) Close() error {
-	switch {
-	case s.base == nil:
-		s.t.Errorf("checkpoint %d: the engine never announced its size", s.n)
-	case &s.buf[0] != s.base:
-		s.t.Errorf("checkpoint %d: the buffer was regrown after the announcement", s.n)
-	case float64(cap(s.buf)) > 1.05*float64(len(s.buf))+8<<10: // the allocator rounds a large object up to whole 8 KiB pages
-		s.t.Errorf("checkpoint %d: %d bytes sit in a buffer of %d, want ≤ 5 %% slack", s.n, len(s.buf), cap(s.buf))
-	}
+func (k *keptCheckpoints) open(int) (io.WriteCloser, error) {
+	k.before = totalAlloc()
+	return k, nil
+}
+
+func (k *keptCheckpoints) Close() error {
+	k.allocs = append(k.allocs, totalAlloc()-k.before)
+	k.all = append(k.all, k.ckpt)
+	k.ckpt = nil
 	return nil
 }
 
-// TestCadenceCheckpointAllocatedOnce: every cadence checkpoint of a hosted
-// run — a round engine, and an event engine whose tangle is mostly frozen
-// records — is collected in one allocation about the size of what it holds,
-// because the engine announces the size before it streams the first byte.
-func TestCadenceCheckpointAllocatedOnce(t *testing.T) {
-	for name, req := range map[string]RunRequest{
-		"rounds": {Dataset: "fmnist", Seed: 23, Rounds: 10, ClientsPerRound: 2, Workers: 2},
-		"async compacting": {Dataset: "fmnist", Seed: 29, Async: true, Duration: 12, MinCycle: 0.5, MaxCycle: 2, NetDelay: 0.1,
-			DepthMin: 3, DepthMax: 6, CompactWidth: 2, CompactLive: 2, Workers: 2},
-	} {
+// eagerCheckpoints collects the bytes of every cadence checkpoint.
+type eagerCheckpoints struct {
+	bytes.Buffer
+	all [][]byte
+}
+
+func (e *eagerCheckpoints) Close() error {
+	e.all = append(e.all, bytes.Clone(e.Bytes()))
+	e.Reset()
+	return nil
+}
+
+// TestCadenceCaptureEncodesLater: a cadence checkpoint handed over as a value
+// costs the run its state section, not its tangle, and stays the checkpoint
+// of its own unit boundary however the run goes on. Every capture of a run is
+// encoded after the run has ended — for the compacting one, after epochs that
+// were live in it froze and released their vectors — and is byte for byte
+// what a same-seed run wrote on the spot at that step.
+func TestCadenceCaptureEncodesLater(t *testing.T) {
+	for name, req := range cadenceRequests {
 		t.Run(name, func(t *testing.T) {
 			req.normalize()
-			eng, err := NewServer(Config{Workers: 2}).buildEngine(&req, nil)
-			if err != nil {
-				t.Fatal(err)
+			s := NewServer(Config{Workers: 2})
+			defer s.Shutdown(context.Background())
+			run := func(open func(int) (io.WriteCloser, error)) {
+				t.Helper()
+				eng, err := s.buildEngine(&req, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := engine.Run(context.Background(), eng, engine.WithCheckpoints(4, open)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			count := 0
-			_, err = engine.Run(context.Background(), eng, engine.WithCheckpoints(4, func(int) (io.WriteCloser, error) {
-				count++
-				return &allocOnceSink{t: t, n: count}, nil
-			}))
-			if err != nil || count < 2 {
-				t.Fatalf("run: %v after %d checkpoints", err, count)
+			var kept keptCheckpoints
+			run(kept.open)
+			var eager eagerCheckpoints
+			run(func(int) (io.WriteCloser, error) { return &eager, nil })
+			if len(kept.all) < 2 || len(kept.all) != len(eager.all) {
+				t.Fatalf("%d captures, %d eager checkpoints", len(kept.all), len(eager.all))
 			}
+			floors := make([]dag.ID, len(kept.all))
+			for i, c := range kept.all {
+				var got bytes.Buffer
+				n, err := c.WriteTo(&got)
+				if err != nil || n != c.Size() || int64(got.Len()) != c.Size() {
+					t.Fatalf("capture %d: WriteTo = %d, %v into %d bytes, Size is %d", i, n, err, got.Len(), c.Size())
+				}
+				if !bytes.Equal(got.Bytes(), eager.all[i]) {
+					t.Fatalf("capture %d, encoded after the run, differs from the %d bytes written at its step", i, len(eager.all[i]))
+				}
+				_, d, err := core.InspectCheckpoint(&got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				floors[i] = d.LiveFloor()
+			}
+			last := len(floors) - 1
+			// What taking a checkpoint still allocates is the gob tail and the
+			// buffers it grows through, which do not follow the tangle: the event
+			// engine's in-flight publications (the round engine's tail is every
+			// client's last model, most of so short a run's checkpoint).
+			if req.Async {
+				if floors[last] <= floors[0] {
+					t.Errorf("live floors %v: nothing captured live froze before it was encoded", floors)
+				}
+				if size := kept.all[last].Size(); kept.allocs[last] >= uint64(size)/2 {
+					t.Errorf("taking the last, %d-byte checkpoint allocated %d bytes, want < half", size, kept.allocs[last])
+				}
+			}
+			t.Logf("%d captures of %d…%d bytes, live floor %d…%d; taking the last allocated %d bytes",
+				len(kept.all), kept.all[0].Size(), kept.all[last].Size(), floors[0], floors[last], kept.allocs[last])
 		})
+	}
+}
+
+// TestCheckpointDownloadsWhileEpochsFreeze: a download encodes the run's
+// latest capture on the handler's goroutine while the engine goes on
+// publishing, freezing epochs and replacing that capture — under the race
+// detector this is the claim that an encoder reads nothing the run still
+// writes. Every download states its length, arrives whole and resumes.
+func TestCheckpointDownloadsWhileEpochsFreeze(t *testing.T) {
+	req := cadenceRequests["async compacting"]
+	req.CheckpointEvery = 4
+	s := NewServer(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	id, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.normalize()
+	spec, _, acfg, err := req.Configs(s.Pool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := map[int]bool{}
+	for running := true; running; {
+		running = waitState(t, s, id, func(RunStatus) bool { return true }).State == StateRunning
+		resp, err := http.Get(ts.URL + "/runs/" + strconv.Itoa(id) + "/checkpoint")
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusNotFound {
+			continue // before the first cadence
+		}
+		if err != nil || resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(blob)) {
+			t.Fatalf("download: %s, Content-Length %d, %d bytes, %v", resp.Status, resp.ContentLength, len(blob), err)
+		}
+		resumed, err := core.ResumeAsyncSimulation(spec.Fed, *acfg, bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("resuming a download: %v", err)
+		}
+		if resumed.Events()%req.CheckpointEvery != 0 {
+			t.Fatalf("a download resumes at event %d, off the cadence of %d", resumed.Events(), req.CheckpointEvery)
+		}
+		sizes[len(blob)] = true
+	}
+	if st := waitState(t, s, id, func(st RunStatus) bool { return st.State != StateRunning }); st.State != StateDone {
+		t.Fatalf("run %+v", st)
+	}
+	if len(sizes) < 2 {
+		t.Fatalf("downloads of sizes %v: the loop never saw the run move", sizes)
+	}
+}
+
+// TestFailedCheckpointInstallsNothing: a sink that was handed no checkpoint —
+// the engine's write failed — leaves the run's last checkpoint and its event
+// log as they were when the run loop closes it.
+func TestFailedCheckpointInstallsNothing(t *testing.T) {
+	r := &run{b: NewBroadcaster(8, 0), ckpt: checkpointFile("the last good one"), ckptStep: 25}
+	m := &memCheckpoint{r: r}
+	if _, err := m.Write([]byte("SDC2")); err == nil {
+		t.Fatal("the sink took bytes")
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.status(); !st.HasCheckpoint || st.CheckpointStep != 25 || st.NextIndex != 0 {
+		t.Fatalf("run %+v, want its old checkpoint and an empty log", st)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -104,9 +103,29 @@ type hosted interface {
 	engine.Snapshotter
 }
 
+// checkpoint is what a run keeps of a checkpoint: a value that knows its size
+// and writes its bytes into whoever reads it — a download, a resume, the
+// state directory — as often as asked: the engine's capture
+// (*core.Checkpoint), encoded only then, or the file Restore read.
+type checkpoint interface {
+	Size() int64
+	io.WriterTo
+}
+
+// checkpointFile is a checkpoint as its bytes.
+type checkpointFile []byte
+
+func (b checkpointFile) Size() int64 { return int64(len(b)) }
+
+func (b checkpointFile) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(b)
+	return int64(n), err
+}
+
 // run is one hosted experiment. Only a running run has a scheduler job and an
 // engine; paused or ended, it is its request, its event log and its latest
-// checkpoint.
+// checkpoint — a capture, not a blob: the cadence pins the transactions at the
+// unit boundary, and nothing is encoded unless someone reads it.
 type run struct {
 	id  int
 	req RunRequest
@@ -119,7 +138,7 @@ type run struct {
 	handle    *engine.Handle // the run's scheduler job while running, else nil
 	eng       hosted         // the job's engine while running, else nil
 	pausing   bool           // Pause is stopping the job: settle checkpoints it instead of ending the run
-	ckpt      []byte         // latest checkpoint, nil if none yet
+	ckpt      checkpoint     // latest checkpoint, nil if none yet
 	ckptIndex uint64         // event-log index the checkpoint resumes from
 	ckptStep  int            // engine units completed at the checkpoint
 }
@@ -344,17 +363,24 @@ func (r *RunRequest) Configs(pool *par.Budget) (sim.Spec, *core.Config, *core.As
 // from the checkpoint otherwise. Construction is a pure function of the
 // request (and the server's shared budget), which is what makes pause,
 // resume and daemon restarts bit-identical to an uninterrupted run.
-func (s *Server) buildEngine(req *RunRequest, ckpt []byte) (hosted, error) {
+func (s *Server) buildEngine(req *RunRequest, ckpt checkpoint) (hosted, error) {
 	spec, cfg, acfg, err := req.Configs(s.pool)
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, err
+	}
+	var blob bytes.Buffer
+	if ckpt != nil {
+		if _, err := ckpt.WriteTo(&blob); err != nil {
+			return nil, fmt.Errorf("serve: encoding checkpoint: %w", err)
+		}
+	}
+	switch {
 	case acfg != nil && ckpt != nil:
-		return core.ResumeAsyncSimulation(spec.Fed, *acfg, bytes.NewReader(ckpt))
+		return core.ResumeAsyncSimulation(spec.Fed, *acfg, &blob)
 	case acfg != nil:
 		return core.NewAsyncSimulation(spec.Fed, *acfg)
 	case ckpt != nil:
-		return core.ResumeSimulation(spec.Fed, *cfg, bytes.NewReader(ckpt))
+		return core.ResumeSimulation(spec.Fed, *cfg, &blob)
 	}
 	return core.NewSimulation(spec.Fed, *cfg)
 }
@@ -555,7 +581,7 @@ func (s *Server) settle(r *run, err error) {
 	case !pausing:
 		state, msg = StateCanceled, "canceled"
 	default:
-		// No lock while the engine encodes itself: the job is gone, so nothing
+		// No lock while the engine is captured: the job is gone, so nothing
 		// else appends to the log or touches the engine.
 		state = StatePaused
 		m := &memCheckpoint{r: r}
@@ -584,31 +610,35 @@ func (r *run) end(state, msg string) {
 	r.b.Close()
 }
 
-// memCheckpoint collects a checkpoint in memory and installs it on Close,
-// handing its buffer over: nothing writes to it afterwards. The engine calls
-// Grow with the checkpoint's size first, so it is allocated once. The cadence path
-// closes it from the engine loop between units and settle after the job has
-// stopped, so at Close time the run's step count is the checkpoint's and
-// NextIndex() is exactly the index the checkpoint resumes from.
+// memCheckpoint is the sink of a hosted run's checkpoints: it asks the engine
+// for the checkpoint as a value (KeepCheckpoint) instead of its bytes and
+// installs it on Close — if nothing was handed over, the write failed and the
+// run keeps the checkpoint it had. The cadence path closes it from the engine
+// loop between units and settle after the job has stopped, so at Close time
+// the run's step count is the checkpoint's and NextIndex() is exactly the
+// index the checkpoint resumes from.
 type memCheckpoint struct {
-	r   *run
-	buf []byte
+	r    *run
+	ckpt *core.Checkpoint
 }
 
-func (m *memCheckpoint) Grow(n int) { m.buf = slices.Grow(m.buf, n) }
+func (m *memCheckpoint) KeepCheckpoint(c *core.Checkpoint) { m.ckpt = c }
 
-func (m *memCheckpoint) Write(p []byte) (int, error) {
-	m.buf = append(m.buf, p...)
-	return len(p), nil
+// Write refuses: buildEngine hosts only engines that hand the value over.
+func (m *memCheckpoint) Write([]byte) (int, error) {
+	return 0, errors.New("serve: a hosted run's checkpoint is kept as a value, not written")
 }
 
 func (m *memCheckpoint) Close() error {
+	if m.ckpt == nil {
+		return nil
+	}
 	r := m.r
 	r.mu.Lock()
-	r.ckpt, r.ckptIndex, r.ckptStep = m.buf, r.b.NextIndex(), r.steps
+	r.ckpt, r.ckptIndex, r.ckptStep = m.ckpt, r.b.NextIndex(), r.steps
 	step := r.steps
 	r.mu.Unlock()
-	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: step, Size: int64(len(m.buf))}})
+	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: step, Size: m.ckpt.Size()}})
 	return nil
 }
 
@@ -871,7 +901,7 @@ func (s *Server) persist() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, "runs.json"), blob); err != nil {
+	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, "runs.json"), bytes.NewReader(blob)); err != nil {
 		return fmt.Errorf("serve: persisting manifest: %w", err)
 	}
 	return nil
@@ -880,9 +910,9 @@ func (s *Server) persist() error {
 // writeFileAtomic replaces path with data via temp file, sync and rename: a
 // crash mid-shutdown leaves the previous manifest (or checkpoint) intact
 // instead of a truncated one that Restore would refuse.
-func writeFileAtomic(path string, data []byte) error {
+func writeFileAtomic(path string, data io.WriterTo) error {
 	return engine.WriteAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
+		_, err := data.WriteTo(w)
 		return err
 	})
 }
@@ -928,7 +958,7 @@ func (s *Server) Restore() (int, error) {
 			if err != nil {
 				return restored, fmt.Errorf("serve: reading run %d checkpoint: %w", e.ID, err)
 			}
-			r.ckpt = ckpt
+			r.ckpt = checkpointFile(ckpt)
 			// The old process's spill is stale (its frames predate the
 			// checkpoint); the reborn log spills to a fresh file.
 			r.b = s.newLog(e.ID, e.CheckpointIndex)
