@@ -14,7 +14,7 @@ import (
 type AtomicFile struct {
 	f    *os.File
 	path string
-	err  error // the first failed Write, or what WriteAtomic's fill returned
+	err  error // the first failed Write, or what CloseWithError was given
 }
 
 // CreateAtomic starts an atomic write of path.
@@ -55,6 +55,16 @@ func (a *AtomicFile) Close() error {
 	return err
 }
 
+// CloseWithError abandons the write, as io.PipeWriter's does, for a producer
+// that failed even before its first byte: the temp file is removed, the
+// target is untouched, and the first error is returned. A nil err is Close.
+func (a *AtomicFile) CloseWithError(err error) error {
+	if a.err == nil {
+		a.err = err
+	}
+	return a.Close()
+}
+
 // WriteAtomic writes path through an AtomicFile: fill produces the content,
 // and a fill error discards the temp file without touching the target.
 func WriteAtomic(path string, fill func(io.Writer) error) error {
@@ -62,8 +72,5 @@ func WriteAtomic(path string, fill func(io.Writer) error) error {
 	if err != nil {
 		return err
 	}
-	if err := fill(a); err != nil {
-		a.err = err
-	}
-	return a.Close()
+	return a.CloseWithError(fill(a))
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -42,6 +43,35 @@ func TestFailedCheckpointWriteKeepsThePreviousFile(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || string(got) != "the last good checkpoint" {
 		t.Fatalf("after a failed write the file holds %q (%v), want the previous checkpoint", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("temp file left behind: %v", entries)
+	}
+}
+
+// failsBeforeWriting is a Snapshotter whose encoding fails before it writes
+// anything, as a gob encode of the engine state does.
+type failsBeforeWriting struct{}
+
+var errEncode = errors.New("gob: type not registered")
+
+func (failsBeforeWriting) WriteCheckpoint(io.Writer) (int64, error) { return 0, errEncode }
+
+// TestCheckpointFailingBeforeItsFirstByteKeepsThePreviousFile: no Write
+// failed, so only the checkpoint's own error can stop the run loop's close
+// from committing an empty file over the last good checkpoint.
+func TestCheckpointFailingBeforeItsFirstByteKeepsThePreviousFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.sdc")
+	if err := os.WriteFile(path, []byte("the last good checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func(int) (io.WriteCloser, error) { return CreateAtomic(path) }
+	if err := writeCheckpoint(failsBeforeWriting{}, open, 25); !errors.Is(err, errEncode) {
+		t.Fatalf("writeCheckpoint returned %v, want the encode error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "the last good checkpoint" {
+		t.Fatalf("after a failed checkpoint the file holds %q (%v), want the previous checkpoint", got, err)
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
 		t.Fatalf("temp file left behind: %v", entries)

@@ -270,7 +270,11 @@ func writeCheckpoint(s Snapshotter, open func(int) (io.WriteCloser, error), step
 		return fmt.Errorf("engine: opening checkpoint at step %d: %w", step, err)
 	}
 	if _, err := s.WriteCheckpoint(w); err != nil {
-		w.Close()
+		if a, ok := w.(interface{ CloseWithError(error) error }); ok {
+			a.CloseWithError(err)
+		} else {
+			w.Close()
+		}
 		return fmt.Errorf("engine: writing checkpoint at step %d: %w", step, err)
 	}
 	if err := w.Close(); err != nil {

@@ -276,3 +276,23 @@ func TestConfigEqual(t *testing.T) {
 		t.Fatal("missing partitions must compare unequal")
 	}
 }
+
+var delivered float64
+
+// BenchmarkDeliver is one publication reaching a 50-client federation over
+// jittered, lossy links: each of the 49 other observers costs two seed
+// splits (the publication's, then the link's) and a few draws from the leaf.
+func BenchmarkDeliver(b *testing.B) {
+	b.ReportAllocs()
+	m, err := New(Config{Delay: 0.1, Jitter: 0.2, DropProb: 0.1, Retransmit: 0.5}, xrand.New(1), ids(50), 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq := 0
+	for b.Loop() {
+		for obs := 0; obs < 50; obs++ {
+			delivered += m.Deliver(seq, 0, obs, float64(seq)).VisibleAt
+		}
+		seq++
+	}
+}

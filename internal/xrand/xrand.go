@@ -5,6 +5,12 @@
 // single root seed. Sub-streams are created by name with Split, which hashes
 // the parent seed together with the name, so that adding a new consumer of
 // randomness does not perturb the streams of existing consumers.
+//
+// An RNG seeded with s draws Go 1 math/rand's stream, what
+// rand.NewSource(s) draws, which the Go 1 compatibility promise holds fixed
+// and every golden rests on. The generator is a copy of math/rand's whose
+// register words are seeded on first touch, not all in New, so a split that
+// draws little costs little. An RNG holds ~5 KB of state.
 package xrand
 
 import (
@@ -17,13 +23,17 @@ import (
 // simulator. It is not safe for concurrent use; derive one RNG per goroutine
 // with Split.
 type RNG struct {
-	seed int64
-	src  *rand.Rand
+	seed   int64
+	src    rand.Rand // draws from source
+	source source
 }
 
 // New returns an RNG seeded with seed.
 func New(seed int64) *RNG {
-	return &RNG{seed: seed, src: rand.New(rand.NewSource(seed))}
+	r := &RNG{seed: seed}
+	r.source.Seed(seed)
+	r.src = *rand.New(&r.source)
+	return r
 }
 
 // Seed returns the seed this RNG was created with.
