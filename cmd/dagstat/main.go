@@ -1,7 +1,7 @@
 // Command dagstat inspects Specializing DAG artifacts: plain tangle
 // snapshots (cmd/specdag -save, format SDG1), full simulation checkpoints
-// of both engine kinds — synchronous rounds (format SDC2, reads SDC1) and
-// the event-driven engine (format SDA2, reads SDA1), the resumable state
+// of both engine kinds — synchronous rounds (format SDC3, reads SDC2) and
+// the event-driven engine (format SDA3, reads SDA2), the resumable state
 // behind specdag.Run — and SDE1 event logs (cmd/specdag -events, or a saved
 // specdagd events download). For tangle-bearing artifacts it reports
 // structural statistics, per-issuer activity, heaviest transactions by
@@ -62,19 +62,20 @@ func run() error {
 	defer f.Close()
 
 	// Sniff the magic: plain DAG snapshot (SDG1), full simulation
-	// checkpoint (sync SDC2 / async SDA2, or their SDC1 / SDA1
-	// predecessors; core tells them apart) — all carrying a tangle to
-	// analyze — or an SDE1 event log, which gets its own report.
+	// checkpoint (sync SDC3 / async SDA3, or their SDC2 / SDA2
+	// predecessors; core tells them apart and names older generations) — all
+	// carrying a tangle to analyze — or an SDE1 event log, which gets its own
+	// report.
 	br := bufio.NewReader(f)
 	magic, err := br.Peek(4)
 	if err != nil {
 		return fmt.Errorf("reading magic: %w", err)
 	}
 	var d *dag.DAG
-	switch string(magic) {
-	case "SDE1":
+	switch kind := string(magic[:3]); {
+	case string(magic) == "SDE1":
 		return eventLogStats(*in, br)
-	case "SDC2", "SDA2", "SDC1", "SDA1":
+	case kind == "SDC" || kind == "SDA":
 		info, ckptDAG, err := core.InspectCheckpoint(br)
 		if err != nil {
 			return err

@@ -84,15 +84,15 @@ outcome: completed after 3 steps
 }
 
 // TestCheckpointReport: dagstat opens a checkpoint of either generation —
-// core's committed fixtures, SDC1/SDA1 from an older build and SDC2/SDA2 —
+// core's committed fixtures, SDC2/SDA2 from an older build and SDC3/SDA3 —
 // and names its kind and resume point before the tangle statistics.
 func TestCheckpointReport(t *testing.T) {
 	defer func(args []string, flags *flag.FlagSet) { os.Args, flag.CommandLine = args, flags }(os.Args, flag.CommandLine)
 	for file, want := range map[string]string{
-		"golden_sync.sdc":     "simulation checkpoint: seed 9, round 2/4, 3 clients — resume with specdag -resume\n",
 		"golden_sync_v2.sdc":  "simulation checkpoint: seed 9, round 2/4, 3 clients — resume with specdag -resume\n",
-		"golden_async.sdc":    "async simulation checkpoint: seed 9, event 3 (horizon 8s, in flight), 3 clients, ",
+		"golden_sync_v3.sdc":  "simulation checkpoint: seed 9, round 2/4, 3 clients — resume with specdag -resume\n",
 		"golden_async_v2.sdc": "async simulation checkpoint: seed 9, event 3 (horizon 8s, in flight), 3 clients, ",
+		"golden_async_v3.sdc": "async simulation checkpoint: seed 9, event 3 (horizon 8s, in flight), 3 clients, ",
 	} {
 		path := "../../internal/core/testdata/" + file
 		flag.CommandLine = flag.NewFlagSet("dagstat", flag.ContinueOnError)

@@ -7,9 +7,9 @@
 // persists the full simulation state periodically and at exit, and -resume
 // continues a checkpointed run bit-identically to one that was never
 // interrupted. -async switches to the event-driven engine (§5.3.3: every
-// client trains at its own pace, no rounds); its checkpoints (format SDA2)
+// client trains at its own pace, no rounds); its checkpoints (format SDA3)
 // resume the same way, at event granularity. -resume also takes the
-// SDC1/SDA1 files of older builds.
+// SDC2/SDA2 files of the previous build generation.
 //
 // Examples:
 //

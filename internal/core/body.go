@@ -84,8 +84,8 @@ type client struct {
 	model    *nn.MLP // scratch model reused for training and evaluation
 	eval     *tipselect.EvalCache
 	poisoned bool
-	// lastParams is the client's most recently trained model, used as the
-	// source of the personal head under partial-layer sharing.
+	// lastParams is the client's most recently trained model, the source of
+	// the personal head under partial-layer sharing; nil without one.
 	lastParams []float64
 	// view is the client's partial-visibility view of the tangle; nil under
 	// ideal (or uniformly delayed) broadcast.
@@ -278,8 +278,8 @@ func (b *body) walkAverageTrain(c *client, graph tipselect.Graph, rng *xrand.RNG
 	// first sharedLayers layers come from the DAG; the head stays the
 	// client's own.
 	avg := nn.AverageParams(tips[0].Params, tips[1].Params)
-	if k := b.sharedLayers; k > 0 && k < b.arch.NumLayers() && c.lastParams != nil {
-		split := b.arch.PrefixParams(k)
+	if b.personalHead() && c.lastParams != nil {
+		split := b.arch.PrefixParams(b.sharedLayers)
 		copy(avg[split:], c.lastParams[split:])
 	}
 
@@ -287,6 +287,12 @@ func (b *body) walkAverageTrain(c *client, graph tipselect.Graph, rng *xrand.RNG
 	c.model.SetParams(avg)
 	c.model.Train(c.trainX, c.trainY, b.local, rng.Split("train"))
 	return activation{tips: tips, refTx: refTx, refParams: refParams, stats: stats, walkDur: walkDur}
+}
+
+// personalHead reports whether partial-layer sharing leaves clients a head of
+// their own: the layers past sharedLayers, taken from lastParams.
+func (b *body) personalHead() bool {
+	return b.sharedLayers > 0 && b.sharedLayers < b.arch.NumLayers()
 }
 
 // consensusReference runs `walks` tip selections and returns the consensus

@@ -11,18 +11,20 @@ package core
 //     are just the seed — no mutable generator state exists to save. The
 //     seed is stored and verified so a snapshot cannot silently resume under
 //     a different randomness universe.
-//   - Client-side carried state (lastParams for partial-layer sharing,
-//     poisoned flags and the label flips they imply) is restored explicitly.
+//   - Client-side carried state (the last trained model, kept for the
+//     personal head under partial-layer sharing and only then; poisoned
+//     flags and the label flips they imply) is restored explicitly.
 //   - Partial-visibility views and evaluator memo caches are reconstructed,
 //     not stored: reveal predicates are monotone in the round counter, so a
 //     fresh view reveals exactly the accumulated set, and memoization only
 //     caches pure per-transaction accuracies (a cold cache re-computes the
 //     same values; walk stats count accuracy lookups, not cache misses).
 //
-// Format: magic "SDC2", then the tangle as an SDG1 record stream, then a
-// single gob-encoded checkpointState (snapshot.go has the envelope). "SDC1"
-// files, whose checkpointState carried the tangle in its DAG field, are still
-// read.
+// Format: magic "SDC3", then the tangle as an SDG1 record stream, then the
+// state section: the common sections (snapshot.go has the envelope and the
+// encoding), the round counters and attack parameters, per client its ID,
+// poisoned flag and last model, and the history, one RoundResult per round.
+// "SDC2" files, whose state was one gob value, are still read.
 
 import (
 	"bufio"
@@ -41,7 +43,8 @@ type clientCheckpoint struct {
 	LastParams []float64
 }
 
-// checkpointState is the serialized simulation.
+// checkpointState is the serialized simulation. Its fields keep the names
+// SDC2's gob value gave them, which is how that generation is still read.
 type checkpointState struct {
 	Seed    int64
 	Poison  PoisonConfig // restoring label flips needs the attack parameters
@@ -49,47 +52,84 @@ type checkpointState struct {
 	Rounds  int // configured horizon at checkpoint time (informational)
 	Clients []clientCheckpoint
 	Results []RoundResult
-	DAG     []byte // SDC1 files only: the tangle; SDC2 streams it before this value
 
-	// Versioned fault-state section. FaultsVersion is 0 for pre-fault
-	// snapshots and fault-free runs (gob leaves absent fields zero, so old
-	// snapshots decode cleanly) and 1 when a fault schedule was active —
-	// the schedule itself is all that needs saving, because the instantiated
-	// model is a pure function of (schedule, seed, clients, horizon).
+	// Versioned fault-state section. FaultsVersion is 0 for fault-free runs
+	// and 1 when a fault schedule was active — the schedule itself is all that
+	// needs saving, because the instantiated model is a pure function of
+	// (schedule, seed, clients, horizon).
 	FaultsVersion int
 	Faults        faults.Config
 
-	// Versioned epoch-compaction section (0 = compaction off or pre-epoch
-	// snapshot; old snapshots decode cleanly). When 1, Compaction holds the
-	// active config and Epochs the frozen epoch summaries; the tangle section
-	// carries frozen transactions with released (empty) parameter vectors,
-	// so checkpoint size stays proportional to the live suffix.
+	// Versioned epoch-compaction section (0 = compaction off). When 1,
+	// Compaction holds the active config and Epochs the frozen epoch
+	// summaries; the tangle section carries frozen transactions with released
+	// (empty) parameter vectors, so checkpoint size stays proportional to the
+	// live suffix.
 	CompactionVersion int
 	Compaction        dag.Compaction
 	Epochs            []dag.EpochSummary
 }
 
 func (st *checkpointState) sections() sections {
-	return sections{&st.Seed, &st.DAG, &st.FaultsVersion, &st.Faults, &st.CompactionVersion, &st.Compaction, &st.Epochs}
+	return sections{&st.Seed, &st.FaultsVersion, &st.Faults, &st.CompactionVersion, &st.Compaction, &st.Epochs}
+}
+
+func (st *checkpointState) codec(c *stateCodec) {
+	num(c, &st.Round)
+	num(c, &st.Rounds)
+	p := &st.Poison
+	c.float(&p.Fraction)
+	for _, v := range []*int{&p.FlipA, &p.FlipB, &p.StartRound} {
+		num(c, v)
+	}
+	c.bool(&p.Track)
+	num(c, &p.RandomAttackers)
+	list(c, &st.Clients, func(cc *clientCheckpoint) {
+		num(c, &cc.ID)
+		c.bool(&cc.Poisoned)
+		c.span(&cc.LastParams)
+	})
+	list(c, &st.Results, func(r *RoundResult) {
+		num(c, &r.Round)
+		ints(c, &r.Active)
+		for _, v := range []*[]float64{&r.TrainedAcc, &r.TrainedLoss, &r.RefAcc, &r.RefLoss} {
+			c.span(v)
+		}
+		list(c, &r.Published, c.bool)
+		ints(c, &r.RefTx)
+		c.span(&r.FlippedFrac)
+		list(c, &r.ActivePoisoned, c.bool)
+		ints(c, &r.RefPoisonedApprovals)
+		num(c, &r.Walk.Steps)
+		num(c, &r.Walk.Evaluations)
+		ints(c, &r.WalkDurations)
+	})
 }
 
 func (st *checkpointState) info() *CheckpointInfo {
 	return &CheckpointInfo{Kind: "sync", Seed: st.Seed, Round: st.Round, Rounds: st.Rounds, Clients: len(st.Clients)}
 }
 
-func (st *checkpointState) validate(*dag.DAG) error {
+func (st *checkpointState) validate(d *dag.DAG) error {
 	if st.Round < 0 {
 		return fmt.Errorf("core: checkpoint has negative round %d", st.Round)
 	}
 	if len(st.Results) != st.Round {
 		return fmt.Errorf("core: checkpoint records %d results for %d rounds", len(st.Results), st.Round)
 	}
+	for i, cc := range st.Clients {
+		if n := len(cc.LastParams); n != 0 && n != len(d.Genesis().Params) {
+			return fmt.Errorf("core: checkpoint client %d has a %d-parameter last model, DAG models have %d", i, n, len(d.Genesis().Params))
+		}
+	}
 	return nil
 }
 
 // WriteCheckpoint serializes the simulation's full state to w and returns
 // the number of bytes written. The simulation can keep running afterwards;
-// the checkpoint captures the state between rounds. A sink with a
+// the checkpoint captures the state between rounds — the history and the
+// clients' last models are pinned, not copied: the run appends rows and
+// replaces models, it never writes into one it holds. A sink with a
 // KeepCheckpoint method is handed the Checkpoint itself, nothing written.
 func (s *Simulation) WriteCheckpoint(w io.Writer) (int64, error) {
 	st := checkpointState{
@@ -148,7 +188,9 @@ func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simula
 		if c.id != cc.ID {
 			return nil, fmt.Errorf("core: checkpoint client %d has ID %d, federation has %d", i, cc.ID, c.id)
 		}
-		c.lastParams = cc.LastParams
+		if s.personalHead() {
+			c.lastParams = cc.LastParams
+		}
 		if cc.Poisoned {
 			// Re-apply the label flips the attack performed before the
 			// checkpoint; origTestY keeps the pre-attack labels for the
@@ -164,7 +206,7 @@ func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simula
 
 // CheckpointInfo summarizes a checkpoint without reconstructing the
 // simulation (cmd/dagstat uses it to inspect snapshots of either kind).
-// Kind is "sync" (SDC2, SDC1) or "async" (SDA2, SDA1); Round/Rounds describe
+// Kind is "sync" (SDC3, SDC2) or "async" (SDA3, SDA2); Round/Rounds describe
 // the sync resume point, Events/Duration/Pending/Done the async one.
 type CheckpointInfo struct {
 	Kind    string
@@ -185,8 +227,8 @@ type CheckpointInfo struct {
 	SpillBytes   int64 // total size of the epoch spill files
 }
 
-// InspectCheckpoint reads a checkpoint of either kind — synchronous (SDC2,
-// or SDC1 from an older build) or asynchronous (SDA2, SDA1) — and returns its
+// InspectCheckpoint reads a checkpoint of either kind — synchronous (SDC3,
+// or SDC2 from an older build) or asynchronous (SDA3, SDA2) — and returns its
 // summary along with the embedded tangle.
 func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *dag.DAG, error) {
 	br := bufio.NewReader(r)
@@ -196,7 +238,7 @@ func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *dag.DAG, error) {
 	}
 	var st snapshotState = &checkpointState{}
 	want := checkpointMagic
-	if m := [4]byte(magic); m == asyncCheckpointMagic || m == v1Magic(asyncCheckpointMagic) {
+	if m := [4]byte(magic); m == asyncCheckpointMagic || m == prevMagic(asyncCheckpointMagic) {
 		st, want = &asyncCheckpointState{}, asyncCheckpointMagic
 	}
 	d, err := readSnapshot(br, want, st)

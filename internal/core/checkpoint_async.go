@@ -1,8 +1,8 @@
 package core
 
 // Checkpoint/resume for the event-driven simulation — the async variant of
-// the SDC2 checkpoint family (magic "SDA2"; "SDA1" files, with the tangle
-// inside the gob value, are still read). The synchronous codec
+// the SDC3 checkpoint family (magic "SDA3"; "SDA2" files, with the state as
+// one gob value, are still read). The synchronous codec
 // (checkpoint.go) snapshots state between rounds; this one snapshots state
 // between events, which is where the asynchronous engine's Step boundary
 // lies, so engine.Run's WithCheckpoints option works unchanged.
@@ -17,8 +17,9 @@ package core
 //     network propagation delay has not elapsed — they exist nowhere else.
 //   - per-client statistics (cycles, publishes, final accuracy), which feed
 //     the partial Result history.
-//   - the tangle itself, streamed as an SDG1 snapshot ahead of the gob value,
-//     like the sync codec.
+//   - the tangle itself, streamed as an SDG1 snapshot ahead of the state
+//     section, like the sync codec; the pending transactions' parameter
+//     vectors are pinned with it and written as raw spans.
 //   - the processed-event and scheduling counters and the done flag.
 //
 // What is deliberately NOT saved, because it is a pure function of the
@@ -89,7 +90,9 @@ type asyncTxCheckpoint struct {
 	PubTime float64
 }
 
-// asyncCheckpointState is the serialized event-driven simulation.
+// asyncCheckpointState is the serialized event-driven simulation. Its fields
+// keep the names SDA2's gob value gave them, which is how that generation is
+// still read.
 type asyncCheckpointState struct {
 	Seed         int64
 	Duration     float64
@@ -102,14 +105,11 @@ type asyncCheckpointState struct {
 	Queue        []asyncEventCheckpoint
 	Pending      []asyncPendingCheckpoint
 	Clients      []asyncClientCheckpoint
-	DAG          []byte // SDA1 files only: the tangle; SDA2 streams it before this value
 
-	// Versioned fault-state section (0 = fault-free or pre-fault snapshot;
-	// gob decodes absent fields to zero, so old snapshots stay readable).
-	// The instantiated model is a pure function of (schedule, seed, clients,
-	// horizon) and is rebuilt on resume; only the schedule, the publish
-	// counter, per-transaction publish metadata and the communication
-	// counters carry state.
+	// Versioned fault-state section (0 = fault-free). The instantiated model
+	// is a pure function of (schedule, seed, clients, horizon) and is rebuilt
+	// on resume; only the schedule, the publish counter, per-transaction
+	// publish metadata and the communication counters carry state.
 	FaultsVersion int
 	Faults        faults.Config
 	PubSeq        int
@@ -118,18 +118,62 @@ type asyncCheckpointState struct {
 	Dropped       int
 	Duplicated    int
 
-	// Versioned epoch-compaction section (0 = compaction off or pre-compaction
-	// snapshot). The tangle section holds the live suffix with frozen
-	// parameter vectors elided; Epochs carries the per-epoch summaries that
-	// make the restored tangle resume-equivalent (spill files are referenced
-	// by path, not embedded, so checkpoint size tracks the live suffix).
+	// Versioned epoch-compaction section (0 = compaction off). The tangle
+	// section holds the live suffix with frozen parameter vectors elided;
+	// Epochs carries the per-epoch summaries that make the restored tangle
+	// resume-equivalent (spill files are referenced by path, not embedded, so
+	// checkpoint size tracks the live suffix).
 	CompactionVersion int
 	Compaction        dag.Compaction
 	Epochs            []dag.EpochSummary
 }
 
 func (st *asyncCheckpointState) sections() sections {
-	return sections{&st.Seed, &st.DAG, &st.FaultsVersion, &st.Faults, &st.CompactionVersion, &st.Compaction, &st.Epochs}
+	return sections{&st.Seed, &st.FaultsVersion, &st.Faults, &st.CompactionVersion, &st.Compaction, &st.Epochs}
+}
+
+// codec walks the timing parameters and counters, the fault model's publish
+// state (only with a fault section), then the queue, the clients and the
+// pending transactions, each ending in its parameter vector.
+func (st *asyncCheckpointState) codec(c *stateCodec) {
+	for _, v := range []*float64{&st.Duration, &st.MinCycle, &st.MaxCycle, &st.NetworkDelay} {
+		c.float(v)
+	}
+	num(c, &st.Events)
+	num(c, &st.Seq)
+	c.bool(&st.Done)
+	if st.FaultsVersion == 1 {
+		for _, v := range []*int{&st.PubSeq, &st.Deliveries, &st.Dropped, &st.Duplicated} {
+			num(c, v)
+		}
+		list(c, &st.TxInfo, func(tx *asyncTxCheckpoint) {
+			num(c, &tx.ID)
+			num(c, &tx.PubSeq)
+			c.float(&tx.PubTime)
+		})
+	}
+	list(c, &st.Queue, func(ev *asyncEventCheckpoint) {
+		c.float(&ev.At)
+		num(c, &ev.Seq)
+		num(c, &ev.Client)
+	})
+	list(c, &st.Clients, func(cc *asyncClientCheckpoint) {
+		num(c, &cc.ID)
+		num(c, &cc.Cycles)
+		num(c, &cc.Published)
+		c.float(&cc.FinalAcc)
+	})
+	list(c, &st.Pending, func(p *asyncPendingCheckpoint) {
+		c.float(&p.VisibleAt)
+		num(c, &p.Issuer)
+		ints(c, &p.Parents)
+		c.float(&p.Meta.TrainAcc)
+		c.float(&p.Meta.TestAcc)
+		c.bool(&p.Meta.Poisoned)
+		num(c, &p.PubSeq)
+		c.float(&p.PubTime)
+		c.span(&p.Params)
+	})
 }
 
 func (st *asyncCheckpointState) info() *CheckpointInfo {
@@ -195,8 +239,9 @@ func (st *asyncCheckpointState) validate(d *dag.DAG) error {
 // and returns the number of bytes written. The simulation can keep running
 // afterwards; the checkpoint captures the state between events, which is the
 // asynchronous engine's Step boundary (so engine.Run's WithCheckpoints
-// writes consistent snapshots). A sink with a KeepCheckpoint method is handed
-// the Checkpoint itself, nothing written.
+// writes consistent snapshots). In-flight publications are pinned, not
+// copied: their parents and parameters are never written again. A sink with a
+// KeepCheckpoint method is handed the Checkpoint itself, nothing written.
 func (a *AsyncSimulation) WriteCheckpoint(w io.Writer) (int64, error) {
 	st := asyncCheckpointState{
 		Duration:     a.cfg.Duration,

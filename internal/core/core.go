@@ -407,7 +407,9 @@ func (s *Simulation) runClient(c *client, round int) clientOutcome {
 	graph := s.graphFor(c, round)
 	act := s.walkAverageTrain(c, graph, crng)
 	trainedParams := c.model.ParamsCopy()
-	c.lastParams = trainedParams
+	if s.personalHead() {
+		c.lastParams = trainedParams
+	}
 	trainedLoss, trainedAcc := c.model.Evaluate(c.testX, c.testY)
 	// The reference is scored through the scratch model's buffers without
 	// copying its parameters in, so the trained weights stay untouched.

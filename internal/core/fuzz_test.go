@@ -52,30 +52,30 @@ func FuzzCheckpointDecode(f *testing.F) {
 
 	// …the committed golden fixtures (ignore errors: the corpus is best
 	// effort if the fixtures are absent)…
-	for _, p := range []string{goldenSyncPath, goldenAsyncPath, goldenSyncPathV2, goldenAsyncPathV2} {
+	for _, p := range []string{goldenSyncPathV2, goldenAsyncPathV2, goldenSyncPathV3, goldenAsyncPathV3} {
 		if blob, err := os.ReadFile(p); err == nil {
 			f.Add(blob)
 		}
 	}
 
 	// …and malformed variants: truncations, a magic swap (sync payload
-	// behind the async magic and vice versa), flipped gob header bytes.
+	// behind the async magic and vice versa), a flipped tangle header byte.
 	f.Add(syncSnap.Bytes()[:4])
 	f.Add(asyncSnap.Bytes()[:syncSnap.Len()/2])
 	f.Add([]byte{})
-	f.Add([]byte("SDC2"))
-	f.Add([]byte("SDA2garbage"))
-	swapped := append([]byte("SDA2"), syncSnap.Bytes()[4:]...)
+	f.Add([]byte("SDC3"))
+	f.Add([]byte("SDA3garbage"))
+	swapped := append([]byte("SDA3"), syncSnap.Bytes()[4:]...)
 	f.Add(swapped)
-	swapped2 := append([]byte("SDC2"), asyncSnap.Bytes()[4:]...)
+	swapped2 := append([]byte("SDC3"), asyncSnap.Bytes()[4:]...)
 	f.Add(swapped2)
 	// The tangle section of syncSnap is dagSnap's bytes behind the magic.
 	boundary := 4 + dagSnap.Len()
 	f.Add(syncSnap.Bytes()[:boundary/2])                          // inside a record
-	f.Add(syncSnap.Bytes()[:boundary])                            // the gob value is missing
-	f.Add(syncSnap.Bytes()[:(boundary+syncSnap.Len())/2])         // inside the gob tail
-	f.Add(append([]byte("SDC1"), syncSnap.Bytes()[4:]...))        // v2 body behind the v1 magic
-	f.Add(append([]byte("SDC1"), syncSnap.Bytes()[boundary:]...)) // a v1 file with an empty DAG field
+	f.Add(syncSnap.Bytes()[:boundary])                            // the state section is missing
+	f.Add(syncSnap.Bytes()[:(boundary+syncSnap.Len())/2])         // inside the state section
+	f.Add(append([]byte("SDC2"), syncSnap.Bytes()[4:]...))        // a v3 body behind the v2 magic
+	f.Add(append([]byte("SDC2"), syncSnap.Bytes()[boundary:]...)) // a v2 file without its tangle
 	flipped := append([]byte(nil), asyncSnap.Bytes()...)
 	flipped[7] ^= 0xff
 	f.Add(flipped)

@@ -1,19 +1,20 @@
 package core
 
 // Golden-checkpoint fixtures, committed under testdata/: one sync and one
-// async checkpoint of each generation. golden_{sync,async}.sdc are SDC1/SDA1
-// files an older build wrote (the tangle inside the gob value) and stay byte
-// for byte as committed — nothing can write them any more; they keep the
-// reader's v1 branch honest. golden_{sync,async}_v2.sdc are SDC2/SDA2, what
-// this build writes. Every test run decodes and fully resumes all four, so a
-// codec change that silently breaks previously written checkpoints fails CI
-// here instead of corrupting a user's resume, and re-writes the v2 pair from
-// the pinned configuration: checkpoint bytes are a function of the state, so
-// they must come out as committed. The generating configuration is pinned
-// below — it must never change, or the fixtures stop being "old files" and
-// start being "files this very commit wrote".
+// async checkpoint of each generation this build reads.
+// golden_{sync,async}_v2.sdc are SDC2/SDA2 files an older build wrote (the
+// state as one gob value) and stay byte for byte as committed — nothing can
+// write them any more; they keep the reader's previous-generation branch
+// honest. golden_{sync,async}_v3.sdc are SDC3/SDA3, what this build writes.
+// Every test run decodes and fully resumes all four, so a codec change that
+// silently breaks previously written checkpoints fails CI here instead of
+// corrupting a user's resume, and re-writes the v3 pair from the pinned
+// configuration: checkpoint bytes are a function of the state, so they must
+// come out as committed. The generating configuration is pinned below — it
+// must never change, or the fixtures stop being "old files" and start being
+// "files this very commit wrote".
 //
-// Regenerate the v2 pair (only after a deliberate, versioned format change):
+// Regenerate the v3 pair (only after a deliberate, versioned format change):
 //
 //	SPECDAG_REGEN_GOLDEN=1 go test ./internal/core/ -run TestGoldenCheckpoint
 
@@ -64,10 +65,10 @@ func goldenAsyncConfig() AsyncConfig {
 }
 
 const (
-	goldenSyncPath    = "testdata/golden_sync.sdc" // SDC1, from an older build
-	goldenAsyncPath   = "testdata/golden_async.sdc"
-	goldenSyncPathV2  = "testdata/golden_sync_v2.sdc" // SDC2, what this build writes
+	goldenSyncPathV2  = "testdata/golden_sync_v2.sdc" // SDC2, from an older build
 	goldenAsyncPathV2 = "testdata/golden_async_v2.sdc"
+	goldenSyncPathV3  = "testdata/golden_sync_v3.sdc" // SDC3, what this build writes
+	goldenAsyncPathV3 = "testdata/golden_async_v3.sdc"
 	goldenSyncCut     = 2 // rounds completed when the fixtures were written
 	goldenAsyncCut    = 3 // events processed when the fixtures were written
 )
@@ -110,10 +111,10 @@ func goldenAsyncCheckpoint(t *testing.T) []byte {
 // generations and resumes them to completion: the resumed history and DAG
 // must match a never-interrupted run of the pinned configuration bit for bit.
 // A decoder or codec change that cannot read yesterday's files fails here;
-// so does a writer whose bytes for the pinned state are not the v2 fixtures.
+// so does a writer whose bytes for the pinned state are not the v3 fixtures.
 func TestGoldenCheckpointFixtures(t *testing.T) {
 	regen := os.Getenv("SPECDAG_REGEN_GOLDEN") != ""
-	// checkWritten holds what this build writes against the committed v2
+	// checkWritten holds what this build writes against the committed v3
 	// fixture (or replaces the fixture when regenerating).
 	checkWritten := func(t *testing.T, path string, written []byte) {
 		if regen {
@@ -138,13 +139,13 @@ func TestGoldenCheckpointFixtures(t *testing.T) {
 	}
 
 	t.Run("sync", func(t *testing.T) {
-		checkWritten(t, goldenSyncPathV2, goldenSyncCheckpoint(t))
+		checkWritten(t, goldenSyncPathV3, goldenSyncCheckpoint(t))
 		ref, err := NewSimulation(goldenFed(), goldenSyncConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		refHist := runAll(ref)
-		for _, f := range [][2]string{{goldenSyncPath, "SDC1"}, {goldenSyncPathV2, "SDC2"}} {
+		for _, f := range [][2]string{{goldenSyncPathV2, "SDC2"}, {goldenSyncPathV3, "SDC3"}} {
 			path := f[0]
 			blob := readFixture(t, path, f[1])
 			info, _, err := InspectCheckpoint(bytes.NewReader(blob))
@@ -166,13 +167,13 @@ func TestGoldenCheckpointFixtures(t *testing.T) {
 	})
 
 	t.Run("async", func(t *testing.T) {
-		checkWritten(t, goldenAsyncPathV2, goldenAsyncCheckpoint(t))
+		checkWritten(t, goldenAsyncPathV3, goldenAsyncCheckpoint(t))
 		ref, err := NewAsyncSimulation(goldenFed(), goldenAsyncConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		drainAsync(ref)
-		for _, f := range [][2]string{{goldenAsyncPath, "SDA1"}, {goldenAsyncPathV2, "SDA2"}} {
+		for _, f := range [][2]string{{goldenAsyncPathV2, "SDA2"}, {goldenAsyncPathV3, "SDA3"}} {
 			path := f[0]
 			blob := readFixture(t, path, f[1])
 			info, _, err := InspectCheckpoint(bytes.NewReader(blob))

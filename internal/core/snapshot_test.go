@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,11 +14,11 @@ import (
 // handed every sibling format (or garbage, or a short read), names what the
 // file is and what to do with it instead.
 func TestMagicDiagnosis(t *testing.T) {
-	syncCkpt, err := os.ReadFile(goldenSyncPath)
+	syncCkpt, err := os.ReadFile(goldenSyncPathV3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asyncCkpt, err := os.ReadFile(goldenAsyncPath)
+	asyncCkpt, err := os.ReadFile(goldenAsyncPathV3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +60,11 @@ func TestMagicDiagnosis(t *testing.T) {
 		blob []byte
 		want map[string]string
 	}{
-		{"SDC1", syncCkpt, map[string]string{
+		{"SDC3", syncCkpt, map[string]string{
 			"ResumeSimulation": "", "InspectCheckpoint": "",
 			"ResumeAsyncSimulation": "synchronous round-simulation checkpoint (resume it with ResumeSimulation)",
 		}},
-		{"SDA1", asyncCkpt, map[string]string{
+		{"SDA3", asyncCkpt, map[string]string{
 			"ResumeAsyncSimulation": "", "InspectCheckpoint": "",
 			"ResumeSimulation": "asynchronous event-simulation checkpoint (resume it with ResumeAsyncSimulation)",
 		}},
@@ -72,6 +75,17 @@ func TestMagicDiagnosis(t *testing.T) {
 		{"SDA2", asyncV2, map[string]string{
 			"ResumeAsyncSimulation": "", "InspectCheckpoint": "",
 			"ResumeSimulation": "asynchronous event-simulation checkpoint (resume it with ResumeAsyncSimulation)",
+		}},
+		// Two generations back is named, not decoded.
+		{"SDC1", append([]byte("SDC1"), syncV2[4:]...), map[string]string{
+			"ResumeSimulation":      `"SDC1" is an older checkpoint generation than this build reads ("SDC3" and "SDC2")`,
+			"ResumeAsyncSimulation": `"SDC1" is an older checkpoint generation than this build reads ("SDA3" and "SDA2")`,
+			"InspectCheckpoint":     `"SDC1" is an older checkpoint generation`,
+		}},
+		{"SDA1", append([]byte("SDA1"), asyncV2[4:]...), map[string]string{
+			"ResumeSimulation":      `"SDA1" is an older checkpoint generation`,
+			"ResumeAsyncSimulation": `"SDA1" is an older checkpoint generation`,
+			"InspectCheckpoint":     `"SDA1" is an older checkpoint generation`,
 		}},
 		{"SDG1", bareDAG.Bytes(), map[string]string{
 			"ResumeSimulation":      "bare DAG snapshot",
@@ -84,8 +98,8 @@ func TestMagicDiagnosis(t *testing.T) {
 			"InspectCheckpoint":     "event-stream log",
 		}},
 		{"garbage", append([]byte("NOPE"), syncCkpt[4:]...), map[string]string{
-			"ResumeSimulation":      `bad magic "NOPE" (not a "SDC2" checkpoint)`,
-			"ResumeAsyncSimulation": `bad magic "NOPE" (not a "SDA2" checkpoint)`,
+			"ResumeSimulation":      `bad magic "NOPE" (not a "SDC3" checkpoint)`,
+			"ResumeAsyncSimulation": `bad magic "NOPE" (not a "SDA3" checkpoint)`,
 			"InspectCheckpoint":     `bad magic "NOPE"`,
 		}},
 		{"short read", []byte("SD"), map[string]string{
@@ -104,5 +118,76 @@ func TestMagicDiagnosis(t *testing.T) {
 				t.Errorf("%s(%s): %v, want an error containing %q", reader, tc.name, err, want)
 			}
 		}
+	}
+}
+
+// TestStateCodecWalksEveryField: the state section is written out field by
+// field, so a field added to a state struct (or to a type inside one) and
+// left out of its codec would come back from a resume as zero. Every field of
+// both kinds is set to a distinct non-zero value: decoding what the writer
+// wrote must give the struct back, the counting pass must agree with the
+// writer, and every proper prefix of the section must fail to decode.
+func TestStateCodecWalksEveryField(t *testing.T) {
+	for _, st := range []snapshotState{&checkpointState{}, &asyncCheckpointState{}} {
+		t.Run(reflect.TypeOf(st).Elem().Name(), func(t *testing.T) {
+			next := 0
+			fillFields(reflect.ValueOf(st).Elem(), &next)
+			sec := st.sections()
+			*sec.faultsVersion, *sec.compactionVersion = 1, 1
+
+			var buf bytes.Buffer
+			enc := &stateCodec{w: &buf}
+			enc.state(st)
+			enc.flush()
+			count := &stateCodec{}
+			count.state(st)
+			if enc.err != nil || enc.n != int64(buf.Len()) || count.n != enc.n {
+				t.Fatalf("wrote %d bytes (%d reported, %v), counted %d", buf.Len(), enc.n, enc.err, count.n)
+			}
+			decode := func(b []byte) (snapshotState, error) {
+				got := reflect.New(reflect.TypeOf(st).Elem()).Interface().(snapshotState)
+				dec := &stateCodec{br: bufio.NewReader(bytes.NewReader(b))}
+				dec.state(got)
+				return got, dec.err
+			}
+			got, err := decode(buf.Bytes())
+			if err != nil || !reflect.DeepEqual(got, st) {
+				t.Fatalf("decoded %+v (%v), want %+v", got, err, st)
+			}
+			for n := 0; n < buf.Len(); n++ {
+				if _, err := decode(buf.Bytes()[:n]); err == nil {
+					t.Fatalf("the state section cut to %d of %d bytes decoded", n, buf.Len())
+				}
+			}
+		})
+	}
+}
+
+// fillFields sets every settable field under v to a distinct non-zero value,
+// every slice to two elements.
+func fillFields(v reflect.Value, next *int) {
+	*next++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanSet() {
+				fillFields(f, next)
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillFields(v.Index(i), next)
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*next))
+	case reflect.Float64:
+		v.SetFloat(float64(*next) + 0.25)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", *next))
+	default:
+		panic(fmt.Sprintf("fillFields: no value for a %s", v.Type()))
 	}
 }

@@ -111,7 +111,7 @@ func TestCheckpointStreams(t *testing.T) {
 	}
 }
 
-// TestCheckpointSectionBoundary: the gob section starts at the byte the
+// TestCheckpointSectionBoundary: the state section starts at the byte the
 // record stream ended on, whatever the reader hands over per Read — one
 // byte, half of what was asked, a file's pages — and whether or not it is
 // already buffered. Checkpoint bytes are a function of the state, so the
@@ -167,7 +167,7 @@ func TestCheckpointSectionBoundary(t *testing.T) {
 }
 
 // TestCheckpointCutAtSections: a checkpoint cut in either section, or
-// exactly between them, or dressed in the other generation's magic, is an
+// exactly between them, or dressed in the previous generation's magic, is an
 // error that names the section it failed in — for every reader.
 func TestCheckpointCutAtSections(t *testing.T) {
 	good := goldenSyncCheckpoint(t)
@@ -183,7 +183,7 @@ func TestCheckpointCutAtSections(t *testing.T) {
 	if !bytes.Equal(good[4:boundary], tangle.Bytes()) {
 		t.Fatal("the tangle section is not the SDG1 stream of the decoded tangle")
 	}
-	v1 := func(body []byte) []byte { return append([]byte("SDC1"), body...) }
+	v2 := func(body []byte) []byte { return append([]byte("SDC2"), body...) }
 	for _, tc := range []struct {
 		name, want string
 		blob       []byte
@@ -191,9 +191,9 @@ func TestCheckpointCutAtSections(t *testing.T) {
 		{"inside a record", "core: checkpoint DAG: dag: tx ", good[:boundary/2]},
 		{"inside the record header", "core: checkpoint DAG: dag: reading count", good[:10]},
 		{"at the section boundary", "core: decoding checkpoint: EOF", good[:boundary]},
-		{"inside the gob tail", "core: decoding checkpoint: ", good[:(boundary+len(good))/2]},
-		{"v2 body behind the v1 magic", "core: decoding checkpoint: ", v1(good[4:])},
-		{"v1 file without its DAG field", "core: checkpoint DAG: dag: reading magic", v1(good[boundary:])},
+		{"inside the state section", "core: decoding checkpoint: ", good[:(boundary+len(good))/2]},
+		{"v3 body behind the v2 magic", "core: decoding checkpoint: ", v2(good[4:])},
+		{"v2 file without its tangle", "core: checkpoint DAG: dag: bad magic", v2(good[boundary:])},
 	} {
 		for name, read := range map[string]func(io.Reader) error{
 			"ResumeSimulation": func(r io.Reader) error {
@@ -206,5 +206,73 @@ func TestCheckpointCutAtSections(t *testing.T) {
 				t.Errorf("%s, %s: %v, want an error containing %q", name, tc.name, err, tc.want)
 			}
 		}
+	}
+}
+
+// TestCaptureEncodesWhileTheRunGoesOn: a checkpoint kept as a value pins the
+// engine state instead of copying it — the history, the clients' last models
+// under partial sharing, the in-flight publications — so the run must never
+// write into what a capture holds. Two goroutines encode one capture while
+// the engine runs on; under the race detector this is the claim, and every
+// encoding must be the bytes written at the capture's boundary.
+func TestCaptureEncodesWhileTheRunGoesOn(t *testing.T) {
+	shared := smallConfig()
+	shared.SharedLayers = 1
+	sim, err := NewSimulation(smallFed(40), shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acfg := asyncConfig()
+	acfg.NetworkDelay = 6 // publications stay in flight across many events
+	async, err := NewAsyncSimulation(smallFed(40), acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []struct {
+		name  string
+		write func(io.Writer) (int64, error)
+		step  func()
+	}{
+		{"sync", sim.WriteCheckpoint, func() { sim.RunRound() }},
+		{"async", async.WriteCheckpoint, func() {
+			if _, err := async.step(); err != nil {
+				t.Error(err)
+			}
+		}},
+	} {
+		t.Run(eng.name, func(t *testing.T) {
+			for i := 0; i < 3; i++ {
+				eng.step()
+			}
+			var eager bytes.Buffer
+			var kept keptCheckpoint
+			if _, err := eng.write(&eager); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.write(&kept); err != nil {
+				t.Fatal(err)
+			}
+			encoded := make(chan []byte, 2)
+			for g := 0; g < cap(encoded); g++ {
+				go func() {
+					var buf bytes.Buffer
+					for i := 0; i < 3; i++ {
+						buf.Reset()
+						if _, err := kept.c.WriteTo(&buf); err != nil {
+							t.Error(err)
+						}
+					}
+					encoded <- buf.Bytes()
+				}()
+			}
+			for i := 0; i < 4; i++ {
+				eng.step()
+			}
+			for g := 0; g < cap(encoded); g++ {
+				if got := <-encoded; !bytes.Equal(got, eager.Bytes()) {
+					t.Errorf("a capture encoded while the run went on gives %d bytes, not the %d written at its boundary", len(got), eager.Len())
+				}
+			}
+		})
 	}
 }

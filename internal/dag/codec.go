@@ -30,14 +30,20 @@ import (
 // same stream under their own magic — a run of consecutive records that need
 // not start at genesis — so both formats go through one record encoder
 // (appendRecord, behind writeRecords) and one header and record reader
-// (readHeader, readTxRecord). A simulation checkpoint (SDC2/SDA2,
-// internal/core) carries a whole SDG1 stream as its first section.
+// (readHeader, readTxRecord). A simulation checkpoint (SDC3/SDA3,
+// internal/core) carries a whole SDG1 stream as its first section, and its
+// engine state writes parameter vectors as the same raw spans (AppendFloats,
+// ReadFloats).
 
 // codecMagic identifies snapshot files and fixes the version.
 var codecMagic = [4]byte{'S', 'D', 'G', '1'}
 
 // maxSnapshotTxs bounds decoding work against adversarial headers.
 const maxSnapshotTxs = 1 << 24
+
+// MaxParams bounds a decoded parameter vector's length: a larger count is
+// rejected as corrupt before anything is allocated for it.
+const MaxParams = 1 << 28
 
 // appendRecord appends one transaction record in the SDG1 layout to b, with
 // params as its parameter vector — t.Params, or what a Capture pinned of it;
@@ -62,12 +68,48 @@ func appendRecord(b []byte, t *Transaction, params []float64) ([]byte, error) {
 	}
 	b = append(b, poisoned)
 	b = binary.AppendUvarint(b, uint64(len(params)))
+	return AppendFloats(b, params), nil
+}
+
+// AppendFloats appends v to b as a raw span: each float's IEEE-754 bit
+// pattern, little-endian, with no length — b is grown once and filled in
+// place. The checkpoint codecs (internal/core) write their parameter vectors
+// this way too.
+func AppendFloats(b []byte, v []float64) []byte {
 	at := len(b)
-	b = slices.Grow(b, 8*len(params))[:at+8*len(params)]
-	for i, f := range params {
+	b = slices.Grow(b, 8*len(v))[:at+8*len(v)]
+	for i, f := range v {
 		binary.LittleEndian.PutUint64(b[at+8*i:], math.Float64bits(f))
 	}
-	return b, nil
+	return b
+}
+
+// ReadFloats decodes a raw span of n floats off br. The vector is decoded
+// straight out of the reader's buffer, as many whole floats as it holds at a
+// time, and grows only once their bytes are there — by doubling, up to
+// exactly n — so a forged count allocates at most twice what the stream
+// really backs. An error names the first float the input does not back.
+func ReadFloats(br *bufio.Reader, n int) ([]float64, error) {
+	v := make([]float64, 0, min(n, 1<<12))
+	for len(v) < n {
+		k := min(max(br.Buffered()/8, 1), n-len(v)) // nothing buffered: Peek refills
+		win, err := br.Peek(8 * k)
+		if err != nil {
+			// Report the error reading that float alone would have met.
+			if err == io.EOF && len(win)%8 != 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("param %d: %w", len(v)+len(win)/8, err)
+		}
+		if len(v)+k > cap(v) {
+			v = append(make([]float64, 0, min(n, 2*cap(v))), v...)
+		}
+		for ; len(win) >= 8; win = win[8:] {
+			v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(win)))
+		}
+		br.Discard(8 * k)
+	}
+	return v, nil
 }
 
 // appendHeader appends a record stream's magic and count.
@@ -148,33 +190,12 @@ func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tx %d: param count: %w", want, err)
 	}
-	if nParams > 1<<28 {
+	if nParams > MaxParams {
 		return nil, fmt.Errorf("tx %d: implausible param count %d", want, nParams)
 	}
-	// The vector is decoded straight out of the reader's buffer, as many whole
-	// floats as it holds at a time, and grows only once their bytes are there
-	// — by doubling, up to exactly total — so a forged count allocates at
-	// most twice what the stream really backs.
-	total := int(nParams)
-	params := make([]float64, 0, min(total, 1<<12))
-	for len(params) < total {
-		n := min(max(br.Buffered()/8, 1), total-len(params)) // nothing buffered: Peek refills
-		win, err := br.Peek(8 * n)
-		if err != nil {
-			// Name the first float the input does not back, with the error
-			// reading it alone would have met.
-			if err == io.EOF && len(win)%8 != 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("tx %d: param %d: %w", want, len(params)+len(win)/8, err)
-		}
-		if len(params)+n > cap(params) {
-			params = append(make([]float64, 0, min(total, 2*cap(params))), params...)
-		}
-		for ; len(win) >= 8; win = win[8:] {
-			params = append(params, math.Float64frombits(binary.LittleEndian.Uint64(win)))
-		}
-		br.Discard(8 * n)
+	params, err := ReadFloats(br, int(nParams))
+	if err != nil {
+		return nil, fmt.Errorf("tx %d: %w", want, err)
 	}
 	return &Transaction{
 		ID:      ID(id),

@@ -49,11 +49,11 @@ func TestFailedCheckpointWriteKeepsThePreviousFile(t *testing.T) {
 	}
 }
 
-// failsBeforeWriting is a Snapshotter whose encoding fails before it writes
-// anything, as a gob encode of the engine state does.
+// failsBeforeWriting is a Snapshotter that fails before it writes anything,
+// as one that encodes its whole state up front can.
 type failsBeforeWriting struct{}
 
-var errEncode = errors.New("gob: type not registered")
+var errEncode = errors.New("encoding the engine state failed")
 
 func (failsBeforeWriting) WriteCheckpoint(io.Writer) (int64, error) { return 0, errEncode }
 

@@ -39,10 +39,11 @@ type Partition struct {
 	Groups   int
 }
 
-// Config declares a fault schedule. It is pure data: gob-serializable,
-// comparable via Equal, and embedded verbatim in the SDA2/SDC2 checkpoint
-// fault sections so a resume under a different schedule is rejected instead
-// of silently diverging.
+// Config declares a fault schedule. It is pure data: comparable via Equal,
+// and written field by field into the SDA3/SDC3 checkpoint fault sections
+// (internal/core's codec names every field; a new one needs a line there) so
+// a resume under a different schedule is rejected instead of silently
+// diverging.
 //
 // The network fields (Delay, Jitter, DropProb, Retransmit, DupProb) shape
 // per-(publisher, observer) delivery and apply to the async engine; the

@@ -18,9 +18,10 @@
 // # Checkpoints
 //
 // A run's checkpoint is a capture, not a blob. At the cadence (and at a
-// pause) the engine hands its sink a core.Checkpoint: the state section,
-// encoded on the spot, and the tangle pinned where it stands — the ledger is
-// append-only, so that costs a few words per live transaction. The bytes are
+// pause) the engine hands its sink a core.Checkpoint: the tangle and the
+// engine state pinned where they stand — the ledger is append-only and the
+// engine never writes into a history row or parameter vector it holds, so
+// that costs a few words per live transaction and per client. The bytes are
 // produced when someone reads: GET /runs/{id}/checkpoint encodes into the
 // response, Resume into the decoder, Shutdown into the state directory, each
 // without a lock and without reading anything the run still writes; a

@@ -104,7 +104,7 @@ func (s *Server) lifecycle(act func(ctx context.Context, id int) error) http.Han
 }
 
 // handleCheckpoint implements GET /runs/{id}/checkpoint: the latest
-// checkpoint (SDC2/SDA2, exactly what cmd/specdag -resume accepts), with
+// checkpoint (SDC3/SDA3, exactly what cmd/specdag -resume accepts), with
 // CheckpointIndexHeader carrying the event index it resumes from. The bytes
 // are encoded from the run's capture into the response a chunk at a time —
 // the daemon never holds them — under a Content-Length stated up front, so a

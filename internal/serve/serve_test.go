@@ -988,17 +988,15 @@ func TestCadenceCaptureEncodesLater(t *testing.T) {
 				floors[i] = d.LiveFloor()
 			}
 			last := len(floors) - 1
-			// What taking a checkpoint still allocates is the gob tail and the
-			// buffers it grows through, which do not follow the tangle: the event
-			// engine's in-flight publications (the round engine's tail is every
-			// client's last model, most of so short a run's checkpoint).
-			if req.Async {
-				if floors[last] <= floors[0] {
-					t.Errorf("live floors %v: nothing captured live froze before it was encoded", floors)
-				}
-				if size := kept.all[last].Size(); kept.allocs[last] >= uint64(size)/2 {
-					t.Errorf("taking the last, %d-byte checkpoint allocated %d bytes, want < half", size, kept.allocs[last])
-				}
+			// Taking a checkpoint encodes nothing: what it allocates is the
+			// state struct's own lists (queue, clients, slice headers of pinned
+			// history rows and in-flight parameter vectors), a sliver of the
+			// bytes they stand for.
+			if req.Async && floors[last] <= floors[0] {
+				t.Errorf("live floors %v: nothing captured live froze before it was encoded", floors)
+			}
+			if size := kept.all[last].Size(); kept.allocs[last] >= uint64(size)/16 {
+				t.Errorf("taking the last, %d-byte checkpoint allocated %d bytes, want < 1/16", size, kept.allocs[last])
 			}
 			t.Logf("%d captures of %d…%d bytes, live floor %d…%d; taking the last allocated %d bytes",
 				len(kept.all), kept.all[0].Size(), kept.all[last].Size(), floors[0], floors[last], kept.allocs[last])

@@ -97,7 +97,7 @@ type LongHaulReport struct {
 	FrozenTxs       int
 	SpillBytes      int64  // on-disk bytes of spilled parameter vectors
 	PeakHeapBytes   uint64 // max HeapAlloc observed (sampled every few k events)
-	CheckpointBytes int64  // full SDA2 checkpoint size at the end of the run
+	CheckpointBytes int64  // full SDA3 checkpoint size at the end of the run
 	MeanFinalAcc    float64
 }
 

@@ -6,7 +6,7 @@ package wire
 // back as a non-empty, actionable error (or decode as a genuinely valid
 // stream), never a panic. The seed corpus covers the real format (a full
 // stream of every frame kind), truncations, flipped header and gob bytes,
-// and the sibling SDC2/SDA2/SDC1/SDA1/SDG1 magics, so the fuzzer starts at the
+// and the sibling SDC3/SDA3/SDC2/SDA2/SDG1 magics, so the fuzzer starts at the
 // interesting boundaries: header confusion and gob-payload corruption.
 
 import (
@@ -36,7 +36,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte("SDE1garbage"))
 	// Magic confusion: checkpoint-family headers over an event-stream
 	// payload and an event-stream header over nothing meaningful.
-	for _, m := range []string{"SDC2", "SDA2", "SDC1", "SDA1", "SDG1"} {
+	for _, m := range []string{"SDC3", "SDA3", "SDC2", "SDA2", "SDG1"} {
 		f.Add(append([]byte(m), full.Bytes()[4:]...))
 	}
 	// Flipped header and gob bytes.

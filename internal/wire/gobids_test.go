@@ -23,11 +23,12 @@ import (
 const gobOrderEnv = "SPECDAG_TEST_GOB_ORDER"
 
 // TestBytesDoNotDependOnWhoMeetsGobFirst: gob assigns type ids process-wide
-// in order of first use and writes them into its streams, so without the
-// init-time encodes in core and wire the bytes of a checkpoint depended on
-// whether an SDE1 stream had been written or read earlier in the process
-// (and the other way round). Two fresh processes produce the three artifacts
-// in opposite orders; their bytes must agree.
+// in order of first use and writes them into its streams. Checkpoints used to
+// carry a gob value, and their bytes depended on whether an SDE1 stream had
+// been written or read earlier in the process (and the other way round); now
+// they carry no gob at all, and SDE1's own ids are assigned by wire's init.
+// Two fresh processes produce the three artifacts in opposite orders; their
+// bytes must agree.
 func TestBytesDoNotDependOnWhoMeetsGobFirst(t *testing.T) {
 	if order := os.Getenv(gobOrderEnv); order != "" {
 		gobOrderChild(t, order)

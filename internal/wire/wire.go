@@ -2,7 +2,7 @@
 // event streams: the typed engine events (engine.RoundEvent, PublishEvent,
 // ProbeEvent) plus run-lifecycle frames, serialized onto any io.Writer and
 // decoded back from any io.Reader. It is the network-facing sibling of the
-// checkpoint codecs (SDC2/SDA2, internal/core) and the DAG codec (SDG1,
+// checkpoint codecs (SDC3/SDA3, internal/core) and the DAG codec (SDG1,
 // internal/dag): those snapshot state, SDE1 streams the events between
 // snapshots, so a remote consumer replaying an SDE1 stream into
 // engine.Hooks observes exactly what a local observer would.
@@ -32,8 +32,8 @@
 // semantic changes to Index) must bump the magic to "SDE2" and teach
 // NewReader to name the mismatch; additive, gob-compatible field additions
 // (new optional fields, new Kind values) may keep the version. Decoders
-// reject the checkpoint-family magics (SDC2/SDA2, SDC1/SDA1 before them,
-// SDG1) with an error that names what the bytes actually are, and vice versa.
+// reject the checkpoint-family magics (SDC and SDA of any generation, SDG1)
+// with an error that names what the bytes actually are, and vice versa.
 package wire
 
 import (
@@ -50,15 +50,9 @@ import (
 // Magic identifies an SDE1 event stream and fixes the version.
 var Magic = [4]byte{'S', 'D', 'E', '1'}
 
-// The sibling formats NewReader recognizes to produce actionable
-// confusion errors.
-var (
-	magicSDC2 = [4]byte{'S', 'D', 'C', '2'}
-	magicSDA2 = [4]byte{'S', 'D', 'A', '2'}
-	magicSDC1 = [4]byte{'S', 'D', 'C', '1'} // what SDC2/SDA2 replaced; still read by core
-	magicSDA1 = [4]byte{'S', 'D', 'A', '1'}
-	magicSDG1 = [4]byte{'S', 'D', 'G', '1'}
-)
+// magicSDG1 is the bare DAG snapshot's magic, one of the sibling formats
+// NewReader names; the checkpoints' are told apart by their first three bytes.
+var magicSDG1 = [4]byte{'S', 'D', 'G', '1'}
 
 // The concrete Detail payloads engines attach to RoundEvents must be
 // registered so gob can carry them through the interface field: remote
@@ -274,13 +268,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("wire: reading stream header: %w", err)
 	}
-	switch magic {
-	case Magic:
-	case magicSDC2, magicSDC1:
+	switch {
+	case magic == Magic:
+	case string(magic[:3]) == "SDC":
 		return nil, fmt.Errorf("wire: this is a synchronous simulation checkpoint (magic %q), not an event stream — resume it with ResumeSimulation or inspect it with dagstat", magic)
-	case magicSDA2, magicSDA1:
+	case string(magic[:3]) == "SDA":
 		return nil, fmt.Errorf("wire: this is an asynchronous simulation checkpoint (magic %q), not an event stream — resume it with ResumeAsyncSimulation or inspect it with dagstat", magic)
-	case magicSDG1:
+	case magic == magicSDG1:
 		return nil, fmt.Errorf("wire: this is a bare DAG snapshot (magic %q), not an event stream — inspect it with dagstat or dag.ReadDAG", magic)
 	default:
 		return nil, fmt.Errorf("wire: bad magic %q (not an SDE1 event stream)", magic)

@@ -97,8 +97,10 @@ func TestMagicConfusion(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"sync checkpoint", []byte("SDC2rest"), "synchronous simulation checkpoint"},
-		{"async checkpoint", []byte("SDA2rest"), "asynchronous simulation checkpoint"},
+		{"sync checkpoint", []byte("SDC3rest"), "synchronous simulation checkpoint"},
+		{"async checkpoint", []byte("SDA3rest"), "asynchronous simulation checkpoint"},
+		{"sync checkpoint v2", []byte("SDC2rest"), "synchronous simulation checkpoint"},
+		{"async checkpoint v2", []byte("SDA2rest"), "asynchronous simulation checkpoint"},
 		{"sync checkpoint v1", []byte("SDC1rest"), "synchronous simulation checkpoint"},
 		{"async checkpoint v1", []byte("SDA1rest"), "asynchronous simulation checkpoint"},
 		{"dag snapshot", []byte("SDG1rest"), "bare DAG snapshot"},

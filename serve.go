@@ -26,7 +26,7 @@ type ServeConfig = serve.Config
 //	POST /runs/{id}/pause        stop at the next unit boundary + checkpoint
 //	POST /runs/{id}/resume       continue from the checkpoint, bit-identically
 //	POST /runs/{id}/cancel       stop for good
-//	GET  /runs/{id}/checkpoint   latest checkpoint (SDC2/SDA2), encoded as it is sent
+//	GET  /runs/{id}/checkpoint   latest checkpoint (SDC3/SDA3), encoded as it is sent
 //	GET  /runs/{id}/events?from=N   SDE1 event stream from index N
 //
 // cmd/specdagd wraps a Server in a standalone daemon.

@@ -38,10 +38,11 @@
 //
 // # Formats
 //
-// A checkpoint is SDC2 (round engine) or SDA2 (event engine): four magic
-// bytes, the tangle in the SDG1 record codec, then one gob value of engine
-// state — written and read as a stream. The readers also take SDC1/SDA1, the
-// previous generation, which nested the tangle inside the gob value.
+// A checkpoint is SDC3 (round engine) or SDA3 (event engine): four magic
+// bytes, the tangle in the SDG1 record codec, then the engine state in a
+// hand-written binary section whose parameter vectors are raw spans — written
+// and read as a stream. A build reads its own generation and the one before
+// (SDC2/SDA2, whose state was one gob value) and names older ones.
 // Resuming needs the same federation and configuration as the original run;
 // a resumed run's history and DAG are bit-identical to an uninterrupted
 // run's.
