@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
@@ -44,16 +45,19 @@ type AsyncConfig struct {
 	Arch           nn.Arch
 	Selector       tipselect.Selector
 	ReferenceWalks int
-	// Workers bounds the goroutines of the one fan-out inside an event: the
-	// tangle's level-parallel cumulative-weight sweep, which weighted
-	// selectors run on large uncompacted tangles. 0 (the default) uses
-	// runtime.NumCPU(). The event loop itself stays sequential: each event
-	// observes the DAG state its timestamp implies, so events are causally
-	// ordered, unlike the clients within one round of the discrete
-	// simulation. Results are identical for any worker count.
+	// Workers bounds how many activations of one lookahead window are
+	// computed at once (see the package doc): the activations queued within
+	// MinCycle of the one a Step pops are computed together — walks,
+	// training, evaluations — those less than the propagation delay apart
+	// side by side, and each commits in its own Step in event order,
+	// observing the DAG state its timestamp implies. The tangle's
+	// level-parallel cumulative-weight sweep, which weighted selectors run
+	// on large uncompacted tangles, draws from the same bound. 0 (the
+	// default) uses runtime.NumCPU(); 1 computes each window inline. Results
+	// are identical for any worker count.
 	Workers int
-	// Pool, when set, is the shared worker budget that sweep draws from (see
-	// Config.Pool).
+	// Pool, when set, is the shared worker budget the window fan-out and the
+	// sweep draw from (see Config.Pool).
 	Pool *par.Budget
 	// Compaction, when enabled, freezes epochs of old DAG history out of
 	// memory (summaries retained, params optionally spilled to disk) so
@@ -227,6 +231,27 @@ type AsyncSimulation struct {
 	deliveries           int
 	droppedDeliveries    int
 	duplicatedDeliveries int
+
+	// window holds the computed activations of the lookahead window being
+	// committed, in event order, one per Step. It is not state: a checkpoint
+	// taken inside a window resumes and computes them again.
+	window []computed
+	// widest is the largest window formed so far.
+	widest int
+	// overlays is the window fan-out's scratch, one per goroutine in flight;
+	// each holds a search mark per ID ever issued, so it is kept, not pooled.
+	overlayMu sync.Mutex
+	overlays  []*dag.Overlay
+}
+
+// computed is one activation of a lookahead window awaiting its commit: the
+// scores, and the publication when the gate passed.
+type computed struct {
+	ev                      event
+	trainedAcc, trainedLoss float64
+	refAcc, refLoss         float64
+	published               bool
+	pub                     pendingTx
 }
 
 // NewAsyncSimulation validates inputs and prepares an event-driven
@@ -313,9 +338,10 @@ func (a *AsyncSimulation) finish() {
 	a.done = true
 }
 
-// step processes the next scheduled client activation. It returns the event
-// detail, or nil when the simulated time horizon is exhausted; an error (a
-// failed epoch freeze) leaves the activation scheduled and nothing changed.
+// step commits the next scheduled client activation, computing the lookahead
+// window it opens first if it opens one. It returns the event detail, or nil
+// when the simulated time horizon is exhausted; an error (a failed epoch
+// freeze) leaves the activation scheduled and nothing changed.
 func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 	if a.done {
 		return nil, nil
@@ -349,43 +375,19 @@ func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 		heap.Push(&a.queue, ev)
 		return nil, err
 	}
-	c, ac := a.clients[ev.client], &a.async[ev.client]
-	crng := a.root.SplitIndex("async-event", ev.seq)
-
-	// Under a fault model each client walks its own partial view, revealed at
-	// the times its links actually deliver (jitter, re-gossip after drops,
-	// partition deferral). Delivery times are pure functions of the model, so
-	// the monotone reveal reconstructs identically after a resume.
-	var graph tipselect.Graph = a.tangle
-	if a.net != nil {
-		c.view.RevealWhere(func(tx *dag.Transaction) bool {
-			info, ok := a.txInfo[tx.ID]
-			if !ok {
-				return true // genesis: visible to everyone from the start
-			}
-			return a.net.Deliver(info.pubSeq, tx.Issuer, c.id, info.pubTime).VisibleAt <= ev.at
-		})
-		graph = c.view
+	if len(a.window) == 0 {
+		a.computeWindow(ev)
 	}
+	r := a.window[0] // the window's activations are the next ones popped
+	a.window[0] = computed{}
+	a.window = a.window[1:]
 
-	act := a.walkAverageTrain(c, graph, crng)
-
-	trainedLoss, trainedAcc := c.model.Evaluate(c.testX, c.testY)
-	// The reference is scored through the model's scratch buffers without
-	// copying its parameters in (as Simulation.runClient does), so the
-	// trained weights the publish below ships stay untouched — see
-	// TestAsyncPublishesTrainedModel.
-	refLoss, refAcc := c.model.EvaluateParams(act.refParams, c.testX, c.testY)
-
+	c, ac := a.clients[ev.client], &a.async[ev.client]
 	ac.stats.Cycles++
-	ac.stats.FinalAcc = trainedAcc
-	published := a.publishes(trainedAcc, trainedLoss, refAcc, refLoss)
-	if published {
+	ac.stats.FinalAcc = r.trainedAcc
+	if r.published {
 		ac.stats.Published++
-		p := pendingTxAsync{
-			pendingTx: c.publication(act, c.model.ParamsCopy(), trainedAcc),
-			visibleAt: ev.at + a.netDelay,
-		}
+		p := pendingTxAsync{pendingTx: r.pub, visibleAt: ev.at + a.netDelay}
 		if a.net != nil {
 			// The transaction enters the global tangle at its earliest
 			// delivery over all observers; each observer's view reveals it at
@@ -423,14 +425,153 @@ func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 		Seq:         a.events,
 		Time:        ev.at,
 		Client:      c.id,
-		TrainedAcc:  trainedAcc,
-		TrainedLoss: trainedLoss,
-		RefAcc:      refAcc,
-		RefLoss:     refLoss,
-		Published:   published,
+		TrainedAcc:  r.trainedAcc,
+		TrainedLoss: r.trainedLoss,
+		RefAcc:      r.refAcc,
+		RefLoss:     r.refLoss,
+		Published:   r.published,
 	}
 	a.events++
 	return detail, nil
+}
+
+// lookahead is the window bound: commits push nothing earlier than MinCycle
+// after a window's first activation. Without a delay each activation sees
+// the one before it, and under a non-uniform fault model each client walks
+// its own view: there windows hold one activation.
+func (a *AsyncSimulation) lookahead() float64 {
+	if a.net != nil || a.netDelay == 0 {
+		return 0
+	}
+	return a.cfg.MinCycle
+}
+
+// windowOf returns the activations of the window that first opens, first
+// included, in event order: the queued ones less than the lookahead after it,
+// up to the horizon. They stay queued; each Step pops and commits one. A
+// client has exactly one queued event, so it appears at most once and its
+// scratch model and eval cache have one user.
+func (a *AsyncSimulation) windowOf(first event) []event {
+	evs := []event{first}
+	end := first.at + a.lookahead()
+	for _, ev := range a.queue {
+		if ev.at < end && ev.at <= a.cfg.Duration {
+			evs = append(evs, ev)
+		}
+	}
+	sort.Sort(eventQueue(evs[1:]))
+	seen := make([]bool, len(a.clients))
+	for _, ev := range evs {
+		if seen[ev.client] {
+			panic(fmt.Sprintf("core: client %d activates twice in one lookahead window", a.clients[ev.client].id))
+		}
+		seen[ev.client] = true
+	}
+	return evs
+}
+
+// seenBy returns how many of the window's activations before evs[j] publish
+// in time for it to see: those at least NetworkDelay earlier, a prefix.
+func (a *AsyncSimulation) seenBy(evs []event, j int) int {
+	i := 0
+	for i < j && evs[i].at+a.netDelay <= evs[j].at {
+		i++
+	}
+	return i
+}
+
+// computeWindow computes the window that first opens into a.window, on the
+// engine's budget. An activation waits for the earlier ones it sees, which
+// were claimed before it, so no wait is circular. The compute only reads
+// shared state, and it joins before the first commit.
+func (a *AsyncSimulation) computeWindow(first event) {
+	evs := a.windowOf(first)
+	a.widest = max(a.widest, len(evs))
+	a.window = make([]computed, len(evs))
+	done := make([]chan struct{}, len(evs))
+	for j := range done {
+		done[j] = make(chan struct{})
+	}
+	par.ForEachIn(a.pool, a.workers, len(evs), func(j int) {
+		defer close(done[j])
+		seen := a.seenBy(evs, j)
+		for i := 0; i < seen; i++ {
+			<-done[i]
+		}
+		a.window[j] = a.activate(evs[j], a.window[:seen])
+	})
+}
+
+// activate computes one activation: phases 1–3 over the tangle as the client
+// sees it at ev.at, both evaluations and the publish decision. earlier are the
+// computed activations of its window it sees. It writes only state the client
+// owns.
+func (a *AsyncSimulation) activate(ev event, earlier []computed) computed {
+	c := a.clients[ev.client]
+	var graph tipselect.Graph = a.tangle
+	if a.net != nil {
+		// Under a fault model each client walks its own partial view, revealed
+		// at the times its links actually deliver (jitter, re-gossip after
+		// drops, partition deferral). Delivery times are pure functions of the
+		// model, so the monotone reveal reconstructs identically after a
+		// resume.
+		c.view.RevealWhere(func(tx *dag.Transaction) bool {
+			info, ok := a.txInfo[tx.ID]
+			if !ok {
+				return true // genesis: visible to everyone from the start
+			}
+			return a.net.Deliver(info.pubSeq, tx.Issuer, c.id, info.pubTime).VisibleAt <= ev.at
+		})
+		graph = c.view
+	} else if len(earlier) > 0 || len(a.pending) > 0 && a.pending[0].visibleAt <= ev.at {
+		// What flush(ev.at) will have delivered by this commit, in its order:
+		// the pending prefix visible by then (pending is in visibleAt order
+		// under a uniform delay), then the window's earlier publications.
+		a.overlayMu.Lock()
+		var o *dag.Overlay
+		if n := len(a.overlays); n > 0 {
+			o, a.overlays = a.overlays[n-1], a.overlays[:n-1]
+		} else {
+			o = new(dag.Overlay)
+		}
+		a.overlayMu.Unlock()
+		defer func() {
+			a.overlayMu.Lock()
+			a.overlays = append(a.overlays, o)
+			a.overlayMu.Unlock()
+		}()
+		o.Reset(a.tangle)
+		add := func(p pendingTx, visibleAt float64) {
+			if _, err := o.Add(p.issuer, int(visibleAt), p.parents, p.params, p.meta); err != nil {
+				panic(fmt.Sprintf("core: publishing failed: %v", err))
+			}
+		}
+		for _, p := range a.pending {
+			if p.visibleAt > ev.at {
+				break
+			}
+			add(p.pendingTx, p.visibleAt)
+		}
+		for _, e := range earlier {
+			if e.published {
+				add(e.pub, e.ev.at+a.netDelay)
+			}
+		}
+		graph = o
+	}
+
+	act := a.walkAverageTrain(c, graph, a.root.SplitIndex("async-event", ev.seq))
+	r := computed{ev: ev}
+	r.trainedLoss, r.trainedAcc = c.model.Evaluate(c.testX, c.testY)
+	// The reference is scored through the model's scratch buffers without
+	// copying its parameters in (as Simulation.runClient does), so the
+	// trained weights the publish ships stay untouched — see
+	// TestAsyncPublishesTrainedModel.
+	r.refLoss, r.refAcc = c.model.EvaluateParams(act.refParams, c.testX, c.testY)
+	if r.published = a.publishes(r.trainedAcc, r.trainedLoss, r.refAcc, r.refLoss); r.published {
+		r.pub = c.publication(act, c.model.ParamsCopy(), r.trainedAcc)
+	}
+	return r
 }
 
 // Events returns the number of client activations processed so far.

@@ -46,6 +46,26 @@
 // the other would move every golden trajectory — the experiment metrics
 // (sim.TestExperimentsGolden), the checkpoint fixtures, the worker-invariance and resume batteries — for no
 // behavioural gain. They share code, not a schedule.
+//
+// # Lookahead windows
+//
+// A publication made at t enters the tangle at t + NetworkDelay, and a commit
+// reschedules its client no earlier than t + MinCycle (the Chandy–Misra–Bryant
+// lookahead). So the Step that pops an activation at t₀ computes the window of
+// activations queued before t₀ + MinCycle on the engine's budget — members
+// less than the delay apart at once, one that sees an earlier member after it
+// — and each Step commits one in event order with the sequential bookkeeping.
+// A client is in a window at most once, so its scratch model and eval cache
+// have one user. Buffered results are not state: a checkpoint inside a window
+// resumes and computes them again. An activation at t walks a dag.Overlay, the
+// tangle plus what flush(t) will have delivered by its commit, with the IDs
+// and child order flush gives them. A freeze at a commit inside the window
+// follows the compute's join, so CompactTo keeps its quiescent point, and the
+// guard never freezes what a later walk can reach (the compaction on/off
+// equivalence). Without a delay, or under per-client fault views, a window
+// holds one activation. Windows cut at the delay held ~6 activations on
+// async-longhaul (0.1 s) and gained 1.1–1.3×; cut at MinCycle they hold ~25
+// and gain 1.55× activations_per_s (2 cores, 10/10 pairs; 1.31× unscaled).
 package core
 
 import (

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/specdag/specdag/internal/dag"
+	"github.com/specdag/specdag/internal/faults"
 	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/tipselect"
 )
@@ -169,26 +173,77 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestAsyncWorkerCountInvariance: the async engine's per-event evaluation
-// fan-out must not change results either.
+// TestAsyncWorkerCountInvariance: the lookahead windows' fan-out must not
+// move a bit. Workers 1 (every window computed inline), 2 and 8 on one shared
+// budget produce the same events, Result() and tangle bytes — across the
+// window bounds (delay below and above MinCycle, no delay), compaction
+// spilling to disk, reference averaging, the weighted walk, the scalar fault
+// schedule and a non-uniform one (windows of one activation). The delayed
+// cases must really have formed windows of more than one activation.
 func TestAsyncWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) *AsyncResult {
-		cfg := asyncConfig()
-		cfg.Workers = workers
-		res, err := runAsync(smallFed(70), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cases := []struct {
+		name    string
+		mutate  func(*AsyncConfig)
+		windows bool // windows of more than one activation must form
+	}{
+		{"delay-below-min-cycle", func(c *AsyncConfig) {}, true},
+		{"delay-above-min-cycle", func(c *AsyncConfig) { c.MinCycle, c.MaxCycle = 0.2, 3 }, true},
+		{"delay-3", func(c *AsyncConfig) { c.NetworkDelay = 3 }, true},
+		{"no-delay", func(c *AsyncConfig) { c.NetworkDelay = 0 }, false},
+		{"reference-walks-3", func(c *AsyncConfig) { c.ReferenceWalks = 3 }, true},
+		{"weighted-walk", func(c *AsyncConfig) { c.Selector = tipselect.WeightedWalk{Alpha: 0.1} }, true},
+		{"compaction", func(c *AsyncConfig) {
+			c.Duration = 45
+			c.Selector = bandedSelector()
+			c.Compaction = dag.Compaction{Width: 5, Live: 2} // each run spills into a directory of its own
+		}, true},
+		{"scalar-faults", func(c *AsyncConfig) { c.NetworkDelay, c.Faults = 0, faults.Scalar(0.5) }, true},
+		{"fault-schedule", func(c *AsyncConfig) { c.NetworkDelay, c.Faults = 0, chaosFaults() }, false},
 	}
-	a, b := run(1), run(4)
-	if a.Transactions != b.Transactions {
-		t.Fatalf("DAG size differs across worker counts: %d vs %d", a.Transactions, b.Transactions)
+	type outcome struct {
+		events []AsyncEvent
+		result *AsyncResult
+		tangle []byte
+		widest int
+		floor  dag.ID
 	}
-	for i := range a.Clients {
-		if a.Clients[i] != b.Clients[i] {
-			t.Fatalf("client %d stats differ: %+v vs %+v", i, a.Clients[i], b.Clients[i])
-		}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := par.NewBudget(8)
+			run := func(workers int) outcome {
+				cfg := asyncConfig()
+				tc.mutate(&cfg)
+				if cfg.Compaction.Enabled() {
+					cfg.Compaction.SpillDir = t.TempDir()
+				}
+				cfg.Workers, cfg.Pool = workers, pool
+				a, err := NewAsyncSimulation(smallFed(int64(70+i)), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				events := drainAsync(a)
+				res := a.Result()
+				res.DAG = nil
+				return outcome{events, res, asyncDAGBytes(t, a), a.widest, a.DAG().LiveFloor()}
+			}
+			ref := run(1)
+			if tc.windows != (ref.widest > 1) {
+				t.Fatalf("widest lookahead window held %d activations; windows of more than one expected: %v", ref.widest, tc.windows)
+			}
+			if tc.name == "compaction" && ref.floor == 0 {
+				t.Fatal("compaction never froze an epoch; the case is vacuous")
+			}
+			for _, workers := range []int{2, 8} {
+				got := run(workers)
+				assertAsyncEventsIdentical(t, ref.events, got.events)
+				if !reflect.DeepEqual(ref.result, got.result) {
+					t.Fatalf("workers %d: Result() = %+v, want %+v", workers, got.result, ref.result)
+				}
+				if !bytes.Equal(ref.tangle, got.tangle) {
+					t.Fatalf("workers %d: DAG().WriteTo differs", workers)
+				}
+			}
+		})
 	}
 }
 

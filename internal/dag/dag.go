@@ -21,9 +21,10 @@
 //
 // Each notion of the tangle has one implementation, parameterised by data
 // and shared by the full DAG, the live suffix above the compaction floor,
-// a frozen epoch and a partial-visibility View:
+// a frozen epoch, a partial-visibility View and an Overlay of transactions
+// not added yet:
 //
-//   - tips are one ascending idSet (DAG.tips, View.tips): a new
+//   - tips are one ascending idSet (DAG.tips, View.tips, Overlay.tips): a new
 //     transaction's ID is the largest, so insertion is an append and
 //     readers copy instead of sorting;
 //   - depth is one bounded breadth-first search along approval edges from a
@@ -605,7 +606,13 @@ func (s *denseSearch) depth(id ID) int { return int(s.marks[id].depth) }
 // DAG. Approval edges never leave a parent-closed set, so a View's search
 // from its visible tips needs no visibility check.
 func (s *denseSearch) run(txs []*Transaction, roots []ID, maxDepth int) []ID {
-	s.reset(len(txs))
+	return s.runOver(txs, nil, roots, maxDepth)
+}
+
+// runOver is run over txs followed by extras, whose IDs continue txs' (an
+// Overlay's added transactions).
+func (s *denseSearch) runOver(txs, extras []*Transaction, roots []ID, maxDepth int) []ID {
+	s.reset(len(txs) + len(extras))
 	if maxDepth < 0 {
 		return s.nodes
 	}
@@ -618,7 +625,13 @@ func (s *denseSearch) run(txs []*Transaction, roots []ID, maxDepth int) []ID {
 		if dep >= maxDepth {
 			break // everything behind cur is at least as deep
 		}
-		for _, p := range txs[cur].Parents {
+		var t *Transaction
+		if int(cur) < len(txs) {
+			t = txs[cur]
+		} else {
+			t = extras[int(cur)-len(txs)]
+		}
+		for _, p := range t.Parents {
 			s.visit(p, dep+1)
 		}
 	}
@@ -671,7 +684,7 @@ func (d *DAG) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transaction
 	if !b.holds(len(txs), minDepth, maxDepth) {
 		txs, b = d.fillBand(minDepth, maxDepth)
 	}
-	return drawAtDepth(rng, txs, b.ids)
+	return txs[drawAtDepth(rng, b.ids)]
 }
 
 // fillBand computes, publishes and returns the entry band of the current
@@ -702,14 +715,14 @@ func (d *DAG) tipDepthsLocked(maxDepth int) *denseSearch {
 	return &d.tipSearch
 }
 
-// drawAtDepth is the one candidate draw of §5.3.5 for DAG and View: uniform
-// over an entry band given in ascending ID order; genesis, without touching
-// rng, when the band is empty.
-func drawAtDepth(rng *xrand.RNG, txs []*Transaction, band []ID) *Transaction {
+// drawAtDepth is the one candidate draw of §5.3.5 for DAG, View and Overlay:
+// uniform over an entry band given in ascending ID order; genesis, without
+// touching rng, when the band is empty.
+func drawAtDepth(rng *xrand.RNG, band []ID) ID {
 	if len(band) == 0 {
-		return txs[0]
+		return 0
 	}
-	return txs[band[rng.Intn(len(band))]]
+	return band[rng.Intn(len(band))]
 }
 
 // DOT renders the DAG in Graphviz format, coloring tips gray and poisoned

@@ -141,7 +141,7 @@ func (v *View) Depths() map[ID]int {
 func (v *View) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transaction {
 	txs := v.d.snapshot()
 	v.search.run(txs, v.tips, maxDepth)
-	return drawAtDepth(rng, txs, v.search.band(minDepth))
+	return txs[drawAtDepth(rng, v.search.band(minDepth))]
 }
 
 // CumulativeWeights returns, per visible transaction, the number of visible

@@ -29,8 +29,9 @@ import (
 )
 
 // Graph is the read view of a tangle that tip selection walks over: either
-// a full *dag.DAG or a partial-visibility *dag.View (non-ideal transaction
-// dissemination). All methods mirror the corresponding dag.DAG methods.
+// a full *dag.DAG, a partial-visibility *dag.View (non-ideal transaction
+// dissemination) or a *dag.Overlay (the tangle plus publications not yet
+// added). All methods mirror the corresponding dag.DAG methods.
 //
 // Concurrency: the parallel round engine runs many walkers over one Graph at
 // the same time, so a Graph shared between walkers must tolerate concurrent
@@ -51,6 +52,7 @@ type Graph interface {
 var (
 	_ Graph = (*dag.DAG)(nil)
 	_ Graph = (*dag.View)(nil)
+	_ Graph = (*dag.Overlay)(nil)
 )
 
 // Evaluator scores a transaction's model on a walker's local data, returning
