@@ -277,7 +277,7 @@ func run(args []string) error {
 
 	opts := []engine.Option{engine.WithHooks(engine.Hooks{OnRound: p.progress})}
 	if p.ckptFile != "" {
-		opts = append(opts, engine.WithCheckpoints(p.ckptEvery, func(int) (io.WriteCloser, error) {
+		opts = append(opts, engine.WithCheckpoints(p.ckptEvery, func() (io.WriteCloser, error) {
 			return engine.CreateAtomic(p.ckptFile)
 		}))
 	}
@@ -340,7 +340,7 @@ func newEventRecorder(path string, info wire.RunInfo) (*eventRecorder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("creating event log: %w", err)
 	}
-	l, err := wire.NewEventLog(f, 0, info)
+	l, err := wire.NewEventLog(f, info)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("starting event log: %w", err)

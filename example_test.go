@@ -397,7 +397,7 @@ func Example_asyncDAG() {
 	ctx, crash := context.WithCancel(context.Background())
 	defer crash()
 	_, err = specdag.Run(ctx, async,
-		specdag.WithCheckpoints(5, func(int) (io.WriteCloser, error) {
+		specdag.WithCheckpoints(5, func() (io.WriteCloser, error) {
 			f, err := os.CreateTemp(dir, "run.sda.*")
 			return replaceOnClose{f, ckptPath}, err
 		}),

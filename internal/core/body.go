@@ -5,7 +5,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
@@ -13,7 +12,6 @@ import (
 	"github.com/specdag/specdag/internal/mathx"
 	"github.com/specdag/specdag/internal/nn"
 	"github.com/specdag/specdag/internal/par"
-	"github.com/specdag/specdag/internal/profiling"
 	"github.com/specdag/specdag/internal/tipselect"
 	"github.com/specdag/specdag/internal/xrand"
 )
@@ -254,10 +252,6 @@ type activation struct {
 	refTx     dag.ID
 	refParams []float64 // consensus reference model
 	stats     tipselect.WalkStats
-	// walkDur is advisory wall-clock output, never fed back into results;
-	// the clock read is routed through profiling so this package stays
-	// wall-clock-free under the detrand contract.
-	walkDur time.Duration
 }
 
 // walkAverageTrain runs phases 1–3 of Fig. 1 for one activation of c over
@@ -266,13 +260,11 @@ type activation struct {
 // concurrently; all randomness comes from rng, the activation's own split
 // stream, consumed in a fixed order (tip walks, reference walks, training).
 func (b *body) walkAverageTrain(c *client, graph tipselect.Graph, rng *xrand.RNG) activation {
-	watch := profiling.StartStopwatch()
 	// (1) Biased random walk, twice, to select two tips; then the consensus
 	// reference via additional walk(s).
 	tips, stats := tipselect.SelectTips(b.selector, graph, c.eval, rng, 2)
 	refTx, refParams, refStats := consensusReference(graph, b.selector, b.referenceWalks, c.eval, rng)
 	stats.Add(refStats)
-	walkDur := watch.Elapsed()
 
 	// (2) Average the two tip models. Under partial-layer sharing only the
 	// first sharedLayers layers come from the DAG; the head stays the
@@ -286,7 +278,7 @@ func (b *body) walkAverageTrain(c *client, graph tipselect.Graph, rng *xrand.RNG
 	// (3) Train the averaged model on local data.
 	c.model.SetParams(avg)
 	c.model.Train(c.trainX, c.trainY, b.local, rng.Split("train"))
-	return activation{tips: tips, refTx: refTx, refParams: refParams, stats: stats, walkDur: walkDur}
+	return activation{tips: tips, refTx: refTx, refParams: refParams, stats: stats}
 }
 
 // personalHead reports whether partial-layer sharing leaves clients a head of

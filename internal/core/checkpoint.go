@@ -102,7 +102,10 @@ func (st *checkpointState) codec(c *stateCodec) {
 		ints(c, &r.RefPoisonedApprovals)
 		num(c, &r.Walk.Steps)
 		num(c, &r.Walk.Evaluations)
-		ints(c, &r.WalkDurations)
+		// The slot of the wall-clock walk durations earlier builds kept:
+		// written empty, read and discarded, so their files still read.
+		var walkDurations []int64
+		ints(c, &walkDurations)
 	})
 }
 

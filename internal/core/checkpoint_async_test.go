@@ -195,7 +195,7 @@ func TestAsyncCheckpointThroughRunAPI(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rep, err := engine.Run(ctx, async,
-		engine.WithCheckpoints(1, func(int) (io.WriteCloser, error) {
+		engine.WithCheckpoints(1, func() (io.WriteCloser, error) {
 			snap.Reset()
 			return closerBuffer{&snap}, nil
 		}),

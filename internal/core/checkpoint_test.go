@@ -124,7 +124,7 @@ func TestCheckpointThroughRunAPI(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rep, err := engine.Run(ctx, sim,
-		engine.WithCheckpoints(1, func(int) (io.WriteCloser, error) {
+		engine.WithCheckpoints(1, func() (io.WriteCloser, error) {
 			snap.Reset()
 			return closerBuffer{&snap}, nil
 		}),

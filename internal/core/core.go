@@ -70,7 +70,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
@@ -121,8 +120,11 @@ const (
 	// a transaction is scored at most once per client, ever.
 	EvalScopeRun EvalScope = iota
 	// EvalScopeNone disables caching entirely: every lookup re-evaluates,
-	// matching the cost profile of the paper's prototype (the Fig. 15
-	// scalability experiment uses this).
+	// matching the cost profile of the paper's prototype, which scored
+	// every child at every step. The Fig. 15 scalability experiment needs
+	// it: a cached walk gets cheaper the more often its client has walked,
+	// and Fig. 15's levels vary exactly that — fixed rounds, 5/10/20/40
+	// clients per round — so a cache would flatter the higher levels.
 	EvalScopeNone
 )
 
@@ -169,8 +171,6 @@ type Config struct {
 	// the EvalScope constants). The default, EvalScopeRun, caches for the
 	// whole run. Results are identical for every scope.
 	EvalScope EvalScope
-	// MeasureWalkTime records wall-clock durations of each client's walks.
-	MeasureWalkTime bool
 	// RevealDelay, when positive, models non-ideal transaction
 	// dissemination (relaxing the ideal-broadcast assumption of §5.3.5):
 	// a transaction published in round r becomes visible to other clients
@@ -280,8 +280,7 @@ type RoundResult struct {
 	RefPoisonedApprovals []int
 
 	// Walk accounting (Fig. 15).
-	Walk          tipselect.WalkStats
-	WalkDurations []time.Duration
+	Walk tipselect.WalkStats
 }
 
 // MeanTrainedAcc returns the round's mean trained-model accuracy.
@@ -325,19 +324,6 @@ func (r RoundResult) MeanRefPoisonedApprovals() float64 {
 		s += float64(v)
 	}
 	return s / float64(len(r.RefPoisonedApprovals))
-}
-
-// MeanWalkDuration returns the average wall-clock walk time per active
-// client, or 0 when measurement was disabled.
-func (r RoundResult) MeanWalkDuration() time.Duration {
-	if len(r.WalkDurations) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, d := range r.WalkDurations {
-		total += d
-	}
-	return total / time.Duration(len(r.WalkDurations))
 }
 
 func mean(xs []float64) float64 {
@@ -507,9 +493,6 @@ func (s *Simulation) RunRound() RoundResult {
 		res.Published = append(res.Published, out.tx != nil)
 		res.RefTx = append(res.RefTx, out.refTx)
 		res.Walk.Add(out.stats)
-		if s.cfg.MeasureWalkTime {
-			res.WalkDurations = append(res.WalkDurations, out.walkDur)
-		}
 		if trackPoison {
 			res.FlippedFrac = append(res.FlippedFrac, out.flippedFrac)
 			res.ActivePoisoned = append(res.ActivePoisoned, out.poisoned)

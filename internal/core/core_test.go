@@ -256,25 +256,6 @@ func TestRandomAttackersInjectPoisonedTxs(t *testing.T) {
 	}
 }
 
-func TestWalkTimeMeasurement(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Rounds = 3
-	cfg.MeasureWalkTime = true
-	sim, err := NewSimulation(smallFed(10), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := runAll(sim)
-	for _, rr := range results {
-		if len(rr.WalkDurations) != len(rr.Active) {
-			t.Fatal("walk durations not recorded")
-		}
-		if rr.MeanWalkDuration() < 0 {
-			t.Fatal("negative walk duration")
-		}
-	}
-}
-
 func TestWalkStatsAccumulate(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Rounds = 6

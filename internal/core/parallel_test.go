@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/faults"
@@ -24,9 +23,8 @@ func runWithWorkers(t *testing.T, cfg Config, fedSeed int64, workers int) ([]Rou
 	return runAll(sim), sim
 }
 
-// assertHistoriesIdentical compares two RoundResult histories field by field.
-// WalkDurations is wall-clock and excluded; everything else must be
-// bit-identical.
+// assertHistoriesIdentical compares two RoundResult histories field by field;
+// every field must be bit-identical.
 func assertHistoriesIdentical(t *testing.T, a, b []RoundResult) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -142,7 +140,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		{"reference-walks-3", func(c *Config) { c.ReferenceWalks = 3 }},
 		{"partial-sharing", func(c *Config) { c.SharedLayers = 1 }},
 		{"reveal-delay", func(c *Config) { c.RevealDelay = 2 }},
-		{"gate-off-measure-time", func(c *Config) { c.DisablePublishGate = true; c.MeasureWalkTime = true }},
+		{"gate-off", func(c *Config) { c.DisablePublishGate = true }},
 		{"weighted-walk", func(c *Config) { c.Selector = tipselect.WeightedWalk{Alpha: 0.1} }},
 		// Uncached scoring with a multi-walk reference: every one of the five
 		// selections per activation re-evaluates from scratch.
@@ -257,19 +255,6 @@ func TestWorkersValidation(t *testing.T) {
 	acfg.Workers = -1
 	if err := acfg.Validate(); err == nil {
 		t.Error("negative async Workers should be rejected")
-	}
-}
-
-// TestMeanWalkDurationEmpty guards the MeasureWalkTime-off path: a round
-// with no recorded walk durations must report 0, not divide by zero.
-func TestMeanWalkDurationEmpty(t *testing.T) {
-	var rr RoundResult
-	if got := rr.MeanWalkDuration(); got != 0 {
-		t.Fatalf("MeanWalkDuration on empty slice = %v, want 0", got)
-	}
-	rr.WalkDurations = []time.Duration{2 * time.Millisecond, 4 * time.Millisecond}
-	if got := rr.MeanWalkDuration(); got != 3*time.Millisecond {
-		t.Fatalf("MeanWalkDuration = %v, want 3ms", got)
 	}
 }
 

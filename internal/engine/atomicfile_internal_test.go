@@ -28,7 +28,7 @@ func TestFailedCheckpointWriteKeepsThePreviousFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("the last good checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	open := func(int) (io.WriteCloser, error) {
+	open := func() (io.WriteCloser, error) {
 		if err := os.WriteFile(path+".tmp", []byte("half a check"), 0o644); err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func TestCheckpointFailingBeforeItsFirstByteKeepsThePreviousFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("the last good checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	open := func(int) (io.WriteCloser, error) { return CreateAtomic(path) }
+	open := func() (io.WriteCloser, error) { return CreateAtomic(path) }
 	if err := writeCheckpoint(failsBeforeWriting{}, open, 25); !errors.Is(err, errEncode) {
 		t.Fatalf("writeCheckpoint returned %v, want the encode error", err)
 	}

@@ -138,7 +138,7 @@ type options struct {
 	hooks      []Hooks
 	probes     []probe
 	checkEvery int
-	checkOpen  func(step int) (io.WriteCloser, error)
+	checkOpen  func() (io.WriteCloser, error)
 }
 
 // WithHooks registers progress hooks. Multiple WithHooks options compose;
@@ -160,11 +160,10 @@ func WithProbe(name string, every int, fn func() float64) Option {
 	}
 }
 
-// WithCheckpoints writes a checkpoint every `every` completed units: open is
-// called with the current step count and must return the destination, which
-// Run closes after writing. The engine must implement Snapshotter; Run fails
-// fast otherwise.
-func WithCheckpoints(every int, open func(step int) (io.WriteCloser, error)) Option {
+// WithCheckpoints writes a checkpoint every `every` completed units: open
+// returns the destination, which Run closes after writing. The engine must
+// implement Snapshotter; Run fails fast otherwise.
+func WithCheckpoints(every int, open func() (io.WriteCloser, error)) Option {
 	return func(o *options) {
 		if every <= 0 {
 			every = 1
@@ -264,8 +263,8 @@ func Run(ctx context.Context, e Engine, opts ...Option) (*Report, error) {
 	}
 }
 
-func writeCheckpoint(s Snapshotter, open func(int) (io.WriteCloser, error), step int) error {
-	w, err := open(step)
+func writeCheckpoint(s Snapshotter, open func() (io.WriteCloser, error), step int) error {
+	w, err := open()
 	if err != nil {
 		return fmt.Errorf("engine: opening checkpoint at step %d: %w", step, err)
 	}

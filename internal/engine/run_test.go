@@ -205,7 +205,7 @@ func TestCheckpointsRequireSnapshotter(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = engine.Run(context.Background(), eng,
-		engine.WithCheckpoints(1, func(int) (io.WriteCloser, error) { return nil, nil }))
+		engine.WithCheckpoints(1, func() (io.WriteCloser, error) { return nil, nil }))
 	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("err = %v, want checkpoint-unsupported error", err)
 	}

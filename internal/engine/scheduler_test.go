@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -594,6 +595,80 @@ func TestSchedulerSharedBudgetBound(t *testing.T) {
 	}
 	if inUse := pool.InUse(); inUse != 0 {
 		t.Fatalf("budget still reports %d in use after drain", inUse)
+	}
+}
+
+// TestSchedulerRealEngineInvariance: round simulations driven through the
+// scheduler on a shared two-slot budget — under quanta 1 and 2, with
+// reversed and mixed priorities — end in checkpoints byte-identical to the
+// same simulations driven alone with Run. Scheduling decides only when a
+// job's units execute, never what they compute.
+func TestSchedulerRealEngineInvariance(t *testing.T) {
+	const n = 4
+	open := func(i int, pool *par.Budget) (*core.Simulation, error) {
+		cfg := testConfig()
+		cfg.Rounds = 4
+		cfg.Seed = int64(30 + i)
+		cfg.Workers = pool.Size()
+		cfg.Pool = pool
+		return core.NewSimulation(testFed(cfg.Seed), cfg)
+	}
+	checkpoint := func(sim *core.Simulation) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if _, err := sim.WriteCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := make([][]byte, n)
+	for i := range want {
+		sim, err := open(i, par.NewBudget(2))
+		if err == nil {
+			_, err = engine.Run(context.Background(), sim)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = checkpoint(sim)
+	}
+
+	for _, v := range []struct {
+		name    string
+		quantum int
+		prios   []int
+	}{
+		{"quantum=1", 1, []int{0, 0, 0, 0}},
+		{"priorities-reversed", 1, []int{0, 1, 2, 3}},
+		{"priorities-mixed", 2, []int{5, 0, 5, 3}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			pool := par.NewBudget(2)
+			s := engine.NewScheduler(engine.SchedulerConfig{Pool: pool, Quantum: v.quantum})
+			sims := make([]*core.Simulation, n)
+			for i := range sims {
+				_, err := s.Submit(engine.Job{
+					Name:     fmt.Sprintf("sim%d", i),
+					Priority: v.prios[i],
+					Build: func(context.Context) (engine.Engine, []engine.Option, error) {
+						sim, err := open(i, pool)
+						sims[i] = sim
+						return sim, nil, err
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for i, sim := range sims {
+				if got := checkpoint(sim); !bytes.Equal(got, want[i]) {
+					t.Errorf("sim%d: scheduled checkpoint differs from Run's (%d vs %d bytes)", i, len(got), len(want[i]))
+				}
+			}
+		})
 	}
 }
 

@@ -46,7 +46,7 @@ func WriteHeap(path string) error {
 }
 
 // Stopwatch measures a wall-clock duration for advisory timing metrics
-// (e.g. Config.MeasureWalkTime's walk-duration figures). It exists so
+// (e.g. the walk times of the Fig. 15 scalability experiment). It exists so
 // deterministic packages never touch the clock directly: speclint's detrand
 // analyzer forbids time.Now there, and this type is the audited choke point
 // for measurements that are reported but never fed back into results.

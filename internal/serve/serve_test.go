@@ -918,7 +918,7 @@ func totalAlloc() uint64 {
 	return m.TotalAlloc
 }
 
-func (k *keptCheckpoints) open(int) (io.WriteCloser, error) {
+func (k *keptCheckpoints) open() (io.WriteCloser, error) {
 	k.before = totalAlloc()
 	return k, nil
 }
@@ -954,7 +954,7 @@ func TestCadenceCaptureEncodesLater(t *testing.T) {
 			req.normalize()
 			s := NewServer(Config{Workers: 2})
 			defer s.Shutdown(context.Background())
-			run := func(open func(int) (io.WriteCloser, error)) {
+			run := func(open func() (io.WriteCloser, error)) {
 				t.Helper()
 				eng, err := s.buildEngine(&req, nil)
 				if err != nil {
@@ -967,7 +967,7 @@ func TestCadenceCaptureEncodesLater(t *testing.T) {
 			var kept keptCheckpoints
 			run(kept.open)
 			var eager eagerCheckpoints
-			run(func(int) (io.WriteCloser, error) { return &eager, nil })
+			run(func() (io.WriteCloser, error) { return &eager, nil })
 			if len(kept.all) < 2 || len(kept.all) != len(eager.all) {
 				t.Fatalf("%d captures, %d eager checkpoints", len(kept.all), len(eager.all))
 			}

@@ -546,7 +546,7 @@ func (s *Server) launch(r *run, eng hosted) error {
 				r.steps++
 				r.mu.Unlock()
 			}}),
-			engine.WithCheckpoints(every, func(int) (io.WriteCloser, error) {
+			engine.WithCheckpoints(every, func() (io.WriteCloser, error) {
 				return &memCheckpoint{r: r}, nil
 			}),
 		},

@@ -6,14 +6,14 @@
 // benchmarks (seconds) and Full for paper-scale runs.
 //
 // Every runner has one shape (sweep.go): declare the runs as lines, sweep
-// them as one grid on the shared scheduler (RunGrid), read the measurement
+// them as one grid on the shared scheduler, read the measurement
 // off each finished engine's own history. That history travels in the
 // engine's checkpoint, so with a grid directory every DAG line — Fig. 14's
 // single run included — resumes after a crash. What recomputes instead: the
 // fl baselines (no checkpoints), the watched lines, whose measurement exists
 // only while the run executes (Fig. 5's periodic Louvain, the fault sweep's
 // per-event accuracies), and the timing runs (Fig. 15, sequential and off
-// the grid; the sched-grid cells).
+// the grid; the sched-grid lines).
 //
 // The package keeps no process state: the worker budget and the grid
 // checkpoint directory arrive as an Env value, so sweeps with different Envs
@@ -36,17 +36,18 @@ import (
 // The zero value is a fresh NumCPU-sized budget per runner call and no grid
 // checkpoints.
 type Env struct {
-	// Pool is the one worker budget that sweep cells (a figure line,
+	// Pool is the one worker budget that sweep lines (a figure line,
 	// ablation variant or scenario each) and the engines inside them draw
 	// from, so nested fan-outs never run more goroutines than its size in
 	// total; it is the grid's one worker bound, and the Workers setting of
-	// every config the harness assembles is that size. Every experiment is deterministic for any size — cells
-	// write results by index and each simulation is worker-count invariant
-	// — so it only trades wall clock for CPU.
+	// every config the harness assembles is that size. Every experiment is
+	// deterministic for any size — lines are read back by index and each
+	// simulation is worker-count invariant — so it only trades wall clock
+	// for CPU.
 	Pool *par.Budget
-	// GridDir is the per-cell checkpoint directory of RunGrid: a crashed
-	// sweep rerun resumes its cells instead of recomputing them. "" runs
-	// grids without checkpoints.
+	// GridDir is the sweep's checkpoint directory, one file per line named
+	// after it: a crashed sweep rerun resumes its lines instead of
+	// recomputing them. "" runs sweeps without checkpoints.
 	GridDir string
 }
 

@@ -278,6 +278,13 @@ func TestFigure15Quick(t *testing.T) {
 		if len(c.Series.Rows) != Quick.Rounds() {
 			t.Fatalf("active=%d: wrong round count", c.ActiveClients)
 		}
+		walkMicros := 0.0
+		for _, row := range c.Series.Rows {
+			walkMicros += row[1]
+		}
+		if walkMicros <= 0 {
+			t.Errorf("active=%d: no walk time measured", c.ActiveClients)
+		}
 	}
 	if !strings.Contains(RenderFig15(curves), "active clients") {
 		t.Error("RenderFig15 broken")

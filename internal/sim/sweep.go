@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/engine"
@@ -31,37 +34,136 @@ type line struct {
 	watch func(eng engine.Engine, ev engine.RoundEvent)
 }
 
-// sweep runs the lines as one grid on env's budget and returns their
-// finished engines in line order.
+// checkpointEvery is the cadence, in engine units, of a line's checkpoints
+// in the grid directory.
+const checkpointEvery = 5
+
+// sweep runs the lines as one grid on an engine.Scheduler drawing from env's
+// budget — its size bounds the lines running at once, and a one-slot budget
+// runs them strictly in turn on the calling goroutine — and returns their
+// finished engines in line order. Each engine is opened on a scheduler
+// worker at its line's first dispatch, so a wide grid costs closures up
+// front, not live simulations.
+//
+// With a grid directory (env.GridDir), an unwatched line whose engine is an
+// engine.Snapshotter checkpoints every checkpointEvery units, and once more
+// after the grid drained, into the file its name gives. A rerun on the same
+// directory resumes finished and in-flight lines instead of recomputing
+// them; untouched lines open fresh.
+//
+// Results are bit-identical to driving each engine directly with engine.Run,
+// for every budget: scheduling decides only when a line's units run. On
+// cancellation sweep returns ctx.Err(), with unfinished lines stopped at unit
+// boundaries; otherwise the first error in line order, wrapped with the
+// line's name, once every line settled.
 func sweep(ctx context.Context, env Env, lines []line) ([]engine.Engine, error) {
-	engines := make([]engine.Engine, len(lines))
-	cells := make([]Cell, len(lines))
-	for i, l := range lines {
-		cells[i] = Cell{
-			Name:     l.name,
-			Snapshot: l.watch == nil,
-			Build: func(env Env, ckpt io.Reader) (engine.Engine, []engine.Option, error) {
-				eng, err := l.open(env, ckpt)
-				if err != nil {
-					return nil, nil, err
-				}
-				if l.watch == nil {
-					return eng, nil, nil
-				}
-				return eng, []engine.Option{engine.WithHooks(engine.Hooks{
-					OnRound: func(ev engine.RoundEvent) { l.watch(eng, ev) },
-				})}, nil
-			},
-			Finish: func(eng engine.Engine) error {
-				engines[i] = eng
-				return nil
-			},
+	env = env.withPool()
+	if env.GridDir != "" {
+		if err := os.MkdirAll(env.GridDir, 0o755); err != nil {
+			return nil, fmt.Errorf("sim: creating grid checkpoint dir: %w", err)
 		}
 	}
-	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
+	sched := engine.NewScheduler(engine.SchedulerConfig{Pool: env.Pool})
+	handles := make([]*engine.Handle, len(lines))
+	engines := make([]engine.Engine, len(lines))
+	for i, l := range lines {
+		h, err := sched.Submit(engine.Job{
+			Name: l.name,
+			Build: func(context.Context) (engine.Engine, []engine.Option, error) {
+				eng, opts, err := l.build(env)
+				engines[i] = eng
+				return eng, opts, err
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		handles[i] = h
+	}
+	if err := sched.Drain(ctx); err != nil {
 		return nil, err
 	}
+	for i, l := range lines {
+		if err := handles[i].Err(); err != nil {
+			return nil, fmt.Errorf("%s: %w", l.name, err)
+		}
+	}
+	for i, l := range lines {
+		snap, ok := engines[i].(engine.Snapshotter)
+		if !ok || l.watch != nil || env.GridDir == "" {
+			continue
+		}
+		// The final checkpoint carries the whole history, so a rerun
+		// resumes this line finished.
+		err := engine.WriteAtomic(l.checkpointPath(env.GridDir), func(w io.Writer) error {
+			_, err := snap.WriteCheckpoint(w)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", l.name, err)
+		}
+	}
 	return engines, nil
+}
+
+// build opens the line's engine for a sweep on env, with the run options the
+// line needs: its watcher's hook, or, with a grid directory, its
+// checkpoints — resuming from the last one when it can.
+func (l line) build(env Env) (engine.Engine, []engine.Option, error) {
+	if l.watch != nil {
+		eng, err := l.open(env, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		return eng, []engine.Option{engine.WithHooks(engine.Hooks{
+			OnRound: func(ev engine.RoundEvent) { l.watch(eng, ev) },
+		})}, nil
+	}
+	if env.GridDir == "" {
+		eng, err := l.open(env, nil)
+		return eng, nil, err
+	}
+	path := l.checkpointPath(env.GridDir)
+	eng, err := l.resume(env, path)
+	if err != nil {
+		// No checkpoint, or one the line cannot resume from (a truncated
+		// file, a changed config): the line restarts, and determinism makes
+		// the restart produce identical results.
+		eng, err = l.open(env, nil)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, ok := eng.(engine.Snapshotter); !ok {
+		return eng, nil, nil
+	}
+	return eng, []engine.Option{engine.WithCheckpoints(checkpointEvery, func() (io.WriteCloser, error) {
+		return engine.CreateAtomic(path)
+	})}, nil
+}
+
+// resume opens the line's engine from the checkpoint at path.
+func (l line) resume(env Env, path string) (engine.Engine, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return l.open(env, f)
+}
+
+// checkpointPath maps the line's name to its checkpoint file in dir,
+// replacing characters that are meaningful to filesystems.
+func (l line) checkpointPath(dir string) string {
+	sanitized := strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '-', r == '_', r == '.':
+			return r
+		}
+		return '_'
+	}, l.name)
+	return filepath.Join(dir, sanitized+".sdc")
 }
 
 // dagLine is a line running the round engine on spec: the preset's config

@@ -14,12 +14,12 @@ import (
 )
 
 // ThroughputGrid is the scheduler stress sweep behind the sched-grid
-// experiment: 32 tiny FMNIST-clustered cells with mixed priorities submitted
-// to the sweep scheduler, so job dispatch, requeueing and settling — not
-// training time — dominate the wall clock. It returns each cell's
-// final-round mean trained-model accuracy, in cell order.
+// experiment: 32 tiny FMNIST-clustered lines through the sweep scheduler, so
+// job dispatch, requeueing and settling — not training time — dominate the
+// wall clock. It returns each line's final-round mean trained-model
+// accuracy, in line order.
 //
-// Every accuracy is a pure function of (preset, seed, cell index):
+// Every accuracy is a pure function of (preset, seed, line index):
 // TestExperimentsGolden pins the returned values across worker counts,
 // turning "scheduling never changes results" into a tier-1 invariant
 // measured on a real grid rather than a fake engine.
@@ -29,48 +29,37 @@ func ThroughputGrid(ctx context.Context, env Env, p Preset, seed int64) ([]float
 	if p == Full {
 		rounds = 12
 	}
-	out := make([]float64, n)
-	cells := make([]Cell, n)
-	for i := range cells {
-		cells[i] = Cell{
-			Name: fmt.Sprintf("throughput-%04d", i),
-			// Mixed priorities exercise the aging-ordered pick path; results
-			// are priority-invariant (TestSchedulerWorkerInvariance).
-			Priority: i % 3,
-			// Snapshot off: these cells exist to measure scheduler overhead,
-			// and checkpoint I/O (if the Env names a grid directory) would
-			// contaminate the timing. Cells are trivially recomputable.
-			Build: func(env Env, _ io.Reader) (engine.Engine, []engine.Option, error) {
-				fed := dataset.FMNISTClustered(dataset.FMNISTConfig{
-					Seed:           seed + int64(i),
-					Clients:        8,
-					TrainPerClient: 30,
-					TestPerClient:  10,
-				})
-				sim, err := core.NewSimulation(fed, core.Config{
-					Rounds:          rounds,
-					ClientsPerRound: 3,
-					Local:           nn.SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10, MaxBatches: 3},
-					Arch:            nn.Arch{In: fed.InputDim, Hidden: []int{16}, Out: fed.NumClasses},
-					Selector:        tipselect.AccuracyWalk{Alpha: 10},
-					Workers:         env.Pool.Size(),
-					Pool:            env.Pool,
-					Seed:            seed + int64(i),
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				return sim, nil, nil
-			},
-			Finish: func(eng engine.Engine) error {
-				res := eng.(*core.Simulation).Results()
-				out[i] = res[len(res)-1].MeanTrainedAcc()
-				return nil
-			},
-		}
+	lines := make([]line, n)
+	for i := range lines {
+		lines[i] = line{name: fmt.Sprintf("throughput-%04d", i), open: func(env Env, _ io.Reader) (engine.Engine, error) {
+			fed := dataset.FMNISTClustered(dataset.FMNISTConfig{
+				Seed:           seed + int64(i),
+				Clients:        8,
+				TrainPerClient: 30,
+				TestPerClient:  10,
+			})
+			return core.NewSimulation(fed, core.Config{
+				Rounds:          rounds,
+				ClientsPerRound: 3,
+				Local:           nn.SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10, MaxBatches: 3},
+				Arch:            nn.Arch{In: fed.InputDim, Hidden: []int{16}, Out: fed.NumClasses},
+				Selector:        tipselect.AccuracyWalk{Alpha: 10},
+				Workers:         env.Pool.Size(),
+				Pool:            env.Pool,
+				Seed:            seed + int64(i),
+			})
+		}}
 	}
-	if err := RunGrid(ctx, env, cells, GridConfig{}); err != nil {
+	// No grid directory: these lines exist to time the scheduler, and
+	// checkpoint I/O would contaminate that. They are cheap to recompute.
+	engines, err := sweep(ctx, Env{Pool: env.Pool}, lines)
+	if err != nil {
 		return nil, err
+	}
+	out := make([]float64, n)
+	for i, eng := range engines {
+		res := eng.(*core.Simulation).Results()
+		out[i] = res[len(res)-1].MeanTrainedAcc()
 	}
 	return out, nil
 }

@@ -325,8 +325,8 @@ func ReadAll(r io.Reader) ([]Frame, error) {
 
 // An EventLog writes a run's event stream to a file or connection through
 // engine.Hooks: the file-backed counterpart of the serving broadcaster.
-// cmd/specdag's -events flag and tests use it; indices are assigned in
-// emission order starting at start.
+// cmd/specdag's -events flag uses it; indices are assigned in emission
+// order from 0.
 type EventLog struct {
 	w    *Writer
 	next uint64
@@ -334,14 +334,13 @@ type EventLog struct {
 }
 
 // NewEventLog opens an SDE1 stream on w, emits the KindStart frame and
-// returns the log. start is the index the log begins at — 0 for a fresh
-// run, the checkpoint's event index for a resumed one.
-func NewEventLog(w io.Writer, start uint64, info RunInfo) (*EventLog, error) {
+// returns the log.
+func NewEventLog(w io.Writer, info RunInfo) (*EventLog, error) {
 	ww, err := NewWriter(w)
 	if err != nil {
 		return nil, err
 	}
-	l := &EventLog{w: ww, next: start}
+	l := &EventLog{w: ww}
 	l.append(&Frame{Kind: KindStart, Start: &info})
 	return l, l.err
 }
@@ -365,11 +364,6 @@ func (l *EventLog) Hooks() engine.Hooks {
 		OnPublish: func(ev engine.PublishEvent) { l.append(&Frame{Kind: KindPublish, Publish: &ev}) },
 		OnProbe:   func(ev engine.ProbeEvent) { l.append(&Frame{Kind: KindProbe, Probe: &ev}) },
 	}
-}
-
-// Checkpoint records a state snapshot taken at the log's current position.
-func (l *EventLog) Checkpoint(step int, size int64) {
-	l.append(&Frame{Kind: KindCheckpoint, Checkpoint: &Checkpoint{Step: step, Size: size}})
 }
 
 // End closes the log with the run's outcome. The EventLog must not be

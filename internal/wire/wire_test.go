@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/engine"
@@ -18,14 +17,13 @@ import (
 // registered types).
 func sampleFrames() []Frame {
 	rr := &core.RoundResult{
-		Round:         3,
-		Active:        []int{1, 4, 7},
-		TrainedAcc:    []float64{0.5, 0.625, 0.75},
-		TrainedLoss:   []float64{1.5, 1.25, 1.0},
-		RefAcc:        []float64{0.25, 0.5, 0.625},
-		RefLoss:       []float64{2, 1.75, 1.5},
-		Published:     []bool{true, false, true},
-		WalkDurations: []time.Duration{10, 20, 30},
+		Round:       3,
+		Active:      []int{1, 4, 7},
+		TrainedAcc:  []float64{0.5, 0.625, 0.75},
+		TrainedLoss: []float64{1.5, 1.25, 1.0},
+		RefAcc:      []float64{0.25, 0.5, 0.625},
+		RefLoss:     []float64{2, 1.75, 1.5},
+		Published:   []bool{true, false, true},
 	}
 	asyncEv := &core.AsyncEvent{Seq: 9, Time: 42.5, Client: 4, TrainedAcc: 0.875, Published: true}
 	return []Frame{
@@ -182,31 +180,30 @@ func TestFrameValidation(t *testing.T) {
 }
 
 // TestEventLog drives the file-backed log through engine.Hooks and pins the
-// resulting stream structure: start, events in hook order, checkpoint, end.
+// resulting stream structure: start, events in hook order, end.
 func TestEventLog(t *testing.T) {
 	var buf bytes.Buffer
-	log, err := NewEventLog(&buf, 100, RunInfo{Engine: "specdag", Seed: 3})
+	log, err := NewEventLog(&buf, RunInfo{Engine: "specdag", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := log.Hooks()
 	h.OnPublish(engine.PublishEvent{Engine: "specdag", Tx: 1})
 	h.OnRound(engine.RoundEvent{Engine: "specdag", Round: 0})
-	log.Checkpoint(1, 99)
 	h.OnProbe(engine.ProbeEvent{Engine: "specdag", Name: "p"})
 	log.End(1, false, errors.New("canceled"))
 	if err := log.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if log.NextIndex() != 106 {
-		t.Errorf("NextIndex = %d, want 106", log.NextIndex())
+	if log.NextIndex() != 5 {
+		t.Errorf("NextIndex = %d, want 5", log.NextIndex())
 	}
 
 	frames, err := ReadAll(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKinds := []Kind{KindStart, KindPublish, KindRound, KindCheckpoint, KindProbe, KindEnd}
+	wantKinds := []Kind{KindStart, KindPublish, KindRound, KindProbe, KindEnd}
 	if len(frames) != len(wantKinds) {
 		t.Fatalf("got %d frames, want %d", len(frames), len(wantKinds))
 	}
@@ -214,8 +211,8 @@ func TestEventLog(t *testing.T) {
 		if f.Kind != wantKinds[i] {
 			t.Errorf("frame %d kind %s, want %s", i, f.Kind, wantKinds[i])
 		}
-		if f.Index != uint64(100+i) {
-			t.Errorf("frame %d index %d, want %d", i, f.Index, 100+i)
+		if f.Index != uint64(i) {
+			t.Errorf("frame %d index %d, want %d", i, f.Index, i)
 		}
 	}
 	if end := frames[len(frames)-1].End; end.Completed || end.Err != "canceled" {
@@ -227,7 +224,7 @@ func TestEventLog(t *testing.T) {
 // instead of panicking inside hooks (which have no error return).
 func TestEventLogLatchesError(t *testing.T) {
 	sink := &failSwitch{}
-	log, err := NewEventLog(sink, 0, RunInfo{Engine: "e"})
+	log, err := NewEventLog(sink, RunInfo{Engine: "e"})
 	if err != nil {
 		t.Fatal(err)
 	}

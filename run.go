@@ -79,10 +79,9 @@ func WithProbe(name string, every int, fn func() float64) RunOption {
 }
 
 // WithCheckpoints writes a full-state checkpoint every `every` completed
-// units; open receives the step count and returns the destination, which
-// Run closes after writing. The engine must be a *Simulation or an
-// *AsyncSimulation.
-func WithCheckpoints(every int, open func(step int) (io.WriteCloser, error)) RunOption {
+// units; open returns the destination, which Run closes after writing. The
+// engine must be a *Simulation or an *AsyncSimulation.
+func WithCheckpoints(every int, open func() (io.WriteCloser, error)) RunOption {
 	return engine.WithCheckpoints(every, open)
 }
 
