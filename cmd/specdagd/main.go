@@ -63,7 +63,7 @@ func parseFlags(args []string) (addr string, cfg serve.Config, grace time.Durati
 	fs := flag.NewFlagSet("specdagd", flag.ContinueOnError)
 	fs.StringVar(&addr, "addr", "127.0.0.1:9477", "listen address")
 	fs.IntVar(&cfg.Workers, "workers", 0, "shared worker budget for all hosted runs (0 = NumCPU)")
-	fs.IntVar(&cfg.Ring, "ring", 0, "per-run event ring capacity in frames (0 = default)")
+	fs.IntVar(&cfg.Ring, "ring", 0, fmt.Sprintf("most frames a subscriber may lag before it sees a gap; each run's ring grows up to it as its log grows (0 = default, %d)", serve.DefaultRingSize))
 	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 25, "default checkpoint cadence in engine units")
 	fs.IntVar(&cfg.Quantum, "quantum", 0, "scheduler dispatch quantum in engine units per run (0 = default)")
 	fs.StringVar(&cfg.Dir, "dir", "", "state directory: persist paused runs on shutdown, restore them on boot")

@@ -39,7 +39,9 @@
 // checkpoints periodically and any checkpoint's event index is a valid
 // resume point, the subscriber may instead fetch the latest checkpoint and
 // continue from its index with full state (snapshot semantics). The choice
-// is the subscriber's; the engine never waits either way.
+// is the subscriber's; the engine never waits either way. The capacity
+// bounds the lag, not the memory: the ring starts small and doubles as the
+// log grows, so a short run's log costs what it holds.
 package serve
 
 import (
@@ -54,26 +56,39 @@ import (
 )
 
 // DefaultRingSize is the per-run frame ring capacity when the server (or a
-// direct NewBroadcaster caller) does not choose one. It is sized to hold
-// several checkpoint intervals of a busy run, so a subscriber that
-// reconnects "from the last checkpoint's event index" ordinarily finds that
-// index still in the ring.
+// direct NewBroadcaster caller) does not choose one. It bounds how far a
+// subscriber may lag before it sees a gap, not what a log costs: the ring
+// grows with the frames logged and reaches this size only in a run that
+// logs that many. It is sized to hold several checkpoint intervals of a
+// busy run, so a subscriber that reconnects "from the last checkpoint's
+// event index" ordinarily finds that index still in the ring.
 const DefaultRingSize = 1 << 14
+
+// initialRingSlots is the ring a new log starts with (or its capacity, if
+// smaller); Append doubles it whenever it fills below capacity.
+const initialRingSlots = 64
 
 // A Broadcaster fans one run's event stream out to any number of
 // subscribers through a bounded ring buffer.
 //
 // The appending side (the engine's hooks) is wait-free with respect to
-// subscribers: Append takes the mutex for an O(1) ring write and a channel
-// swap — it never waits for any subscriber to catch up. Subscribers block
-// only in Subscription.Next, on their own goroutines.
+// subscribers: Append takes the mutex for an amortized O(1) ring write and
+// a channel swap — it never waits for any subscriber to catch up.
+// Subscribers block only in Subscription.Next, on their own goroutines.
+//
+// Frame i lives in ring[i % len(ring)]. Until the ring reaches capacity it
+// holds every frame logged and start stays put; a full ring below capacity
+// doubles (capped at capacity) and re-places the frames it holds. Only a
+// ring at capacity overwrites, so subscribers see the frames and gaps of a
+// ring allocated at capacity up front.
 type Broadcaster struct {
-	mu     sync.Mutex
-	ring   []wire.Frame
-	start  uint64 // index of the oldest retained frame
-	next   uint64 // index the next appended frame will get
-	closed bool
-	notify chan struct{} // closed and replaced on every append
+	mu       sync.Mutex
+	ring     []wire.Frame
+	capacity int    // the most slots ring may grow to
+	start    uint64 // index of the oldest retained frame
+	next     uint64 // index the next appended frame will get
+	closed   bool
+	notify   chan struct{} // closed and replaced on every append
 
 	// Spill state (EnableSpill): every appended frame is also written to an
 	// SDE1 file, so frames the ring has overwritten remain replayable.
@@ -87,22 +102,26 @@ type Broadcaster struct {
 // NewBroadcaster creates a broadcaster whose ring retains the last
 // `capacity` frames (capacity <= 0 selects DefaultRingSize), with the event
 // log starting at index start — 0 for a fresh run, the checkpoint's event
-// index when a daemon re-hosts a resumed run.
+// index when a daemon re-hosts a resumed run. The capacity is a bound: the
+// ring starts at a few dozen slots and grows with the frames logged, so a
+// short run's log holds little more than its frames.
 func NewBroadcaster(capacity int, start uint64) *Broadcaster {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
 	return &Broadcaster{
-		ring:   make([]wire.Frame, capacity),
-		start:  start,
-		next:   start,
-		notify: make(chan struct{}),
+		ring:     make([]wire.Frame, min(capacity, initialRingSlots)),
+		capacity: capacity,
+		start:    start,
+		next:     start,
+		notify:   make(chan struct{}),
 	}
 }
 
 // Append stamps the frame with the next log index and publishes it. It
-// never blocks on subscribers: when the ring is full the oldest frame is
-// overwritten (subscribers still pointing at it will observe a gap).
+// never blocks on subscribers: when the ring is full below capacity it
+// grows, and when it is full at capacity the oldest frame is overwritten
+// (subscribers still pointing at it will observe a gap).
 // Appending to a closed broadcaster panics — the engine's hooks are wired
 // before the run starts and the End frame is appended last, so a
 // post-close append is a lifecycle bug, not an operational condition.
@@ -111,6 +130,9 @@ func (b *Broadcaster) Append(f wire.Frame) {
 	if b.closed {
 		b.mu.Unlock()
 		panic("serve: Append after Close")
+	}
+	if n := len(b.ring); b.next-b.start == uint64(n) && n < b.capacity {
+		b.grow(min(2*n, b.capacity))
 	}
 	f.Index = b.next
 	b.ring[int(b.next%uint64(len(b.ring)))] = f
@@ -133,6 +155,16 @@ func (b *Broadcaster) Append(f wire.Frame) {
 	b.notify = make(chan struct{})
 	b.mu.Unlock()
 	close(notify)
+}
+
+// grow moves the held frames [start, next) into a ring of n slots, each to
+// its index modulo n. Callers hold b.mu.
+func (b *Broadcaster) grow(n int) {
+	ring := make([]wire.Frame, n)
+	for i := b.start; i < b.next; i++ {
+		ring[int(i%uint64(n))] = b.ring[int(i%uint64(len(b.ring)))]
+	}
+	b.ring = ring
 }
 
 // EnableSpill starts mirroring every subsequently appended frame to an SDE1

@@ -206,3 +206,102 @@ func TestBroadcastStress(t *testing.T) {
 	t.Logf("%d frames to %d subscribers in %v (%d delivered, %d gaps)",
 		frames, subscribers, appendTime, delivered.Load(), gaps.Load())
 }
+
+// ringSlots returns the number of frame slots b's ring holds right now.
+func ringSlots(b *Broadcaster) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.ring)
+}
+
+// TestBroadcastRingModel checks the growing ring against a naive model of a
+// ring allocated at capacity up front: after n appends to a log starting at
+// index s0, frames [max(s0, s0+n-capacity), s0+n) are retained and every
+// earlier cursor sees the gap up to the oldest of them. Append counts cross
+// every doubling boundary and run past capacity; logs start at 0 and at a
+// resumed index; subscribers open behind the tail, at it, mid-log, at the
+// head and beyond it. The ring itself must hold no more slots than
+// max(initialRingSlots, 2 × frames held), and never more than capacity.
+func TestBroadcastRingModel(t *testing.T) {
+	noWait, cancel := context.WithCancel(context.Background())
+	cancel() // Next on a caught-up cursor returns at once instead of blocking
+	for _, capacity := range []int{1, 3, 64, 100, 1000} {
+		// Check after every count next to a doubling boundary or capacity.
+		total := 2*capacity + 5
+		checks := map[int]bool{0: true, total: true}
+		for bound := initialRingSlots; ; bound *= 2 {
+			bound = min(bound, capacity)
+			for _, n := range []int{bound - 1, bound, bound + 1, bound + 2} {
+				checks[n] = true
+			}
+			if bound == capacity {
+				break
+			}
+		}
+		for _, s0 := range []uint64{0, 1_000_003} {
+			b := NewBroadcaster(capacity, s0)
+			check := func(n int, closed bool) {
+				t.Helper()
+				next := s0 + uint64(n)
+				earliest := s0
+				if n > capacity {
+					earliest = next - uint64(capacity)
+				}
+				if got := b.Earliest(); got != earliest {
+					t.Fatalf("cap %d start %d after %d: Earliest %d, want %d", capacity, s0, n, got, earliest)
+				}
+				if got := b.NextIndex(); got != next {
+					t.Fatalf("cap %d start %d after %d: NextIndex %d, want %d", capacity, s0, n, got, next)
+				}
+				held := int(next - earliest)
+				if slots := ringSlots(b); slots > capacity || slots > max(initialRingSlots, 2*held) {
+					t.Fatalf("cap %d start %d after %d: ring has %d slots for %d frames held", capacity, s0, n, slots, held)
+				}
+				cursors := []uint64{s0, earliest, earliest + uint64(held/2), next, next + 1}
+				if earliest > 0 {
+					cursors = append(cursors, earliest-1)
+				}
+				if next > 0 {
+					cursors = append(cursors, next-1)
+				}
+				for _, c := range cursors {
+					sub := b.Subscribe(c)
+					f, err := sub.Next(noWait)
+					if c < earliest {
+						var gap *GapError
+						if !errors.As(err, &gap) || gap.From != c || gap.To != earliest {
+							t.Fatalf("cap %d start %d after %d: cursor %d got %v, want gap [%d, %d)", capacity, s0, n, c, err, c, earliest)
+						}
+						if got := sub.Resync(); got != earliest {
+							t.Fatalf("cap %d start %d after %d: cursor %d resynced to %d, want %d", capacity, s0, n, c, got, earliest)
+						}
+						f, err = sub.Next(noWait)
+					}
+					for want := max(c, earliest); want < next; want++ {
+						if err != nil || f.Index != want || f.Probe == nil || f.Probe.Step != int(want-s0) {
+							t.Fatalf("cap %d start %d after %d: cursor %d read %+v %v, want frame %d", capacity, s0, n, c, f, err, want)
+						}
+						f, err = sub.Next(noWait)
+					}
+					if closed {
+						if err != io.EOF {
+							t.Fatalf("cap %d start %d after %d: cursor %d at the end of a closed log got %v, want io.EOF", capacity, s0, n, c, err)
+						}
+					} else if !errors.Is(err, context.Canceled) {
+						t.Fatalf("cap %d start %d after %d: cursor %d at the head got %+v %v, want to block", capacity, s0, n, c, f, err)
+					}
+				}
+			}
+			for n := 0; n <= total; n++ {
+				if n > 0 {
+					b.Append(probeFrame(n - 1))
+				}
+				if checks[n] {
+					check(n, false)
+				}
+			}
+			b.Close()
+			check(total, true)
+		}
+	}
+}

@@ -559,6 +559,105 @@ func TestShutdownRestore(t *testing.T) {
 	}
 }
 
+// lastEnd returns the End frame that closes a run's log.
+func lastEnd(t *testing.T, r *run) wire.End {
+	t.Helper()
+	f, err := r.b.Subscribe(r.b.NextIndex() - 1).Next(context.Background())
+	if err != nil || f.Kind != wire.KindEnd || !r.b.Closed() {
+		t.Fatalf("run %d: last frame %+v, %v, want the End of a closed log", r.id, f, err)
+	}
+	return *f.End
+}
+
+// TestShutdownRestoreTerminalRuns: a run that had ended — one completed, one
+// canceled — comes back from Shutdown → Restore as it ended: the same state,
+// steps and error in its status, and the same End frame closing its log. A
+// manifest written before runs' errors were kept restores a completed run as
+// completed and any other as terminated before the restart.
+func TestShutdownRestoreTerminalRuns(t *testing.T) {
+	dir := t.TempDir()
+	s1 := NewServer(Config{Workers: 2, Dir: dir})
+	done, err := s1.Submit(RunRequest{Dataset: "fmnist", Seed: 6, Rounds: 2, ClientsPerRound: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled, err := s1.Submit(RunRequest{Dataset: "fmnist", Seed: 7, Rounds: 5000, ClientsPerRound: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, canceled, func(st RunStatus) bool { return st.Steps >= 1 })
+	if err := s1.Cancel(context.Background(), canceled); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]RunStatus{
+		done:     waitState(t, s1, done, func(st RunStatus) bool { return st.State == StateDone }),
+		canceled: waitState(t, s1, canceled, func(st RunStatus) bool { return st.State == StateCanceled }),
+	}
+	wantEnd := map[int]wire.End{}
+	for id := range want {
+		r, err := s1.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEnd[id] = lastEnd(t, r)
+	}
+	if e := wantEnd[done]; !e.Completed || e.Err != "" || e.Steps != 2 {
+		t.Fatalf("completed run ended %+v", e)
+	}
+	if e := wantEnd[canceled]; e.Completed || e.Err != "canceled" {
+		t.Fatalf("canceled run ended %+v", e)
+	}
+	if err := s1.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	restore := func(what string, wantEnd map[int]wire.End) {
+		t.Helper()
+		s := NewServer(Config{Workers: 2, Dir: dir})
+		defer s.Shutdown(context.Background())
+		if n, err := s.Restore(); err != nil || n != len(wantEnd) {
+			t.Fatalf("%s: restored %d runs, %v, want %d", what, n, err, len(wantEnd))
+		}
+		for id, end := range wantEnd {
+			r, err := s.lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, before := r.status(), want[id]
+			if st.State != before.State || st.Steps != before.Steps || st.Err != end.Err {
+				t.Fatalf("%s: run %d restored as %+v, ended as %+v", what, id, st, before)
+			}
+			if got := lastEnd(t, r); got != end {
+				t.Fatalf("%s: run %d restored with End %+v, want %+v", what, id, got, end)
+			}
+		}
+	}
+	restore("manifest", wantEnd)
+
+	// The same manifest without the errors, as older daemons wrote it.
+	path := dir + "/runs.json"
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m["runs"].([]any) {
+		delete(e.(map[string]any), "err")
+	}
+	if blob, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy := wantEnd[canceled]
+	legacy.Err = "terminated before daemon restart"
+	restore("manifest without errors", map[int]wire.End{done: wantEnd[done], canceled: legacy})
+}
+
 // TestSchedulerMultiplexesRunsByPriority pins the scheduler-backed server:
 // concurrent runs with different priorities multiplex onto the shared
 // budget a quantum at a time, every run completes, and each run's event
@@ -646,9 +745,13 @@ func TestSchedulerPauseFreesWorkerForOtherRuns(t *testing.T) {
 // checkpoint but no way to its engine, so the federation, the client models
 // and the tangle are collected; the status, checkpoint and replay endpoints
 // answer as before, the lifecycle calls conflict on the two runs that ended,
-// and the paused one resumes from its checkpoint and completes.
+// and the paused one resumes from its checkpoint and completes. What a
+// settled run keeps costs what it holds: the short run's ring, and the rings
+// of the ended runs a restart restores, stay at a few dozen slots however
+// large Config.Ring is.
 func TestSettledRunReleasesEngine(t *testing.T) {
-	s := NewServer(Config{Workers: 1, CheckpointEvery: 1})
+	dir := t.TempDir()
+	s := NewServer(Config{Workers: 1, CheckpointEvery: 1, Dir: dir})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Shutdown(context.Background())
@@ -759,6 +862,32 @@ func TestSettledRunReleasesEngine(t *testing.T) {
 	})
 	if err != nil || !end.Completed || end.Steps != parkedRounds || rounds != parkedRounds {
 		t.Fatalf("resumed run: %d round events, end %+v, %v", rounds, end, err)
+	}
+
+	const smallRing = 64
+	r, err := s.lookup(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ringSlots(r.b); n > smallRing {
+		t.Fatalf("the settled short run's %d frames sit in a ring of %d slots", r.b.NextIndex(), n)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s2 := NewServer(Config{Workers: 1, Dir: dir})
+	defer s2.Shutdown(context.Background())
+	if n, err := s2.Restore(); err != nil || n != 3 {
+		t.Fatalf("restored %d runs, %v, want 3", n, err)
+	}
+	for _, id := range []int{long, short, parked} {
+		r, err := s2.lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ringSlots(r.b); n > smallRing {
+			t.Fatalf("restored run %d (%s) holds a ring of %d slots", id, r.status().State, n)
+		}
 	}
 }
 

@@ -31,7 +31,9 @@ type Config struct {
 	Workers int
 	// Ring is the per-run event ring capacity in frames (<= 0 selects
 	// DefaultRingSize). A subscriber lagging by more than this observes a
-	// gap (see Broadcaster).
+	// gap (see Broadcaster). It is a bound, not an allocation: each run's
+	// ring grows with the frames it logs and reaches Ring only in a run
+	// that logs that many.
 	Ring int
 	// CheckpointEvery is the default checkpoint cadence in engine units for
 	// runs that do not choose their own (<= 0 selects 25).
@@ -860,6 +862,7 @@ type manifestEntry struct {
 	Request         RunRequest `json:"request"`
 	State           string     `json:"state"`
 	Steps           int        `json:"steps"`
+	Err             string     `json:"err,omitempty"` // how a terminal run ended; empty if it completed
 	CheckpointFile  string     `json:"checkpoint_file,omitempty"`
 	CheckpointIndex uint64     `json:"checkpoint_index"`
 	CheckpointStep  int        `json:"checkpoint_step"`
@@ -880,6 +883,7 @@ func (s *Server) persist() error {
 			Request:         r.req,
 			State:           r.state,
 			Steps:           r.steps,
+			Err:             r.err,
 			CheckpointIndex: r.ckptIndex,
 			CheckpointStep:  r.ckptStep,
 		}
@@ -922,7 +926,8 @@ func writeFileAtomic(path string, data io.WriterTo) error {
 // event logs restarting at the checkpoint index (earlier frames are gone
 // with the old process — subscribers resume from the checkpoint, which is
 // the snapshot-semantics recovery the format is built around). Terminal
-// runs come back as closed status records. Missing manifest is not an
+// runs come back as closed status records, each ending as it ended: its
+// state, its error and an End frame saying so. Missing manifest is not an
 // error: a fresh Dir restores nothing.
 func (s *Server) Restore() (int, error) {
 	if s.cfg.Dir == "" {
@@ -971,8 +976,14 @@ func (s *Server) Restore() (int, error) {
 			// The old process died before pausing it; nothing to restore.
 			continue
 		default:
+			// A terminal run ends again as it ended; a manifest that kept no
+			// error says so only for a run that did not complete.
+			msg := e.Err
+			if msg == "" && e.State != StateDone {
+				msg = "terminated before daemon restart"
+			}
 			r.b = NewBroadcaster(s.cfg.Ring, 0)
-			r.end(e.State, "terminated before daemon restart")
+			r.end(e.State, msg)
 		}
 		s.mu.Lock()
 		s.runs[r.id] = r

@@ -5,13 +5,15 @@ package wire
 // applied to the event-stream codec. Malformed input of any shape must come
 // back as a non-empty, actionable error (or decode as a genuinely valid
 // stream), never a panic. The seed corpus covers the real format (a full
-// stream of every frame kind), truncations, flipped header and gob bytes,
-// and the sibling SDC3/SDA3/SDC2/SDA2/SDG1 magics, so the fuzzer starts at the
-// interesting boundaries: header confusion and gob-payload corruption.
+// stream of every frame kind, and the committed golden stream),
+// truncations, flipped header and gob bytes, and the sibling
+// SDC3/SDA3/SDC2/SDA2/SDG1 magics, so the fuzzer starts at the interesting
+// boundaries: header confusion and gob-payload corruption.
 
 import (
 	"bytes"
 	"io"
+	"os"
 	"testing"
 )
 
@@ -28,6 +30,11 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	}
 
+	golden, err := os.ReadFile(goldenStreamPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Add(full.Bytes())
 	f.Add(full.Bytes()[:4])
 	f.Add(full.Bytes()[:full.Len()/2])
