@@ -1,9 +1,9 @@
 // Command dagstat inspects Specializing DAG artifacts: plain tangle
 // snapshots (cmd/specdag -save, format SDG1), full simulation checkpoints
-// of both engine kinds — synchronous rounds (format SDC3, reads SDC2) and
-// the event-driven engine (format SDA3, reads SDA2), the resumable state
-// behind specdag.Run — and SDE1 event logs (cmd/specdag -events, or a saved
-// specdagd events download). For tangle-bearing artifacts it reports
+// of both engine kinds — synchronous rounds (format SDC3) and the
+// event-driven engine (format SDA3), the resumable state behind specdag.Run —
+// and SDE2 event logs (cmd/specdag -events, or a saved specdagd events
+// download). Older generations of each are named, not read. For tangle-bearing artifacts it reports
 // structural statistics, per-issuer activity, heaviest transactions by
 // cumulative weight, and optional Graphviz export; for checkpoints it
 // additionally shows the resume point; for event logs it counts frames by
@@ -62,10 +62,9 @@ func run() error {
 	defer f.Close()
 
 	// Sniff the magic: plain DAG snapshot (SDG1), full simulation
-	// checkpoint (sync SDC3 / async SDA3, or their SDC2 / SDA2
-	// predecessors; core tells them apart and names older generations) — all
-	// carrying a tangle to analyze — or an SDE1 event log, which gets its own
-	// report.
+	// checkpoint (sync SDC / async SDA; core tells them apart and names older
+	// generations) — all carrying a tangle to analyze — or an SDE event log,
+	// which gets its own report (wire names older generations).
 	br := bufio.NewReader(f)
 	magic, err := br.Peek(4)
 	if err != nil {
@@ -73,7 +72,7 @@ func run() error {
 	}
 	var d *dag.DAG
 	switch kind := string(magic[:3]); {
-	case string(magic) == "SDE1":
+	case kind == "SDE":
 		return eventLogStats(*in, br)
 	case kind == "SDC" || kind == "SDA":
 		info, ckptDAG, err := core.InspectCheckpoint(br)
@@ -195,7 +194,7 @@ func writeDot(path string, d *dag.DAG) error {
 	return nil
 }
 
-// eventLogStats reports an SDE1 event log: the originating run's identity
+// eventLogStats reports an SDE2 event log: the originating run's identity
 // and configuration, frame counts by kind, the index range, and how (or
 // whether) the run ended.
 func eventLogStats(name string, r io.Reader) error {

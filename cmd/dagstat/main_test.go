@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,15 +85,54 @@ outcome: completed after 3 steps
 	}
 }
 
-// TestCheckpointReport: dagstat opens a checkpoint of either generation —
-// core's committed fixtures, SDC2/SDA2 from an older build and SDC3/SDA3 —
-// and names its kind and resume point before the tangle statistics.
+// TestEventLogReport: dagstat -in sniffs an event log written through
+// wire.NewEventLog and reports it; a log of the retired gob generation
+// (SDE1) is named as older, not misread.
+func TestEventLogReport(t *testing.T) {
+	defer func(args []string, flags *flag.FlagSet) { os.Args, flag.CommandLine = args, flags }(os.Args, flag.CommandLine)
+	path := filepath.Join(t.TempDir(), "run.sde")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := wire.NewEventLog(f, wire.RunInfo{Engine: "specdag", Label: "l", Seed: 7, Config: map[string]string{"rounds": "2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		log.Hooks().OnRound(engine.RoundEvent{Engine: "specdag", Round: i})
+	}
+	log.End(2, true, nil)
+	if err := cmp.Or(log.Err(), f.Close()); err != nil {
+		t.Fatal(err)
+	}
+	dagstat := func(path string) (string, error) {
+		flag.CommandLine = flag.NewFlagSet("dagstat", flag.ContinueOnError)
+		os.Args = []string{"dagstat", "-in", path}
+		var err error
+		out := captureStdout(t, func() error { err = run(); return nil })
+		return out, err
+	}
+	want := "event log: " + path + "\nrun: engine specdag, seed 7, label \"l\"\n  rounds = 2\nframes: 4, indices [0, 3]\n  start      1\n  round      2\n  end        1\noutcome: completed after 2 steps\n"
+	if got, err := dagstat(path); err != nil || got != want {
+		t.Errorf("dagstat -in run.sde: %v\n%s\nwant:\n%s", err, got, want)
+	}
+	old := filepath.Join(t.TempDir(), "old.sde")
+	if err := os.WriteFile(old, []byte("SDE1 gob frames"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dagstat(old); err == nil || !strings.Contains(err.Error(), `"SDE1" is an older event-stream generation`) {
+		t.Errorf("dagstat -in an SDE1 log: %v, want the older-generation error", err)
+	}
+}
+
+// TestCheckpointReport: dagstat opens a checkpoint of either kind — core's
+// committed SDC3/SDA3 fixtures — and names its kind and resume point before
+// the tangle statistics.
 func TestCheckpointReport(t *testing.T) {
 	defer func(args []string, flags *flag.FlagSet) { os.Args, flag.CommandLine = args, flags }(os.Args, flag.CommandLine)
 	for file, want := range map[string]string{
-		"golden_sync_v2.sdc":  "simulation checkpoint: seed 9, round 2/4, 3 clients — resume with specdag -resume\n",
 		"golden_sync_v3.sdc":  "simulation checkpoint: seed 9, round 2/4, 3 clients — resume with specdag -resume\n",
-		"golden_async_v2.sdc": "async simulation checkpoint: seed 9, event 3 (horizon 8s, in flight), 3 clients, ",
 		"golden_async_v3.sdc": "async simulation checkpoint: seed 9, event 3 (horizon 8s, in flight), 3 clients, ",
 	} {
 		path := "../../internal/core/testdata/" + file

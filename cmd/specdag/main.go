@@ -8,8 +8,8 @@
 // continues a checkpointed run bit-identically to one that was never
 // interrupted. -async switches to the event-driven engine (§5.3.3: every
 // client trains at its own pace, no rounds); its checkpoints (format SDA3)
-// resume the same way, at event granularity. -resume also takes the
-// SDC2/SDA2 files of the previous build generation.
+// resume the same way, at event granularity. -resume names, rather than
+// reads, the gob-era SDC2/SDA2 files of the previous build generation.
 //
 // Examples:
 //
@@ -95,7 +95,7 @@ func parseFlags(args []string) (*plan, error) {
 	fs.IntVar(&p.every, "progress-every", 5, "print progress every N rounds")
 	fs.StringVar(&p.dotFile, "dot", "", "write the final DAG in Graphviz format to this file")
 	fs.StringVar(&p.saveFile, "save", "", "write the final DAG as a binary snapshot (inspect with dagstat)")
-	fs.StringVar(&p.eventsFile, "events", "", "record the run's event stream to this SDE1 log file (inspect with dagstat)")
+	fs.StringVar(&p.eventsFile, "events", "", "record the run's event stream to this SDE2 log file (inspect with dagstat)")
 	fs.StringVar(&p.ckptFile, "checkpoint", "", "write a full simulation checkpoint to this file every -checkpoint-every rounds/events and at exit (resume with -resume)")
 	fs.IntVar(&p.ckptEvery, "checkpoint-every", 10, "rounds (or events, with -async) between periodic checkpoints (with -checkpoint)")
 	fs.StringVar(&p.resumeFile, "resume", "", "resume from a checkpoint written by -checkpoint (requires the same dataset/config flags)")
@@ -327,7 +327,7 @@ func run(args []string) error {
 	return reportDAG(s.DAG(), p.spec, p.req.Seed, poisoned, p.dotFile, p.saveFile)
 }
 
-// eventRecorder streams the run's events into an SDE1 log file (-events):
+// eventRecorder streams the run's events into an SDE2 log file (-events):
 // the same frames a specdagd subscriber would receive, written locally.
 type eventRecorder struct {
 	f   *os.File

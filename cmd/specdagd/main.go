@@ -1,6 +1,6 @@
 // Command specdagd is the Specializing DAG experiment daemon: it hosts many
 // concurrent DAG-FL runs on one shared worker budget and serves their
-// lifecycle and live SDE1 event streams over HTTP.
+// lifecycle and live SDE2 event streams over HTTP.
 //
 //	specdagd -addr :9477 -workers 8 -dir /var/lib/specdagd
 //
@@ -68,7 +68,7 @@ func parseFlags(args []string) (addr string, cfg serve.Config, grace time.Durati
 	fs.IntVar(&cfg.Quantum, "quantum", 0, "scheduler dispatch quantum in engine units per run (0 = default)")
 	fs.StringVar(&cfg.Dir, "dir", "", "state directory: persist paused runs on shutdown, restore them on boot")
 	fs.DurationVar(&grace, "grace", 30*time.Second, "shutdown grace period for pausing runs")
-	fs.StringVar(&cfg.SpillDir, "spill-dir", "", "event-log spill directory: mirror every run's SDE1 stream to disk so a lapped subscriber replays from file instead of seeing a gap (empty disables)")
+	fs.StringVar(&cfg.SpillDir, "spill-dir", "", "event-log spill directory: mirror every run's SDE2 stream to disk so a lapped subscriber replays from file instead of seeing a gap (empty disables)")
 	fs.IntVar(&cfg.MaxRuns, "max-runs", 0, "cap on concurrently active (running or paused) runs; submits beyond it answer 429 (0 = unlimited)")
 	fs.IntVar(&cfg.MaxRunsPerTenant, "max-runs-per-tenant", 0, "per-tenant cap on concurrently active runs, keyed by the request's tenant field (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {

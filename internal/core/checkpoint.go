@@ -24,7 +24,6 @@ package core
 // state section: the common sections (snapshot.go has the envelope and the
 // encoding), the round counters and attack parameters, per client its ID,
 // poisoned flag and last model, and the history, one RoundResult per round.
-// "SDC2" files, whose state was one gob value, are still read.
 
 import (
 	"bufio"
@@ -33,7 +32,6 @@ import (
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
-	"github.com/specdag/specdag/internal/faults"
 )
 
 // clientCheckpoint is the per-client carried state.
@@ -43,69 +41,37 @@ type clientCheckpoint struct {
 	LastParams []float64
 }
 
-// checkpointState is the serialized simulation. Its fields keep the names
-// SDC2's gob value gave them, which is how that generation is still read.
+// checkpointState is the serialized simulation.
 type checkpointState struct {
-	Seed    int64
+	snapshotCommon
 	Poison  PoisonConfig // restoring label flips needs the attack parameters
 	Round   int
 	Rounds  int // configured horizon at checkpoint time (informational)
 	Clients []clientCheckpoint
 	Results []RoundResult
-
-	// Versioned fault-state section. FaultsVersion is 0 for fault-free runs
-	// and 1 when a fault schedule was active — the schedule itself is all that
-	// needs saving, because the instantiated model is a pure function of
-	// (schedule, seed, clients, horizon).
-	FaultsVersion int
-	Faults        faults.Config
-
-	// Versioned epoch-compaction section (0 = compaction off). When 1,
-	// Compaction holds the active config and Epochs the frozen epoch
-	// summaries; the tangle section carries frozen transactions with released
-	// (empty) parameter vectors, so checkpoint size stays proportional to the
-	// live suffix.
-	CompactionVersion int
-	Compaction        dag.Compaction
-	Epochs            []dag.EpochSummary
 }
 
-func (st *checkpointState) sections() sections {
-	return sections{&st.Seed, &st.FaultsVersion, &st.Faults, &st.CompactionVersion, &st.Compaction, &st.Epochs}
-}
-
-func (st *checkpointState) codec(c *stateCodec) {
-	num(c, &st.Round)
-	num(c, &st.Rounds)
+func (st *checkpointState) codec(c *Codec) {
+	Num(c, &st.Round)
+	Num(c, &st.Rounds)
 	p := &st.Poison
-	c.float(&p.Fraction)
+	c.Float(&p.Fraction)
 	for _, v := range []*int{&p.FlipA, &p.FlipB, &p.StartRound} {
-		num(c, v)
+		Num(c, v)
 	}
-	c.bool(&p.Track)
-	num(c, &p.RandomAttackers)
-	list(c, &st.Clients, func(cc *clientCheckpoint) {
-		num(c, &cc.ID)
-		c.bool(&cc.Poisoned)
-		c.span(&cc.LastParams)
+	c.Bool(&p.Track)
+	Num(c, &p.RandomAttackers)
+	List(c, &st.Clients, func(cc *clientCheckpoint) {
+		Num(c, &cc.ID)
+		c.Bool(&cc.Poisoned)
+		c.Span(&cc.LastParams)
 	})
-	list(c, &st.Results, func(r *RoundResult) {
-		num(c, &r.Round)
-		ints(c, &r.Active)
-		for _, v := range []*[]float64{&r.TrainedAcc, &r.TrainedLoss, &r.RefAcc, &r.RefLoss} {
-			c.span(v)
-		}
-		list(c, &r.Published, c.bool)
-		ints(c, &r.RefTx)
-		c.span(&r.FlippedFrac)
-		list(c, &r.ActivePoisoned, c.bool)
-		ints(c, &r.RefPoisonedApprovals)
-		num(c, &r.Walk.Steps)
-		num(c, &r.Walk.Evaluations)
+	List(c, &st.Results, func(r *RoundResult) {
+		c.RoundResult(r)
 		// The slot of the wall-clock walk durations earlier builds kept:
 		// written empty, read and discarded, so their files still read.
 		var walkDurations []int64
-		ints(c, &walkDurations)
+		Ints(c, &walkDurations)
 	})
 }
 
@@ -181,7 +147,7 @@ func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simula
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restore(st.sections(), d, len(st.Clients)); err != nil {
+	if err := s.restore(&st.snapshotCommon, d, len(st.Clients)); err != nil {
 		return nil, err
 	}
 	s.round = st.Round
@@ -209,7 +175,7 @@ func ResumeSimulation(fed *dataset.Federation, cfg Config, r io.Reader) (*Simula
 
 // CheckpointInfo summarizes a checkpoint without reconstructing the
 // simulation (cmd/dagstat uses it to inspect snapshots of either kind).
-// Kind is "sync" (SDC3, SDC2) or "async" (SDA3, SDA2); Round/Rounds describe
+// Kind is "sync" (SDC3) or "async" (SDA3); Round/Rounds describe
 // the sync resume point, Events/Duration/Pending/Done the async one.
 type CheckpointInfo struct {
 	Kind    string
@@ -230,9 +196,9 @@ type CheckpointInfo struct {
 	SpillBytes   int64 // total size of the epoch spill files
 }
 
-// InspectCheckpoint reads a checkpoint of either kind — synchronous (SDC3,
-// or SDC2 from an older build) or asynchronous (SDA3, SDA2) — and returns its
-// summary along with the embedded tangle.
+// InspectCheckpoint reads a checkpoint of either kind — synchronous (SDC3) or
+// asynchronous (SDA3), told apart by the magic's family letter — and returns
+// its summary along with the embedded tangle.
 func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *dag.DAG, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(4)
@@ -241,7 +207,7 @@ func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *dag.DAG, error) {
 	}
 	var st snapshotState = &checkpointState{}
 	want := checkpointMagic
-	if m := [4]byte(magic); m == asyncCheckpointMagic || m == prevMagic(asyncCheckpointMagic) {
+	if string(magic[:3]) == "SDA" {
 		st, want = &asyncCheckpointState{}, asyncCheckpointMagic
 	}
 	d, err := readSnapshot(br, want, st)
@@ -249,7 +215,7 @@ func InspectCheckpoint(r io.Reader) (*CheckpointInfo, *dag.DAG, error) {
 		return nil, nil, err
 	}
 	info := st.info()
-	epochs := *st.sections().epochs
+	epochs := st.common().Epochs
 	info.FrozenEpochs = len(epochs)
 	for _, e := range epochs {
 		info.FrozenTxs += e.Txs

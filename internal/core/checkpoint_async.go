@@ -1,8 +1,7 @@
 package core
 
 // Checkpoint/resume for the event-driven simulation — the async variant of
-// the SDC3 checkpoint family (magic "SDA3"; "SDA2" files, with the state as
-// one gob value, are still read). The synchronous codec
+// the SDC3 checkpoint family (magic "SDA3"). The synchronous codec
 // (checkpoint.go) snapshots state between rounds; this one snapshots state
 // between events, which is where the asynchronous engine's Step boundary
 // lies, so engine.Run's WithCheckpoints option works unchanged.
@@ -51,7 +50,6 @@ import (
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
-	"github.com/specdag/specdag/internal/faults"
 )
 
 // asyncClientCheckpoint is the per-client carried state of an async run.
@@ -90,11 +88,9 @@ type asyncTxCheckpoint struct {
 	PubTime float64
 }
 
-// asyncCheckpointState is the serialized event-driven simulation. Its fields
-// keep the names SDA2's gob value gave them, which is how that generation is
-// still read.
+// asyncCheckpointState is the serialized event-driven simulation.
 type asyncCheckpointState struct {
-	Seed         int64
+	snapshotCommon
 	Duration     float64
 	MinCycle     float64
 	MaxCycle     float64
@@ -106,73 +102,57 @@ type asyncCheckpointState struct {
 	Pending      []asyncPendingCheckpoint
 	Clients      []asyncClientCheckpoint
 
-	// Versioned fault-state section (0 = fault-free). The instantiated model
-	// is a pure function of (schedule, seed, clients, horizon) and is rebuilt
-	// on resume; only the schedule, the publish counter, per-transaction
-	// publish metadata and the communication counters carry state.
-	FaultsVersion int
-	Faults        faults.Config
-	PubSeq        int
-	TxInfo        []asyncTxCheckpoint
-	Deliveries    int
-	Dropped       int
-	Duplicated    int
-
-	// Versioned epoch-compaction section (0 = compaction off). The tangle
-	// section holds the live suffix with frozen parameter vectors elided;
-	// Epochs carries the per-epoch summaries that make the restored tangle
-	// resume-equivalent (spill files are referenced by path, not embedded, so
-	// checkpoint size tracks the live suffix).
-	CompactionVersion int
-	Compaction        dag.Compaction
-	Epochs            []dag.EpochSummary
-}
-
-func (st *asyncCheckpointState) sections() sections {
-	return sections{&st.Seed, &st.FaultsVersion, &st.Faults, &st.CompactionVersion, &st.Compaction, &st.Epochs}
+	// Walked only with a fault section. The instantiated model is rebuilt on
+	// resume; the publish counter, per-transaction publish metadata and the
+	// communication counters carry state.
+	PubSeq     int
+	TxInfo     []asyncTxCheckpoint
+	Deliveries int
+	Dropped    int
+	Duplicated int
 }
 
 // codec walks the timing parameters and counters, the fault model's publish
 // state (only with a fault section), then the queue, the clients and the
 // pending transactions, each ending in its parameter vector.
-func (st *asyncCheckpointState) codec(c *stateCodec) {
+func (st *asyncCheckpointState) codec(c *Codec) {
 	for _, v := range []*float64{&st.Duration, &st.MinCycle, &st.MaxCycle, &st.NetworkDelay} {
-		c.float(v)
+		c.Float(v)
 	}
-	num(c, &st.Events)
-	num(c, &st.Seq)
-	c.bool(&st.Done)
+	Num(c, &st.Events)
+	Num(c, &st.Seq)
+	c.Bool(&st.Done)
 	if st.FaultsVersion == 1 {
 		for _, v := range []*int{&st.PubSeq, &st.Deliveries, &st.Dropped, &st.Duplicated} {
-			num(c, v)
+			Num(c, v)
 		}
-		list(c, &st.TxInfo, func(tx *asyncTxCheckpoint) {
-			num(c, &tx.ID)
-			num(c, &tx.PubSeq)
-			c.float(&tx.PubTime)
+		List(c, &st.TxInfo, func(tx *asyncTxCheckpoint) {
+			Num(c, &tx.ID)
+			Num(c, &tx.PubSeq)
+			c.Float(&tx.PubTime)
 		})
 	}
-	list(c, &st.Queue, func(ev *asyncEventCheckpoint) {
-		c.float(&ev.At)
-		num(c, &ev.Seq)
-		num(c, &ev.Client)
+	List(c, &st.Queue, func(ev *asyncEventCheckpoint) {
+		c.Float(&ev.At)
+		Num(c, &ev.Seq)
+		Num(c, &ev.Client)
 	})
-	list(c, &st.Clients, func(cc *asyncClientCheckpoint) {
-		num(c, &cc.ID)
-		num(c, &cc.Cycles)
-		num(c, &cc.Published)
-		c.float(&cc.FinalAcc)
+	List(c, &st.Clients, func(cc *asyncClientCheckpoint) {
+		Num(c, &cc.ID)
+		Num(c, &cc.Cycles)
+		Num(c, &cc.Published)
+		c.Float(&cc.FinalAcc)
 	})
-	list(c, &st.Pending, func(p *asyncPendingCheckpoint) {
-		c.float(&p.VisibleAt)
-		num(c, &p.Issuer)
-		ints(c, &p.Parents)
-		c.float(&p.Meta.TrainAcc)
-		c.float(&p.Meta.TestAcc)
-		c.bool(&p.Meta.Poisoned)
-		num(c, &p.PubSeq)
-		c.float(&p.PubTime)
-		c.span(&p.Params)
+	List(c, &st.Pending, func(p *asyncPendingCheckpoint) {
+		c.Float(&p.VisibleAt)
+		Num(c, &p.Issuer)
+		Ints(c, &p.Parents)
+		c.Float(&p.Meta.TrainAcc)
+		c.Float(&p.Meta.TestAcc)
+		c.Bool(&p.Meta.Poisoned)
+		Num(c, &p.PubSeq)
+		c.Float(&p.PubTime)
+		c.Span(&p.Params)
 	})
 }
 
@@ -318,7 +298,7 @@ func ResumeAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig, r io.Reader
 	if err != nil {
 		return nil, err
 	}
-	if err := a.restore(st.sections(), d, len(st.Clients)); err != nil {
+	if err := a.restore(&st.snapshotCommon, d, len(st.Clients)); err != nil {
 		return nil, err
 	}
 	a.events = st.Events

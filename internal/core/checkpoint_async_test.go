@@ -367,7 +367,7 @@ func TestAsyncCheckpointCorruptionPaths(t *testing.T) {
 	})
 
 	t.Run("flipped-header-bytes", func(t *testing.T) {
-		// Corrupt each early byte (magic boundary + gob stream headers): no
+		// Corrupt each early byte (magic boundary + tangle header): no
 		// panic, and either an error or a state identical to the intact one.
 		for off := 4; off < 24 && off < len(good); off++ {
 			blob := append([]byte(nil), good...)

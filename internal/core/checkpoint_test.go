@@ -303,7 +303,7 @@ func TestCheckpointCorruptionPaths(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		// Every prefix, including the empty file, a partial magic, and a cut
-		// inside the gob payload and inside the embedded DAG bytes.
+		// inside the embedded DAG bytes and inside the state section.
 		for _, n := range []int{0, 1, 3, 4, 5, len(good) / 4, len(good) / 2, len(good) - 1} {
 			check(t, good[:n], fmt.Sprintf("a checkpoint truncated to %d of %d bytes", n, len(good)))
 		}
@@ -315,7 +315,7 @@ func TestCheckpointCorruptionPaths(t *testing.T) {
 		check(t, wrong, "a blob with wrong magic")
 
 		// A valid SDG1 DAG snapshot is not a simulation checkpoint; the
-		// magic check must say so instead of feeding the DAG bytes to gob.
+		// magic check must say so instead of decoding the DAG bytes as one.
 		var dagOnly bytes.Buffer
 		if _, err := sim.DAG().WriteTo(&dagOnly); err != nil {
 			t.Fatal(err)
@@ -325,22 +325,22 @@ func TestCheckpointCorruptionPaths(t *testing.T) {
 			t.Fatalf("bare DAG snapshot not rejected by magic check: %v", err)
 		}
 
-		// Same for an SDE1 event log (internal/wire): the resume paths must
-		// name the format instead of gob-decoding stream frames.
-		events := append([]byte("SDE1"), good[4:]...)
+		// Same for an SDE2 event log (internal/wire): the resume paths must
+		// name the format instead of decoding stream frames.
+		events := append([]byte("SDE2"), good[4:]...)
 		_, err = ResumeSimulation(smallFed(130), cfg, bytes.NewReader(events))
 		if err == nil || !strings.Contains(err.Error(), "event-stream log") {
-			t.Fatalf("SDE1 event log not identified by the sync magic check: %v", err)
+			t.Fatalf("SDE2 event log not identified by the sync magic check: %v", err)
 		}
 		_, err = ResumeAsyncSimulation(smallFed(130), goldenAsyncConfig(), bytes.NewReader(events))
 		if err == nil || !strings.Contains(err.Error(), "event-stream log") {
-			t.Fatalf("SDE1 event log not identified by the async magic check: %v", err)
+			t.Fatalf("SDE2 event log not identified by the async magic check: %v", err)
 		}
 	})
 
 	t.Run("flipped-header-bytes", func(t *testing.T) {
-		// Corrupt each of the first bytes after the magic (gob stream
-		// headers). Decoding may or may not fail depending on the byte, but
+		// Corrupt each of the first bytes after the magic (the tangle
+		// section's header). Decoding may or may not fail depending on the byte, but
 		// it must never panic; when it "succeeds", the structural checks
 		// (round/results consistency, genesis match, seed) must still hold,
 		// so we only require: no panic, and an error OR a state identical to

@@ -19,19 +19,18 @@ package core
 // kind's layout (its codec method) drives the pass that sizes a capture, the
 // writer and the reader, so they cannot drift apart.
 //
-// Format evolution: a build reads its own generation and the one before, and
-// names older ones. The previous generation, SDC2/SDA2, carried the state as
-// one gob value, which readSnapshot decodes into the same state structs —
-// hence their flat, gob-named fields, reached through sections().
+// Format evolution: a build reads its own generation and the one before,
+// unless reading the one before needs gob — so SDC2/SDA2, whose state was one
+// gob value, are named, not read, as are older generations. The walker is
+// exported as Codec: SDE2 event frames (internal/wire) are walked by it too.
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/faults"
@@ -42,64 +41,68 @@ var (
 	// version; asyncCheckpointMagic is the event-driven sibling.
 	checkpointMagic      = [4]byte{'S', 'D', 'C', '3'}
 	asyncCheckpointMagic = [4]byte{'S', 'D', 'A', '3'}
-	// The DAG codec's (internal/dag) and event-stream codec's (internal/wire)
-	// magics are mirrored so a user who points a resume at a bare tangle
-	// snapshot or a saved event log is told what the file actually is.
-	codecMagicSDG1       = [4]byte{'S', 'D', 'G', '1'}
-	eventStreamMagicSDE1 = [4]byte{'S', 'D', 'E', '1'}
+	// The DAG codec's (internal/dag) magic is mirrored, and the event-stream
+	// codec's (internal/wire) family, so a user who points a resume at a bare
+	// tangle snapshot or a saved event log is told what the file actually is.
+	codecMagicSDG1 = [4]byte{'S', 'D', 'G', '1'}
 )
-
-// prevMagic is the magic the previous generation of m's kind was written under.
-func prevMagic(m [4]byte) [4]byte {
-	m[3]--
-	return m
-}
 
 // wrongMagic explains a magic other than the wanted one: what the sibling
 // format is, and what to do with one instead.
 func wrongMagic(got, want [4]byte) error {
 	var what string
-	switch got {
-	case checkpointMagic, prevMagic(checkpointMagic):
+	switch family := string(got[:3]); {
+	case got == checkpointMagic:
 		what = "a synchronous round-simulation checkpoint (resume it with ResumeSimulation)"
-	case asyncCheckpointMagic, prevMagic(asyncCheckpointMagic):
+	case got == asyncCheckpointMagic:
 		what = "an asynchronous event-simulation checkpoint (resume it with ResumeAsyncSimulation)"
-	case codecMagicSDG1:
+	case got == codecMagicSDG1:
 		what = "a bare DAG snapshot, not a simulation checkpoint (inspect it with dagstat or dag.ReadDAG)"
-	case eventStreamMagicSDE1:
+	case family == "SDE":
 		what = "an event-stream log, not a simulation checkpoint (inspect it with dagstat or wire.ReadAll)"
+	case (family == "SDC" || family == "SDA") && got[3] >= '1' && got[3] < checkpointMagic[3]:
+		return fmt.Errorf("core: %q is an older checkpoint generation than this build reads (\"%s%c\") — resume it with a build that reads it", got, family, checkpointMagic[3])
 	default:
-		if kind := string(got[:3]); (kind == "SDC" || kind == "SDA") && got[3] >= '1' && got[3] < want[3] {
-			return fmt.Errorf("core: %q is an older checkpoint generation than this build reads (%q and %q) — resume it with a build that reads it", got, want, prevMagic(want))
-		}
 		return fmt.Errorf("core: bad magic %q (not a %q checkpoint)", got, want)
 	}
 	return fmt.Errorf("core: bad magic %q, want %q — this is %s", got, want, what)
 }
 
-// sections points at the fields every checkpoint kind carries, wherever its
-// state struct declares them (checkpointState documents what each section
-// holds and how its version field evolves).
-type sections struct {
-	seed              *int64
-	faultsVersion     *int
-	faults            *faults.Config
-	compactionVersion *int
-	compaction        *dag.Compaction
-	epochs            *[]dag.EpochSummary
+// snapshotCommon is what every checkpoint kind carries ahead of its own
+// fields, each section versioned so it can evolve on its own.
+type snapshotCommon struct {
+	Seed int64
+
+	// Versioned fault-state section. FaultsVersion is 0 for fault-free runs
+	// and 1 when a fault schedule was active — the schedule itself is all that
+	// needs saving, because the instantiated model is a pure function of
+	// (schedule, seed, clients, horizon).
+	FaultsVersion int
+	Faults        faults.Config
+
+	// Versioned epoch-compaction section (0 = compaction off). When 1,
+	// Compaction holds the active config and Epochs the frozen epoch
+	// summaries; the tangle section carries frozen transactions with released
+	// (empty) parameter vectors, and spill files are referenced by path, not
+	// embedded, so checkpoint size stays proportional to the live suffix.
+	CompactionVersion int
+	Compaction        dag.Compaction
+	Epochs            []dag.EpochSummary
 }
 
 // snapshotState is a checkpoint kind's state struct.
 type snapshotState interface {
-	sections() sections
+	common() *snapshotCommon
 	// codec walks the kind's own fields, after the common sections.
-	codec(c *stateCodec)
+	codec(c *Codec)
 	info() *CheckpointInfo // the kind's own summary fields (InspectCheckpoint)
 	// validate checks the kind's own fields against the decoded tangle, so a
 	// corrupted or adversarial snapshot fails with an actionable error —
 	// never a panic and never a silently wrong run.
 	validate(d *dag.DAG) error
 }
+
+func (sc *snapshotCommon) common() *snapshotCommon { return sc }
 
 // A Checkpoint is a checkpoint as a value: the magic, a capture of the tangle
 // and the captured engine state, taken at a unit boundary. Its bytes are
@@ -133,31 +136,29 @@ func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return int64(n) + tn, fmt.Errorf("core: checkpointing DAG: %w", err)
 	}
-	enc := &stateCodec{w: w, b: make([]byte, 0, stateChunk)}
+	enc := &Codec{w: w, b: make([]byte, 0, stateChunk)}
 	enc.state(c.state)
-	enc.flush()
+	enc.Flush()
 	return int64(n) + tn + enc.n, enc.err
 }
 
-// writeSnapshot fills st's shared sections from the body and takes the
+// writeSnapshot fills st's common sections from the body and takes the
 // checkpoint: the tangle and the state are captured, and the state section's
 // size is counted (Size must answer before anyone encodes). A sink that keeps
 // checkpoints rather than bytes says so with a KeepCheckpoint method and is
 // handed the value, nothing written; any other gets the bytes, and their
 // count back.
 func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int64, error) {
-	sec := st.sections()
-	*sec.seed = b.seed
+	com := st.common()
+	com.Seed = b.seed
 	if b.faults.Enabled() {
-		*sec.faultsVersion = 1
-		*sec.faults = b.faults
+		com.FaultsVersion, com.Faults = 1, b.faults
 	}
 	if b.compaction.Enabled() {
-		*sec.compactionVersion = 1
-		*sec.compaction = b.tangle.CompactionConfig()
-		*sec.epochs = b.tangle.FrozenEpochs()
+		com.CompactionVersion = 1
+		com.Compaction, com.Epochs = b.tangle.CompactionConfig(), b.tangle.FrozenEpochs()
 	}
-	count := &stateCodec{}
+	count := &Codec{}
 	count.state(st)
 	c := &Checkpoint{magic: magic, tangle: b.tangle.Capture(), state: st, stateSize: count.n}
 	if k, ok := w.(interface{ KeepCheckpoint(*Checkpoint) }); ok {
@@ -167,53 +168,41 @@ func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int6
 	return c.WriteTo(w)
 }
 
-// readSnapshot reads an envelope of the wanted kind, of this generation or
-// the previous one, into st, validates the shared sections and the kind's
-// own fields, and returns the decoded tangle with its frozen-epoch state
-// restored. dag.ReadDAG stops on the tangle's last byte, so the state section
-// starts where it ended.
+// readSnapshot reads an envelope of the wanted kind into st, validates the
+// common sections and the kind's own fields, and returns the decoded tangle
+// with its frozen-epoch state restored. dag.ReadDAG stops on the tangle's last
+// byte, so the state section starts where it ended.
 func readSnapshot(br *bufio.Reader, want [4]byte, st snapshotState) (*dag.DAG, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
 	}
-	prev := magic == prevMagic(want)
-	if magic != want && !prev {
+	if magic != want {
 		return nil, wrongMagic(magic, want)
 	}
 	d, err := dag.ReadDAG(br)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint DAG: %w", err)
 	}
-	if prev {
-		// gob stops on the value's last byte too: a *bufio.Reader is an
-		// io.ByteReader.
-		err = gob.NewDecoder(br).Decode(st)
-	} else {
-		dec := &stateCodec{br: br}
-		dec.state(st)
-		err = dec.err
+	dec := NewDecoder(br)
+	dec.state(st)
+	if dec.err != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint: %w", dec.err)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
-	}
-	sec := st.sections()
-	if err := cmp.Or(checkVersion("fault", *sec.faultsVersion), checkVersion("epoch", *sec.compactionVersion)); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if *sec.faultsVersion == 1 {
-		if err := sec.faults.Validate(); err != nil {
+	com := st.common()
+	if com.FaultsVersion == 1 {
+		if err := com.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("core: checkpoint fault schedule: %w", err)
 		}
 	}
-	if *sec.compactionVersion == 1 {
-		if !sec.compaction.Enabled() {
+	if com.CompactionVersion == 1 {
+		if !com.Compaction.Enabled() {
 			return nil, fmt.Errorf("core: checkpoint epoch section is versioned but its compaction config is disabled")
 		}
-		if err := sec.compaction.Validate(); err != nil {
+		if err := com.Compaction.Validate(); err != nil {
 			return nil, fmt.Errorf("core: checkpoint compaction config: %w", err)
 		}
-		if err := d.RestoreCompaction(*sec.compaction, *sec.epochs); err != nil {
+		if err := d.RestoreCompaction(com.Compaction, com.Epochs); err != nil {
 			return nil, fmt.Errorf("core: checkpoint epoch state: %w", err)
 		}
 	}
@@ -223,34 +212,32 @@ func readSnapshot(br *bufio.Reader, want [4]byte, st snapshotState) (*dag.DAG, e
 	return d, nil
 }
 
-// checkVersion rejects a section version this build cannot read.
-func checkVersion(section string, v int) error {
-	if v < 0 || v > 1 {
-		return fmt.Errorf("checkpoint %s section has version %d, this build understands 0 and 1 — written by a newer version?", section, v)
-	}
-	return nil
-}
-
-// stateChunk is how much of a state section the writer buffers before it
+// stateChunk is how much of a layout an encoding Codec buffers before it
 // hands the bytes on.
 const stateChunk = 64 << 10
 
-// maxStateList bounds a decoded list length; lists also grow only as their
-// elements arrive, so a forged length costs what the input backs.
-// maxStateString bounds a string's, which is read whole.
+// maxStateList bounds a decoded list length, maxStateString a string's (an
+// event frame's label or error may be as long as a request body). Both grow
+// only as their elements arrive, so a forged length costs what the input
+// backs; encoding a longer one is an error, so what is written reads back.
 const (
 	maxStateList   = 1 << 24
-	maxStateString = 1 << 12
+	maxStateString = 1 << 24
 )
 
-// A stateCodec is one pass over a state section, field by field in the order
-// the kinds' codec methods give: decoding when br is set (each field is
-// assigned), otherwise encoding (each field is only read — a capture may be
-// encoded on several goroutines at once) into w in chunks, or, with no w,
-// counting the bytes that would be written without touching a parameter
-// vector. Decoding errors are sticky: after the first, every field reads as
-// zero and nothing more is consumed.
-type stateCodec struct {
+// A Codec is one pass over a binary layout — a checkpoint's state section or
+// an SDE2 event frame — field by field in the order a layout description
+// gives: decoding (NewDecoder; each field is assigned), otherwise encoding
+// (NewEncoder; each field is only read, so one value may be encoded on several
+// goroutines at once) into w in chunks, or, with no w, counting the bytes
+// that would be written without touching a parameter vector. Errors are
+// sticky: after the first, every field decodes as zero, nothing more is
+// consumed or written, and Err reports it.
+//
+// The layout is varint integers (zigzag), 8-byte little-endian floats, a
+// length before every list and string, and a parameter vector as its length
+// and a raw span (dag.AppendFloats).
+type Codec struct {
 	br  *bufio.Reader
 	err error
 
@@ -259,60 +246,98 @@ type stateCodec struct {
 	n int64
 }
 
+// NewEncoder returns a Codec that writes what it walks to w; Flush hands on
+// what it still buffers.
+func NewEncoder(w io.Writer) *Codec { return &Codec{w: w} }
+
+// NewDecoder returns a Codec that reads what it walks off br.
+func NewDecoder(br *bufio.Reader) *Codec { return &Codec{br: br} }
+
+// Decoding reports whether the walk assigns the fields (or only reads them).
+func (c *Codec) Decoding() bool { return c.br != nil }
+
+// Err is the first error the walk met.
+func (c *Codec) Err() error { return c.err }
+
+// Fail records err, unless an earlier error is recorded.
+func (c *Codec) Fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
 // state walks a whole state section: the common sections, then the kind's.
-func (c *stateCodec) state(st snapshotState) {
-	sec := st.sections()
-	num(c, sec.seed)
-	c.version("fault", sec.faultsVersion)
-	if *sec.faultsVersion == 1 {
-		f := sec.faults
+func (c *Codec) state(st snapshotState) {
+	com := st.common()
+	Num(c, &com.Seed)
+	c.version("fault", &com.FaultsVersion)
+	if com.FaultsVersion == 1 {
+		f := &com.Faults
 		for _, v := range []*float64{&f.Delay, &f.Jitter, &f.DropProb, &f.Retransmit, &f.DupProb} {
-			c.float(v)
+			c.Float(v)
 		}
-		list(c, &f.Partitions, func(p *faults.Partition) {
-			c.float(&p.From)
-			c.float(&p.To)
-			num(c, &p.Groups)
+		List(c, &f.Partitions, func(p *faults.Partition) {
+			c.Float(&p.From)
+			c.Float(&p.To)
+			Num(c, &p.Groups)
 		})
 		for _, v := range []*float64{&f.StragglerFrac, &f.StragglerFactor, &f.ChurnFrac, &f.MaxDowntime} {
-			c.float(v)
+			c.Float(v)
 		}
 	}
-	c.version("epoch", sec.compactionVersion)
-	if *sec.compactionVersion == 1 {
-		comp := sec.compaction
+	c.version("epoch", &com.CompactionVersion)
+	if com.CompactionVersion == 1 {
+		comp := &com.Compaction
 		for _, v := range []*int{&comp.Width, &comp.Live, &comp.GuardDepth, &comp.GuardDepthMin} {
-			num(c, v)
+			Num(c, v)
 		}
-		c.string(&comp.SpillDir)
-		list(c, sec.epochs, func(e *dag.EpochSummary) {
-			num(c, &e.Epoch)
-			num(c, &e.FirstID)
-			num(c, &e.LastID)
+		c.String(&comp.SpillDir)
+		List(c, &com.Epochs, func(e *dag.EpochSummary) {
+			Num(c, &e.Epoch)
+			Num(c, &e.FirstID)
+			Num(c, &e.LastID)
 			for _, v := range []*int{&e.Txs, &e.Edges, &e.MinRound, &e.MaxRound} {
-				num(c, v)
+				Num(c, v)
 			}
-			c.float(&e.MeanTestAcc)
-			c.float(&e.MaxTestAcc)
+			c.Float(&e.MeanTestAcc)
+			c.Float(&e.MaxTestAcc)
 			for _, v := range []*int{&e.Poisoned, &e.WeightSum, &e.WeightMax} {
-				num(c, v)
+				Num(c, v)
 			}
-			c.string(&e.SpillFile)
-			num(c, &e.SpillBytes)
+			c.String(&e.SpillFile)
+			Num(c, &e.SpillBytes)
 		})
 	}
 	st.codec(c)
 }
 
+// RoundResult walks one round's result: a row of SDC3's history and the
+// Detail of a round engine's SDE2 RoundEvent frame.
+func (c *Codec) RoundResult(r *RoundResult) {
+	Num(c, &r.Round)
+	Ints(c, &r.Active)
+	for _, v := range []*[]float64{&r.TrainedAcc, &r.TrainedLoss, &r.RefAcc, &r.RefLoss} {
+		c.Span(v)
+	}
+	List(c, &r.Published, c.Bool)
+	Ints(c, &r.RefTx)
+	c.Span(&r.FlippedFrac)
+	List(c, &r.ActivePoisoned, c.Bool)
+	Ints(c, &r.RefPoisonedApprovals)
+	Num(c, &r.Walk.Steps)
+	Num(c, &r.Walk.Evaluations)
+}
+
 // spill hands the buffered bytes on once a chunk is full; counting, it only
 // tallies them.
-func (c *stateCodec) spill() {
+func (c *Codec) spill() {
 	if c.w == nil || len(c.b) >= stateChunk {
-		c.flush()
+		c.Flush()
 	}
 }
 
-func (c *stateCodec) flush() {
+// Flush hands the buffered bytes on (or tallies them) and returns Err.
+func (c *Codec) Flush() error {
 	if c.w == nil {
 		c.n += int64(len(c.b))
 	} else if c.err == nil {
@@ -321,38 +346,48 @@ func (c *stateCodec) flush() {
 		c.err = err
 	}
 	c.b = c.b[:0]
+	return c.err
 }
 
-func (c *stateCodec) varint(v *int64) {
+func (c *Codec) varint(v *int64) {
 	if c.br == nil {
 		c.b = binary.AppendVarint(c.b, *v)
 		c.spill()
 	} else if c.err == nil {
-		*v, c.err = binary.ReadVarint(c.br)
+		if *v, c.err = binary.ReadVarint(c.br); c.err != nil {
+			*v = 0
+		}
 	}
 }
 
-// num walks one integer field of any width.
-func num[T ~int | ~int64](c *stateCodec, v *T) {
+// Num walks one integer field of any width; decoding a value the field
+// cannot hold is an error.
+func Num[T ~int | ~int64 | ~uint8 | ~uint64](c *Codec, v *T) {
 	x := int64(*v)
 	c.varint(&x)
 	if c.br != nil {
 		*v = T(x)
+		if int64(*v) != x {
+			c.Fail(fmt.Errorf("%d overflows a %T", x, *v))
+		}
 	}
 }
 
 // version walks a section's version byte; decoding stops at one this build
 // cannot read.
-func (c *stateCodec) version(section string, v *int) {
-	num(c, v)
-	if c.br != nil && c.err == nil {
-		c.err = checkVersion(section, *v)
+func (c *Codec) version(section string, v *int) {
+	Num(c, v)
+	if c.br != nil && c.err == nil && (*v < 0 || *v > 1) {
+		c.err = fmt.Errorf("checkpoint %s section has version %d, this build understands 0 and 1 — written by a newer version?", section, *v)
 	}
 }
 
-// length walks a list or string length.
-func (c *stateCodec) length(n int, max int64) int {
+// length walks a list or string length; one above max is an error.
+func (c *Codec) length(n int, max int64) int {
 	x := int64(n)
+	if c.br == nil && x > max {
+		c.Fail(fmt.Errorf("length %d exceeds %d", x, max))
+	}
 	c.varint(&x)
 	if c.br != nil && c.err == nil && (x < 0 || x > max) {
 		c.err = fmt.Errorf("implausible length %d", x)
@@ -361,7 +396,8 @@ func (c *stateCodec) length(n int, max int64) int {
 	return int(x)
 }
 
-func (c *stateCodec) float(v *float64) {
+// Float walks a float64.
+func (c *Codec) Float(v *float64) {
 	if c.br == nil {
 		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
 		c.spill()
@@ -374,7 +410,8 @@ func (c *stateCodec) float(v *float64) {
 	*v = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 }
 
-func (c *stateCodec) bool(v *bool) {
+// Bool walks a bool.
+func (c *Codec) Bool(v *bool) {
 	var x int64
 	if *v {
 		x = 1
@@ -385,22 +422,26 @@ func (c *stateCodec) bool(v *bool) {
 	}
 }
 
-// string walks a string: a spill file's name or directory, so at most
-// maxStateString bytes.
-func (c *stateCodec) string(s *string) {
+// String walks a string: its length, then its bytes, decoded in steps of at
+// most what has arrived.
+func (c *Codec) String(s *string) {
 	n := c.length(len(*s), maxStateString)
 	if c.br == nil {
 		c.b = append(c.b, *s...)
 		c.spill()
-	} else if c.err == nil && n > 0 {
-		b := make([]byte, n)
-		_, c.err = io.ReadFull(c.br, b)
-		*s = string(b)
+		return
 	}
+	b := make([]byte, 0, min(n, 1<<12))
+	for len(b) < n && c.err == nil {
+		k := min(n-len(b), max(len(b), 1<<12))
+		b = slices.Grow(b, k)[:len(b)+k]
+		_, c.err = io.ReadFull(c.br, b[len(b)-k:])
+	}
+	*s = string(b)
 }
 
-// span walks a parameter vector: its length, then its raw span.
-func (c *stateCodec) span(v *[]float64) {
+// Span walks a parameter vector: its length, then its raw span.
+func (c *Codec) Span(v *[]float64) {
 	n := c.length(len(*v), dag.MaxParams)
 	switch {
 	case c.br != nil:
@@ -415,9 +456,9 @@ func (c *stateCodec) span(v *[]float64) {
 	}
 }
 
-// list walks a slice: its length, then each element through one. Decoding
+// List walks a slice: its length, then each element through one. Decoding
 // appends to the (empty) field, so a list of length zero decodes to nil.
-func list[T any](c *stateCodec, s *[]T, one func(*T)) {
+func List[T any](c *Codec, s *[]T, one func(*T)) {
 	n := c.length(len(*s), maxStateList)
 	if c.br == nil {
 		for i := range *s {
@@ -432,9 +473,9 @@ func list[T any](c *stateCodec, s *[]T, one func(*T)) {
 	}
 }
 
-// ints walks a slice of integers.
-func ints[T ~int | ~int64](c *stateCodec, s *[]T) {
-	list(c, s, func(v *T) { num(c, v) })
+// Ints walks a slice of integers.
+func Ints[T ~int | ~int64](c *Codec, s *[]T) {
+	List(c, s, func(v *T) { Num(c, v) })
 }
 
 // restore is the resume tail: it verifies that a decoded snapshot belongs to
@@ -443,22 +484,22 @@ func ints[T ~int | ~int64](c *stateCodec, s *[]T) {
 // Everything else a checkpoint omits (RNG streams, fault model, partial
 // views, eval caches) is a pure function of the configuration, which is what
 // these checks pin.
-func (b *body) restore(sec sections, d *dag.DAG, clients int) error {
-	if *sec.seed != b.seed {
+func (b *body) restore(com *snapshotCommon, d *dag.DAG, clients int) error {
+	if com.Seed != b.seed {
 		return fmt.Errorf("core: checkpoint was taken with Seed %d, config has %d — resuming under a different seed would diverge",
-			*sec.seed, b.seed)
+			com.Seed, b.seed)
 	}
-	if !sec.faults.Equal(b.faults) {
+	if !com.Faults.Equal(b.faults) {
 		return fmt.Errorf("core: checkpoint was taken with fault schedule %+v, config has %+v — resuming under a different schedule would diverge",
-			*sec.faults, b.faults)
+			com.Faults, b.faults)
 	}
 	// The guard band is excluded from the comparison: it is derived from the
 	// selector, not chosen by the caller.
-	was, now := *sec.compaction, b.compaction
+	was, now := com.Compaction, b.compaction
 	was.GuardDepth, was.GuardDepthMin, now.GuardDepth, now.GuardDepthMin = 0, 0, 0, 0
 	if was != now {
 		return fmt.Errorf("core: checkpoint was taken with compaction %+v, config has %+v — resuming under a different epoch config would diverge",
-			*sec.compaction, b.compaction)
+			com.Compaction, b.compaction)
 	}
 	if clients != len(b.clients) {
 		return fmt.Errorf("core: checkpoint has %d clients, federation has %d", clients, len(b.clients))

@@ -167,8 +167,9 @@ func TestCheckpointSectionBoundary(t *testing.T) {
 }
 
 // TestCheckpointCutAtSections: a checkpoint cut in either section, or
-// exactly between them, or dressed in the previous generation's magic, is an
-// error that names the section it failed in — for every reader.
+// exactly between them, is an error that names the section it failed in —
+// for every reader; dressed in the previous generation's magic, it is named
+// as that generation, not decoded.
 func TestCheckpointCutAtSections(t *testing.T) {
 	good := goldenSyncCheckpoint(t)
 	_, d, err := InspectCheckpoint(bytes.NewReader(good))
@@ -192,8 +193,8 @@ func TestCheckpointCutAtSections(t *testing.T) {
 		{"inside the record header", "core: checkpoint DAG: dag: reading count", good[:10]},
 		{"at the section boundary", "core: decoding checkpoint: EOF", good[:boundary]},
 		{"inside the state section", "core: decoding checkpoint: ", good[:(boundary+len(good))/2]},
-		{"v3 body behind the v2 magic", "core: decoding checkpoint: ", v2(good[4:])},
-		{"v2 file without its tangle", "core: checkpoint DAG: dag: bad magic", v2(good[boundary:])},
+		{"v3 body behind the v2 magic", `"SDC2" is an older checkpoint generation`, v2(good[4:])},
+		{"v2 file without its tangle", `"SDC2" is an older checkpoint generation`, v2(good[boundary:])},
 	} {
 		for name, read := range map[string]func(io.Reader) error{
 			"ResumeSimulation": func(r io.Reader) error {

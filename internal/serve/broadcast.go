@@ -91,7 +91,7 @@ type Broadcaster struct {
 	notify   chan struct{} // closed and replaced on every append
 
 	// Spill state (EnableSpill): every appended frame is also written to an
-	// SDE1 file, so frames the ring has overwritten remain replayable.
+	// SDE2 file, so frames the ring has overwritten remain replayable.
 	spillPath  string
 	spillFile  *os.File
 	spillW     *wire.Writer
@@ -167,7 +167,7 @@ func (b *Broadcaster) grow(n int) {
 	b.ring = ring
 }
 
-// EnableSpill starts mirroring every subsequently appended frame to an SDE1
+// EnableSpill starts mirroring every subsequently appended frame to an SDE2
 // file at path, making overwritten ring frames replayable via ReplayGap
 // (call it before the first Append to cover the whole log). A spill write
 // error stops spilling — the ring and its subscribers are unaffected, gaps

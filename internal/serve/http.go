@@ -131,7 +131,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents implements GET /runs/{id}/events?from=N: an SDE1 stream of
+// handleEvents implements GET /runs/{id}/events?from=N: an SDE2 stream of
 // the run's event log from index N (default 0) until the run ends or the
 // client disconnects. Any index at or before the log head is valid; if the
 // ring has already dropped it, the stream opens with a Gap frame naming the

@@ -46,7 +46,7 @@ type Config struct {
 	// in-flight runs (and Restore re-registers them on the next boot).
 	Dir string
 	// SpillDir, when non-empty, is where each run's event log is mirrored to
-	// disk (run-<id>.sde, SDE1). A subscriber that falls behind the ring then
+	// disk (run-<id>.sde, SDE2). A subscriber that falls behind the ring then
 	// gets the overwritten frames replayed from the spill file instead of a
 	// Gap frame — the stream stays complete regardless of ring size.
 	SpillDir string
@@ -58,7 +58,7 @@ type Config struct {
 	MaxRunsPerTenant int
 }
 
-// EventStreamContentType is the Content-Type of the SDE1 events endpoint.
+// EventStreamContentType is the Content-Type of the SDE2 events endpoint.
 const EventStreamContentType = "application/x-specdag-event-stream"
 
 // CheckpointIndexHeader carries a checkpoint's event-log index on the
@@ -388,7 +388,7 @@ func (s *Server) buildEngine(req *RunRequest, ckpt checkpoint) (hosted, error) {
 }
 
 // Info summarizes the request for an event log's start frame — the one key
-// set every producer of SDE1 logs records (the daemon and cmd/specdag
+// set every producer of SDE2 logs records (the daemon and cmd/specdag
 // -events), with the request's own spellings as values.
 func (r *RunRequest) Info() wire.RunInfo {
 	cfg := map[string]string{

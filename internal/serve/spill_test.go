@@ -50,7 +50,7 @@ func TestSpillReplayEquivalence(t *testing.T) {
 	}
 	mustEqualEvents(t, got, want)
 
-	// The spill file is a complete standalone SDE1 log of the run.
+	// The spill file is a complete standalone SDE2 log of the run.
 	blob, err := os.ReadFile(filepath.Join(spillDir, "run-1.sde"))
 	if err != nil {
 		t.Fatal(err)
@@ -66,6 +66,47 @@ func TestSpillReplayEquivalence(t *testing.T) {
 		if f.Index != uint64(i) {
 			t.Fatalf("spill frame %d carries index %d — the file is not the contiguous log", i, f.Index)
 		}
+	}
+}
+
+// TestLongLabelStreams: a run whose label is 64 KiB — a request body may
+// carry that much — streams live through a 1-slot ring, so its Start frame
+// is replayed from the spill file, and reads back whole from the stream and
+// from the file.
+func TestLongLabelStreams(t *testing.T) {
+	spillDir := t.TempDir()
+	label := strings.Repeat("l", 64<<10)
+	s := NewServer(Config{Workers: 2, Ring: 1, SpillDir: spillDir})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	id, err := s.Submit(RunRequest{Dataset: "fmnist", Seed: 17, Rounds: 3, ClientsPerRound: 2, Workers: 2, Label: label})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var start *wire.RunInfo
+	gaps := 0
+	end, err := Subscribe(context.Background(), ts.URL, id, SubscribeOptions{
+		OnFrame: func(f wire.Frame) {
+			if f.Kind == wire.KindStart {
+				start = f.Start
+			}
+		},
+		OnGap: func(wire.Gap) { gaps++ },
+	})
+	if err != nil || !end.Completed || gaps != 0 {
+		t.Fatalf("subscribe: end %+v, %d gaps, %v", end, gaps, err)
+	}
+	if start == nil || start.Label != label {
+		t.Fatal("the streamed Start frame does not carry the label")
+	}
+	f, err := os.Open(filepath.Join(spillDir, "run-1.sde"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	frames, err := wire.ReadAll(f)
+	if err != nil || len(frames) == 0 || frames[0].Start == nil || frames[0].Start.Label != label {
+		t.Fatalf("the spill file reads back %d frames (%v) without the label", len(frames), err)
 	}
 }
 

@@ -1,14 +1,16 @@
 package wire
 
-// FuzzWireDecode hammers the SDE1 decoder with arbitrary bytes: the same
+// FuzzWireDecode hammers the SDE2 decoder with arbitrary bytes: the same
 // contract as the checkpoint fuzzer (internal/core.FuzzCheckpointDecode),
 // applied to the event-stream codec. Malformed input of any shape must come
 // back as a non-empty, actionable error (or decode as a genuinely valid
-// stream), never a panic. The seed corpus covers the real format (a full
-// stream of every frame kind, and the committed golden stream),
-// truncations, flipped header and gob bytes, and the sibling
-// SDC3/SDA3/SDC2/SDA2/SDG1 magics, so the fuzzer starts at the interesting
-// boundaries: header confusion and gob-payload corruption.
+// stream), never a panic; and an accepted frame is a fixed point of the
+// codec: written again and read back, it writes the same bytes. The seed
+// corpus covers the real format (a full stream of every frame kind, and the
+// committed golden stream), truncations, flipped header and frame bytes, and
+// the sibling SDC3/SDA3/SDC2/SDA2/SDG1 and retired SDE1 magics, so the
+// fuzzer starts at the interesting boundaries: header confusion and frame
+// corruption.
 
 import (
 	"bytes"
@@ -39,14 +41,14 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(full.Bytes()[:4])
 	f.Add(full.Bytes()[:full.Len()/2])
 	f.Add([]byte{})
-	f.Add([]byte("SDE1"))
-	f.Add([]byte("SDE1garbage"))
+	f.Add([]byte("SDE2"))
+	f.Add([]byte("SDE2garbage"))
 	// Magic confusion: checkpoint-family headers over an event-stream
 	// payload and an event-stream header over nothing meaningful.
-	for _, m := range []string{"SDC3", "SDA3", "SDC2", "SDA2", "SDG1"} {
+	for _, m := range []string{"SDC3", "SDA3", "SDC2", "SDA2", "SDG1", "SDE1"} {
 		f.Add(append([]byte(m), full.Bytes()[4:]...))
 	}
-	// Flipped header and gob bytes.
+	// Flipped header and frame bytes.
 	for _, i := range []int{0, 3, 5, 7, 40} {
 		if i < full.Len() {
 			mut := append([]byte(nil), full.Bytes()...)
@@ -77,8 +79,20 @@ func FuzzWireDecode(f *testing.F) {
 				}
 				return
 			}
-			if err := fr.validate(); err != nil {
-				t.Fatalf("ReadFrame returned an invalid frame: %v", err)
+			again, err := EncodeFrame(fr)
+			if err != nil {
+				t.Fatalf("ReadFrame returned a frame WriteFrame refuses: %v", err)
+			}
+			back, err := NewReader(bytes.NewReader(append(Magic[:], again...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr2, err := back.ReadFrame()
+			if err != nil {
+				t.Fatalf("a re-encoded frame does not read back: %v", err)
+			}
+			if twice, err := EncodeFrame(fr2); err != nil || !bytes.Equal(twice, again) {
+				t.Fatalf("re-encoding is not a fixed point: %x then %x (%v)", again, twice, err)
 			}
 		}
 	})

@@ -1,20 +1,25 @@
-// Package wire defines SDE1, the versioned wire format for live experiment
+// Package wire defines SDE2, the versioned wire format for live experiment
 // event streams: the typed engine events (engine.RoundEvent, PublishEvent,
 // ProbeEvent) plus run-lifecycle frames, serialized onto any io.Writer and
 // decoded back from any io.Reader. It is the network-facing sibling of the
 // checkpoint codecs (SDC3/SDA3, internal/core) and the DAG codec (SDG1,
-// internal/dag): those snapshot state, SDE1 streams the events between
-// snapshots, so a remote consumer replaying an SDE1 stream into
+// internal/dag): those snapshot state, SDE2 streams the events between
+// snapshots, so a remote consumer replaying an SDE2 stream into
 // engine.Hooks observes exactly what a local observer would.
 //
 // # Format
 //
-// A stream is the 4-byte magic "SDE1" followed by a sequence of gob-encoded
-// Frame values produced by one persistent encoder (gob transmits type
-// descriptors once per stream, so frames after the first are compact). A
-// stream always starts decoding from its header: random access happens at
-// the server, which re-encodes a fresh stream from any event index — that,
-// not byte-level seeking, is how `GET /runs/{id}/events?from=N` resumes.
+// A stream is the 4-byte magic "SDE2" followed by frames, each walked by the
+// checkpoints' state walker (core.Codec: zigzag varints, 8-byte
+// little-endian floats, a length before every list and string): the index,
+// the kind, then the kind's payload field by field. A RoundEvent's Detail is
+// a tag (none, *core.RoundResult, *core.AsyncEvent, *fl.RoundResult) and
+// then that value; the Start frame's config is its keys in sorted order, each
+// followed by its value. So a stream's bytes are a function of its frames. A
+// frame has no size prefix: no reader skips one. A stream always starts
+// decoding from its header: random access happens at the server, which
+// re-encodes a fresh stream from any event index — that, not byte-level
+// seeking, is how `GET /runs/{id}/events?from=N` resumes.
 //
 // # Indexing
 //
@@ -27,48 +32,33 @@
 //
 // # Versioning
 //
-// The magic byte '1' is the format version. Any change to the Frame schema
-// that gob cannot absorb transparently (field renames, type changes,
-// semantic changes to Index) must bump the magic to "SDE2" and teach
-// NewReader to name the mismatch; additive, gob-compatible field additions
-// (new optional fields, new Kind values) may keep the version. Decoders
-// reject the checkpoint-family magics (SDC and SDA of any generation, SDG1)
-// with an error that names what the bytes actually are, and vice versa.
+// The magic's digit is the format version, and any change to the layout of
+// a frame bumps it, as for checkpoints. A build reads its own generation and
+// the one before, unless reading the one before needs gob: SDE1 streams (gob
+// frames) are named as an older generation, not read. Decoders reject the
+// checkpoint-family magics (SDC and SDA of any generation, SDG1) with an
+// error that names what the bytes actually are, and vice versa.
 package wire
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/fl"
 )
 
-// Magic identifies an SDE1 event stream and fixes the version.
-var Magic = [4]byte{'S', 'D', 'E', '1'}
+// Magic identifies an SDE2 event stream and fixes the version.
+var Magic = [4]byte{'S', 'D', 'E', '2'}
 
 // magicSDG1 is the bare DAG snapshot's magic, one of the sibling formats
 // NewReader names; the checkpoints' are told apart by their first three bytes.
 var magicSDG1 = [4]byte{'S', 'D', 'G', '1'}
-
-// The concrete Detail payloads engines attach to RoundEvents must be
-// registered so gob can carry them through the interface field: remote
-// observers get the full per-unit result, not just the summary. One frame
-// per payload is then encoded and dropped, so that gob's process-wide type
-// ids (handed out in order of first use, written into every stream) are
-// assigned here: a stream's bytes are a function of its frames.
-func init() {
-	enc := gob.NewEncoder(io.Discard)
-	for _, detail := range []any{&core.RoundResult{}, &core.AsyncEvent{}, &fl.RoundResult{}} {
-		gob.Register(detail)
-		if err := enc.Encode(&Frame{Round: &engine.RoundEvent{Detail: detail}}); err != nil {
-			panic(err)
-		}
-	}
-}
 
 // Kind discriminates the frame types of a stream.
 type Kind uint8
@@ -96,23 +86,14 @@ const (
 	KindEnd
 )
 
+// kindNames names the kinds, in Kind order.
+var kindNames = [...]string{KindStart: "start", KindRound: "round", KindPublish: "publish", KindProbe: "probe",
+	KindCheckpoint: "checkpoint", KindGap: "gap", KindEnd: "end"}
+
 // String names the kind for logs and dagstat summaries.
 func (k Kind) String() string {
-	switch k {
-	case KindStart:
-		return "start"
-	case KindRound:
-		return "round"
-	case KindPublish:
-		return "publish"
-	case KindProbe:
-		return "probe"
-	case KindCheckpoint:
-		return "checkpoint"
-	case KindGap:
-		return "gap"
-	case KindEnd:
-		return "end"
+	if k >= KindStart && k <= KindEnd {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -178,60 +159,166 @@ type Frame struct {
 
 // validate checks the kind/payload coherence contract.
 func (f *Frame) validate() error {
-	set := 0
-	if f.Round != nil {
-		set++
-	}
-	if f.Publish != nil {
-		set++
-	}
-	if f.Probe != nil {
-		set++
-	}
-	if f.Start != nil {
-		set++
-	}
-	if f.Checkpoint != nil {
-		set++
-	}
-	if f.Gap != nil {
-		set++
-	}
-	if f.End != nil {
-		set++
-	}
-	if set != 1 {
-		return fmt.Errorf("wire: frame %d has %d payloads, want exactly 1", f.Index, set)
-	}
-	ok := false
-	switch f.Kind {
-	case KindStart:
-		ok = f.Start != nil
-	case KindRound:
-		ok = f.Round != nil
-	case KindPublish:
-		ok = f.Publish != nil
-	case KindProbe:
-		ok = f.Probe != nil
-	case KindCheckpoint:
-		ok = f.Checkpoint != nil
-	case KindGap:
-		ok = f.Gap != nil
-	case KindEnd:
-		ok = f.End != nil
-	default:
+	if f.Kind < KindStart || f.Kind > KindEnd {
 		return fmt.Errorf("wire: frame %d has unknown kind %d", f.Index, uint8(f.Kind))
 	}
-	if !ok {
+	set := []bool{f.Start != nil, f.Round != nil, f.Publish != nil, f.Probe != nil, f.Checkpoint != nil, f.Gap != nil, f.End != nil}
+	if !set[f.Kind-KindStart] {
 		return fmt.Errorf("wire: frame %d kind %s does not match its payload", f.Index, f.Kind)
+	}
+	if n := len(slices.DeleteFunc(set, func(s bool) bool { return !s })); n != 1 {
+		return fmt.Errorf("wire: frame %d has %d payloads, want exactly 1", f.Index, n)
 	}
 	return nil
 }
 
-// A Writer encodes frames onto one SDE1 stream.
+// Detail tags: which engine result a RoundEvent frame carries.
+const (
+	detailNone uint8 = iota
+	detailRound
+	detailAsync
+	detailFL
+)
+
+// layout walks a frame: its index, its kind, then the kind's payload. An
+// encoding walk only reads the frame.
+func (f *Frame) layout(c *core.Codec) {
+	core.Num(c, &f.Index)
+	core.Num(c, &f.Kind)
+	switch f.Kind {
+	case KindStart:
+		s := payload(c, &f.Start)
+		c.String(&s.Engine)
+		c.String(&s.Label)
+		core.Num(c, &s.Seed)
+		config(c, &s.Config)
+	case KindRound:
+		r := payload(c, &f.Round)
+		c.String(&r.Engine)
+		core.Num(c, &r.Round)
+		c.Float(&r.Time)
+		c.Float(&r.MeanAcc)
+		c.Float(&r.MeanLoss)
+		core.Num(c, &r.Published)
+		core.Num(c, &r.DAGSize)
+		detail(c, &r.Detail)
+	case KindPublish:
+		p := payload(c, &f.Publish)
+		c.String(&p.Engine)
+		core.Num(c, &p.Round)
+		c.Float(&p.Time)
+		core.Num(c, &p.Issuer)
+		core.Num(c, &p.Tx)
+		c.Float(&p.Acc)
+		c.Bool(&p.Poisoned)
+	case KindProbe:
+		p := payload(c, &f.Probe)
+		c.String(&p.Engine)
+		core.Num(c, &p.Step)
+		c.String(&p.Name)
+		c.Float(&p.Value)
+	case KindCheckpoint:
+		p := payload(c, &f.Checkpoint)
+		core.Num(c, &p.Step)
+		core.Num(c, &p.Size)
+	case KindGap:
+		p := payload(c, &f.Gap)
+		core.Num(c, &p.From)
+		core.Num(c, &p.To)
+		core.Num(c, &p.CheckpointIndex)
+	case KindEnd:
+		p := payload(c, &f.End)
+		core.Num(c, &p.Steps)
+		c.Bool(&p.Completed)
+		c.String(&p.Err)
+	default:
+		c.Fail(fmt.Errorf("unknown kind %d", uint8(f.Kind)))
+	}
+}
+
+// payload returns the payload *p, allocated first when decoding.
+func payload[T any](c *core.Codec, p **T) *T {
+	if c.Decoding() {
+		*p = new(T)
+	}
+	return *p
+}
+
+// config walks a Start frame's config: its size, then each key in sorted
+// order followed by its value.
+func config(c *core.Codec, m *map[string]string) {
+	keys := slices.Sorted(maps.Keys(*m))
+	core.List(c, &keys, func(k *string) {
+		c.String(k)
+		v := (*m)[*k]
+		c.String(&v)
+		if c.Decoding() {
+			if *m == nil {
+				*m = map[string]string{}
+			}
+			(*m)[*k] = v
+		}
+	})
+}
+
+// detail walks a RoundEvent's Detail: its tag, then the value.
+func detail(c *core.Codec, d *any) {
+	var tag uint8
+	switch (*d).(type) {
+	case nil:
+	case *core.RoundResult:
+		tag = detailRound
+	case *core.AsyncEvent:
+		tag = detailAsync
+	case *fl.RoundResult:
+		tag = detailFL
+	default:
+		c.Fail(fmt.Errorf("no layout for a %T detail", *d))
+	}
+	core.Num(c, &tag)
+	switch tag {
+	case detailNone:
+	case detailRound:
+		c.RoundResult(detailOf[core.RoundResult](c, d))
+	case detailAsync:
+		e := detailOf[core.AsyncEvent](c, d)
+		core.Num(c, &e.Seq)
+		c.Float(&e.Time)
+		core.Num(c, &e.Client)
+		for _, v := range []*float64{&e.TrainedAcc, &e.TrainedLoss, &e.RefAcc, &e.RefLoss} {
+			c.Float(v)
+		}
+		c.Bool(&e.Published)
+	case detailFL:
+		r := detailOf[fl.RoundResult](c, d)
+		core.Num(c, &r.Round)
+		core.Ints(c, &r.Selected)
+		c.Span(&r.Accs)
+		c.Span(&r.Losses)
+		c.Float(&r.MeanAcc)
+		c.Float(&r.MeanLoss)
+	default:
+		c.Fail(fmt.Errorf("unknown detail tag %d", tag))
+	}
+}
+
+// detailOf returns the Detail *d as a *T: allocated and stored when
+// decoding, a zero value (not stored) when encoding a nil pointer.
+func detailOf[T any](c *core.Codec, d *any) *T {
+	v, _ := (*d).(*T)
+	if v == nil {
+		v = new(T)
+		if c.Decoding() {
+			*d = v
+		}
+	}
+	return v
+}
+
+// A Writer encodes frames onto one SDE2 stream. Between WriteFrame calls it
+// holds at most one frame's bytes.
 type Writer struct {
-	w   io.Writer
-	enc *gob.Encoder
+	enc *core.Codec
 }
 
 // NewWriter writes the stream header and returns a frame encoder.
@@ -239,56 +326,68 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	if _, err := w.Write(Magic[:]); err != nil {
 		return nil, fmt.Errorf("wire: writing stream header: %w", err)
 	}
-	return &Writer{w: w, enc: gob.NewEncoder(w)}, nil
+	return &Writer{enc: core.NewEncoder(w)}, nil
 }
 
-// WriteFrame appends one frame to the stream.
+// WriteFrame appends one frame to the stream. It only reads the frame, so
+// one frame may be written to several streams at once. After an error the
+// stream is unusable.
 func (w *Writer) WriteFrame(f *Frame) error {
 	if err := f.validate(); err != nil {
 		return err
 	}
-	if err := w.enc.Encode(f); err != nil {
+	f.layout(w.enc)
+	if err := w.enc.Flush(); err != nil {
 		return fmt.Errorf("wire: encoding frame %d: %w", f.Index, err)
 	}
 	return nil
 }
 
-// A Reader decodes frames from one SDE1 stream.
+// A Reader decodes frames from one SDE2 stream.
 type Reader struct {
-	dec  *gob.Decoder
+	br   *bufio.Reader
+	dec  *core.Codec
 	prev uint64 // last index seen, for monotonicity
 	some bool   // a frame has been read
 }
 
 // NewReader checks the stream header and returns a frame decoder. The
 // sibling formats of the SD family are recognized and named, so handing the
-// wrong artifact to the wrong reader produces a directive, not a gob error.
+// wrong artifact to the wrong reader produces a directive, not a decode
+// error.
 func NewReader(r io.Reader) (*Reader, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("wire: reading stream header: %w", err)
 	}
-	switch {
+	switch family := string(magic[:3]); {
 	case magic == Magic:
-	case string(magic[:3]) == "SDC":
+	case family == "SDE" && magic[3] >= '1' && magic[3] < Magic[3]:
+		return nil, fmt.Errorf("wire: %q is an older event-stream generation than this build reads (%q) — read it with a build that reads it", magic, Magic)
+	case family == "SDC":
 		return nil, fmt.Errorf("wire: this is a synchronous simulation checkpoint (magic %q), not an event stream — resume it with ResumeSimulation or inspect it with dagstat", magic)
-	case string(magic[:3]) == "SDA":
+	case family == "SDA":
 		return nil, fmt.Errorf("wire: this is an asynchronous simulation checkpoint (magic %q), not an event stream — resume it with ResumeAsyncSimulation or inspect it with dagstat", magic)
 	case magic == magicSDG1:
 		return nil, fmt.Errorf("wire: this is a bare DAG snapshot (magic %q), not an event stream — inspect it with dagstat or dag.ReadDAG", magic)
 	default:
-		return nil, fmt.Errorf("wire: bad magic %q (not an SDE1 event stream)", magic)
+		return nil, fmt.Errorf("wire: bad magic %q (not an %s event stream)", magic, Magic[:])
 	}
-	return &Reader{dec: gob.NewDecoder(r)}, nil
+	br := bufio.NewReader(r)
+	return &Reader{br: br, dec: core.NewDecoder(br)}, nil
 }
 
 // ReadFrame decodes the next frame. It returns io.EOF at a clean stream
 // end; any other error means the stream is corrupt or truncated mid-frame.
 func (r *Reader) ReadFrame() (*Frame, error) {
+	if _, err := r.br.Peek(1); err == io.EOF && r.dec.Err() == nil {
+		return nil, io.EOF
+	}
 	var f Frame
-	if err := r.dec.Decode(&f); err != nil {
+	f.layout(r.dec)
+	if err := r.dec.Err(); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("wire: decoding frame: %w", err)
 	}
@@ -333,7 +432,7 @@ type EventLog struct {
 	err  error // first write error; subsequent appends are dropped
 }
 
-// NewEventLog opens an SDE1 stream on w, emits the KindStart frame and
+// NewEventLog opens an SDE2 stream on w, emits the KindStart frame and
 // returns the log.
 func NewEventLog(w io.Writer, info RunInfo) (*EventLog, error) {
 	ww, err := NewWriter(w)
@@ -382,13 +481,9 @@ func (l *EventLog) NextIndex() uint64 { return l.next }
 // Err returns the first error any append encountered, nil if none.
 func (l *EventLog) Err() error { return l.err }
 
-// EncodeFrame serializes one frame as a standalone value (fresh encoder —
-// type descriptors included). Tests use it to compare events byte-for-byte;
-// streams use Writer, which amortizes descriptors.
+// EncodeFrame returns one frame's bytes as a Writer puts them on a stream.
 func EncodeFrame(f *Frame) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("wire: encoding frame %d: %w", f.Index, err)
-	}
-	return buf.Bytes(), nil
+	err := (&Writer{enc: core.NewEncoder(&buf)}).WriteFrame(f)
+	return buf.Bytes(), err
 }

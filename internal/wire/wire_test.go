@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -10,11 +12,11 @@ import (
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/engine"
+	"github.com/specdag/specdag/internal/fl"
 )
 
 // sampleFrames builds one frame of every kind, with realistic payloads
-// (including a Detail interface payload, the part gob only carries for
-// registered types).
+// (including Detail interface payloads, which travel behind a tag).
 func sampleFrames() []Frame {
 	rr := &core.RoundResult{
 		Round:       3,
@@ -102,7 +104,8 @@ func TestMagicConfusion(t *testing.T) {
 		{"sync checkpoint v1", []byte("SDC1rest"), "synchronous simulation checkpoint"},
 		{"async checkpoint v1", []byte("SDA1rest"), "asynchronous simulation checkpoint"},
 		{"dag snapshot", []byte("SDG1rest"), "bare DAG snapshot"},
-		{"garbage", []byte("NOPE"), "not an SDE1 event stream"},
+		{"event stream v1", []byte("SDE1rest"), `"SDE1" is an older event-stream generation than this build reads ("SDE2")`},
+		{"garbage", []byte("NOPE"), "not an SDE2 event stream"},
 		{"empty", nil, "reading stream header"},
 		{"short", []byte("SD"), "reading stream header"},
 	}
@@ -141,6 +144,97 @@ func TestTruncation(t *testing.T) {
 				t.Fatalf("truncation at %d: frame %d is not a clean prefix", cut, i)
 			}
 		}
+	}
+}
+
+// TestFrameLayoutWalksEveryField: a frame is written out field by field, so
+// a field added to a payload (or to a Detail type) and left out of the
+// layout would come back from a stream as zero. Every field of every payload
+// and of the three Detail types is set to a distinct non-zero value: reading
+// what the writer wrote must give the frame back, and every proper prefix of
+// the frame must fail to decode.
+func TestFrameLayoutWalksEveryField(t *testing.T) {
+	next := 0
+	for kind := KindStart; kind <= KindEnd; kind++ {
+		details := []any{nil}
+		if kind == KindRound {
+			details = append(details, &core.RoundResult{}, &core.AsyncEvent{}, &fl.RoundResult{})
+		}
+		for _, d := range details {
+			f := Frame{Index: 1<<40 + uint64(next), Kind: kind}
+			name := kind.String()
+			p := reflect.ValueOf(&f).Elem().FieldByName(strings.ToUpper(name[:1]) + name[1:])
+			p.Set(reflect.New(p.Type().Elem()))
+			fillFields(p.Elem(), &next)
+			if d != nil {
+				fillFields(reflect.ValueOf(d).Elem(), &next)
+				f.Round.Detail = d
+			}
+			t.Run(fmt.Sprintf("%s-%T", kind, d), func(t *testing.T) {
+				var buf bytes.Buffer
+				w, _ := NewWriter(&buf)
+				if err := w.WriteFrame(&f); err != nil {
+					t.Fatal(err)
+				}
+				got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+				if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], f) {
+					t.Fatalf("decoded %+v (%v), want %+v", got, err, f)
+				}
+				for n := len(Magic) + 1; n < buf.Len(); n++ {
+					if _, err := ReadAll(bytes.NewReader(buf.Bytes()[:n])); err == nil {
+						t.Fatalf("the frame cut to %d of %d bytes decoded", n, buf.Len())
+					}
+				}
+			})
+		}
+	}
+}
+
+// fillFields sets every field under v to a distinct non-zero value, every
+// slice and map to two elements; an interface (Detail) is left to the caller.
+func fillFields(v reflect.Value, next *int) {
+	*next++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillFields(v.Field(i), next)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillFields(v.Index(i), next)
+		}
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+		for range 2 {
+			k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			fillFields(k, next)
+			fillFields(e, next)
+			v.SetMapIndex(k, e)
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(*next))
+	case reflect.Uint64:
+		v.SetUint(1<<40 + uint64(*next))
+	case reflect.Float64:
+		v.SetFloat(float64(*next) + 0.25)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", *next))
+	case reflect.Interface:
+	default:
+		panic(fmt.Sprintf("fillFields: no value for a %s", v.Type()))
+	}
+}
+
+// TestOutOfRangeVarint: a decoded integer its field cannot hold (a Kind
+// above 255) is a decode error, not a truncation.
+func TestOutOfRangeVarint(t *testing.T) {
+	blob := binary.AppendVarint(binary.AppendVarint(Magic[:], 5), 256+int64(KindEnd))
+	_, err := ReadAll(bytes.NewReader(blob))
+	if err == nil || errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("kind 263: %v, want an overflow error", err)
 	}
 }
 

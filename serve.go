@@ -1,7 +1,7 @@
 package specdag
 
 // The serving surface: a network daemon API for hosting runs and streaming
-// their live event logs to many subscribers (internal/serve), in the SDE1
+// their live event logs to many subscribers (internal/serve), in the SDE2
 // event-stream codec (internal/wire). Example_liveView runs the whole stack
 // in-process.
 
@@ -27,7 +27,7 @@ type ServeConfig = serve.Config
 //	POST /runs/{id}/resume       continue from the checkpoint, bit-identically
 //	POST /runs/{id}/cancel       stop for good
 //	GET  /runs/{id}/checkpoint   latest checkpoint (SDC3/SDA3), encoded as it is sent
-//	GET  /runs/{id}/events?from=N   SDE1 event stream from index N
+//	GET  /runs/{id}/events?from=N   SDE2 event stream from index N
 //
 // cmd/specdagd wraps a Server in a standalone daemon.
 type Server = serve.Server
@@ -54,7 +54,7 @@ func Subscribe(ctx context.Context, baseURL string, id int, opt SubscribeOptions
 	return serve.Subscribe(ctx, baseURL, id, opt)
 }
 
-// EventFrame is one frame of an SDE1 event stream: an index, a kind, and
+// EventFrame is one frame of an SDE2 event stream: an index, a kind, and
 // exactly one payload (a run event or a lifecycle record).
 type EventFrame = wire.Frame
 

@@ -41,16 +41,19 @@
 // A checkpoint is SDC3 (round engine) or SDA3 (event engine): four magic
 // bytes, the tangle in the SDG1 record codec, then the engine state in a
 // hand-written binary section whose parameter vectors are raw spans — written
-// and read as a stream. A build reads its own generation and the one before
-// (SDC2/SDA2, whose state was one gob value) and names older ones.
+// and read as a stream. A build reads its own generation and the one before,
+// unless reading the one before needs gob: SDC2/SDA2 (state as one gob
+// value) and older are named, not read.
 // Resuming needs the same federation and configuration as the original run;
 // a resumed run's history and DAG are bit-identical to an uninterrupted
 // run's.
 //
-// Event streams travel in SDE1, a versioned frame codec ([EventFrame]): a
+// Event streams travel in SDE2, a versioned frame codec ([EventFrame]): a
 // Start frame identifying the run, one frame per engine event, then
-// lifecycle frames (Checkpoint, Gap, End). The format is append-only and
-// gob-compatible additions keep the SDE1 magic; a breaking change bumps it.
+// lifecycle frames (Checkpoint, Gap, End), each written field by field by
+// the checkpoints' binary walker, so a stream's bytes are a function of its
+// frames. Any layout change bumps the magic, and the same read policy
+// applies: gob-era SDE1 logs are named, not read.
 // cmd/specdag -events records a local run in the same format, and
 // cmd/dagstat inspects saved streams and checkpoints.
 //
