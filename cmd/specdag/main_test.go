@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -168,10 +170,22 @@ func TestParseFlagsRejections(t *testing.T) {
 		"-async -duration 10 -progress-every 0": "-progress-every",
 		"-no-such-flag":                         "not defined",
 		"-rounds many":                          "invalid value",
+		"-alpha NaN":                            "alpha NaN is not finite",
+		"-alpha Inf":                            "alpha +Inf is not finite",
+		"-selector weighted -alpha -Inf":        "alpha -Inf is not finite",
 	} {
 		if _, err := parseFlags(fields(args)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("specdag %s: %v, want an error mentioning %q", args, err, want)
 		}
+	}
+}
+
+// TestNonFiniteAlphaExits: `specdag -alpha NaN` fails before anything runs
+// with an error main exits 1 on, instead of running a uniform walk.
+func TestNonFiniteAlphaExits(t *testing.T) {
+	err := run([]string{"-dataset", "fedprox", "-alpha", "NaN"})
+	if err == nil || errors.Is(err, flag.ErrHelp) || !strings.Contains(err.Error(), "alpha") {
+		t.Fatalf("specdag -alpha NaN: %v, want an error naming alpha (exit 1)", err)
 	}
 }
 

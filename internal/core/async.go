@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
@@ -238,10 +237,6 @@ type AsyncSimulation struct {
 	window []computed
 	// widest is the largest window formed so far.
 	widest int
-	// overlays is the window fan-out's scratch, one per goroutine in flight;
-	// each holds a search mark per ID ever issued, so it is kept, not pooled.
-	overlayMu sync.Mutex
-	overlays  []*dag.Overlay
 }
 
 // computed is one activation of a lookahead window awaiting its commit: the
@@ -450,7 +445,7 @@ func (a *AsyncSimulation) lookahead() float64 {
 // included, in event order: the queued ones less than the lookahead after it,
 // up to the horizon. They stay queued; each Step pops and commits one. A
 // client has exactly one queued event, so it appears at most once and its
-// scratch model and eval cache have one user.
+// eval cache has one user.
 func (a *AsyncSimulation) windowOf(first event) []event {
 	evs := []event{first}
 	end := first.at + a.lookahead()
@@ -502,12 +497,14 @@ func (a *AsyncSimulation) computeWindow(first event) {
 	})
 }
 
-// activate computes one activation: phases 1–3 over the tangle as the client
-// sees it at ev.at, both evaluations and the publish decision. earlier are the
-// computed activations of its window it sees. It writes only state the client
-// owns.
+// activate computes one activation on a borrowed scratch entry: phases 1–3
+// over the tangle as the client sees it at ev.at, both evaluations and the
+// publish decision. earlier are the computed activations of its window it
+// sees. It writes only state the client or the scratch owns.
 func (a *AsyncSimulation) activate(ev event, earlier []computed) computed {
 	c := a.clients[ev.client]
+	s := a.borrow(c)
+	defer a.giveBack(c, s)
 	var graph tipselect.Graph = a.tangle
 	if a.net != nil {
 		// Under a fault model each client walks its own partial view, revealed
@@ -526,20 +523,13 @@ func (a *AsyncSimulation) activate(ev event, earlier []computed) computed {
 	} else if len(earlier) > 0 || len(a.pending) > 0 && a.pending[0].visibleAt <= ev.at {
 		// What flush(ev.at) will have delivered by this commit, in its order:
 		// the pending prefix visible by then (pending is in visibleAt order
-		// under a uniform delay), then the window's earlier publications.
-		a.overlayMu.Lock()
-		var o *dag.Overlay
-		if n := len(a.overlays); n > 0 {
-			o, a.overlays = a.overlays[n-1], a.overlays[:n-1]
-		} else {
-			o = new(dag.Overlay)
+		// under a uniform delay), then the window's earlier publications. The
+		// overlay holds a search mark per ID ever issued, so it stays with
+		// the scratch entry.
+		if s.overlay == nil {
+			s.overlay = new(dag.Overlay)
 		}
-		a.overlayMu.Unlock()
-		defer func() {
-			a.overlayMu.Lock()
-			a.overlays = append(a.overlays, o)
-			a.overlayMu.Unlock()
-		}()
+		o := s.overlay
 		o.Reset(a.tangle)
 		add := func(p pendingTx, visibleAt float64) {
 			if _, err := o.Add(p.issuer, int(visibleAt), p.parents, p.params, p.meta); err != nil {

@@ -5,6 +5,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
@@ -79,7 +80,11 @@ type client struct {
 	// flipped-prediction metric (Fig. 12 counts true 3s predicted as 8s).
 	origTestY []int
 
-	model    *nn.MLP // scratch model reused for training and evaluation
+	// model is the scratch model of the activation c is in (borrow), nil
+	// between activations. eval's scorers read it at call time; a client is
+	// in at most one activation at a time and its walks run one after
+	// another, so the cache's scoring lock never waits on this model.
+	model    *nn.MLP
 	eval     *tipselect.EvalCache
 	poisoned bool
 	// lastParams is the client's most recently trained model, the source of
@@ -112,6 +117,45 @@ type body struct {
 	// compFloor tracks the tangle's live floor so eval caches are rebased
 	// exactly once per floor advance (epoch compaction).
 	compFloor dag.ID
+
+	// free holds the scratch entries no activation is using; an empty list
+	// clones genesis. There are as many entries as activations ever ran at
+	// once, at most Workers, however large the federation.
+	genesis *nn.MLP
+	freeMu  sync.Mutex
+	free    []*scratch
+}
+
+// scratch is one activation's working memory: a model whose parameters,
+// gradients and batch buffers every use writes before it reads them, and the
+// event engine's window overlay, made on first use.
+type scratch struct {
+	model   *nn.MLP
+	overlay *dag.Overlay
+}
+
+// borrow takes a scratch entry for one activation of c and makes its model
+// c's until giveBack.
+func (b *body) borrow(c *client) *scratch {
+	b.freeMu.Lock()
+	var s *scratch
+	if n := len(b.free); n > 0 {
+		s, b.free = b.free[n-1], b.free[:n-1]
+	}
+	b.freeMu.Unlock()
+	if s == nil {
+		s = &scratch{model: b.genesis.Clone()}
+	}
+	c.model = s.model
+	return s
+}
+
+// giveBack ends c's activation and returns its scratch entry to the list.
+func (b *body) giveBack(c *client, s *scratch) {
+	c.model = nil
+	b.freeMu.Lock()
+	b.free = append(b.free, s)
+	b.freeMu.Unlock()
 }
 
 // newBody fills defaults, derives the compaction guard band, and builds the
@@ -142,7 +186,7 @@ func newBody(fed *dataset.Federation, p params, horizon float64) (*body, error) 
 
 	root := xrand.New(p.seed)
 	genesis := nn.New(p.arch, root.Split("genesis"))
-	b := &body{params: p, fed: fed, root: root, tangle: dag.New(genesis.ParamsCopy())}
+	b := &body{params: p, fed: fed, root: root, tangle: dag.New(genesis.ParamsCopy()), genesis: genesis}
 	// The tangle's cumulative-weight sweep (WeightedWalk's bias) fans out
 	// over the same budget as the engine; results are worker-count
 	// invariant, so this only affects wall clock.
@@ -170,7 +214,7 @@ func newBody(fed *dataset.Federation, p params, horizon float64) (*body, error) 
 	}
 
 	for _, fc := range fed.Clients {
-		c := &client{id: fc.ID, cluster: fc.Cluster, model: genesis.Clone()}
+		c := &client{id: fc.ID, cluster: fc.Cluster}
 		c.trainX, c.trainY = fc.Train.X, fc.Train.CopyLabels()
 		c.testX, c.testY = fc.Test.X, fc.Test.CopyLabels()
 		c.origTestY = append([]int(nil), c.testY...)
@@ -181,8 +225,9 @@ func newBody(fed *dataset.Federation, p params, horizon float64) (*body, error) 
 }
 
 // newEvalFor builds c's walk-evaluation cache: a single and a batched scorer
-// over its test split. Walks only consume accuracies, so both skip the loss
-// reduction (values are bit-identical to Evaluate's).
+// over its test split, run on the scratch model c's activation borrowed.
+// Walks only consume accuracies, so both skip the loss reduction (values are
+// bit-identical to Evaluate's).
 func (b *body) newEvalFor(c *client) *tipselect.EvalCache {
 	e := tipselect.NewEvalCache(
 		func(params []float64) float64 {
@@ -245,7 +290,7 @@ func (b *body) rebaseCaches(floor dag.ID) {
 }
 
 // activation is what phases 1–3 of Fig. 1 leave behind for the engine's
-// evaluation and publish phase; the trained model sits in the client's
+// evaluation and publish phase; the trained model sits in the activation's
 // scratch model.
 type activation struct {
 	tips      []*dag.Transaction // the two approved tips
@@ -255,10 +300,11 @@ type activation struct {
 }
 
 // walkAverageTrain runs phases 1–3 of Fig. 1 for one activation of c over
-// the graph its engine's delivery model lets it see. It only reads shared
-// state and only writes state owned by c, so distinct clients may run
-// concurrently; all randomness comes from rng, the activation's own split
-// stream, consumed in a fixed order (tip walks, reference walks, training).
+// the graph its engine's delivery model lets it see; c holds a borrowed
+// scratch model. It only reads shared state and only writes state owned by c
+// or its scratch, so distinct clients may run concurrently; all randomness
+// comes from rng, the activation's own split stream, consumed in a fixed
+// order (tip walks, reference walks, training).
 func (b *body) walkAverageTrain(c *client, graph tipselect.Graph, rng *xrand.RNG) activation {
 	// (1) Biased random walk, twice, to select two tips; then the consensus
 	// reference via additional walk(s).

@@ -34,8 +34,12 @@
 //     (uniform, or drawn per link by the fault model) has elapsed.
 //
 // Both score the trained model and then the consensus reference on the
-// client's one scratch model (EvaluateParams aliases the reference in, so
-// the trained weights are what the publish ships).
+// activation's scratch model (EvaluateParams aliases the reference in, so
+// the trained weights are what the publish ships). Scratch belongs to the
+// activation, not the client: each borrows an entry from the body's one free
+// list and gives it back, so an engine holds as many scratch models as
+// activations ever ran at once. Every use writes scratch before reading it,
+// so which entry an activation gets moves no bit.
 //
 // Decision, recorded so it is not re-litigated by accident: the round engine
 // is NOT the event engine under a barrier schedule. The two derive their
@@ -55,14 +59,14 @@
 // activations queued before t₀ + MinCycle on the engine's budget — members
 // less than the delay apart at once, one that sees an earlier member after it
 // — and each Step commits one in event order with the sequential bookkeeping.
-// A client is in a window at most once, so its scratch model and eval cache
-// have one user. Buffered results are not state: a checkpoint inside a window
-// resumes and computes them again. An activation at t walks a dag.Overlay, the
-// tangle plus what flush(t) will have delivered by its commit, with the IDs
-// and child order flush gives them. A freeze at a commit inside the window
-// follows the compute's join, so CompactTo keeps its quiescent point, and the
-// guard never freezes what a later walk can reach (the compaction on/off
-// equivalence). Without a delay, or under per-client fault views, a window
+// A client is in a window at most once, so its eval cache has one user, and
+// each activation borrows a scratch entry of its own. Buffered results are
+// not state: a checkpoint inside a window resumes and computes them again.
+// An activation at t walks a dag.Overlay, the tangle plus what flush(t) will
+// have delivered by its commit, with the IDs and child order flush gives
+// them. A freeze at a commit inside the window follows the compute's join, so
+// CompactTo keeps its quiescent point, and the guard never freezes what a
+// later walk can reach (the compaction on/off equivalence). Without a delay, or under per-client fault views, a window
 // holds one activation. Windows cut at the delay held ~6 activations on
 // async-longhaul (0.1 s) and gained 1.1–1.3×; cut at MinCycle they hold ~25
 // and gain 1.55× activations_per_s (2 cores, 10/10 pairs; 1.31× unscaled).
@@ -117,7 +121,9 @@ type EvalScope int
 
 const (
 	// EvalScopeRun (the default) keeps cached accuracies for the whole run:
-	// a transaction is scored at most once per client, ever.
+	// a transaction is scored at most once per client, and only once it has
+	// a sibling — a walk moves to a lone child unscored, since one child's
+	// weight is exp(0·α) whatever it scores.
 	EvalScopeRun EvalScope = iota
 	// EvalScopeNone disables caching entirely: every lookup re-evaluates,
 	// matching the cost profile of the paper's prototype, which scored
@@ -402,13 +408,15 @@ type clientOutcome struct {
 	tx                      *pendingTx // nil when the publish gate held it back
 }
 
-// runClient executes the four-phase loop of Fig. 1 for one activated client.
-// It only reads shared simulation state (the DAG is not mutated until round
-// end) and only writes state owned by this client (its scratch model, eval
-// cache, partial view, and lastParams), so distinct clients can run on
-// distinct goroutines. All randomness comes from the client-and-round
-// specific split stream, making the outcome independent of scheduling.
+// runClient executes the four-phase loop of Fig. 1 for one activated client
+// on a borrowed scratch model. It only reads shared simulation state (the
+// DAG is not mutated until round end) and only writes state owned by this
+// client (its eval cache, partial view, and lastParams) or by the scratch, so
+// distinct clients can run on distinct goroutines. All randomness comes from
+// the client-and-round specific split stream, making the outcome independent
+// of scheduling.
 func (s *Simulation) runClient(c *client, round int) clientOutcome {
+	defer s.giveBack(c, s.borrow(c))
 	crng := s.root.SplitIndex("client-round", round*100003+c.id)
 	graph := s.graphFor(c, round)
 	act := s.walkAverageTrain(c, graph, crng)

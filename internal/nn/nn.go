@@ -518,7 +518,7 @@ func (m *MLP) Train(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand.RNG) int
 				bys[k] = ys[idx]
 			}
 
-			mathx.Fill(grads, 0)
+			clear(grads)
 			m.backwardBatch(batch, bys, grads)
 
 			invBatch := 1 / float64(rows)

@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/specdag/specdag/internal/dag"
@@ -61,9 +62,13 @@ func SpecByName(name string, p Preset, seed int64) (Spec, error) {
 // the walks that have them; depthMin/depthMax, when positive, band the walk
 // entry depth (required for compaction). A band no walk can enter — negative,
 // inverted, or a depth-min without its depth-max — is an error rather than
-// the genesis-anchored run it would silently become.
+// the genesis-anchored run it would silently become, and so is a non-finite
+// alpha for the walks it weights: every weight would be NaN or 0 and the
+// walk uniform.
 func SelectorByName(name, norm string, alpha float64, depthMin, depthMax int) (tipselect.Selector, error) {
 	switch {
+	case (name == "accuracy" || name == "weighted") && (math.IsNaN(alpha) || math.IsInf(alpha, 0)):
+		return nil, fmt.Errorf("alpha %v is not finite: the %s walk would weight every child NaN or 0 and walk uniformly", alpha, name)
 	case depthMin < 0 || depthMax < 0:
 		return nil, fmt.Errorf("depth-min %d and depth-max %d must not be negative", depthMin, depthMax)
 	case depthMin > 0 && depthMax == 0:

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -374,5 +375,29 @@ func TestHarnessRunsAreCancelable(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in the chain", err)
+	}
+}
+
+// TestSelectorByNameRejectsNonFiniteAlpha: a NaN or infinite α makes every
+// walk weight NaN or 0, which WeightedChoice answers with a uniform pick, so
+// the walks that weight by α refuse it by name; the others ignore α.
+func TestSelectorByNameRejectsNonFiniteAlpha(t *testing.T) {
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, name := range []string{"accuracy", "weighted"} {
+			_, err := SelectorByName(name, "standard", alpha, 0, 0)
+			if err == nil || !strings.Contains(err.Error(), "alpha") || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s alpha %v: %v, want an error naming alpha and the walk", name, alpha, err)
+			}
+		}
+		for _, name := range []string{"urts", "uniform"} {
+			if _, err := SelectorByName(name, "standard", alpha, 0, 0); err != nil {
+				t.Errorf("%s alpha %v: %v, want α ignored", name, alpha, err)
+			}
+		}
+	}
+	for _, alpha := range []float64{0, -3, 1e300} {
+		if _, err := SelectorByName("accuracy", "dynamic", alpha, 0, 0); err != nil {
+			t.Errorf("accuracy alpha %v: %v", alpha, err)
+		}
 	}
 }

@@ -17,10 +17,12 @@ import (
 // take a read lock, misses are inserted under the write lock, and the
 // hit/miss counters are atomic. Scoring itself is serialized — at most one
 // goroutine runs Score/ScoreBatch at a time, with a cache re-check after
-// acquiring the scoring lock — because the engines' scorers close over the
-// client's single scratch model, which is not safe for concurrent use. Hits
-// never touch the scoring lock, so concurrent walkers only serialize on
-// genuinely new transactions.
+// acquiring the scoring lock — so a scorer need not be safe for concurrent
+// use: the engines' scorers run on the scratch model their client's current
+// activation borrowed. There a client's walks run one after another and the
+// lock is never contended; it is what keeps a cache shared by concurrent
+// walkers correct. Hits never touch the scoring lock, so concurrent walkers
+// only serialize on genuinely new transactions.
 //
 // Accuracies are pure per-transaction values (published parameters are
 // immutable, local test data fixed), so a cache may live as long as the test
@@ -49,8 +51,8 @@ type EvalCache struct {
 	// stepWeights memoizes, per transaction, the walk-selection weight
 	// vector computed for a given child count (see StepWeights).
 	stepWeights []weightsEntry
-	// scoreMu serializes Score/ScoreBatch calls: the scorers the engines
-	// install share one scratch model per client.
+	// scoreMu serializes Score/ScoreBatch calls: a scorer (the engines' run
+	// on one borrowed scratch model) need not be safe for concurrent use.
 	scoreMu sync.Mutex
 
 	hits   atomic.Int64

@@ -216,7 +216,13 @@ func (w AccuracyWalk) SelectTip(d Graph, eval Evaluator, rng *xrand.RNG) (*dag.T
 		// counts accuracy lookups, not what the caches short-circuit.
 		stats.Evaluations += len(children)
 		var weights []float64
-		if cache != nil {
+		if cache != nil && !cache.Disable && len(children) == 1 {
+			// One child's weight is exp(0·α) whatever it scores (WeightsInto
+			// of one finite accuracy, either normalisation), so it is neither
+			// scored nor memoized; the draw is still made.
+			buf.weights = append(buf.weights[:0], math.Exp(0*w.Alpha))
+			weights = buf.weights
+		} else if cache != nil {
 			// A transaction's weights are pure in its child set and the
 			// walker's cached accuracies, so repeat visits skip the whole
 			// scoring step.
