@@ -1,6 +1,7 @@
 package tipselect
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,18 +12,20 @@ import (
 // per (client, scope) holds the accuracies of every transaction the client's
 // walkers have scored, so the tip-walk/ReferenceWalks fan-out of a round
 // never evaluates the same transaction twice (core.Config.EvalScope chooses
-// the scope).
+// the scope), and the weight vector of every step they took (StepWeights).
+// Its footprint is one 16-byte pointer-free slot per transaction from the
+// floor to the highest ID it has seen, plus one float64 per memoized weight.
 //
-// An EvalCache is safe for concurrent use: lookups
-// take a read lock, misses are inserted under the write lock, and the
-// hit/miss counters are atomic. Scoring itself is serialized — at most one
-// goroutine runs Score/ScoreBatch at a time, with a cache re-check after
-// acquiring the scoring lock — so a scorer need not be safe for concurrent
-// use: the engines' scorers run on the scratch model their client's current
-// activation borrowed. There a client's walks run one after another and the
-// lock is never contended; it is what keeps a cache shared by concurrent
-// walkers correct. Hits never touch the scoring lock, so concurrent walkers
-// only serialize on genuinely new transactions.
+// An EvalCache is safe for concurrent use: lookups take a read lock, misses
+// are inserted under the write lock, and the hit/miss counters are atomic.
+// Scoring itself is serialized — at most one goroutine runs Score/ScoreBatch
+// at a time, with a cache re-check after acquiring the scoring lock — so a
+// scorer need not be safe for concurrent use: the engines' scorers run on
+// the scratch model their client's current activation borrowed. There a
+// client's walks run one after another and the lock is never contended; it
+// is what keeps a cache shared by concurrent walkers correct. Hits never
+// touch the scoring lock, so concurrent walkers only serialize on genuinely
+// new transactions.
 //
 // Accuracies are pure per-transaction values (published parameters are
 // immutable, local test data fixed), so a cache may live as long as the test
@@ -40,23 +43,35 @@ type EvalCache struct {
 
 	mu sync.RWMutex
 	// The cache is indexed by transaction ID — IDs are dense small ints
-	// (the DAG allocates them sequentially), so a flat slice replaces the
-	// former map: hits cost one bounds check and two loads instead of a
-	// hash probe on the walk hot path. Slot i holds transaction floor+i;
-	// floor is 0 until epoch compaction calls Advance, after which frozen
-	// IDs below it are permanent misses (walks never score them).
+	// (the DAG allocates them sequentially), so a flat slice replaces a map:
+	// hits cost one bounds check and two loads on the walk hot path. Slot i
+	// holds transaction floor+i; floor is 0 until epoch compaction calls
+	// Advance, after which frozen IDs below it are permanent misses.
 	floor dag.ID
-	have  []bool
-	vals  []float64
-	// stepWeights memoizes, per transaction, the walk-selection weight
-	// vector computed for a given child count (see StepWeights).
-	stepWeights []weightsEntry
+	slots []slot
+	// arena holds the memoized weight vectors back to back, all computed
+	// under (alpha, norm). It, alpha, norm and floor change only under
+	// weightMu, which serializes weight computes (they append to the
+	// arena's spare capacity). Lock order: weightMu, scoreMu, mu.
+	arena    []float64
+	alpha    float64
+	norm     Normalization
+	weightMu sync.Mutex
 	// scoreMu serializes Score/ScoreBatch calls: a scorer (the engines' run
 	// on one borrowed scratch model) need not be safe for concurrent use.
 	scoreMu sync.Mutex
 
 	hits   atomic.Int64
 	misses atomic.Int64
+}
+
+// slot is one transaction's entry: its accuracy once scored, and its weight
+// vector arena[off:off+n] when one is memoized (n > 0).
+type slot struct {
+	acc    float64
+	off    uint32
+	n      uint16
+	scored bool
 }
 
 var _ Evaluator = (*EvalCache)(nil)
@@ -69,112 +84,117 @@ func NewEvalCache(score func(params []float64) float64, scoreBatch func(params [
 
 // get reads the cached accuracy of id, if present. Callers hold mu.
 func (e *EvalCache) get(id dag.ID) (float64, bool) {
-	i := int(id - e.floor)
-	if i >= 0 && i < len(e.have) && e.have[i] {
-		return e.vals[i], true
+	if i := int(id - e.floor); i >= 0 && i < len(e.slots) && e.slots[i].scored {
+		return e.slots[i].acc, true
 	}
 	return 0, false
 }
 
-// put records the accuracy of id. Callers hold mu for writing.
-func (e *EvalCache) put(id dag.ID, acc float64) {
+// at returns the slot of id, growing the index the way append grows a
+// slice, or nil for a frozen transaction (never cached). Callers hold mu for
+// writing.
+func (e *EvalCache) at(id dag.ID) *slot {
 	i := int(id - e.floor)
 	if i < 0 {
-		return // frozen transaction: never cached
+		return nil
 	}
-	if i >= len(e.have) {
-		n := i + 1
-		if n < 2*len(e.have) {
-			n = 2 * len(e.have)
-		}
-		have := make([]bool, n)
-		copy(have, e.have)
-		vals := make([]float64, n)
-		copy(vals, e.vals)
-		e.have, e.vals = have, vals
+	if i >= len(e.slots) {
+		e.slots = append(e.slots, make([]slot, i+1-len(e.slots))...)
 	}
-	e.have[i] = true
-	e.vals[i] = acc
+	return &e.slots[i]
 }
 
-// weightsEntry is one memoized selection-weight vector: valid while its
-// transaction still has n children and the walk still uses the same weight
-// parameters.
-type weightsEntry struct {
-	n     int
-	alpha float64
-	norm  Normalization
-	w     []float64
+// put records the accuracy of id. Callers hold mu for writing.
+func (e *EvalCache) put(id dag.ID, acc float64) {
+	if s := e.at(id); s != nil {
+		s.acc, s.scored = acc, true
+	}
 }
 
 // StepWeights returns the memoized tip-selection weights of transaction id
 // for its current child count and walk parameters, calling compute on a
-// miss and caching the result. A transaction's weights are a pure function
-// of its ordered child set (append-only, so a given count always denotes
-// the same set), the walker's cached child accuracies, and (alpha, norm) —
-// all part of the key — so a hit returns exactly what compute would. When
-// Disable is set every
-// call computes afresh, preserving the no-caching cost profile. compute
-// must return a slice the cache may retain.
-func (e *EvalCache) StepWeights(id dag.ID, nChildren int, alpha float64, norm Normalization, compute func() []float64) []float64 {
-	if e.Disable {
-		return compute()
+// miss. A transaction's weights are a pure function of its ordered child
+// set (append-only, so a given count always denotes the same set), the
+// walker's cached child accuracies, and (alpha, norm), so a hit returns
+// exactly what compute would. compute appends nChildren weights to dst and
+// returns the result; on a miss dst is the cache's arena, so storing a
+// vector allocates only when the arena grows. The memo holds one (alpha,
+// norm) at a time: a miss under other parameters starts a fresh arena. A
+// NaN alpha, more children than a slot records (65 535) and Disable compute
+// into a nil dst without storing; a frozen transaction is not stored. The
+// returned slice is capacity-limited and the cache never rewrites it.
+func (e *EvalCache) StepWeights(id dag.ID, nChildren int, alpha float64, norm Normalization, compute func(dst []float64) []float64) []float64 {
+	if e.Disable || alpha != alpha || nChildren > math.MaxUint16 {
+		return compute(nil)
 	}
-	e.mu.RLock()
-	if i := int(id - e.floor); i >= 0 && i < len(e.stepWeights) {
-		if ent := e.stepWeights[i]; ent.w != nil && ent.n == nChildren && ent.alpha == alpha && ent.norm == norm {
-			e.mu.RUnlock()
-			return ent.w
-		}
-	}
-	e.mu.RUnlock()
-	w := compute()
-	e.mu.Lock()
-	i := int(id - e.floor)
-	if i < 0 {
-		// Frozen transaction: never memoized.
-		e.mu.Unlock()
+	if w, ok := e.weights(id, nChildren, alpha, norm); ok {
 		return w
 	}
-	if i >= len(e.stepWeights) {
-		n := i + 1
-		if n < 2*len(e.stepWeights) {
-			n = 2 * len(e.stepWeights)
-		}
-		grown := make([]weightsEntry, n)
-		copy(grown, e.stepWeights)
-		e.stepWeights = grown
+	e.weightMu.Lock()
+	defer e.weightMu.Unlock()
+	// Re-check: a concurrent walker may have stored it while we waited.
+	if w, ok := e.weights(id, nChildren, alpha, norm); ok {
+		return w
 	}
-	e.stepWeights[i] = weightsEntry{n: nChildren, alpha: alpha, norm: norm, w: w}
-	e.mu.Unlock()
-	return w
+	if alpha != e.alpha || norm != e.norm || uint64(len(e.arena)+nChildren) > math.MaxUint32 {
+		e.mu.Lock()
+		for i := range e.slots {
+			e.slots[i].n = 0
+		}
+		e.arena, e.alpha, e.norm = nil, alpha, norm
+		e.mu.Unlock()
+	}
+	arena := compute(e.arena)
+	off := len(arena) - nChildren
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.arena = arena
+	if s := e.at(id); s != nil {
+		s.off, s.n = uint32(off), uint16(nChildren)
+	}
+	return arena[off:len(arena):len(arena)]
 }
 
-// Advance rebases the dense index to a new live floor after epoch
-// compaction: entries for frozen transactions are dropped and the retained
-// suffix moves into freshly allocated live-sized storage, so the cache's
-// footprint tracks the live suffix rather than the lifetime maximum.
-// Frozen IDs become permanent misses — the compaction guard ensures walks
-// never score them.
+// weights returns the memoized vector of id if it was computed for
+// nChildren children under (alpha, norm).
+func (e *EvalCache) weights(id dag.ID, nChildren int, alpha float64, norm Normalization) ([]float64, bool) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if i := int(id - e.floor); i >= 0 && i < len(e.slots) && alpha == e.alpha && norm == e.norm {
+		if s := e.slots[i]; s.n > 0 && int(s.n) == nChildren {
+			return e.arena[s.off : s.off+uint32(s.n) : s.off+uint32(s.n)], true
+		}
+	}
+	return nil, false
+}
+
+// Advance rebases the index to a new live floor after epoch compaction: the
+// slots of frozen transactions are dropped, and the live slots and their
+// weight vectors are copied into fresh storage (leaving behind the vectors
+// superseded when a child count grew), so the cache's footprint tracks the
+// live suffix rather than the lifetime maximum. Slices StepWeights handed
+// out keep their values. Frozen IDs become permanent misses — the
+// compaction guard ensures walks never score them.
 func (e *EvalCache) Advance(floor dag.ID) {
+	e.weightMu.Lock()
+	defer e.weightMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if floor <= e.floor {
 		return
 	}
-	shift := int(floor - e.floor)
-	if shift >= len(e.have) {
-		e.have, e.vals = nil, nil
-	} else {
-		e.have = append([]bool(nil), e.have[shift:]...)
-		e.vals = append([]float64(nil), e.vals[shift:]...)
+	var live []slot
+	if shift := int(floor - e.floor); shift < len(e.slots) {
+		live = append(live, e.slots[shift:]...)
 	}
-	if shift >= len(e.stepWeights) {
-		e.stepWeights = nil
-	} else {
-		e.stepWeights = append([]weightsEntry(nil), e.stepWeights[shift:]...)
+	var arena []float64
+	for i, s := range live {
+		if s.n > 0 {
+			live[i].off = uint32(len(arena))
+			arena = append(arena, e.arena[s.off:s.off+uint32(s.n)]...)
+		}
 	}
-	e.floor = floor
+	e.slots, e.arena, e.floor = live, arena, floor
 }
 
 // Hits returns the number of cache hits so far.
@@ -183,37 +203,11 @@ func (e *EvalCache) Hits() int { return int(e.hits.Load()) }
 // Misses returns the number of scoring calls (cache misses) so far.
 func (e *EvalCache) Misses() int { return int(e.misses.Load()) }
 
-// Accuracy implements Evaluator.
+// Accuracy implements Evaluator: it is AccuracyManyInto of one transaction.
 func (e *EvalCache) Accuracy(tx *dag.Transaction) float64 {
-	if e.Disable {
-		e.scoreMu.Lock()
-		defer e.scoreMu.Unlock()
-		e.misses.Add(1)
-		return e.Score(tx.Params)
-	}
-	e.mu.RLock()
-	acc, ok := e.get(tx.ID)
-	e.mu.RUnlock()
-	if ok {
-		e.hits.Add(1)
-		return acc
-	}
-	e.scoreMu.Lock()
-	defer e.scoreMu.Unlock()
-	// Re-check: a concurrent walker may have scored tx while we waited.
-	e.mu.RLock()
-	acc, ok = e.get(tx.ID)
-	e.mu.RUnlock()
-	if ok {
-		e.hits.Add(1)
-		return acc
-	}
-	e.misses.Add(1)
-	acc = e.Score(tx.Params)
-	e.mu.Lock()
-	e.put(tx.ID, acc)
-	e.mu.Unlock()
-	return acc
+	var acc [1]float64
+	e.accuracyMany(acc[:], []*dag.Transaction{tx})
+	return acc[0]
 }
 
 // AccuracyManyInto appends the accuracy of each transaction to dst (which
@@ -221,7 +215,7 @@ func (e *EvalCache) Accuracy(tx *dag.Transaction) float64 {
 // At every step of an accuracy walk all children of the current transaction
 // are scored together: one lookup pass under a single read lock, then one
 // batched scoring call (nn.AccuracyManyInto behind ScoreBatch) for the misses —
-// serialized, with a re-check, like Accuracy — instead of per-child
+// serialized, with a re-check — instead of per-child
 // SetParams+Evaluate round trips, into a buffer the walk reuses across steps.
 func (e *EvalCache) AccuracyManyInto(dst []float64, txs []*dag.Transaction) []float64 {
 	start := len(dst)
@@ -273,24 +267,21 @@ func (e *EvalCache) accuracyMany(accs []float64, txs []*dag.Transaction) {
 func (e *EvalCache) lookup(accs []float64, txs []*dag.Transaction, idx []int) []int {
 	var missing []int
 	e.mu.RLock()
-	if idx == nil {
-		for i, tx := range txs {
-			if acc, ok := e.get(tx.ID); ok {
-				accs[i] = acc
-			} else {
-				missing = append(missing, i)
+	defer e.mu.RUnlock()
+	for k := range txs {
+		i := k
+		if idx != nil {
+			if k == len(idx) {
+				break
 			}
+			i = idx[k]
 		}
-	} else {
-		for _, i := range idx {
-			if acc, ok := e.get(txs[i].ID); ok {
-				accs[i] = acc
-			} else {
-				missing = append(missing, i)
-			}
+		if acc, ok := e.get(txs[i].ID); ok {
+			accs[i] = acc
+		} else {
+			missing = append(missing, i)
 		}
 	}
-	e.mu.RUnlock()
 	return missing
 }
 

@@ -56,7 +56,7 @@ func TestEvalCacheAdvanceRebasesAndDropsFrozen(t *testing.T) {
 func TestEvalCacheAdvanceRebasesStepWeights(t *testing.T) {
 	e := NewEvalCache(scoreByFirstParam, nil)
 	computes := 0
-	compute := func() []float64 { computes++; return []float64{0.5, 0.5} }
+	compute := func(dst []float64) []float64 { computes++; return append(dst, 0.5, 0.5) }
 
 	e.StepWeights(8, 2, 10, NormStandard, compute)
 	e.StepWeights(20, 2, 10, NormStandard, compute)

@@ -12,16 +12,21 @@ import (
 func TestStepWeightsMemo(t *testing.T) {
 	e := NewEvalCache(scoreByFirstParam, nil)
 	computes := 0
-	compute := func() []float64 {
-		computes++
-		return []float64{1, 2}
+	compute := func(n int) func([]float64) []float64 {
+		return func(dst []float64) []float64 {
+			computes++
+			for i := 0; i < n; i++ {
+				dst = append(dst, float64(i+1))
+			}
+			return dst
+		}
 	}
 
-	w1 := e.StepWeights(5, 2, 10, NormStandard, compute)
+	w1 := e.StepWeights(5, 2, 10, NormStandard, compute(2))
 	if computes != 1 || len(w1) != 2 {
 		t.Fatalf("cold StepWeights: computes=%d, w=%v", computes, w1)
 	}
-	w2 := e.StepWeights(5, 2, 10, NormStandard, compute)
+	w2 := e.StepWeights(5, 2, 10, NormStandard, compute(2))
 	if computes != 1 {
 		t.Fatalf("memo hit recomputed: computes=%d", computes)
 	}
@@ -30,16 +35,16 @@ func TestStepWeightsMemo(t *testing.T) {
 	}
 
 	// A new child arriving at tx 5 invalidates the entry.
-	if got := e.StepWeights(5, 3, 10, NormStandard, compute); computes != 2 || len(got) != 2 {
+	if got := e.StepWeights(5, 3, 10, NormStandard, compute(3)); computes != 2 || len(got) != 3 {
 		t.Fatalf("child-count change should recompute: computes=%d", computes)
 	}
 
 	// Another transaction has its own slot (also exercises slice growth).
-	e.StepWeights(1000, 1, 10, NormStandard, compute)
+	e.StepWeights(1000, 1, 10, NormStandard, compute(1))
 	if computes != 3 {
 		t.Fatalf("distinct transaction should compute: computes=%d", computes)
 	}
-	if e.StepWeights(5, 3, 10, NormStandard, compute); computes != 3 {
+	if e.StepWeights(5, 3, 10, NormStandard, compute(3)); computes != 3 {
 		t.Fatalf("growth must keep existing entries: computes=%d", computes)
 	}
 }
@@ -50,9 +55,9 @@ func TestStepWeightsMemo(t *testing.T) {
 func TestStepWeightsKeyedByWalkParameters(t *testing.T) {
 	e := NewEvalCache(scoreByFirstParam, nil)
 	computes := 0
-	compute := func() []float64 {
+	compute := func(dst []float64) []float64 {
 		computes++
-		return []float64{float64(computes)}
+		return append(dst, float64(computes), 0)
 	}
 	a := e.StepWeights(5, 2, 1, NormStandard, compute)
 	if b := e.StepWeights(5, 2, 100, NormStandard, compute); computes != 2 || b[0] == a[0] {
@@ -64,6 +69,11 @@ func TestStepWeightsKeyedByWalkParameters(t *testing.T) {
 	if d := e.StepWeights(5, 2, 100, NormDynamic, compute); computes != 3 || d[0] != 3 {
 		t.Fatalf("same parameters must hit: computes=%d", computes)
 	}
+	// The memo holds one parameter pair at a time: going back recomputes,
+	// and what the first pair handed out is left as it was.
+	if again := e.StepWeights(5, 2, 1, NormStandard, compute); computes != 4 || again[0] != 4 || a[0] != 1 {
+		t.Fatalf("returning to the first parameters: computes=%d, first vector %v", computes, a)
+	}
 }
 
 // TestStepWeightsDisable: the no-caching cost profile recomputes every call.
@@ -72,7 +82,7 @@ func TestStepWeightsDisable(t *testing.T) {
 	e.Disable = true
 	computes := 0
 	for i := 0; i < 3; i++ {
-		e.StepWeights(1, 2, 10, NormStandard, func() []float64 { computes++; return []float64{1} })
+		e.StepWeights(1, 2, 10, NormStandard, func(dst []float64) []float64 { computes++; return append(dst, 1, 1) })
 	}
 	if computes != 3 {
 		t.Fatalf("Disable must bypass the memo: computes=%d", computes)
@@ -90,8 +100,14 @@ func TestStepWeightsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := dag.ID(i % 37)
-				w := e.StepWeights(id, 1+i%3, 10, NormStandard, func() []float64 { return []float64{float64(id)} })
-				if len(w) != 1 || w[0] != float64(id) {
+				n := 1 + i%3
+				w := e.StepWeights(id, n, 10, NormStandard, func(dst []float64) []float64 {
+					for k := 0; k < n; k++ {
+						dst = append(dst, float64(id))
+					}
+					return dst
+				})
+				if len(w) != n || w[0] != float64(id) || w[n-1] != float64(id) {
 					t.Errorf("goroutine %d: bad weights %v for id %d", g, w, id)
 					return
 				}

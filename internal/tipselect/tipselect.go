@@ -219,20 +219,19 @@ func (w AccuracyWalk) SelectTip(d Graph, eval Evaluator, rng *xrand.RNG) (*dag.T
 		if cache != nil && !cache.Disable && len(children) == 1 {
 			// One child's weight is exp(0·α) whatever it scores (WeightsInto
 			// of one finite accuracy, either normalisation), so it is neither
-			// scored nor memoized; the draw is still made.
-			buf.weights = append(buf.weights[:0], math.Exp(0*w.Alpha))
-			weights = buf.weights
+			// scored nor memoized; the draw is still made (on the stack).
+			weights = []float64{math.Exp(0 * w.Alpha)}
 		} else if cache != nil {
 			// A transaction's weights are pure in its child set and the
 			// walker's cached accuracies, so repeat visits skip the whole
-			// scoring step.
-			weights = cache.StepWeights(cur.ID, len(children), w.Alpha, w.Norm, func() []float64 {
+			// scoring step; a miss appends them to the cache's arena.
+			weights = cache.StepWeights(cur.ID, len(children), w.Alpha, w.Norm, func(dst []float64) []float64 {
 				buf.txs = buf.txs[:0]
 				for _, id := range children {
 					buf.txs = append(buf.txs, d.MustGet(id))
 				}
 				buf.accs = cache.AccuracyManyInto(buf.accs[:0], buf.txs)
-				return WeightsInto(nil, buf.accs, w.Alpha, w.Norm)
+				return WeightsInto(dst, buf.accs, w.Alpha, w.Norm)
 			})
 		} else {
 			buf.accs = buf.accs[:0]

@@ -326,8 +326,9 @@ func TestWalkOnGenesisOnlyDAG(t *testing.T) {
 	}
 }
 
-func BenchmarkAccuracyWalk(b *testing.B) {
-	rng := xrand.New(1)
+// accuracyWalkBenchDAG grows BenchmarkAccuracyWalk's 500-transaction tangle
+// from rng. Each transaction approves current tips, so it is a chain.
+func accuracyWalkBenchDAG(rng *xrand.RNG) *dag.DAG {
 	d := dag.New([]float64{0.5})
 	for i := 0; i < 500; i++ {
 		tips := d.Tips()
@@ -335,6 +336,12 @@ func BenchmarkAccuracyWalk(b *testing.B) {
 		p2 := tips[rng.Intn(len(tips))]
 		d.Add(i%10, i, []dag.ID{p1, p2}, []float64{rng.Float64()}, dag.Meta{})
 	}
+	return d
+}
+
+func BenchmarkAccuracyWalk(b *testing.B) {
+	rng := xrand.New(1)
+	d := accuracyWalkBenchDAG(rng)
 	w := AccuracyWalk{Alpha: 10}
 	b.ReportAllocs()
 	b.ResetTimer()
