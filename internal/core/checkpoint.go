@@ -51,27 +51,27 @@ type checkpointState struct {
 	Results []RoundResult
 }
 
-func (st *checkpointState) codec(c *Codec) {
-	Num(c, &st.Round)
-	Num(c, &st.Rounds)
+func (st *checkpointState) codec(c *dag.Codec) {
+	dag.Num(c, &st.Round)
+	dag.Num(c, &st.Rounds)
 	p := &st.Poison
 	c.Float(&p.Fraction)
 	for _, v := range []*int{&p.FlipA, &p.FlipB, &p.StartRound} {
-		Num(c, v)
+		dag.Num(c, v)
 	}
 	c.Bool(&p.Track)
-	Num(c, &p.RandomAttackers)
-	List(c, &st.Clients, func(cc *clientCheckpoint) {
-		Num(c, &cc.ID)
+	dag.Num(c, &p.RandomAttackers)
+	dag.List(c, &st.Clients, func(cc *clientCheckpoint) {
+		dag.Num(c, &cc.ID)
 		c.Bool(&cc.Poisoned)
 		c.Span(&cc.LastParams)
 	})
-	List(c, &st.Results, func(r *RoundResult) {
-		c.RoundResult(r)
+	dag.List(c, &st.Results, func(r *RoundResult) {
+		WalkRoundResult(c, r)
 		// The slot of the wall-clock walk durations earlier builds kept:
 		// written empty, read and discarded, so their files still read.
 		var walkDurations []int64
-		Ints(c, &walkDurations)
+		dag.Ints(c, &walkDurations)
 	})
 }
 

@@ -115,42 +115,42 @@ type asyncCheckpointState struct {
 // codec walks the timing parameters and counters, the fault model's publish
 // state (only with a fault section), then the queue, the clients and the
 // pending transactions, each ending in its parameter vector.
-func (st *asyncCheckpointState) codec(c *Codec) {
+func (st *asyncCheckpointState) codec(c *dag.Codec) {
 	for _, v := range []*float64{&st.Duration, &st.MinCycle, &st.MaxCycle, &st.NetworkDelay} {
 		c.Float(v)
 	}
-	Num(c, &st.Events)
-	Num(c, &st.Seq)
+	dag.Num(c, &st.Events)
+	dag.Num(c, &st.Seq)
 	c.Bool(&st.Done)
 	if st.FaultsVersion == 1 {
 		for _, v := range []*int{&st.PubSeq, &st.Deliveries, &st.Dropped, &st.Duplicated} {
-			Num(c, v)
+			dag.Num(c, v)
 		}
-		List(c, &st.TxInfo, func(tx *asyncTxCheckpoint) {
-			Num(c, &tx.ID)
-			Num(c, &tx.PubSeq)
+		dag.List(c, &st.TxInfo, func(tx *asyncTxCheckpoint) {
+			dag.Num(c, &tx.ID)
+			dag.Num(c, &tx.PubSeq)
 			c.Float(&tx.PubTime)
 		})
 	}
-	List(c, &st.Queue, func(ev *asyncEventCheckpoint) {
+	dag.List(c, &st.Queue, func(ev *asyncEventCheckpoint) {
 		c.Float(&ev.At)
-		Num(c, &ev.Seq)
-		Num(c, &ev.Client)
+		dag.Num(c, &ev.Seq)
+		dag.Num(c, &ev.Client)
 	})
-	List(c, &st.Clients, func(cc *asyncClientCheckpoint) {
-		Num(c, &cc.ID)
-		Num(c, &cc.Cycles)
-		Num(c, &cc.Published)
+	dag.List(c, &st.Clients, func(cc *asyncClientCheckpoint) {
+		dag.Num(c, &cc.ID)
+		dag.Num(c, &cc.Cycles)
+		dag.Num(c, &cc.Published)
 		c.Float(&cc.FinalAcc)
 	})
-	List(c, &st.Pending, func(p *asyncPendingCheckpoint) {
+	dag.List(c, &st.Pending, func(p *asyncPendingCheckpoint) {
 		c.Float(&p.VisibleAt)
-		Num(c, &p.Issuer)
-		Ints(c, &p.Parents)
+		dag.Num(c, &p.Issuer)
+		dag.Ints(c, &p.Parents)
 		c.Float(&p.Meta.TrainAcc)
 		c.Float(&p.Meta.TestAcc)
 		c.Bool(&p.Meta.Poisoned)
-		Num(c, &p.PubSeq)
+		dag.Num(c, &p.PubSeq)
 		c.Float(&p.PubTime)
 		c.Span(&p.Params)
 	})

@@ -10,27 +10,25 @@ package core
 // Checkpoint.WriteTo streams both into whoever reads, in chunks, and the
 // readers parse them off the stream: no buffer of a section's size exists.
 //
-// The state section is hand-written in encoding/binary: varint integers,
-// 8-byte little-endian floats, a length before every list and string, and a
-// parameter vector as its length and a raw span (dag.AppendFloats). It opens
+// The state section is walked by the module's binary walker (dag.Codec):
+// varint integers, 8-byte little-endian floats, a length before every list
+// and string, and a parameter vector as its length and a raw span. It opens
 // with the sections every kind carries — seed, a version byte and the fault
 // schedule, a version byte and the compaction config with the frozen epoch
 // summaries — and goes on with the kind's own fields. One description of each
 // kind's layout (its codec method) drives the pass that sizes a capture, the
-// writer and the reader, so they cannot drift apart.
+// writer and the reader, so they cannot drift apart. A round's result has one
+// layout too (WalkRoundResult), walked here and in SDE2 event frames
+// (internal/wire).
 //
 // Format evolution: a build reads its own generation and the one before,
 // unless reading the one before needs gob — so SDC2/SDA2, whose state was one
-// gob value, are named, not read, as are older generations. The walker is
-// exported as Codec: SDE2 event frames (internal/wire) are walked by it too.
+// gob value, are named, not read, as are older generations.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"slices"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/faults"
@@ -41,10 +39,6 @@ var (
 	// version; asyncCheckpointMagic is the event-driven sibling.
 	checkpointMagic      = [4]byte{'S', 'D', 'C', '3'}
 	asyncCheckpointMagic = [4]byte{'S', 'D', 'A', '3'}
-	// The DAG codec's (internal/dag) magic is mirrored, and the event-stream
-	// codec's (internal/wire) family, so a user who points a resume at a bare
-	// tangle snapshot or a saved event log is told what the file actually is.
-	codecMagicSDG1 = [4]byte{'S', 'D', 'G', '1'}
 )
 
 // wrongMagic explains a magic other than the wanted one: what the sibling
@@ -56,7 +50,7 @@ func wrongMagic(got, want [4]byte) error {
 		what = "a synchronous round-simulation checkpoint (resume it with ResumeSimulation)"
 	case got == asyncCheckpointMagic:
 		what = "an asynchronous event-simulation checkpoint (resume it with ResumeAsyncSimulation)"
-	case got == codecMagicSDG1:
+	case got == dag.Magic:
 		what = "a bare DAG snapshot, not a simulation checkpoint (inspect it with dagstat or dag.ReadDAG)"
 	case family == "SDE":
 		what = "an event-stream log, not a simulation checkpoint (inspect it with dagstat or wire.ReadAll)"
@@ -94,7 +88,7 @@ type snapshotCommon struct {
 type snapshotState interface {
 	common() *snapshotCommon
 	// codec walks the kind's own fields, after the common sections.
-	codec(c *Codec)
+	codec(c *dag.Codec)
 	info() *CheckpointInfo // the kind's own summary fields (InspectCheckpoint)
 	// validate checks the kind's own fields against the decoded tangle, so a
 	// corrupted or adversarial snapshot fails with an actionable error —
@@ -136,10 +130,10 @@ func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return int64(n) + tn, fmt.Errorf("core: checkpointing DAG: %w", err)
 	}
-	enc := &Codec{w: w, b: make([]byte, 0, stateChunk)}
-	enc.state(c.state)
-	enc.Flush()
-	return int64(n) + tn + enc.n, enc.err
+	enc := dag.NewEncoder(w)
+	walkState(enc, c.state)
+	err = enc.Flush()
+	return int64(n) + tn + enc.Written(), err
 }
 
 // writeSnapshot fills st's common sections from the body and takes the
@@ -158,9 +152,10 @@ func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int6
 		com.CompactionVersion = 1
 		com.Compaction, com.Epochs = b.tangle.CompactionConfig(), b.tangle.FrozenEpochs()
 	}
-	count := &Codec{}
-	count.state(st)
-	c := &Checkpoint{magic: magic, tangle: b.tangle.Capture(), state: st, stateSize: count.n}
+	count := dag.NewCounter()
+	walkState(count, st)
+	count.Flush()
+	c := &Checkpoint{magic: magic, tangle: b.tangle.Capture(), state: st, stateSize: count.Written()}
 	if k, ok := w.(interface{ KeepCheckpoint(*Checkpoint) }); ok {
 		k.KeepCheckpoint(c)
 		return 0, nil
@@ -184,10 +179,9 @@ func readSnapshot(br *bufio.Reader, want [4]byte, st snapshotState) (*dag.DAG, e
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint DAG: %w", err)
 	}
-	dec := NewDecoder(br)
-	dec.state(st)
-	if dec.err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", dec.err)
+	dec := dag.NewDecoder(br)
+	if walkState(dec, st); dec.Err() != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint: %w", dec.Err())
 	}
 	com := st.common()
 	if com.FaultsVersion == 1 {
@@ -212,270 +206,76 @@ func readSnapshot(br *bufio.Reader, want [4]byte, st snapshotState) (*dag.DAG, e
 	return d, nil
 }
 
-// stateChunk is how much of a layout an encoding Codec buffers before it
-// hands the bytes on.
-const stateChunk = 64 << 10
-
-// maxStateList bounds a decoded list length, maxStateString a string's (an
-// event frame's label or error may be as long as a request body). Both grow
-// only as their elements arrive, so a forged length costs what the input
-// backs; encoding a longer one is an error, so what is written reads back.
-const (
-	maxStateList   = 1 << 24
-	maxStateString = 1 << 24
-)
-
-// A Codec is one pass over a binary layout — a checkpoint's state section or
-// an SDE2 event frame — field by field in the order a layout description
-// gives: decoding (NewDecoder; each field is assigned), otherwise encoding
-// (NewEncoder; each field is only read, so one value may be encoded on several
-// goroutines at once) into w in chunks, or, with no w, counting the bytes
-// that would be written without touching a parameter vector. Errors are
-// sticky: after the first, every field decodes as zero, nothing more is
-// consumed or written, and Err reports it.
-//
-// The layout is varint integers (zigzag), 8-byte little-endian floats, a
-// length before every list and string, and a parameter vector as its length
-// and a raw span (dag.AppendFloats).
-type Codec struct {
-	br  *bufio.Reader
-	err error
-
-	w io.Writer
-	b []byte
-	n int64
-}
-
-// NewEncoder returns a Codec that writes what it walks to w; Flush hands on
-// what it still buffers.
-func NewEncoder(w io.Writer) *Codec { return &Codec{w: w} }
-
-// NewDecoder returns a Codec that reads what it walks off br.
-func NewDecoder(br *bufio.Reader) *Codec { return &Codec{br: br} }
-
-// Decoding reports whether the walk assigns the fields (or only reads them).
-func (c *Codec) Decoding() bool { return c.br != nil }
-
-// Err is the first error the walk met.
-func (c *Codec) Err() error { return c.err }
-
-// Fail records err, unless an earlier error is recorded.
-func (c *Codec) Fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
-}
-
-// state walks a whole state section: the common sections, then the kind's.
-func (c *Codec) state(st snapshotState) {
+// walkState walks a whole state section: the common sections, then the
+// kind's.
+func walkState(c *dag.Codec, st snapshotState) {
 	com := st.common()
-	Num(c, &com.Seed)
-	c.version("fault", &com.FaultsVersion)
+	dag.Num(c, &com.Seed)
+	walkVersion(c, "fault", &com.FaultsVersion)
 	if com.FaultsVersion == 1 {
 		f := &com.Faults
 		for _, v := range []*float64{&f.Delay, &f.Jitter, &f.DropProb, &f.Retransmit, &f.DupProb} {
 			c.Float(v)
 		}
-		List(c, &f.Partitions, func(p *faults.Partition) {
+		dag.List(c, &f.Partitions, func(p *faults.Partition) {
 			c.Float(&p.From)
 			c.Float(&p.To)
-			Num(c, &p.Groups)
+			dag.Num(c, &p.Groups)
 		})
 		for _, v := range []*float64{&f.StragglerFrac, &f.StragglerFactor, &f.ChurnFrac, &f.MaxDowntime} {
 			c.Float(v)
 		}
 	}
-	c.version("epoch", &com.CompactionVersion)
+	walkVersion(c, "epoch", &com.CompactionVersion)
 	if com.CompactionVersion == 1 {
 		comp := &com.Compaction
 		for _, v := range []*int{&comp.Width, &comp.Live, &comp.GuardDepth, &comp.GuardDepthMin} {
-			Num(c, v)
+			dag.Num(c, v)
 		}
 		c.String(&comp.SpillDir)
-		List(c, &com.Epochs, func(e *dag.EpochSummary) {
-			Num(c, &e.Epoch)
-			Num(c, &e.FirstID)
-			Num(c, &e.LastID)
+		dag.List(c, &com.Epochs, func(e *dag.EpochSummary) {
+			dag.Num(c, &e.Epoch)
+			dag.Num(c, &e.FirstID)
+			dag.Num(c, &e.LastID)
 			for _, v := range []*int{&e.Txs, &e.Edges, &e.MinRound, &e.MaxRound} {
-				Num(c, v)
+				dag.Num(c, v)
 			}
 			c.Float(&e.MeanTestAcc)
 			c.Float(&e.MaxTestAcc)
 			for _, v := range []*int{&e.Poisoned, &e.WeightSum, &e.WeightMax} {
-				Num(c, v)
+				dag.Num(c, v)
 			}
 			c.String(&e.SpillFile)
-			Num(c, &e.SpillBytes)
+			dag.Num(c, &e.SpillBytes)
 		})
 	}
 	st.codec(c)
 }
 
-// RoundResult walks one round's result: a row of SDC3's history and the
+// WalkRoundResult walks one round's result: a row of SDC3's history and the
 // Detail of a round engine's SDE2 RoundEvent frame.
-func (c *Codec) RoundResult(r *RoundResult) {
-	Num(c, &r.Round)
-	Ints(c, &r.Active)
+func WalkRoundResult(c *dag.Codec, r *RoundResult) {
+	dag.Num(c, &r.Round)
+	dag.Ints(c, &r.Active)
 	for _, v := range []*[]float64{&r.TrainedAcc, &r.TrainedLoss, &r.RefAcc, &r.RefLoss} {
 		c.Span(v)
 	}
-	List(c, &r.Published, c.Bool)
-	Ints(c, &r.RefTx)
+	dag.List(c, &r.Published, c.Bool)
+	dag.Ints(c, &r.RefTx)
 	c.Span(&r.FlippedFrac)
-	List(c, &r.ActivePoisoned, c.Bool)
-	Ints(c, &r.RefPoisonedApprovals)
-	Num(c, &r.Walk.Steps)
-	Num(c, &r.Walk.Evaluations)
+	dag.List(c, &r.ActivePoisoned, c.Bool)
+	dag.Ints(c, &r.RefPoisonedApprovals)
+	dag.Num(c, &r.Walk.Steps)
+	dag.Num(c, &r.Walk.Evaluations)
 }
 
-// spill hands the buffered bytes on once a chunk is full; counting, it only
-// tallies them.
-func (c *Codec) spill() {
-	if c.w == nil || len(c.b) >= stateChunk {
-		c.Flush()
+// walkVersion walks a section's version byte; decoding stops at one this
+// build cannot read.
+func walkVersion(c *dag.Codec, section string, v *int) {
+	dag.Num(c, v)
+	if c.Decoding() && c.Err() == nil && (*v < 0 || *v > 1) {
+		c.Fail(fmt.Errorf("checkpoint %s section has version %d, this build understands 0 and 1 — written by a newer version?", section, *v))
 	}
-}
-
-// Flush hands the buffered bytes on (or tallies them) and returns Err.
-func (c *Codec) Flush() error {
-	if c.w == nil {
-		c.n += int64(len(c.b))
-	} else if c.err == nil {
-		m, err := c.w.Write(c.b)
-		c.n += int64(m)
-		c.err = err
-	}
-	c.b = c.b[:0]
-	return c.err
-}
-
-func (c *Codec) varint(v *int64) {
-	if c.br == nil {
-		c.b = binary.AppendVarint(c.b, *v)
-		c.spill()
-	} else if c.err == nil {
-		if *v, c.err = binary.ReadVarint(c.br); c.err != nil {
-			*v = 0
-		}
-	}
-}
-
-// Num walks one integer field of any width; decoding a value the field
-// cannot hold is an error.
-func Num[T ~int | ~int64 | ~uint8 | ~uint64](c *Codec, v *T) {
-	x := int64(*v)
-	c.varint(&x)
-	if c.br != nil {
-		*v = T(x)
-		if int64(*v) != x {
-			c.Fail(fmt.Errorf("%d overflows a %T", x, *v))
-		}
-	}
-}
-
-// version walks a section's version byte; decoding stops at one this build
-// cannot read.
-func (c *Codec) version(section string, v *int) {
-	Num(c, v)
-	if c.br != nil && c.err == nil && (*v < 0 || *v > 1) {
-		c.err = fmt.Errorf("checkpoint %s section has version %d, this build understands 0 and 1 — written by a newer version?", section, *v)
-	}
-}
-
-// length walks a list or string length; one above max is an error.
-func (c *Codec) length(n int, max int64) int {
-	x := int64(n)
-	if c.br == nil && x > max {
-		c.Fail(fmt.Errorf("length %d exceeds %d", x, max))
-	}
-	c.varint(&x)
-	if c.br != nil && c.err == nil && (x < 0 || x > max) {
-		c.err = fmt.Errorf("implausible length %d", x)
-		return 0
-	}
-	return int(x)
-}
-
-// Float walks a float64.
-func (c *Codec) Float(v *float64) {
-	if c.br == nil {
-		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*v))
-		c.spill()
-		return
-	}
-	var b [8]byte
-	if c.err == nil {
-		_, c.err = io.ReadFull(c.br, b[:])
-	}
-	*v = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
-}
-
-// Bool walks a bool.
-func (c *Codec) Bool(v *bool) {
-	var x int64
-	if *v {
-		x = 1
-	}
-	c.varint(&x)
-	if c.br != nil {
-		*v = x == 1
-	}
-}
-
-// String walks a string: its length, then its bytes, decoded in steps of at
-// most what has arrived.
-func (c *Codec) String(s *string) {
-	n := c.length(len(*s), maxStateString)
-	if c.br == nil {
-		c.b = append(c.b, *s...)
-		c.spill()
-		return
-	}
-	b := make([]byte, 0, min(n, 1<<12))
-	for len(b) < n && c.err == nil {
-		k := min(n-len(b), max(len(b), 1<<12))
-		b = slices.Grow(b, k)[:len(b)+k]
-		_, c.err = io.ReadFull(c.br, b[len(b)-k:])
-	}
-	*s = string(b)
-}
-
-// Span walks a parameter vector: its length, then its raw span.
-func (c *Codec) Span(v *[]float64) {
-	n := c.length(len(*v), dag.MaxParams)
-	switch {
-	case c.br != nil:
-		if c.err == nil && n > 0 {
-			*v, c.err = dag.ReadFloats(c.br, n)
-		}
-	case c.w == nil:
-		c.n += 8 * int64(n)
-	default:
-		c.b = dag.AppendFloats(c.b, *v)
-		c.spill()
-	}
-}
-
-// List walks a slice: its length, then each element through one. Decoding
-// appends to the (empty) field, so a list of length zero decodes to nil.
-func List[T any](c *Codec, s *[]T, one func(*T)) {
-	n := c.length(len(*s), maxStateList)
-	if c.br == nil {
-		for i := range *s {
-			one(&(*s)[i])
-		}
-		return
-	}
-	for i := 0; i < n && c.err == nil; i++ {
-		var v T
-		one(&v)
-		*s = append(*s, v)
-	}
-}
-
-// Ints walks a slice of integers.
-func Ints[T ~int | ~int64](c *Codec, s *[]T) {
-	List(c, s, func(v *T) { Num(c, v) })
 }
 
 // restore is the resume tail: it verifies that a decoded snapshot belongs to

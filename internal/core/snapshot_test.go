@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/specdag/specdag/internal/dag"
 )
 
 // TestMagicDiagnosis is the contract of the one magic table: every reader,
@@ -136,19 +138,20 @@ func TestStateCodecWalksEveryField(t *testing.T) {
 			com.FaultsVersion, com.CompactionVersion = 1, 1
 
 			var buf bytes.Buffer
-			enc := NewEncoder(&buf)
-			enc.state(st)
+			enc := dag.NewEncoder(&buf)
+			walkState(enc, st)
 			enc.Flush()
-			count := &Codec{}
-			count.state(st)
-			if enc.err != nil || enc.n != int64(buf.Len()) || count.n != enc.n {
-				t.Fatalf("wrote %d bytes (%d reported, %v), counted %d", buf.Len(), enc.n, enc.err, count.n)
+			count := dag.NewCounter()
+			walkState(count, st)
+			count.Flush()
+			if enc.Err() != nil || enc.Written() != int64(buf.Len()) || count.Written() != enc.Written() {
+				t.Fatalf("wrote %d bytes (%d reported, %v), counted %d", buf.Len(), enc.Written(), enc.Err(), count.Written())
 			}
 			decode := func(b []byte) (snapshotState, error) {
 				got := reflect.New(reflect.TypeOf(st).Elem()).Interface().(snapshotState)
-				dec := NewDecoder(bufio.NewReader(bytes.NewReader(b)))
-				dec.state(got)
-				return got, dec.err
+				dec := dag.NewDecoder(bufio.NewReader(bytes.NewReader(b)))
+				walkState(dec, got)
+				return got, dec.Err()
 			}
 			got, err := decode(buf.Bytes())
 			if err != nil || !reflect.DeepEqual(got, st) {

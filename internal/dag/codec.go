@@ -5,9 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
-	"slices"
 )
 
 // Binary snapshot format for DAGs. A deployed tangle needs a wire format to
@@ -28,15 +25,15 @@ import (
 //
 // The "SDS1" epoch spill files written by compaction (see epoch.go) are the
 // same stream under their own magic — a run of consecutive records that need
-// not start at genesis — so both formats go through one record encoder
-// (appendRecord, behind writeRecords) and one header and record reader
-// (readHeader, readTxRecord). A simulation checkpoint (SDC3/SDA3,
-// internal/core) carries a whole SDG1 stream as its first section, and its
-// engine state writes parameter vectors as the same raw spans (AppendFloats,
-// ReadFloats).
+// not start at genesis. Both are walked by the binary walker (walk.go): one
+// header layout and one record layout (Codec.header, Codec.record) drive the
+// pass that sizes a Capture, the writer and the reader. A simulation
+// checkpoint (SDC3/SDA3, internal/core) carries a whole SDG1 stream as its
+// first section, and its engine state is walked by the same Codec.
 
-// codecMagic identifies snapshot files and fixes the version.
-var codecMagic = [4]byte{'S', 'D', 'G', '1'}
+// Magic identifies SDG1 snapshots and fixes the version; the checkpoint and
+// event-stream readers name a file that carries it as a bare DAG snapshot.
+var Magic = [4]byte{'S', 'D', 'G', '1'}
 
 // maxSnapshotTxs bounds decoding work against adversarial headers.
 const maxSnapshotTxs = 1 << 24
@@ -45,184 +42,95 @@ const maxSnapshotTxs = 1 << 24
 // rejected as corrupt before anything is allocated for it.
 const MaxParams = 1 << 28
 
-// appendRecord appends one transaction record in the SDG1 layout to b, with
-// params as its parameter vector — t.Params, or what a Capture pinned of it;
-// the field itself is not read here. The vector, all but a few bytes of a
-// record, is one span grown once and filled in place.
-func appendRecord(b []byte, t *Transaction, params []float64) ([]byte, error) {
-	if len(t.Parents) > 255 {
-		return b, fmt.Errorf("dag: transaction %d has %d parents", t.ID, len(t.Parents))
+// header walks a record stream's header: the magic, then the transaction
+// count as a little-endian u32. Decoding, what names the expected format for
+// the wrong-magic error, and a count above maxSnapshotTxs is rejected.
+func (c *Codec) header(magic [4]byte, what string, count *uint32) {
+	got := magic
+	for i := range got {
+		c.u8(&got[i])
 	}
-	b = binary.AppendUvarint(b, uint64(t.ID))
-	b = binary.AppendVarint(b, int64(t.Issuer))
-	b = binary.AppendVarint(b, int64(t.Round))
-	b = append(b, byte(len(t.Parents)))
-	for _, p := range t.Parents {
-		b = binary.AppendUvarint(b, uint64(p))
+	if c.Decoding() {
+		switch {
+		case c.err != nil:
+			c.err = fmt.Errorf("reading magic: %w", c.err)
+			return
+		case got != magic:
+			c.err = fmt.Errorf("bad magic %q (not %s)", got, what)
+			return
+		}
 	}
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Meta.TrainAcc))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t.Meta.TestAcc))
-	poisoned := byte(0)
+	var le [4]byte
+	binary.LittleEndian.PutUint32(le[:], *count)
+	for i := range le {
+		c.u8(&le[i])
+	}
+	if c.Decoding() {
+		*count = binary.LittleEndian.Uint32(le[:])
+		switch {
+		case c.err != nil:
+			c.err = fmt.Errorf("reading count: %w", c.err)
+		case *count > maxSnapshotTxs:
+			c.err = fmt.Errorf("header claims %d transactions (limit %d)", *count, maxSnapshotTxs)
+		}
+	}
+}
+
+// record walks one transaction record, with *params as its parameter vector:
+// encoding, t.Params or what a Capture pinned of it — the field itself is not
+// read here. Decoding, t.ID is the ID the record must carry, every parent must
+// strictly precede it, and a parameter count above MaxParams is rejected
+// before anything is allocated for it.
+func (c *Codec) record(t *Transaction, params *[]float64) {
+	id := uint64(t.ID)
+	c.uvarint(&id)
+	if c.Decoding() && c.err == nil && id != uint64(t.ID) {
+		c.err = fmt.Errorf("non-sequential id %d", id)
+	}
+	Num(c, &t.Issuer)
+	Num(c, &t.Round)
+	if !c.Decoding() && len(t.Parents) > 255 {
+		c.Fail(fmt.Errorf("dag: transaction %d has %d parents", t.ID, len(t.Parents)))
+	}
+	np := uint8(len(t.Parents))
+	c.u8(&np)
+	if c.Decoding() {
+		t.Parents = make([]ID, np)
+	}
+	for i := range t.Parents {
+		p := uint64(t.Parents[i])
+		c.uvarint(&p)
+		if c.Decoding() {
+			if c.err == nil && p >= id {
+				c.err = fmt.Errorf("parent %d does not precede child", p)
+			}
+			t.Parents[i] = ID(p)
+		}
+	}
+	c.Float(&t.Meta.TrainAcc)
+	c.Float(&t.Meta.TestAcc)
+	var poisoned uint8
 	if t.Meta.Poisoned {
 		poisoned = 1
 	}
-	b = append(b, poisoned)
-	b = binary.AppendUvarint(b, uint64(len(params)))
-	return AppendFloats(b, params), nil
+	c.u8(&poisoned)
+	if c.Decoding() {
+		t.Meta.Poisoned = poisoned != 0
+	}
+	n := uint64(len(*params))
+	c.uvarint(&n)
+	if c.Decoding() && c.err == nil && n > MaxParams {
+		c.err = fmt.Errorf("implausible param count %d", n)
+	}
+	c.floats(params, int(n))
 }
 
-// AppendFloats appends v to b as a raw span: each float's IEEE-754 bit
-// pattern, little-endian, with no length — b is grown once and filled in
-// place. The checkpoint codecs (internal/core) write their parameter vectors
-// this way too.
-func AppendFloats(b []byte, v []float64) []byte {
-	at := len(b)
-	b = slices.Grow(b, 8*len(v))[:at+8*len(v)]
-	for i, f := range v {
-		binary.LittleEndian.PutUint64(b[at+8*i:], math.Float64bits(f))
-	}
-	return b
-}
-
-// ReadFloats decodes a raw span of n floats off br. The vector is decoded
-// straight out of the reader's buffer, as many whole floats as it holds at a
-// time, and grows only once their bytes are there — by doubling, up to
-// exactly n — so a forged count allocates at most twice what the stream
-// really backs. An error names the first float the input does not back.
-func ReadFloats(br *bufio.Reader, n int) ([]float64, error) {
-	v := make([]float64, 0, min(n, 1<<12))
-	for len(v) < n {
-		k := min(max(br.Buffered()/8, 1), n-len(v)) // nothing buffered: Peek refills
-		win, err := br.Peek(8 * k)
-		if err != nil {
-			// Report the error reading that float alone would have met.
-			if err == io.EOF && len(win)%8 != 0 {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("param %d: %w", len(v)+len(win)/8, err)
-		}
-		if len(v)+k > cap(v) {
-			v = append(make([]float64, 0, min(n, 2*cap(v))), v...)
-		}
-		for ; len(win) >= 8; win = win[8:] {
-			v = append(v, math.Float64frombits(binary.LittleEndian.Uint64(win)))
-		}
-		br.Discard(8 * k)
-	}
-	return v, nil
-}
-
-// appendHeader appends a record stream's magic and count.
-func appendHeader(b []byte, magic [4]byte, count int) []byte {
-	return binary.LittleEndian.AppendUint32(append(b, magic[:]...), uint32(count))
-}
-
-// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// varintLen is the number of bytes binary.AppendVarint writes for x.
-func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
-
-// recordSize is the number of bytes appendRecord appends for t and params.
-func recordSize(t *Transaction, params []float64) int {
-	n := uvarintLen(uint64(t.ID)) + varintLen(int64(t.Issuer)) + varintLen(int64(t.Round)) + 1
-	for _, p := range t.Parents {
-		n += uvarintLen(uint64(p))
-	}
-	return n + 8 + 8 + 1 + uvarintLen(uint64(len(params))) + 8*len(params)
-}
-
-// readFloat decodes one f64 through the caller's scratch.
-func readFloat(br *bufio.Reader, buf *[8]byte) (float64, error) {
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-// readTxRecord decodes one transaction record, validating that its ID equals
-// want and that every parent strictly precedes it.
-func readTxRecord(br *bufio.Reader, want uint64) (*Transaction, error) {
-	id, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("tx %d: id: %w", want, err)
-	}
-	if id != want {
-		return nil, fmt.Errorf("tx %d: non-sequential id %d", want, id)
-	}
-	issuer, err := binary.ReadVarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("tx %d: issuer: %w", want, err)
-	}
-	round, err := binary.ReadVarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("tx %d: round: %w", want, err)
-	}
-	var pc [1]byte
-	if _, err := io.ReadFull(br, pc[:]); err != nil {
-		return nil, fmt.Errorf("tx %d: parent count: %w", want, err)
-	}
-	parents := make([]ID, 0, pc[0])
-	for i := 0; i < int(pc[0]); i++ {
-		p, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("tx %d: parent %d: %w", want, i, err)
-		}
-		if p >= want {
-			return nil, fmt.Errorf("tx %d: parent %d does not precede child", want, p)
-		}
-		parents = append(parents, ID(p))
-	}
-	var meta Meta
-	var f64 [8]byte
-	if meta.TrainAcc, err = readFloat(br, &f64); err != nil {
-		return nil, fmt.Errorf("tx %d: trainAcc: %w", want, err)
-	}
-	if meta.TestAcc, err = readFloat(br, &f64); err != nil {
-		return nil, fmt.Errorf("tx %d: testAcc: %w", want, err)
-	}
-	var pb [1]byte
-	if _, err := io.ReadFull(br, pb[:]); err != nil {
-		return nil, fmt.Errorf("tx %d: poisoned flag: %w", want, err)
-	}
-	meta.Poisoned = pb[0] != 0
-	nParams, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("tx %d: param count: %w", want, err)
-	}
-	if nParams > MaxParams {
-		return nil, fmt.Errorf("tx %d: implausible param count %d", want, nParams)
-	}
-	params, err := ReadFloats(br, int(nParams))
-	if err != nil {
-		return nil, fmt.Errorf("tx %d: %w", want, err)
-	}
-	return &Transaction{
-		ID:      ID(id),
-		Issuer:  int(issuer),
-		Round:   int(round),
-		Parents: parents,
-		Params:  params,
-		Meta:    meta,
-	}, nil
-}
-
-// recordChunk is how much of a record stream writeRecords encodes before it
-// hands the bytes to the writer.
-const recordChunk = 64 << 10
-
-// writeRecords streams one record stream — magic, count, then txs in order —
-// to w in chunks of about recordChunk bytes and returns the number of bytes
-// written. The last len(live) transactions take their parameter vectors from
-// live, the others from their own field.
-func writeRecords(w io.Writer, magic [4]byte, txs []*Transaction, live [][]float64) (int64, error) {
-	var written int64
-	flush := func(b []byte) error {
-		n, err := w.Write(b)
-		written += int64(n)
-		return err
-	}
-	b := appendHeader(nil, magic, len(txs))
+// records walks a record stream for the encoder or the counter: magic, count,
+// then txs in order. The last len(live) transactions take their parameter
+// vectors from live, the others from their own field.
+func (c *Codec) records(magic [4]byte, txs []*Transaction, live [][]float64) {
+	count := uint32(len(txs))
+	c.header(magic, "", &count)
 	floor := len(txs) - len(live)
 	for i, t := range txs {
 		var params []float64
@@ -231,38 +139,8 @@ func writeRecords(w io.Writer, magic [4]byte, txs []*Transaction, live [][]float
 		} else {
 			params = t.Params
 		}
-		var err error
-		if b, err = appendRecord(b, t, params); err != nil {
-			return written, err
-		}
-		if len(b) >= recordChunk {
-			if err := flush(b); err != nil {
-				return written, err
-			}
-			b = b[:0]
-		}
+		c.record(t, &params)
 	}
-	return written, flush(b)
-}
-
-// readHeader reads a record stream's magic and count; what names the
-// expected format ("a SDG1 snapshot") for the wrong-magic error.
-func readHeader(br *bufio.Reader, want [4]byte, what string) (uint32, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return 0, fmt.Errorf("dag: reading magic: %w", err)
-	}
-	if magic != want {
-		return 0, fmt.Errorf("dag: bad magic %q (not %s)", magic, what)
-	}
-	var count uint32
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return 0, fmt.Errorf("dag: reading count: %w", err)
-	}
-	if count > maxSnapshotTxs {
-		return 0, fmt.Errorf("dag: header claims %d transactions (limit %d)", count, maxSnapshotTxs)
-	}
-	return count, nil
 }
 
 // A Capture is the tangle as it stood at one moment, for the price of the
@@ -287,13 +165,14 @@ func (d *DAG) Capture() *Capture {
 	defer d.mu.RUnlock()
 	n := len(d.txs)
 	floor := int(d.floor.Load())
-	c := &Capture{txs: d.txs[:n:n], live: make([][]float64, n-floor), size: len(codecMagic) + 4}
-	for i, t := range c.txs {
-		if i >= floor {
-			c.live[i-floor] = t.Params
-		}
-		c.size += recordSize(t, t.Params)
+	c := &Capture{txs: d.txs[:n:n], live: make([][]float64, n-floor)}
+	for i, t := range d.txs[floor:n] {
+		c.live[i] = t.Params
 	}
+	count := NewCounter()
+	count.records(Magic, c.txs, c.live)
+	count.Flush()
+	c.size = int(count.Written())
 	return c
 }
 
@@ -301,10 +180,13 @@ func (d *DAG) Capture() *Capture {
 // stream in memory reserves up front.
 func (c *Capture) Size() int { return c.size }
 
-// WriteTo serializes the captured tangle to w as an SDG1 stream and returns
-// the number of bytes written.
+// WriteTo serializes the captured tangle to w as an SDG1 stream, in chunks,
+// and returns the number of bytes written.
 func (c *Capture) WriteTo(w io.Writer) (int64, error) {
-	return writeRecords(w, codecMagic, c.txs, c.live)
+	enc := NewEncoder(w)
+	enc.records(Magic, c.txs, c.live)
+	err := enc.Flush()
+	return enc.Written(), err
 }
 
 // WriteTo serializes the DAG to w and returns the number of bytes written.
@@ -329,17 +211,18 @@ func ReadDAG(r io.Reader) (*DAG, error) {
 
 // readDAG decodes one snapshot off br, consuming exactly its bytes.
 func readDAG(br *bufio.Reader) (*DAG, error) {
-	count, err := readHeader(br, codecMagic, "a SDG1 snapshot")
-	if err != nil {
-		return nil, err
+	dec := NewDecoder(br)
+	var count uint32
+	if dec.header(Magic, "a SDG1 snapshot", &count); dec.Err() != nil {
+		return nil, fmt.Errorf("dag: %w", dec.Err())
 	}
 	if count == 0 {
 		return nil, fmt.Errorf("dag: snapshot has no transactions (missing genesis)")
 	}
 
-	genesis, err := readTxRecord(br, 0)
-	if err != nil {
-		return nil, fmt.Errorf("dag: %w", err)
+	genesis := &Transaction{}
+	if dec.record(genesis, &genesis.Params); dec.Err() != nil {
+		return nil, fmt.Errorf("dag: tx 0: %w", dec.Err())
 	}
 	if !genesis.IsGenesis() {
 		return nil, fmt.Errorf("dag: first transaction has issuer %d, want genesis (%d)", genesis.Issuer, GenesisIssuer)
@@ -352,9 +235,9 @@ func readDAG(br *bufio.Reader) (*DAG, error) {
 	d.txs[0].Meta = genesis.Meta
 
 	for i := uint32(1); i < count; i++ {
-		tx, err := readTxRecord(br, uint64(i))
-		if err != nil {
-			return nil, fmt.Errorf("dag: %w", err)
+		tx := &Transaction{ID: ID(i)}
+		if dec.record(tx, &tx.Params); dec.Err() != nil {
+			return nil, fmt.Errorf("dag: tx %d: %w", i, dec.Err())
 		}
 		if _, err := d.Add(tx.Issuer, tx.Round, tx.Parents, tx.Params, tx.Meta); err != nil {
 			return nil, fmt.Errorf("dag: rebuilding tx %d: %w", i, err)

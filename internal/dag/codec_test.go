@@ -3,9 +3,10 @@ package dag
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -52,14 +53,14 @@ func assertEqualDAGs(t *testing.T, want, got *DAG) {
 				t.Fatalf("tx %d parent %d mismatch", i, j)
 			}
 		}
-		if w.Meta != g.Meta {
+		if !sameFloat(w.Meta.TrainAcc, g.Meta.TrainAcc) || !sameFloat(w.Meta.TestAcc, g.Meta.TestAcc) || w.Meta.Poisoned != g.Meta.Poisoned {
 			t.Fatalf("tx %d meta mismatch: %+v vs %+v", i, w.Meta, g.Meta)
 		}
 		if len(w.Params) != len(g.Params) {
 			t.Fatalf("tx %d param count mismatch", i)
 		}
 		for j := range w.Params {
-			if w.Params[j] != g.Params[j] && !(math.IsNaN(w.Params[j]) && math.IsNaN(g.Params[j])) {
+			if !sameFloat(w.Params[j], g.Params[j]) {
 				t.Fatalf("tx %d param %d mismatch: %v vs %v", i, j, w.Params[j], g.Params[j])
 			}
 		}
@@ -75,6 +76,9 @@ func assertEqualDAGs(t *testing.T, want, got *DAG) {
 		}
 	}
 }
+
+// sameFloat reports whether a and b are equal or both NaN.
+func sameFloat(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 
 func TestCodecRoundTripSmall(t *testing.T) {
 	d := New([]float64{0.25, -1, math.Pi})
@@ -155,27 +159,29 @@ func TestReadDAGRejectsCorruptHeader(t *testing.T) {
 	}
 }
 
+// A second transaction that approves itself or a later one is rejected: the
+// stream is built through the record walker, so it stays a valid stream in
+// every other respect whatever the record layout.
 func TestReadDAGRejectsForwardParents(t *testing.T) {
-	// Hand-craft a snapshot whose second transaction references itself.
-	d := New(nil)
-	d.Add(1, 0, []ID{0}, nil, Meta{})
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// The parent uvarint of tx 1 is the byte right after its parent count;
-	// find it by re-encoding: tx1 begins after genesis. Simpler: flip the
-	// last occurrence of 0x00 parent byte to 0x01 (self-reference).
-	// Locate: tx1 layout: id=0x01, issuer=0x02(zigzag 1), round=0x00,
-	// parentCount=0x01, parent=0x00.
-	idx := bytes.Index(data[8:], []byte{0x01, 0x02, 0x00, 0x01, 0x00})
-	if idx < 0 {
-		t.Skip("layout changed; self-reference corruption not applicable")
-	}
-	data[8+idx+4] = 0x01 // parent = 1 == own id
-	if _, err := ReadDAG(bytes.NewReader(data)); err == nil {
-		t.Fatal("forward/self parent accepted")
+	for _, parent := range []ID{1, 2} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf)
+		count := uint32(3)
+		enc.header(Magic, "", &count)
+		for _, tx := range []*Transaction{
+			{ID: 0, Issuer: GenesisIssuer},
+			{ID: 1, Issuer: 1, Parents: []ID{parent}},
+			{ID: 2, Issuer: 2, Parents: []ID{0}},
+		} {
+			enc.record(tx, &tx.Params)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadDAG(&buf)
+		if err == nil || !strings.Contains(err.Error(), "does not precede") {
+			t.Fatalf("tx 1 approving %d: %v, want a parent that does not precede its child", parent, err)
+		}
 	}
 }
 
@@ -197,7 +203,7 @@ func (c *chunkRecorder) Write(p []byte) (int, error) {
 	return c.Buffer.Write(p)
 }
 
-// TestWriteToStreamsInChunks: a snapshot much larger than recordChunk reaches
+// TestWriteToStreamsInChunks: a snapshot much larger than codecChunk reaches
 // the writer in pieces of about that size — at least a chunk, less than a
 // chunk plus one record, the last one whatever is left — never as one buffer
 // of the whole stream, and the pieces add up to the capture's Size.
@@ -218,10 +224,13 @@ func TestWriteToStreamsInChunks(t *testing.T) {
 	if len(w.chunks) < 10 {
 		t.Fatalf("%d bytes arrived in %d writes %v", w.Len(), len(w.chunks), w.chunks)
 	}
-	record := recordSize(d.MustGet(1), d.MustGet(1).Params)
+	count := NewCounter()
+	count.record(d.MustGet(1), &d.MustGet(1).Params)
+	count.Flush()
+	record := int(count.Written())
 	for i, c := range w.chunks[:len(w.chunks)-1] {
-		if c < recordChunk || c >= recordChunk+record {
-			t.Fatalf("write %d carries %d bytes, want [%d, %d)", i, c, recordChunk, recordChunk+record)
+		if c < codecChunk || c >= codecChunk+record {
+			t.Fatalf("write %d carries %d bytes, want [%d, %d)", i, c, codecChunk, codecChunk+record)
 		}
 	}
 	if size := d.Capture().Size(); w.Len() != size {
@@ -234,21 +243,113 @@ func TestWriteToStreamsInChunks(t *testing.T) {
 	assertEqualDAGs(t, d, back)
 }
 
-// The size arithmetic behind Capture.Size against the encoders it predicts,
-// at every length boundary of both varint kinds.
-func TestVarintLen(t *testing.T) {
-	for shift := 0; shift < 64; shift++ {
-		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
-			if got, want := uvarintLen(u), len(binary.AppendUvarint(nil, u)); got != want {
-				t.Errorf("uvarintLen(%d) = %d, AppendUvarint writes %d", u, got, want)
-			}
-			for _, x := range []int64{int64(u), -int64(u)} {
-				if got, want := varintLen(x), len(binary.AppendVarint(nil, x)); got != want {
-					t.Errorf("varintLen(%d) = %d, AppendVarint writes %d", x, got, want)
-				}
-			}
+// TestRecordWalksEveryField: a record is written out field by field, so a
+// field added to Transaction (or to Meta) and left out of the record layout
+// would come back from a snapshot as zero. Every field is set to a distinct
+// non-zero value, with two parents: decoding what the writer wrote must give
+// the transaction back, the counting pass must agree with the writer, and
+// every proper prefix of the record must fail to decode.
+func TestRecordWalksEveryField(t *testing.T) {
+	var tx Transaction
+	next := 0
+	fillFields(reflect.ValueOf(&tx).Elem(), &next)
+	tx.ID = 7 // parents must precede it
+	for i := range tx.Parents {
+		tx.Parents[i] = ID(3 + i)
+	}
+
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	enc.record(&tx, &tx.Params)
+	enc.Flush()
+	count := NewCounter()
+	count.record(&tx, &tx.Params)
+	count.Flush()
+	if enc.Err() != nil || enc.Written() != int64(buf.Len()) || count.Written() != enc.Written() {
+		t.Fatalf("wrote %d bytes (%d reported, %v), counted %d", buf.Len(), enc.Written(), enc.Err(), count.Written())
+	}
+	decode := func(b []byte) (*Transaction, error) {
+		got := &Transaction{ID: tx.ID}
+		dec := NewDecoder(bufio.NewReader(bytes.NewReader(b)))
+		dec.record(got, &got.Params)
+		return got, dec.Err()
+	}
+	got, err := decode(buf.Bytes())
+	if err != nil || !reflect.DeepEqual(*got, tx) {
+		t.Fatalf("decoded %+v (%v), want %+v", *got, err, tx)
+	}
+	for n := 0; n < buf.Len(); n++ {
+		if _, err := decode(buf.Bytes()[:n]); err == nil {
+			t.Fatalf("the record cut to %d of %d bytes decoded", n, buf.Len())
 		}
 	}
+}
+
+// fillFields sets every settable field under v to a distinct non-zero value,
+// every slice to two elements.
+func fillFields(v reflect.Value, next *int) {
+	*next++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanSet() {
+				fillFields(f, next)
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillFields(v.Index(i), next)
+		}
+	case reflect.Int:
+		v.SetInt(int64(*next))
+	case reflect.Float64:
+		v.SetFloat(float64(*next) + 0.25)
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		panic(fmt.Sprintf("fillFields: no value for a %s", v.Type()))
+	}
+}
+
+// FuzzReadDAG: arbitrary bytes never panic ReadDAG, and whatever decodes
+// re-encodes to a stream that decodes to an equal DAG. The bytes themselves
+// may differ: the reader accepts varints that are not minimal.
+func FuzzReadDAG(f *testing.F) {
+	var golden, compacted bytes.Buffer
+	if _, err := goldenTangle().WriteTo(&golden); err != nil {
+		f.Fatal(err)
+	}
+	d := goldenTangle()
+	if err := d.SetCompaction(goldenCompaction(f.TempDir())); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := d.CompactTo(9); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := d.WriteTo(&compacted); err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range [][]byte{golden.Bytes(), compacted.Bytes()} {
+		f.Add(b)
+		for _, cut := range []int{6, 8, len(b) / 2, len(b) - 1} {
+			f.Add(b[:cut])
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			t.Skip("bounded: the seeds are a few kilobytes")
+		}
+		d, err := ReadDAG(bytes.NewReader(data))
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("ReadDAG returned an empty error")
+			}
+			return
+		}
+		assertEqualDAGs(t, d, roundTrip(t, d))
+	})
 }
 
 // A snapshot that is one section of a longer stream: ReadDAG reads a
@@ -277,7 +378,7 @@ func TestReadDAGLeavesBufferedReaderAtTheEnd(t *testing.T) {
 // A failing writer fails the stream at the first flush, with the bytes that
 // did arrive counted.
 func TestWriteToCountsBytesBeforeTheError(t *testing.T) {
-	d := New(make([]float64, 3*recordChunk/8))
+	d := New(make([]float64, 3*codecChunk/8))
 	w := &limitedWriter{room: 100}
 	n, err := d.WriteTo(w)
 	if err != io.ErrShortWrite || n != 100 {

@@ -44,7 +44,10 @@
 //   - the approval index is one append-mostly array with lock-free readers
 //     (childIndex);
 //   - the SDG1 snapshot and the SDS1 epoch spill are one record stream under
-//     two magics (writeRecords, readHeader, readTxRecord).
+//     two magics, and every binary format of the module — those two, the
+//     checkpoints' state section and SDE2 event frames — is walked by one
+//     Codec (walk.go): one layout function per format drives the counter,
+//     the writer and the reader (Codec.header, Codec.record for the records).
 package dag
 
 import (

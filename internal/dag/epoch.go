@@ -485,8 +485,9 @@ func (d *DAG) writeSpillLocked(path string, first, last ID) (int64, error) {
 		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	n, err := writeRecords(tmp, spillMagic, d.txs[first:last+1], nil)
-	if err != nil {
+	enc := NewEncoder(tmp)
+	enc.records(spillMagic, d.txs[first:last+1], nil)
+	if err := enc.Flush(); err != nil {
 		tmp.Close()
 		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
 	}
@@ -496,23 +497,23 @@ func (d *DAG) writeSpillLocked(path string, first, last ID) (int64, error) {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
 	}
-	return n, nil
+	return enc.Written(), nil
 }
 
 // ReadSpill decodes an epoch spill file: the transactions of one frozen
 // epoch, in ID order, with their full parameter vectors. first is the
 // expected FirstID (records are validated to be sequential from it).
 func ReadSpill(r io.Reader, first ID) ([]*Transaction, error) {
-	br := bufio.NewReader(r)
-	count, err := readHeader(br, spillMagic, "an SDS1 epoch spill")
-	if err != nil {
-		return nil, err
+	dec := NewDecoder(bufio.NewReader(r))
+	var count uint32
+	if dec.header(spillMagic, "an SDS1 epoch spill", &count); dec.Err() != nil {
+		return nil, fmt.Errorf("dag: %w", dec.Err())
 	}
 	var txs []*Transaction // grown as records arrive: count is not trusted
-	for i := uint32(0); i < count; i++ {
-		tx, err := readTxRecord(br, uint64(int64(first)+int64(i)))
-		if err != nil {
-			return nil, fmt.Errorf("dag: spill %w", err)
+	for i := range count {
+		tx := &Transaction{ID: first + ID(i)}
+		if dec.record(tx, &tx.Params); dec.Err() != nil {
+			return nil, fmt.Errorf("dag: spill tx %d: %w", tx.ID, dec.Err())
 		}
 		txs = append(txs, tx)
 	}

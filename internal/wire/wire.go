@@ -10,11 +10,13 @@
 // # Format
 //
 // A stream is the 4-byte magic "SDE2" followed by frames, each walked by the
-// checkpoints' state walker (core.Codec: zigzag varints, 8-byte
-// little-endian floats, a length before every list and string): the index,
-// the kind, then the kind's payload field by field. A RoundEvent's Detail is
-// a tag (none, *core.RoundResult, *core.AsyncEvent, *fl.RoundResult) and
-// then that value; the Start frame's config is its keys in sorted order, each
+// module's binary walker (dag.Codec, which also walks the tangle's records
+// and the checkpoints' state: zigzag varints, 8-byte little-endian floats, a
+// length before every list and string): the index, the kind, then the kind's
+// payload field by field. A RoundEvent's Detail is a tag (none,
+// *core.RoundResult, *core.AsyncEvent, *fl.RoundResult) and then that value
+// (a *core.RoundResult through core.WalkRoundResult, as a checkpoint's
+// history row); the Start frame's config is its keys in sorted order, each
 // followed by its value. So a stream's bytes are a function of its frames. A
 // frame has no size prefix: no reader skips one. A stream always starts
 // decoding from its header: random access happens at the server, which
@@ -49,16 +51,13 @@ import (
 	"slices"
 
 	"github.com/specdag/specdag/internal/core"
+	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/fl"
 )
 
 // Magic identifies an SDE2 event stream and fixes the version.
 var Magic = [4]byte{'S', 'D', 'E', '2'}
-
-// magicSDG1 is the bare DAG snapshot's magic, one of the sibling formats
-// NewReader names; the checkpoints' are told apart by their first three bytes.
-var magicSDG1 = [4]byte{'S', 'D', 'G', '1'}
 
 // Kind discriminates the frame types of a stream.
 type Kind uint8
@@ -182,53 +181,53 @@ const (
 
 // layout walks a frame: its index, its kind, then the kind's payload. An
 // encoding walk only reads the frame.
-func (f *Frame) layout(c *core.Codec) {
-	core.Num(c, &f.Index)
-	core.Num(c, &f.Kind)
+func (f *Frame) layout(c *dag.Codec) {
+	dag.Num(c, &f.Index)
+	dag.Num(c, &f.Kind)
 	switch f.Kind {
 	case KindStart:
 		s := payload(c, &f.Start)
 		c.String(&s.Engine)
 		c.String(&s.Label)
-		core.Num(c, &s.Seed)
+		dag.Num(c, &s.Seed)
 		config(c, &s.Config)
 	case KindRound:
 		r := payload(c, &f.Round)
 		c.String(&r.Engine)
-		core.Num(c, &r.Round)
+		dag.Num(c, &r.Round)
 		c.Float(&r.Time)
 		c.Float(&r.MeanAcc)
 		c.Float(&r.MeanLoss)
-		core.Num(c, &r.Published)
-		core.Num(c, &r.DAGSize)
+		dag.Num(c, &r.Published)
+		dag.Num(c, &r.DAGSize)
 		detail(c, &r.Detail)
 	case KindPublish:
 		p := payload(c, &f.Publish)
 		c.String(&p.Engine)
-		core.Num(c, &p.Round)
+		dag.Num(c, &p.Round)
 		c.Float(&p.Time)
-		core.Num(c, &p.Issuer)
-		core.Num(c, &p.Tx)
+		dag.Num(c, &p.Issuer)
+		dag.Num(c, &p.Tx)
 		c.Float(&p.Acc)
 		c.Bool(&p.Poisoned)
 	case KindProbe:
 		p := payload(c, &f.Probe)
 		c.String(&p.Engine)
-		core.Num(c, &p.Step)
+		dag.Num(c, &p.Step)
 		c.String(&p.Name)
 		c.Float(&p.Value)
 	case KindCheckpoint:
 		p := payload(c, &f.Checkpoint)
-		core.Num(c, &p.Step)
-		core.Num(c, &p.Size)
+		dag.Num(c, &p.Step)
+		dag.Num(c, &p.Size)
 	case KindGap:
 		p := payload(c, &f.Gap)
-		core.Num(c, &p.From)
-		core.Num(c, &p.To)
-		core.Num(c, &p.CheckpointIndex)
+		dag.Num(c, &p.From)
+		dag.Num(c, &p.To)
+		dag.Num(c, &p.CheckpointIndex)
 	case KindEnd:
 		p := payload(c, &f.End)
-		core.Num(c, &p.Steps)
+		dag.Num(c, &p.Steps)
 		c.Bool(&p.Completed)
 		c.String(&p.Err)
 	default:
@@ -237,7 +236,7 @@ func (f *Frame) layout(c *core.Codec) {
 }
 
 // payload returns the payload *p, allocated first when decoding.
-func payload[T any](c *core.Codec, p **T) *T {
+func payload[T any](c *dag.Codec, p **T) *T {
 	if c.Decoding() {
 		*p = new(T)
 	}
@@ -246,9 +245,9 @@ func payload[T any](c *core.Codec, p **T) *T {
 
 // config walks a Start frame's config: its size, then each key in sorted
 // order followed by its value.
-func config(c *core.Codec, m *map[string]string) {
+func config(c *dag.Codec, m *map[string]string) {
 	keys := slices.Sorted(maps.Keys(*m))
-	core.List(c, &keys, func(k *string) {
+	dag.List(c, &keys, func(k *string) {
 		c.String(k)
 		v := (*m)[*k]
 		c.String(&v)
@@ -262,7 +261,7 @@ func config(c *core.Codec, m *map[string]string) {
 }
 
 // detail walks a RoundEvent's Detail: its tag, then the value.
-func detail(c *core.Codec, d *any) {
+func detail(c *dag.Codec, d *any) {
 	var tag uint8
 	switch (*d).(type) {
 	case nil:
@@ -275,24 +274,24 @@ func detail(c *core.Codec, d *any) {
 	default:
 		c.Fail(fmt.Errorf("no layout for a %T detail", *d))
 	}
-	core.Num(c, &tag)
+	dag.Num(c, &tag)
 	switch tag {
 	case detailNone:
 	case detailRound:
-		c.RoundResult(detailOf[core.RoundResult](c, d))
+		core.WalkRoundResult(c, detailOf[core.RoundResult](c, d))
 	case detailAsync:
 		e := detailOf[core.AsyncEvent](c, d)
-		core.Num(c, &e.Seq)
+		dag.Num(c, &e.Seq)
 		c.Float(&e.Time)
-		core.Num(c, &e.Client)
+		dag.Num(c, &e.Client)
 		for _, v := range []*float64{&e.TrainedAcc, &e.TrainedLoss, &e.RefAcc, &e.RefLoss} {
 			c.Float(v)
 		}
 		c.Bool(&e.Published)
 	case detailFL:
 		r := detailOf[fl.RoundResult](c, d)
-		core.Num(c, &r.Round)
-		core.Ints(c, &r.Selected)
+		dag.Num(c, &r.Round)
+		dag.Ints(c, &r.Selected)
 		c.Span(&r.Accs)
 		c.Span(&r.Losses)
 		c.Float(&r.MeanAcc)
@@ -304,7 +303,7 @@ func detail(c *core.Codec, d *any) {
 
 // detailOf returns the Detail *d as a *T: allocated and stored when
 // decoding, a zero value (not stored) when encoding a nil pointer.
-func detailOf[T any](c *core.Codec, d *any) *T {
+func detailOf[T any](c *dag.Codec, d *any) *T {
 	v, _ := (*d).(*T)
 	if v == nil {
 		v = new(T)
@@ -318,7 +317,7 @@ func detailOf[T any](c *core.Codec, d *any) *T {
 // A Writer encodes frames onto one SDE2 stream. Between WriteFrame calls it
 // holds at most one frame's bytes.
 type Writer struct {
-	enc *core.Codec
+	enc *dag.Codec
 }
 
 // NewWriter writes the stream header and returns a frame encoder.
@@ -326,7 +325,7 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	if _, err := w.Write(Magic[:]); err != nil {
 		return nil, fmt.Errorf("wire: writing stream header: %w", err)
 	}
-	return &Writer{enc: core.NewEncoder(w)}, nil
+	return &Writer{enc: dag.NewEncoder(w)}, nil
 }
 
 // WriteFrame appends one frame to the stream. It only reads the frame, so
@@ -346,7 +345,7 @@ func (w *Writer) WriteFrame(f *Frame) error {
 // A Reader decodes frames from one SDE2 stream.
 type Reader struct {
 	br   *bufio.Reader
-	dec  *core.Codec
+	dec  *dag.Codec
 	prev uint64 // last index seen, for monotonicity
 	some bool   // a frame has been read
 }
@@ -368,13 +367,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("wire: this is a synchronous simulation checkpoint (magic %q), not an event stream — resume it with ResumeSimulation or inspect it with dagstat", magic)
 	case family == "SDA":
 		return nil, fmt.Errorf("wire: this is an asynchronous simulation checkpoint (magic %q), not an event stream — resume it with ResumeAsyncSimulation or inspect it with dagstat", magic)
-	case magic == magicSDG1:
+	case magic == dag.Magic:
 		return nil, fmt.Errorf("wire: this is a bare DAG snapshot (magic %q), not an event stream — inspect it with dagstat or dag.ReadDAG", magic)
 	default:
 		return nil, fmt.Errorf("wire: bad magic %q (not an %s event stream)", magic, Magic[:])
 	}
 	br := bufio.NewReader(r)
-	return &Reader{br: br, dec: core.NewDecoder(br)}, nil
+	return &Reader{br: br, dec: dag.NewDecoder(br)}, nil
 }
 
 // ReadFrame decodes the next frame. It returns io.EOF at a clean stream
@@ -484,6 +483,6 @@ func (l *EventLog) Err() error { return l.err }
 // EncodeFrame returns one frame's bytes as a Writer puts them on a stream.
 func EncodeFrame(f *Frame) ([]byte, error) {
 	var buf bytes.Buffer
-	err := (&Writer{enc: core.NewEncoder(&buf)}).WriteFrame(f)
+	err := (&Writer{enc: dag.NewEncoder(&buf)}).WriteFrame(f)
 	return buf.Bytes(), err
 }
