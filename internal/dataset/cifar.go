@@ -114,7 +114,9 @@ func CIFAR100PAM(cfg CIFARConfig) *Federation {
 		NumClusters: cfg.Superclasses,
 	}
 
-	for id := 0; id < cfg.Clients; id++ {
+	total := cfg.TrainPerClient + cfg.TestPerClient
+	testFrac := float64(cfg.TestPerClient) / float64(total)
+	fed.Clients = generateClients(cfg.Clients, func(id int) *Client {
 		crng := rng.SplitIndex("client", id)
 
 		// Pachinko allocation: client-specific Dirichlet over superclasses,
@@ -122,8 +124,7 @@ func CIFAR100PAM(cfg CIFARConfig) *Federation {
 		rootDist := crng.Dirichlet(cfg.RootAlpha, cfg.Superclasses)
 		leafDists := make([][]float64, cfg.Superclasses)
 
-		total := cfg.TrainPerClient + cfg.TestPerClient
-		bld := NewBuilder(cfg.Dim, total)
+		bld := NewBuilder(cfg.Dim, total, testFrac, crng.Split("split"))
 		superCounts := make([]int, cfg.Superclasses)
 		for i := 0; i < total; i++ {
 			super := crng.WeightedChoice(rootDist)
@@ -138,9 +139,9 @@ func CIFAR100PAM(cfg CIFARConfig) *Federation {
 
 		// Cluster label: the majority superclass, ties broken randomly.
 		cluster := majorityWithRandomTies(superCounts, crng.Split("tie"))
-		train, test := bld.Dataset().Split(float64(cfg.TestPerClient)/float64(total), crng.Split("split"))
-		fed.Clients = append(fed.Clients, &Client{ID: id, Cluster: cluster, Train: train, Test: test})
-	}
+		train, test := bld.Parts()
+		return &Client{ID: id, Cluster: cluster, Train: train, Test: test}
+	})
 	if err := fed.Validate(); err != nil {
 		panic(fmt.Sprintf("dataset: generated invalid CIFAR federation: %v", err))
 	}

@@ -12,14 +12,19 @@
 // Storage is flat: a Dataset keeps all features in one contiguous row-major
 // mathx.Matrix plus a label slice, so the training and evaluation hot paths
 // stream cache-line-sequential memory instead of chasing per-sample
-// pointers. Generators build that storage directly through Builder; Split,
-// Clone and Gather materialize new contiguous datasets.
+// pointers. A generator draws each client's train/test split first and
+// writes every sample straight into its final row through Builder; no
+// staging copy is gathered afterwards. Clients are generated side by side
+// (generateClients), each from its own seed split. Split, Clone and Gather
+// materialize new contiguous datasets from existing ones.
 package dataset
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/specdag/specdag/internal/mathx"
+	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/xrand"
 )
 
@@ -38,16 +43,22 @@ type Dataset struct {
 	Y []int
 }
 
-// FromSamples copies the given samples into fresh contiguous storage.
+// FromSamples copies the given samples into fresh contiguous storage. It
+// panics if the samples' feature widths differ.
 func FromSamples(samples ...Sample) Dataset {
 	if len(samples) == 0 {
 		return Dataset{}
 	}
-	b := NewBuilder(len(samples[0].X), len(samples))
-	for _, s := range samples {
-		b.Append(s.X, s.Y)
+	cols := len(samples[0].X)
+	d := Dataset{X: mathx.NewMatrix(len(samples), cols), Y: make([]int, len(samples))}
+	for i, s := range samples {
+		if len(s.X) != cols {
+			panic(fmt.Sprintf("dataset: FromSamples sample %d has %d values, want %d", i, len(s.X), cols))
+		}
+		copy(d.X.Row(i), s.X)
+		d.Y[i] = s.Y
 	}
-	return b.Dataset()
+	return d
 }
 
 // Len returns the number of samples.
@@ -90,15 +101,24 @@ func (d Dataset) Gather(idx []int) Dataset {
 //
 // The shuffle permutes an index vector with exactly the same rng.Shuffle
 // call the sample-slice implementation used, so the sample order of both
-// parts — and therefore every downstream metric — is unchanged.
+// parts — and therefore every downstream metric — is unchanged. Builder
+// draws the same split before the samples exist.
 func (d Dataset) Split(testFrac float64, rng *xrand.RNG) (train, test Dataset) {
-	n := d.Len()
-	perm := make([]int, n)
+	perm := make([]int, d.Len())
+	nTest := splitPerm(perm, testFrac, rng)
+	return d.Gather(perm[nTest:]), d.Gather(perm[:nTest])
+}
+
+// splitPerm is the split rule shared by Split and Builder: it fills perm
+// with a shuffle of 0..len(perm)-1 and returns the test count nTest, so the
+// test part is perm[:nTest] and the train part perm[nTest:].
+func splitPerm(perm []int, testFrac float64, rng *xrand.RNG) (nTest int) {
+	n := len(perm)
 	for i := range perm {
 		perm[i] = i
 	}
 	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	nTest := int(float64(n) * testFrac)
+	nTest = int(float64(n) * testFrac)
 	if n >= 2 {
 		if nTest == 0 {
 			nTest = 1
@@ -107,7 +127,7 @@ func (d Dataset) Split(testFrac float64, rng *xrand.RNG) (train, test Dataset) {
 			nTest = n - 1
 		}
 	}
-	return d.Gather(perm[nTest:]), d.Gather(perm[:nTest])
+	return nTest
 }
 
 // CountLabels returns a histogram over labels 0..numClasses-1. Labels outside
@@ -122,63 +142,78 @@ func (d Dataset) CountLabels(numClasses int) []int {
 	return counts
 }
 
-// Builder accumulates samples into one contiguous backing store. Generators
-// pre-size it with the expected sample count and fill rows in place (Grow),
-// so building a federation performs one feature allocation per client
-// instead of one per sample.
+// Builder writes one client's n samples straight into the train or test
+// row Split would have moved them to. The split is drawn at construction —
+// splitPerm with the rng Split would get — so sample i's row is known
+// before the sample is generated, and building a client performs one
+// feature allocation and no gather. Test rows come first in that slab, train
+// rows after them; Parts returns the two as adjacent, capacity-capped views.
 type Builder struct {
-	cols int
-	x    []float64
-	y    []int
+	cols  int
+	nTest int
+	next  int       // samples handed out so far
+	row   []int     // row[i] is sample i's row in x: the inverse of the split
+	x     []float64 // n rows of cols values
+	y     []int
 }
 
-// NewBuilder returns a builder for rows of the given width, pre-allocating
-// capacity rows.
-func NewBuilder(cols, capacity int) *Builder {
-	if cols < 0 || capacity < 0 {
-		panic(fmt.Sprintf("dataset: NewBuilder(%d, %d) with negative argument", cols, capacity))
+// NewBuilder returns a builder for n rows of the given width, split into
+// train and test parts as Split(testFrac, rng) would split them.
+func NewBuilder(cols, n int, testFrac float64, rng *xrand.RNG) *Builder {
+	if cols < 0 || n < 0 {
+		panic(fmt.Sprintf("dataset: NewBuilder(%d, %d) with negative argument", cols, n))
 	}
-	return &Builder{cols: cols, x: make([]float64, 0, cols*capacity), y: make([]int, 0, capacity)}
+	idx := make([]int, 2*n)
+	perm, row := idx[:n], idx[n:]
+	nTest := splitPerm(perm, testFrac, rng)
+	for k, i := range perm {
+		row[i] = k
+	}
+	return &Builder{cols: cols, nTest: nTest, row: row, x: make([]float64, n*cols), y: make([]int, n)}
 }
 
-// Len returns the number of samples appended so far.
-func (b *Builder) Len() int { return len(b.y) }
-
-// Grow appends a zeroed sample with label y and returns the zero-copy view
-// of its feature row for in-place filling.
+// Grow hands out the next sample's row, labeled y, for in-place filling.
+// Rows come zeroed from the slab's allocation and each is handed out once
+// (one-hot encoders rely on both); Grow panics past the builder's n samples.
 func (b *Builder) Grow(y int) []float64 {
-	start := len(b.x)
-	need := start + b.cols
-	if need <= cap(b.x) {
-		b.x = b.x[:need]
-	} else {
-		b.x = append(b.x, make([]float64, b.cols)...)
+	if b.next == len(b.row) {
+		panic(fmt.Sprintf("dataset: Builder.Grow past its %d samples", len(b.row)))
 	}
-	row := b.x[start:need]
-	mathx.Fill(row, 0) // callers rely on zeroed rows (one-hot encoders)
-	b.y = append(b.y, y)
-	return row
+	r := b.row[b.next]
+	b.next++
+	b.y[r] = y
+	return b.x[r*b.cols : (r+1)*b.cols : (r+1)*b.cols]
 }
 
-// Relabel replaces the label of the most recently appended sample — for
+// Relabel replaces the label of the most recently grown sample — for
 // generators whose label depends on the filled feature row.
 func (b *Builder) Relabel(y int) {
-	b.y[len(b.y)-1] = y
+	b.y[b.row[b.next-1]] = y
 }
 
-// Append copies x as a new sample with label y. It panics if x does not
-// match the builder's row width.
-func (b *Builder) Append(x []float64, y int) {
-	if len(x) != b.cols {
-		panic(fmt.Sprintf("dataset: Builder.Append row of %d values, want %d", len(x), b.cols))
+// Parts returns the train and test datasets. They view the builder's
+// storage; it panics unless all n samples were grown.
+func (b *Builder) Parts() (train, test Dataset) {
+	if b.next != len(b.row) {
+		panic(fmt.Sprintf("dataset: Builder.Parts after %d of %d samples", b.next, len(b.row)))
 	}
-	copy(b.Grow(y), x)
+	n, cut := len(b.y), b.nTest*b.cols
+	test = Dataset{X: mathx.Matrix{Data: b.x[:cut:cut], Rows: b.nTest, Cols: b.cols}, Y: b.y[:b.nTest:b.nTest]}
+	train = Dataset{X: mathx.Matrix{Data: b.x[cut:], Rows: n - b.nTest, Cols: b.cols}, Y: b.y[b.nTest:]}
+	return train, test
 }
 
-// Dataset returns the accumulated samples. The dataset views the builder's
-// storage; the builder must not be reused afterwards.
-func (b *Builder) Dataset() Dataset {
-	return Dataset{X: mathx.Matrix{Data: b.x, Rows: len(b.y), Cols: b.cols}, Y: b.y}
+// generateClients builds a federation's n clients side by side, client id
+// into slot id, on at most GOMAXPROCS goroutines for as long as the call
+// lasts. client(id) must draw only from the client's own seed split and read
+// only shared state, so the federation is the same for any goroutine count.
+// It draws on no par.Budget: callers generate before any engine exists,
+// except ThroughputGrid's lines (8 clients each) and a hosted run's submit,
+// which runs outside the daemon's budget.
+func generateClients(n int, client func(id int) *Client) []*Client {
+	clients := make([]*Client, n)
+	par.ForEachIn(nil, runtime.GOMAXPROCS(0), n, func(id int) { clients[id] = client(id) })
+	return clients
 }
 
 // Client is one federated participant with a private train/test split and a

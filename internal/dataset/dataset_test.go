@@ -23,37 +23,62 @@ func TestFlatStorageIsContiguous(t *testing.T) {
 }
 
 func TestBuilderGrowAndRelabel(t *testing.T) {
-	b := NewBuilder(3, 2)
-	row := b.Grow(7)
-	if len(row) != 3 || row[0] != 0 || row[1] != 0 || row[2] != 0 {
-		t.Fatalf("Grow should hand out a zeroed row, got %v", row)
+	b := NewBuilder(3, 4, 0.5, xrand.New(3))
+	var want []Sample
+	for i := 0; i < 4; i++ {
+		row := b.Grow(7)
+		if len(row) != 3 || cap(row) != 3 || row[0] != 0 || row[1] != 0 || row[2] != 0 {
+			t.Fatalf("Grow should hand out a zeroed, capacity-capped row, got %v (cap %d)", row, cap(row))
+		}
+		row[0], row[1] = float64(i), 5
+		b.Relabel(i)
+		want = append(want, Sample{X: []float64{float64(i), 5, 0}, Y: i})
 	}
-	row[1] = 5
-	b.Relabel(1)
-	b.Append([]float64{9, 9, 9}, 2)
-	d := b.Dataset()
-	if d.Len() != 2 || d.Y[0] != 1 || d.Y[1] != 2 {
-		t.Fatalf("builder labels wrong: %v", d.Y)
-	}
-	if d.Row(0)[1] != 5 || d.Row(1)[0] != 9 {
-		t.Fatal("builder rows wrong")
-	}
-	// Growing past the pre-sized capacity must still produce zeroed rows.
-	extra := b.Grow(3)
-	for _, v := range extra {
-		if v != 0 {
-			t.Fatal("Grow past capacity returned a dirty row")
+	// Each sample lands where Split with the same rng would have moved it.
+	wantTrain, wantTest := FromSamples(want...).Split(0.5, xrand.New(3))
+	train, test := b.Parts()
+	for _, p := range []struct{ got, want Dataset }{{train, wantTrain}, {test, wantTest}} {
+		if p.got.Len() != p.want.Len() || p.got.X.Rows != p.want.X.Rows {
+			t.Fatalf("part has %d samples, want %d", p.got.Len(), p.want.Len())
+		}
+		for i := 0; i < p.want.Len(); i++ {
+			if p.got.Y[i] != p.want.Y[i] || p.got.Row(i)[0] != p.want.Row(i)[0] || p.got.Row(i)[1] != 5 {
+				t.Fatalf("row %d: got %v/%d, want %v/%d", i, p.got.Row(i), p.got.Y[i], p.want.Row(i), p.want.Y[i])
+			}
 		}
 	}
+	// The parts are adjacent views of one slab; the first must not be able
+	// to grow into the second.
+	if cap(test.X.Data) != len(test.X.Data) || cap(test.Y) != len(test.Y) {
+		t.Fatal("test part is not capacity-capped")
+	}
+	// Rows are handed out once.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on Grow past n")
+		}
+	}()
+	b.Grow(3)
 }
 
-func TestBuilderAppendPanicsOnWidth(t *testing.T) {
+func TestBuilderPartsPanicsWhenShort(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on Parts before all samples were grown")
+		}
+	}()
+	b := NewBuilder(1, 2, 0.5, xrand.New(1))
+	b.Grow(0)
+	b.Parts()
+}
+
+func TestFromSamplesPanicsOnWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on wrong row width")
 		}
 	}()
-	NewBuilder(2, 1).Append([]float64{1}, 0)
+	FromSamples(Sample{X: []float64{1, 2}}, Sample{X: []float64{1}})
 }
 
 func TestCloneIsDeep(t *testing.T) {
@@ -84,11 +109,11 @@ func TestGather(t *testing.T) {
 }
 
 func makeIota(n int) Dataset {
-	b := NewBuilder(1, n)
-	for i := 0; i < n; i++ {
-		b.Grow(i % 3)[0] = float64(i)
+	samples := make([]Sample, n)
+	for i := range samples {
+		samples[i] = Sample{X: []float64{float64(i)}, Y: i % 3}
 	}
-	return b.Dataset()
+	return FromSamples(samples...)
 }
 
 func TestSplitRatios(t *testing.T) {
@@ -242,26 +267,6 @@ func TestFMNISTByWriter(t *testing.T) {
 		if nonzero < 8 {
 			t.Fatalf("by-writer client %d holds only %d classes", c.ID, nonzero)
 		}
-	}
-}
-
-func TestFMNISTDeterminism(t *testing.T) {
-	a := FMNISTClustered(FMNISTConfig{Clients: 6, Seed: 42})
-	b := FMNISTClustered(FMNISTConfig{Clients: 6, Seed: 42})
-	for i := range a.Clients {
-		at, bt := a.Clients[i].Train, b.Clients[i].Train
-		if at.Len() != bt.Len() {
-			t.Fatal("determinism broken: lengths differ")
-		}
-		for j := 0; j < at.Len(); j++ {
-			if at.Y[j] != bt.Y[j] || at.Row(j)[0] != bt.Row(j)[0] {
-				t.Fatal("determinism broken: content differs")
-			}
-		}
-	}
-	c := FMNISTClustered(FMNISTConfig{Clients: 6, Seed: 43})
-	if c.Clients[0].Train.Row(0)[0] == a.Clients[0].Train.Row(0)[0] {
-		t.Fatal("different seeds should give different data")
 	}
 }
 

@@ -86,7 +86,7 @@ func FedProxSynthetic(cfg FedProxConfig) *Federation {
 		NumClusters: 1,
 	}
 
-	for id := 0; id < cfg.Clients; id++ {
+	fed.Clients = generateClients(cfg.Clients, func(id int) *Client {
 		crng := rng.SplitIndex("client", id)
 
 		uk := crng.Normal(0, math.Sqrt(cfg.Alpha))
@@ -103,7 +103,7 @@ func FedProxSynthetic(cfg FedProxConfig) *Federation {
 		vk := crng.NormalVec(cfg.Dim, bk, 1)
 
 		n := crng.LogNormalInt(4, 2, 0, cfg.MaxSamples-50) + 50
-		bld := NewBuilder(cfg.Dim, n)
+		bld := NewBuilder(cfg.Dim, n, 0.1, crng.Split("split"))
 		logits := make([]float64, cfg.Classes)
 		for s := 0; s < n; s++ {
 			x := bld.Grow(0)
@@ -116,9 +116,9 @@ func FedProxSynthetic(cfg FedProxConfig) *Federation {
 			bld.Relabel(mathx.ArgMax(logits))
 		}
 
-		train, test := bld.Dataset().Split(0.1, crng.Split("split"))
-		fed.Clients = append(fed.Clients, &Client{ID: id, Cluster: 0, Train: train, Test: test})
-	}
+		train, test := bld.Parts()
+		return &Client{ID: id, Cluster: 0, Train: train, Test: test}
+	})
 	if err := fed.Validate(); err != nil {
 		panic(fmt.Sprintf("dataset: generated invalid FedProx federation: %v", err))
 	}

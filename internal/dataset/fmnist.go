@@ -104,13 +104,13 @@ func FMNISTClustered(cfg FMNISTConfig) *Federation {
 		NumClusters: numClusters,
 	}
 
-	for id := 0; id < cfg.Clients; id++ {
+	total := cfg.TrainPerClient + cfg.TestPerClient
+	testFrac := float64(cfg.TestPerClient) / float64(total)
+	fed.Clients = generateClients(cfg.Clients, func(id int) *Client {
 		crng := rng.SplitIndex("client", id)
-		total := cfg.TrainPerClient + cfg.TestPerClient
-		var cluster int
-		bld := NewBuilder(cfg.Dim, total)
+		bld := NewBuilder(cfg.Dim, total, testFrac, crng.Split("split"))
+		cluster := 0
 		if cfg.ByWriter {
-			cluster = 0
 			style := crng.Split("style").NormalVec(cfg.Dim, 0, cfg.WriterStd)
 			for i := 0; i < total; i++ {
 				class := crng.Intn(numClasses)
@@ -144,9 +144,9 @@ func FMNISTClustered(cfg FMNISTConfig) *Federation {
 				sampleAroundInto(crng, protos[class], cfg.NoiseStd, bld.Grow(class))
 			}
 		}
-		train, test := bld.Dataset().Split(float64(cfg.TestPerClient)/float64(total), crng.Split("split"))
-		fed.Clients = append(fed.Clients, &Client{ID: id, Cluster: cluster, Train: train, Test: test})
-	}
+		train, test := bld.Parts()
+		return &Client{ID: id, Cluster: cluster, Train: train, Test: test}
+	})
 	if err := fed.Validate(); err != nil {
 		panic(fmt.Sprintf("dataset: generated invalid FMNIST federation: %v", err))
 	}

@@ -65,17 +65,16 @@ func Poets(cfg PoetsConfig) *Federation {
 		NumClusters: len(languages),
 	}
 
-	id := 0
-	for li := range languages {
-		for k := 0; k < cfg.ClientsPerLanguage; k++ {
-			crng := rng.SplitIndex("client", id)
-			text := sampleChain(crng.Split("text"), chains[li], cfg.CharsPerClient)
-			data := windows(text, cfg.Window)
-			train, test := data.Split(0.1, crng.Split("split"))
-			fed.Clients = append(fed.Clients, &Client{ID: id, Cluster: li, Train: train, Test: test})
-			id++
-		}
-	}
+	n := cfg.CharsPerClient - cfg.Window
+	fed.Clients = generateClients(len(languages)*cfg.ClientsPerLanguage, func(id int) *Client {
+		li := id / cfg.ClientsPerLanguage
+		crng := rng.SplitIndex("client", id)
+		text := sampleChain(crng.Split("text"), chains[li], cfg.CharsPerClient)
+		bld := NewBuilder(fed.InputDim, max(n, 0), 0.1, crng.Split("split"))
+		windowsInto(bld, text, cfg.Window)
+		train, test := bld.Parts()
+		return &Client{ID: id, Cluster: li, Train: train, Test: test}
+	})
 	if err := fed.Validate(); err != nil {
 		panic(fmt.Sprintf("dataset: generated invalid Poets federation: %v", err))
 	}
@@ -117,19 +116,14 @@ func sampleChain(rng *xrand.RNG, chain [][]float64, length int) []int {
 	return text
 }
 
-// windows converts a character stream into (window -> next char) samples
-// with one-hot encoded inputs, filled directly into flat storage.
-func windows(text []int, window int) Dataset {
-	n := len(text) - window
-	if n < 0 {
-		n = 0
-	}
-	bld := NewBuilder(window*poetsAlphabet, n)
+// windowsInto grows one (window -> next char) sample per position of the
+// character stream into bld, one-hot encoding each window into its
+// (zeroed) row.
+func windowsInto(bld *Builder, text []int, window int) {
 	for i := window; i < len(text); i++ {
 		x := bld.Grow(text[i])
 		for w := 0; w < window; w++ {
 			x[w*poetsAlphabet+text[i-window+w]] = 1
 		}
 	}
-	return bld.Dataset()
 }

@@ -1,7 +1,9 @@
 // Package par provides the bounded worker pools behind every parallel code
 // path of the simulator: the per-client fan-out of a simulation round, the
-// tangle's level-parallel weight sweep, and the sweep cells (preset, seed,
-// variant) of the experiment harness.
+// tangle's level-parallel weight sweep, the sweep cells (preset, seed,
+// variant) of the experiment harness, and federation generation. The last
+// runs outside any budget (a nil one, GOMAXPROCS workers): a federation is
+// generated before the engines that would share a budget exist.
 //
 // A *Budget is one shared pool handed down through nested fan-outs (sweep
 // cell → round engine): ForEachIn draws extra workers from the budget and

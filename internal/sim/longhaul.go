@@ -31,27 +31,39 @@ func LongHaulSelector() tipselect.Selector {
 	return tipselect.AccuracyWalk{Alpha: 10, DepthMin: 15, DepthMax: 25}
 }
 
+// The long-haul federation's shape, which LongHaulAsyncConfig needs without
+// generating the federation.
+const (
+	longHaulClients = 50
+	longHaulDim     = 16
+	longHaulClasses = 10 // the FMNIST-clustered generator's class count
+)
+
+// longHaulModel is the long-haul Spec without its federation.
+func longHaulModel() Spec {
+	return Spec{
+		Name:     "FMNIST-longhaul",
+		Arch:     nn.Arch{In: longHaulDim, Hidden: []int{8}, Out: longHaulClasses},
+		Local:    nn.SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10, MaxBatches: 3},
+		Selector: LongHaulSelector(),
+	}
+}
+
 // LongHaulSpec builds the long-haul federation: 50 clients over the
 // FMNIST-clustered generator at feature dimension 16 with a single 8-unit
 // hidden layer. ~230 model parameters per transaction make per-event training
 // cheap while still exercising every publish-gate and walk code path.
 func LongHaulSpec(seed int64) Spec {
-	cfg := dataset.FMNISTConfig{
+	spec := longHaulModel()
+	spec.Fed = dataset.FMNISTClustered(dataset.FMNISTConfig{
 		Seed:           seed,
-		Clients:        50,
+		Clients:        longHaulClients,
 		TrainPerClient: 30,
 		TestPerClient:  10,
-		Dim:            16,
+		Dim:            longHaulDim,
 		NoiseStd:       1.5,
-	}
-	fed := dataset.FMNISTClustered(cfg)
-	return Spec{
-		Name:     "FMNIST-longhaul",
-		Fed:      fed,
-		Arch:     nn.Arch{In: fed.InputDim, Hidden: []int{8}, Out: fed.NumClasses},
-		Local:    nn.SGDConfig{LR: 0.05, Epochs: 1, BatchSize: 10, MaxBatches: 3},
-		Selector: LongHaulSelector(),
-	}
+	})
+	return spec
 }
 
 // longHaulScale returns the preset's event target and epoch width (simulated
@@ -71,12 +83,14 @@ func longHaulScale(p Preset) (targetEvents, epochWidth int) {
 // preset's event target via the expected activation rate — for cycle times
 // drawn uniformly from [a, b], E[1/c] = ln(b/a)/(b-a) per client. The budget
 // is the zero Env's own; callers sharing one set Workers and Pool themselves.
+// Nothing here generates the federation: the config needs only its client
+// count and model shape.
 func LongHaulAsyncConfig(p Preset, spillDir string, seed int64) core.AsyncConfig {
-	spec := LongHaulSpec(seed)
+	spec := longHaulModel()
 	const minCycle, maxCycle, netDelay = 0.5, 2.0, 0.5
 	target, width := longHaulScale(p)
 	ratePerClient := 0.9242 // ln(maxCycle/minCycle)/(maxCycle-minCycle)
-	duration := float64(target) / (float64(len(spec.Fed.Clients)) * ratePerClient)
+	duration := float64(target) / (float64(longHaulClients) * ratePerClient)
 	acfg := spec.AsyncDAGConfig(Env{}, duration, minCycle, maxCycle, netDelay, spec.Selector, seed)
 	acfg.Compaction.Width = width
 	acfg.Compaction.Live = 2

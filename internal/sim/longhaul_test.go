@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -63,5 +64,33 @@ func TestLongHaulBoundedRSS(t *testing.T) {
 	const ckptCeiling = 64 << 20
 	if rep.CheckpointBytes > ckptCeiling {
 		t.Fatalf("final checkpoint %d bytes exceeds the %d-byte ceiling", rep.CheckpointBytes, int64(ckptCeiling))
+	}
+}
+
+// TestLongHaulAsyncConfigMatchesSpec: the config is built from constants, so
+// it must agree with what the generated federation's Spec derives.
+func TestLongHaulAsyncConfigMatchesSpec(t *testing.T) {
+	const seed = 7
+	spec := LongHaulSpec(seed)
+	for _, p := range []Preset{Quick, Full} {
+		got := LongHaulAsyncConfig(p, "", seed)
+		target, _ := longHaulScale(p)
+		want := spec.AsyncDAGConfig(Env{}, float64(target)/(float64(len(spec.Fed.Clients))*0.9242), 0.5, 2, 0.5, spec.Selector, seed)
+		if !reflect.DeepEqual(got.Arch, want.Arch) || got.Arch.In != spec.Fed.InputDim || got.Arch.Out != spec.Fed.NumClasses {
+			t.Errorf("%s: Arch %+v, spec derives %+v", p, got.Arch, want.Arch)
+		}
+		if !reflect.DeepEqual(got.Local, want.Local) || !reflect.DeepEqual(got.Selector, want.Selector) || got.Duration != want.Duration {
+			t.Errorf("%s: Local %+v, Selector %+v, Duration %v; spec derives %+v, %+v, %v",
+				p, got.Local, got.Selector, got.Duration, want.Local, want.Selector, want.Duration)
+		}
+	}
+}
+
+// TestLongHaulAsyncConfigGeneratesNothing: building the config must not
+// generate the 50-client federation (hundreds of allocations) to read its
+// client count.
+func TestLongHaulAsyncConfigGeneratesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(10, func() { LongHaulAsyncConfig(Full, "", 7) }); allocs >= 20 {
+		t.Fatalf("LongHaulAsyncConfig allocates %v times per call, want < 20", allocs)
 	}
 }

@@ -40,7 +40,10 @@ type Env struct {
 	// ablation variant or scenario each) and the engines inside them draw
 	// from, so nested fan-outs never run more goroutines than its size in
 	// total; it is the grid's one worker bound, and the Workers setting of
-	// every config the harness assembles is that size. Every experiment is
+	// every config the harness assembles is that size. Generating a
+	// federation is outside it: the dataset generators fan out on up to
+	// GOMAXPROCS goroutines of their own while they run, which for all but
+	// ThroughputGrid's lines is before any engine exists. Every experiment is
 	// deterministic for any size — lines are read back by index and each
 	// simulation is worker-count invariant — so it only trades wall clock
 	// for CPU.
