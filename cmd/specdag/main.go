@@ -119,6 +119,9 @@ func parseFlags(args []string) (*plan, error) {
 	if p.every < 1 {
 		return nil, fmt.Errorf("-progress-every must be at least 1, got %d", p.every)
 	}
+	if p.ckptEvery < 1 {
+		return nil, fmt.Errorf("-checkpoint-every must be at least 1, got %d", p.ckptEvery)
+	}
 	req.Preset = sim.Quick.String()
 	if *full {
 		req.Preset = sim.Full.String()
@@ -277,8 +280,8 @@ func run(args []string) error {
 
 	opts := []engine.Option{engine.WithHooks(engine.Hooks{OnRound: p.progress})}
 	if p.ckptFile != "" {
-		opts = append(opts, engine.WithCheckpoints(p.ckptEvery, func() (io.WriteCloser, error) {
-			return engine.CreateAtomic(p.ckptFile)
+		opts = append(opts, engine.WithCheckpoints(p.ckptEvery, func(c engine.Checkpoint) error {
+			return engine.WriteAtomic(p.ckptFile, c)
 		}))
 	}
 	var rec *eventRecorder
@@ -299,15 +302,11 @@ func run(args []string) error {
 		return runErr
 	}
 	if p.ckptFile != "" {
-		var n int64
-		err := engine.WriteAtomic(p.ckptFile, func(w io.Writer) (err error) {
-			n, err = s.WriteCheckpoint(w)
-			return err
-		})
-		if err != nil {
+		c := s.Checkpoint()
+		if err := engine.WriteAtomic(p.ckptFile, c); err != nil {
 			return fmt.Errorf("writing checkpoint: %w", err)
 		}
-		fmt.Printf("wrote %d-byte checkpoint to %s (%s)\n", n, p.ckptFile, position(s))
+		fmt.Printf("wrote %d-byte checkpoint to %s (%s)\n", c.Size(), p.ckptFile, position(s))
 	}
 	if canceled {
 		fmt.Printf("\ninterrupted after %s — partial metrics below", position(s))

@@ -151,28 +151,30 @@ func TestParseFlags(t *testing.T) {
 // are errors that name the offending flag or value.
 func TestParseFlagsRejections(t *testing.T) {
 	for args, want := range map[string]string{
-		"-async -rounds 5":                      "-rounds",
-		"-async -clients-per-round 2":           "-clients-per-round",
-		"-async -poison-fraction 0.2":           "-poison-fraction",
-		"-compact-live 3":                       "-compact-width",
-		"-compact-spill dir":                    "-compact-width",
-		"-fault-scenario churn-25":              "requires -async",
-		"-async -fault-scenario meteor":         "unknown fault scenario",
-		"-dataset mnist":                        "unknown dataset",
-		"-selector greedy":                      "unknown selector",
-		"-norm l2":                              "unknown normalization",
-		"-async -depth-min 20 -depth-max 10":    "depth-min 20 exceeds depth-max 10",
-		"-depth-min 5":                          "depth-min 5 needs a depth-max",
-		"-depth-min -1 -depth-max 4":            "must not be negative",
-		"-selector uniform -depth-max -3":       "must not be negative",
-		"-progress-every 0":                     "-progress-every",
-		"-progress-every -3":                    "-progress-every",
-		"-async -duration 10 -progress-every 0": "-progress-every",
-		"-no-such-flag":                         "not defined",
-		"-rounds many":                          "invalid value",
-		"-alpha NaN":                            "alpha NaN is not finite",
-		"-alpha Inf":                            "alpha +Inf is not finite",
-		"-selector weighted -alpha -Inf":        "alpha -Inf is not finite",
+		"-async -rounds 5":                        "-rounds",
+		"-async -clients-per-round 2":             "-clients-per-round",
+		"-async -poison-fraction 0.2":             "-poison-fraction",
+		"-compact-live 3":                         "-compact-width",
+		"-compact-spill dir":                      "-compact-width",
+		"-fault-scenario churn-25":                "requires -async",
+		"-async -fault-scenario meteor":           "unknown fault scenario",
+		"-dataset mnist":                          "unknown dataset",
+		"-selector greedy":                        "unknown selector",
+		"-norm l2":                                "unknown normalization",
+		"-async -depth-min 20 -depth-max 10":      "depth-min 20 exceeds depth-max 10",
+		"-depth-min 5":                            "depth-min 5 needs a depth-max",
+		"-depth-min -1 -depth-max 4":              "must not be negative",
+		"-selector uniform -depth-max -3":         "must not be negative",
+		"-progress-every 0":                       "-progress-every",
+		"-progress-every -3":                      "-progress-every",
+		"-async -duration 10 -progress-every 0":   "-progress-every",
+		"-checkpoint run.sdc -checkpoint-every 0": "-checkpoint-every",
+		"-checkpoint-every -2":                    "-checkpoint-every",
+		"-no-such-flag":                           "not defined",
+		"-rounds many":                            "invalid value",
+		"-alpha NaN":                              "alpha NaN is not finite",
+		"-alpha Inf":                              "alpha +Inf is not finite",
+		"-selector weighted -alpha -Inf":          "alpha -Inf is not finite",
 	} {
 		if _, err := parseFlags(fields(args)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("specdag %s: %v, want an error mentioning %q", args, err, want)

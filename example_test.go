@@ -341,19 +341,25 @@ func Example_poisoning() {
 	// attack but also makes it hard for them to detect (paper §5.3.4).
 }
 
-// replaceOnClose is a checkpoint being written beside the one it will
-// replace: Close syncs it and renames it over path, so a crash mid-write
-// leaves the previous checkpoint intact instead of a truncated file.
-type replaceOnClose struct {
-	*os.File
-	path string
-}
-
-func (f replaceOnClose) Close() error {
-	if err := errors.Join(f.Sync(), f.File.Close()); err != nil {
+// replaceAtomically is a WithCheckpoints save that replaces the checkpoint at
+// path: the new one is written beside it, synced and renamed over it, so a
+// crash or a failed write leaves the previous checkpoint intact instead of a
+// truncated file.
+func replaceAtomically(path string) func(specdag.Checkpoint) error {
+	return func(c specdag.Checkpoint) error {
+		f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*")
+		if err != nil {
+			return err
+		}
+		_, err = c.WriteTo(f)
+		if err = errors.Join(err, f.Sync(), f.Close()); err == nil {
+			err = os.Rename(f.Name(), path)
+		}
+		if err != nil {
+			os.Remove(f.Name())
+		}
 		return err
 	}
-	return os.Rename(f.Name(), f.path)
 }
 
 // Run the Specializing DAG without rounds, as a real deployment would
@@ -397,10 +403,7 @@ func Example_asyncDAG() {
 	ctx, crash := context.WithCancel(context.Background())
 	defer crash()
 	_, err = specdag.Run(ctx, async,
-		specdag.WithCheckpoints(5, func() (io.WriteCloser, error) {
-			f, err := os.CreateTemp(dir, "run.sda.*")
-			return replaceOnClose{f, ckptPath}, err
-		}),
+		specdag.WithCheckpoints(5, replaceAtomically(ckptPath)),
 		specdag.WithHooks(specdag.Hooks{
 			OnRound: func(ev specdag.RoundEvent) {
 				if ev.Time > duration/2 {

@@ -32,6 +32,7 @@ import (
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
+	"github.com/specdag/specdag/internal/engine"
 )
 
 // clientCheckpoint is the per-client carried state.
@@ -95,12 +96,15 @@ func (st *checkpointState) validate(d *dag.DAG) error {
 }
 
 // WriteCheckpoint serializes the simulation's full state to w and returns
-// the number of bytes written. The simulation can keep running afterwards;
-// the checkpoint captures the state between rounds — the history and the
-// clients' last models are pinned, not copied: the run appends rows and
-// replaces models, it never writes into one it holds. A sink with a
-// KeepCheckpoint method is handed the Checkpoint itself, nothing written.
-func (s *Simulation) WriteCheckpoint(w io.Writer) (int64, error) {
+// the number of bytes written: Checkpoint, encoded on the spot.
+func (s *Simulation) WriteCheckpoint(w io.Writer) (int64, error) { return s.Checkpoint().WriteTo(w) }
+
+// Checkpoint takes the simulation's full state between rounds as a value (a
+// *Checkpoint) and encodes nothing. The simulation can keep running
+// afterwards: the history and the clients' last models are pinned, not
+// copied — the run appends rows and replaces models, it never writes into one
+// it holds.
+func (s *Simulation) Checkpoint() engine.Checkpoint {
 	st := checkpointState{
 		Poison:  s.cfg.Poison,
 		Round:   s.round,
@@ -114,7 +118,7 @@ func (s *Simulation) WriteCheckpoint(w io.Writer) (int64, error) {
 			LastParams: c.lastParams,
 		})
 	}
-	return s.writeSnapshot(w, checkpointMagic, &st)
+	return s.takeCheckpoint(checkpointMagic, &st)
 }
 
 // ResumeSimulation reconstructs a simulation from a checkpoint written by

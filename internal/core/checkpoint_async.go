@@ -50,6 +50,7 @@ import (
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
+	"github.com/specdag/specdag/internal/engine"
 )
 
 // asyncClientCheckpoint is the per-client carried state of an async run.
@@ -216,13 +217,18 @@ func (st *asyncCheckpointState) validate(d *dag.DAG) error {
 }
 
 // WriteCheckpoint serializes the event-driven simulation's full state to w
-// and returns the number of bytes written. The simulation can keep running
-// afterwards; the checkpoint captures the state between events, which is the
-// asynchronous engine's Step boundary (so engine.Run's WithCheckpoints
-// writes consistent snapshots). In-flight publications are pinned, not
-// copied: their parents and parameters are never written again. A sink with a
-// KeepCheckpoint method is handed the Checkpoint itself, nothing written.
+// and returns the number of bytes written: Checkpoint, encoded on the spot.
 func (a *AsyncSimulation) WriteCheckpoint(w io.Writer) (int64, error) {
+	return a.Checkpoint().WriteTo(w)
+}
+
+// Checkpoint takes the event-driven simulation's full state between events,
+// which is the asynchronous engine's Step boundary (so engine.Run's
+// WithCheckpoints takes consistent snapshots), as a value (a *Checkpoint) and
+// encodes nothing. The simulation can keep running afterwards: in-flight
+// publications are pinned, not copied — their parents and parameters are
+// never written again.
+func (a *AsyncSimulation) Checkpoint() engine.Checkpoint {
 	st := asyncCheckpointState{
 		Duration:     a.cfg.Duration,
 		MinCycle:     a.cfg.MinCycle,
@@ -268,7 +274,7 @@ func (a *AsyncSimulation) WriteCheckpoint(w io.Writer) (int64, error) {
 			FinalAcc:  ac.stats.FinalAcc,
 		})
 	}
-	return a.writeSnapshot(w, asyncCheckpointMagic, &st)
+	return a.takeCheckpoint(asyncCheckpointMagic, &st)
 }
 
 // ResumeAsyncSimulation reconstructs an event-driven simulation from a

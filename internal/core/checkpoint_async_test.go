@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -195,9 +194,10 @@ func TestAsyncCheckpointThroughRunAPI(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rep, err := engine.Run(ctx, async,
-		engine.WithCheckpoints(1, func() (io.WriteCloser, error) {
+		engine.WithCheckpoints(1, func(c engine.Checkpoint) error {
 			snap.Reset()
-			return closerBuffer{&snap}, nil
+			_, err := c.WriteTo(&snap)
+			return err
 		}),
 		engine.WithHooks(engine.Hooks{OnRound: func(ev engine.RoundEvent) {
 			prefix = append(prefix, *ev.Detail.(*AsyncEvent))

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/specdag/specdag/internal/dag"
+	"github.com/specdag/specdag/internal/engine"
 	"github.com/specdag/specdag/internal/xrand"
 )
 
@@ -87,21 +88,19 @@ func BenchmarkWriteCheckpoint(b *testing.B) {
 	}
 }
 
-// BenchmarkCaptureCheckpoint is one checkpoint of each engine into a sink that
-// keeps the value: what a cadence checkpoint costs a hosted run, beside what
-// encoding it costs whoever reads it (BenchmarkWriteCheckpoint).
+// BenchmarkCaptureCheckpoint is one checkpoint of each engine taken as a
+// value: what a cadence checkpoint costs a hosted run, beside what encoding
+// it costs whoever reads it (BenchmarkWriteCheckpoint).
 func BenchmarkCaptureCheckpoint(b *testing.B) {
 	sim, async := benchEngines(b, benchTxs)
 	for _, eng := range []struct {
-		name  string
-		write func(io.Writer) (int64, error)
-	}{{"sync", sim.WriteCheckpoint}, {"async", async.WriteCheckpoint}} {
+		name string
+		take func() engine.Checkpoint
+	}{{"sync", sim.Checkpoint}, {"async", async.Checkpoint}} {
 		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.write(new(keptCheckpoint)); err != nil {
-					b.Fatal(err)
-				}
+				eng.take()
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -124,9 +123,10 @@ func TestCheckpointThroughRunAPI(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rep, err := engine.Run(ctx, sim,
-		engine.WithCheckpoints(1, func() (io.WriteCloser, error) {
+		engine.WithCheckpoints(1, func(c engine.Checkpoint) error {
 			snap.Reset()
-			return closerBuffer{&snap}, nil
+			_, err := c.WriteTo(&snap)
+			return err
 		}),
 		engine.WithHooks(engine.Hooks{OnRound: func(ev engine.RoundEvent) {
 			if ev.Round == 4 {
@@ -157,11 +157,6 @@ func TestCheckpointThroughRunAPI(t *testing.T) {
 	assertHistoriesIdentical(t, ref.Results(), resumed.Results())
 	assertDAGsIdentical(t, ref, resumed)
 }
-
-// closerBuffer adapts a bytes.Buffer to io.WriteCloser for WithCheckpoints.
-type closerBuffer struct{ *bytes.Buffer }
-
-func (closerBuffer) Close() error { return nil }
 
 func TestResumeRejectsMismatches(t *testing.T) {
 	cfg := smallConfig()

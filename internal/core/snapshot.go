@@ -7,6 +7,7 @@ package core
 // nothing: the tangle is captured (dag.Capture) and so is the engine state —
 // the kind's state struct copies the counters and pins the history rows and
 // parameter vectors, which the run never writes again once it holds them.
+// An engine hands that value over (its Checkpoint method, engine.Snapshotter);
 // Checkpoint.WriteTo streams both into whoever reads, in chunks, and the
 // readers parse them off the stream: no buffer of a section's size exists.
 //
@@ -136,13 +137,11 @@ func (c *Checkpoint) WriteTo(w io.Writer) (int64, error) {
 	return int64(n) + tn + enc.Written(), err
 }
 
-// writeSnapshot fills st's common sections from the body and takes the
+// takeCheckpoint fills st's common sections from the body and takes the
 // checkpoint: the tangle and the state are captured, and the state section's
-// size is counted (Size must answer before anyone encodes). A sink that keeps
-// checkpoints rather than bytes says so with a KeepCheckpoint method and is
-// handed the value, nothing written; any other gets the bytes, and their
-// count back.
-func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int64, error) {
+// size is counted (Size must answer before anyone encodes). Nothing is
+// encoded; whoever the engine hands the value to writes it, or never does.
+func (b *body) takeCheckpoint(magic [4]byte, st snapshotState) *Checkpoint {
 	com := st.common()
 	com.Seed = b.seed
 	if b.faults.Enabled() {
@@ -155,12 +154,7 @@ func (b *body) writeSnapshot(w io.Writer, magic [4]byte, st snapshotState) (int6
 	count := dag.NewCounter()
 	walkState(count, st)
 	count.Flush()
-	c := &Checkpoint{magic: magic, tangle: b.tangle.Capture(), state: st, stateSize: count.Written()}
-	if k, ok := w.(interface{ KeepCheckpoint(*Checkpoint) }); ok {
-		k.KeepCheckpoint(c)
-		return 0, nil
-	}
-	return c.WriteTo(w)
+	return &Checkpoint{magic: magic, tangle: b.tangle.Capture(), state: st, stateSize: count.Written()}
 }
 
 // readSnapshot reads an envelope of the wanted kind into st, validates the

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"github.com/specdag/specdag/internal/engine"
 )
 
 // allocated returns the bytes fn allocates (nothing else runs meanwhile:
@@ -21,31 +23,22 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// keptCheckpoint is a sink that asks for the checkpoint as a value, as the
-// daemon's does.
-type keptCheckpoint struct{ c *Checkpoint }
-
-func (k *keptCheckpoint) KeepCheckpoint(c *Checkpoint) { k.c = c }
-
-func (k *keptCheckpoint) Write([]byte) (int, error) {
-	panic("bytes written into a sink that keeps the value")
-}
-
 // TestCheckpointStreams pins what the envelope's shape buys: the tangle —
 // here 5 MB of a checkpoint whose state section is under 100 KB — passes through
 // a checkpoint write in chunks and through a resume record by record, no
-// buffer of its size exists on either side, and a sink that keeps the
-// checkpoint as a value is not charged for the tangle at all.
+// buffer of its size exists on either side, and taking the checkpoint as a
+// value is not charged for the tangle at all.
 func TestCheckpointStreams(t *testing.T) {
 	sim, async := benchEngines(t, 260)
 	fed := smallFed(30)
 	for _, eng := range []struct {
 		name   string
 		write  func(io.Writer) (int64, error)
+		take   func() engine.Checkpoint
 		resume func(io.Reader) error
 	}{
-		{"sync", sim.WriteCheckpoint, func(r io.Reader) error { _, err := ResumeSimulation(fed, sim.cfg, r); return err }},
-		{"async", async.WriteCheckpoint, func(r io.Reader) error { _, err := ResumeAsyncSimulation(fed, async.cfg, r); return err }},
+		{"sync", sim.WriteCheckpoint, sim.Checkpoint, func(r io.Reader) error { _, err := ResumeSimulation(fed, sim.cfg, r); return err }},
+		{"async", async.WriteCheckpoint, async.Checkpoint, func(r io.Reader) error { _, err := ResumeAsyncSimulation(fed, async.cfg, r); return err }},
 	} {
 		t.Run(eng.name, func(t *testing.T) {
 			var blob bytes.Buffer
@@ -84,19 +77,15 @@ func TestCheckpointStreams(t *testing.T) {
 			if wrote >= 1<<20 {
 				t.Errorf("writing a %d-byte checkpoint allocates %d bytes, want < 1 MiB", blob.Len(), wrote)
 			}
-			var kept keptCheckpoint
-			took := allocated(func() {
-				if n, err := eng.write(&kept); err != nil || n != 0 {
-					t.Fatalf("handing the checkpoint over wrote %d bytes, %v", n, err)
-				}
-			})
+			var kept engine.Checkpoint
+			took := allocated(func() { kept = eng.take() })
 			if took >= 1<<20 {
 				t.Errorf("taking a %d-byte checkpoint as a value allocates %d bytes, want < 1 MiB", blob.Len(), took)
 			}
 			var later bytes.Buffer
-			if n, err := kept.c.WriteTo(&later); err != nil || n != kept.c.Size() || !bytes.Equal(later.Bytes(), blob.Bytes()) {
+			if n, err := kept.WriteTo(&later); err != nil || n != kept.Size() || !bytes.Equal(later.Bytes(), blob.Bytes()) {
 				t.Errorf("the kept checkpoint, Size %d, encodes to %d bytes (%d, %v), not the %d written on the spot",
-					kept.c.Size(), later.Len(), n, err, blob.Len())
+					kept.Size(), later.Len(), n, err, blob.Len())
 			}
 			read := allocated(func() {
 				if err := eng.resume(bytes.NewReader(blob.Bytes())); err != nil {
@@ -232,10 +221,11 @@ func TestCaptureEncodesWhileTheRunGoesOn(t *testing.T) {
 	for _, eng := range []struct {
 		name  string
 		write func(io.Writer) (int64, error)
+		take  func() engine.Checkpoint
 		step  func()
 	}{
-		{"sync", sim.WriteCheckpoint, func() { sim.RunRound() }},
-		{"async", async.WriteCheckpoint, func() {
+		{"sync", sim.WriteCheckpoint, sim.Checkpoint, func() { sim.RunRound() }},
+		{"async", async.WriteCheckpoint, async.Checkpoint, func() {
 			if _, err := async.step(); err != nil {
 				t.Error(err)
 			}
@@ -246,20 +236,17 @@ func TestCaptureEncodesWhileTheRunGoesOn(t *testing.T) {
 				eng.step()
 			}
 			var eager bytes.Buffer
-			var kept keptCheckpoint
 			if _, err := eng.write(&eager); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.write(&kept); err != nil {
-				t.Fatal(err)
-			}
+			kept := eng.take()
 			encoded := make(chan []byte, 2)
 			for g := 0; g < cap(encoded); g++ {
 				go func() {
 					var buf bytes.Buffer
 					for i := 0; i < 3; i++ {
 						buf.Reset()
-						if _, err := kept.c.WriteTo(&buf); err != nil {
+						if _, err := kept.WriteTo(&buf); err != nil {
 							t.Error(err)
 						}
 					}

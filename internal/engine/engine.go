@@ -108,11 +108,21 @@ type Engine interface {
 	Step(ctx context.Context) (res *StepResult, done bool, err error)
 }
 
+// Checkpoint is a checkpoint as a value: it knows its size and writes its
+// bytes into whoever reads it — a file, a download, a resume — as often as
+// asked.
+type Checkpoint interface {
+	Size() int64
+	io.WriterTo
+}
+
 // Snapshotter is implemented by engines whose full state can be checkpointed
-// mid-run and later resumed bit-identically (core.Simulation via
-// WriteCheckpoint/ResumeSimulation).
+// mid-run and later resumed bit-identically (core.Simulation: Checkpoint,
+// then ResumeSimulation on its bytes). Checkpoint takes the state at the
+// current unit boundary; the run may go on, and the value stays the
+// checkpoint of that boundary.
 type Snapshotter interface {
-	WriteCheckpoint(w io.Writer) (int64, error)
+	Checkpoint() Checkpoint
 }
 
 // Report summarizes a Run.
@@ -138,7 +148,7 @@ type options struct {
 	hooks      []Hooks
 	probes     []probe
 	checkEvery int
-	checkOpen  func() (io.WriteCloser, error)
+	checkSave  func(Checkpoint) error
 }
 
 // WithHooks registers progress hooks. Multiple WithHooks options compose;
@@ -160,16 +170,17 @@ func WithProbe(name string, every int, fn func() float64) Option {
 	}
 }
 
-// WithCheckpoints writes a checkpoint every `every` completed units: open
-// returns the destination, which Run closes after writing. The engine must
-// implement Snapshotter; Run fails fast otherwise.
-func WithCheckpoints(every int, open func() (io.WriteCloser, error)) Option {
+// WithCheckpoints takes a checkpoint every `every` completed units and hands
+// it to save (WriteAtomic persists one to a file); a save error stops Run,
+// wrapped with the step. The engine must implement Snapshotter; Run fails
+// fast otherwise.
+func WithCheckpoints(every int, save func(Checkpoint) error) Option {
 	return func(o *options) {
 		if every <= 0 {
 			every = 1
 		}
 		o.checkEvery = every
-		o.checkOpen = open
+		o.checkSave = save
 	}
 }
 
@@ -192,7 +203,7 @@ func newLoop(e Engine, opts ...Option) (*loop, error) {
 	}
 	var isSnap bool
 	l.snap, isSnap = e.(Snapshotter)
-	if l.o.checkOpen != nil && !isSnap {
+	if l.o.checkSave != nil && !isSnap {
 		return l, fmt.Errorf("engine: %s does not support checkpoints", e.Name())
 	}
 	return l, nil
@@ -235,9 +246,9 @@ func (l *loop) step(ctx context.Context) (done bool, err error) {
 			}
 		}
 	}
-	if l.o.checkOpen != nil && l.rep.Steps%l.o.checkEvery == 0 {
-		if err := writeCheckpoint(l.snap, l.o.checkOpen, l.rep.Steps); err != nil {
-			return false, err
+	if l.o.checkSave != nil && l.rep.Steps%l.o.checkEvery == 0 {
+		if err := l.o.checkSave(l.snap.Checkpoint()); err != nil {
+			return false, fmt.Errorf("engine: checkpoint at step %d: %w", l.rep.Steps, err)
 		}
 	}
 	return false, nil
@@ -261,23 +272,4 @@ func Run(ctx context.Context, e Engine, opts ...Option) (*Report, error) {
 			return l.rep, nil
 		}
 	}
-}
-
-func writeCheckpoint(s Snapshotter, open func() (io.WriteCloser, error), step int) error {
-	w, err := open()
-	if err != nil {
-		return fmt.Errorf("engine: opening checkpoint at step %d: %w", step, err)
-	}
-	if _, err := s.WriteCheckpoint(w); err != nil {
-		if a, ok := w.(interface{ CloseWithError(error) error }); ok {
-			a.CloseWithError(err)
-		} else {
-			w.Close()
-		}
-		return fmt.Errorf("engine: writing checkpoint at step %d: %w", step, err)
-	}
-	if err := w.Close(); err != nil {
-		return fmt.Errorf("engine: closing checkpoint at step %d: %w", step, err)
-	}
-	return nil
 }

@@ -1,9 +1,12 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -205,9 +208,65 @@ func TestCheckpointsRequireSnapshotter(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = engine.Run(context.Background(), eng,
-		engine.WithCheckpoints(1, func() (io.WriteCloser, error) { return nil, nil }))
+		engine.WithCheckpoints(1, func(engine.Checkpoint) error { return nil }))
 	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("err = %v, want checkpoint-unsupported error", err)
+	}
+}
+
+// tornCheckpoint writes the first half of a checkpoint's bytes, then fails,
+// as a disk that fills up midway.
+type tornCheckpoint struct{ engine.Checkpoint }
+
+var errDiskFull = errors.New("disk full")
+
+func (c tornCheckpoint) WriteTo(w io.Writer) (int64, error) {
+	var buf bytes.Buffer
+	if _, err := c.Checkpoint.WriteTo(&buf); err != nil {
+		return 0, err
+	}
+	n, err := w.Write(buf.Bytes()[:buf.Len()/2])
+	if err != nil {
+		return int64(n), err
+	}
+	return int64(n), errDiskFull
+}
+
+// TestFailedSaveStopsRun: a save that fails stops Run at that unit with an
+// error naming the step and wrapping the save's, and a save through
+// WriteAtomic leaves the previous checkpoint file whole.
+func TestFailedSaveStopsRun(t *testing.T) {
+	sim, err := core.NewSimulation(testFed(8), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.sdc")
+	var last bytes.Buffer // the bytes of the last checkpoint saved whole
+	rep, err := engine.Run(context.Background(), sim, engine.WithCheckpoints(2, func(c engine.Checkpoint) error {
+		if sim.Round() == 6 {
+			return engine.WriteAtomic(path, tornCheckpoint{c})
+		}
+		last.Reset()
+		if _, err := c.WriteTo(&last); err != nil {
+			return err
+		}
+		return engine.WriteAtomic(path, c)
+	}))
+	if !errors.Is(err, errDiskFull) || !strings.Contains(err.Error(), "step 6") {
+		t.Fatalf("Run returned %v, want the save's error at step 6", err)
+	}
+	if rep.Steps != 6 || rep.Completed {
+		t.Fatalf("report %+v, want a run stopped after step 6", rep)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(got, last.Bytes()) {
+		t.Fatalf("after the failed save the file holds %d bytes (%v), want the %d of step 4", len(got), err, last.Len())
+	}
+	if _, err := core.ResumeSimulation(testFed(8), testConfig(), bytes.NewReader(got)); err != nil {
+		t.Fatal(err)
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+		t.Fatalf("temp file left behind: %v", entries)
 	}
 }
 

@@ -17,11 +17,12 @@
 //
 // # Checkpoints
 //
-// A run's checkpoint is a capture, not a blob. At the cadence (and at a
-// pause) the engine hands its sink a core.Checkpoint: the tangle and the
-// engine state pinned where they stand — the ledger is append-only and the
-// engine never writes into a history row or parameter vector it holds, so
-// that costs a few words per live transaction and per client. The bytes are
+// A run's checkpoint is a capture, not a blob. At the cadence (WithCheckpoints'
+// save) and at a pause (settle) the engine hands over an engine.Checkpoint,
+// and one function, run.keep, installs it: the tangle and the engine state
+// pinned where they stand — the ledger is append-only and the engine never
+// writes into a history row or parameter vector it holds, so that costs a
+// few words per live transaction and per client. The bytes are
 // produced when someone reads: GET /runs/{id}/checkpoint encodes into the
 // response, Resume into the decoder, Shutdown into the state directory, each
 // without a lock and without reading anything the run still writes; a

@@ -1030,45 +1030,10 @@ var cadenceRequests = map[string]RunRequest{
 		DepthMin: 3, DepthMax: 6, CompactWidth: 2, CompactLive: 2, Workers: 2},
 }
 
-// keptCheckpoints is the daemon's sink under observation: it takes the value
-// the way memCheckpoint does and, instead of installing it on a run, keeps
-// every one — with what the process allocated between open and Close, which
-// is one cadence checkpoint and nothing else.
-type keptCheckpoints struct {
-	memCheckpoint
-	all    []*core.Checkpoint
-	allocs []uint64
-	before uint64
-}
-
 func totalAlloc() uint64 {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return m.TotalAlloc
-}
-
-func (k *keptCheckpoints) open() (io.WriteCloser, error) {
-	k.before = totalAlloc()
-	return k, nil
-}
-
-func (k *keptCheckpoints) Close() error {
-	k.allocs = append(k.allocs, totalAlloc()-k.before)
-	k.all = append(k.all, k.ckpt)
-	k.ckpt = nil
-	return nil
-}
-
-// eagerCheckpoints collects the bytes of every cadence checkpoint.
-type eagerCheckpoints struct {
-	bytes.Buffer
-	all [][]byte
-}
-
-func (e *eagerCheckpoints) Close() error {
-	e.all = append(e.all, bytes.Clone(e.Bytes()))
-	e.Reset()
-	return nil
 }
 
 // TestCadenceCaptureEncodesLater: a cadence checkpoint handed over as a value
@@ -1083,32 +1048,47 @@ func TestCadenceCaptureEncodesLater(t *testing.T) {
 			req.normalize()
 			s := NewServer(Config{Workers: 2})
 			defer s.Shutdown(context.Background())
-			run := func(open func() (io.WriteCloser, error)) {
+			run := func(opts ...engine.Option) {
 				t.Helper()
 				eng, err := s.buildEngine(&req, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := engine.Run(context.Background(), eng, engine.WithCheckpoints(4, open)); err != nil {
+				if _, err := engine.Run(context.Background(), eng, opts...); err != nil {
 					t.Fatal(err)
 				}
 			}
-			var kept keptCheckpoints
-			run(kept.open)
-			var eager eagerCheckpoints
-			run(func() (io.WriteCloser, error) { return &eager, nil })
-			if len(kept.all) < 2 || len(kept.all) != len(eager.all) {
-				t.Fatalf("%d captures, %d eager checkpoints", len(kept.all), len(eager.all))
+			// Kept as the daemon keeps them, with what the process allocated
+			// between the unit's last hook and the save — taking one cadence
+			// checkpoint and nothing else.
+			var kept []engine.Checkpoint
+			var allocs []uint64
+			var before uint64
+			run(engine.WithHooks(engine.Hooks{OnRound: func(engine.RoundEvent) { before = totalAlloc() }}),
+				engine.WithCheckpoints(4, func(c engine.Checkpoint) error {
+					allocs = append(allocs, totalAlloc()-before)
+					kept = append(kept, c)
+					return nil
+				}))
+			var eager [][]byte
+			run(engine.WithCheckpoints(4, func(c engine.Checkpoint) error {
+				var b bytes.Buffer
+				_, err := c.WriteTo(&b)
+				eager = append(eager, b.Bytes())
+				return err
+			}))
+			if len(kept) < 2 || len(kept) != len(eager) {
+				t.Fatalf("%d captures, %d eager checkpoints", len(kept), len(eager))
 			}
-			floors := make([]dag.ID, len(kept.all))
-			for i, c := range kept.all {
+			floors := make([]dag.ID, len(kept))
+			for i, c := range kept {
 				var got bytes.Buffer
 				n, err := c.WriteTo(&got)
 				if err != nil || n != c.Size() || int64(got.Len()) != c.Size() {
 					t.Fatalf("capture %d: WriteTo = %d, %v into %d bytes, Size is %d", i, n, err, got.Len(), c.Size())
 				}
-				if !bytes.Equal(got.Bytes(), eager.all[i]) {
-					t.Fatalf("capture %d, encoded after the run, differs from the %d bytes written at its step", i, len(eager.all[i]))
+				if !bytes.Equal(got.Bytes(), eager[i]) {
+					t.Fatalf("capture %d, encoded after the run, differs from the %d bytes written at its step", i, len(eager[i]))
 				}
 				_, d, err := core.InspectCheckpoint(&got)
 				if err != nil {
@@ -1124,11 +1104,11 @@ func TestCadenceCaptureEncodesLater(t *testing.T) {
 			if req.Async && floors[last] <= floors[0] {
 				t.Errorf("live floors %v: nothing captured live froze before it was encoded", floors)
 			}
-			if size := kept.all[last].Size(); kept.allocs[last] >= uint64(size)/16 {
-				t.Errorf("taking the last, %d-byte checkpoint allocated %d bytes, want < 1/16", size, kept.allocs[last])
+			if size := kept[last].Size(); allocs[last] >= uint64(size)/16 {
+				t.Errorf("taking the last, %d-byte checkpoint allocated %d bytes, want < 1/16", size, allocs[last])
 			}
 			t.Logf("%d captures of %d…%d bytes, live floor %d…%d; taking the last allocated %d bytes",
-				len(kept.all), kept.all[0].Size(), kept.all[last].Size(), floors[0], floors[last], kept.allocs[last])
+				len(kept), kept[0].Size(), kept[last].Size(), floors[0], floors[last], allocs[last])
 		})
 	}
 }
@@ -1183,22 +1163,5 @@ func TestCheckpointDownloadsWhileEpochsFreeze(t *testing.T) {
 	}
 	if len(sizes) < 2 {
 		t.Fatalf("downloads of sizes %v: the loop never saw the run move", sizes)
-	}
-}
-
-// TestFailedCheckpointInstallsNothing: a sink that was handed no checkpoint —
-// the engine's write failed — leaves the run's last checkpoint and its event
-// log as they were when the run loop closes it.
-func TestFailedCheckpointInstallsNothing(t *testing.T) {
-	r := &run{b: NewBroadcaster(8, 0), ckpt: checkpointFile("the last good one"), ckptStep: 25}
-	m := &memCheckpoint{r: r}
-	if _, err := m.Write([]byte("SDC2")); err == nil {
-		t.Fatal("the sink took bytes")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.status(); !st.HasCheckpoint || st.CheckpointStep != 25 || st.NextIndex != 0 {
-		t.Fatalf("run %+v, want its old checkpoint and an empty log", st)
 	}
 }

@@ -105,16 +105,7 @@ type hosted interface {
 	engine.Snapshotter
 }
 
-// checkpoint is what a run keeps of a checkpoint: a value that knows its size
-// and writes its bytes into whoever reads it — a download, a resume, the
-// state directory — as often as asked: the engine's capture
-// (*core.Checkpoint), encoded only then, or the file Restore read.
-type checkpoint interface {
-	Size() int64
-	io.WriterTo
-}
-
-// checkpointFile is a checkpoint as its bytes.
+// checkpointFile is a checkpoint as its bytes: the file Restore read.
 type checkpointFile []byte
 
 func (b checkpointFile) Size() int64 { return int64(len(b)) }
@@ -137,12 +128,12 @@ type run struct {
 	state     string
 	steps     int // completed engine units
 	err       string
-	handle    *engine.Handle // the run's scheduler job while running, else nil
-	eng       hosted         // the job's engine while running, else nil
-	pausing   bool           // Pause is stopping the job: settle checkpoints it instead of ending the run
-	ckpt      checkpoint     // latest checkpoint, nil if none yet
-	ckptIndex uint64         // event-log index the checkpoint resumes from
-	ckptStep  int            // engine units completed at the checkpoint
+	handle    *engine.Handle    // the run's scheduler job while running, else nil
+	eng       hosted            // the job's engine while running, else nil
+	pausing   bool              // Pause is stopping the job: settle checkpoints it instead of ending the run
+	ckpt      engine.Checkpoint // latest checkpoint, nil if none yet
+	ckptIndex uint64            // event-log index the checkpoint resumes from
+	ckptStep  int               // engine units completed at the checkpoint
 }
 
 // NewServer creates a server with its shared worker budget and routes.
@@ -365,7 +356,7 @@ func (r *RunRequest) Configs(pool *par.Budget) (sim.Spec, *core.Config, *core.As
 // from the checkpoint otherwise. Construction is a pure function of the
 // request (and the server's shared budget), which is what makes pause,
 // resume and daemon restarts bit-identical to an uninterrupted run.
-func (s *Server) buildEngine(req *RunRequest, ckpt checkpoint) (hosted, error) {
+func (s *Server) buildEngine(req *RunRequest, ckpt engine.Checkpoint) (hosted, error) {
 	spec, cfg, acfg, err := req.Configs(s.pool)
 	if err != nil {
 		return nil, err
@@ -548,8 +539,9 @@ func (s *Server) launch(r *run, eng hosted) error {
 				r.steps++
 				r.mu.Unlock()
 			}}),
-			engine.WithCheckpoints(every, func() (io.WriteCloser, error) {
-				return &memCheckpoint{r: r}, nil
+			engine.WithCheckpoints(every, func(c engine.Checkpoint) error {
+				r.keep(c)
+				return nil
 			}),
 		},
 		OnSettle: func(err error) { s.settle(r, err) },
@@ -586,12 +578,7 @@ func (s *Server) settle(r *run, err error) {
 		// No lock while the engine is captured: the job is gone, so nothing
 		// else appends to the log or touches the engine.
 		state = StatePaused
-		m := &memCheckpoint{r: r}
-		if _, err := eng.WriteCheckpoint(m); err != nil {
-			state, msg = StateFailed, fmt.Sprintf("checkpointing run %d: %v", r.id, err)
-		} else {
-			m.Close()
-		}
+		r.keep(eng.Checkpoint())
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -612,36 +599,18 @@ func (r *run) end(state, msg string) {
 	r.b.Close()
 }
 
-// memCheckpoint is the sink of a hosted run's checkpoints: it asks the engine
-// for the checkpoint as a value (KeepCheckpoint) instead of its bytes and
-// installs it on Close — if nothing was handed over, the write failed and the
-// run keeps the checkpoint it had. The cadence path closes it from the engine
-// loop between units and settle after the job has stopped, so at Close time
-// the run's step count is the checkpoint's and NextIndex() is exactly the
-// index the checkpoint resumes from.
-type memCheckpoint struct {
-	r    *run
-	ckpt *core.Checkpoint
-}
-
-func (m *memCheckpoint) KeepCheckpoint(c *core.Checkpoint) { m.ckpt = c }
-
-// Write refuses: buildEngine hosts only engines that hand the value over.
-func (m *memCheckpoint) Write([]byte) (int, error) {
-	return 0, errors.New("serve: a hosted run's checkpoint is kept as a value, not written")
-}
-
-func (m *memCheckpoint) Close() error {
-	if m.ckpt == nil {
-		return nil
-	}
-	r := m.r
+// keep installs c as the run's latest checkpoint and announces it with a
+// Checkpoint frame: the one way a hosted run's checkpoints arrive, from the
+// cadence (the engine loop, between units) and from a pause (settle, after
+// the job has stopped). Either way the run's step count is the checkpoint's
+// and NextIndex() is exactly the index the checkpoint resumes from. Nothing
+// is encoded: c is a capture, written only when someone reads it.
+func (r *run) keep(c engine.Checkpoint) {
 	r.mu.Lock()
-	r.ckpt, r.ckptIndex, r.ckptStep = m.ckpt, r.b.NextIndex(), r.steps
+	r.ckpt, r.ckptIndex, r.ckptStep = c, r.b.NextIndex(), r.steps
 	step := r.steps
 	r.mu.Unlock()
-	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: step, Size: m.ckpt.Size()}})
-	return nil
+	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: step, Size: c.Size()}})
 }
 
 // status snapshots a run's externally visible state.
@@ -868,7 +837,9 @@ type manifestEntry struct {
 	CheckpointStep  int        `json:"checkpoint_step"`
 }
 
-// persist writes every paused run's checkpoint and the manifest to Dir.
+// persist writes every paused run's checkpoint and the manifest to Dir, each
+// through engine.WriteAtomic: a crash mid-shutdown leaves the previous file
+// intact instead of a truncated one that Restore would refuse.
 func (s *Server) persist() error {
 	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
 		return fmt.Errorf("serve: creating checkpoint dir: %w", err)
@@ -895,7 +866,7 @@ func (s *Server) persist() error {
 				ext = ".sda"
 			}
 			e.CheckpointFile = fmt.Sprintf("run-%d%s", e.ID, ext)
-			if err := writeFileAtomic(filepath.Join(s.cfg.Dir, e.CheckpointFile), ckpt); err != nil {
+			if err := engine.WriteAtomic(filepath.Join(s.cfg.Dir, e.CheckpointFile), ckpt); err != nil {
 				return fmt.Errorf("serve: persisting run %d: %w", e.ID, err)
 			}
 		}
@@ -905,20 +876,10 @@ func (s *Server) persist() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(s.cfg.Dir, "runs.json"), bytes.NewReader(blob)); err != nil {
+	if err := engine.WriteAtomic(filepath.Join(s.cfg.Dir, "runs.json"), bytes.NewReader(blob)); err != nil {
 		return fmt.Errorf("serve: persisting manifest: %w", err)
 	}
 	return nil
-}
-
-// writeFileAtomic replaces path with data via temp file, sync and rename: a
-// crash mid-shutdown leaves the previous manifest (or checkpoint) intact
-// instead of a truncated one that Restore would refuse.
-func writeFileAtomic(path string, data io.WriterTo) error {
-	return engine.WriteAtomic(path, func(w io.Writer) error {
-		_, err := data.WriteTo(w)
-		return err
-	})
 }
 
 // Restore re-registers the runs a previous daemon persisted on shutdown.

@@ -12,7 +12,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 
 	"github.com/specdag/specdag/internal/core"
@@ -151,11 +150,6 @@ func LongHaul(ctx context.Context, env Env, p Preset, spillDir string, seed int6
 	}
 	sample()
 
-	ckptBytes, err := a.WriteCheckpoint(io.Discard)
-	if err != nil {
-		return nil, fmt.Errorf("sizing final checkpoint: %w", err)
-	}
-
 	d := a.DAG()
 	rep := &LongHaulReport{
 		Preset:          p.String(),
@@ -164,7 +158,7 @@ func LongHaul(ctx context.Context, env Env, p Preset, spillDir string, seed int6
 		Transactions:    d.Size(),
 		LiveFloor:       int(d.LiveFloor()),
 		PeakHeapBytes:   peak,
-		CheckpointBytes: ckptBytes,
+		CheckpointBytes: a.Checkpoint().Size(),
 	}
 	for _, e := range d.FrozenEpochs() {
 		rep.FrozenEpochs++

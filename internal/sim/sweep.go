@@ -95,11 +95,7 @@ func sweep(ctx context.Context, env Env, lines []line) ([]engine.Engine, error) 
 		}
 		// The final checkpoint carries the whole history, so a rerun
 		// resumes this line finished.
-		err := engine.WriteAtomic(l.checkpointPath(env.GridDir), func(w io.Writer) error {
-			_, err := snap.WriteCheckpoint(w)
-			return err
-		})
-		if err != nil {
+		if err := engine.WriteAtomic(l.checkpointPath(env.GridDir), snap.Checkpoint()); err != nil {
 			return nil, fmt.Errorf("%s: %w", l.name, err)
 		}
 	}
@@ -137,8 +133,8 @@ func (l line) build(env Env) (engine.Engine, []engine.Option, error) {
 	if _, ok := eng.(engine.Snapshotter); !ok {
 		return eng, nil, nil
 	}
-	return eng, []engine.Option{engine.WithCheckpoints(checkpointEvery, func() (io.WriteCloser, error) {
-		return engine.CreateAtomic(path)
+	return eng, []engine.Option{engine.WithCheckpoints(checkpointEvery, func(c engine.Checkpoint) error {
+		return engine.WriteAtomic(path, c)
 	})}, nil
 }
 

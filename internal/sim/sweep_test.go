@@ -86,7 +86,7 @@ func tinyLines(n int, seed int64, onRound func()) []line {
 func checkpointBytes(t *testing.T, eng engine.Engine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := eng.(engine.Snapshotter).WriteCheckpoint(&buf); err != nil {
+	if _, err := eng.(engine.Snapshotter).Checkpoint().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -78,11 +78,18 @@ func WithProbe(name string, every int, fn func() float64) RunOption {
 	return engine.WithProbe(name, every, fn)
 }
 
-// WithCheckpoints writes a full-state checkpoint every `every` completed
-// units; open returns the destination, which Run closes after writing. The
-// engine must be a *Simulation or an *AsyncSimulation.
-func WithCheckpoints(every int, open func() (io.WriteCloser, error)) RunOption {
-	return engine.WithCheckpoints(every, open)
+// Checkpoint is a full-state checkpoint as a value: Size is its length in
+// bytes, and WriteTo writes them — the bytes ResumeSimulation and
+// ResumeAsyncSimulation read — as often as asked, however the run has moved
+// on since.
+type Checkpoint = engine.Checkpoint
+
+// WithCheckpoints takes a full-state checkpoint every `every` completed units
+// and hands it to save, which persists it (Example_asyncDAG writes it to a
+// file atomically); a save error stops Run, wrapped with the step. The engine
+// must be a *Simulation or an *AsyncSimulation.
+func WithCheckpoints(every int, save func(Checkpoint) error) RunOption {
+	return engine.WithCheckpoints(every, save)
 }
 
 // ---- Multi-run scheduling ----
