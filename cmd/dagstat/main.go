@@ -54,6 +54,9 @@ func run() error {
 		flag.Usage()
 		return fmt.Errorf("missing -in")
 	}
+	if *top < 0 {
+		return fmt.Errorf("-top must not be negative, got %d", *top)
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {

@@ -144,3 +144,14 @@ func TestCheckpointReport(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeTopIsAnError: -top -1 is refused by name before the file is
+// read, instead of slicing the heaviest-transactions table out of range.
+func TestNegativeTopIsAnError(t *testing.T) {
+	defer func(args []string, flags *flag.FlagSet) { os.Args, flag.CommandLine = args, flags }(os.Args, flag.CommandLine)
+	flag.CommandLine = flag.NewFlagSet("dagstat", flag.ContinueOnError)
+	os.Args = []string{"dagstat", "-in", "../../internal/core/testdata/golden_sync_v3.sdc", "-top", "-1"}
+	if err := run(); err == nil || !strings.Contains(err.Error(), "-top must not be negative, got -1") {
+		t.Fatalf("dagstat -top -1: %v, want an error naming -top", err)
+	}
+}

@@ -90,6 +90,14 @@ func parseFlags(args []string) (addr string, cfg serve.Config, grace time.Durati
 			return "", serve.Config{}, 0, fmt.Errorf("-%s must not be negative, got %d", f.name, f.value)
 		}
 	}
+	// These two have no "default" spelling: a cadence below one unit and a
+	// grace period that is already over are typos.
+	if cfg.CheckpointEvery < 1 {
+		return "", serve.Config{}, 0, fmt.Errorf("-checkpoint-every must be at least 1, got %d", cfg.CheckpointEvery)
+	}
+	if grace <= 0 {
+		return "", serve.Config{}, 0, fmt.Errorf("-grace must be positive, got %v", grace)
+	}
 	return addr, cfg, grace, nil
 }
 
@@ -128,8 +136,9 @@ func run(ctx context.Context, ln net.Listener, cfg serve.Config, grace time.Dura
 	defer cancel()
 	// Stop accepting new work first, then quiesce the runs: open event
 	// streams end when their runs settle, so Shutdown order matters.
-	if err := s.Shutdown(ctx); err != nil {
-		log.Printf("pausing runs: %v", err)
+	shutErr := s.Shutdown(ctx)
+	if shutErr != nil {
+		log.Printf("pausing runs: %v", shutErr)
 	}
 	for _, st := range s.Statuses() {
 		log.Printf("run %d (%s): %s at step %d", st.ID, st.Dataset, st.State, st.Steps)
@@ -140,7 +149,7 @@ func run(ctx context.Context, ln net.Listener, cfg serve.Config, grace time.Dura
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if dir != "" {
+	if dir != "" && shutErr == nil {
 		log.Printf("state persisted to %s", dir)
 	}
 	return nil

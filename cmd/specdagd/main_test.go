@@ -41,6 +41,10 @@ func TestParseFlags(t *testing.T) {
 		{name: "negative quantum", args: []string{"-quantum", "-1"}, errHas: "-quantum must not be negative"},
 		{name: "negative max-runs", args: []string{"-max-runs", "-1"}, errHas: "-max-runs must not be negative"},
 		{name: "negative max-runs-per-tenant", args: []string{"-max-runs-per-tenant", "-1"}, errHas: "-max-runs-per-tenant must not be negative"},
+		{name: "zero checkpoint-every", args: []string{"-checkpoint-every", "0"}, errHas: "-checkpoint-every must be at least 1, got 0"},
+		{name: "negative checkpoint-every", args: []string{"-checkpoint-every", "-3"}, errHas: "-checkpoint-every must be at least 1, got -3"},
+		{name: "zero grace", args: []string{"-grace", "0s"}, errHas: "-grace must be positive, got 0s"},
+		{name: "negative grace", args: []string{"-grace", "-1s"}, errHas: "-grace must be positive, got -1s"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr, cfg, grace, err := parseFlags(tc.args)

@@ -49,14 +49,12 @@ type AsyncConfig struct {
 	// MinCycle of the one a Step pops are computed together — walks,
 	// training, evaluations — those less than the propagation delay apart
 	// side by side, and each commits in its own Step in event order,
-	// observing the DAG state its timestamp implies. The tangle's
-	// level-parallel cumulative-weight sweep, which weighted selectors run
-	// on large uncompacted tangles, draws from the same bound. 0 (the
-	// default) uses runtime.NumCPU(); 1 computes each window inline. Results
-	// are identical for any worker count.
+	// observing the DAG state its timestamp implies. 0 (the default) uses
+	// runtime.NumCPU(); 1 computes each window inline. Results are identical
+	// for any worker count.
 	Workers int
-	// Pool, when set, is the shared worker budget the window fan-out and the
-	// sweep draw from (see Config.Pool).
+	// Pool, when set, is the shared worker budget the window fan-out draws
+	// from (see Config.Pool).
 	Pool *par.Budget
 	// Compaction, when enabled, freezes epochs of old DAG history out of
 	// memory (summaries retained, params optionally spilled to disk) so

@@ -187,10 +187,6 @@ func newBody(fed *dataset.Federation, p params, horizon float64) (*body, error) 
 	root := xrand.New(p.seed)
 	genesis := nn.New(p.arch, root.Split("genesis"))
 	b := &body{params: p, fed: fed, root: root, tangle: dag.New(genesis.ParamsCopy()), genesis: genesis}
-	// The tangle's cumulative-weight sweep (WeightedWalk's bias) fans out
-	// over the same budget as the engine; results are worker-count
-	// invariant, so this only affects wall clock.
-	b.tangle.SetParallelism(p.pool, p.workers)
 	if p.compaction.Enabled() {
 		if err := b.tangle.SetCompaction(p.compaction); err != nil {
 			return nil, err

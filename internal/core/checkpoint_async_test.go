@@ -68,8 +68,8 @@ func assertAsyncEventsIdentical(t *testing.T, a, b []AsyncEvent) {
 // event index, checkpoint, resume, finish — the remaining event stream, the
 // final per-client statistics and the DAG must be bit-identical to a run
 // that was never interrupted, across worker counts, propagation delays,
-// reference averaging, in-flight (pending) transactions, and the
-// parallel cumulative-weight sweep.
+// reference averaging, in-flight (pending) transactions, and weighted
+// walks over a tangle of more than 128 transactions.
 func TestAsyncCheckpointResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -77,7 +77,7 @@ func TestAsyncCheckpointResumeBitIdentical(t *testing.T) {
 		mutate        func(*AsyncConfig)
 		resumeMutate  func(*AsyncConfig) // applied to the resuming config only
 		wantPending   bool               // require in-flight transactions at the cut
-		wantParallel  bool               // require the DAG to cross the parallel-CW threshold
+		wantLarge     bool               // require the DAG to end above 128 transactions
 		minEventsLeft int                // sanity: the cut must leave work to resume
 	}{
 		{name: "baseline", cutAt: 10, mutate: func(c *AsyncConfig) {}, minEventsLeft: 5},
@@ -92,19 +92,19 @@ func TestAsyncCheckpointResumeBitIdentical(t *testing.T) {
 		{name: "resume-across-worker-counts", cutAt: 10,
 			mutate:       func(c *AsyncConfig) { c.Workers = 1 },
 			resumeMutate: func(c *AsyncConfig) { c.Workers = 4 }, minEventsLeft: 5},
-		// Mirror TestWorkerCountInvariance's parallel-sweep case: grow the
-		// tangle past the parallel cumulative-weight threshold (128 txs) with
-		// a shared budget. The cut lands before the threshold, so it is the
-		// resumed run that crosses into the level-parallel sweep over the
-		// restored DAG's CSR adjacency.
-		{name: "parallel-sweep", cutAt: 100, mutate: func(c *AsyncConfig) {
+		// Mirror TestWorkerCountInvariance's weighted-walk-large case: weighted
+		// walks with a shared budget on a tangle that grows past 128
+		// transactions. The cut lands before that, so it is the resumed run
+		// that computes the cumulative weights of the larger tangle over the
+		// restored DAG.
+		{name: "weighted-walk-large", cutAt: 100, mutate: func(c *AsyncConfig) {
 			c.Duration = 25
 			c.MinCycle = 0.5
 			c.MaxCycle = 4
 			c.Selector = tipselect.WeightedWalk{Alpha: 0.1}
 			c.Workers = 4
 			c.Pool = par.NewBudget(4)
-		}, wantParallel: true, minEventsLeft: 50},
+		}, wantLarge: true, minEventsLeft: 50},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,8 +159,8 @@ func TestAsyncCheckpointResumeBitIdentical(t *testing.T) {
 			if !bytes.Equal(asyncDAGBytes(t, ref), asyncDAGBytes(t, resumed)) {
 				t.Fatal("serialized DAGs differ byte-for-byte")
 			}
-			if tc.wantParallel && ref.DAG().Size() <= 128 {
-				t.Fatalf("DAG has %d transactions; the parallel-sweep case needs > 128 — enlarge Duration", ref.DAG().Size())
+			if tc.wantLarge && ref.DAG().Size() <= 128 {
+				t.Fatalf("DAG has %d transactions; the weighted-walk-large case needs > 128 — enlarge Duration", ref.DAG().Size())
 			}
 		})
 	}

@@ -206,8 +206,9 @@ type Config struct {
 	// helper goroutines from it instead of spawning freely, so nested
 	// fan-outs (an experiment sweep running many simulations, each fanning
 	// over clients) never exceed the pool size in total. Workers remains the
-	// per-round cap. Results are unaffected — the pool only bounds
-	// concurrency.
+	// per-round cap. The tangle draws nothing from it: cumulative weights
+	// are swept on the goroutine that asks for them. Results are unaffected
+	// — the pool only bounds concurrency.
 	Pool *par.Budget
 	// Compaction, when enabled, freezes epochs (buckets of Width rounds) of
 	// old DAG history out of memory — summaries retained, params optionally

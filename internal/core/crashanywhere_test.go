@@ -198,10 +198,9 @@ func TestCrashAnywhereResumeEquivalenceAsync(t *testing.T) {
 }
 
 // TestCrashAnywhereResumeEquivalenceAsyncLarge is the sampled-index pass
-// over a run big enough to cross the parallel cumulative-weight threshold
-// (>128 transactions) under a shared worker budget: exhaustive resumption
-// would be quadratic, so it probes early, pre-threshold, post-threshold and
-// final indices.
+// over a weighted-walk run that grows past 128 transactions under a shared
+// worker budget: exhaustive resumption would be quadratic, so it probes
+// early, middle and final indices.
 func TestCrashAnywhereResumeEquivalenceAsyncLarge(t *testing.T) {
 	cfg := asyncConfig()
 	cfg.Duration = 25
@@ -216,7 +215,7 @@ func TestCrashAnywhereResumeEquivalenceAsyncLarge(t *testing.T) {
 	ckpts, refEvents, ref := asyncCheckpointsAtEveryEvent(t, cfg, fedSeed)
 	refDAG := asyncDAGBytes(t, ref)
 	if ref.DAG().Size() <= 128 {
-		t.Fatalf("DAG has %d transactions; the sampled pass must cross the 128-tx parallel threshold", ref.DAG().Size())
+		t.Fatalf("DAG has %d transactions; the sampled pass needs a run past 128", ref.DAG().Size())
 	}
 
 	n := len(refEvents)

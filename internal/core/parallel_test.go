@@ -146,11 +146,10 @@ func TestWorkerCountInvariance(t *testing.T) {
 		// selections per activation re-evaluates from scratch.
 		{"memo-disabled", func(c *Config) { c.EvalScope = EvalScopeNone; c.ReferenceWalks = 3 }},
 		{"eval-scope-none", func(c *Config) { c.EvalScope = EvalScopeNone }},
-		// Grow the tangle past the parallel cumulative-weight threshold with
-		// a shared budget, so the Workers=8 run exercises the level-parallel
-		// sweep (and the nested budget accounting) while Workers=1 stays on
-		// the sequential sweep — the sweeps must agree bit for bit.
-		{"weighted-walk-parallel-sweep", func(c *Config) {
+		// Weighted walks over a tangle of more than 128 transactions, the
+		// clients fanned out over a shared budget: Workers=1 and Workers=8
+		// must agree bit for bit.
+		{"weighted-walk-large", func(c *Config) {
 			c.Selector = tipselect.WeightedWalk{Alpha: 0.1}
 			c.DisablePublishGate = true
 			c.Rounds = 23

@@ -311,12 +311,10 @@ func (b *body) restore(com *snapshotCommon, d *dag.DAG, clients int) error {
 	}
 
 	// The restored tangle replaces the one the constructor configured:
-	// re-wire its cumulative-weight sweep to the configured budget, rebase the
-	// (cold) eval caches so their dense indexing starts at the live floor,
-	// exactly as the uninterrupted run's caches did, and point partial views
-	// at it.
+	// rebase the (cold) eval caches so their dense indexing starts at the
+	// live floor, exactly as the uninterrupted run's caches did, and point
+	// partial views at it.
 	b.tangle = d
-	b.tangle.SetParallelism(b.pool, b.workers)
 	b.rebaseCaches(b.tangle.LiveFloor())
 	b.resetViews()
 	return nil

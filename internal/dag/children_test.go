@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/xrand"
 )
 
@@ -26,53 +25,6 @@ func buildRandomDAG(t testing.TB, n int, seed int64) *DAG {
 		}
 	}
 	return d
-}
-
-// TestCumulativeWeightsParallelMatchesSequential pins the bit-identical
-// guarantee of the level-parallel sweep against the reference sequential
-// sweep, on DAGs above and below the parallel threshold.
-func TestCumulativeWeightsParallelMatchesSequential(t *testing.T) {
-	for _, n := range []int{2, 17, cumWeightsParallelMin, 700} {
-		d := buildRandomDAG(t, n, int64(n))
-		d.SetParallelism(par.NewBudget(4), 8)
-		txs := d.snapshot()
-		seq := weightMap(0, sweepWeights(txs, 0, ID(len(txs)), nil))
-		pll := d.cumulativeWeightsParallel(txs)
-		if len(seq) != len(pll) {
-			t.Fatalf("n=%d: weight map sizes differ: %d vs %d", n, len(seq), len(pll))
-		}
-		for id, w := range seq {
-			if pll[id] != w {
-				t.Fatalf("n=%d: weight of %d = %d (parallel) vs %d (sequential)", n, id, pll[id], w)
-			}
-		}
-	}
-}
-
-// TestCumulativeWeightsIgnoresConcurrentGrowth: the sweep must cover exactly
-// the snapshot taken at call time, even when children pointing past the
-// snapshot exist in the index.
-func TestCumulativeWeightsIgnoresConcurrentGrowth(t *testing.T) {
-	d := buildRandomDAG(t, 300, 1)
-	d.SetParallelism(nil, 4)
-	txs := d.snapshot()
-	want := weightMap(0, sweepWeights(txs, 0, ID(len(txs)), nil))
-	// Grow the DAG: the index now holds children beyond the old snapshot.
-	for i := 0; i < 50; i++ {
-		tips := d.Tips()
-		if _, err := d.Add(1000+i, 1000, []ID{tips[0], tips[len(tips)-1]}, []float64{1}, Meta{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := d.cumulativeWeightsParallel(txs)
-	if len(got) != len(want) {
-		t.Fatalf("weight map sizes differ: %d vs %d", len(got), len(want))
-	}
-	for id, w := range want {
-		if got[id] != w {
-			t.Fatalf("weight of %d changed under concurrent growth: %d vs %d", id, got[id], w)
-		}
-	}
 }
 
 // TestChildrenSnapshotImmutable: a snapshot taken before further appends must
@@ -104,7 +56,6 @@ func TestChildrenSnapshotImmutable(t *testing.T) {
 // race detector turns any unsafe publication into a failure.
 func TestConcurrentAddAndRead(t *testing.T) {
 	d := New([]float64{0})
-	d.SetParallelism(par.NewBudget(2), 2)
 	const total = 400
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -132,19 +83,19 @@ func TestConcurrentAddAndRead(t *testing.T) {
 					t.Errorf("NumChildren(%d) = %d shrank below earlier snapshot %d", id, got, len(kids))
 					return
 				}
-				if n > 5 {
-					// Both sweeps over the same mid-write snapshot must
-					// agree: the parallel sweep derives its adjacency from
-					// the snapshot's Parents, never the (possibly trailing)
-					// live child index.
-					txs := d.snapshot()
-					seq := weightMap(0, sweepWeights(txs, 0, ID(len(txs)), nil))
-					pll := d.cumulativeWeightsParallel(txs)
-					for id, w := range seq {
-						if pll[id] != w {
-							t.Errorf("mid-write sweep divergence at %d: %d vs %d", id, pll[id], w)
-							return
-						}
+				// The memo is read and filled while Add publishes: whatever
+				// snapshot CumulativeWeights swept (or found memoized), its
+				// map must be the sweep of a prefix of the tangle.
+				w := d.CumulativeWeights()
+				want := weightMap(0, sweepWeights(d.snapshot(), 0, ID(len(w)), nil))
+				if len(want) != len(w) {
+					t.Errorf("mid-write weights cover %d transactions, the prefix sweep %d", len(w), len(want))
+					return
+				}
+				for id, c := range want {
+					if w[id] != c {
+						t.Errorf("mid-write weight of %d = %d, the prefix sweep says %d", id, w[id], c)
+						return
 					}
 				}
 			}
@@ -173,19 +124,6 @@ func BenchmarkChildrenRead(b *testing.B) {
 			_ = kids
 		}
 	})
-}
-
-// BenchmarkCumulativeWeightsParallel1000 measures the level-parallel sweep
-// itself (bypassing the per-size memo that makes repeated CumulativeWeights
-// calls on a frozen tangle near-free).
-func BenchmarkCumulativeWeightsParallel1000(b *testing.B) {
-	d := buildRandomDAG(b, 1000, 5)
-	d.SetParallelism(nil, 0)
-	txs := d.snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.cumulativeWeightsParallel(txs)
-	}
 }
 
 // BenchmarkCumulativeWeightsCached measures the frozen-tangle fast path the

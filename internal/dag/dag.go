@@ -39,8 +39,9 @@
 //     band. The compaction freeze guard starts from that same search and
 //     memoizes its verdict on the transaction count (guardRoundLocked);
 //   - cumulative weight is one reverse-topological bitset sweep over an ID
-//     range with an optional visibility mask (sweepWeights), beside the
-//     level-parallel variant large uncompacted DAGs fan out to;
+//     range with an optional visibility mask (sweepWeights), run on the
+//     caller's goroutine for the whole DAG, the live suffix, a View, an
+//     Overlay and a freezing epoch alike;
 //   - the approval index is one append-mostly array with lock-free readers
 //     (childIndex);
 //   - the SDG1 snapshot and the SDS1 epoch spill are one record stream under
@@ -106,10 +107,6 @@ type DAG struct {
 	kids childIndex
 	tips idSet
 
-	// cwPool/cwWorkers parameterize CumulativeWeights' parallel sweep (see
-	// SetParallelism). Written before the DAG is shared; read-only afterwards.
-	cwPool    *par.Budget
-	cwWorkers int
 	// cwCache memoizes the last CumulativeWeights result. The DAG is
 	// append-only, so the size of the snapshot fully determines the weights:
 	// within a simulation round (tangle frozen) every walker reuses one
@@ -160,18 +157,11 @@ func New(genesisParams []float64) *DAG {
 	return d
 }
 
-// SetParallelism configures the worker budget CumulativeWeights' sweep draws
-// helper goroutines from: pool is the shared budget (nil spawns freely) and
-// workers the per-call cap (0 selects runtime.NumCPU(), 1 forces the
-// sequential sweep). Results are bit-identical for every setting — the sweep
-// is a bitset union, which is order-independent — so this only trades wall
-// clock for CPU. Call it while the DAG is still owned by a single goroutine
-// (engine construction time); it is not synchronized against concurrent
-// readers.
-func (d *DAG) SetParallelism(pool *par.Budget, workers int) {
-	d.cwPool = pool
-	d.cwWorkers = workers
-}
+// SetParallelism does nothing: every cumulative weight is one sequential
+// sweep on the caller's goroutine, and concurrency lives in the engines that
+// call the DAG. It remains only because the benchmark harness under bench/
+// still calls it; ROADMAP item 3a removes that call and then this method.
+func (d *DAG) SetParallelism(*par.Budget, int) {}
 
 // publish makes the current txs slice visible to lock-free readers. Caller
 // must hold d.mu (or own the DAG exclusively, as in New).
@@ -309,11 +299,6 @@ func (d *DAG) Ancestors(id ID) map[ID]struct{} {
 	return out
 }
 
-// cumWeightsParallelMin is the DAG size below which CumulativeWeights always
-// uses the sequential sweep: under ~a hundred transactions the level
-// bookkeeping costs more than the bitset ORs it parallelizes.
-const cumWeightsParallelMin = 128
-
 // CumulativeWeights returns, for every transaction, the number of
 // transactions that approve it directly or indirectly, plus one for itself —
 // the classic tangle weight of Fig. 3. Computed in O(V*E/64) with bitsets.
@@ -321,12 +306,9 @@ const cumWeightsParallelMin = 128
 //
 // The result is memoized per snapshot size (the DAG is append-only, so the
 // size determines the weights): the many walkers of one frozen-tangle round
-// share a single sweep. A cache miss sweeps the consistent snapshot taken
-// at call time and, for DAGs past cumWeightsParallelMin, fans out
-// level-by-level across the worker budget configured via SetParallelism:
-// transactions whose children are all in earlier levels are independent,
-// and bitset union is order-independent, so the parallel and sequential
-// sweeps are bit-identical.
+// share a single sweep. A cache miss runs sweepWeights over the live
+// suffix of the consistent snapshot taken at call time, on the caller's
+// goroutine.
 func (d *DAG) CumulativeWeights() map[ID]int {
 	txs := d.snapshot()
 	n := len(txs)
@@ -334,12 +316,7 @@ func (d *DAG) CumulativeWeights() map[ID]int {
 	if e := d.cwCache.Load(); e != nil && e.n == n && e.floor == floor {
 		return e.weights
 	}
-	var weights map[ID]int
-	if floor == 0 && n >= cumWeightsParallelMin && par.Workers(d.cwWorkers) > 1 {
-		weights = d.cumulativeWeightsParallel(txs)
-	} else {
-		weights = weightMap(floor, sweepWeights(txs, floor, ID(n), nil))
-	}
+	weights := weightMap(floor, sweepWeights(txs, floor, ID(n), nil))
 	// Concurrent fillers compute identical maps; last store wins.
 	d.cwCache.Store(&cwCacheEntry{n: n, floor: floor, weights: weights})
 	return weights
@@ -392,117 +369,6 @@ func weightMap(lo ID, counts []int) map[ID]int {
 		if c > 0 {
 			weights[lo+ID(i)] = c
 		}
-	}
-	return weights
-}
-
-// cumulativeWeightsParallel partitions the snapshot into levels — level g
-// holds the transactions whose longest child-chain within the snapshot has
-// length g — and computes each level's bitsets concurrently: a transaction
-// only reads the (completed) bitsets of its children, which all live in
-// strictly earlier levels. The formulation is parent-centric (each worker
-// writes exactly one transaction's bitset), so workers share no mutable
-// state within a level.
-//
-// The child adjacency is rebuilt from the snapshot's Parents edges rather
-// than read from the live child index: the index trails the published
-// transaction list during an in-flight Add, while Parents are part of the
-// snapshot itself — so the parallel sweep sees exactly the edge set the
-// sequential sweep sees, and the bit-identical guarantee holds even with
-// writers running.
-func (d *DAG) cumulativeWeightsParallel(txs []*Transaction) map[ID]int {
-	n := len(txs)
-	approvers := newBitsets(n)
-
-	// Snapshot-consistent CSR adjacency. Parents may repeat (a transaction
-	// approving the same parent twice); dedup to one child edge, as Add
-	// does for the live index. The loop handles any parent count so the two
-	// sweeps stay structurally equivalent if the 2-parent cap ever moves.
-	forEachUniqueParent := func(ps []ID, fn func(p ID)) {
-		for j, p := range ps {
-			dup := false
-			for _, q := range ps[:j] {
-				if q == p {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				fn(p)
-			}
-		}
-	}
-	degree := make([]int32, n+1)
-	for i := 1; i < n; i++ {
-		forEachUniqueParent(txs[i].Parents, func(p ID) { degree[p+1]++ })
-	}
-	for i := 0; i < n; i++ {
-		degree[i+1] += degree[i]
-	}
-	offsets := degree // prefix sums: children of p live in adj[offsets[p]:offsets[p+1]]
-	adj := make([]ID, offsets[n])
-	next := make([]int32, n)
-	copy(next, offsets[:n])
-	for i := 1; i < n; i++ {
-		forEachUniqueParent(txs[i].Parents, func(p ID) {
-			adj[next[p]] = ID(i)
-			next[p]++
-		})
-	}
-	children := func(p ID) []ID { return adj[offsets[p]:offsets[p+1]] }
-
-	// Assign levels bottom-up. Children always have larger IDs than their
-	// parents, so a single descending pass sees every child before its
-	// parent.
-	gen := make([]int32, n)
-	maxGen := int32(0)
-	counts := make([]int32, 1, 8) // counts[g] = number of transactions at level g
-	for i := n - 1; i >= 0; i-- {
-		g := int32(0)
-		for _, c := range children(ID(i)) {
-			if gen[c]+1 > g {
-				g = gen[c] + 1
-			}
-		}
-		gen[i] = g
-		if g > maxGen {
-			maxGen = g
-			counts = append(counts, 0)
-		}
-		counts[g]++
-	}
-	levels := make([][]ID, maxGen+1)
-	for g := range levels {
-		levels[g] = make([]ID, 0, counts[g])
-	}
-	for i := 0; i < n; i++ {
-		levels[gen[i]] = append(levels[gen[i]], ID(i))
-	}
-
-	// Level 0 is the childless frontier: its bitsets stay empty. Every later
-	// level unions the finished bitsets of strictly earlier levels.
-	for g := int32(1); g <= maxGen; g++ {
-		lvl := levels[g]
-		par.ForEachIn(d.cwPool, d.cwWorkers, len(lvl), func(k int) {
-			p := lvl[k]
-			dst := approvers[p]
-			for _, c := range children(p) {
-				src := approvers[c]
-				for w := range dst {
-					dst[w] |= src[w]
-				}
-				dst[int(c)/64] |= 1 << (uint(c) % 64)
-			}
-		})
-	}
-
-	popcounts := make([]int, n)
-	par.ForEachIn(d.cwPool, d.cwWorkers, n, func(i int) {
-		popcounts[i] = popcountSet(approvers[i])
-	})
-	weights := make(map[ID]int, n)
-	for i := 0; i < n; i++ {
-		weights[ID(i)] = 1 + popcounts[i]
 	}
 	return weights
 }

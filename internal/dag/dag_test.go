@@ -334,14 +334,3 @@ func BenchmarkAdd(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCumulativeWeights1000(b *testing.B) {
-	rng := xrand.New(2)
-	d := buildRandom(rng, 1000)
-	txs := d.snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Measure the sequential sweep itself, not the per-size memo.
-		weightMap(0, sweepWeights(txs, 0, ID(len(txs)), nil))
-	}
-}

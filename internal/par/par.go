@@ -1,7 +1,7 @@
 // Package par provides the bounded worker pools behind every parallel code
 // path of the simulator: the per-client fan-out of a simulation round, the
-// tangle's level-parallel weight sweep, the sweep cells (preset, seed,
-// variant) of the experiment harness, and federation generation. The last
+// async engine's lookahead windows, the sweep cells (preset, seed, variant)
+// of the experiment harness, and federation generation. The last
 // runs outside any budget (a nil one, GOMAXPROCS workers): a federation is
 // generated before the engines that would share a budget exist.
 //
