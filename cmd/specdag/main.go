@@ -122,6 +122,9 @@ func parseFlags(args []string) (*plan, error) {
 	if p.ckptEvery < 1 {
 		return nil, fmt.Errorf("-checkpoint-every must be at least 1, got %d", p.ckptEvery)
 	}
+	if !(*poisonFraction >= 0 && *poisonFraction <= 1) { // NaN too
+		return nil, fmt.Errorf("-poison-fraction %v outside [0, 1]", *poisonFraction)
+	}
 	req.Preset = sim.Quick.String()
 	if *full {
 		req.Preset = sim.Full.String()
@@ -130,8 +133,8 @@ func parseFlags(args []string) (*plan, error) {
 		return nil, fmt.Errorf("-compact-live/-compact-spill require -compact-width")
 	}
 	if req.Async {
-		if *poisonFraction > 0 {
-			return nil, fmt.Errorf("-poison-fraction is not supported with -async (the event-driven engine has no attack scenario)")
+		if *poisonFraction > 0 || *poisonStart != 0 {
+			return nil, fmt.Errorf("-poison-fraction and -poison-start are not supported with -async (the event-driven engine has no attack scenario)")
 		}
 		if req.Rounds > 0 || req.ClientsPerRound > 0 {
 			return nil, fmt.Errorf("-rounds/-clients-per-round do not apply with -async; the horizon is -duration (simulated seconds)")
@@ -165,6 +168,9 @@ func parseFlags(args []string) (*plan, error) {
 		return &p, nil
 	}
 	p.cfg.Compaction.SpillDir = *compactSpill
+	if *poisonStart < 0 || *poisonStart >= p.cfg.Rounds {
+		return nil, fmt.Errorf("-poison-start %d outside [0, %d), the run's rounds", *poisonStart, p.cfg.Rounds)
+	}
 	if *poisonFraction > 0 {
 		p.cfg.Poison = core.PoisonConfig{
 			Fraction:   *poisonFraction,

@@ -154,6 +154,12 @@ func TestParseFlagsRejections(t *testing.T) {
 		"-async -rounds 5":                        "-rounds",
 		"-async -clients-per-round 2":             "-clients-per-round",
 		"-async -poison-fraction 0.2":             "-poison-fraction",
+		"-poison-fraction -0.3":                   "-poison-fraction",
+		"-poison-fraction NaN":                    "-poison-fraction",
+		"-poison-fraction 1.5":                    "-poison-fraction",
+		"-poison-fraction 0.2 -poison-start -1":   "-poison-start",
+		"-rounds 10 -poison-start 10":             "-poison-start",
+		"-async -poison-start -5":                 "-poison-start",
 		"-compact-live 3":                         "-compact-width",
 		"-compact-spill dir":                      "-compact-width",
 		"-fault-scenario churn-25":                "requires -async",

@@ -250,8 +250,12 @@ func (c Config) Validate() error {
 	if c.EvalScope < EvalScopeRun || c.EvalScope > EvalScopeNone {
 		return fmt.Errorf("core: unknown EvalScope %d", c.EvalScope)
 	}
-	if p := c.Poison; p.Fraction < 0 || p.Fraction > 1 {
+	if p := c.Poison; !(p.Fraction >= 0 && p.Fraction <= 1) { // NaN too
 		return fmt.Errorf("core: poison fraction %v outside [0,1]", p.Fraction)
+	}
+	if c.Poison.StartRound < 0 {
+		// The labels flip at round == StartRound, which never comes.
+		return fmt.Errorf("core: poison StartRound must be >= 0, got %d", c.Poison.StartRound)
 	}
 	if c.Compaction.Enabled() && c.RevealDelay > 0 {
 		// Partial views let clients approve non-tip transactions, breaking

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -43,6 +44,9 @@ func TestConfigValidate(t *testing.T) {
 		{"bad arch", func(c *Config) { c.Arch.Out = 0 }, true},
 		{"negative ref walks", func(c *Config) { c.ReferenceWalks = -1 }, true},
 		{"bad poison fraction", func(c *Config) { c.Poison.Fraction = 1.5 }, true},
+		{"negative poison fraction", func(c *Config) { c.Poison.Fraction = -0.3 }, true},
+		{"NaN poison fraction", func(c *Config) { c.Poison.Fraction = math.NaN() }, true},
+		{"negative poison start", func(c *Config) { c.Poison.StartRound = -1 }, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -19,22 +19,31 @@ import "fmt"
 // gate (sim.TestExperimentsGolden) all rest on. Any change to these loop orders
 // is a numerics change, even if it is algebraically neutral.
 //
-// On amd64 with AVX2, AffineRows, AccumGrads and BackpropReLUDelta run
-// assembly bodies (kernels_amd64.s) under the same contract, and the loops in
-// this file are the portable path and the oracle those bodies are diffed
-// against (kernels_amd64_test.go, and nn's differential suite once per path).
-// Vector lanes are independent output elements — four outputs of one sample,
-// or four weight columns of one output — never four terms of one sum; each
-// lane is still one accumulator taking its products in ascending index order;
-// multiply and add stay separate instructions, each rounding on its own (no
-// fused multiply-add: speclint's kernelorder reads the assembly for one); the
-// bias is added after the sum and exact-zero deltas are skipped where they
-// are skipped here. Every output word is therefore the same on both paths,
-// and which one a process runs (Backend) is a matter of speed only. What is
-// not promised, on either path: which NaN comes out. A NaN result is a NaN on
-// both, but its sign and payload bits follow the hardware's operand-order
-// rules, which differ between scalar and vector code; nothing downstream
-// reads them.
+// On amd64 with AVX2, AffineRows, AccumGrads, BackpropReLUDelta and Axpy
+// (mathx.go, the SGD update) run assembly bodies (kernels_amd64.s) under the
+// same contract, and the Go loops are the portable path and the oracle those
+// bodies are diffed against (kernels_amd64_test.go, and nn's differential
+// suite once per path). Vector lanes are independent output elements — four
+// outputs of one sample, four weight columns of one output, four elements of
+// Axpy's y — never four terms of one sum; each lane is still one accumulator
+// taking its products in ascending index order; multiply and add stay
+// separate instructions, each rounding on its own (no fused multiply-add:
+// speclint's kernelorder reads the assembly for one); the bias is added after
+// the sum and exact-zero deltas are skipped where they are skipped here.
+// Every output word is therefore the same on both paths, and which one a
+// process runs (Backend) is a matter of speed only. What is not promised, on
+// either path: which NaN comes out. A NaN result is a NaN on both, but its
+// sign and payload bits follow the hardware's operand-order rules, which
+// differ between scalar and vector code; nothing downstream reads them.
+//
+// The softmax has one path, and its exponentials are math.Exp's. On amd64,
+// math.Exp runs a fused multiply-add sequence when the CPU has AVX and FMA
+// and a separately rounded one when it does not, so softmax bits — and with
+// them every golden that a probability or a loss reaches — follow the branch
+// the CPU takes. The goldens hold on the FMA branch, the one every box they
+// have been checked on takes; a CPU without FMA is unverified. A vector exp
+// with math.Exp's bits would need a fused instruction, which kernelorder bans
+// from this package's assembly.
 //
 // One kernel is skipped rather than reordered. A scorer that wants only the
 // predicted class (nn's Accuracy family, which is every evaluation inside a

@@ -59,6 +59,11 @@ func accumCols(dst, s, m, bias *float64, n, k, sStride, mStride int)
 //go:noescape
 func backpropRow(dst, s, m, act *float64, n, k, mStride int)
 
+// axpy adds alpha*x[i] to y[i] for i in [0, n); n must be positive.
+//
+//go:noescape
+func axpy(alpha float64, x, y *float64, n int)
+
 // affineRowsAVX2 is affineRows on tiles of eight and four rows, one call into
 // the assembly per tile. Every row is computed from scratch, so a row count
 // that is not a multiple of the tile is finished by a tile that ends at the

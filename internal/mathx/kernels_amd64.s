@@ -1,4 +1,4 @@
-// AVX2 bodies of AffineRows, AccumGrads and BackpropReLUDelta. The contract
+// AVX2 bodies of AffineRows, AccumGrads, BackpropReLUDelta and Axpy. The contract
 // is the one in kernels.go, word for word: a vector lane is one independent
 // output element with one serial accumulator, products are consumed in
 // ascending index order, every multiply (VMULPD) is rounded before its add
@@ -600,6 +600,72 @@ bpTail:
 	VMASKMOVPD Y0, Y11, (BX)
 
 bpDone:
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------------
+// Axpy: y[i] += alpha*x[i]. A lane is one element: the product is rounded
+// (VMULPD) before it is added (VADDPD), as in the Go loop. Sixteen elements
+// a pass, then four, then one at a time (VMULSD, VADDSD).
+//
+// Registers: SI, DI = x and y at the next element; CX = elements left,
+// less the pass width while a pass is running; Y15 = alpha in every lane.
+
+// func axpy(alpha float64, x, y *float64, n int)
+TEXT ·axpy(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y15
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n+24(FP), CX
+	SUBQ         $16, CX
+	JL           axpy4
+
+	PCALIGN $32
+axpyLoop16:
+	VMULPD  0(SI), Y15, Y0
+	VMULPD  32(SI), Y15, Y1
+	VMULPD  64(SI), Y15, Y2
+	VMULPD  96(SI), Y15, Y3
+	VADDPD  0(DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JGE     axpyLoop16
+
+axpy4:
+	ADDQ $12, CX
+	JL   axpyTail
+
+axpyLoop4:
+	VMULPD  (SI), Y15, Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JGE     axpyLoop4
+
+axpyTail:
+	ADDQ $4, CX
+	JZ   axpyDone
+
+axpyLoop1:
+	VMULSD (SI), X15, X0
+	VADDSD (DI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JNZ    axpyLoop1
+
+axpyDone:
 	VZEROUPPER
 	RET
 

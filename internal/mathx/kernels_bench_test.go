@@ -21,7 +21,12 @@ var kernelBackends = []kernelBackend{{"generic", func(b *testing.B, f func()) { 
 // 20 test rows and its 10-row minibatch, CIFAR-100's 32→100 head.
 var benchShapes = []struct{ rows, in, out int }{{10, 16, 8}, {20, 64, 32}, {10, 64, 32}, {10, 32, 100}}
 
-// BenchmarkKernels reports ns per row for the three hot kernels:
+// axpyLengths are the parameter counts the SGD update runs over: FMNIST's
+// 2 410 and CIFAR-100's 5 380.
+var axpyLengths = []int{2410, 5380}
+
+// BenchmarkKernels reports ns per row for the three hot layer kernels and ns
+// per element for Axpy:
 //
 //	go test -run '^$' -bench Kernels ./internal/mathx
 func BenchmarkKernels(b *testing.B) {
@@ -50,6 +55,20 @@ func BenchmarkKernels(b *testing.B) {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.rows), "ns/row")
 				})
 			}
+		}
+		for _, n := range axpyLengths {
+			b.Run(fmt.Sprintf("%s/axpy/%d", be.name, n), func(b *testing.B) {
+				g := lcg(1)
+				x, y := randVec(&g, n), randVec(&g, n)
+				be.with(b, func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						// A step small enough that y stays normal over any b.N.
+						Axpy(-1e-9, x, y)
+					}
+				})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+			})
 		}
 	}
 }

@@ -6,6 +6,7 @@ package mathx
 // the dispatch branches on this constant fold away.
 const useAVX2 = false
 
+func axpy(alpha float64, x, y *float64, n int)                       {}
 func affineRowsAVX2(x Matrix, w, b []float64, out Matrix, relu bool) {}
 func accumGradsAVX2(delta, act Matrix, wg, bg []float64)             {}
 func backpropReLUDeltaAVX2(delta Matrix, w []float64, act, prev Matrix) {

@@ -34,14 +34,21 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x in place. It panics if lengths differ.
+// Axpy computes y += alpha*x in place, each element as one rounded product
+// then one rounded sum. It panics if lengths differ. On amd64 with AVX2 it
+// runs a vector body with the same bits (kernels.go's contract), which reads
+// x ahead of writing y: x may be y itself but must not otherwise overlap it.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("mathx: Axpy length mismatch")
 	}
+	if useAVX2 && len(x) > 0 {
+		axpy(alpha, &x[0], &y[0], len(x))
+		return
+	}
 	y = y[:len(x)] // bounds-check elimination
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += float64(alpha * v) // the conversion keeps the product rounded: no fused multiply-add
 	}
 }
 
@@ -140,12 +147,19 @@ func ArgMax(x []float64) int {
 }
 
 // SoftmaxInPlace converts logits x to a probability distribution in place,
-// using the stable shifted-exponent formulation.
+// using the stable shifted-exponent formulation. The shift is the max that
+// MinMax reports, found by the same v > max scan: a NaN at index 0 is the
+// shift, a later NaN never is, and of tied zeros the first wins.
 func SoftmaxInPlace(x []float64) {
 	if len(x) == 0 {
 		return
 	}
-	_, max := MinMax(x)
+	max := x[0]
+	for _, v := range x[1:] {
+		if v > max {
+			max = v
+		}
+	}
 	s := 0.0
 	for i, v := range x {
 		e := math.Exp(v - max)
@@ -257,7 +271,7 @@ func L2Dist(a, b []float64) float64 {
 }
 
 // Backend names the kernels this process runs: "avx2" where the assembly
-// bodies of AffineRows, AccumGrads and BackpropReLUDelta were selected at
+// bodies of AffineRows, AccumGrads, BackpropReLUDelta and Axpy were selected at
 // start-up, "generic" for the Go loops. The two produce the same bits
 // (kernels.go); the name is for whoever reads timings.
 func Backend() string {

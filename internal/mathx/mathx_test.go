@@ -8,6 +8,12 @@ import (
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
+// sameBits reports whether a and b are the same float64 word, treating any
+// two NaNs as equal: NaN payloads are outside the kernels' contract.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
 func TestDot(t *testing.T) {
 	tests := []struct {
 		name string
@@ -148,6 +154,60 @@ func TestSoftmaxStability(t *testing.T) {
 	SoftmaxInPlace(y)
 	if !almostEqual(y[1], 1, 1e-9) {
 		t.Fatalf("softmax should concentrate on the max, got %v", y)
+	}
+}
+
+// softmaxViaMinMax is SoftmaxInPlace with its shift taken from MinMax, as it
+// was before the shift scan dropped the minimum nobody read: the oracle the
+// max-only scan is held to.
+func softmaxViaMinMax(x []float64) {
+	if len(x) == 0 {
+		return
+	}
+	_, max := MinMax(x)
+	s := 0.0
+	for i, v := range x {
+		e := math.Exp(v - max)
+		x[i] = e
+		s += e
+	}
+	if s == 0 {
+		Fill(x, 1/float64(len(x)))
+		return
+	}
+	for i := range x {
+		x[i] /= s
+	}
+}
+
+// checkSoftmaxShift fails the test unless SoftmaxInPlace and the MinMax-shift
+// oracle agree on every word of row (any two NaNs agree).
+func checkSoftmaxShift(t *testing.T, row []float64) {
+	t.Helper()
+	got, want := CloneVec(row), CloneVec(row)
+	SoftmaxInPlace(got)
+	softmaxViaMinMax(want)
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("SoftmaxInPlace(%v)[%d] = %x (%v), MinMax shift gives %x (%v)",
+				row, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// TestSoftmaxShiftIsMinMaxMax pins the rows where a max scan could pick a
+// different shift than MinMax's: a NaN first (it is the shift, and every
+// probability is NaN) or later (never the shift), infinities, and ties for
+// the max between +0 and -0 in either order.
+func TestSoftmaxShiftIsMinMaxMax(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	for _, row := range [][]float64{
+		{nan}, {nan, 1, 2}, {1, nan, 2}, {1, 2, nan}, {-inf, nan, -inf},
+		{inf, 1}, {1, inf, inf}, {inf, -inf, nan}, {-inf, -inf}, {-inf, 3, -inf},
+		{0, negZero}, {negZero, 0}, {negZero, negZero, -1}, {-1, 0, negZero, 0},
+		{5}, {2, 2, 1}, {-1e308, 0}, {1000, 1000, 1000}, {math.MaxFloat64, -math.MaxFloat64},
+	} {
+		checkSoftmaxShift(t, row)
 	}
 }
 

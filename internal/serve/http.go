@@ -176,6 +176,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flush() // commit the header so clients see the magic before the first event
 
 	sub := run.b.Subscribe(from)
+	// Frames the subscriber is behind on go out together: the stream is
+	// flushed when it has caught up, not after every frame.
+	caughtUp := func() {
+		if sub.Cursor() >= run.b.NextIndex() {
+			flush()
+		}
+	}
 	for {
 		f, err := sub.Next(r.Context())
 		var gap *GapError
@@ -184,7 +191,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if ww.WriteFrame(&f) != nil {
 				return // client gone
 			}
-			flush()
+			caughtUp()
 		case errors.As(err, &gap):
 			// Resync first: the cursor lands on the oldest frame still in
 			// the ring *now*, so the dropped range is [gap.From, to) exactly.
@@ -195,17 +202,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			// — the subscriber sees a complete stream, no gap at all. Should
 			// the ring lap the cursor again during the replay, the next
 			// iteration handles the fresh GapError the same way.
-			replayed, rerr := run.b.ReplayGap(gap.From, to, func(f *wire.Frame) error {
-				if err := ww.WriteFrame(f); err != nil {
-					return err
-				}
-				flush()
-				return nil
-			})
+			replayed, rerr := run.b.ReplayGap(gap.From, to, func(f *wire.Frame) error { return ww.WriteFrame(f) })
 			if replayed {
 				if rerr != nil {
 					return // client gone mid-replay
 				}
+				caughtUp()
 				continue
 			}
 			// No spill coverage: tell the subscriber exactly what it missed
@@ -222,7 +224,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if ww.WriteFrame(&gf) != nil {
 				return
 			}
-			flush()
+			caughtUp()
 		case errors.Is(err, io.EOF):
 			return // log complete: the End frame was the last write
 		default:

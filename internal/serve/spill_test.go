@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -66,6 +67,57 @@ func TestSpillReplayEquivalence(t *testing.T) {
 		if f.Index != uint64(i) {
 			t.Fatalf("spill frame %d carries index %d — the file is not the contiguous log", i, f.Index)
 		}
+	}
+}
+
+// flushCounter is a ResponseWriter that counts the flushes asked of it.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestFinishedRunStreamsInTwoFlushes: every frame of a finished run is
+// already logged, so its stream is flushed twice, once for the header and
+// once when the End frame catches the subscriber up — from the ring, and
+// from the spill file when the ring kept almost nothing.
+func TestFinishedRunStreamsInTwoFlushes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ring", Config{Workers: 2}},
+		{"spill", Config{Workers: 2, Ring: 1, SpillDir: t.TempDir()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer(tc.cfg)
+			id, err := s.Submit(RunRequest{Dataset: "fmnist", Seed: 17, Rounds: 3, ClientsPerRound: 2, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, s, id, func(st RunStatus) bool { return st.State == StateDone })
+			w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+			s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/runs/"+strconv.Itoa(id)+"/events", nil))
+			frames, err := wire.ReadAll(w.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(frames) < 3 || frames[0].Kind != wire.KindStart || frames[len(frames)-1].Kind != wire.KindEnd {
+				t.Fatalf("streamed %d frames, want a Start…End log", len(frames))
+			}
+			for i, f := range frames {
+				if f.Index != uint64(i) {
+					t.Fatalf("frame %d carries index %d", i, f.Index)
+				}
+			}
+			if w.flushes > 2 {
+				t.Fatalf("%d frames took %d flushes, want at most 2 (the header and the End frame)", len(frames), w.flushes)
+			}
+		})
 	}
 }
 
