@@ -276,7 +276,7 @@ func NewAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig) (*AsyncSimulat
 	for i, c := range b.clients {
 		ac := &a.async[i]
 		crng := b.root.SplitIndex("async-client", c.id)
-		ac.cycleTime = cfg.MinCycle + crng.Float64()*(cfg.MaxCycle-cfg.MinCycle)
+		ac.cycleTime = cfg.MinCycle + float64(crng.Float64()*(cfg.MaxCycle-cfg.MinCycle))
 		if b.net != nil {
 			// Stragglers run every cycle slower by the configured factor (a
 			// factor of 1 is the exact identity for ordinary clients).

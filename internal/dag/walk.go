@@ -164,11 +164,23 @@ func (c *Codec) Float(v *float64) {
 		c.spill()
 		return
 	}
-	var b [8]byte
+	// Peek and Discard, as readFloats does: the bytes are read where they
+	// lie, with io.ReadFull's errors (io.EOF when none arrived,
+	// io.ErrUnexpectedEOF when some did).
+	var x uint64
 	if c.err == nil {
-		_, c.err = io.ReadFull(c.br, b[:])
+		b, err := c.br.Peek(8)
+		switch {
+		case err == nil:
+			x = binary.LittleEndian.Uint64(b)
+			c.br.Discard(8)
+		case err == io.EOF && len(b) > 0:
+			c.err = io.ErrUnexpectedEOF
+		default:
+			c.err = err
+		}
 	}
-	*v = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	*v = math.Float64frombits(x)
 }
 
 // Bool walks a bool.

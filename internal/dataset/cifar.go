@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/specdag/specdag/internal/mathx"
 	"github.com/specdag/specdag/internal/xrand"
@@ -121,17 +122,17 @@ func CIFAR100PAM(cfg CIFARConfig) *Federation {
 
 		// Pachinko allocation: client-specific Dirichlet over superclasses,
 		// then one Dirichlet per superclass over its subclasses.
-		rootDist := crng.Dirichlet(cfg.RootAlpha, cfg.Superclasses)
-		leafDists := make([][]float64, cfg.Superclasses)
+		rootDist := newClassTable(crng.Dirichlet(cfg.RootAlpha, cfg.Superclasses))
+		leafDists := make([]classTable, cfg.Superclasses)
 
 		bld := NewBuilder(cfg.Dim, total, testFrac, crng.Split("split"))
 		superCounts := make([]int, cfg.Superclasses)
 		for i := 0; i < total; i++ {
-			super := crng.WeightedChoice(rootDist)
+			super := rootDist.pick(crng)
 			if leafDists[super] == nil {
-				leafDists[super] = crng.Dirichlet(cfg.LeafAlpha, cfg.SubPerSuper)
+				leafDists[super] = newClassTable(crng.Dirichlet(cfg.LeafAlpha, cfg.SubPerSuper))
 			}
-			sub := crng.WeightedChoice(leafDists[super])
+			sub := leafDists[super].pick(crng)
 			class := super*cfg.SubPerSuper + sub
 			sampleAroundInto(crng, protos[class], cfg.NoiseStd, bld.Grow(class))
 			superCounts[super]++
@@ -146,6 +147,43 @@ func CIFAR100PAM(cfg CIFARConfig) *Federation {
 		panic(fmt.Sprintf("dataset: generated invalid CIFAR federation: %v", err))
 	}
 	return fed
+}
+
+// classTable is a weight vector prepared for repeated WeightedChoice draws:
+// entry i is the running sum of the valid weights (positive, finite) through
+// weight i, added in WeightedChoice's order, so the last entry is its total.
+type classTable []float64
+
+// newClassTable prepares weights in place: the table is the same slice.
+func newClassTable(weights []float64) classTable {
+	acc := 0.0
+	for i, w := range weights {
+		if w > 0 && !math.IsInf(w, 1) && !math.IsNaN(w) {
+			acc += w
+		}
+		weights[i] = acc
+	}
+	return weights
+}
+
+// pick draws what rng.WeightedChoice(weights) draws, index and stream
+// position alike: Intn when no weight is valid, else one Float64.
+func (c classTable) pick(rng *xrand.RNG) int {
+	total := c[len(c)-1]
+	if total <= 0 {
+		return rng.Intn(len(c))
+	}
+	return c.search(rng.Float64() * total)
+}
+
+// search returns the first i with x < c[i], or the last index if none.
+func (c classTable) search(x float64) int {
+	for i, acc := range c {
+		if x < acc {
+			return i
+		}
+	}
+	return len(c) - 1
 }
 
 // majorityWithRandomTies returns the index of the maximum count, choosing

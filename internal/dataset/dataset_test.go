@@ -471,3 +471,65 @@ func TestSplitPreservesAllSamplesQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// weightedScan is WeightedChoice's search for a drawn x: the first index
+// whose running sum of valid weights exceeds x, else the last.
+func weightedScan(weights []float64, x float64) int {
+	acc := 0.0
+	for i, w := range weights {
+		if w > 0 && !math.IsInf(w, 1) && !math.IsNaN(w) {
+			acc += w
+		}
+		if x < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// TestClassTableMatchesWeightedChoice holds CIFAR's prepared class table to
+// WeightedChoice: the search at every running-sum boundary and either side
+// of it, and the drawn index and stream position for 500 seeds, on weights
+// with zeros, negatives, NaN and +Inf, and on weights none of which is valid
+// (WeightedChoice's Intn fallback).
+func TestClassTableMatchesWeightedChoice(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, weights := range [][]float64{
+		{1},
+		{0.2, 0.3, 0.5},
+		{0, 1, 0, 2, 0},
+		{0, 0, 3},
+		{-1, 0.5, nan, 0.25, inf, 0, 0.25},
+		{math.Inf(-1), 1e-300, 1, -0.0},
+		{0, 0, 0},
+		{-1, nan, inf},
+	} {
+		table := newClassTable(append([]float64(nil), weights...))
+		total := table[len(table)-1]
+		xs := []float64{0, math.SmallestNonzeroFloat64, 0.5 * total}
+		for _, c := range table {
+			xs = append(xs, c, math.Nextafter(c, -1), math.Nextafter(c, 2*total+1))
+		}
+		for _, x := range xs {
+			if x < 0 || (total > 0 && x >= total) {
+				continue // Float64()·total lies in [0, total)
+			}
+			got := table.search(x)
+			if want := weightedScan(weights, x); got != want {
+				t.Errorf("weights %v: search(%v) = %d, want %d", weights, x, got, want)
+			}
+			if w := weights[got]; total > 0 && !(w > 0 && !math.IsInf(w, 1)) {
+				t.Errorf("weights %v: search(%v) = %d, whose weight %v cannot be drawn", weights, x, got, w)
+			}
+		}
+		for seed := int64(0); seed < 500; seed++ {
+			a, b := xrand.New(seed), xrand.New(seed)
+			if got, want := table.pick(b), a.WeightedChoice(weights); got != want {
+				t.Fatalf("weights %v, seed %d: pick = %d, WeightedChoice = %d", weights, seed, got, want)
+			}
+			if a.Int63() != b.Int63() {
+				t.Fatalf("weights %v, seed %d: pick and WeightedChoice leave the stream in different places", weights, seed)
+			}
+		}
+	}
+}

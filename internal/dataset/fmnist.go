@@ -126,7 +126,7 @@ func FMNISTClustered(cfg FMNISTConfig) *Federation {
 			foreignFrac := 0.0
 			if cfg.RelaxedMax > 0 {
 				lo, hi := cfg.RelaxedMin, cfg.RelaxedMax
-				foreignFrac = lo + crng.Float64()*(hi-lo)
+				foreignFrac = lo + float64(crng.Float64()*(hi-lo))
 			}
 			for i := 0; i < total; i++ {
 				var class int
@@ -162,11 +162,13 @@ func classPrototypes(rng *xrand.RNG, classes, dim int) [][]float64 {
 	return protos
 }
 
-// sampleAroundInto fills dst with prototype + N(0, std^2) noise, drawing
-// the per-dimension noise in the same order as the old allocating variant so
-// generated federations are byte-identical.
+// sampleAroundInto fills dst with prototype + N(0, std^2) noise: the row's
+// standard normals in one draw, then p + Normal(0, std)'s own expression,
+// so every value has the bits a per-dimension Normal call gave it.
 func sampleAroundInto(rng *xrand.RNG, proto []float64, std float64, dst []float64) {
+	dst = dst[:len(proto)]
+	rng.NormFloat64s(dst)
 	for i, p := range proto {
-		dst[i] = p + rng.Normal(0, std)
+		dst[i] = p + (0 + float64(std*dst[i]))
 	}
 }

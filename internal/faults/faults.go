@@ -229,8 +229,8 @@ func New(cfg Config, root *xrand.RNG, clientIDs []int, horizon float64) (*Model,
 		for _, i := range m.rng.Split("churn").SampleWithoutReplacement(len(ids), n) {
 			id := ids[i]
 			wrng := m.rng.SplitIndex("churn-window", id)
-			from := wrng.Float64() * horizon
-			to := from + (0.25+0.75*wrng.Float64())*cfg.MaxDowntime
+			from := float64(wrng.Float64() * horizon)
+			to := from + float64((0.25+float64(0.75*wrng.Float64()))*cfg.MaxDowntime)
 			m.crash[id] = Window{From: from, To: to}
 		}
 	}
@@ -360,7 +360,7 @@ func (m *Model) Deliver(pubSeq, publisher, observer int, pubTime float64) Delive
 	if m.cfg.Jitter > 0 || m.cfg.DropProb > 0 || m.cfg.DupProb > 0 {
 		rng := m.rng.SplitIndex("deliver", pubSeq).SplitIndex("observer", observer)
 		if m.cfg.Jitter > 0 {
-			d.VisibleAt += rng.Float64() * m.cfg.Jitter
+			d.VisibleAt += float64(rng.Float64() * m.cfg.Jitter)
 		}
 		for m.cfg.DropProb > 0 && rng.Float64() < m.cfg.DropProb {
 			d.VisibleAt += m.cfg.Retransmit

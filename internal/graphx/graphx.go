@@ -165,7 +165,7 @@ func Modularity(g *Graph, partition map[int]int) float64 {
 		q += intra[c] / m
 	}
 	for _, c := range comms {
-		q -= (degSum[c] / two) * (degSum[c] / two)
+		q -= float64((degSum[c] / two) * (degSum[c] / two))
 	}
 	return q
 }

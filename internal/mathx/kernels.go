@@ -19,6 +19,15 @@ import "fmt"
 // gate (sim.TestExperimentsGolden) all rest on. Any change to these loop orders
 // is a numerics change, even if it is algebraically neutral.
 //
+// Every product that feeds a sum is rounded explicitly, a += float64(x*w):
+// the Go spec lets a compiler fuse x*w + a into one multiply-add wherever no
+// conversion stands between them, and the arm64 backend does, which would
+// move the last bit of every sum on that platform. On amd64 the conversion
+// compiles to nothing. The same holds for every deterministic package, and
+// CI's "no fused multiply-add on arm64" step builds ./internal/... for arm64
+// with -S and fails on any fused instruction. math.Exp (below) and math.Pow
+// are then the only platform caveats left.
+//
 // On amd64 with AVX2, AffineRows, AccumGrads, BackpropReLUDelta and Axpy
 // (mathx.go, the SGD update) run assembly bodies (kernels_amd64.s) under the
 // same contract, and the Go loops are the portable path and the oracle those
@@ -105,14 +114,14 @@ func affineRows(x Matrix, w, b []float64, out Matrix, relu bool) {
 			x4, x5, x6, x7 := x4[:len(row)], x5[:len(row)], x6[:len(row)], x7[:len(row)]
 			var a0, a1, a2, a3, a4, a5, a6, a7 float64
 			for i, wv := range row {
-				a0 += x0[i] * wv
-				a1 += x1[i] * wv
-				a2 += x2[i] * wv
-				a3 += x3[i] * wv
-				a4 += x4[i] * wv
-				a5 += x5[i] * wv
-				a6 += x6[i] * wv
-				a7 += x7[i] * wv
+				a0 += float64(x0[i] * wv)
+				a1 += float64(x1[i] * wv)
+				a2 += float64(x2[i] * wv)
+				a3 += float64(x3[i] * wv)
+				a4 += float64(x4[i] * wv)
+				a5 += float64(x5[i] * wv)
+				a6 += float64(x6[i] * wv)
+				a7 += float64(x7[i] * wv)
 			}
 			bo := b[o]
 			a0, a1, a2, a3 = bo+a0, bo+a1, bo+a2, bo+a3
@@ -135,10 +144,10 @@ func affineRows(x Matrix, w, b []float64, out Matrix, relu bool) {
 			x0, x1, x2, x3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
 			var a0, a1, a2, a3 float64
 			for i, wv := range row {
-				a0 += x0[i] * wv
-				a1 += x1[i] * wv
-				a2 += x2[i] * wv
-				a3 += x3[i] * wv
+				a0 += float64(x0[i] * wv)
+				a1 += float64(x1[i] * wv)
+				a2 += float64(x2[i] * wv)
+				a3 += float64(x3[i] * wv)
 			}
 			bo := b[o]
 			a0, a1, a2, a3 = bo+a0, bo+a1, bo+a2, bo+a3
@@ -161,10 +170,10 @@ func affineRows(x Matrix, w, b []float64, out Matrix, relu bool) {
 			xr := xr[:len(w0)]
 			var a0, a1, a2, a3 float64
 			for i, xv := range xr {
-				a0 += xv * w0[i]
-				a1 += xv * w1[i]
-				a2 += xv * w2[i]
-				a3 += xv * w3[i]
+				a0 += float64(xv * w0[i])
+				a1 += float64(xv * w1[i])
+				a2 += float64(xv * w2[i])
+				a3 += float64(xv * w3[i])
 			}
 			a0, a1, a2, a3 = b[o]+a0, b[o+1]+a1, b[o+2]+a2, b[o+3]+a3
 			if relu {
@@ -177,7 +186,7 @@ func affineRows(x Matrix, w, b []float64, out Matrix, relu bool) {
 			xr := xr[:len(row)]
 			var acc float64
 			for i, wv := range row {
-				acc += xr[i] * wv
+				acc += float64(xr[i] * wv)
 			}
 			acc = b[o] + acc
 			if relu {
@@ -280,10 +289,10 @@ func AccumGrads(delta, act Matrix, wg, bg []float64) {
 				a3 := act.Row(r + 3)[:len(wrow)]
 				for i := range wrow {
 					t := wrow[i]
-					t += d0 * a0[i]
-					t += d1 * a1[i]
-					t += d2 * a2[i]
-					t += d3 * a3[i]
+					t += float64(d0 * a0[i])
+					t += float64(d1 * a1[i])
+					t += float64(d2 * a2[i])
+					t += float64(d3 * a3[i])
 					wrow[i] = t
 				}
 				continue
@@ -307,7 +316,7 @@ func accumGradRow(d float64, actRow, wrow []float64, bg []float64, o int) {
 	bg[o] += d
 	actRow = actRow[:len(wrow)]
 	for i, av := range actRow {
-		wrow[i] += d * av
+		wrow[i] += float64(d * av)
 	}
 }
 
@@ -343,7 +352,7 @@ func BackpropReLUDelta(delta Matrix, w []float64, act, prev Matrix) {
 			wrow := w[o*in : o*in+in]
 			pr := pr[:len(wrow)]
 			for i, wv := range wrow {
-				pr[i] += d * wv
+				pr[i] += float64(d * wv)
 			}
 		}
 		ar := act.Row(r)[:in]

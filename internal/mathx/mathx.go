@@ -29,7 +29,7 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i, v := range a {
-		s += v * b[i]
+		s += float64(v * b[i])
 	}
 	return s
 }
@@ -121,14 +121,14 @@ func Quantile(x []float64, q float64) float64 {
 	}
 	sorted := CloneVec(x)
 	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // ArgMax returns the index of the largest element, breaking ties by the
@@ -265,7 +265,7 @@ func L2Dist(a, b []float64) float64 {
 	s := 0.0
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

@@ -527,7 +527,7 @@ func (m *MLP) Train(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand.RNG) int
 				// w -= lr * mu * (w - w0)
 				k := cfg.LR * cfg.ProxMu
 				for i := range m.params {
-					m.params[i] -= k * (m.params[i] - cfg.ProxCenter[i])
+					m.params[i] -= float64(k * (m.params[i] - cfg.ProxCenter[i]))
 				}
 			}
 			batches++

@@ -150,7 +150,7 @@ func (m *MLP) trainReference(x mathx.Matrix, ys []int, cfg SGDConfig, rng *xrand
 				// w -= lr * mu * (w - w0)
 				k := cfg.LR * cfg.ProxMu
 				for i := range m.params {
-					m.params[i] -= k * (m.params[i] - cfg.ProxCenter[i])
+					m.params[i] -= float64(k * (m.params[i] - cfg.ProxCenter[i]))
 				}
 			}
 			batches++

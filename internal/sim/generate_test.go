@@ -24,9 +24,12 @@ import (
 //	SPECDAG_REGEN_GOLDEN=1 go test ./internal/sim -run TestFederationsGolden
 //
 // and only for a change meant to move generated data. Unlike the metric
-// golden, these are last-bit pins, taken on amd64 with FMA: math.Exp picks
-// its FMA path by CPU feature, and FedProx's Sigma_jj = j^-1.2 goes through
-// math.Pow, so a host on the other path can differ in the last bit.
+// golden, these are last-bit pins, taken on amd64 with FMA. Every product
+// the generators and xrand add is rounded explicitly, so no compiler fuses
+// it into a multiply-add (CI builds ./internal/... for arm64 and fails on a
+// fused instruction). What is left: math.Exp (the ziggurat's wedge test)
+// picks its FMA path by CPU feature, and FedProx's Sigma_jj = j^-1.2 goes
+// through math.Pow, so a host on the other path can differ in the last bit.
 const federationsGoldenPath = "testdata/federations.golden"
 
 // federationsGoldenSeeds are the two seeds every federation is pinned at.

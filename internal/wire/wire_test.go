@@ -340,3 +340,37 @@ func (f *failSwitch) Write(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// TestReadFrameAllocs pins what decoding an async Round frame allocates: five
+// allocations for the frame, its payloads and its string, and none per float.
+// dag.Codec.Float reads its eight bytes where bufio holds them; when it
+// copied them through a stack array that escaped, each of the frame's eight
+// floats cost one more (13 in all).
+func TestReadFrameAllocs(t *testing.T) {
+	frame := sampleFrames()[3]
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 120
+	for i := 0; i < n; i++ {
+		f := frame
+		f.Index = uint64(i)
+		if err := w.WriteFrame(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(n-1, func() {
+		if _, err := r.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Errorf("ReadFrame of an async Round frame: %v allocations, want at most 5", allocs)
+	}
+}

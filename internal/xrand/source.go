@@ -88,6 +88,40 @@ func (s *source) Uint64() uint64 {
 	return uint64(x)
 }
 
+// advance makes up to n draws in one pass (n ≥ 1) and returns the words
+// they drew, last first: the draws' order is run[len−1], run[len−2], ….
+// Draw k+273 taps the word draw k wrote, so up to 273 draws depend on
+// nothing the pass writes and the pass is a plain a[i] += b[i]. A pass also
+// stops where feed or tap wraps, so while seeding is pending (feed is then
+// the number of draws that read a fresh word) it reads only words its own
+// draws touch first, and seeds those. The run aliases the register; no draw
+// writes those words again for at least 334 draws.
+func (s *source) advance(n int) (run []int64) {
+	if s.feed == 0 {
+		s.feed = rngLen
+	}
+	if s.tap == 0 {
+		s.tap = rngLen
+	}
+	n = min(n, rngTap, s.feed, s.tap)
+	f, t := s.feed-n, s.tap-n
+	if s.unfilled > 0 {
+		s.unfilled -= n
+		for i := f; i < s.feed; i++ {
+			s.vec[i] = s.word(i)
+		}
+		for i := max(t, rngLen-rngTap); i < s.tap; i++ {
+			s.vec[i] = s.word(i)
+		}
+	}
+	s.feed, s.tap = f, t
+	run, tapped := s.vec[f:f+n], s.vec[t:t+n]
+	for i := range run {
+		run[i] += tapped[i]
+	}
+	return run
+}
+
 // fill seeds the words draw k (k < 334) reads first: 333−k through feed, and
 // 606−k through tap while k < 273; later taps read words feed filled.
 //

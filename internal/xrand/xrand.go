@@ -8,9 +8,22 @@
 //
 // An RNG seeded with s draws Go 1 math/rand's stream, what
 // rand.NewSource(s) draws, which the Go 1 compatibility promise holds fixed
-// and every golden rests on. The generator is a copy of math/rand's whose
-// register words are seeded on first touch, not all in New, so a split that
-// draws little costs little. An RNG holds ~5 KB of state.
+// and every golden rests on. An RNG holds ~5 KB of state.
+//
+// Two pieces of math/rand are copied here, with their tables (cooked.go):
+//
+//   - The generator (source.go), whose register words are seeded on first
+//     touch, not all in New, so a split that draws little costs little.
+//     Float64, Intn, Perm, Shuffle and the other uniform draws reach it
+//     through a rand.Rand, one Source call per word.
+//   - The ziggurat for standard normals (normal.go). NormFloat64s runs it in
+//     one loop straight over the register, which a pass advances up to 273
+//     words at a time, so a generator's row of normals costs no interface
+//     call per draw. NormFloat64, Normal, NormalVec and Gamma draw through the
+//     same copy, so every normal in the repository has one definition. Its
+//     wedge test rounds its float32 product explicitly, as every product
+//     that feeds a sum does in the deterministic packages: arm64 would
+//     otherwise fuse it into a multiply-add and draw different bits.
 package xrand
 
 import (
@@ -80,19 +93,18 @@ func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 // Int63 returns a non-negative 63-bit integer.
 func (r *RNG) Int63() int64 { return r.src.Int63() }
 
-// NormFloat64 returns a standard normal variate.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
-
 // Normal returns a normal variate with the given mean and standard deviation.
 func (r *RNG) Normal(mean, std float64) float64 {
-	return mean + std*r.src.NormFloat64()
+	return mean + float64(std*r.NormFloat64())
 }
 
-// NormalVec fills a new length-n vector with N(mean, std^2) variates.
+// NormalVec fills a new length-n vector with N(mean, std^2) variates: the
+// values of n calls to Normal, drawn in one NormFloat64s.
 func (r *RNG) NormalVec(n int, mean, std float64) []float64 {
 	v := make([]float64, n)
-	for i := range v {
-		v[i] = r.Normal(mean, std)
+	r.NormFloat64s(v)
+	for i, z := range v {
+		v[i] = mean + float64(std*z)
 	}
 	return v
 }
@@ -172,17 +184,17 @@ func (r *RNG) Gamma(shape float64) float64 {
 	d := shape - 1.0/3.0
 	c := 1.0 / math.Sqrt(9*d)
 	for {
-		x := r.src.NormFloat64()
-		v := 1 + c*x
+		x := r.NormFloat64()
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := r.src.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}
