@@ -165,6 +165,9 @@ func parseFlags(args []string) (*plan, error) {
 			}
 			p.acfg.NetworkDelay = 0
 		}
+		if err := p.acfg.Validate(); err != nil {
+			return nil, err
+		}
 		return &p, nil
 	}
 	p.cfg.Compaction.SpillDir = *compactSpill

@@ -77,6 +77,16 @@ func (c AsyncConfig) params() params {
 
 // Validate reports configuration errors.
 func (c AsyncConfig) Validate() error {
+	// The checks below are comparisons NaN passes, and an infinite horizon,
+	// cycle or delay never ends a run or delivers a publish.
+	for _, v := range []struct {
+		name string
+		val  float64
+	}{{"Duration", c.Duration}, {"MinCycle", c.MinCycle}, {"MaxCycle", c.MaxCycle}, {"NetworkDelay", c.NetworkDelay}} {
+		if math.IsNaN(v.val) || math.IsInf(v.val, 0) {
+			return fmt.Errorf("core: %s must be finite, got %v", v.name, v.val)
+		}
+	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("core: Duration must be positive, got %v", c.Duration)
 	}

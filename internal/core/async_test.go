@@ -35,6 +35,14 @@ func TestAsyncConfigValidate(t *testing.T) {
 		{"zero min cycle", func(c *AsyncConfig) { c.MinCycle = 0 }, true},
 		{"max < min", func(c *AsyncConfig) { c.MaxCycle = c.MinCycle / 2 }, true},
 		{"negative delay", func(c *AsyncConfig) { c.NetworkDelay = -1 }, true},
+		{"NaN duration", func(c *AsyncConfig) { c.Duration = math.NaN() }, true},
+		{"NaN min cycle", func(c *AsyncConfig) { c.MinCycle = math.NaN() }, true},
+		{"NaN max cycle", func(c *AsyncConfig) { c.MaxCycle = math.NaN() }, true},
+		{"NaN delay", func(c *AsyncConfig) { c.NetworkDelay = math.NaN() }, true},
+		{"infinite duration", func(c *AsyncConfig) { c.Duration = math.Inf(1) }, true},
+		{"infinite min and max cycle", func(c *AsyncConfig) { c.MinCycle, c.MaxCycle = math.Inf(1), math.Inf(1) }, true},
+		{"infinite max cycle", func(c *AsyncConfig) { c.MaxCycle = math.Inf(1) }, true},
+		{"infinite delay", func(c *AsyncConfig) { c.NetworkDelay = math.Inf(1) }, true},
 		{"bad arch", func(c *AsyncConfig) { c.Arch.In = 0 }, true},
 	}
 	for _, tt := range tests {

@@ -203,16 +203,22 @@ func (b *Builder) Parts() (train, test Dataset) {
 	return train, test
 }
 
+// generation is the process's one pool of generator helpers, GOMAXPROCS
+// slots as the process starts. Generation runs before any engine exists, so
+// it has no run's budget to draw on; concurrent federations (a daemon's
+// submits, ThroughputGrid's lines) share this one instead of each starting
+// GOMAXPROCS goroutines.
+var generation = par.NewBudget(runtime.GOMAXPROCS(0))
+
 // generateClients builds a federation's n clients side by side, client id
-// into slot id, on at most GOMAXPROCS goroutines for as long as the call
-// lasts. client(id) must draw only from the client's own seed split and read
-// only shared state, so the federation is the same for any goroutine count.
-// It draws on no par.Budget: callers generate before any engine exists,
-// except ThroughputGrid's lines (8 clients each) and a hosted run's submit,
-// which runs outside the daemon's budget.
+// into slot id: on the caller's goroutine and up to GOMAXPROCS−1 helpers
+// from generation, so N concurrent calls run at most N + GOMAXPROCS − 1
+// goroutines. client(id) must draw only from the client's own seed split and
+// read only shared state, so the federation is the same for any goroutine
+// count.
 func generateClients(n int, client func(id int) *Client) []*Client {
 	clients := make([]*Client, n)
-	par.ForEachIn(nil, runtime.GOMAXPROCS(0), n, func(id int) { clients[id] = client(id) })
+	par.ForEachIn(generation, runtime.GOMAXPROCS(0), n, func(id int) { clients[id] = client(id) })
 	return clients
 }
 

@@ -17,14 +17,17 @@ import (
 // a default-backend kernel silently changes every golden metric. The
 // package's assembly is held to the same rule where it is easiest to break:
 // fused multiply-add mnemonics and single-precision arithmetic in a .s file
-// are findings too. The deliberate-numerics fast tier planned by the roadmap
-// relaxes this under a fastmath build tag, which this analyzer exempts.
+// are findings too. internal/xrand's assembly (the generator's pass and the
+// ziggurat's fast path) is scanned by the same rule; its Go is not, because
+// math/rand's wedge test, which it copies, is float32 by definition. The
+// deliberate-numerics fast tier planned by the roadmap relaxes this under a
+// fastmath build tag, which this analyzer exempts.
 var KernelOrder = &Analyzer{
 	Name: "kernelorder",
 	Doc: "forbid math.FMA and float32 arithmetic in the default mathx backend, " +
-		"in Go and (fused or single-precision instructions) in its assembly: the " +
-		"accumulation order is documented API; relaxed kernels belong behind " +
-		"the fastmath build tag",
+		"in Go and (fused or single-precision instructions) in its assembly and " +
+		"xrand's: the accumulation order is documented API; relaxed kernels " +
+		"belong behind the fastmath build tag",
 	Run: runKernelOrder,
 }
 
@@ -38,9 +41,32 @@ var arithmeticAssignOps = map[token.Token]bool{
 }
 
 func runKernelOrder(pass *Pass) error {
-	if !pathHasSuffix(pass.Pkg.Path(), "internal/mathx") {
+	var owner string
+	switch path := pass.Pkg.Path(); {
+	case pathHasSuffix(path, "internal/mathx"):
+		owner = "the default mathx backend"
+		checkKernelGo(pass)
+	case pathHasSuffix(path, "internal/xrand"):
+		owner = "xrand"
+	default:
 		return nil
 	}
+	for _, name := range pass.OtherFiles {
+		if !strings.HasSuffix(name, ".s") {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		checkKernelAsm(pass, name, src, owner)
+	}
+	return nil
+}
+
+// checkKernelGo reports math.FMA and float32 arithmetic in the default
+// backend's non-test Go.
+func checkKernelGo(pass *Pass) {
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f.Pos()) || hasFastmathTag(f) {
 			continue
@@ -70,17 +96,6 @@ func runKernelOrder(pass *Pass) error {
 			return true
 		})
 	}
-	for _, name := range pass.OtherFiles {
-		if !strings.HasSuffix(name, ".s") {
-			continue
-		}
-		src, err := os.ReadFile(name)
-		if err != nil {
-			return err
-		}
-		checkKernelAsm(pass, name, src)
-	}
-	return nil
 }
 
 // Mnemonics the default backend's assembly may not contain. The fused forms
@@ -96,7 +111,7 @@ var (
 // looks at each identifier outside comments rather than at statement heads,
 // so a mnemonic inside a macro body or after a label is seen as well. Assembly
 // takes no //speclint:allow: there is no audited exception to an instruction.
-func checkKernelAsm(pass *Pass, name string, src []byte) {
+func checkKernelAsm(pass *Pass, name string, src []byte, owner string) {
 	// Registered with the file set, the source's lines have positions, so its
 	// findings print and sort like findings in Go.
 	file := pass.Fset.AddFile(name, -1, len(src))
@@ -112,10 +127,10 @@ func checkKernelAsm(pass *Pass, name string, src []byte) {
 			switch id = strings.ToUpper(id); {
 			case asmFused.MatchString(id):
 				pass.Reportf(file.LineStart(i+1),
-					"%s in the default mathx backend's assembly: a fused multiply-add rounds once where the documented order rounds the product first; use VMULPD then VADDPD", id)
+					"%s in %s's assembly: a fused multiply-add rounds once where the documented order rounds the product first; use VMULPD then VADDPD", id, owner)
 			case asmNarrow.MatchString(id):
 				pass.Reportf(file.LineStart(i+1),
-					"%s in the default mathx backend's assembly: single-precision arithmetic; kernels accumulate in float64 as documented API", id)
+					"%s in %s's assembly: single-precision arithmetic; kernels accumulate in float64 as documented API", id, owner)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ func TestBudget(t *testing.T) {
 
 func TestKernelOrder(t *testing.T) {
 	linttest.Run(t, linttest.TestData(), lint.KernelOrder,
-		"kernelorder/internal/mathx")
+		"kernelorder/internal/mathx", "kernelorder/internal/xrand")
 }
 
 // TestDirectiveAudit pins the directive diagnostics: malformed verbs,

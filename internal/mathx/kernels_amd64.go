@@ -9,11 +9,13 @@ import (
 // kernels.go. It is probed once; both paths produce the same bits (see the
 // contract in kernels.go), so which one runs is a matter of speed only. Tests
 // flip it to hold the two against each other.
-var useAVX2 = hasAVX2()
+var useAVX2 = HasAVX2()
 
-// hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
-// state (CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1-2, CPUID.7:EBX bit 5).
-func hasAVX2() bool {
+// HasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
+// state (CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1-2, CPUID.7:EBX bit 5): whether
+// the assembly bodies of this package and of xrand can run. It executes
+// CPUID, which a hypervisor may trap; callers probe once, at start-up.
+func HasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false

@@ -14,7 +14,7 @@ import (
 // needAVX2 skips the vector leg of a test on a CPU without AVX2.
 func needAVX2(t testing.TB) {
 	t.Helper()
-	if !hasAVX2() {
+	if !HasAVX2() {
 		t.Skip("CPU lacks AVX2: only the Go kernels run here, there is no second path to compare")
 	}
 }

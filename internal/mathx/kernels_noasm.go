@@ -6,6 +6,9 @@ package mathx
 // the dispatch branches on this constant fold away.
 const useAVX2 = false
 
+// HasAVX2 is false off amd64: there is no assembly to select.
+func HasAVX2() bool { return false }
+
 func axpy(alpha float64, x, y *float64, n int)                       {}
 func affineRowsAVX2(x Matrix, w, b []float64, out Matrix, relu bool) {}
 func accumGradsAVX2(delta, act Matrix, wg, bg []float64)             {}

@@ -272,8 +272,9 @@ func L2Dist(a, b []float64) float64 {
 
 // Backend names the kernels this process runs: "avx2" where the assembly
 // bodies of AffineRows, AccumGrads, BackpropReLUDelta and Axpy were selected at
-// start-up, "generic" for the Go loops. The two produce the same bits
-// (kernels.go); the name is for whoever reads timings.
+// start-up, "generic" for the Go loops; xrand's assembly follows the same
+// probe. The two produce the same bits (kernels.go); the name is for whoever
+// reads timings.
 func Backend() string {
 	if useAVX2 {
 		return "avx2"

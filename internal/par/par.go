@@ -1,9 +1,9 @@
 // Package par provides the bounded worker pools behind every parallel code
 // path of the simulator: the per-client fan-out of a simulation round, the
 // async engine's lookahead windows, the sweep cells (preset, seed, variant)
-// of the experiment harness, and federation generation. The last
-// runs outside any budget (a nil one, GOMAXPROCS workers): a federation is
-// generated before the engines that would share a budget exist.
+// of the experiment harness, and federation generation. The last draws on
+// a budget of its own (one per process, GOMAXPROCS slots): a federation is
+// generated before the engines that would share a run's budget exist.
 //
 // A *Budget is one shared pool handed down through nested fan-outs (sweep
 // cell → round engine): ForEachIn draws extra workers from the budget and

@@ -19,11 +19,19 @@ const (
 	seedSkip = 20        // Lehmer steps before the first word's three
 )
 
-// lehmer[k] = 48271ᵏ mod 2³¹−1: k seedrand steps take x to lehmer[k]·x mod 2³¹−1.
-var lehmer = func() (p [seedSkip + 1 + 3*rngLen]uint64) {
-	p[0] = 1
-	for k := 1; k < len(p); k++ {
-		p[k] = mulmod(p[k-1], 48271)
+// lehmer[k][i] = 48271^(21+3i+k) mod 2³¹−1: m seedrand steps take x to
+// 48271ᵐ·x mod 2³¹−1, and word i packs the chain after 21+3i, 22+3i and 23+3i
+// steps. One row per step keeps four words' multipliers side by side.
+var lehmer = func() (p [3][rngLen]uint64) {
+	m := uint64(1)
+	for range seedSkip + 1 {
+		m = mulmod(m, 48271)
+	}
+	for i := range rngLen {
+		for k := range p {
+			p[k][i] = m
+			m = mulmod(m, 48271)
+		}
 	}
 	return p
 }()
@@ -107,19 +115,32 @@ func (s *source) advance(n int) (run []int64) {
 	f, t := s.feed-n, s.tap-n
 	if s.unfilled > 0 {
 		s.unfilled -= n
-		for i := f; i < s.feed; i++ {
-			s.vec[i] = s.word(i)
-		}
-		for i := max(t, rngLen-rngTap); i < s.tap; i++ {
-			s.vec[i] = s.word(i)
-		}
+		s.seedWords(f, s.feed)
+		s.seedWords(max(t, rngLen-rngTap), s.tap)
 	}
 	s.feed, s.tap = f, t
 	run, tapped := s.vec[f:f+n], s.vec[t:t+n]
-	for i := range run {
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		addAVX2(&run[0], &tapped[0], i)
+	}
+	for ; i < n; i++ {
 		run[i] += tapped[i]
 	}
 	return run
+}
+
+// seedWords sets register words [lo, hi) to their seeded values.
+func (s *source) seedWords(lo, hi int) {
+	if useAVX2 && hi-lo >= 4 {
+		n := (hi - lo) &^ 3
+		seedAVX2(&s.vec[lo], &lehmer[0][lo], &cooked[lo], n, s.x0)
+		lo += n
+	}
+	for i := lo; i < hi; i++ {
+		s.vec[i] = s.word(i)
+	}
 }
 
 // fill seeds the words draw k (k < 334) reads first: 333−k through feed, and
@@ -137,7 +158,6 @@ func (s *source) fill() {
 // word is register word i as math/rand's Seed leaves it: the chain after
 // 21+3i, 22+3i and 23+3i steps, packed into one word, xored with cooked[i].
 func (s *source) word(i int) int64 {
-	p := lehmer[seedSkip+1+3*i:]
-	u := mulmod(p[0], s.x0)<<40 ^ mulmod(p[1], s.x0)<<20 ^ mulmod(p[2], s.x0)
+	u := mulmod(lehmer[0][i], s.x0)<<40 ^ mulmod(lehmer[1][i], s.x0)<<20 ^ mulmod(lehmer[2][i], s.x0)
 	return int64(u) ^ cooked[i]
 }

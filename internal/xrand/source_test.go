@@ -94,6 +94,10 @@ var interleaved = func() []byte {
 // first-touch boundaries: tap's last fresh word (272/273), feed's (333/334)
 // and the first wrap of the register (606/607).
 func TestSourceMatchesMathRand(t *testing.T) {
+	eachPath(t, func() { sourceMatchesMathRand(t) })
+}
+
+func sourceMatchesMathRand(t *testing.T) {
 	seeds := []int64{
 		0, 1, -1, int32max, -int32max, int32max - 1, int32max + 1,
 		2 * int32max, -2 * int32max, 89482311, int32max * int32max,
@@ -129,7 +133,7 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	f.Add(int64(7), []byte{0xfc, 0xfc, 0xfb, 2, 0xfb, 3, 0xfb, 0xfb})
 	f.Add(int64(math.MinInt64), interleaved)
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
-		sameStream(t, New(seed), rand.New(rand.NewSource(seed)), ops)
+		eachPath(t, func() { sameStream(t, New(seed), rand.New(rand.NewSource(seed)), ops) })
 	})
 }
 
@@ -137,6 +141,10 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 // and wrap boundary of the register, in lengths below, at and past one
 // pass (273 words), and checks values and the stream position after it.
 func TestNormFloat64sMatchesMathRand(t *testing.T) {
+	eachPath(t, func() { normFloat64sMatchesMathRand(t) })
+}
+
+func normFloat64sMatchesMathRand(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		for _, n := range []int{0, 1, 272, 273, 333, 334, 606, 607} {
 			for _, size := range []int{1, 64, 273, 274, 700} {
@@ -178,6 +186,10 @@ func (c *countingSource) Int63() int64 {
 // draws: a value that took more than one word went past the fast path, and
 // its first word's low seven bits of j say which way.
 func TestNormFloat64sTails(t *testing.T) {
+	eachPath(t, func() { normFloat64sTails(t) })
+}
+
+func normFloat64sTails(t *testing.T) {
 	for _, tc := range []struct {
 		seed                    int64
 		size                    int
