@@ -158,7 +158,7 @@ func TestStartupLine(t *testing.T) {
 	if got != want {
 		t.Errorf("startup line %q, want %q", got, want)
 	}
-	if b := mathx.Backend(); b != "avx2" && b != "generic" {
-		t.Errorf("mathx.Backend() = %q, want avx2 or generic", b)
+	if b := mathx.Backend(); b != "avx2+fma" && b != "avx2" && b != "generic" {
+		t.Errorf("mathx.Backend() = %q, want avx2+fma, avx2 or generic", b)
 	}
 }

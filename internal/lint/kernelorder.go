@@ -17,18 +17,30 @@ import (
 // a default-backend kernel silently changes every golden metric. The
 // package's assembly is held to the same rule where it is easiest to break:
 // fused multiply-add mnemonics and single-precision arithmetic in a .s file
-// are findings too. internal/xrand's assembly (the generator's pass and the
-// ziggurat's fast path) is scanned by the same rule; its Go is not, because
-// math/rand's wedge test, which it copies, is float32 by definition. The
-// deliberate-numerics fast tier planned by the roadmap relaxes this under a
-// fastmath build tag, which this analyzer exempts.
+// are findings too, with one named exception: fused only where the reference
+// fuses. mathx's softmaxExp copies math.Exp's FMA branch, which rounds its
+// multiply-adds once, so inside that TEXT block the two fused forms the
+// branch uses (fusedExceptions) are the contract, not a breach of it.
+// internal/xrand's assembly (the generator's pass and the ziggurat's fast
+// path) is scanned by the same rule, without the exception; its Go is not,
+// because math/rand's wedge test, which it copies, is float32 by definition.
+// The deliberate-numerics fast tier planned by the roadmap relaxes this under
+// a fastmath build tag, which this analyzer exempts.
 var KernelOrder = &Analyzer{
 	Name: "kernelorder",
 	Doc: "forbid math.FMA and float32 arithmetic in the default mathx backend, " +
 		"in Go and (fused or single-precision instructions) in its assembly and " +
-		"xrand's: the accumulation order is documented API; relaxed kernels " +
-		"belong behind the fastmath build tag",
+		"xrand's, except the fused forms math.Exp's FMA branch uses inside " +
+		"mathx's softmaxExp, which copies it: the accumulation order is " +
+		"documented API; relaxed kernels belong behind the fastmath build tag",
 	Run: runKernelOrder,
+}
+
+// fusedExceptions maps the one mathx TEXT block that may fuse to the fused
+// mnemonics it may use: softmaxExp is math.Exp's FMA branch (exp_amd64.s) on
+// four lanes, and those are the two fused forms that branch executes.
+var fusedExceptions = map[string]map[string]bool{
+	"softmaxExp": {"VFNMADD231PD": true, "VFMADD213PD": true},
 }
 
 // arithmeticAssignOps are the compound assignments that perform float
@@ -42,9 +54,11 @@ var arithmeticAssignOps = map[token.Token]bool{
 
 func runKernelOrder(pass *Pass) error {
 	var owner string
+	var fusedOK map[string]map[string]bool
 	switch path := pass.Pkg.Path(); {
 	case pathHasSuffix(path, "internal/mathx"):
 		owner = "the default mathx backend"
+		fusedOK = fusedExceptions
 		checkKernelGo(pass)
 	case pathHasSuffix(path, "internal/xrand"):
 		owner = "xrand"
@@ -59,7 +73,7 @@ func runKernelOrder(pass *Pass) error {
 		if err != nil {
 			return err
 		}
-		checkKernelAsm(pass, name, src, owner)
+		checkKernelAsm(pass, name, src, owner, fusedOK)
 	}
 	return nil
 }
@@ -105,17 +119,22 @@ var (
 	asmFused  = regexp.MustCompile(`^VFN?M(ADD|SUB)`)
 	asmNarrow = regexp.MustCompile(`^(V?(ADD|SUB|MUL|DIV)[PS]S|V?CVT[PS]D2[PS]S[XY]?)$`)
 	asmIdent  = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
+	asmText   = regexp.MustCompile(`^TEXT\s+[^(]*·([A-Za-z0-9_]+)\(SB\)`)
 )
 
 // checkKernelAsm reports every forbidden mnemonic of one assembly source. It
 // looks at each identifier outside comments rather than at statement heads,
 // so a mnemonic inside a macro body or after a label is seen as well. Assembly
-// takes no //speclint:allow: there is no audited exception to an instruction.
-func checkKernelAsm(pass *Pass, name string, src []byte, owner string) {
+// takes no //speclint:allow: the only exceptions are fusedOK's, by TEXT
+// block. A block runs from its TEXT line to the next line that starts a
+// TEXT, DATA, GLOBL or preprocessor directive, so a macro is judged where it
+// is defined, never where it is expanded.
+func checkKernelAsm(pass *Pass, name string, src []byte, owner string, fusedOK map[string]map[string]bool) {
 	// Registered with the file set, the source's lines have positions, so its
 	// findings print and sort like findings in Go.
 	file := pass.Fset.AddFile(name, -1, len(src))
 	file.SetLinesForContent(src)
+	var allowed map[string]bool // the fused mnemonics of the current block
 	for i, text := range strings.Split(string(src), "\n") {
 		if strings.HasPrefix(text, "//go:build") && strings.Contains(text, "fastmath") {
 			return
@@ -123,8 +142,18 @@ func checkKernelAsm(pass *Pass, name string, src []byte, owner string) {
 		if c := strings.Index(text, "//"); c >= 0 {
 			text = text[:c]
 		}
+		switch head := strings.TrimSpace(text); {
+		case strings.HasPrefix(head, "TEXT"):
+			allowed = nil
+			if m := asmText.FindStringSubmatch(head); m != nil {
+				allowed = fusedOK[m[1]]
+			}
+		case strings.HasPrefix(head, "DATA"), strings.HasPrefix(head, "GLOBL"), strings.HasPrefix(head, "#"):
+			allowed = nil
+		}
 		for _, id := range asmIdent.FindAllString(text, -1) {
 			switch id = strings.ToUpper(id); {
+			case allowed[id]:
 			case asmFused.MatchString(id):
 				pass.Reportf(file.LineStart(i+1),
 					"%s in %s's assembly: a fused multiply-add rounds once where the documented order rounds the product first; use VMULPD then VADDPD", id, owner)

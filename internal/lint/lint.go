@@ -13,7 +13,7 @@
 //	maporder    — no order-sensitive iteration over maps in deterministic packages
 //	budget      — no naked go statements outside internal/par
 //	kernelorder — no math.FMA or float32 arithmetic in the default mathx backend,
-//	              Go or assembly
+//	              Go or assembly (fused only where the reference fuses)
 //
 // The suite runs as a vettool (cmd/speclint) under "go vet -vettool=", using
 // a small local reimplementation of the golang.org/x/tools/go/analysis

@@ -16,3 +16,9 @@ TEXT ·pass(SB), NOSPLIT, $0-24
 	VCVTPD2PSY   Y1, X2 // want `VCVTPD2PSY in xrand's assembly`
 	VZEROUPPER
 	RET
+
+// The exception is mathx's: a block of the same name here is not exempt.
+TEXT ·softmaxExp(SB), NOSPLIT, $0-48
+	VFNMADD231PD Y1, Y2, Y3 // want `VFNMADD231PD in xrand's assembly: a fused multiply-add`
+	VFMADD213PD  Y1, Y2, Y3 // want `VFMADD213PD in xrand's assembly`
+	RET

@@ -30,7 +30,8 @@ import "fmt"
 //
 // On amd64 with AVX2, AffineRows, AccumGrads, BackpropReLUDelta and Axpy
 // (mathx.go, the SGD update) run assembly bodies (kernels_amd64.s) under the
-// same contract, and the Go loops are the portable path and the oracle those
+// same contract — unless the build has the purego tag, which keeps every
+// kernel of this package and of xrand on its Go loop — and the Go loops are the portable path and the oracle those
 // bodies are diffed against (kernels_amd64_test.go, and nn's differential
 // suite once per path). Vector lanes are independent output elements — four
 // outputs of one sample, four weight columns of one output, four elements of
@@ -45,14 +46,21 @@ import "fmt"
 // sign and payload bits follow the hardware's operand-order rules, which
 // differ between scalar and vector code; nothing downstream reads them.
 //
-// The softmax has one path, and its exponentials are math.Exp's. On amd64,
-// math.Exp runs a fused multiply-add sequence when the CPU has AVX and FMA
-// and a separately rounded one when it does not, so softmax bits — and with
-// them every golden that a probability or a loss reaches — follow the branch
-// the CPU takes. The goldens hold on the FMA branch, the one every box they
-// have been checked on takes; a CPU without FMA is unverified. A vector exp
-// with math.Exp's bits would need a fused instruction, which kernelorder bans
-// from this package's assembly.
+// The softmax's exponentials are math.Exp's. On amd64, math.Exp runs a fused
+// multiply-add sequence when the CPU has AVX and FMA and a separately rounded
+// one when it does not, so softmax bits — and with them every golden that a
+// probability or a loss reaches — follow the branch the CPU takes. The
+// goldens hold on the FMA branch, the one every box they have been checked on
+// takes; a CPU without FMA is unverified. Where math.Exp fuses, SoftmaxInPlace
+// runs softmax_amd64.s: that branch on four lanes, instruction for
+// instruction, with each lane's result added to one scalar sum in ascending
+// order and the divide a VDIVPD. Fused only where the reference fuses: the
+// two fused forms math.Exp's branch uses are allowed in that one TEXT block,
+// and kernelorder still reports any other fused instruction in this package's
+// assembly. The vector body is selected only after a start-up check has run
+// it against math.Exp on arguments where the two branches differ
+// (kernels_amd64.go), so under GODEBUG=cpu.fma=off, or on a CPU without FMA,
+// the Go loop runs and the softmax keeps following math.Exp bit for bit.
 //
 // One kernel is skipped rather than reordered. A scorer that wants only the
 // predicted class (nn's Accuracy family, which is every evaluation inside a

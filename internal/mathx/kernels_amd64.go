@@ -1,3 +1,5 @@
+//go:build !purego
+
 package mathx
 
 import (
@@ -5,15 +7,18 @@ import (
 	"unsafe"
 )
 
-// useAVX2 selects the assembly bodies of kernels_amd64.s over the Go loops of
-// kernels.go. It is probed once; both paths produce the same bits (see the
-// contract in kernels.go), so which one runs is a matter of speed only. Tests
-// flip it to hold the two against each other.
+// useAVX2 selects the assembly bodies of kernels_amd64.s (and, together with
+// useFMAExp, of softmax_amd64.s) over the Go loops. It is probed once; both
+// paths produce the same bits (see the contract in kernels.go), so which one
+// runs is a matter of speed only. Tests flip it to hold the two against each
+// other.
 var useAVX2 = HasAVX2()
 
 // HasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
 // state (CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1-2, CPUID.7:EBX bit 5): whether
-// the assembly bodies of this package and of xrand can run. It executes
+// the AVX2 bodies of this package and of xrand can run. The softmax's vector
+// exponential needs more: FMA as well, and math.Exp taking its FMA branch
+// (useFMAExp). HasAVX2 is false in a build with the purego tag. It executes
 // CPUID, which a hypervisor may trap; callers probe once, at start-up.
 func HasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -29,6 +34,51 @@ func HasAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// hasFMA reports whether the CPU implements FMA3 (CPUID.1:ECX bit 12), which
+// softmax_amd64.s needs beside AVX2; HasAVX2 has checked that the OS saves
+// the YMM state.
+func hasFMA() bool {
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&(1<<12) != 0
+}
+
+// useFMAExp selects softmax_amd64.s's vector exponential and divide for
+// SoftmaxInPlace while useAVX2 is set. Its bits are those of math.Exp's FMA
+// branch, so it is on only where math.Exp takes that branch in this process:
+// the CPU has AVX2 and FMA, and the body agrees with math.Exp on
+// expCheckInputs, inputs on which the branch with and the branch without FMA
+// differ. A CPU without FMA, or GODEBUG=cpu.fma=off, leaves the Go loop.
+var useFMAExp = useAVX2 && hasFMA() && expSelfCheck()
+
+// expCheckInputs are arguments on which math.Exp's two amd64 branches differ
+// in the last bit (drawn from [-64, 0], where about one argument in eleven
+// does); a multiple of four, every one a normal group for softmaxExp.
+var expCheckInputs = [...]float64{
+	-50.807579850339906, -23.20444002879399, -54.55324461125149, -0.8150105459332551,
+	-10.158400644203077, -58.42685437057814, -11.304557347348116, -53.511499937556856,
+	-43.948373233564666, -51.609922096398726, -48.164584227999974, -34.372762282440405,
+	-37.9355014024993, -34.23578409515152, -39.15589539804056, -43.39560587751116,
+	-5.40424887357522, -63.29578130545637, -23.84246654322729, -42.87852479348961,
+	-29.482561194090962, -18.246319588035277, -48.95203612960488, -57.30661970846684,
+	-59.11653487814611, -49.53504661464063, -29.5078735049293, -62.65646459380489,
+	-9.235598788179836, -24.901218404461105, -41.74703503875585, -18.291946674411356,
+}
+
+// expSelfCheck reports whether softmaxExp gives math.Exp's words on
+// expCheckInputs. It must only run where hasFMA and HasAVX2 hold.
+func expSelfCheck() bool {
+	got := expCheckInputs
+	if done, _ := softmaxExp(&got[0], len(got), 0, 0); done != len(got) {
+		return false
+	}
+	for i, x := range expCheckInputs {
+		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
+			return false
+		}
+	}
+	return true
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -65,6 +115,20 @@ func backpropRow(dst, s, m, act *float64, n, k, mStride int)
 //
 //go:noescape
 func axpy(alpha float64, x, y *float64, n int)
+
+// softmaxExp sets x[i] = exp(x[i]-shift) four at a time from i = 0 and adds
+// each result to sum in ascending i, stopping before the first group of four
+// with a lane outside the exponential's normal range (softmax_amd64.s) and
+// before a group that would run past n. It returns the elements done, a
+// multiple of four, and the sum so far.
+//
+//go:noescape
+func softmaxExp(x *float64, n int, shift, sum float64) (done int, total float64)
+
+// divRow divides x[i] by s for i in [0, n); n must be positive.
+//
+//go:noescape
+func divRow(x *float64, n int, s float64)
 
 // affineRowsAVX2 is affineRows on tiles of eight and four rows, one call into
 // the assembly per tile. Every row is computed from scratch, so a row count
@@ -117,4 +181,24 @@ func backpropReLUDeltaAVX2(delta Matrix, w []float64, act, prev Matrix) {
 	for r := 0; r < delta.Rows; r++ {
 		backpropRow(&prev.Data[r*in], &delta.Data[r*outDim], &w[0], &act.Data[r*in], in, outDim, in)
 	}
+}
+
+// expShiftedSum is SoftmaxInPlace's exponential loop on softmaxExp: x[i] =
+// exp(x[i]-shift) and the sum of them in ascending i, with math.Exp on every
+// group the vector body hands back and on the tail.
+func expShiftedSum(x []float64, shift float64) float64 {
+	s := 0.0
+	for i := 0; i < len(x); {
+		if len(x)-i >= 4 {
+			var done int
+			done, s = softmaxExp(&x[i], len(x)-i, shift, s)
+			i += done
+		}
+		for end := min(i+4, len(x)); i < end; i++ {
+			e := math.Exp(x[i] - shift)
+			x[i] = e
+			s += e
+		}
+	}
+	return s
 }

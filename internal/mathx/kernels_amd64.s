@@ -1,3 +1,5 @@
+//go:build !purego
+
 // AVX2 bodies of AffineRows, AccumGrads, BackpropReLUDelta and Axpy. The contract
 // is the one in kernels.go, word for word: a vector lane is one independent
 // output element with one serial accumulator, products are consumed in

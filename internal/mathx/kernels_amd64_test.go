@@ -1,3 +1,5 @@
+//go:build !purego
+
 package mathx
 
 import (
@@ -66,13 +68,6 @@ func (a *arena) fences(t *testing.T, label string) {
 			t.Fatalf("%s: wrote outside its output at backing[%d] = %x", label, i, math.Float64bits(v))
 		}
 	}
-}
-
-var specials = []float64{
-	0, math.Copysign(0, -1),
-	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
-	math.Inf(1), math.Inf(-1), math.NaN(),
-	math.MaxFloat64, -math.MaxFloat64, 1, -1,
 }
 
 // fill draws normals-ish values and, when special is set, plants one of
@@ -332,7 +327,8 @@ func FuzzKernelsMatch(f *testing.F) {
 		}
 		c.alpha = alpha[0]
 		c.compare(t, "fuzz", len(raw)%2 == 0, wg0, bg0)
-		// The softmax has one path; its shift is held to MinMax's max.
+		// The softmax's shift is held to MinMax's max, its words to the
+		// scalar loop.
 		checkSoftmaxShift(t, c.b)
 	})
 }

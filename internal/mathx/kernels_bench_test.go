@@ -21,12 +21,16 @@ var kernelBackends = []kernelBackend{{"generic", func(b *testing.B, f func()) { 
 // 20 test rows and its 10-row minibatch, CIFAR-100's 32→100 head.
 var benchShapes = []struct{ rows, in, out int }{{10, 16, 8}, {20, 64, 32}, {10, 64, 32}, {10, 32, 100}}
 
+// softmaxShapes are the heads the softmax runs over at a 10-row minibatch:
+// FMNIST's 10 classes and CIFAR-100's 100.
+var softmaxShapes = []struct{ rows, cols int }{{10, 10}, {10, 100}}
+
 // axpyLengths are the parameter counts the SGD update runs over: FMNIST's
 // 2 410 and CIFAR-100's 5 380.
 var axpyLengths = []int{2410, 5380}
 
-// BenchmarkKernels reports ns per row for the three hot layer kernels and ns
-// per element for Axpy:
+// BenchmarkKernels reports ns per row for the three hot layer kernels and the
+// softmax, and ns per element for Axpy:
 //
 //	go test -run '^$' -bench Kernels ./internal/mathx
 func BenchmarkKernels(b *testing.B) {
@@ -55,6 +59,25 @@ func BenchmarkKernels(b *testing.B) {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.rows), "ns/row")
 				})
 			}
+		}
+		for _, s := range softmaxShapes {
+			b.Run(fmt.Sprintf("%s/softmax/%dx%d", be.name, s.rows, s.cols), func(b *testing.B) {
+				g := lcg(1)
+				m := randMatrix(&g, s.rows, s.cols)
+				for i := range m.Data {
+					m.Data[i] *= 8 // logits of a few units either way
+				}
+				be.with(b, func() {
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						// From the second pass on the rows are probabilities,
+						// which the softmax maps to probabilities: the same
+						// work per row.
+						SoftmaxRows(m)
+					}
+				})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.rows), "ns/row")
+			})
 		}
 		for _, n := range axpyLengths {
 			b.Run(fmt.Sprintf("%s/axpy/%d", be.name, n), func(b *testing.B) {

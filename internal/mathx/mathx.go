@@ -149,7 +149,10 @@ func ArgMax(x []float64) int {
 // SoftmaxInPlace converts logits x to a probability distribution in place,
 // using the stable shifted-exponent formulation. The shift is the max that
 // MinMax reports, found by the same v > max scan: a NaN at index 0 is the
-// shift, a later NaN never is, and of tied zeros the first wins.
+// shift, a later NaN never is, and of tied zeros the first wins. The
+// exponentials are math.Exp's and are summed in ascending order. On amd64
+// with AVX2 and FMA, where math.Exp's own branch fuses, a vector body with
+// math.Exp's bits computes them four at a time (kernels.go's contract).
 func SoftmaxInPlace(x []float64) {
 	if len(x) == 0 {
 		return
@@ -160,14 +163,23 @@ func SoftmaxInPlace(x []float64) {
 			max = v
 		}
 	}
-	s := 0.0
-	for i, v := range x {
-		e := math.Exp(v - max)
-		x[i] = e
-		s += e
+	vector := useAVX2 && useFMAExp
+	var s float64
+	if vector {
+		s = expShiftedSum(x, max)
+	} else {
+		for i, v := range x {
+			e := math.Exp(v - max)
+			x[i] = e
+			s += e
+		}
 	}
 	if s == 0 {
 		Fill(x, 1/float64(len(x)))
+		return
+	}
+	if vector {
+		divRow(&x[0], len(x), s)
 		return
 	}
 	for i := range x {
@@ -272,11 +284,14 @@ func L2Dist(a, b []float64) float64 {
 
 // Backend names the kernels this process runs: "avx2" where the assembly
 // bodies of AffineRows, AccumGrads, BackpropReLUDelta and Axpy were selected at
-// start-up, "generic" for the Go loops; xrand's assembly follows the same
-// probe. The two produce the same bits (kernels.go); the name is for whoever
-// reads timings.
+// start-up, "avx2+fma" where the softmax's vector exponential was too,
+// "generic" for the Go loops; xrand's assembly follows the same probe. All
+// produce the same bits (kernels.go); the name is for whoever reads timings.
 func Backend() string {
-	if useAVX2 {
+	switch {
+	case useAVX2 && useFMAExp:
+		return "avx2+fma"
+	case useAVX2:
 		return "avx2"
 	}
 	return "generic"

@@ -157,9 +157,10 @@ func TestSoftmaxStability(t *testing.T) {
 	}
 }
 
-// softmaxViaMinMax is SoftmaxInPlace with its shift taken from MinMax, as it
-// was before the shift scan dropped the minimum nobody read: the oracle the
-// max-only scan is held to.
+// softmaxViaMinMax is SoftmaxInPlace's scalar body with its shift taken from
+// MinMax, as it was before the shift scan dropped the minimum nobody read and
+// before the vector exponential: the oracle the max-only scan and the vector
+// body are held to.
 func softmaxViaMinMax(x []float64) {
 	if len(x) == 0 {
 		return
@@ -180,7 +181,7 @@ func softmaxViaMinMax(x []float64) {
 	}
 }
 
-// checkSoftmaxShift fails the test unless SoftmaxInPlace and the MinMax-shift
+// checkSoftmaxShift fails the test unless SoftmaxInPlace and the scalar
 // oracle agree on every word of row (any two NaNs agree).
 func checkSoftmaxShift(t *testing.T, row []float64) {
 	t.Helper()
@@ -189,10 +190,51 @@ func checkSoftmaxShift(t *testing.T, row []float64) {
 	softmaxViaMinMax(want)
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
-			t.Fatalf("SoftmaxInPlace(%v)[%d] = %x (%v), MinMax shift gives %x (%v)",
+			t.Fatalf("SoftmaxInPlace(%v)[%d] = %x (%v), scalar loop with MinMax shift gives %x (%v)",
 				row, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 		}
 	}
+}
+
+// specials are the values the differential tests plant among ordinary ones.
+var specials = []float64{
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.MaxFloat64, -math.MaxFloat64, 1, -1,
+}
+
+// softmaxFuzzLengths are the row lengths FuzzSoftmaxInPlace tries: every
+// length around the vector body's groups of four and their tails, and the
+// two heads the workloads train (10 and 100 classes).
+var softmaxFuzzLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100}
+
+// FuzzSoftmaxInPlace holds SoftmaxInPlace, on whichever path this process
+// runs, to the scalar loop word for word. Each logit takes two bytes of the
+// input: a finite logit in [-1024, 1024) in 1/32 steps, or (when its first
+// byte is 0xff) one of specials; the spread reaches past both ends of the
+// exponential's normal range.
+func FuzzSoftmaxInPlace(f *testing.F) {
+	f.Add([]byte{}, uint8(10))
+	f.Add([]byte{0x10, 0x00, 0x80, 0x01, 0x7f, 0xff, 0xff, 0x05, 0x00, 0x40}, uint8(11))
+	f.Add([]byte{0x00, 0x00, 0x40, 0x00, 0x80, 0x00, 0xc0, 0x00, 0xff, 0x07}, uint8(4))
+	f.Add([]byte{0xe8, 0x00, 0x01, 0x00, 0x02, 0x00, 0xff, 0x06, 0x7a, 0x13}, uint8(8))
+	f.Fuzz(func(t *testing.T, raw []byte, length uint8) {
+		row := make([]float64, softmaxFuzzLengths[int(length)%len(softmaxFuzzLengths)])
+		for i := range row {
+			if len(raw) < 2 {
+				row[i] = float64(i%7) - 3
+				continue
+			}
+			hi, lo := raw[(2*i)%len(raw)], raw[(2*i+1)%len(raw)]
+			if hi == 0xff {
+				row[i] = specials[int(lo)%len(specials)]
+				continue
+			}
+			row[i] = float64(int16(uint16(hi)<<8|uint16(lo))) / 32
+		}
+		checkSoftmaxShift(t, row)
+	})
 }
 
 // TestSoftmaxShiftIsMinMaxMax pins the rows where a max scan could pick a

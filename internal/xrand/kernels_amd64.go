@@ -1,3 +1,5 @@
+//go:build !purego
+
 package xrand
 
 import "github.com/specdag/specdag/internal/mathx"

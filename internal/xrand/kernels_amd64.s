@@ -1,3 +1,5 @@
+//go:build !purego
+
 // AVX2 bodies of the generator's pass (source.advance: the lagged add and the
 // first-touch seeding) and of the ziggurat's fast path (NormFloat64s). A lane
 // is one register word or one draw, computed as the Go loop computes it: the

@@ -1,9 +1,9 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package xrand
 
-// No assembly off amd64: the Go loops are the only path, and the dispatch
-// branches on this constant fold away.
+// No assembly off amd64 or under the purego tag: the Go loops are the only
+// path, and the dispatch branches on this constant fold away.
 const useAVX2 = false
 
 func addAVX2(dst, src *int64, n int)                                    {}
