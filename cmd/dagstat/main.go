@@ -22,6 +22,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,21 +38,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "dagstat:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run reports on the artifact named by -in, writing the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dagstat", flag.ContinueOnError)
 	var (
-		in      = flag.String("in", "", "snapshot file written by specdag -save (required)")
-		top     = flag.Int("top", 10, "show the N heaviest transactions")
-		dotFile = flag.String("dot", "", "write Graphviz output to this file")
+		in      = fs.String("in", "", "snapshot file written by specdag -save (required)")
+		top     = fs.Int("top", 10, "show the N heaviest transactions")
+		dotFile = fs.String("dot", "", "write Graphviz output to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *in == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("missing -in")
 	}
 	if *top < 0 {
@@ -76,7 +82,7 @@ func run() error {
 	var d *dag.DAG
 	switch kind := string(magic[:3]); {
 	case kind == "SDE":
-		return eventLogStats(*in, br)
+		return eventLogStats(stdout, *in, br)
 	case kind == "SDC" || kind == "SDA":
 		info, ckptDAG, err := core.InspectCheckpoint(br)
 		if err != nil {
@@ -88,23 +94,23 @@ func run() error {
 			if info.Done {
 				state = "complete"
 			}
-			fmt.Printf("async simulation checkpoint: seed %d, event %d (horizon %.0fs, %s), %d clients, %d pending txs — resume with specdag -async -resume\n",
+			fmt.Fprintf(stdout, "async simulation checkpoint: seed %d, event %d (horizon %.0fs, %s), %d clients, %d pending txs — resume with specdag -async -resume\n",
 				info.Seed, info.Events, info.Duration, state, info.Clients, info.Pending)
 		} else {
-			fmt.Printf("simulation checkpoint: seed %d, round %d/%d, %d clients — resume with specdag -resume\n",
+			fmt.Fprintf(stdout, "simulation checkpoint: seed %d, round %d/%d, %d clients — resume with specdag -resume\n",
 				info.Seed, info.Round, info.Rounds, info.Clients)
 		}
 		if info.FrozenEpochs > 0 {
-			fmt.Printf("compaction: %d frozen epochs, %d frozen transactions, %d spill bytes (live floor %d)\n",
+			fmt.Fprintf(stdout, "compaction: %d frozen epochs, %d frozen transactions, %d spill bytes (live floor %d)\n",
 				info.FrozenEpochs, info.FrozenTxs, info.SpillBytes, d.LiveFloor())
 			epochs := d.FrozenEpochs()
-			fmt.Println("  epoch |    ids    | txs | rounds  | mean acc | spill")
+			fmt.Fprintln(stdout, "  epoch |    ids    | txs | rounds  | mean acc | spill")
 			for _, e := range epochs {
 				spill := "-"
 				if e.SpillFile != "" {
 					spill = fmt.Sprintf("%s (%d B)", e.SpillFile, e.SpillBytes)
 				}
-				fmt.Printf("  %5d | %4d-%-4d | %3d | %3d-%-3d | %8.3f | %s\n",
+				fmt.Fprintf(stdout, "  %5d | %4d-%-4d | %3d | %3d-%-3d | %8.3f | %s\n",
 					e.Epoch, e.FirstID, e.LastID, e.Txs, e.MinRound, e.MaxRound, e.MeanTestAcc, spill)
 			}
 		}
@@ -116,8 +122,8 @@ func run() error {
 	}
 
 	stats := d.Stats()
-	fmt.Printf("snapshot: %s\n", *in)
-	fmt.Printf("transactions: %d  tips: %d  max depth: %d\n", stats.Transactions, stats.Tips, stats.MaxDepth)
+	fmt.Fprintf(stdout, "snapshot: %s\n", *in)
+	fmt.Fprintf(stdout, "transactions: %d  tips: %d  max depth: %d\n", stats.Transactions, stats.Tips, stats.MaxDepth)
 
 	// Per-issuer activity.
 	published := map[int]int{}
@@ -133,14 +139,14 @@ func run() error {
 			poisoned++
 		}
 	}
-	fmt.Printf("model parameters per transaction: %d\n", paramDim)
-	fmt.Printf("publishing clients: %d  poisoned transactions: %d\n", len(published), poisoned)
+	fmt.Fprintf(stdout, "model parameters per transaction: %d\n", paramDim)
+	fmt.Fprintf(stdout, "publishing clients: %d  poisoned transactions: %d\n", len(published), poisoned)
 
 	// Community structure of the client graph.
 	g := metrics.BuildClientGraph(d)
 	if g.NumNodes() > 0 {
 		part := graphx.Louvain(g, xrand.New(1))
-		fmt.Printf("G_clients: %d nodes, %d communities, modularity %.3f\n",
+		fmt.Fprintf(stdout, "G_clients: %d nodes, %d communities, modularity %.3f\n",
 			g.NumNodes(), graphx.NumCommunities(part), graphx.Modularity(g, part))
 	}
 
@@ -150,8 +156,8 @@ func run() error {
 	// table rather than OOM on long-haul artifacts.
 	const maxWeighable = 200_000
 	if live := d.Size() - int(d.LiveFloor()); live > maxWeighable {
-		fmt.Printf("\nheaviest-transactions table skipped: %d live transactions exceed the %d sweep limit\n", live, maxWeighable)
-		return writeDot(*dotFile, d)
+		fmt.Fprintf(stdout, "\nheaviest-transactions table skipped: %d live transactions exceed the %d sweep limit\n", live, maxWeighable)
+		return writeDot(stdout, *dotFile, d)
 	}
 	weights := d.CumulativeWeights()
 	type row struct {
@@ -175,32 +181,32 @@ func run() error {
 	if d.LiveFloor() > 0 {
 		scope = ", live suffix only"
 	}
-	fmt.Printf("\nheaviest %d transactions (cumulative weight%s):\n", *top, scope)
-	fmt.Println("  id | weight | issuer | round | test acc")
+	fmt.Fprintf(stdout, "\nheaviest %d transactions (cumulative weight%s):\n", *top, scope)
+	fmt.Fprintln(stdout, "  id | weight | issuer | round | test acc")
 	for _, r := range rows[:*top] {
 		tx := d.MustGet(r.id)
-		fmt.Printf("%4d | %6d | %6d | %5d | %.3f\n", tx.ID, r.w, tx.Issuer, tx.Round, tx.Meta.TestAcc)
+		fmt.Fprintf(stdout, "%4d | %6d | %6d | %5d | %.3f\n", tx.ID, r.w, tx.Issuer, tx.Round, tx.Meta.TestAcc)
 	}
 
-	return writeDot(*dotFile, d)
+	return writeDot(stdout, *dotFile, d)
 }
 
 // writeDot handles the optional Graphviz export.
-func writeDot(path string, d *dag.DAG) error {
+func writeDot(stdout io.Writer, path string, d *dag.DAG) error {
 	if path == "" {
 		return nil
 	}
 	if err := os.WriteFile(path, []byte(d.DOT()), 0o644); err != nil {
 		return fmt.Errorf("writing DOT file: %w", err)
 	}
-	fmt.Printf("\nwrote Graphviz output to %s\n", path)
+	fmt.Fprintf(stdout, "\nwrote Graphviz output to %s\n", path)
 	return nil
 }
 
 // eventLogStats reports an SDE2 event log: the originating run's identity
 // and configuration, frame counts by kind, the index range, and how (or
 // whether) the run ended.
-func eventLogStats(name string, r io.Reader) error {
+func eventLogStats(stdout io.Writer, name string, r io.Reader) error {
 	wr, err := wire.NewReader(r)
 	if err != nil {
 		return err
@@ -237,37 +243,37 @@ func eventLogStats(name string, r io.Reader) error {
 		return fmt.Errorf("%s: empty event log", name)
 	}
 
-	fmt.Printf("event log: %s\n", name)
+	fmt.Fprintf(stdout, "event log: %s\n", name)
 	if info != nil {
-		fmt.Printf("run: engine %s, seed %d", info.Engine, info.Seed)
+		fmt.Fprintf(stdout, "run: engine %s, seed %d", info.Engine, info.Seed)
 		if info.Label != "" {
-			fmt.Printf(", label %q", info.Label)
+			fmt.Fprintf(stdout, ", label %q", info.Label)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		keys := make([]string, 0, len(info.Config))
 		for k := range info.Config {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf("  %s = %s\n", k, info.Config[k])
+			fmt.Fprintf(stdout, "  %s = %s\n", k, info.Config[k])
 		}
 	} else {
-		fmt.Println("run: unknown (log starts mid-stream, no start frame)")
+		fmt.Fprintln(stdout, "run: unknown (log starts mid-stream, no start frame)")
 	}
-	fmt.Printf("frames: %d, indices [%d, %d]\n", total, first, last)
+	fmt.Fprintf(stdout, "frames: %d, indices [%d, %d]\n", total, first, last)
 	for _, k := range []wire.Kind{wire.KindStart, wire.KindRound, wire.KindPublish, wire.KindProbe, wire.KindCheckpoint, wire.KindGap, wire.KindEnd} {
 		if counts[k] > 0 {
-			fmt.Printf("  %-10s %d\n", k, counts[k])
+			fmt.Fprintf(stdout, "  %-10s %d\n", k, counts[k])
 		}
 	}
 	switch {
 	case end == nil:
-		fmt.Println("outcome: log ends mid-run (no end frame)")
+		fmt.Fprintln(stdout, "outcome: log ends mid-run (no end frame)")
 	case end.Completed:
-		fmt.Printf("outcome: completed after %d steps\n", end.Steps)
+		fmt.Fprintf(stdout, "outcome: completed after %d steps\n", end.Steps)
 	default:
-		fmt.Printf("outcome: stopped after %d steps: %s\n", end.Steps, end.Err)
+		fmt.Fprintf(stdout, "outcome: stopped after %d steps: %s\n", end.Steps, end.Err)
 	}
 	return nil
 }

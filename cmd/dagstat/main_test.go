@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"cmp"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,25 +13,6 @@ import (
 	"github.com/specdag/specdag/internal/serve"
 	"github.com/specdag/specdag/internal/wire"
 )
-
-// captureStdout returns what fn printed.
-func captureStdout(t *testing.T, fn func() error) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := os.Stdout
-	os.Stdout = w
-	fnErr := fn()
-	os.Stdout = saved
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil || fnErr != nil {
-		t.Fatalf("fn: %v, reading its output: %v", fnErr, err)
-	}
-	return string(out)
-}
 
 // TestEventLogStats pins the report for an event log as cmd/specdag -events
 // and specdagd both write it: one start-frame key set (RunRequest.Info) for
@@ -57,7 +37,11 @@ func TestEventLogStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := captureStdout(t, func() error { return eventLogStats("run.sde", &buf) })
+	var out bytes.Buffer
+	if err := eventLogStats(&out, "run.sde", &buf); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
 	const want = `event log: run.sde
 run: engine specdag-async, seed 42
   alpha = 10
@@ -89,7 +73,6 @@ outcome: completed after 3 steps
 // wire.NewEventLog and reports it; a log of the retired gob generation
 // (SDE1) is named as older, not misread.
 func TestEventLogReport(t *testing.T) {
-	defer func(args []string, flags *flag.FlagSet) { os.Args, flag.CommandLine = args, flags }(os.Args, flag.CommandLine)
 	path := filepath.Join(t.TempDir(), "run.sde")
 	f, err := os.Create(path)
 	if err != nil {
@@ -107,11 +90,9 @@ func TestEventLogReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	dagstat := func(path string) (string, error) {
-		flag.CommandLine = flag.NewFlagSet("dagstat", flag.ContinueOnError)
-		os.Args = []string{"dagstat", "-in", path}
-		var err error
-		out := captureStdout(t, func() error { err = run(); return nil })
-		return out, err
+		var out bytes.Buffer
+		err := run([]string{"-in", path}, &out)
+		return out.String(), err
 	}
 	want := "event log: " + path + "\nrun: engine specdag, seed 7, label \"l\"\n  rounds = 2\nframes: 4, indices [0, 3]\n  start      1\n  round      2\n  end        1\noutcome: completed after 2 steps\n"
 	if got, err := dagstat(path); err != nil || got != want {
@@ -130,16 +111,16 @@ func TestEventLogReport(t *testing.T) {
 // committed SDC3/SDA3 fixtures — and names its kind and resume point before
 // the tangle statistics.
 func TestCheckpointReport(t *testing.T) {
-	defer func(args []string, flags *flag.FlagSet) { os.Args, flag.CommandLine = args, flags }(os.Args, flag.CommandLine)
 	for file, want := range map[string]string{
 		"golden_sync_v3.sdc":  "simulation checkpoint: seed 9, round 2/4, 3 clients — resume with specdag -resume\n",
 		"golden_async_v3.sdc": "async simulation checkpoint: seed 9, event 3 (horizon 8s, in flight), 3 clients, ",
 	} {
 		path := "../../internal/core/testdata/" + file
-		flag.CommandLine = flag.NewFlagSet("dagstat", flag.ContinueOnError)
-		os.Args = []string{"dagstat", "-in", path}
-		got := captureStdout(t, run)
-		if !strings.HasPrefix(got, want) || !strings.Contains(got, "\nsnapshot: "+path+"\ntransactions: ") {
+		var out bytes.Buffer
+		if err := run([]string{"-in", path}, &out); err != nil {
+			t.Fatalf("dagstat -in %s: %v", file, err)
+		}
+		if got := out.String(); !strings.HasPrefix(got, want) || !strings.Contains(got, "\nsnapshot: "+path+"\ntransactions: ") {
 			t.Errorf("dagstat -in %s:\n%s\nwant it to start %q and go on to the tangle", file, got, want)
 		}
 	}
@@ -148,10 +129,8 @@ func TestCheckpointReport(t *testing.T) {
 // TestNegativeTopIsAnError: -top -1 is refused by name before the file is
 // read, instead of slicing the heaviest-transactions table out of range.
 func TestNegativeTopIsAnError(t *testing.T) {
-	defer func(args []string, flags *flag.FlagSet) { os.Args, flag.CommandLine = args, flags }(os.Args, flag.CommandLine)
-	flag.CommandLine = flag.NewFlagSet("dagstat", flag.ContinueOnError)
-	os.Args = []string{"dagstat", "-in", "../../internal/core/testdata/golden_sync_v3.sdc", "-top", "-1"}
-	if err := run(); err == nil || !strings.Contains(err.Error(), "-top must not be negative, got -1") {
+	err := run([]string{"-in", "../../internal/core/testdata/golden_sync_v3.sdc", "-top", "-1"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-top must not be negative, got -1") {
 		t.Fatalf("dagstat -top -1: %v, want an error naming -top", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/dag"
+	"github.com/specdag/specdag/internal/lint/linttest"
 	"github.com/specdag/specdag/internal/serve"
 	"github.com/specdag/specdag/internal/sim"
 	"github.com/specdag/specdag/internal/tipselect"
@@ -281,5 +283,40 @@ func TestEventLogStartFrame(t *testing.T) {
 		if got := *frames[0].Start; !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("specdag %s: start frame\n got %+v\nwant %+v", tc.args, got, tc.want)
 		}
+	}
+}
+
+// dagstat reports on an artifact the way an operator reads it, through the
+// inspector's command line: a main package cannot be imported, so it runs
+// under the go command, which caches the linked binary. The packages it
+// links are this test's too; its own source is opened so a change to it
+// reruns the test.
+func dagstat(t *testing.T, path string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("runs cmd/dagstat through the go toolchain; skipped in -short mode")
+	}
+	linttest.DependOnSources(t, "../dagstat")
+	out, err := exec.Command("go", "run", "../dagstat", "-in", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("dagstat -in %s: %v\n%s", path, err, out)
+	}
+	return string(out)
+}
+
+// TestCompactedRunSpills: an async run with compaction and a spill directory
+// freezes epochs into .sds files there, and dagstat's report of its
+// checkpoint lists them.
+func TestCompactedRunSpills(t *testing.T) {
+	spill, ckpt := t.TempDir(), filepath.Join(t.TempDir(), "run.sda")
+	args := fields("-async -duration 100 -min-cycle 1 -max-cycle 4 -depth-min 10 -depth-max 20 -compact-width 30 -seed 7")
+	if err := run(append(args, "-compact-spill", spill, "-checkpoint", ckpt)); err != nil {
+		t.Fatal(err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(spill, "*.sds")); len(files) == 0 {
+		t.Errorf("no .sds spill files in %s", spill)
+	}
+	if out := dagstat(t, ckpt); !strings.Contains(out, "\ncompaction: ") || !strings.Contains(out, ".sds (") {
+		t.Errorf("dagstat on the compacted checkpoint:\n%s\nwant a compaction: report naming its spill files", out)
 	}
 }

@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/specdag/specdag/internal/lint/linttest"
 	"github.com/specdag/specdag/internal/mathx"
 	"github.com/specdag/specdag/internal/serve"
 )
@@ -127,9 +130,74 @@ func (d *daemon) status(t *testing.T, method, path, body string) serve.RunStatus
 	return st
 }
 
-// TestRunPersistsAndRestores is the CI daemon smoke in Go: a run in flight
-// when the daemon is told to stop is paused to a checkpoint and persisted,
-// and the next boot on the same state directory brings it back paused.
+// dagstat reports on an artifact the way an operator reads it, through the
+// inspector's command line: a main package cannot be imported, so it runs
+// under the go command, which caches the linked binary. The packages it
+// links are this test's too; its own source is opened so a change to it
+// reruns the test.
+func dagstat(t *testing.T, path string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("runs cmd/dagstat through the go toolchain; skipped in -short mode")
+	}
+	linttest.DependOnSources(t, "../dagstat")
+	out, err := exec.Command("go", "run", "../dagstat", "-in", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("dagstat -in %s: %v\n%s", path, err, out)
+	}
+	return string(out)
+}
+
+// TestEventsStreamToEnd: GET /runs/{id}/events?from=0 answers a run's whole
+// SDE2 log, blocking until its End frame, and dagstat reads the download as
+// a run that completed every round.
+func TestEventsStreamToEnd(t *testing.T) {
+	d := boot(t, t.TempDir())
+	d.status(t, "POST", "/runs", `{"dataset":"fmnist","seed":1,"rounds":6,"clients_per_round":2,"label":"smoke"}`)
+	resp, err := http.Get(d.url + "/runs/1/events?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /runs/1/events: %s", resp.Status)
+	}
+	sde, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "events.sde")
+	if err := os.WriteFile(path, sde, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := dagstat(t, path); !strings.Contains(out, "\noutcome: completed after 6 steps\n") {
+		t.Errorf("dagstat on the streamed log:\n%s\nwant it completed after 6 steps", out)
+	}
+}
+
+// TestPauseResume: POST pause stops a running run at a unit boundary and
+// leaves it paused on a checkpoint, no longer stepping; POST resume sets it
+// running again.
+func TestPauseResume(t *testing.T) {
+	d := boot(t, t.TempDir())
+	d.status(t, "POST", "/runs", `{"dataset":"fmnist","seed":7,"rounds":5000,"clients_per_round":2,"label":"pausable"}`)
+	paused := d.status(t, "POST", "/runs/1/pause", "")
+	if paused.State != "paused" || !paused.HasCheckpoint {
+		t.Fatalf("paused run: %+v, want it paused with its checkpoint", paused)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if st := d.status(t, "GET", "/runs/1", ""); st.State != "paused" || st.Steps != paused.Steps {
+		t.Errorf("run 100 ms after its pause: %s at step %d, want paused at step %d", st.State, st.Steps, paused.Steps)
+	}
+	if st := d.status(t, "POST", "/runs/1/resume", ""); st.State != "running" {
+		t.Errorf("resumed run: %+v, want it running", st)
+	}
+	d.status(t, "POST", "/runs/1/cancel", "")
+}
+
+// TestRunPersistsAndRestores: a run in flight when the daemon is told to
+// stop is paused to a checkpoint and persisted with a manifest, and the next
+// boot on the same state directory brings it back paused.
 func TestRunPersistsAndRestores(t *testing.T) {
 	dir := t.TempDir()
 	first := boot(t, dir)

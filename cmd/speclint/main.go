@@ -1,6 +1,6 @@
 // Command speclint is the repository's determinism-and-concurrency vettool:
 // it runs the internal/lint analyzer suite (detrand, maporder, budget,
-// kernelorder) over type-checked packages.
+// kernelorder, forbid) over type-checked packages.
 //
 // It speaks the go vet tool protocol, so the canonical invocation is
 //

@@ -7,13 +7,15 @@
 // the invariance and resume-equivalence suites, which a new code path can
 // silently bypass.
 //
-// The four analyzers (see All):
+// The five analyzers (see All):
 //
 //	detrand     — no ambient randomness or wall clock in deterministic packages
 //	maporder    — no order-sensitive iteration over maps in deterministic packages
 //	budget      — no naked go statements outside internal/par
 //	kernelorder — no math.FMA or float32 arithmetic in the default mathx backend,
 //	              Go or assembly (fused only where the reference fuses)
+//	forbid      — no retired spelling (gob, environment reads, stack parsing, the
+//	              old checkpoint protocol and weight sweep) in its package scope
 //
 // The suite runs as a vettool (cmd/speclint) under "go vet -vettool=", using
 // a small local reimplementation of the golang.org/x/tools/go/analysis
@@ -157,7 +159,7 @@ func IsDeterministicPkg(path string) bool {
 
 // All returns the full speclint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, MapOrder, Budget, KernelOrder}
+	return []*Analyzer{Detrand, MapOrder, Budget, KernelOrder, Forbid}
 }
 
 // directivePrefix introduces a speclint control comment. gofmt preserves

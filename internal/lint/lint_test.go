@@ -33,6 +33,11 @@ func TestKernelOrder(t *testing.T) {
 		"kernelorder/internal/mathx", "kernelorder/internal/xrand")
 }
 
+func TestForbid(t *testing.T) {
+	linttest.Run(t, linttest.TestData(), lint.Forbid,
+		"forbid/internal/core", "forbid/internal/dag", "forbid/app", "forbid/bench", "forbid/bench_test")
+}
+
 // TestDirectiveAudit pins the directive diagnostics: malformed verbs,
 // unknown analyzers, missing reasons, and stale suppressions are findings.
 func TestDirectiveAudit(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -41,6 +42,32 @@ func TestData() string {
 		panic(err)
 	}
 	return filepath.Join(wd, "testdata")
+}
+
+// DependOnSources opens every Go and assembly source under the module root,
+// so that a test which runs the go command over the module runs again when
+// one of them changes: go test keys a cached result on the files the test
+// process itself opens, and a child go command's reads are not among them.
+func DependOnSources(t *testing.T, root string) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || (filepath.Ext(path) != ".go" && filepath.Ext(path) != ".s" && d.Name() != "go.mod"):
+			return nil
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		return f.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Run loads each fixture package below dir/src, applies the analyzer, and
