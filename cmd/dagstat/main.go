@@ -49,7 +49,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("dagstat", flag.ContinueOnError)
 	var (
-		in      = fs.String("in", "", "snapshot file written by specdag -save (required)")
+		in      = fs.String("in", "", "artifact to inspect (required): an SDG1 snapshot (specdag -save), an SDC3/SDA3 checkpoint or an SDE2 event log")
 		top     = fs.Int("top", 10, "show the N heaviest transactions")
 		dotFile = fs.String("dot", "", "write Graphviz output to this file")
 	)

@@ -14,9 +14,9 @@
 // stops the run at its next unit boundary, keeps the checkpoint and frees the
 // engine's memory; POST /runs/{id}/resume rebuilds the engine from it and
 // continues bit-identically. On SIGTERM/SIGINT the daemon pauses every
-// running run the same way, and — when -dir is set — persists the checkpoints
-// and a manifest, so the next boot finds the runs as this one left them:
-// paused, and resumed by the same call.
+// running run the same way. With -dir set, each checkpoint is written there
+// when it is taken, beside a manifest (runs.json) naming each run's latest,
+// so the next boot finds the runs as this one left them, stopped or killed.
 package main
 
 import (
@@ -66,7 +66,7 @@ func parseFlags(args []string) (addr string, cfg serve.Config, grace time.Durati
 	fs.IntVar(&cfg.Ring, "ring", 0, fmt.Sprintf("most frames a subscriber may lag before it sees a gap; each run's ring grows up to it as its log grows (0 = default, %d)", serve.DefaultRingSize))
 	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 25, "default checkpoint cadence in engine units")
 	fs.IntVar(&cfg.Quantum, "quantum", 0, "scheduler dispatch quantum in engine units per run (0 = default)")
-	fs.StringVar(&cfg.Dir, "dir", "", "state directory: persist paused runs on shutdown, restore them on boot")
+	fs.StringVar(&cfg.Dir, "dir", "", "state directory: write each run checkpoint there when it is taken, restore the runs on boot")
 	fs.DurationVar(&grace, "grace", 30*time.Second, "shutdown grace period for pausing runs")
 	fs.StringVar(&cfg.SpillDir, "spill-dir", "", "event-log spill directory: mirror every run's SDE2 stream to disk so a lapped subscriber replays from file instead of seeing a gap (empty disables)")
 	fs.IntVar(&cfg.MaxRuns, "max-runs", 0, "cap on concurrently active (running or paused) runs; submits beyond it answer 429 (0 = unlimited)")
@@ -102,19 +102,16 @@ func parseFlags(args []string) (addr string, cfg serve.Config, grace time.Durati
 }
 
 // run serves on ln until ctx ends, then pauses every run to a checkpoint
-// within the grace period and, with a state directory, persists them.
+// within the grace period.
 func run(ctx context.Context, ln net.Listener, cfg serve.Config, grace time.Duration) error {
 	defer ln.Close() // for the paths that return before Serve, which closes it itself
 	s := serve.NewServer(cfg)
-	dir := cfg.Dir
-	if dir != "" {
-		n, err := s.Restore()
-		if err != nil {
-			return fmt.Errorf("restoring state from %s: %w", dir, err)
-		}
-		if n > 0 {
-			log.Printf("restored %d runs from %s", n, dir)
-		}
+	n, err := s.Restore() // nothing without a state directory
+	if err != nil {
+		return fmt.Errorf("restoring state from %s: %w", cfg.Dir, err)
+	}
+	if n > 0 {
+		log.Printf("restored %d runs from %s", n, cfg.Dir)
 	}
 
 	httpSrv := &http.Server{Handler: s.Handler()}
@@ -136,9 +133,8 @@ func run(ctx context.Context, ln net.Listener, cfg serve.Config, grace time.Dura
 	defer cancel()
 	// Stop accepting new work first, then quiesce the runs: open event
 	// streams end when their runs settle, so Shutdown order matters.
-	shutErr := s.Shutdown(ctx)
-	if shutErr != nil {
-		log.Printf("pausing runs: %v", shutErr)
+	if err := s.Shutdown(ctx); err != nil {
+		log.Printf("pausing runs: %v", err)
 	}
 	for _, st := range s.Statuses() {
 		log.Printf("run %d (%s): %s at step %d", st.ID, st.Dataset, st.State, st.Steps)
@@ -148,9 +144,6 @@ func run(ctx context.Context, ln net.Listener, cfg serve.Config, grace time.Dura
 	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
-	}
-	if dir != "" && shutErr == nil {
-		log.Printf("state persisted to %s", dir)
 	}
 	return nil
 }

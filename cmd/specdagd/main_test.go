@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/specdag/specdag/internal/core"
 	"github.com/specdag/specdag/internal/lint/linttest"
 	"github.com/specdag/specdag/internal/mathx"
 	"github.com/specdag/specdag/internal/serve"
@@ -195,15 +197,65 @@ func TestPauseResume(t *testing.T) {
 	d.status(t, "POST", "/runs/1/cancel", "")
 }
 
-// TestRunPersistsAndRestores: a run in flight when the daemon is told to
-// stop is paused to a checkpoint and persisted with a manifest, and the next
-// boot on the same state directory brings it back paused.
+// persistedRun reads what the state directory holds of run 1: its manifest
+// entry and the units of the checkpoint file the entry names.
+func persistedRun(dir string) (state string, step, units int, err error) {
+	blob, err := os.ReadFile(filepath.Join(dir, "runs.json"))
+	if err != nil {
+		return "", 0, 0, err
+	}
+	var m struct {
+		Runs []struct {
+			ID             int    `json:"id"`
+			State          string `json:"state"`
+			CheckpointFile string `json:"checkpoint_file"`
+			CheckpointStep int    `json:"checkpoint_step"`
+		} `json:"runs"`
+	}
+	if err := json.Unmarshal(blob, &m); err != nil {
+		return "", 0, 0, err
+	}
+	if len(m.Runs) != 1 || m.Runs[0].ID != 1 || m.Runs[0].CheckpointFile == "" {
+		return "", 0, 0, fmt.Errorf("manifest %s names no checkpoint of run 1", blob)
+	}
+	e := m.Runs[0]
+	f, err := os.Open(filepath.Join(dir, e.CheckpointFile))
+	if err != nil {
+		return "", 0, 0, err // replaced by a newer checkpoint since the read
+	}
+	defer f.Close()
+	info, _, err := core.InspectCheckpoint(f)
+	if err != nil {
+		return "", 0, 0, err
+	}
+	return e.State, e.CheckpointStep, info.Round, nil
+}
+
+// TestRunPersistsAndRestores: a running run's cadence checkpoints reach the
+// state directory as they are taken, named by a manifest that lists the run
+// running; a run in flight when the daemon is told to stop is paused to a
+// checkpoint, and the next boot on the same state directory brings it back
+// paused.
 func TestRunPersistsAndRestores(t *testing.T) {
 	dir := t.TempDir()
 	first := boot(t, dir)
 	st := first.status(t, "POST", "/runs", `{"dataset":"fmnist","seed":7,"rounds":5000,"clients_per_round":2,"label":"pausable"}`)
 	if st.ID != 1 {
 		t.Fatalf("submitted run has id %d, want 1", st.ID)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		state, step, units, err := persistedRun(dir)
+		if err == nil {
+			if state != "running" || step < 1 || units != step {
+				t.Fatalf("before shutdown the manifest lists run 1 %s at checkpoint step %d, its file holds %d units", state, step, units)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no checkpoint of the running run on disk within 30 s: %v", err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	first.shutdown(t)
 	if _, err := os.Stat(filepath.Join(dir, "runs.json")); err != nil {

@@ -500,10 +500,10 @@ func (d *DAG) writeSpillLocked(path string, first, last ID) (int64, error) {
 	return enc.Written(), nil
 }
 
-// ReadSpill decodes an epoch spill file: the transactions of one frozen
+// readSpill decodes an epoch spill file: the transactions of one frozen
 // epoch, in ID order, with their full parameter vectors. first is the
 // expected FirstID (records are validated to be sequential from it).
-func ReadSpill(r io.Reader, first ID) ([]*Transaction, error) {
+func readSpill(r io.Reader, first ID) ([]*Transaction, error) {
 	dec := NewDecoder(bufio.NewReader(r))
 	var count uint32
 	if dec.header(spillMagic, "an SDS1 epoch spill", &count); dec.Err() != nil {
@@ -523,7 +523,9 @@ func ReadSpill(r io.Reader, first ID) ([]*Transaction, error) {
 // ParamsOf returns the parameter vector of the given transaction: the live
 // in-memory copy, or — for a frozen transaction whose epoch was spilled —
 // the copy reloaded from the spill file. It fails for frozen transactions
-// compacted without a spill directory.
+// compacted without a spill directory. It is the read-back API for spilled
+// parameters, which no engine reads back; its readers are core's
+// compaction-equivalence gate and bench's async-longhaul reload.
 func (d *DAG) ParamsOf(id ID) ([]float64, error) {
 	t, ok := d.Get(id)
 	if !ok {
@@ -555,7 +557,7 @@ func (d *DAG) ParamsOf(id ID) ([]float64, error) {
 		return nil, fmt.Errorf("dag: reloading epoch %d: %w", sum.Epoch, err)
 	}
 	defer f.Close()
-	txs, err := ReadSpill(f, sum.FirstID)
+	txs, err := readSpill(f, sum.FirstID)
 	if err != nil {
 		return nil, fmt.Errorf("dag: reloading epoch %d: %w", sum.Epoch, err)
 	}

@@ -251,7 +251,7 @@ func TestSpillRoundtripAndParamsOf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		txs, err := ReadSpill(f, e.FirstID)
+		txs, err := readSpill(f, e.FirstID)
 		f.Close()
 		if err != nil {
 			t.Fatalf("epoch %d: %v", e.Epoch, err)

@@ -472,7 +472,7 @@ func (r *modelRun) checkFrozen(op int, floor ID) {
 		if int64(len(blob)) != e.SpillBytes {
 			t.Fatalf("op %d: epoch %d spill holds %d bytes, summary says %d", op, e.Epoch, len(blob), e.SpillBytes)
 		}
-		txs, err := ReadSpill(bytes.NewReader(blob), e.FirstID)
+		txs, err := readSpill(bytes.NewReader(blob), e.FirstID)
 		if err != nil || len(txs) != e.Txs {
 			t.Fatalf("op %d: epoch %d spill decodes to %d txs, %v", op, e.Epoch, len(txs), err)
 		}
@@ -637,7 +637,7 @@ func TestGoldenSpill(t *testing.T) {
 	if !bytes.Equal(emitted, golden) {
 		t.Fatalf("epoch %d spills to %d bytes that differ from the %d-byte fixture", e.Epoch, len(emitted), len(golden))
 	}
-	txs, err := ReadSpill(bytes.NewReader(golden), e.FirstID)
+	txs, err := readSpill(bytes.NewReader(golden), e.FirstID)
 	if err != nil {
 		t.Fatalf("golden spill no longer decodes: %v", err)
 	}
@@ -688,10 +688,10 @@ func FuzzReadSpill(f *testing.F) {
 		if len(data) > 1<<16 {
 			t.Skip("bounded: the fixture is a few hundred bytes")
 		}
-		txs, err := ReadSpill(bytes.NewReader(data), ID(first))
+		txs, err := readSpill(bytes.NewReader(data), ID(first))
 		if err != nil {
 			if err.Error() == "" {
-				t.Fatal("ReadSpill returned an empty error")
+				t.Fatal("readSpill returned an empty error")
 			}
 			return
 		}

@@ -19,15 +19,15 @@
 //
 // A run's checkpoint is a capture, not a blob. At the cadence (WithCheckpoints'
 // save) and at a pause (settle) the engine hands over an engine.Checkpoint,
-// and one function, run.keep, installs it: the tangle and the engine state
+// and one function, Server.keep, installs it: the tangle and the engine state
 // pinned where they stand — the ledger is append-only and the engine never
 // writes into a history row or parameter vector it holds, so that costs a
 // few words per live transaction and per client. The bytes are
 // produced when someone reads: GET /runs/{id}/checkpoint encodes into the
-// response, Resume into the decoder, Shutdown into the state directory, each
-// without a lock and without reading anything the run still writes; a
-// checkpoint nobody reads is never encoded. The Checkpoint frame's Size is
-// computed from the capture.
+// response, Resume into the decoder, keep into Config.Dir when set, each
+// without a lock and without reading anything the run still writes; without a
+// Dir, a checkpoint nobody reads is never encoded. The Checkpoint frame's Size
+// is computed from the capture.
 //
 // # Backpressure
 //

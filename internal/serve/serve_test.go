@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -482,6 +483,10 @@ func TestShutdownRestore(t *testing.T) {
 	if err := s1.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
+	r1, err := s1.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Persistence goes temp file → sync → rename: what is left is exactly the
 	// manifest and the paused run's checkpoint, never a partial file.
 	entries, err := os.ReadDir(dir)
@@ -492,15 +497,11 @@ func TestShutdownRestore(t *testing.T) {
 	for _, e := range entries {
 		names = append(names, e.Name())
 	}
-	if want := []string{"run-1.sdc", "runs.json"}; !slices.Equal(names, want) {
+	if want := []string{fmt.Sprintf("run-1-%d.sdc", r1.status().CheckpointIndex), "runs.json"}; !slices.Equal(names, want) {
 		t.Fatalf("persisted files %v, want %v", names, want)
 	}
 	// The first process's stretch of the log, up to the pause checkpoint: the
 	// second process carries the unit count on from here.
-	r1, err := s1.lookup(id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var before []wire.Frame
 	for sub := r1.b.Subscribe(0); sub.Cursor() < r1.b.NextIndex(); {
 		f, err := sub.Next(ctx)

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -42,8 +41,8 @@ type Config struct {
 	// units one hosted run executes per dispatch before the scheduler
 	// re-picks by priority (<= 0 selects the scheduler default).
 	Quantum int
-	// Dir, when non-empty, is where Shutdown persists the checkpoints of
-	// in-flight runs (and Restore re-registers them on the next boot).
+	// Dir, when non-empty, is the state directory: each checkpoint is written
+	// there when kept, named in runs.json, from which Restore re-hosts runs.
 	Dir string
 	// SpillDir, when non-empty, is where each run's event log is mirrored to
 	// disk (run-<id>.sde, SDE2). A subscriber that falls behind the ring then
@@ -83,10 +82,12 @@ type Server struct {
 	sched     *engine.Scheduler
 	stopSched context.CancelFunc
 
-	mu     sync.Mutex
-	runs   map[int]*run
-	nextID int
-	wg     sync.WaitGroup // the scheduler supervisor goroutine
+	mu        sync.Mutex
+	runs      map[int]*run
+	nextID    int
+	wg        sync.WaitGroup  // the scheduler supervisor goroutine
+	persistMu sync.Mutex      // serializes the manifest writer: runs.json has one temp file
+	named     map[string]bool // checkpoint files the last manifest written names
 }
 
 // Run states reported by the status endpoints.
@@ -103,16 +104,6 @@ const (
 type hosted interface {
 	engine.Engine
 	engine.Snapshotter
-}
-
-// checkpointFile is a checkpoint as its bytes: the file Restore read.
-type checkpointFile []byte
-
-func (b checkpointFile) Size() int64 { return int64(len(b)) }
-
-func (b checkpointFile) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(b)
-	return int64(n), err
 }
 
 // run is one hosted experiment. Only a running run has a scheduler job and an
@@ -134,6 +125,7 @@ type run struct {
 	ckpt      engine.Checkpoint // latest checkpoint, nil if none yet
 	ckptIndex uint64            // event-log index the checkpoint resumes from
 	ckptStep  int               // engine units completed at the checkpoint
+	ckptFile  string            // the checkpoint's file in Config.Dir, "" if none
 }
 
 // NewServer creates a server with its shared worker budget and routes.
@@ -147,6 +139,9 @@ func NewServer(cfg Config) *Server {
 		mux:    http.NewServeMux(),
 		runs:   make(map[int]*run),
 		nextID: 1,
+	}
+	if cfg.Dir != "" {
+		os.MkdirAll(cfg.Dir, 0o755) // once: failing here, or vanishing later, fails the runs writing to it
 	}
 	s.sched = engine.NewScheduler(engine.SchedulerConfig{
 		Pool:    s.pool,
@@ -448,6 +443,7 @@ func (s *Server) register(req RunRequest, eng hosted) (int, error) {
 	// The log exists before the run is visible — handlers read r.b without a
 	// lock — and its spill file is named after the ID taken here.
 	r := &run{id: id, req: req, b: s.newLog(id, 0)}
+	defer s.writeManifest() // after the unlock below: never under a run's lock
 	// Held until the job is submitted: a lifecycle call that finds the run in
 	// the registry waits here and then finds it running, with its job.
 	r.mu.Lock()
@@ -539,10 +535,7 @@ func (s *Server) launch(r *run, eng hosted) error {
 				r.steps++
 				r.mu.Unlock()
 			}}),
-			engine.WithCheckpoints(every, func(c engine.Checkpoint) error {
-				r.keep(c)
-				return nil
-			}),
+			engine.WithCheckpoints(every, func(c engine.Checkpoint) error { return s.keep(r, c) }),
 		},
 		OnSettle: func(err error) { s.settle(r, err) },
 	})
@@ -564,6 +557,7 @@ func (s *Server) launch(r *run, eng hosted) error {
 // tangle become collectable: what a run that is not running keeps is its
 // request, its event log and its last checkpoint.
 func (s *Server) settle(r *run, err error) {
+	defer s.writeManifest() // after the unlock below: never under a run's lock
 	r.mu.Lock()
 	eng, pausing := r.eng, r.pausing
 	r.mu.Unlock()
@@ -578,7 +572,9 @@ func (s *Server) settle(r *run, err error) {
 		// No lock while the engine is captured: the job is gone, so nothing
 		// else appends to the log or touches the engine.
 		state = StatePaused
-		r.keep(eng.Checkpoint())
+		if err := s.keep(r, eng.Checkpoint()); err != nil {
+			state, msg = StateFailed, err.Error()
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -591,26 +587,12 @@ func (s *Server) settle(r *run, err error) {
 }
 
 // end is the one terminal transition of a run: the state and the error, the
-// End frame, the closed log. Callers hold r.mu and know the run has not ended
-// yet.
+// End frame, the closed log, and no checkpoint file for the manifest to keep.
+// Callers hold r.mu and know the run has not ended yet.
 func (r *run) end(state, msg string) {
-	r.state, r.err = state, msg
+	r.state, r.err, r.ckptFile = state, msg, ""
 	r.b.Append(wire.Frame{Kind: wire.KindEnd, End: &wire.End{Steps: r.steps, Completed: msg == "", Err: msg}})
 	r.b.Close()
-}
-
-// keep installs c as the run's latest checkpoint and announces it with a
-// Checkpoint frame: the one way a hosted run's checkpoints arrive, from the
-// cadence (the engine loop, between units) and from a pause (settle, after
-// the job has stopped). Either way the run's step count is the checkpoint's
-// and NextIndex() is exactly the index the checkpoint resumes from. Nothing
-// is encoded: c is a capture, written only when someone reads it.
-func (r *run) keep(c engine.Checkpoint) {
-	r.mu.Lock()
-	r.ckpt, r.ckptIndex, r.ckptStep = c, r.b.NextIndex(), r.steps
-	step := r.steps
-	r.mu.Unlock()
-	r.b.Append(wire.Frame{Kind: wire.KindCheckpoint, Checkpoint: &wire.Checkpoint{Step: step, Size: c.Size()}})
 }
 
 // status snapshots a run's externally visible state.
@@ -691,6 +673,7 @@ func (s *Server) Resume(id int) error {
 	ckpt := r.ckpt
 	r.mu.Unlock()
 	eng, err := s.buildEngine(&r.req, ckpt)
+	defer s.writeManifest() // after the unlock below: never under a run's lock
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state != StatePaused {
@@ -712,6 +695,7 @@ func (s *Server) Cancel(ctx context.Context, id int) error {
 	if err != nil {
 		return err
 	}
+	defer s.writeManifest() // after the unlock below: never under a run's lock
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state == StateRunning {
@@ -780,9 +764,9 @@ func (s *Server) sorted() []*run {
 	return runs
 }
 
-// Shutdown stops the server's runs: running ones are paused to a
-// checkpoint, and — when Config.Dir is set — the checkpoints and a manifest
-// are persisted so Restore can re-host everything after a restart. HTTP
+// Shutdown stops the server's runs: running ones are paused to a checkpoint,
+// written to Config.Dir (when set) as every checkpoint is, so Restore can
+// re-host everything after a restart; Shutdown itself writes nothing. HTTP
 // listeners are the caller's to close (the daemon shuts its http.Server down
 // around this).
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -812,150 +796,5 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if s.cfg.Dir != "" {
-		if err := s.persist(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	return firstErr
-}
-
-// manifest is the on-disk index of persisted runs (Config.Dir).
-type manifest struct {
-	NextID int             `json:"next_id"`
-	Runs   []manifestEntry `json:"runs"`
-}
-
-type manifestEntry struct {
-	ID              int        `json:"id"`
-	Request         RunRequest `json:"request"`
-	State           string     `json:"state"`
-	Steps           int        `json:"steps"`
-	Err             string     `json:"err,omitempty"` // how a terminal run ended; empty if it completed
-	CheckpointFile  string     `json:"checkpoint_file,omitempty"`
-	CheckpointIndex uint64     `json:"checkpoint_index"`
-	CheckpointStep  int        `json:"checkpoint_step"`
-}
-
-// persist writes every paused run's checkpoint and the manifest to Dir, each
-// through engine.WriteAtomic: a crash mid-shutdown leaves the previous file
-// intact instead of a truncated one that Restore would refuse.
-func (s *Server) persist() error {
-	if err := os.MkdirAll(s.cfg.Dir, 0o755); err != nil {
-		return fmt.Errorf("serve: creating checkpoint dir: %w", err)
-	}
-	s.mu.Lock()
-	m := manifest{NextID: s.nextID}
-	s.mu.Unlock()
-	for _, r := range s.sorted() {
-		r.mu.Lock()
-		e := manifestEntry{
-			ID:              r.id,
-			Request:         r.req,
-			State:           r.state,
-			Steps:           r.steps,
-			Err:             r.err,
-			CheckpointIndex: r.ckptIndex,
-			CheckpointStep:  r.ckptStep,
-		}
-		ckpt := r.ckpt
-		r.mu.Unlock()
-		if e.State == StatePaused && ckpt != nil {
-			ext := ".sdc"
-			if e.Request.Async {
-				ext = ".sda"
-			}
-			e.CheckpointFile = fmt.Sprintf("run-%d%s", e.ID, ext)
-			if err := engine.WriteAtomic(filepath.Join(s.cfg.Dir, e.CheckpointFile), ckpt); err != nil {
-				return fmt.Errorf("serve: persisting run %d: %w", e.ID, err)
-			}
-		}
-		m.Runs = append(m.Runs, e)
-	}
-	blob, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := engine.WriteAtomic(filepath.Join(s.cfg.Dir, "runs.json"), bytes.NewReader(blob)); err != nil {
-		return fmt.Errorf("serve: persisting manifest: %w", err)
-	}
-	return nil
-}
-
-// Restore re-registers the runs a previous daemon persisted on shutdown.
-// Paused runs come back paused, with their checkpoints loaded and their
-// event logs restarting at the checkpoint index (earlier frames are gone
-// with the old process — subscribers resume from the checkpoint, which is
-// the snapshot-semantics recovery the format is built around). Terminal
-// runs come back as closed status records, each ending as it ended: its
-// state, its error and an End frame saying so. Missing manifest is not an
-// error: a fresh Dir restores nothing.
-func (s *Server) Restore() (int, error) {
-	if s.cfg.Dir == "" {
-		return 0, nil
-	}
-	blob, err := os.ReadFile(filepath.Join(s.cfg.Dir, "runs.json"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("serve: reading manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return 0, fmt.Errorf("serve: decoding manifest: %w", err)
-	}
-	restored := 0
-	for _, e := range m.Runs {
-		e.Request.normalize()
-		r := &run{
-			id:       e.ID,
-			req:      e.Request,
-			state:    e.State,
-			steps:    e.Steps,
-			ckptStep: e.CheckpointStep,
-		}
-		switch e.State {
-		case StatePaused:
-			if e.CheckpointFile == "" {
-				continue
-			}
-			ckpt, err := os.ReadFile(filepath.Join(s.cfg.Dir, e.CheckpointFile))
-			if err != nil {
-				return restored, fmt.Errorf("serve: reading run %d checkpoint: %w", e.ID, err)
-			}
-			r.ckpt = checkpointFile(ckpt)
-			// The old process's spill is stale (its frames predate the
-			// checkpoint); the reborn log spills to a fresh file.
-			r.b = s.newLog(e.ID, e.CheckpointIndex)
-			// A fresh start frame anchors the reborn log at the resume
-			// index, so late subscribers still learn the run identity.
-			info := e.Request.Info()
-			r.b.Append(wire.Frame{Kind: wire.KindStart, Start: &info})
-			r.ckptIndex = r.b.NextIndex()
-		case StateRunning:
-			// The old process died before pausing it; nothing to restore.
-			continue
-		default:
-			// A terminal run ends again as it ended; a manifest that kept no
-			// error says so only for a run that did not complete.
-			msg := e.Err
-			if msg == "" && e.State != StateDone {
-				msg = "terminated before daemon restart"
-			}
-			r.b = NewBroadcaster(s.cfg.Ring, 0)
-			r.end(e.State, msg)
-		}
-		s.mu.Lock()
-		s.runs[r.id] = r
-		if r.id >= s.nextID {
-			s.nextID = r.id + 1
-		}
-		if m.NextID > s.nextID {
-			s.nextID = m.NextID
-		}
-		s.mu.Unlock()
-		restored++
-	}
-	return restored, nil
 }

@@ -14,7 +14,7 @@ import (
 
 // ServeConfig parameterizes a Server: the shared worker budget all hosted
 // runs draw from, the per-run event ring capacity, the default checkpoint
-// cadence, and the directory Shutdown persists paused runs into.
+// cadence, and the state directory each checkpoint is written to when taken.
 type ServeConfig = serve.Config
 
 // Server hosts many concurrent experiment runs on one shared worker budget
