@@ -26,7 +26,9 @@ var fused = regexp.MustCompile(`F(N)?M(ADD|SUB)[DS]`)
 // written float64(x*y) (float32 in xrand's wedge test) so results keep
 // amd64's bits, and the assembly listing of an arm64 build of internal/ and
 // cmd/ must hold no fused instruction. bench/ stays out of the scan until its
-// own products are rounded.
+// own products are rounded. The purego build tag keeps every kernel on its
+// Go loop on amd64 too; nothing else builds that tag, so its vet and tests
+// run here, where a missing kernels_noasm.go stub for a new symbol shows.
 func TestPortability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go toolchain; skipped in -short mode")
@@ -51,6 +53,11 @@ func TestPortability(t *testing.T) {
 	})
 	t.Run("amd64 asmdecl", func(t *testing.T) {
 		goCmd(t, "amd64", "vet", "./internal/mathx", "./internal/xrand")
+	})
+	t.Run("purego", func(t *testing.T) {
+		pkgs := []string{"./internal/mathx", "./internal/nn", "./internal/xrand"}
+		goCmd(t, "amd64", append([]string{"vet", "-tags", "purego"}, pkgs...)...)
+		goCmd(t, "amd64", append([]string{"test", "-tags", "purego"}, pkgs...)...)
 	})
 	t.Run("arm64 fused multiply-add", func(t *testing.T) {
 		// The go command replays a cached package's listing, so a warm run

@@ -24,24 +24,26 @@ import "fmt"
 // conversion stands between them, and the arm64 backend does, which would
 // move the last bit of every sum on that platform. On amd64 the conversion
 // compiles to nothing. The same holds for every deterministic package, and
-// CI's "no fused multiply-add on arm64" step builds ./internal/... for arm64
-// with -S and fails on any fused instruction. math.Exp (below) and math.Pow
-// are then the only platform caveats left.
+// internal/lint's TestPortability builds ./internal/... and ./cmd/... for
+// arm64 with -S and fails on any fused instruction. math.Exp (below) and
+// math.Pow are then the only platform caveats left.
 //
 // On amd64 with AVX2, AffineRows, AccumGrads, BackpropReLUDelta and Axpy
-// (mathx.go, the SGD update) run assembly bodies (kernels_amd64.s) under the
-// same contract — unless the build has the purego tag, which keeps every
-// kernel of this package and of xrand on its Go loop — and the Go loops are the portable path and the oracle those
-// bodies are diffed against (kernels_amd64_test.go, and nn's differential
-// suite once per path). Vector lanes are independent output elements — four
-// outputs of one sample, four weight columns of one output, four elements of
-// Axpy's y — never four terms of one sum; each lane is still one accumulator
-// taking its products in ascending index order; multiply and add stay
-// separate instructions, each rounding on its own (no fused multiply-add:
-// speclint's kernelorder reads the assembly for one); the bias is added after
-// the sum and exact-zero deltas are skipped where they are skipped here.
-// Every output word is therefore the same on both paths, and which one a
-// process runs (Backend) is a matter of speed only. What is not promised, on
+// (mathx.go, the SGD update) run assembly bodies under the same contract:
+// four lanes wide (kernels_amd64.s), or eight where the CPU has AVX-512
+// (kernels512_amd64.s) — unless the build has the purego tag, which keeps
+// every kernel of this package and of xrand on its Go loop. The Go loops are
+// the portable path and the oracle those bodies are diffed against
+// (kernels_amd64_test.go, and nn's differential suite once per path). Vector
+// lanes are independent output elements — four or eight outputs of one
+// sample, weight columns of one output, elements of Axpy's y — never terms
+// of one sum; each lane is still one accumulator taking its products in
+// ascending index order; multiply and add stay separate instructions, each
+// rounding on its own (no fused multiply-add — speclint's kernelorder reads
+// the assembly for one — and no embedded rounding); the bias is added after
+// the sum and exact-zero deltas are skipped where they are skipped
+// here. Every output word is therefore the same on every path, and which one
+// a process runs (Backend) is a matter of speed only. What is not promised, on
 // either path: which NaN comes out. A NaN result is a NaN on both, but its
 // sign and payload bits follow the hardware's operand-order rules, which
 // differ between scalar and vector code; nothing downstream reads them.
@@ -52,9 +54,10 @@ import "fmt"
 // probability or a loss reaches — follow the branch the CPU takes. The
 // goldens hold on the FMA branch, the one every box they have been checked on
 // takes; a CPU without FMA is unverified. Where math.Exp fuses, SoftmaxInPlace
-// runs softmax_amd64.s: that branch on four lanes, instruction for
-// instruction, with each lane's result added to one scalar sum in ascending
-// order and the divide a VDIVPD. Fused only where the reference fuses: the
+// runs softmax_amd64.s: that branch on four lanes (eight with AVX-512),
+// instruction for instruction, the last group of a row masked, with each
+// lane's result added to one scalar sum in ascending order and the divide a
+// VDIVPD. Fused only where the reference fuses: the
 // two fused forms math.Exp's branch uses are allowed in that one TEXT block,
 // and kernelorder still reports any other fused instruction in this package's
 // assembly. The vector body is selected only after a start-up check has run
@@ -104,7 +107,7 @@ func affineRows(x Matrix, w, b []float64, out Matrix, relu bool) {
 		panic(fmt.Sprintf("mathx: AffineRows out %dx%d, want %dx%d", out.Rows, out.Cols, x.Rows, outDim))
 	}
 	if useAVX2 {
-		affineRowsAVX2(x, w, b, out, relu)
+		affineRowsAsm(x, w, b, out, relu)
 		return
 	}
 	r := 0
@@ -269,7 +272,7 @@ func AccumGrads(delta, act Matrix, wg, bg []float64) {
 		panic(fmt.Sprintf("mathx: AccumGrads wg %d, bg %d, want %dx%d and %d", len(wg), len(bg), outDim, in, outDim))
 	}
 	if useAVX2 && in > 0 && delta.Rows > 0 {
-		accumGradsAVX2(delta, act, wg, bg)
+		accumGradsAsm(delta, act, wg, bg)
 		return
 	}
 	rows := delta.Rows
@@ -347,7 +350,7 @@ func BackpropReLUDelta(delta Matrix, w []float64, act, prev Matrix) {
 			delta.Rows, delta.Cols, act.Rows, act.Cols, prev.Rows, prev.Cols))
 	}
 	if useAVX2 && in > 0 && outDim > 0 {
-		backpropReLUDeltaAVX2(delta, w, act, prev)
+		backpropReLUDeltaAsm(delta, w, act, prev)
 		return
 	}
 	for r := 0; r < delta.Rows; r++ {

@@ -5,17 +5,21 @@ import (
 	"testing"
 )
 
-// kernelBackend is one setting of the kernels' dispatch for BenchmarkKernels.
+// kernelBackend is one setting of the kernels' dispatch for BenchmarkKernels
+// and the softmax tests: with runs f on it, which only a CPU that makes it
+// available can.
 type kernelBackend struct {
-	name string
-	with func(b *testing.B, f func())
+	name      string
+	available bool
+	with      func(f func())
 }
 
-// kernelBackends is what this build can time: the Go kernels everywhere, and
-// on amd64 (kernels_amd64_test.go) the same again with the switch forced each
-// way. This file uses exported API only, so it also runs in a checkout from
-// before the assembly existed and times the Go kernels there.
-var kernelBackends = []kernelBackend{{"generic", func(b *testing.B, f func()) { f() }}}
+// kernelBackends is what this build can run: the Go kernels everywhere, and
+// on amd64 (kernels_amd64_test.go) the same again with the dispatch forced
+// to each path, generic, avx2 and avx512. This file uses exported API only,
+// so it also runs in a checkout from before the assembly existed and times
+// the Go kernels there.
+var kernelBackends = []kernelBackend{{"generic", true, func(f func()) { f() }}}
 
 // Shapes of the four workloads: the long haul's 16→8, FMNIST's 64→32 at its
 // 20 test rows and its 10-row minibatch, CIFAR-100's 32→100 head.
@@ -35,6 +39,10 @@ var axpyLengths = []int{2410, 5380}
 //	go test -run '^$' -bench Kernels ./internal/mathx
 func BenchmarkKernels(b *testing.B) {
 	for _, be := range kernelBackends {
+		if !be.available {
+			b.Logf("CPU cannot run the %s kernels: leg skipped", be.name)
+			continue
+		}
 		for _, kernel := range []string{"affine", "accum", "backprop"} {
 			for _, s := range benchShapes {
 				b.Run(fmt.Sprintf("%s/%s/%dx%dx%d", be.name, kernel, s.rows, s.in, s.out), func(b *testing.B) {
@@ -43,7 +51,7 @@ func BenchmarkKernels(b *testing.B) {
 					w, bias := randVec(&g, s.in*s.out), randVec(&g, s.out)
 					act, prev := NewMatrix(s.rows, s.out), NewMatrix(s.rows, s.in)
 					wg, bg := make([]float64, s.in*s.out), make([]float64, s.out)
-					be.with(b, func() {
+					be.with(func() {
 						b.ResetTimer()
 						for i := 0; i < b.N; i++ {
 							switch kernel {
@@ -67,7 +75,7 @@ func BenchmarkKernels(b *testing.B) {
 				for i := range m.Data {
 					m.Data[i] *= 8 // logits of a few units either way
 				}
-				be.with(b, func() {
+				be.with(func() {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						// From the second pass on the rows are probabilities,
@@ -83,7 +91,7 @@ func BenchmarkKernels(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/axpy/%d", be.name, n), func(b *testing.B) {
 				g := lcg(1)
 				x, y := randVec(&g, n), randVec(&g, n)
-				be.with(b, func() {
+				be.with(func() {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						// A step small enough that y stays normal over any b.N.

@@ -6,6 +6,7 @@ package mathx
 // are the only path, and the dispatch branches on these constants fold away.
 const (
 	useAVX2   = false
+	useAVX512 = false
 	useFMAExp = false
 )
 
@@ -13,10 +14,10 @@ const (
 // select.
 func HasAVX2() bool { return false }
 
-func axpy(alpha float64, x, y *float64, n int)                       {}
-func expShiftedSum(x []float64, shift float64) float64               { return 0 }
-func divRow(x *float64, n int, s float64)                            {}
-func affineRowsAVX2(x Matrix, w, b []float64, out Matrix, relu bool) {}
-func accumGradsAVX2(delta, act Matrix, wg, bg []float64)             {}
-func backpropReLUDeltaAVX2(delta Matrix, w []float64, act, prev Matrix) {
+func axpyAsm(alpha float64, x, y []float64)                         {}
+func expShiftedSum(x []float64, shift float64) float64              { return 0 }
+func divRow(x *float64, n int, s float64)                           {}
+func affineRowsAsm(x Matrix, w, b []float64, out Matrix, relu bool) {}
+func accumGradsAsm(delta, act Matrix, wg, bg []float64)             {}
+func backpropReLUDeltaAsm(delta Matrix, w []float64, act, prev Matrix) {
 }

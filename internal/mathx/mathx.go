@@ -43,7 +43,7 @@ func Axpy(alpha float64, x, y []float64) {
 		panic("mathx: Axpy length mismatch")
 	}
 	if useAVX2 && len(x) > 0 {
-		axpy(alpha, &x[0], &y[0], len(x))
+		axpyAsm(alpha, x, y)
 		return
 	}
 	y = y[:len(x)] // bounds-check elimination
@@ -282,17 +282,23 @@ func L2Dist(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Backend names the kernels this process runs: "avx2" where the assembly
-// bodies of AffineRows, AccumGrads, BackpropReLUDelta and Axpy were selected at
-// start-up, "avx2+fma" where the softmax's vector exponential was too,
-// "generic" for the Go loops; xrand's assembly follows the same probe. All
-// produce the same bits (kernels.go); the name is for whoever reads timings.
+// Backend names the kernels this process runs: "avx512" where the eight-lane
+// assembly bodies of AffineRows, AccumGrads, BackpropReLUDelta, Axpy and the
+// softmax's exponential were selected at start-up, "avx2" where the four-lane
+// ones were, either with "+fma" where the softmax's vector exponential was
+// too, and "generic" for the Go loops; xrand's assembly follows the AVX2
+// probe. All produce the same bits (kernels.go); the name is for whoever
+// reads timings.
 func Backend() string {
+	name := "generic"
 	switch {
-	case useAVX2 && useFMAExp:
-		return "avx2+fma"
+	case useAVX2 && useAVX512:
+		name = "avx512"
 	case useAVX2:
-		return "avx2"
+		name = "avx2"
 	}
-	return "generic"
+	if useFMAExp && useAVX2 {
+		name += "+fma"
+	}
+	return name
 }

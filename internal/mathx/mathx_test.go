@@ -181,17 +181,24 @@ func softmaxViaMinMax(x []float64) {
 	}
 }
 
-// checkSoftmaxShift fails the test unless SoftmaxInPlace and the scalar
-// oracle agree on every word of row (any two NaNs agree).
+// checkSoftmaxShift fails the test unless SoftmaxInPlace, on every kernel
+// path this CPU runs, and the scalar oracle agree on every word of row (any
+// two NaNs agree).
 func checkSoftmaxShift(t *testing.T, row []float64) {
 	t.Helper()
-	got, want := CloneVec(row), CloneVec(row)
-	SoftmaxInPlace(got)
+	want := CloneVec(row)
 	softmaxViaMinMax(want)
-	for i := range want {
-		if !sameBits(got[i], want[i]) {
-			t.Fatalf("SoftmaxInPlace(%v)[%d] = %x (%v), scalar loop with MinMax shift gives %x (%v)",
-				row, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+	for _, be := range kernelBackends {
+		if !be.available {
+			continue
+		}
+		got := CloneVec(row)
+		be.with(func() { SoftmaxInPlace(got) })
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%s: SoftmaxInPlace(%v)[%d] = %x (%v), scalar loop with MinMax shift gives %x (%v)",
+					be.name, row, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+			}
 		}
 	}
 }
@@ -205,12 +212,13 @@ var specials = []float64{
 }
 
 // softmaxFuzzLengths are the row lengths FuzzSoftmaxInPlace tries: every
-// length around the vector body's groups of four and their tails, and the
-// two heads the workloads train (10 and 100 classes).
-var softmaxFuzzLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100}
+// length around the vector bodies' groups of four and eight and their
+// masked last groups, and the two heads the workloads train (10 and 100
+// classes).
+var softmaxFuzzLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 17, 100}
 
-// FuzzSoftmaxInPlace holds SoftmaxInPlace, on whichever path this process
-// runs, to the scalar loop word for word. Each logit takes two bytes of the
+// FuzzSoftmaxInPlace holds SoftmaxInPlace, on every path this CPU runs, to
+// the scalar loop word for word. Each logit takes two bytes of the
 // input: a finite logit in [-1024, 1024) in 1/32 steps, or (when its first
 // byte is 0xff) one of specials; the spread reaches past both ends of the
 // exponential's normal range.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -136,24 +137,32 @@ var expSpecials = func() []float64 {
 	return v
 }()
 
+// expLanes is the width of softmaxExp's groups on b.
+func expLanes(b backend) int {
+	if b.avx512 {
+		return 8
+	}
+	return 4
+}
+
 // checkVectorExp runs softmaxExp on x (shifted by shift, starting from sum)
-// and checks every word it promises: it stops at the first group of four
-// with an abnormal lane, or at the tail; each word it wrote is expBranch's,
-// and math.Exp's too where math.Exp fuses; it leaves the rest alone; its sum
-// is the serial sum. x must come from an arena, which is checked for writes
-// outside it.
-func checkVectorExp(t *testing.T, a *arena, x []float64, shift, sum float64, fuses bool) {
+// lanes wide and checks every word it promises: it does the whole of x, its
+// last group masked, unless a group has an abnormal lane, where it stops;
+// each word it wrote is expBranch's, and math.Exp's too where math.Exp
+// fuses; it leaves the rest alone; its sum is the serial sum. x must come
+// from an arena, which is checked for writes outside it.
+func checkVectorExp(t *testing.T, a *arena, x []float64, lanes int, shift, sum float64, fuses bool) {
 	t.Helper()
 	in := CloneVec(x)
-	wantDone := len(x) &^ 3
+	wantDone := len(x)
 	for i, v := range in {
 		if !expNormal(v - shift) {
-			wantDone = min(wantDone, i&^3)
+			wantDone = min(wantDone, i&^(lanes-1))
 		}
 	}
 	done, total := 0, sum
 	if len(x) > 0 {
-		done, total = softmaxExp(&x[0], len(x), shift, sum)
+		done, total = softmaxExp(&x[0], len(x), lanes, shift, sum)
 	}
 	a.fences(t, "softmaxExp")
 	if done != wantDone {
@@ -182,84 +191,95 @@ func checkVectorExp(t *testing.T, a *arena, x []float64, shift, sum float64, fus
 }
 
 // TestVectorExpMatchesReference holds the vector exponential to the FMA
-// branch word for word: every special argument in every lane of a group of
-// otherwise ordinary ones, groups of specials side by side, and random
+// branch word for word, on each path: every special argument in every lane
+// of a group of otherwise ordinary ones, groups of specials side by side,
+// every length through a few groups and their masked last groups, and random
 // arguments across the whole normal range and past both of its ends.
 func TestVectorExpMatchesReference(t *testing.T) {
 	needFMA(t)
 	fuses := mathExpFuses()
-	g := lcg(41)
-	a := newArena(1 << 12)
-	group := a.vec(4)
-	for _, s := range expSpecials {
-		for lane := range group {
-			for i := range group {
-				group[i] = -20 * (g.next() + 1)
+	eachVector(t, func(t *testing.T, b backend) {
+		lanes := expLanes(b)
+		g := lcg(41)
+		a := newArena(1 << 12)
+		group := a.vec(lanes)
+		for _, s := range expSpecials {
+			for lane := range group {
+				for i := range group {
+					group[i] = -20 * (g.next() + 1)
+				}
+				group[lane] = s
+				checkVectorExp(t, a, group, lanes, 0, 0, fuses)
 			}
-			group[lane] = s
-			checkVectorExp(t, a, group, 0, 0, fuses)
 		}
-	}
-	for n := 0; n <= 13; n++ {
-		x := a.vec(n)
-		for round := 0; round < 200; round++ {
+		for n := 0; n <= 25; n++ {
+			x := a.vec(n)
+			for round := 0; round < 200; round++ {
+				for i := range x {
+					x[i] = expSpecials[int(uint64(g)>>33)%len(expSpecials)]
+					g.next()
+				}
+				checkVectorExp(t, a, x, lanes, 0, float64(round), fuses)
+			}
+		}
+		x := a.vec(256)
+		for round := 0; round < 4000; round++ {
+			// Logits around a shift, as the softmax hands them over: mostly
+			// inside [-745, 709.4], sometimes past either end.
+			shift := 40 * g.next()
 			for i := range x {
-				x[i] = expSpecials[int(uint64(g)>>33)%len(expSpecials)]
-				g.next()
+				x[i] = shift + 1500*(g.next()+1)/2 - 770*(1+g.next()/50)
+				if round%8 != 0 {
+					x[i] = math.Max(math.Min(x[i], shift+709.4), shift-745)
+				}
 			}
-			checkVectorExp(t, a, x, 0, float64(round), fuses)
+			checkVectorExp(t, a, x[:256-round%8], lanes, shift, 0, fuses)
 		}
-	}
-	x := a.vec(256)
-	for round := 0; round < 4000; round++ {
-		// Logits around a shift, as the softmax hands them over: mostly
-		// inside [-745, 709.4], sometimes past either end.
-		shift := 40 * g.next()
-		for i := range x {
-			x[i] = shift + 1500*(g.next()+1)/2 - 770*(1+g.next()/50)
-			if round%8 != 0 {
-				x[i] = math.Max(math.Min(x[i], shift+709.4), shift-745)
-			}
-		}
-		checkVectorExp(t, a, x, shift, 0, fuses)
-	}
+	})
 }
 
 // TestExpShiftedSumMatchesScalar holds the whole exponential loop — vector
-// groups, the groups handed back, the tail — to SoftmaxInPlace's Go loop,
-// whose math.Exp it must then equal.
+// groups, the masked last group, the groups handed back — to
+// SoftmaxInPlace's Go loop, whose math.Exp it must then equal, at every row
+// length 0-40 on each path.
 func TestExpShiftedSumMatchesScalar(t *testing.T) {
 	needFMA(t)
 	if !mathExpFuses() {
 		t.Skip("math.Exp does not take its FMA branch in this process")
 	}
-	g := lcg(43)
-	for n := 0; n <= 40; n++ {
-		x := make([]float64, n)
-		for round := 0; round < 100; round++ {
-			fill(&g, x, round%2 == 1)
-			for i := range x {
-				if round%3 == 0 {
-					x[i] = expSpecials[int(uint64(g)>>33)%len(expSpecials)]
-					g.next()
+	eachVector(t, func(t *testing.T, b backend) {
+		g := lcg(43)
+		for n := 0; n <= 40; n++ {
+			a := newArena(n + 8)
+			x := make([]float64, n)
+			got := a.vec(n)
+			for round := 0; round < 100; round++ {
+				fill(&g, x, round%2 == 1)
+				for i := range x {
+					if round%3 == 0 {
+						x[i] = expSpecials[int(uint64(g)>>33)%len(expSpecials)]
+						g.next()
+					}
 				}
-			}
-			got := CloneVec(x)
-			shift := g.next()
-			s := expShiftedSum(got, shift)
-			want := 0.0
-			for i, v := range x {
-				e := math.Exp(v - shift)
-				want += e
-				if !sameBits(got[i], e) {
-					t.Fatalf("expShiftedSum(%v, %v)[%d] = %x, math.Exp %x", x, shift, i, math.Float64bits(got[i]), math.Float64bits(e))
+				copy(got, x)
+				shift := g.next()
+				var s float64
+				onBackend(b, func() { s = expShiftedSum(got, shift) })
+				a.fences(t, fmt.Sprintf("expShiftedSum n=%d", n))
+				want := 0.0
+				for i, v := range x {
+					e := math.Exp(v - shift)
+					want += e
+					if !sameBits(got[i], e) {
+						t.Fatalf("expShiftedSum(%v, %v)[%d] = %x, math.Exp %x", x, shift, i, math.Float64bits(got[i]), math.Float64bits(e))
+					}
 				}
-			}
-			if !sameBits(s, want) {
-				t.Fatalf("expShiftedSum(%v, %v) = %x, serial sum %x", x, shift, math.Float64bits(s), math.Float64bits(want))
+				if !sameBits(s, want) {
+					t.Fatalf("expShiftedSum(%v, %v) = %x, serial sum %x", x, shift, math.Float64bits(s), math.Float64bits(want))
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestDivRowMatchesGo holds divRow to x[i] /= s at every length through a few
@@ -308,7 +328,7 @@ func TestSoftmaxWithoutFMA(t *testing.T) {
 	if mathExpFuses() {
 		t.Fatal("GODEBUG=cpu.fma=off left math.Exp on its FMA branch")
 	}
-	if useFMAExp || Backend() == "avx2+fma" {
+	if useFMAExp || strings.HasSuffix(Backend(), "+fma") {
 		t.Fatalf("math.Exp does not fuse, but the vector exponential is on (backend %s)", Backend())
 	}
 	t.Logf("backend %s", Backend())

@@ -9,28 +9,39 @@ import (
 	"github.com/specdag/specdag/internal/mathx"
 )
 
-// mathxUseAVX2 is mathx's unexported dispatch switch: the differential suite
-// holds both kernel paths to the per-sample reference, and mathx exports no
-// way to choose one (which path runs is not an option, only a fact of the CPU).
+// mathxUseAVX2 and mathxUseAVX512 are mathx's unexported dispatch switches:
+// the differential suite holds every kernel path to the per-sample
+// reference, and mathx exports no way to choose one (which path runs is not
+// an option, only a fact of the CPU).
 //
 //go:linkname mathxUseAVX2 github.com/specdag/specdag/internal/mathx.useAVX2
 var mathxUseAVX2 bool
 
-// eachBackend runs f once on the Go kernels and once on the assembly, the
-// latter skipped with a message when the CPU lacks AVX2. Both legs run in the
-// caller's own test (a subtest that f starts twice gets the testing package's
-// #01 suffix the second time), and the log says which leg a failure is in.
+//go:linkname mathxUseAVX512 github.com/specdag/specdag/internal/mathx.useAVX512
+var mathxUseAVX512 bool
+
+// eachBackend runs f on the Go kernels, then on the AVX2 bodies, then on the
+// AVX-512 ones, each vector leg skipped with a message when the CPU lacks
+// it. Every leg runs in the caller's own test (a subtest that f starts
+// again gets the testing package's #01 suffix), and the log says which leg
+// a failure is in.
 func eachBackend(t *testing.T, f func()) {
-	probed := mathx.Backend() != "generic"
-	defer func() { mathxUseAVX2 = probed }()
-	mathxUseAVX2 = false
-	t.Log("kernels: generic")
-	f()
-	if !probed {
-		t.Log("CPU lacks AVX2: the assembly kernels cannot run here, vector leg skipped")
-		return
+	probed2, probed512 := mathxUseAVX2, mathxUseAVX512
+	defer func() { mathxUseAVX2, mathxUseAVX512 = probed2, probed512 }()
+	for _, leg := range []struct {
+		avx2, avx512, runs bool
+		lacks              string
+	}{
+		{false, false, true, ""},
+		{true, false, probed2, "CPU lacks AVX2: the assembly kernels cannot run here, avx2 leg skipped"},
+		{true, true, probed512, "CPU lacks AVX-512: the eight-lane kernels cannot run here, avx512 leg skipped"},
+	} {
+		if !leg.runs {
+			t.Log(leg.lacks)
+			continue
+		}
+		mathxUseAVX2, mathxUseAVX512 = leg.avx2, leg.avx512
+		t.Log("kernels: " + mathx.Backend())
+		f()
 	}
-	mathxUseAVX2 = true
-	t.Log("kernels: " + mathx.Backend())
-	f()
 }
