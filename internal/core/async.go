@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/specdag/specdag/internal/dag"
 	"github.com/specdag/specdag/internal/dataset"
@@ -12,6 +13,7 @@ import (
 	"github.com/specdag/specdag/internal/nn"
 	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/tipselect"
+	"github.com/specdag/specdag/internal/xrand"
 )
 
 // AsyncConfig parameterizes the event-driven simulation of the Specializing
@@ -173,6 +175,24 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
+// push and pop are heap.Push and heap.Pop move for move (a checkpoint stores
+// the queue in heap order), without boxing the event into an interface.
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	heap.Fix(q, len(*q)-1)
+}
+
+func (q *eventQueue) pop() event {
+	old := *q
+	n := len(old) - 1
+	e := old[0]
+	old[0] = old[n]
+	*q = old[:n]
+	heap.Fix(q, 0)
+	*q = shrinkCap(*q)
+	return e
+}
+
 // shrinkCap releases a slice's backing array once its length falls below a
 // quarter of the capacity: over a long run, transient bursts (a churn
 // recovery flood of events, a delay spike's pending backlog) would otherwise
@@ -232,8 +252,10 @@ type AsyncSimulation struct {
 	// per-link delivery draws.
 	pubSeq int
 	// txInfo maps tangle transactions to their publish metadata so views can
-	// recompute per-observer delivery times. Only populated when net != nil.
-	txInfo map[dag.ID]txDelivery
+	// recompute per-observer delivery times; deliverRNG is the publish loop's
+	// register for them. Only set when net != nil.
+	txInfo     map[dag.ID]txDelivery
+	deliverRNG *xrand.RNG
 	// Communication counters (net != nil only).
 	deliveries           int
 	droppedDeliveries    int
@@ -245,6 +267,11 @@ type AsyncSimulation struct {
 	window []computed
 	// widest is the largest window formed so far.
 	widest int
+	// Storage computeWindow reuses from window to window: the window's
+	// events, each activation's done signal and the computed activations.
+	evs      []event
+	ready    []sync.WaitGroup
+	computed []computed
 }
 
 // computed is one activation of a lookahead window awaiting its commit: the
@@ -275,7 +302,7 @@ func NewAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig) (*AsyncSimulat
 	b.partialViews = b.net != nil
 	b.resetViews()
 	if b.net != nil {
-		a.txInfo = make(map[dag.ID]txDelivery)
+		a.txInfo, a.deliverRNG = make(map[dag.ID]txDelivery), new(xrand.RNG)
 	} else if cfg.Faults.Enabled() {
 		// The schedule is exactly the historical uniform broadcast delay:
 		// keep the scalar code path (and its exact numerics).
@@ -293,7 +320,7 @@ func NewAsyncSimulation(fed *dataset.Federation, cfg AsyncConfig) (*AsyncSimulat
 			ac.cycleTime *= b.net.CycleFactor(c.id)
 		}
 		ac.stats = AsyncClientStats{ID: c.id, CycleTime: ac.cycleTime}
-		heap.Push(&a.queue, event{at: crng.Float64() * ac.cycleTime, seq: a.seq, client: i})
+		a.queue.push(event{at: crng.Float64() * ac.cycleTime, seq: a.seq, client: i})
 		a.seq++
 	}
 	return a, nil
@@ -355,7 +382,7 @@ func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 			a.finish()
 			return nil, nil
 		}
-		ev = heap.Pop(&a.queue).(event)
+		ev = a.queue.pop()
 		if ev.at > a.cfg.Duration {
 			a.finish()
 			return nil, nil
@@ -367,7 +394,7 @@ func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 		// the client reschedules at its recovery. The skip happens inside
 		// step so the engine adapter's "nil means done" contract holds.
 		if rec := a.net.Recovery(a.clients[ev.client].id, ev.at); rec <= a.cfg.Duration {
-			heap.Push(&a.queue, event{at: rec, seq: a.seq, client: ev.client})
+			a.queue.push(event{at: rec, seq: a.seq, client: ev.client})
 			a.seq++
 		}
 	}
@@ -375,7 +402,7 @@ func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 	if err := a.compact(int(ev.at)); err != nil {
 		// Nothing of the activation has run yet: put it back, so the state is
 		// the one before this step and a retry repeats it.
-		heap.Push(&a.queue, ev)
+		a.queue.push(ev)
 		return nil, err
 	}
 	if len(a.window) == 0 {
@@ -401,7 +428,7 @@ func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 			a.pubSeq++
 			minVis := math.Inf(1)
 			for _, o := range a.clients {
-				d := a.net.Deliver(p.pubSeq, c.id, o.id, ev.at)
+				d := a.net.Deliver(p.pubSeq, c.id, o.id, ev.at, a.deliverRNG)
 				if d.VisibleAt < minVis {
 					minVis = d.VisibleAt
 				}
@@ -420,7 +447,7 @@ func (a *AsyncSimulation) step() (*AsyncEvent, error) {
 
 	next := ev.at + ac.cycleTime
 	if next <= a.cfg.Duration {
-		heap.Push(&a.queue, event{at: next, seq: a.seq, client: ev.client})
+		a.queue.push(event{at: next, seq: a.seq, client: ev.client})
 		a.seq++
 	}
 
@@ -455,13 +482,14 @@ func (a *AsyncSimulation) lookahead() float64 {
 // client has exactly one queued event, so it appears at most once and its
 // eval cache has one user.
 func (a *AsyncSimulation) windowOf(first event) []event {
-	evs := []event{first}
+	evs := append(a.evs[:0], first)
 	end := first.at + a.lookahead()
 	for _, ev := range a.queue {
 		if ev.at < end && ev.at <= a.cfg.Duration {
 			evs = append(evs, ev)
 		}
 	}
+	a.evs = evs
 	sort.Sort(eventQueue(evs[1:]))
 	seen := make([]bool, len(a.clients))
 	for _, ev := range evs {
@@ -489,17 +517,23 @@ func (a *AsyncSimulation) seenBy(evs []event, j int) int {
 // shared state, and it joins before the first commit.
 func (a *AsyncSimulation) computeWindow(first event) {
 	evs := a.windowOf(first)
-	a.widest = max(a.widest, len(evs))
-	a.window = make([]computed, len(evs))
-	done := make([]chan struct{}, len(evs))
-	for j := range done {
-		done[j] = make(chan struct{})
+	n := len(evs)
+	a.widest = max(a.widest, n)
+	if n > len(a.ready) {
+		// Fresh storage, never a copy: a WaitGroup must not be copied, and
+		// every committed entry of the old array is already zero.
+		a.ready, a.computed = make([]sync.WaitGroup, n), make([]computed, n)
 	}
-	par.ForEachIn(a.pool, a.workers, len(evs), func(j int) {
-		defer close(done[j])
+	done := a.ready[:n]
+	a.window = a.computed[:n]
+	for j := range done {
+		done[j].Add(1)
+	}
+	par.ForEachIn(a.pool, a.workers, n, func(j int) {
+		defer done[j].Done()
 		seen := a.seenBy(evs, j)
 		for i := 0; i < seen; i++ {
-			<-done[i]
+			done[i].Wait()
 		}
 		a.window[j] = a.activate(evs[j], a.window[:seen])
 	})
@@ -525,7 +559,7 @@ func (a *AsyncSimulation) activate(ev event, earlier []computed) computed {
 			if !ok {
 				return true // genesis: visible to everyone from the start
 			}
-			return a.net.Deliver(info.pubSeq, tx.Issuer, c.id, info.pubTime).VisibleAt <= ev.at
+			return a.net.Deliver(info.pubSeq, tx.Issuer, c.id, info.pubTime, &s.rng).VisibleAt <= ev.at
 		})
 		graph = c.view
 	} else if len(earlier) > 0 || len(a.pending) > 0 && a.pending[0].visibleAt <= ev.at {
@@ -558,7 +592,8 @@ func (a *AsyncSimulation) activate(ev event, earlier []computed) computed {
 		graph = o
 	}
 
-	act := a.walkAverageTrain(c, graph, a.root.SplitIndex("async-event", ev.seq))
+	s.rng.Reseed(xrand.SplitIndexSeed(a.root.Seed(), "async-event", ev.seq))
+	act := a.walkAverageTrain(c, graph, s)
 	r := computed{ev: ev}
 	r.trainedLoss, r.trainedAcc = c.model.Evaluate(c.testX, c.testY)
 	// The reference is scored through the model's scratch buffers without

@@ -127,10 +127,14 @@ type body struct {
 }
 
 // scratch is one activation's working memory: a model whose parameters,
-// gradients and batch buffers every use writes before it reads them, and the
-// event engine's window overlay, made on first use.
+// gradients and batch buffers every use writes before it reads them, a ~5 KB
+// RNG register every use re-seeds before it draws (the event engine's reveal
+// for each per-link draw, then the activation's split stream, then the
+// training split off it), and the event engine's window overlay, made on
+// first use.
 type scratch struct {
 	model   *nn.MLP
+	rng     xrand.RNG
 	overlay *dag.Overlay
 }
 
@@ -223,14 +227,17 @@ func newBody(fed *dataset.Federation, p params, horizon float64) (*body, error) 
 // newEvalFor builds c's walk-evaluation cache: a single and a batched scorer
 // over its test split, run on the scratch model c's activation borrowed.
 // Walks only consume accuracies, so both skip the loss reduction (values are
-// bit-identical to Evaluate's).
+// bit-identical to Evaluate's). The batch scorer reuses one result buffer,
+// which the cache reads under its scoring lock before the next call.
 func (b *body) newEvalFor(c *client) *tipselect.EvalCache {
+	var accs []float64
 	e := tipselect.NewEvalCache(
 		func(params []float64) float64 {
 			return c.model.AccuracyParams(params, c.testX, c.testY)
 		},
 		func(params [][]float64) []float64 {
-			return c.model.AccuracyManyInto(nil, params, c.testX, c.testY)
+			accs = c.model.AccuracyManyInto(accs[:0], params, c.testX, c.testY)
+			return accs
 		},
 	)
 	e.Disable = b.evalOff
@@ -289,38 +296,44 @@ func (b *body) rebaseCaches(floor dag.ID) {
 // evaluation and publish phase; the trained model sits in the activation's
 // scratch model.
 type activation struct {
-	tips      []*dag.Transaction // the two approved tips
+	tips      [2]*dag.Transaction // the two approved tips
 	refTx     dag.ID
 	refParams []float64 // consensus reference model
 	stats     tipselect.WalkStats
 }
 
 // walkAverageTrain runs phases 1–3 of Fig. 1 for one activation of c over
-// the graph its engine's delivery model lets it see; c holds a borrowed
-// scratch model. It only reads shared state and only writes state owned by c
-// or its scratch, so distinct clients may run concurrently; all randomness
-// comes from rng, the activation's own split stream, consumed in a fixed
-// order (tip walks, reference walks, training).
-func (b *body) walkAverageTrain(c *client, graph tipselect.Graph, rng *xrand.RNG) activation {
+// the graph its engine's delivery model lets it see; c holds the borrowed
+// scratch s. It only reads shared state and only writes state owned by c or
+// s, so distinct clients may run concurrently; all randomness comes from
+// s.rng, the activation's own split stream the engine seeded, consumed in a
+// fixed order (tip walks, reference walks), then re-seeded with its "train"
+// split for training.
+func (b *body) walkAverageTrain(c *client, graph tipselect.Graph, s *scratch) activation {
 	// (1) Biased random walk, twice, to select two tips; then the consensus
 	// reference via additional walk(s).
-	tips, stats := tipselect.SelectTips(b.selector, graph, c.eval, rng, 2)
-	refTx, refParams, refStats := consensusReference(graph, b.selector, b.referenceWalks, c.eval, rng)
-	stats.Add(refStats)
+	var act activation
+	var st tipselect.WalkStats
+	for i := range act.tips {
+		act.tips[i], st = b.selector.SelectTip(graph, c.eval, &s.rng)
+		act.stats.Add(st)
+	}
+	act.refTx, act.refParams, st = consensusReference(graph, b.selector, b.referenceWalks, c.eval, &s.rng)
+	act.stats.Add(st)
 
-	// (2) Average the two tip models. Under partial-layer sharing only the
-	// first sharedLayers layers come from the DAG; the head stays the
-	// client's own.
-	avg := nn.AverageParams(tips[0].Params, tips[1].Params)
+	// (2) Average the two tip models straight into the model. Under
+	// partial-layer sharing only the first sharedLayers layers come from the
+	// DAG; the head stays the client's own.
+	params := mathx.MeanVecsInto(c.model.Params(), act.tips[0].Params, act.tips[1].Params)
 	if b.personalHead() && c.lastParams != nil {
 		split := b.arch.PrefixParams(b.sharedLayers)
-		copy(avg[split:], c.lastParams[split:])
+		copy(params[split:], c.lastParams[split:])
 	}
 
 	// (3) Train the averaged model on local data.
-	c.model.SetParams(avg)
-	c.model.Train(c.trainX, c.trainY, b.local, rng.Split("train"))
-	return activation{tips: tips, refTx: refTx, refParams: refParams, stats: stats}
+	s.rng.Reseed(xrand.SplitSeed(s.rng.Seed(), "train"))
+	c.model.Train(c.trainX, c.trainY, b.local, &s.rng)
+	return act
 }
 
 // personalHead reports whether partial-layer sharing leaves clients a head of

@@ -25,9 +25,10 @@ package core
 // configuration (and is verified or regenerated on resume):
 //
 //   - RNG stream positions: all per-event randomness comes from
-//     SplitIndex("async-event", seq) — pure seed splits, so the "stream
-//     position" of a client is just the next event's sequence number, which
-//     the queue already carries. The seed is stored and verified.
+//     SplitIndex("async-event", seq) — pure seed splits, re-seeded into the
+//     activation's scratch register, so the "stream position" of a client is
+//     just the next event's sequence number, which the queue already
+//     carries. The seed is stored and verified.
 //   - per-client cycle times and the desynchronized start schedule: both are
 //     drawn from SplitIndex("async-client", id) by NewAsyncSimulation, so
 //     the resumed constructor regenerates them bit-identically.

@@ -82,6 +82,7 @@ import (
 	"github.com/specdag/specdag/internal/nn"
 	"github.com/specdag/specdag/internal/par"
 	"github.com/specdag/specdag/internal/tipselect"
+	"github.com/specdag/specdag/internal/xrand"
 )
 
 // PoisonConfig describes the flipped-label attack scenario of §4.4/§5.3.4:
@@ -421,10 +422,11 @@ type clientOutcome struct {
 // the client-and-round specific split stream, making the outcome independent
 // of scheduling.
 func (s *Simulation) runClient(c *client, round int) clientOutcome {
-	defer s.giveBack(c, s.borrow(c))
-	crng := s.root.SplitIndex("client-round", round*100003+c.id)
+	sc := s.borrow(c)
+	defer s.giveBack(c, sc)
+	sc.rng.Reseed(xrand.SplitIndexSeed(s.root.Seed(), "client-round", round*100003+c.id))
 	graph := s.graphFor(c, round)
-	act := s.walkAverageTrain(c, graph, crng)
+	act := s.walkAverageTrain(c, graph, sc)
 	trainedParams := c.model.ParamsCopy()
 	if s.personalHead() {
 		c.lastParams = trainedParams

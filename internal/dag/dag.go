@@ -268,11 +268,12 @@ func (d *DAG) Tips() []ID {
 }
 
 // frontier returns the transaction list and the tip set of one instant: Add
-// updates both under the write lock, so every tip ID is covered by txs.
-func (d *DAG) frontier() ([]*Transaction, idSet) {
+// updates both under the write lock, so every tip ID is covered by txs. The
+// tips are copied into tips' storage (which may be nil).
+func (d *DAG) frontier(tips idSet) ([]*Transaction, idSet) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.snapshot(), d.tips.ids()
+	return d.snapshot(), append(tips[:0], d.tips...)
 }
 
 // All returns all transactions in insertion (topological) order.
@@ -397,7 +398,7 @@ func popcountSet(set []uint64) int {
 // Depths returns, for every transaction, its shortest distance (in approval
 // hops) to any tip, following child edges. Tips have depth 0.
 func (d *DAG) Depths() map[ID]int {
-	txs, tips := d.frontier()
+	txs, tips := d.frontier(nil)
 	return depthMap(txs, tips)
 }
 
@@ -508,10 +509,10 @@ func (s *denseSearch) runOver(txs, extras []*Transaction, roots []ID, maxDepth i
 }
 
 // band returns, in ascending ID order, the transactions the current search
-// reached at depth minDepth or more — a suffix of the visit order, copied so
-// the search's own order survives.
-func (s *denseSearch) band(minDepth int) []ID {
-	ids := slices.Clone(s.nodes[s.bandStart(minDepth):])
+// reached at depth minDepth or more — a suffix of the visit order, copied
+// into dst's storage (which may be nil) so the search's own order survives.
+func (s *denseSearch) band(dst []ID, minDepth int) []ID {
+	ids := append(dst[:0], s.nodes[s.bandStart(minDepth):]...)
 	slices.Sort(ids)
 	return ids
 }
@@ -566,7 +567,7 @@ func (d *DAG) fillBand(minDepth, maxDepth int) ([]*Transaction, *depthBand) {
 	if b := d.bandMemo.Load(); b.holds(len(d.txs), minDepth, maxDepth) {
 		return d.txs, b // a concurrent walker filled it while this one waited
 	}
-	b := &depthBand{n: len(d.txs), minDepth: minDepth, maxDepth: maxDepth, ids: d.tipDepthsLocked(maxDepth).band(minDepth)}
+	b := &depthBand{n: len(d.txs), minDepth: minDepth, maxDepth: maxDepth, ids: d.tipDepthsLocked(maxDepth).band(nil, minDepth)}
 	d.bandMemo.Store(b)
 	return d.txs, b
 }
@@ -597,7 +598,7 @@ func drawAtDepth(rng *xrand.RNG, band []ID) ID {
 // DOT renders the DAG in Graphviz format, coloring tips gray and poisoned
 // transactions red. Intended for debugging and small visual checks.
 func (d *DAG) DOT() string {
-	txs, tips := d.frontier()
+	txs, tips := d.frontier(nil)
 	var b strings.Builder
 	b.WriteString("digraph tangle {\n  rankdir=RL;\n")
 	for _, t := range txs {
@@ -628,7 +629,7 @@ type Stats struct {
 
 // Stats returns summary statistics.
 func (d *DAG) Stats() Stats {
-	txs, tips := d.frontier()
+	txs, tips := d.frontier(nil)
 	var s denseSearch
 	nodes := s.run(txs, tips, unbounded)
 	// The visit order is nondecreasing in depth: the last node is a deepest.

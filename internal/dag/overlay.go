@@ -13,9 +13,11 @@ import (
 // children before added approvers, and tips, depths and weights follow.
 //
 // An Overlay never writes the base and never copies its transaction list.
-// Reset repoints it and keeps the depth search's storage (one mark per ID ever
-// issued), so a caller keeps one Overlay per goroutine, not one per view. Not
-// safe for concurrent use; the base must not grow while an Overlay reads it.
+// Reset repoints it and keeps all of its storage (the depth search's one mark
+// per ID ever issued, child lists, the added Transaction structs, which stay
+// valid only until then), so a caller keeps one Overlay per goroutine, not
+// one per view. Not safe for concurrent use; the base must not grow while an
+// Overlay reads it.
 type Overlay struct {
 	d      *DAG
 	txs    []*Transaction // the base's transaction list at Reset
@@ -23,20 +25,31 @@ type Overlay struct {
 	tips   idSet
 	// kids holds the child lists of the transactions the extras approve;
 	// other transactions' children are the base's (none for an extra).
+	// rows holds the lists of earlier states for reuse.
 	kids    map[ID][]ID
+	rows    [][]ID
 	search  denseSearch
-	band    *depthBand // SampleAtDepth's memo of this state
+	band    depthBand  // SampleAtDepth's memo of this state; n 0 holds none
 	weights map[ID]int // CumulativeWeights' memo of this state
 }
 
 // Reset points o at d with nothing added.
 func (o *Overlay) Reset(d *DAG) {
 	o.d = d
-	o.txs, o.tips = d.frontier()
-	clear(o.extras)
-	o.extras = o.extras[:0]
-	o.kids = make(map[ID][]ID)
-	o.band, o.weights = nil, nil
+	o.txs, o.tips = d.frontier(o.tips)
+	for _, t := range o.extras {
+		*t = Transaction{} // holds no parameters until Add reuses it
+	}
+	o.extras = o.extras[:0] // the structs stay in the spare capacity
+	if o.kids == nil {
+		o.kids = make(map[ID][]ID)
+	}
+	//speclint:allow maporder which spare row a later Add reuses moves no value
+	for _, ks := range o.kids {
+		o.rows = append(o.rows, ks[:0])
+	}
+	clear(o.kids)
+	o.band.n, o.weights = 0, nil
 }
 
 // Add adds a transaction as the base's Add would, with the next ID, and
@@ -51,21 +64,33 @@ func (o *Overlay) Add(issuer, round int, parents []ID, params []float64, meta Me
 			return nil, fmt.Errorf("dag: unknown parent %d", p)
 		}
 	}
-	t := &Transaction{ID: id, Issuer: issuer, Round: round, Parents: parents, Params: params, Meta: meta}
+	var t *Transaction
+	if n := len(o.extras); n < cap(o.extras) {
+		t = o.extras[:n+1][n] // an earlier state's, or nil
+	}
+	if t == nil {
+		t = new(Transaction)
+	}
+	*t = Transaction{ID: id, Issuer: issuer, Round: round, Parents: parents, Params: params, Meta: meta}
 	o.extras = append(o.extras, t)
 	for i, p := range parents {
 		if i > 0 && p == parents[0] {
 			continue // approving the same parent twice adds one child edge
 		}
 		ks, ok := o.kids[p]
-		if !ok && int(p) < len(o.txs) {
-			ks = append([]ID(nil), o.d.Children(p)...)
+		if !ok {
+			if n := len(o.rows); n > 0 {
+				ks, o.rows = o.rows[n-1], o.rows[:n-1]
+			}
+			if int(p) < len(o.txs) {
+				ks = append(ks, o.d.Children(p)...)
+			}
 		}
 		o.kids[p] = append(ks, t.ID)
 		o.tips.remove(p)
 	}
 	o.tips.add(t.ID)
-	o.band, o.weights = nil, nil
+	o.band.n, o.weights = 0, nil
 	return t, nil
 }
 
@@ -105,7 +130,7 @@ func (o *Overlay) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transac
 	n := len(o.txs) + len(o.extras)
 	if !o.band.holds(n, minDepth, maxDepth) {
 		o.search.runOver(o.txs, o.extras, o.tips, maxDepth)
-		o.band = &depthBand{n: n, minDepth: minDepth, maxDepth: maxDepth, ids: o.search.band(minDepth)}
+		o.band = depthBand{n: n, minDepth: minDepth, maxDepth: maxDepth, ids: o.search.band(o.band.ids, minDepth)}
 	}
 	return o.MustGet(drawAtDepth(rng, o.band.ids))
 }

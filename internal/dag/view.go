@@ -33,9 +33,11 @@ type View struct {
 	// cursor is the next global insertion index not yet considered by
 	// RevealThrough.
 	cursor ID
-	// search is SampleAtDepth's reusable depth search. The visible set
-	// changes without the DAG growing, so a View memoizes nothing.
+	// search and band are SampleAtDepth's reusable depth search and entry
+	// band. The visible set changes without the DAG growing, so a View
+	// memoizes nothing.
 	search denseSearch
+	band   []ID
 }
 
 // NewView creates a view of d in which only genesis is visible.
@@ -141,7 +143,8 @@ func (v *View) Depths() map[ID]int {
 func (v *View) SampleAtDepth(rng *xrand.RNG, minDepth, maxDepth int) *Transaction {
 	txs := v.d.snapshot()
 	v.search.run(txs, v.tips, maxDepth)
-	return txs[drawAtDepth(rng, v.search.band(minDepth))]
+	v.band = v.search.band(v.band, minDepth)
+	return txs[drawAtDepth(rng, v.band)]
 }
 
 // CumulativeWeights returns, per visible transaction, the number of visible

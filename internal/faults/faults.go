@@ -344,7 +344,9 @@ type Delivery struct {
 // at pubTime, to observer. It is a pure function of (model, pubSeq,
 // publisher, observer, pubTime) — the same arguments always produce the same
 // outcome, which is what makes fault schedules worker-count invariant and
-// checkpoint-resumable.
+// checkpoint-resumable. rng is a register the caller owns: Deliver re-seeds
+// it with the link's stream and draws from it, so callers on several workers
+// at once each pass their own.
 //
 // The delivery time is pubTime + Delay, plus a per-link jitter draw, plus
 // one Retransmit period per lost gossip attempt; if the resulting arrival
@@ -352,13 +354,15 @@ type Delivery struct {
 // defers to the window's heal time. The publisher's own delivery uses the
 // same base delay (matching the engines' historical semantics) but never
 // drops, duplicates, or defers.
-func (m *Model) Deliver(pubSeq, publisher, observer int, pubTime float64) Delivery {
+func (m *Model) Deliver(pubSeq, publisher, observer int, pubTime float64, rng *xrand.RNG) Delivery {
 	d := Delivery{VisibleAt: pubTime + m.cfg.Delay}
 	if observer == publisher {
 		return d
 	}
 	if m.cfg.Jitter > 0 || m.cfg.DropProb > 0 || m.cfg.DupProb > 0 {
-		rng := m.rng.SplitIndex("deliver", pubSeq).SplitIndex("observer", observer)
+		// SplitIndex("deliver", pubSeq).SplitIndex("observer", observer),
+		// without a register for the first hop or a new one for the second.
+		rng.Reseed(xrand.SplitIndexSeed(xrand.SplitIndexSeed(m.rng.Seed(), "deliver", pubSeq), "observer", observer))
 		if m.cfg.Jitter > 0 {
 			d.VisibleAt += float64(rng.Float64() * m.cfg.Jitter)
 		}

@@ -82,6 +82,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := new(xrand.RNG)
 	for id := 0; id < 12; id++ {
 		if a.CycleFactor(id) != b.CycleFactor(id) {
 			t.Fatalf("client %d: cycle factor %v vs %v", id, a.CycleFactor(id), b.CycleFactor(id))
@@ -92,8 +93,8 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("client %d: crash window (%v, %v) vs (%v, %v)", id, wa, oka, wb, okb)
 		}
 		for obs := 0; obs < 12; obs++ {
-			da := a.Deliver(7, id, obs, 10)
-			db := b.Deliver(7, id, obs, 10)
+			da := a.Deliver(7, id, obs, 10, reg)
+			db := b.Deliver(7, id, obs, 10, reg)
 			if da != db {
 				t.Fatalf("link %d->%d: delivery %+v vs %+v", id, obs, da, db)
 			}
@@ -221,13 +222,14 @@ func TestDeliver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := new(xrand.RNG)
 	// Self-delivery: exactly the base delay, no drops, no duplicates.
-	if d := m.Deliver(3, 2, 2, 7); d != (Delivery{VisibleAt: 8}) {
+	if d := m.Deliver(3, 2, 2, 7, reg); d != (Delivery{VisibleAt: 8}) {
 		t.Fatalf("self delivery = %+v, want bare base delay", d)
 	}
 	// Cross deliveries: at least base delay, jitter bounded, drops priced.
 	for obs := 0; obs < 8; obs++ {
-		d := m.Deliver(3, 2, obs, 7)
+		d := m.Deliver(3, 2, obs, 7, reg)
 		min := 8.0 + float64(d.Dropped)*2
 		if d.VisibleAt < min || (d.Dropped == 0 && d.VisibleAt >= 8.5 && !insidePartition(m, 2, obs, d.VisibleAt)) {
 			t.Errorf("link 2->%d: VisibleAt %v outside [%v, %v) (+partition deferral), dropped %d", obs, d.VisibleAt, min, min+0.5, d.Dropped)
@@ -250,10 +252,10 @@ func TestDeliver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := pm.Deliver(0, 0, split, 12); d.VisibleAt != 20 {
+	if d := pm.Deliver(0, 0, split, 12, reg); d.VisibleAt != 20 {
 		t.Fatalf("mid-partition delivery arrives at %v, want deferral to heal time 20", d.VisibleAt)
 	}
-	if d := pm.Deliver(0, 0, split, 5); d.VisibleAt != 6 {
+	if d := pm.Deliver(0, 0, split, 5, reg); d.VisibleAt != 6 {
 		t.Fatalf("pre-partition delivery arrives at %v, want 6", d.VisibleAt)
 	}
 }
@@ -281,17 +283,18 @@ var delivered float64
 
 // BenchmarkDeliver is one publication reaching a 50-client federation over
 // jittered, lossy links: each of the 49 other observers costs two seed
-// splits (the publication's, then the link's) and a few draws from the leaf.
+// derivations (the publication's, then the link's), a re-seed of the
+// caller's register and a few draws from it.
 func BenchmarkDeliver(b *testing.B) {
 	b.ReportAllocs()
 	m, err := New(Config{Delay: 0.1, Jitter: 0.2, DropProb: 0.1, Retransmit: 0.5}, xrand.New(1), ids(50), 1000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	seq := 0
+	seq, reg := 0, new(xrand.RNG)
 	for b.Loop() {
 		for obs := 0; obs < 50; obs++ {
-			delivered += m.Deliver(seq, 0, obs, float64(seq)).VisibleAt
+			delivered += m.Deliver(seq, 0, obs, float64(seq), reg).VisibleAt
 		}
 		seq++
 	}

@@ -237,13 +237,21 @@ func MeanVecs(vecs ...[]float64) []float64 {
 	if len(vecs) == 0 {
 		panic("mathx: MeanVecs of no vectors")
 	}
-	n := len(vecs[0])
+	return MeanVecsInto(make([]float64, len(vecs[0])), vecs...)
+}
+
+// MeanVecsInto writes MeanVecs(vecs...) into dst and returns it. dst must
+// have the vectors' length and alias none of them.
+func MeanVecsInto(dst []float64, vecs ...[]float64) []float64 {
+	if len(vecs) == 0 {
+		panic("mathx: MeanVecs of no vectors")
+	}
+	n := len(dst)
 	for _, v := range vecs {
 		if len(v) != n {
 			panic("mathx: MeanVecs length mismatch")
 		}
 	}
-	out := make([]float64, n)
 	inv := 1 / float64(len(vecs))
 	if len(vecs) == 2 {
 		// The model-averaging fast path: every DAG client averages exactly
@@ -254,18 +262,18 @@ func MeanVecs(vecs ...[]float64) []float64 {
 			t := 0.0
 			t += av
 			t += b[i]
-			out[i] = t * inv
+			dst[i] = t * inv
 		}
-		return out
+		return dst
 	}
-	for i := range out {
+	for i := range dst {
 		t := 0.0
 		for _, v := range vecs {
 			t += v[i]
 		}
-		out[i] = t * inv
+		dst[i] = t * inv
 	}
-	return out
+	return dst
 }
 
 // L2Dist returns the Euclidean distance between a and b.

@@ -30,7 +30,8 @@ func buildWideDAG(t *testing.T) *dag.DAG {
 // the parallel round engine: any number of walkers — each with its own
 // evaluator and RNG, as each simulated client has — may walk one DAG
 // concurrently, and every walker's choice is reproducible regardless of
-// scheduling.
+// scheduling. Every other walker scores through one shared EvalCache, so
+// its scoring scratch and its free list of walk buffers are raced too.
 func TestConcurrentWalksOverSharedDAG(t *testing.T) {
 	d := buildWideDAG(t)
 	selectors := []Selector{
@@ -44,17 +45,25 @@ func TestConcurrentWalksOverSharedDAG(t *testing.T) {
 
 	run := func() []dag.ID {
 		picked := make([]dag.ID, walkers)
+		var reused []float64
+		shared := NewEvalCache(func(p []float64) float64 { return p[0] }, func(ps [][]float64) []float64 {
+			reused = reused[:0]
+			for _, p := range ps {
+				reused = append(reused, p[0])
+			}
+			return reused
+		})
 		var wg sync.WaitGroup
 		wg.Add(walkers)
 		for w := 0; w < walkers; w++ {
 			go func(w int) {
 				defer wg.Done()
-				eval := EvaluatorFunc(func(tx *dag.Transaction) float64 {
-					if len(tx.Params) == 0 {
-						return 0
-					}
+				var eval Evaluator = EvaluatorFunc(func(tx *dag.Transaction) float64 {
 					return tx.Params[0]
 				})
+				if w%2 == 1 {
+					eval = shared
+				}
 				rng := xrand.New(int64(1000 + w))
 				tip, _ := selectors[w%len(selectors)].SelectTip(d, eval, rng)
 				picked[w] = tip.ID

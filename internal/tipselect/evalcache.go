@@ -25,7 +25,10 @@ import (
 // client's walks run one after another and the lock is never contended; it
 // is what keeps a cache shared by concurrent walkers correct. Hits never
 // touch the scoring lock, so concurrent walkers only serialize on genuinely
-// new transactions.
+// new transactions. The scoring lock also guards the scoring scratch, and
+// ScoreBatch's result is read under it, so a batch scorer may reuse one
+// result buffer (the engines' do). With that and the walk buffers it keeps,
+// a step allocates nothing once the buffers fit its width.
 //
 // Accuracies are pure per-transaction values (published parameters are
 // immutable, local test data fixed), so a cache may live as long as the test
@@ -59,7 +62,13 @@ type EvalCache struct {
 	weightMu sync.Mutex
 	// scoreMu serializes Score/ScoreBatch calls: a scorer (the engines' run
 	// on one borrowed scratch model) need not be safe for concurrent use.
+	// missing and params are its scratch.
 	scoreMu sync.Mutex
+	missing []int
+	params  [][]float64
+	// walks holds the per-walk buffers no walk is using (SelectTip).
+	walksMu sync.Mutex
+	walks   []*stepScratch
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -99,6 +108,7 @@ func (e *EvalCache) at(id dag.ID) *slot {
 		return nil
 	}
 	if i >= len(e.slots) {
+		// Extends in place, zeroed, while the capacity Advance keeps lasts.
 		e.slots = append(e.slots, make([]slot, i+1-len(e.slots))...)
 	}
 	return &e.slots[i]
@@ -169,12 +179,12 @@ func (e *EvalCache) weights(id dag.ID, nChildren int, alpha float64, norm Normal
 }
 
 // Advance rebases the index to a new live floor after epoch compaction: the
-// slots of frozen transactions are dropped, and the live slots and their
-// weight vectors are copied into fresh storage (leaving behind the vectors
-// superseded when a child count grew), so the cache's footprint tracks the
-// live suffix rather than the lifetime maximum. Slices StepWeights handed
-// out keep their values. Frozen IDs become permanent misses — the
-// compaction guard ensures walks never score them.
+// slots of frozen transactions are dropped, the live slots move down in
+// place, and their weight vectors are copied into a fresh arena (leaving
+// behind the vectors superseded when a child count grew), so the cache's
+// footprint tracks the live suffix rather than the lifetime maximum. Slices
+// StepWeights handed out keep their values. Frozen IDs become permanent
+// misses — the compaction guard ensures walks never score them.
 func (e *EvalCache) Advance(floor dag.ID) {
 	e.weightMu.Lock()
 	defer e.weightMu.Unlock()
@@ -183,11 +193,17 @@ func (e *EvalCache) Advance(floor dag.ID) {
 	if floor <= e.floor {
 		return
 	}
-	var live []slot
+	live, weights := e.slots[:0], 0
 	if shift := int(floor - e.floor); shift < len(e.slots) {
-		live = append(live, e.slots[shift:]...)
+		live = e.slots[:copy(e.slots, e.slots[shift:])]
 	}
-	var arena []float64
+	if cap(live) > 2*len(live) { // left over from a longer suffix
+		live = append([]slot(nil), live...)
+	}
+	for _, s := range live {
+		weights += int(s.n)
+	}
+	arena := make([]float64, 0, weights)
 	for i, s := range live {
 		if s.n > 0 {
 			live[i].off = uint32(len(arena))
@@ -234,77 +250,95 @@ func (e *EvalCache) accuracyMany(accs []float64, txs []*dag.Transaction) {
 		e.scoreMu.Lock()
 		defer e.scoreMu.Unlock()
 		e.misses.Add(int64(len(txs)))
-		e.scoreInto(accs, txs, nil)
+		e.missing = e.missing[:0]
+		for i := range txs {
+			e.missing = append(e.missing, i)
+		}
+		e.scoreInto(accs, txs)
 		return
 	}
 
-	// Lookup pass. missIdx collects the positions still unscored.
-	missIdx := e.lookup(accs, txs, nil)
-	e.hits.Add(int64(len(txs) - len(missIdx)))
-	if len(missIdx) == 0 {
+	// Lookup pass: it fills the hits and counts the misses.
+	if e.lookup(accs, txs, false) == 0 {
+		e.hits.Add(int64(len(txs)))
 		return
 	}
 	e.scoreMu.Lock()
 	defer e.scoreMu.Unlock()
 	// Re-check: a concurrent walker may have scored some misses while we
-	// waited for the scoring lock.
-	stillMissing := e.lookup(accs, txs, missIdx)
-	e.hits.Add(int64(len(missIdx) - len(stillMissing)))
-	if len(stillMissing) == 0 {
+	// waited for the scoring lock. This pass lists what is still missing.
+	missed := e.lookup(accs, txs, true)
+	e.hits.Add(int64(len(txs) - missed))
+	if missed == 0 {
 		return
 	}
-	e.misses.Add(int64(len(stillMissing)))
-	e.scoreInto(accs, txs, stillMissing)
+	e.misses.Add(int64(missed))
+	e.scoreInto(accs, txs)
 	e.mu.Lock()
-	for _, i := range stillMissing {
+	for _, i := range e.missing {
 		e.put(txs[i].ID, accs[i])
 	}
 	e.mu.Unlock()
 }
 
-// lookup fills accs from the cache for the given positions (all when idx is
-// nil) and returns the positions still missing.
-func (e *EvalCache) lookup(accs []float64, txs []*dag.Transaction, idx []int) []int {
-	var missing []int
+// lookup fills accs from the cache and returns how many transactions it
+// lacks; with list set (the caller holds scoreMu) their positions replace
+// e.missing.
+func (e *EvalCache) lookup(accs []float64, txs []*dag.Transaction, list bool) int {
+	if list {
+		e.missing = e.missing[:0]
+	}
+	missed := 0
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	for k := range txs {
-		i := k
-		if idx != nil {
-			if k == len(idx) {
-				break
-			}
-			i = idx[k]
-		}
-		if acc, ok := e.get(txs[i].ID); ok {
+	for i, tx := range txs {
+		if acc, ok := e.get(tx.ID); ok {
 			accs[i] = acc
-		} else {
-			missing = append(missing, i)
+			continue
+		}
+		missed++
+		if list {
+			e.missing = append(e.missing, i)
 		}
 	}
-	return missing
+	return missed
 }
 
-// scoreInto fills accs for the given positions (all positions when idx is
-// nil) using the batch scorer when available.
-func (e *EvalCache) scoreInto(accs []float64, txs []*dag.Transaction, idx []int) {
-	if idx == nil {
-		idx = make([]int, len(txs))
-		for i := range idx {
-			idx[i] = i
+// scoreInto fills accs at the positions e.missing lists, using the batch
+// scorer when available. The caller holds scoreMu.
+func (e *EvalCache) scoreInto(accs []float64, txs []*dag.Transaction) {
+	if e.ScoreBatch != nil && len(e.missing) > 1 {
+		e.params = e.params[:0]
+		for _, i := range e.missing {
+			e.params = append(e.params, txs[i].Params)
 		}
-	}
-	if e.ScoreBatch != nil && len(idx) > 1 {
-		params := make([][]float64, len(idx))
-		for k, i := range idx {
-			params[k] = txs[i].Params
+		for k, acc := range e.ScoreBatch(e.params) {
+			accs[e.missing[k]] = acc
 		}
-		for k, acc := range e.ScoreBatch(params) {
-			accs[idx[k]] = acc
-		}
+		clear(e.params) // hold no parameter vector past the call
 		return
 	}
-	for _, i := range idx {
+	for _, i := range e.missing {
 		accs[i] = e.Score(txs[i].Params)
 	}
+}
+
+// walk takes a walk's buffers off the free list, or new ones; release gives
+// them back.
+func (e *EvalCache) walk() *stepScratch {
+	e.walksMu.Lock()
+	defer e.walksMu.Unlock()
+	if n := len(e.walks); n > 0 {
+		b := e.walks[n-1]
+		e.walks = e.walks[:n-1]
+		return b
+	}
+	return new(stepScratch)
+}
+
+func (e *EvalCache) release(b *stepScratch) {
+	clear(b.txs[:cap(b.txs)]) // hold no transaction past the walk
+	e.walksMu.Lock()
+	e.walks = append(e.walks, b)
+	e.walksMu.Unlock()
 }

@@ -302,3 +302,38 @@ func TestWarmWalkAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestColdStepAllocatesNothing: scoring misses allocates nothing once they
+// fit what the cache already holds — slots up to the highest ID scored, the
+// scoring scratch as wide as the batch — and the batch scorer reuses its
+// buffer, as the engines' does. Every measured call scores eight
+// transactions no earlier call scored.
+func TestColdStepAllocatesNothing(t *testing.T) {
+	txs := cacheTestDAG(t, 600, 4).All()
+	var out []float64
+	e := NewEvalCache(scoreByFirstParam, func(ps [][]float64) []float64 {
+		out = out[:0]
+		for _, p := range ps {
+			out = append(out, scoreByFirstParam(p))
+		}
+		return out
+	})
+	const width = 8
+	accs := e.AccuracyManyInto(nil, txs[len(txs)-width:])
+	next := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		accs = e.AccuracyManyInto(accs[:0], txs[next:next+width])
+		next += width
+	})
+	if allocs != 0 {
+		t.Errorf("a cold step allocates %v times, want 0", allocs)
+	}
+	if want := width * (next/width + 1); e.Misses() != want || e.Hits() != 0 {
+		t.Fatalf("%d misses and %d hits, want %d cold scores", e.Misses(), e.Hits(), want)
+	}
+	for i, acc := range accs {
+		if want := scoreByFirstParam(txs[next-width+i].Params); acc != want {
+			t.Fatalf("accuracy %d = %v, want %v", i, acc, want)
+		}
+	}
+}

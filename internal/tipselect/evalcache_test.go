@@ -93,9 +93,12 @@ func TestEvalCacheDisable(t *testing.T) {
 }
 
 // TestEvalCacheConcurrent hammers one cache from many goroutines; values
-// must stay consistent and the race detector must stay quiet.
+// must stay consistent and the race detector must stay quiet. The tangle is
+// large enough that most batches miss, so goroutines meet in the scoring
+// path and its scratch, not only in lookups.
 func TestEvalCacheConcurrent(t *testing.T) {
-	d := cacheTestDAG(t, 64, 3)
+	const n = 4096
+	d := cacheTestDAG(t, n, 3)
 	e := NewEvalCache(scoreByFirstParam, func(ps [][]float64) []float64 {
 		out := make([]float64, len(ps))
 		for i, p := range ps {
@@ -113,7 +116,7 @@ func TestEvalCacheConcurrent(t *testing.T) {
 				k := 1 + rng.Intn(4)
 				txs := make([]*dag.Transaction, k)
 				for j := range txs {
-					txs[j] = d.MustGet(dag.ID(rng.Intn(64)))
+					txs[j] = d.MustGet(dag.ID(rng.Intn(n)))
 				}
 				accs := e.AccuracyManyInto(nil, txs)
 				for j, tx := range txs {

@@ -69,9 +69,9 @@ type EvaluatorFunc func(tx *dag.Transaction) float64
 // Accuracy implements Evaluator.
 func (f EvaluatorFunc) Accuracy(tx *dag.Transaction) float64 { return f(tx) }
 
-// stepScratch is per-walk reusable memory: one SelectTip call allocates at
-// most one scratch set and reuses it across every step of the walk instead
-// of allocating fresh slices per step.
+// stepScratch is per-walk reusable memory, reused across every step of a
+// walk instead of fresh slices per step. A walk scored through an EvalCache
+// takes it from the cache's free list, so later walks reuse it too.
 type stepScratch struct {
 	txs     []*dag.Transaction
 	accs    []float64
@@ -201,11 +201,17 @@ func (w AccuracyWalk) Name() string {
 func (w AccuracyWalk) SelectTip(d Graph, eval Evaluator, rng *xrand.RNG) (*dag.Transaction, WalkStats) {
 	cur := walkStart(d, rng, w.DepthMin, w.DepthMax)
 	var stats WalkStats
-	var buf stepScratch
 	// The engines' evaluator is an *EvalCache, which scores a step's children
 	// in one batch and memoizes the step's weight vector; any other Evaluator
 	// (a bare function) is asked child by child — same values, same tips.
 	cache, _ := eval.(*EvalCache)
+	var buf *stepScratch
+	if cache != nil {
+		buf = cache.walk()
+		defer cache.release(buf)
+	} else {
+		buf = new(stepScratch)
+	}
 	for {
 		children := d.Children(cur.ID)
 		if len(children) == 0 {
@@ -266,21 +272,22 @@ func (w WeightedWalk) SelectTip(d Graph, _ Evaluator, rng *xrand.RNG) (*dag.Tran
 	cumWeights := d.CumulativeWeights()
 	cur := walkStart(d, rng, w.DepthMin, w.DepthMax)
 	var stats WalkStats
+	var ws []float64 // one buffer for every step of the walk
 	for {
 		children := d.Children(cur.ID)
 		if len(children) == 0 {
 			return cur, stats
 		}
 		stats.Steps++
-		ws := make([]float64, len(children))
 		maxW := 0
 		for _, id := range children {
 			if cw := cumWeights[id]; cw > maxW {
 				maxW = cw
 			}
 		}
-		for i, id := range children {
-			ws[i] = math.Exp(w.Alpha * float64(cumWeights[id]-maxW))
+		ws = ws[:0]
+		for _, id := range children {
+			ws = append(ws, math.Exp(w.Alpha*float64(cumWeights[id]-maxW)))
 		}
 		next := children[rng.WeightedChoice(ws)]
 		cur = d.MustGet(next)

@@ -8,7 +8,10 @@
 //
 // An RNG seeded with s draws Go 1 math/rand's stream, what
 // rand.NewSource(s) draws, which the Go 1 compatibility promise holds fixed
-// and every golden rests on. An RNG holds ~5 KB of state.
+// and every golden rests on. An RNG holds ~5 KB of state, so a hot path
+// re-seeds a register it owns (Reseed) with a split's seed (SplitSeed,
+// SplitIndexSeed) rather than splitting a new RNG per use; the engines keep
+// one in each activation's scratch entry.
 //
 // Two pieces of math/rand are copied here, with their tables (cooked.go):
 //
@@ -37,7 +40,6 @@
 package xrand
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -53,10 +55,18 @@ type RNG struct {
 
 // New returns an RNG seeded with seed.
 func New(seed int64) *RNG {
-	r := &RNG{seed: seed}
+	r := new(RNG)
+	r.Reseed(seed)
+	return r
+}
+
+// Reseed makes r draw exactly what New(seed) draws, whatever r drew before:
+// every register word is marked unfilled, so none is read again, and
+// rand.Rand's read state starts over. A zero RNG may be re-seeded.
+func (r *RNG) Reseed(seed int64) {
+	r.seed = seed
 	r.source.Seed(seed)
 	r.src = *rand.New(&r.source)
-	return r
 }
 
 // Seed returns the seed this RNG was created with.
@@ -64,33 +74,44 @@ func (r *RNG) Seed() int64 { return r.seed }
 
 // Split derives an independent RNG from this RNG's seed and a name.
 // Splitting is a pure function of (seed, name): it does not advance or
-// observe the parent stream, so call order cannot change results.
-func (r *RNG) Split(name string) *RNG {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(r.seed >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(name))
-	return New(int64(h.Sum64()))
-}
+// observe the parent stream, so call order cannot change results. A caller
+// that owns a register re-seeds it with SplitSeed(r.Seed(), name) instead.
+func (r *RNG) Split(name string) *RNG { return New(SplitSeed(r.seed, name)) }
 
 // SplitIndex derives an independent RNG from this RNG's seed, a name, and an
-// integer index (e.g. a client ID or a round number).
+// integer index (e.g. a client ID or a round number); SplitIndexSeed is its
+// seed.
 func (r *RNG) SplitIndex(name string, index int) *RNG {
-	h := fnv.New64a()
-	var buf [8]byte
+	return New(SplitIndexSeed(r.seed, name, index))
+}
+
+// SplitSeed is the seed of Split(name) of an RNG seeded with seed: the
+// FNV-64a hash of the seed's eight little-endian bytes and the name.
+func SplitSeed(seed int64, name string) int64 {
+	return int64(fnvString(fnvWord(fnvOffset, uint64(seed)), name))
+}
+
+// SplitIndexSeed is the seed of SplitIndex(name, index) of an RNG seeded
+// with seed: SplitSeed's hash continued over the index's eight bytes.
+func SplitIndexSeed(seed int64, name string, index int) int64 {
+	return int64(fnvWord(uint64(SplitSeed(seed, name)), uint64(index)))
+}
+
+// FNV-64a, as hash/fnv computes it, without its allocations.
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+func fnvWord(h, w uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(r.seed >> (8 * i))
+		h = (h ^ uint64(byte(w>>(8*i)))) * fnvPrime
 	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(name))
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(index) >> (8 * i))
+	return h
+}
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
-	_, _ = h.Write(buf[:])
-	return New(int64(h.Sum64()))
+	return h
 }
 
 // Float64 returns a uniform value in [0, 1).

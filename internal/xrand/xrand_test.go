@@ -1,6 +1,8 @@
 package xrand
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -261,4 +263,77 @@ func TestNormalVec(t *testing.T) {
 	if math.Abs(mean-2) > 0.1 {
 		t.Fatalf("NormalVec mean %v, want ≈2", mean)
 	}
+}
+
+// TestSplitSeedIsFNV pins the seed derivation to hash/fnv's FNV-64a over the
+// seed's and the index's eight little-endian bytes, as Split and SplitIndex
+// computed it before the derivation was spelled out.
+func TestSplitSeedIsFNV(t *testing.T) {
+	word := func(v uint64) []byte {
+		b := make([]byte, 8)
+		binary.LittleEndian.PutUint64(b, v)
+		return b
+	}
+	for _, seed := range []int64{0, 1, -1, 42, math.MinInt64, math.MaxInt64} {
+		for _, name := range []string{"", "train", "async-event", "a name longer than thirty-two bytes"} {
+			h := fnv.New64a()
+			h.Write(word(uint64(seed)))
+			h.Write([]byte(name))
+			if got, want := SplitSeed(seed, name), int64(h.Sum64()); got != want {
+				t.Fatalf("SplitSeed(%d, %q) = %d, want %d", seed, name, got, want)
+			}
+			for _, index := range []int{0, 7, -3, math.MaxInt} {
+				h := fnv.New64a()
+				h.Write(word(uint64(seed)))
+				h.Write([]byte(name))
+				h.Write(word(uint64(index)))
+				if got, want := SplitIndexSeed(seed, name, index), int64(h.Sum64()); got != want {
+					t.Fatalf("SplitIndexSeed(%d, %q, %d) = %d, want %d", seed, name, index, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReseedEqualsNew holds a re-seeded register to New(seed) after any
+// prior use: uniform draws, permutations, shuffles, normals in bulk past a
+// whole 273-word pass (so every register word was touched and some were
+// written twice) and rand.Rand's Read, which leaves bytes of a word pending.
+// Seeds cover every branch of the seed normalisation: zero, negatives and a
+// multiple of 2³¹−1, which the source maps to 89482311 as math/rand does.
+func TestReseedEqualsNew(t *testing.T) {
+	seeds := []int64{0, 1, -1, -42, int32max, 3 * int32max, -int32max, 89482311, math.MinInt64, math.MaxInt64, SplitSeed(7, "x")}
+	uses := map[string]func(r *RNG){
+		"fresh":   func(*RNG) {},
+		"float64": func(r *RNG) { r.Float64() },
+		"intn":    func(r *RNG) { r.Intn(1000); r.Intn(1 << 40) },
+		"perm":    func(r *RNG) { r.Perm(700) },
+		"shuffle": func(r *RNG) { r.Shuffle(50, func(int, int) {}) },
+		"normals": func(r *RNG) { r.NormFloat64s(make([]float64, 1500)); r.NormFloat64() },
+		"read":    func(r *RNG) { r.src.Read(make([]byte, 3)) },
+	}
+	eachPath(t, func() {
+		for name, use := range uses {
+			for _, prior := range seeds {
+				for _, seed := range seeds {
+					r := New(prior)
+					use(r)
+					r.Reseed(seed)
+					if r.Seed() != seed {
+						t.Fatalf("%s: Seed() = %d after Reseed(%d)", name, r.Seed(), seed)
+					}
+					want := New(seed)
+					for k := 0; k < 3; k++ {
+						got, exp := make([]byte, 5), make([]byte, 5)
+						r.src.Read(got)
+						want.src.Read(exp)
+						if string(got) != string(exp) {
+							t.Fatalf("%s, seed %d after %d: Read = %x, want %x", name, seed, prior, got, exp)
+						}
+					}
+					sameStream(t, r, &want.src, interleaved)
+				}
+			}
+		}
+	})
 }
