@@ -105,11 +105,13 @@ func run(args []string, stdout io.Writer) error {
 				info.FrozenEpochs, info.FrozenTxs, info.SpillBytes, d.LiveFloor())
 			epochs := d.FrozenEpochs()
 			fmt.Fprintln(stdout, "  epoch |    ids    | txs | rounds  | mean acc | spill")
+			var off int64 // where the epoch's records start in the spill log
 			for _, e := range epochs {
 				spill := "-"
 				if e.SpillFile != "" {
-					spill = fmt.Sprintf("%s (%d B)", e.SpillFile, e.SpillBytes)
+					spill = fmt.Sprintf("%s @%d (%d B)", e.SpillFile, off, e.SpillBytes)
 				}
+				off += e.SpillBytes
 				fmt.Fprintf(stdout, "  %5d | %4d-%-4d | %3d | %3d-%-3d | %8.3f | %s\n",
 					e.Epoch, e.FirstID, e.LastID, e.Txs, e.MinRound, e.MaxRound, e.MeanTestAcc, spill)
 			}

@@ -109,7 +109,7 @@ func parseFlags(args []string) (*plan, error) {
 	fs.IntVar(&req.DepthMax, "depth-max", 0, "deepest walk entry depth for banded selectors (0 = start at genesis; required for -compact-width)")
 	fs.IntVar(&req.CompactWidth, "compact-width", 0, "epoch width in rounds for bounded-memory compaction (0 = keep everything; requires a depth-banded selector)")
 	fs.IntVar(&req.CompactLive, "compact-live", 0, "trailing epochs kept live before freezing (0 = default, with -compact-width)")
-	compactSpill := fs.String("compact-spill", "", "directory receiving frozen epochs' parameter spills (with -compact-width; empty = release without spilling)")
+	compactSpill := fs.String("compact-spill", "", "directory receiving the spill log, frozen epochs' records with their parameters in one file (with -compact-width; empty = release without spilling)")
 	fs.StringVar(&p.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&p.memProfile, "memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"os"
@@ -305,18 +306,30 @@ func dagstat(t *testing.T, path string) string {
 }
 
 // TestCompactedRunSpills: an async run with compaction and a spill directory
-// freezes epochs into .sds files there, and dagstat's report of its
-// checkpoint lists them.
+// freezes its epochs into one spill log there, as long as the epochs record,
+// and dagstat's report of its checkpoint places each epoch in it.
 func TestCompactedRunSpills(t *testing.T) {
 	spill, ckpt := t.TempDir(), filepath.Join(t.TempDir(), "run.sda")
 	args := fields("-async -duration 100 -min-cycle 1 -max-cycle 4 -depth-min 10 -depth-max 20 -compact-width 30 -seed 7")
 	if err := run(append(args, "-compact-spill", spill, "-checkpoint", ckpt)); err != nil {
 		t.Fatal(err)
 	}
-	if files, _ := filepath.Glob(filepath.Join(spill, "*.sds")); len(files) == 0 {
-		t.Errorf("no .sds spill files in %s", spill)
+	blob, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out := dagstat(t, ckpt); !strings.Contains(out, "\ncompaction: ") || !strings.Contains(out, ".sds (") {
-		t.Errorf("dagstat on the compacted checkpoint:\n%s\nwant a compaction: report naming its spill files", out)
+	info, _, err := core.InspectCheckpoint(bytes.NewReader(blob))
+	if err != nil || info.FrozenEpochs == 0 {
+		t.Fatalf("inspecting the checkpoint: %+v, %v; want frozen epochs", info, err)
+	}
+	files, err := os.ReadDir(spill)
+	if err != nil || len(files) != 1 || files[0].Name() != "spill.log" {
+		t.Fatalf("spill directory holds %v (%v), want one spill.log", files, err)
+	}
+	if fi, err := files[0].Info(); err != nil || fi.Size() != info.SpillBytes {
+		t.Errorf("spill.log is %v bytes (%v), the checkpoint's epochs record %d", fi.Size(), err, info.SpillBytes)
+	}
+	if out := dagstat(t, ckpt); !strings.Contains(out, "\ncompaction: ") || !strings.Contains(out, "spill.log @0 (") {
+		t.Errorf("dagstat on the compacted checkpoint:\n%s\nwant a compaction: report placing its epochs in the spill log", out)
 	}
 }

@@ -197,7 +197,7 @@ type CheckpointInfo struct {
 	// Epoch compaction (both kinds; zero when compaction was off):
 	FrozenEpochs int   // epochs frozen out of the live suffix
 	FrozenTxs    int   // transactions whose params were released
-	SpillBytes   int64 // total size of the epoch spill files
+	SpillBytes   int64 // bytes the frozen epochs wrote to the spill log
 }
 
 // InspectCheckpoint reads a checkpoint of either kind — synchronous (SDC3) or

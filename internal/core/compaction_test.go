@@ -3,7 +3,7 @@ package core
 // The compaction equivalence suite: with a depth-banded selector, turning
 // epoch compaction on must not change a single byte of a run's observable
 // output — round/event histories, final statistics, and the final DAG
-// (frozen parameter vectors rehydrated from their spill files) are compared
+// (frozen parameter vectors rehydrated from the spill log) are compared
 // against the keep-everything reference, across worker counts. Compacted
 // checkpoints must additionally resume bit-identically from any event index
 // (the crash-anywhere contract, with epoch state riding in the snapshot).
@@ -294,6 +294,35 @@ func TestCompactionCheckpointSizeTracksLiveSuffix(t *testing.T) {
 	if got, want := float64(compSnap.Len())/float64(refSnap.Len()), 1-frozenFrac/2; got > want {
 		t.Fatalf("compacted checkpoint is %.2fx the reference (floor %d/%d txs); want <= %.2fx",
 			got, floor, comp.DAG().Size(), want)
+	}
+}
+
+// TestCompactionOlderSpillGeneration: a checkpoint whose frozen epochs name
+// per-epoch spill files, as builds before the spill log wrote them, does not
+// resume into a directory of the other generation: the error names it.
+func TestCompactionOlderSpillGeneration(t *testing.T) {
+	cfg := asyncConfig()
+	cfg.Duration = 45
+	cfg.Selector = bandedSelector()
+	cfg.Compaction = dag.Compaction{Width: 5, Live: 2, SpillDir: t.TempDir()}
+	a, err := NewAsyncSimulation(smallFed(32), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainAsync(a)
+	cp := a.Checkpoint().(*Checkpoint)
+	epochs := cp.state.common().Epochs // the checkpoint's own copy
+	if len(epochs) < 2 || epochs[1].SpillFile == "" {
+		t.Fatalf("froze %+v, want a spilled epoch 1", epochs)
+	}
+	epochs[1].SpillFile = "epoch-000001.sds"
+	var blob bytes.Buffer
+	if _, err := cp.WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ResumeAsyncSimulation(smallFed(32), cfg, &blob)
+	if want := `"epoch-000001.sds": one file per epoch is an older spill generation`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume: %v, want an error containing %s", err, want)
 	}
 }
 

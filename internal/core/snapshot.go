@@ -78,7 +78,7 @@ type snapshotCommon struct {
 	// Versioned epoch-compaction section (0 = compaction off). When 1,
 	// Compaction holds the active config and Epochs the frozen epoch
 	// summaries; the tangle section carries frozen transactions with released
-	// (empty) parameter vectors, and spill files are referenced by path, not
+	// (empty) parameter vectors, and the spill log is referenced by name, not
 	// embedded, so checkpoint size stays proportional to the live suffix.
 	CompactionVersion int
 	Compaction        dag.Compaction

@@ -23,13 +23,13 @@ import (
 // children), so a corrupted or adversarial snapshot cannot produce a cyclic
 // or dangling DAG.
 //
-// The "SDS1" epoch spill files written by compaction (see epoch.go) are the
-// same stream under their own magic — a run of consecutive records that need
-// not start at genesis. Both are walked by the binary walker (walk.go): one
-// header layout and one record layout (Codec.header, Codec.record) drive the
-// pass that sizes a Capture, the writer and the reader. A simulation
-// checkpoint (SDC3/SDA3, internal/core) carries a whole SDG1 stream as its
-// first section, and its engine state is walked by the same Codec.
+// The spill log written by compaction (see epoch.go) holds the same records
+// without the header: each frozen epoch's run of consecutive records, the
+// epochs one after another. Both are walked by the binary walker (walk.go):
+// one record layout (Codec.record) drives the pass that sizes a Capture, the
+// writers and the readers. A simulation checkpoint (SDC3/SDA3,
+// internal/core) carries a whole SDG1 stream as its first section, and its
+// engine state is walked by the same Codec.
 
 // Magic identifies SDG1 snapshots and fixes the version; the checkpoint and
 // event-stream readers name a file that carries it as a bare DAG snapshot.
@@ -42,11 +42,10 @@ const maxSnapshotTxs = 1 << 24
 // rejected as corrupt before anything is allocated for it.
 const MaxParams = 1 << 28
 
-// header walks a record stream's header: the magic, then the transaction
-// count as a little-endian u32. Decoding, what names the expected format for
-// the wrong-magic error, and a count above maxSnapshotTxs is rejected.
-func (c *Codec) header(magic [4]byte, what string, count *uint32) {
-	got := magic
+// header walks a snapshot's header: the magic, then the transaction count as
+// a little-endian u32. Decoding, a count above maxSnapshotTxs is rejected.
+func (c *Codec) header(count *uint32) {
+	got := Magic
 	for i := range got {
 		c.u8(&got[i])
 	}
@@ -55,8 +54,8 @@ func (c *Codec) header(magic [4]byte, what string, count *uint32) {
 		case c.err != nil:
 			c.err = fmt.Errorf("reading magic: %w", c.err)
 			return
-		case got != magic:
-			c.err = fmt.Errorf("bad magic %q (not %s)", got, what)
+		case got != Magic:
+			c.err = fmt.Errorf("bad magic %q (not a SDG1 snapshot)", got)
 			return
 		}
 	}
@@ -125,12 +124,12 @@ func (c *Codec) record(t *Transaction, params *[]float64) {
 	c.floats(params, int(n))
 }
 
-// records walks a record stream for the encoder or the counter: magic, count,
-// then txs in order. The last len(live) transactions take their parameter
-// vectors from live, the others from their own field.
-func (c *Codec) records(magic [4]byte, txs []*Transaction, live [][]float64) {
+// records walks a snapshot for the encoder or the counter: the header, then
+// txs in order. The last len(live) transactions take their parameter vectors
+// from live, the others from their own field.
+func (c *Codec) records(txs []*Transaction, live [][]float64) {
 	count := uint32(len(txs))
-	c.header(magic, "", &count)
+	c.header(&count)
 	floor := len(txs) - len(live)
 	for i, t := range txs {
 		var params []float64
@@ -170,7 +169,7 @@ func (d *DAG) Capture() *Capture {
 		c.live[i] = t.Params
 	}
 	count := NewCounter()
-	count.records(Magic, c.txs, c.live)
+	count.records(c.txs, c.live)
 	count.Flush()
 	c.size = int(count.Written())
 	return c
@@ -184,7 +183,7 @@ func (c *Capture) Size() int { return c.size }
 // and returns the number of bytes written.
 func (c *Capture) WriteTo(w io.Writer) (int64, error) {
 	enc := NewEncoder(w)
-	enc.records(Magic, c.txs, c.live)
+	enc.records(c.txs, c.live)
 	err := enc.Flush()
 	return enc.Written(), err
 }
@@ -213,7 +212,7 @@ func ReadDAG(r io.Reader) (*DAG, error) {
 func readDAG(br *bufio.Reader) (*DAG, error) {
 	dec := NewDecoder(br)
 	var count uint32
-	if dec.header(Magic, "a SDG1 snapshot", &count); dec.Err() != nil {
+	if dec.header(&count); dec.Err() != nil {
 		return nil, fmt.Errorf("dag: %w", dec.Err())
 	}
 	if count == 0 {

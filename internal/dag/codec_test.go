@@ -167,7 +167,7 @@ func TestReadDAGRejectsForwardParents(t *testing.T) {
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
 		count := uint32(3)
-		enc.header(Magic, "", &count)
+		enc.header(&count)
 		for _, tx := range []*Transaction{
 			{ID: 0, Issuer: GenesisIssuer},
 			{ID: 1, Issuer: 1, Parents: []ID{parent}},
@@ -320,14 +320,7 @@ func FuzzReadDAG(f *testing.F) {
 	if _, err := goldenTangle().WriteTo(&golden); err != nil {
 		f.Fatal(err)
 	}
-	d := goldenTangle()
-	if err := d.SetCompaction(goldenCompaction(f.TempDir())); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := d.CompactTo(9); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := d.WriteTo(&compacted); err != nil {
+	if _, err := goldenSpill(f, f.TempDir()).WriteTo(&compacted); err != nil {
 		f.Fatal(err)
 	}
 	for _, b := range [][]byte{golden.Bytes(), compacted.Bytes()} {

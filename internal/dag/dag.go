@@ -44,11 +44,11 @@
 //     Overlay and a freezing epoch alike;
 //   - the approval index is one append-mostly array with lock-free readers
 //     (childIndex);
-//   - the SDG1 snapshot and the SDS1 epoch spill are one record stream under
-//     two magics, and every binary format of the module — those two, the
-//     checkpoints' state section and SDE2 event frames — is walked by one
-//     Codec (walk.go): one layout function per format drives the counter,
-//     the writer and the reader (Codec.header, Codec.record for the records).
+//   - a transaction has one record layout (Codec.record), which the SDG1
+//     snapshot and the run's one spill log share, and every binary format of
+//     the module — those two, the checkpoints' state section and SDE2 event
+//     frames — is walked by one Codec (walk.go): one layout function per
+//     format drives the counter, the writer and the reader.
 package dag
 
 import (
@@ -122,12 +122,14 @@ type DAG struct {
 	tipSearchN   int
 	tipSearchMax int
 
-	// Epoch compaction state (see epoch.go). comp, frozen and
-	// lastFrozenEpoch are guarded by mu; floor mirrors the first live ID
-	// for lock-free readers and only ever advances.
+	// Epoch compaction state (see epoch.go). comp, frozen, lastFrozenEpoch
+	// and spillBuf (the spill encoder's, kept across freezes) are guarded by
+	// mu; floor mirrors the first live ID for lock-free readers and only
+	// ever advances.
 	comp            Compaction
 	frozen          []EpochSummary
 	lastFrozenEpoch int
+	spillBuf        []byte
 	floor           atomic.Int64
 	// guardRound memoizes the freeze guard's verdict for a tangle of guardN
 	// transactions (0: none); guardAux is the dead-tip analysis' scratch.

@@ -5,13 +5,13 @@ package dag
 // Transactions are bucketed into fixed-width epochs by their Round value
 // (simulated seconds for the async engine, round numbers for the sync one).
 // Epochs older than the live suffix are frozen: their confirmed cumulative
-// weights are summarized into an EpochSummary, their parameter vectors are
-// optionally spilled to disk (reloadable on demand via ParamsOf), and the
-// in-memory copies are released. The DAG's *structure* — IDs, issuers,
-// rounds, parent edges, metadata — is retained for every frozen
-// transaction, so Depths, Ancestors, Children, metrics and the SDG1 codec
-// keep working unchanged; only the dominant memory (full model weights per
-// transaction) is reclaimed.
+// weights are summarized into an EpochSummary, their records are optionally
+// written to the run's spill log on disk (parameter vectors reloadable on
+// demand via ParamsOf), and the in-memory copies are released. The DAG's
+// *structure* — IDs, issuers, rounds, parent edges, metadata — is retained
+// for every frozen transaction, so Depths, Ancestors, Children, metrics and
+// the SDG1 codec keep working unchanged; only the dominant memory (full model
+// weights per transaction) is reclaimed.
 //
 // Safety argument (why freezing never changes results). Compaction requires
 // the uniform-broadcast-delay regime (no per-link fault model), where two
@@ -53,11 +53,13 @@ package dag
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // Compaction configures epoch-based freezing of old DAG history. The zero
@@ -83,11 +85,12 @@ type Compaction struct {
 	// the cone it anchors — stops pinning the guard. Without it, the first
 	// orphaned tip would block all freezing forever (see deadTipsLocked).
 	GuardDepthMin int
-	// SpillDir, when non-empty, receives one spill file per frozen epoch
-	// (the SDG1 transaction record codec under an "SDS1" header); ParamsOf
-	// reloads released parameter vectors from it on demand. When empty,
-	// frozen parameters are dropped irrecoverably (cheapest mode — fine
-	// when only the live suffix and the summaries matter).
+	// SpillDir, when non-empty, holds the run's spill log: each frozen
+	// epoch's transaction records (SDG1's record layout, no header) in
+	// epoch order, one file; ParamsOf reloads released parameter vectors
+	// from it on demand. When empty, frozen parameters are dropped
+	// irrecoverably (cheapest mode — fine when only the live suffix and the
+	// summaries matter).
 	SpillDir string
 }
 
@@ -144,15 +147,16 @@ type EpochSummary struct {
 	// just that range.
 	WeightSum int
 	WeightMax int
-	// SpillFile/SpillBytes identify the epoch's spill file (basename,
-	// relative to Compaction.SpillDir) and its size; empty/0 without spill.
+	// SpillFile names the spill log the epoch's records went to (its
+	// basename in Compaction.SpillDir) and SpillBytes their size; empty/0
+	// without spill. The records start at the sum of the earlier epochs'
+	// SpillBytes.
 	SpillFile  string
 	SpillBytes int64
 }
 
-// spillMagic identifies epoch spill files: SDG1 transaction records under
-// their own header so a spill file is never mistaken for a DAG snapshot.
-var spillMagic = [4]byte{'S', 'D', 'S', '1'}
+// spillLog is the basename of a run's spill log in Compaction.SpillDir.
+const spillLog = "spill.log"
 
 // SetCompaction configures compaction. Call it at construction time, before
 // the DAG is shared, and before any transaction beyond genesis is added.
@@ -451,13 +455,11 @@ func (d *DAG) freezeEpochLocked(e, guard int) (bool, error) {
 	}
 
 	if d.comp.SpillDir != "" {
-		name := fmt.Sprintf("epoch-%06d.sds", e)
-		n, err := d.writeSpillLocked(filepath.Join(d.comp.SpillDir, name), first, last)
+		n, err := d.spillLocked(e, first, last)
 		if err != nil {
 			return false, err
 		}
-		sum.SpillFile = name
-		sum.SpillBytes = n
+		sum.SpillFile, sum.SpillBytes = spillLog, n
 	}
 
 	// Release the parameter vectors. Genesis keeps its copy: checkpoint
@@ -476,56 +478,46 @@ func (d *DAG) freezeEpochLocked(e, guard int) (bool, error) {
 	return true, nil
 }
 
-// writeSpillLocked writes the transactions of [first, last] to an epoch
-// spill file (atomically: temp file + rename) and returns its size. Caller
-// holds d.mu.
-func (d *DAG) writeSpillLocked(path string, first, last ID) (int64, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".spill-*")
+// spillLocked writes the records of [first, last] into the spill log where
+// the frozen epochs' bytes end and returns how many it wrote. It writes by
+// position, never appending or truncating, so an engine resumed into the same
+// directory writes the same bytes to the same place. The encoder's buffer is
+// kept between freezes. Caller holds d.mu.
+func (d *DAG) spillLocked(e int, first, last ID) (int64, error) {
+	f, err := os.OpenFile(filepath.Join(d.comp.SpillDir, spillLog), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
-		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
+		return 0, fmt.Errorf("dag: spilling epoch %d: %w", e, err)
 	}
-	defer os.Remove(tmp.Name())
-	enc := NewEncoder(tmp)
-	enc.records(spillMagic, d.txs[first:last+1], nil)
-	if err := enc.Flush(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
+	enc := &Codec{w: io.NewOffsetWriter(f, spillOffset(d.frozen, len(d.frozen))), b: d.spillBuf[:0], chunk: 8 << 10} // small: the DAG keeps b
+	for _, t := range d.txs[first : last+1] {
+		enc.record(t, &t.Params)
 	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, fmt.Errorf("dag: spilling epoch: %w", err)
+	err = errors.Join(enc.Flush(), f.Close())
+	d.spillBuf = enc.b[:0]
+	if err != nil {
+		return 0, fmt.Errorf("dag: spilling epoch %d: %w", e, err)
 	}
 	return enc.Written(), nil
 }
 
-// readSpill decodes an epoch spill file: the transactions of one frozen
-// epoch, in ID order, with their full parameter vectors. first is the
-// expected FirstID (records are validated to be sequential from it).
-func readSpill(r io.Reader, first ID) ([]*Transaction, error) {
-	dec := NewDecoder(bufio.NewReader(r))
-	var count uint32
-	if dec.header(spillMagic, "an SDS1 epoch spill", &count); dec.Err() != nil {
-		return nil, fmt.Errorf("dag: %w", dec.Err())
+// spillOffset is where the bytes of epochs[i] start in the spill log: the sum
+// of the earlier epochs' SpillBytes.
+func spillOffset(epochs []EpochSummary, i int) int64 {
+	var off int64
+	for _, s := range epochs[:i] {
+		off += s.SpillBytes
 	}
-	var txs []*Transaction // grown as records arrive: count is not trusted
-	for i := range count {
-		tx := &Transaction{ID: first + ID(i)}
-		if dec.record(tx, &tx.Params); dec.Err() != nil {
-			return nil, fmt.Errorf("dag: spill tx %d: %w", tx.ID, dec.Err())
-		}
-		txs = append(txs, tx)
-	}
-	return txs, nil
+	return off
 }
 
 // ParamsOf returns the parameter vector of the given transaction: the live
 // in-memory copy, or — for a frozen transaction whose epoch was spilled —
-// the copy reloaded from the spill file. It fails for frozen transactions
-// compacted without a spill directory. It is the read-back API for spilled
-// parameters, which no engine reads back; its readers are core's
-// compaction-equivalence gate and bench's async-longhaul reload.
+// the copy reloaded from the spill log, decoded from the epoch's offset up to
+// the transaction's record. Every record decoded must carry the structure the
+// tangle holds for its ID (issuer, round, parents, metadata), so a log that
+// another run overwrote is an error, not that run's vector. It fails for
+// frozen transactions compacted without a spill directory. Its readers are
+// core's compaction-equivalence gate and bench's async-longhaul reload.
 func (d *DAG) ParamsOf(id ID) ([]float64, error) {
 	t, ok := d.Get(id)
 	if !ok {
@@ -535,37 +527,35 @@ func (d *DAG) ParamsOf(id ID) ([]float64, error) {
 		return t.Params, nil
 	}
 	d.mu.RLock()
-	comp := d.comp
-	var sum EpochSummary
-	found := false
-	for _, s := range d.frozen {
-		if id >= s.FirstID && id <= s.LastID {
-			sum = s
-			found = true
-			break
-		}
-	}
+	dir, epochs := d.comp.SpillDir, d.frozen // a frozen summary is never rewritten
 	d.mu.RUnlock()
-	if !found {
-		return nil, fmt.Errorf("dag: transaction %d below the live floor but in no frozen epoch", id)
+	i := 0
+	for i < len(epochs) && epochs[i].LastID < id {
+		i++
 	}
-	if sum.SpillFile == "" {
+	if i == len(epochs) || epochs[i].SpillFile == "" {
 		return nil, fmt.Errorf("dag: transaction %d was compacted without a spill directory; its params are gone", id)
 	}
-	f, err := os.Open(filepath.Join(comp.SpillDir, sum.SpillFile))
+	e := epochs[i]
+	f, err := os.Open(filepath.Join(dir, e.SpillFile))
 	if err != nil {
-		return nil, fmt.Errorf("dag: reloading epoch %d: %w", sum.Epoch, err)
+		return nil, fmt.Errorf("dag: reloading epoch %d: %w", e.Epoch, err)
 	}
 	defer f.Close()
-	txs, err := readSpill(f, sum.FirstID)
-	if err != nil {
-		return nil, fmt.Errorf("dag: reloading epoch %d: %w", sum.Epoch, err)
+	dec := NewDecoder(bufio.NewReader(io.NewSectionReader(f, spillOffset(epochs, i), e.SpillBytes)))
+	for next := e.FirstID; ; next++ {
+		tx := &Transaction{ID: next}
+		dec.record(tx, &tx.Params)
+		if r := d.MustGet(next); dec.Err() == nil && (tx.Issuer != r.Issuer || tx.Round != r.Round || tx.Meta != r.Meta || !slices.Equal(tx.Parents, r.Parents)) {
+			dec.Fail(fmt.Errorf("the spill log holds another record (issuer %d, round %d, parents %v)", tx.Issuer, tx.Round, tx.Parents))
+		}
+		if dec.Err() != nil {
+			return nil, fmt.Errorf("dag: reloading epoch %d: tx %d: %w", e.Epoch, next, dec.Err())
+		}
+		if next == id {
+			return tx.Params, nil
+		}
 	}
-	idx := int(id - sum.FirstID)
-	if idx >= len(txs) || txs[idx].ID != id {
-		return nil, fmt.Errorf("dag: epoch %d spill does not contain transaction %d", sum.Epoch, id)
-	}
-	return txs[idx].Params, nil
 }
 
 // RestoreCompaction reinstates compaction state on a DAG rebuilt from a
@@ -588,6 +578,9 @@ func (d *DAG) RestoreCompaction(c Compaction, epochs []EpochSummary) error {
 		}
 		if s.FirstID != floor || s.LastID < s.FirstID-1 {
 			return fmt.Errorf("dag: frozen epoch %d covers [%d, %d], want to start at %d", s.Epoch, s.FirstID, s.LastID, floor)
+		}
+		if s.SpillFile != "" && s.SpillFile != spillLog {
+			return fmt.Errorf("dag: frozen epoch %d spilled to %q: one file per epoch is an older spill generation than this build reads (one %q log per run) — resume it with a build that reads it", s.Epoch, s.SpillFile, spillLog)
 		}
 		floor = s.LastID + 1
 	}

@@ -7,8 +7,11 @@ package dag
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/specdag/specdag/internal/xrand"
@@ -231,34 +234,109 @@ func TestSpillRoundtripAndParamsOf(t *testing.T) {
 			}
 		}
 	}
-	// Spill files decode standalone and carry the recorded sizes.
+	// The run leaves one file in its spill directory, the log, holding
+	// exactly the bytes its epochs recorded.
+	var total int64
 	for _, e := range d.FrozenEpochs() {
-		if e.Txs == 0 {
-			continue
+		if e.Txs > 0 && e.SpillFile != spillLog {
+			t.Fatalf("epoch %d froze %d txs into %q, want the spill log", e.Epoch, e.Txs, e.SpillFile)
 		}
-		if e.SpillFile == "" {
-			t.Fatalf("epoch %d froze %d txs without a spill file", e.Epoch, e.Txs)
+		total += e.SpillBytes
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != spillLog {
+		t.Fatalf("spill directory holds %v, want only %s", entries, spillLog)
+	}
+	if fi, err := entries[0].Info(); err != nil || fi.Size() != total {
+		t.Fatalf("spill log is %v bytes (%v), the epochs record %d", fi.Size(), err, total)
+	}
+}
+
+// TestParamsOfFailsOnDamagedLog: a spill log that is missing, cut short or
+// zero-filled where an epoch starts gives an error that names the epoch,
+// never a vector.
+func TestParamsOfFailsOnDamagedLog(t *testing.T) {
+	cases := []struct {
+		name  string
+		epoch int
+		id    func(EpochSummary) ID
+		hurt  func(path string, off, n int64) error
+	}{
+		{"missing", 1, func(e EpochSummary) ID { return e.FirstID }, func(path string, _, _ int64) error {
+			return os.Remove(path)
+		}},
+		{"truncated inside the epoch", 1, func(e EpochSummary) ID { return e.LastID }, func(path string, off, n int64) error {
+			return os.Truncate(path, off+n/2)
+		}},
+		{"zero-filled at the epoch", 1, func(e EpochSummary) ID { return e.FirstID }, func(path string, off, n int64) error {
+			return zeroFill(path, off, n)
+		}},
+		{"zero-filled at genesis' epoch", 0, func(EpochSummary) ID { return 1 }, func(path string, off, n int64) error {
+			return zeroFill(path, off, n)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := goldenSpill(t, dir)
+			epochs := d.FrozenEpochs()
+			e := epochs[tc.epoch]
+			if err := tc.hurt(filepath.Join(dir, spillLog), spillOffset(epochs, tc.epoch), e.SpillBytes); err != nil {
+				t.Fatal(err)
+			}
+			got, err := d.ParamsOf(tc.id(e))
+			if want := fmt.Sprintf("epoch %d:", e.Epoch); err == nil || !strings.Contains(err.Error(), want) || got != nil {
+				t.Fatalf("ParamsOf(%d) = %v, %v; want an error naming %q", tc.id(e), got, err, want)
+			}
+		})
+	}
+}
+
+func zeroFill(path string, off, n int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt(make([]byte, n), off)
+	return errors.Join(err, f.Close())
+}
+
+// TestParamsOfRejectsAnotherRunsLog: two tangles whose epochs cover the same
+// ID ranges freeze into one directory, the second over the first's bytes.
+// The first tangle's reload must then fail: the records are not its own.
+func TestParamsOfRejectsAnotherRunsLog(t *testing.T) {
+	dir := t.TempDir()
+	var tangles [2]*DAG
+	for k := range tangles {
+		d := New([]float64{0, 0})
+		for i := range 40 {
+			tips := d.Tips()
+			params := []float64{float64((i + 1) * (1 + 99*k)), 0}
+			if _, err := d.Add(i%5+k, i/4, []ID{tips[0], tips[len(tips)-1]}, params, Meta{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		path := filepath.Join(dir, e.SpillFile)
-		fi, err := os.Stat(path)
-		if err != nil {
+		if err := d.SetCompaction(Compaction{Width: 2, Live: 1, GuardDepth: 2, SpillDir: dir}); err != nil {
 			t.Fatal(err)
 		}
-		if fi.Size() != e.SpillBytes {
-			t.Fatalf("epoch %d spill is %d bytes on disk, summary says %d", e.Epoch, fi.Size(), e.SpillBytes)
-		}
-		f, err := os.Open(path)
-		if err != nil {
+		if _, err := d.CompactTo(9); err != nil {
 			t.Fatal(err)
 		}
-		txs, err := readSpill(f, e.FirstID)
-		f.Close()
-		if err != nil {
-			t.Fatalf("epoch %d: %v", e.Epoch, err)
-		}
-		if len(txs) != e.Txs {
-			t.Fatalf("epoch %d spill has %d txs, summary says %d", e.Epoch, len(txs), e.Txs)
-		}
+		tangles[k] = d
+	}
+	a, b := tangles[0], tangles[1]
+	ea, eb := a.FrozenEpochs(), b.FrozenEpochs()
+	if len(ea) == 0 || ea[0].LastID < 1 || ea[0].LastID != eb[0].LastID || ea[0].SpillBytes != eb[0].SpillBytes {
+		t.Fatalf("epoch 0 of a (%+v) and of b (%+v) do not line up", ea[0], eb[0])
+	}
+	if got, err := b.ParamsOf(1); err != nil || got[0] != 100 {
+		t.Fatalf("b.ParamsOf(1) = %v, %v; want b's own vector", got, err)
+	}
+	if got, err := a.ParamsOf(1); err == nil || !strings.Contains(err.Error(), "epoch 0:") {
+		t.Fatalf("a.ParamsOf(1) = %v, %v; want an error naming epoch 0, not b's vector", got, err)
 	}
 }
 

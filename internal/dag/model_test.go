@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/specdag/specdag/internal/xrand"
@@ -430,11 +431,11 @@ func (r *modelRun) check(op int) {
 
 // checkFrozen checks what compaction recorded and kept of the frozen prefix:
 // contiguous epoch ranges, the confirmed weights of each, released parameter
-// vectors and their reload from the spill files.
+// vectors and their reload from the spill log.
 func (r *modelRun) checkFrozen(op int, floor ID) {
 	t := r.t
 	m, d := r.m, r.d
-	next := ID(0)
+	next, spilled := ID(0), int64(0)
 	for i, e := range d.FrozenEpochs() {
 		if e.Epoch != i || e.FirstID != next {
 			t.Fatalf("op %d: frozen epoch %d is %+v, want epoch %d from id %d", op, i, e, i, next)
@@ -462,29 +463,21 @@ func (r *modelRun) checkFrozen(op int, floor ID) {
 		if (e.SpillFile != "") != (r.comp.SpillDir != "" && e.Txs > 0) {
 			t.Fatalf("op %d: epoch %d spill file %q with spill dir %q", op, e.Epoch, e.SpillFile, r.comp.SpillDir)
 		}
-		if e.SpillFile == "" {
-			continue
+		if e.SpillFile != "" && e.SpillFile != spillLog {
+			t.Fatalf("op %d: epoch %d spilled to %q, not the spill log", op, e.Epoch, e.SpillFile)
 		}
-		blob, err := os.ReadFile(filepath.Join(r.comp.SpillDir, e.SpillFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(len(blob)) != e.SpillBytes {
-			t.Fatalf("op %d: epoch %d spill holds %d bytes, summary says %d", op, e.Epoch, len(blob), e.SpillBytes)
-		}
-		txs, err := readSpill(bytes.NewReader(blob), e.FirstID)
-		if err != nil || len(txs) != e.Txs {
-			t.Fatalf("op %d: epoch %d spill decodes to %d txs, %v", op, e.Epoch, len(txs), err)
-		}
-		for _, tx := range txs {
-			if !slices.Equal(tx.Parents, m.parents[tx.ID]) || tx.Round != m.rounds[tx.ID] || tx.Issuer != m.issuers[tx.ID] {
-				t.Fatalf("op %d: spilled tx %d = %+v disagrees with the model", op, tx.ID, tx)
-			}
-		}
+		spilled += e.SpillBytes
 	}
 	if next != floor {
 		t.Fatalf("op %d: frozen epochs end at %d, floor is %d", op, next, floor)
 	}
+	if spilled > 0 {
+		if fi, err := os.Stat(filepath.Join(r.comp.SpillDir, spillLog)); err != nil || fi.Size() != spilled {
+			t.Fatalf("op %d: spill log %v (%v), the epochs record %d bytes", op, fi, err, spilled)
+		}
+	}
+	// ParamsOf checks each reloaded record's structure against the tangle's,
+	// which check compares with the model.
 	for i := range m.parents {
 		id := ID(i)
 		got, err := d.ParamsOf(id)
@@ -576,30 +569,40 @@ func FuzzDAGModel(f *testing.F) {
 	})
 }
 
-// The committed spill fixture is epoch 1 of goldenTangle frozen with
-// goldenCompaction, written by the commit before SDG1 and SDS1 came to share
-// one record-stream writer. Regenerate only with a deliberate, versioned
-// format change:
-//
-//	SPECDAG_REGEN_GOLDEN=1 go test ./internal/dag/ -run TestGoldenSpill
-const (
-	goldenSpillPath  = "testdata/golden_epoch.sds"
-	goldenSpillEpoch = 1
-	// goldenSDG1 is the SHA-256 of goldenTangle's WriteTo output before
-	// anything froze, recorded at the same commit.
-	goldenSDG1 = "a7b44a7de0d207db7d8628f92fb6e92e070724bacaa2fb83c4da2ecdfec56da3"
-)
+// goldenSDG1 is the SHA-256 of goldenTangle's WriteTo output before anything
+// froze, recorded by the commit before the snapshot and the spill came to
+// share one record writer.
+const goldenSDG1 = "a7b44a7de0d207db7d8628f92fb6e92e070724bacaa2fb83c4da2ecdfec56da3"
 
 func goldenTangle() *DAG { return buildTangle(xrand.New(11), 40, 4) } // rounds 0..9
 
-func goldenCompaction(dir string) Compaction {
-	return Compaction{Width: 2, Live: 1, GuardDepth: 2, SpillDir: dir}
+// goldenSpill freezes goldenTangle through round 9 into a spill log in dir.
+func goldenSpill(tb testing.TB, dir string) *DAG {
+	d := goldenTangle()
+	if err := d.SetCompaction(Compaction{Width: 2, Live: 1, GuardDepth: 2, SpillDir: dir}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := d.CompactTo(9); err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }
 
-// TestGoldenSpill: yesterday's spill file still decodes to the transactions
-// it was written from, and freezing the same tangle today writes the same
-// bytes; the SDG1 stream of the same tangle has not moved either.
-func TestGoldenSpill(t *testing.T) {
+// recordsSize is the encoded size of txs' records with their own vectors.
+func recordsSize(txs []*Transaction) int64 {
+	c := NewCounter()
+	for _, t := range txs {
+		c.record(t, &t.Params)
+	}
+	c.Flush()
+	return c.Written()
+}
+
+// TestSpillLogIsSnapshotRecords: each frozen epoch's bytes in the spill log
+// are the slice of the golden tangle's SDG1 stream, taken before anything
+// froze, that holds the epoch's records; the stream itself has not moved
+// (goldenSDG1), so the log needs no fixture of its own.
+func TestSpillLogIsSnapshotRecords(t *testing.T) {
 	ref := goldenTangle()
 	var sdg bytes.Buffer
 	if _, err := ref.WriteTo(&sdg); err != nil {
@@ -608,102 +611,83 @@ func TestGoldenSpill(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(sdg.Bytes())); got != goldenSDG1 {
 		t.Errorf("SDG1 bytes of the golden tangle hash to %s, recorded %s", got, goldenSDG1)
 	}
-
-	d, dir := goldenTangle(), t.TempDir()
-	if err := d.SetCompaction(goldenCompaction(dir)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.CompactTo(9); err != nil {
-		t.Fatal(err)
-	}
-	epochs := d.FrozenEpochs()
-	if len(epochs) <= goldenSpillEpoch || epochs[goldenSpillEpoch].Txs == 0 {
-		t.Fatalf("golden tangle froze %d epochs, want a non-empty epoch %d", len(epochs), goldenSpillEpoch)
-	}
-	e := epochs[goldenSpillEpoch]
-	emitted, err := os.ReadFile(filepath.Join(dir, e.SpillFile))
+	dir := t.TempDir()
+	epochs := goldenSpill(t, dir).FrozenEpochs()
+	log, err := os.ReadFile(filepath.Join(dir, spillLog))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if os.Getenv("SPECDAG_REGEN_GOLDEN") != "" {
-		if err := os.WriteFile(goldenSpillPath, emitted, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if int64(len(log)) != spillOffset(epochs, len(epochs)) {
+		t.Fatalf("spill log holds %d bytes, its %d epochs record %d", len(log), len(epochs), spillOffset(epochs, len(epochs)))
 	}
-	golden, err := os.ReadFile(goldenSpillPath)
-	if err != nil {
-		t.Fatalf("missing fixture (regenerate with SPECDAG_REGEN_GOLDEN=1): %v", err)
+	// Epoch 1 is what the per-epoch spill fixture of earlier builds held:
+	// 320 record bytes at offset 366 of the stream.
+	if len(epochs) < 2 || epochs[1].SpillBytes != 320 || 8+spillOffset(epochs, 1) != 366 {
+		t.Fatalf("golden tangle froze %+v, want epoch 1's 320 bytes at stream offset 366", epochs)
 	}
-	if !bytes.Equal(emitted, golden) {
-		t.Fatalf("epoch %d spills to %d bytes that differ from the %d-byte fixture", e.Epoch, len(emitted), len(golden))
-	}
-	txs, err := readSpill(bytes.NewReader(golden), e.FirstID)
-	if err != nil {
-		t.Fatalf("golden spill no longer decodes: %v", err)
-	}
-	if len(txs) != e.Txs {
-		t.Fatalf("golden spill holds %d transactions, epoch has %d", len(txs), e.Txs)
-	}
-	for _, got := range txs {
-		want := ref.MustGet(got.ID)
-		if fmt.Sprintf("%+v", *got) != fmt.Sprintf("%+v", *want) {
-			t.Fatalf("golden spill tx %d = %+v, written from %+v", got.ID, *got, *want)
+	all := ref.All()
+	for i, e := range epochs {
+		at := int64(len(Magic)+4) + recordsSize(all[:e.FirstID]) // past the header and the earlier records
+		off := spillOffset(epochs, i)
+		if !bytes.Equal(log[off:off+e.SpillBytes], sdg.Bytes()[at:at+e.SpillBytes]) {
+			t.Errorf("epoch %d: log bytes [%d, %d) differ from stream bytes [%d, %d)", e.Epoch, off, off+e.SpillBytes, at, at+e.SpillBytes)
 		}
 	}
 }
 
-// FuzzReadSpill: arbitrary bytes come back as transactions that satisfy the
-// record invariants (sequential IDs from first, parents strictly earlier) or
-// as a non-empty error, never a panic.
+// FuzzReadSpill: hostile bytes written into the golden tangle's spill log at
+// any offset make ParamsOf of any frozen transaction an error naming its
+// epoch or a vector whose record matched the tangle's structure — the
+// original vector when the bytes up to the end of its record are untouched —
+// never a panic.
 func FuzzReadSpill(f *testing.F) {
-	golden, err := os.ReadFile(goldenSpillPath)
+	ref, dir := goldenTangle(), f.TempDir()
+	d := goldenSpill(f, dir)
+	epochs := d.FrozenEpochs()
+	log, err := os.ReadFile(filepath.Join(dir, spillLog))
 	if err != nil {
 		f.Fatal(err)
 	}
-	d, dir := goldenTangle(), f.TempDir()
-	if err := d.SetCompaction(goldenCompaction(dir)); err != nil {
-		f.Fatal(err)
-	}
-	if _, err := d.CompactTo(9); err != nil {
-		f.Fatal(err)
-	}
-	goldenFirst := uint16(d.FrozenEpochs()[goldenSpillEpoch].FirstID)
-	var sdg bytes.Buffer
-	if _, err := d.WriteTo(&sdg); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(golden, goldenFirst)
-	f.Add(golden, uint16(0)) // right bytes, wrong epoch
-	f.Add(golden[:len(golden)/2], goldenFirst)
-	f.Add(golden[:6], goldenFirst)
-	f.Add([]byte("SDS1"), uint16(0))
-	f.Add([]byte{}, uint16(0))
-	f.Add(sdg.Bytes(), uint16(0)) // the sibling format: same records, other magic
-	f.Add(append([]byte("SDS1"), sdg.Bytes()[4:]...), uint16(0))
-	huge := append([]byte(nil), golden...)
-	copy(huge[4:8], []byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(huge, goldenFirst)
+	e1 := uint16(spillOffset(epochs, 1))
+	f.Add([]byte{}, uint16(0), uint16(0))                       // the log as written
+	f.Add(make([]byte, 64), e1, uint16(epochs[1].FirstID-1))    // zeros where epoch 1 starts
+	f.Add(make([]byte, len(log)), uint16(0), uint16(0))         // all zeros
+	f.Add([]byte("SDG1\x08\x00\x00\x00"), uint16(0), uint16(5)) // a snapshot header
+	f.Add(bytes.Repeat([]byte{0xff}, 10), e1+3, uint16(epochs[1].LastID-1))
+	f.Add(log[1:101], uint16(0), uint16(3))                     // records shifted by a byte
+	f.Add(bytes.Repeat([]byte{0x80}, 16), uint16(2), uint16(1)) // unterminated varints
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, uint16(20), uint16(0))
+	f.Add([]byte{1, 2, 3}, uint16(len(log)), uint16(d.LiveFloor()-2)) // past the end
 
-	f.Fuzz(func(t *testing.T, data []byte, first uint16) {
-		if len(data) > 1<<16 {
-			t.Skip("bounded: the fixture is a few hundred bytes")
+	all := ref.All()
+	f.Fuzz(func(t *testing.T, data []byte, at, pick uint16) {
+		if len(data) > 1<<12 {
+			t.Skip("bounded: the log is a couple of kilobytes")
 		}
-		txs, err := readSpill(bytes.NewReader(data), ID(first))
+		hostile := append([]byte(nil), log...)
+		if end := int(at) + len(data); end > len(hostile) {
+			hostile = append(hostile, make([]byte, end-len(hostile))...)
+		}
+		copy(hostile[at:], data)
+		if err := os.WriteFile(filepath.Join(dir, spillLog), hostile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		id := 1 + ID(int(pick)%int(d.LiveFloor()-1))
+		i := 0
+		for id > epochs[i].LastID {
+			i++
+		}
+		off := spillOffset(epochs, i)
+		got, err := d.ParamsOf(id)
 		if err != nil {
-			if err.Error() == "" {
-				t.Fatal("readSpill returned an empty error")
+			if !strings.Contains(err.Error(), fmt.Sprintf("epoch %d:", epochs[i].Epoch)) {
+				t.Fatalf("ParamsOf(%d): %v, want an error naming epoch %d", id, err, epochs[i].Epoch)
 			}
 			return
 		}
-		for i, tx := range txs {
-			if tx.ID != ID(first)+ID(i) {
-				t.Fatalf("record %d has id %d, want %d", i, tx.ID, ID(first)+ID(i))
-			}
-			for _, p := range tx.Parents {
-				if p >= tx.ID {
-					t.Fatalf("tx %d approves %d, which does not precede it", tx.ID, p)
-				}
-			}
+		end := off + recordsSize(all[epochs[i].FirstID:id+1])
+		if bytes.Equal(hostile[off:end], log[off:end]) && !slices.Equal(got, ref.MustGet(id).Params) {
+			t.Fatalf("tx %d reloads as %v from untouched bytes, written from %v", id, got, ref.MustGet(id).Params)
 		}
 	})
 }

@@ -22,8 +22,8 @@ const (
 	maxString = 1 << 24
 )
 
-// A Codec is one pass over a binary layout — an SDG1 or SDS1 record stream
-// (codec.go), a checkpoint's state section (SDC3/SDA3, internal/core) or an
+// A Codec is one pass over a binary layout — an SDG1 snapshot or the spill
+// log's records (codec.go, epoch.go), a checkpoint's state section (SDC3/SDA3, internal/core) or an
 // SDE2 event frame (internal/wire) — field by field in the order the format's
 // one layout function gives, so its counter, writer and reader cannot drift
 // apart: decoding (NewDecoder; each field is assigned), encoding (NewEncoder;

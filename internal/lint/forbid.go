@@ -8,14 +8,15 @@ import (
 // Forbid keeps retired designs from growing back: one binary codec
 // (dag.Codec; no gob, and encoding/binary only in internal/dag), the
 // commands' flags as the only knobs, a budget that accounts by slots rather
-// than by goroutine identity, one checkpoint protocol and one weight sweep.
+// than by goroutine identity, one checkpoint protocol, one replace-by-rename
+// and one weight sweep.
 // Each rule bars one spelling from a package scope; bench/ keeps the
 // spellings it still measures with.
 var Forbid = &Analyzer{
 	Name: "forbid",
 	Doc: "forbid retired spellings per package scope: gob, encoding/binary outside dag, " +
 		"environment reads, runtime.Stack under internal/, the writer-sniffing checkpoint " +
-		"protocol, the level-parallel weight sweep and DAG.SetParallelism calls",
+		"protocol, os.Rename outside engine, the level-parallel weight sweep and DAG.SetParallelism calls",
 	Run: runForbid,
 }
 
@@ -49,6 +50,7 @@ var forbidRules = []forbidRule{
 	{`KeepCheckpoint`, "", notBench, false, protocolWhy},
 	{`CloseWithError`, "", notBench, false, protocolWhy},
 	{`AtomicFile`, "", notBench, false, protocolWhy},
+	{`os.Rename`, "", []string{"bench", "internal/engine"}, false, "engine.WriteAtomic is the one replace-by-rename, and it syncs before it renames"},
 	{`cumulativeWeightsParallel`, "", notBench, false, sweepWhy},
 	{`cumWeightsParallelMin`, "", notBench, false, sweepWhy},
 	{`.SetParallelism`, "", notBench, true, sweepWhy + "; nothing outside bench/ wires a budget into the tangle"},

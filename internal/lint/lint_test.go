@@ -35,7 +35,7 @@ func TestKernelOrder(t *testing.T) {
 
 func TestForbid(t *testing.T) {
 	linttest.Run(t, linttest.TestData(), lint.Forbid,
-		"forbid/internal/core", "forbid/internal/dag", "forbid/app", "forbid/bench", "forbid/bench_test")
+		"forbid/internal/core", "forbid/internal/dag", "forbid/internal/engine", "forbid/app", "forbid/bench", "forbid/bench_test")
 }
 
 // TestDirectiveAudit pins the directive diagnostics: malformed verbs,

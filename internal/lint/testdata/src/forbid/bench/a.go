@@ -18,3 +18,5 @@ func width() int { return binary.MaxVarintLen64 }
 func seed() string { return os.Getenv("BENCH_SEED") }
 
 func probe(d *dag.DAG) { d.SetParallelism(2) }
+
+func move(tmp, path string) error { return os.Rename(tmp, path) }

@@ -39,6 +39,10 @@ func fail(pw *io.PipeWriter, err error) error {
 	return pw.CloseWithError(err) // want `CloseWithError in forbid/internal/core`
 }
 
+func replace(tmp, path string) error {
+	return os.Rename(tmp, path) // want `os.Rename in forbid/internal/core: engine.WriteAtomic is the one replace-by-rename`
+}
+
 func cumulativeWeightsParallel() {} // want `cumulativeWeightsParallel in forbid/internal/core`
 
 const cumWeightsParallelMin = 128 // want `cumWeightsParallelMin in forbid/internal/core`
